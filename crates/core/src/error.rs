@@ -101,6 +101,15 @@ impl FederationError {
         }
     }
 
+    /// Shorthand constructor for [`FederationError::LeaseExpired`].
+    pub fn lease_expired(kind: &str, id: u64, host: &str) -> FederationError {
+        FederationError::LeaseExpired {
+            kind: kind.into(),
+            id,
+            host: host.into(),
+        }
+    }
+
     /// Renders this error as the SOAP fault a service returns.
     pub fn to_fault(&self) -> SoapFault {
         match self {

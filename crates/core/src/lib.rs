@@ -7,6 +7,8 @@
 //! * [`portal`] — the mediator: Registration and SkyQuery services, the
 //!   metadata catalog, query decomposition, count-star performance
 //!   queries, and plan construction (§5.1, §5.3);
+//! * [`walk`] — portal-driven execution of a plan one step at a time:
+//!   checkpoints, failover re-planning, result-cache recording;
 //! * [`skynode`] — the wrapper: the Information, Meta-data, Query, and
 //!   Cross match services around one archive database (§5.1);
 //! * [`xmatch`] — the probabilistic cross-match algorithm and its
@@ -33,6 +35,7 @@ pub mod plan;
 pub mod portal;
 pub mod query_exec;
 pub mod region;
+mod repair;
 pub mod result;
 pub mod result_cache;
 pub mod retry;
@@ -41,6 +44,7 @@ pub mod shard;
 pub mod skynode;
 pub mod trace;
 pub mod transfer;
+pub mod walk;
 pub mod xmatch;
 
 pub use client::Client;
@@ -52,8 +56,7 @@ pub use lease::LeaseTable;
 pub use meta::{ArchiveInfo, RegisteredNode, Registration, ZoneExtent};
 pub use plan::{ExecutionPlan, PlanShard, PlanStep};
 pub use portal::{
-    ChainMode, CheckpointedWalk, Degradation, FederationConfig, HostHealth, HostState,
-    OrderingStrategy, Portal,
+    ChainMode, Degradation, FederationConfig, HostHealth, HostState, OrderingStrategy, Portal,
 };
 pub use region::Region;
 pub use result::{ResultColumn, ResultSet};
@@ -64,6 +67,7 @@ pub use trace::{ExecutionTrace, TraceEvent};
 pub use transfer::{
     open_chunk_stream, send_rpc, send_rpc_with, ChunkStream, IncomingPartial, TransferChunk,
 };
+pub use walk::CheckpointedWalk;
 pub use xmatch::{
     MatchKernel, PartialSet, PartialTuple, StepConfig, StepContext, StepStats, TupleState,
 };

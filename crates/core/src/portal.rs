@@ -18,27 +18,23 @@ use skyquery_net::{
 };
 use skyquery_soap::{RpcCall, RpcResponse, SoapValue};
 use skyquery_sql::{decompose, parse_query, DecomposedQuery, Expr};
-use skyquery_storage::{DataType, Value};
+use skyquery_storage::{Catalog, DataType, Value};
 
 use crate::error::{FederationError, Result};
-use crate::meta::{catalog_from_element, ArchiveInfo, RegisteredNode, Registration, ZoneExtent};
+use crate::meta::{catalog_from_element, ArchiveInfo, RegisteredNode, Registration};
 use crate::plan::{
     ExecutionPlan, PlanShard, PlanStep, DEFAULT_LEASE_TTL_S, DEFAULT_MAX_MESSAGE_BYTES,
 };
 use crate::region::Region;
 use crate::result::{ResultColumn, ResultSet};
-use crate::result_cache::{CacheCounters, CacheEntry, CachedStep, ResultCache, StepVersion};
+use crate::result_cache::{CacheCounters, CacheEntry, ResultCache, StepVersion};
 use crate::retry::RetryPolicy;
-use crate::shard;
 use crate::skynode::invoke_cross_match;
 use crate::trace::{ExecutionTrace, StatsChain};
-use crate::transfer::{
-    invoke_delta_step, invoke_scatter_step, open_checkpoint, release_checkpoint, renew_lease,
-    send_rpc_with, IncomingPartial,
-};
+use crate::transfer::send_rpc_with;
+use crate::walk::CheckpointedWalk;
 use crate::xmatch::MatchKernel;
-use crate::xmatch::{PartialSet, PartialTuple, StepStats, TupleBindings};
-use skyquery_htm::SkyPoint;
+use crate::xmatch::{PartialSet, TupleBindings};
 
 /// How the Portal orders the mandatory archives in the plan list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,11 +58,11 @@ pub enum ChainMode {
     /// aborts the whole submission.
     #[default]
     Recursive,
-    /// Portal-driven checkpointed execution: one `ExecuteStep` call per
-    /// archive, each committing its partial set as a leased checkpoint
-    /// on the executing node. A mid-chain failure re-plans the remaining
-    /// steps around the failed node and resumes from the last good
-    /// checkpoint instead of re-running the committed prefix.
+    /// Portal-driven execution ([`CheckpointedWalk`]): one call per
+    /// archive, each committing its partial set as a checkpoint. A
+    /// mid-chain failure re-plans the remaining steps around the failed
+    /// node and resumes from the last good checkpoint instead of
+    /// re-running the committed prefix.
     Checkpointed,
 }
 
@@ -184,21 +180,10 @@ impl Degradation {
     }
 }
 
-/// Outcome of serving one extent from its replica group during a
-/// scatter: the winning reply (or final error) plus the failover/hedge
-/// book-keeping the Portal folds into the step's statistics.
-#[derive(Default)]
-struct ExtentOutcome {
-    result: Option<Result<(PartialSet, StatsChain)>>,
-    failovers: usize,
-    hedges: usize,
-    hedge_wins: usize,
-}
-
 /// The mediator.
 pub struct Portal {
-    host: String,
-    net: SimNetwork,
+    pub(crate) host: String,
+    pub(crate) net: SimNetwork,
     config: Mutex<FederationConfig>,
     /// Shard groups keyed by upper-cased logical archive name. Each
     /// group holds the archive's physical shards sorted by the zone
@@ -219,10 +204,6 @@ pub struct Portal {
     /// [`FederationConfig::result_cache_capacity`] is raised above 0.
     cache: Mutex<ResultCache>,
 }
-
-/// How often a failing mandatory step may be deferred (moved to the
-/// earliest mandatory slot) before the Portal gives up on the query.
-const MAX_STEP_DEFERRALS: u64 = 2;
 
 impl Portal {
     /// Creates a Portal and binds it to `host` on the network.
@@ -307,37 +288,34 @@ impl Portal {
         v
     }
 
-    /// Records one failure in the health book-keeping: exhausting a
-    /// retry budget adds a strike and (re)marks the host unhealthy.
-    fn note_failure(&self, e: &FederationError) {
-        if let FederationError::NodeUnhealthy { host, .. } = e {
-            let mut health = self.health.lock();
-            let h = health.entry(host.clone()).or_insert(HostHealth {
-                strikes: 0,
-                state: HostState::Unhealthy,
-            });
-            h.strikes += 1;
-            h.state = HostState::Unhealthy;
-        }
+    /// Adds a strike against `host` and (re)marks it unhealthy.
+    fn strike(&self, host: &str) {
+        let mut health = self.health.lock();
+        let h = health.entry(host.to_string()).or_insert(HostHealth {
+            strikes: 0,
+            state: HostState::Unhealthy,
+        });
+        h.strikes += 1;
+        h.state = HostState::Unhealthy;
     }
 
-    /// Folds one RPC outcome into the health book-keeping.
-    fn note_health<T>(&self, result: &Result<T>) {
-        if let Err(e) = result {
-            self.note_failure(e);
+    /// Folds the outcome of one real exchange with `host` into the health
+    /// book: success clears any unhealthy mark (and its strike history);
+    /// an exhausted retry budget strikes the host the error names.
+    pub(crate) fn observe<T>(&self, host: &str, outcome: &Result<T>) {
+        match outcome {
+            Ok(_) => {
+                self.health.lock().remove(host);
+            }
+            Err(FederationError::NodeUnhealthy { host, .. }) => self.strike(host),
+            Err(_) => {}
         }
-    }
-
-    /// Records a successful contact with `host`, clearing any unhealthy
-    /// mark (and its strike history).
-    fn note_healthy(&self, host: &str) {
-        self.health.lock().remove(host);
     }
 
     /// Whether `host` is currently marked unhealthy (probation counts as
     /// healthy: real traffic may flow again). Replica selection prefers
     /// the first healthy candidate of a group.
-    fn host_is_unhealthy(&self, host: &str) -> bool {
+    pub(crate) fn host_is_unhealthy(&self, host: &str) -> bool {
         self.health
             .lock()
             .get(host)
@@ -365,18 +343,10 @@ impl Portal {
             RetryPolicy::none(),
         )
         .is_ok();
-        let mut health = self.health.lock();
-        if ok {
-            if let Some(h) = health.get_mut(host) {
-                h.state = HostState::Probation;
-            }
-        } else {
-            let h = health.entry(host.to_string()).or_insert(HostHealth {
-                strikes: 0,
-                state: HostState::Unhealthy,
-            });
-            h.strikes += 1;
-            h.state = HostState::Unhealthy;
+        if !ok {
+            self.strike(host);
+        } else if let Some(h) = self.health.lock().get_mut(host) {
+            h.state = HostState::Probation;
         }
         ok
     }
@@ -397,10 +367,7 @@ impl Portal {
     /// health book-keeping from the outcome.
     fn call(&self, url: &Url, call: &RpcCall) -> Result<RpcResponse> {
         let result = send_rpc_with(&self.net, &self.host, url, call, self.config().retry);
-        self.note_health(&result);
-        if result.is_ok() {
-            self.note_healthy(&url.host);
-        }
+        self.observe(&url.host, &result);
         result
     }
 
@@ -446,6 +413,22 @@ impl Portal {
         group
     }
 
+    /// The archive's shards as replica groups, one per distinct zone
+    /// range in ascending order, each with its primary (lowest host)
+    /// first — `shards_of` keeps same-extent nodes adjacent. Replicas of
+    /// an extent hold identical data, so whatever is asked of an extent is
+    /// asked of one member of its group.
+    fn replica_groups(&self, archive: &str) -> Vec<Vec<RegisteredNode>> {
+        let mut groups: Vec<Vec<RegisteredNode>> = Vec::new();
+        for n in self.shards_of(archive) {
+            match groups.last_mut() {
+                Some(g) if g[0].extent() == n.extent() => g.push(n),
+                _ => groups.push(vec![n]),
+            }
+        }
+        groups
+    }
+
     /// The UDDI provider name one shard registers under: the archive
     /// name for the group's primary shard, `name@host` for the rest.
     fn provider_name(index: usize, node: &RegisteredNode) -> String {
@@ -484,6 +467,17 @@ impl Portal {
         }
     }
 
+    /// The catalog the node at `url` publishes through its Meta-data
+    /// service: schemas, row counts and table versions.
+    fn fetch_catalog(&self, url: &Url) -> Result<Catalog> {
+        let resp = self.call(url, &RpcCall::new("Metadata"))?;
+        catalog_from_element(
+            resp.require("catalog")?
+                .as_xml()
+                .ok_or_else(|| FederationError::protocol("catalog must be xml"))?,
+        )
+    }
+
     /// Registers the SkyNode at `url`: calls its Meta-data and Information
     /// services and catalogs the results (§5.1 registration flow). A node
     /// publishing a [`crate::meta::ZoneExtent`] joins its archive's shard
@@ -498,13 +492,7 @@ impl Portal {
                 .as_xml()
                 .ok_or_else(|| FederationError::protocol("info must be xml"))?,
         )?;
-        let meta_resp = self.call(url, &RpcCall::new("Metadata"))?;
-        let catalog = catalog_from_element(
-            meta_resp
-                .require("catalog")?
-                .as_xml()
-                .ok_or_else(|| FederationError::protocol("catalog must be xml"))?,
-        )?;
+        let catalog = self.fetch_catalog(url)?;
         let table_count = catalog.tables.len();
         let node = RegisteredNode {
             info: info.clone(),
@@ -528,13 +516,7 @@ impl Portal {
         let extent = info.owned_extent();
         // The registering node's replica group: every group member
         // serving exactly the same zone range, itself included.
-        let replica_count = group
-            .iter()
-            .filter(|n| {
-                let e = n.extent();
-                e.dec_lo_deg == extent.dec_lo_deg && e.dec_hi_deg == extent.dec_hi_deg
-            })
-            .count();
+        let replica_count = group.iter().filter(|n| n.extent() == extent).count();
         Ok(Registration {
             archive: info.name.clone(),
             extent,
@@ -636,7 +618,7 @@ impl Portal {
     /// the federated execution plan (step 5), recording the same trace
     /// events a full submission would. The job service plans here once at
     /// admission, then drives [`Portal::execute_plan`] (or a stepwise
-    /// [`CheckpointedWalk`]) separately.
+    /// walk from [`Portal::start_walk`]) separately.
     pub fn plan_query(&self, sql: &str, trace: &mut ExecutionTrace) -> Result<ExecutionPlan> {
         let query = parse_query(sql).map_err(FederationError::Sql)?;
         let dq = decompose(query).map_err(FederationError::Sql)?;
@@ -681,75 +663,51 @@ impl Portal {
         Ok(plan)
     }
 
-    /// Fires the chain for a prepared plan (steps 6–7 of Figure 3) under
-    /// the configured chain mode — the paper's recursive daisy chain, or
-    /// the portal-driven checkpointed walk (per-step health book-keeping
-    /// happens inside the walk).
+    /// Fires the chain for a prepared plan (steps 6–7 of Figure 3). An
+    /// unsharded plan under [`ChainMode::Recursive`] with the result
+    /// cache off runs as the paper's recursive daisy chain; every other
+    /// plan is answered from the cache or walked to completion.
     pub fn execute_plan(
         &self,
         plan: &ExecutionPlan,
         trace: &mut ExecutionTrace,
     ) -> Result<(PartialSet, StatsChain, Degradation)> {
         let config = self.config();
-        if config.result_cache_capacity > 0 {
-            if let Some((set, stats)) = self.cached_result(plan, trace) {
-                // Cached entries are only written by complete (never
-                // degraded) walks, so a hit is always a complete answer.
-                return Ok((set, stats, Degradation::default()));
-            }
-            // Miss: run a caching walk so the next repeat of this plan
-            // can be served from the cache. On an unhealthy-node
-            // failure fall back to the configured chain mode, which
-            // can re-plan around the failure; anything else is fatal
-            // either way.
-            match self.run_caching_chain(plan, trace, &config) {
-                Ok(mut r) => {
-                    self.stamp_cache_counters(&mut r.1);
-                    return Ok((r.0, r.1, Degradation::default()));
-                }
-                Err(FederationError::NodeUnhealthy { .. }) => {
-                    trace.push(
-                        "Portal",
-                        "cache",
-                        "caching walk hit an unhealthy node; falling back to direct execution"
-                            .to_string(),
-                    );
-                }
-                Err(e) => return Err(e),
-            }
-            let mut r = self.execute_plan_direct(plan, trace)?;
-            self.stamp_cache_counters(&mut r.1);
-            return Ok(r);
+        if config.chain_mode == ChainMode::Recursive
+            && config.result_cache_capacity == 0
+            && !plan.has_shards()
+        {
+            // The node-to-node chain carries each intermediate set over
+            // one link instead of two and streams an over-limit input,
+            // but it can express neither a scatter nor a recording.
+            let head = &plan.steps[0].url;
+            let r = invoke_cross_match(&self.net, &self.host, head, plan, 0);
+            self.observe(&head.host, &r);
+            return r.map(|(set, stats)| (set, stats, Degradation::default()));
         }
-        self.execute_plan_direct(plan, trace)
+        let mut walk = self.start_walk(plan, trace);
+        while !walk.is_done() {
+            walk.step(self, trace)?;
+        }
+        walk.finish(self)
     }
 
-    /// The cache-oblivious execution path: the configured chain mode
-    /// over the daisy chain or the scatter-gather executor.
-    fn execute_plan_direct(
-        &self,
-        plan: &ExecutionPlan,
-        trace: &mut ExecutionTrace,
-    ) -> Result<(PartialSet, StatsChain, Degradation)> {
-        let mode = self.config().chain_mode;
-        if plan.has_shards() {
-            // A plan addressing any sharded or replicated archive is
-            // driven step by step from the Portal, scattering each step
-            // to the owning shards with replica failover; the
-            // node-to-node daisy chain cannot express a scatter.
-            return self.run_scatter_chain(plan, trace, mode);
+    /// Classifies a submission against the result cache — once — and
+    /// hands back the walk that runs it: already done when the cache
+    /// answered (a hit, or an incremental repair; cached entries are only
+    /// written by complete walks, so such an answer is never degraded),
+    /// otherwise with every step ahead of it — re-planning under
+    /// [`ChainMode::Checkpointed`], recording when the cache is on.
+    pub fn start_walk(&self, plan: &ExecutionPlan, trace: &mut ExecutionTrace) -> CheckpointedWalk {
+        if let Some((set, stats)) = self.cached_result(plan, trace) {
+            return CheckpointedWalk::answered(plan, set, stats);
         }
-        match mode {
-            ChainMode::Recursive => {
-                let r = invoke_cross_match(&self.net, &self.host, &plan.steps[0].url, plan, 0);
-                self.note_health(&r);
-                if r.is_ok() {
-                    self.note_healthy(&plan.steps[0].url.host);
-                }
-                r.map(|(set, stats)| (set, stats, Degradation::default()))
-            }
-            ChainMode::Checkpointed => self.run_checkpointed_chain(plan, trace),
-        }
+        let config = self.config();
+        let record = (config.result_cache_capacity > 0)
+            .then(|| self.current_versions(plan))
+            .flatten();
+        let replan = config.chain_mode == ChainMode::Checkpointed;
+        CheckpointedWalk::new(plan, replan, record)
     }
 
     /// Applies the plan's final ORDER BY / LIMIT / SELECT projection
@@ -842,34 +800,6 @@ impl Portal {
         Ok((result, trace))
     }
 
-    /// Drives the plan step by step from the Portal
-    /// ([`ChainMode::Checkpointed`]). Each `ExecuteStep` call commits the
-    /// step's partial set as a leased checkpoint on the executing node;
-    /// only the checkpoint id, row count, and statistics travel back. On
-    /// a mid-chain `NodeUnhealthy` failure the Portal re-plans: a failing
-    /// drop-out archive is skipped (`degraded`), a failing mandatory
-    /// archive is deferred behind the other mandatory steps (`replan`) —
-    /// in both cases execution resumes from the last good checkpoint
-    /// without re-running any committed step.
-    fn run_checkpointed_chain(
-        &self,
-        plan: &ExecutionPlan,
-        trace: &mut ExecutionTrace,
-    ) -> Result<(PartialSet, StatsChain, Degradation)> {
-        let mut walk = CheckpointedWalk::new(plan);
-        while !walk.is_done() {
-            if let Err(e) = walk.step(self, trace) {
-                // The last good checkpoint will never be resumed: free it
-                // now instead of waiting for the holder's janitor.
-                walk.release(self);
-                return Err(e);
-            }
-        }
-        let degradation = walk.degradation().clone();
-        let (set, stats) = walk.finish(self)?;
-        Ok((set, stats, degradation))
-    }
-
     /// Attempts to serve `plan` from the result cache: a **hit** (the
     /// registry's table versions match the entry's version vector
     /// exactly) returns the cached final set with zero chain steps
@@ -878,10 +808,9 @@ impl Portal {
     /// by probing only the delta rows through the node `DeltaStep`
     /// service; anything else — a version regression, a vanished
     /// archive, a stale sharded entry — evicts the entry and returns
-    /// `None` so the caller runs the chain cold. Used by
-    /// [`Portal::execute_plan`] and by the job service before it
-    /// starts a chain walk.
-    pub fn cached_result(
+    /// `None` so the caller runs the chain cold. The one classification
+    /// every submission gets ([`Portal::start_walk`]).
+    fn cached_result(
         &self,
         plan: &ExecutionPlan,
         trace: &mut ExecutionTrace,
@@ -915,16 +844,7 @@ impl Portal {
             if &entry.versions == current {
                 cache.renew(id, now);
                 cache.counters_mut().hits += 1;
-                let entry = cache.get(id).expect("present");
-                let head = entry
-                    .steps
-                    .first()
-                    .expect("a cached entry holds every plan step");
-                let set = head.set.clone();
-                let mut stats = StatsChain::new();
-                for s in entry.steps.iter().rev() {
-                    stats.push(s.alias.clone(), s.stats);
-                }
+                let (set, mut stats) = answer_of(cache.get(id).expect("present"));
                 stamp_cache_counters(&mut stats, cache.counters());
                 drop(cache);
                 trace.push(
@@ -966,22 +886,10 @@ impl Portal {
             Ok(repaired) => {
                 // The delta probes observed authoritative versions:
                 // publish them so the next lookup validates as a hit.
-                for vs in &repaired.versions {
-                    for v in vs {
-                        self.update_registry_version(&v.host, &v.table, v.version);
-                    }
-                }
-                let head = repaired
-                    .steps
-                    .first()
-                    .expect("a repaired entry holds every plan step");
-                let set = head.set.clone();
-                let mut stats = StatsChain::new();
-                for s in repaired.steps.iter().rev() {
-                    stats.push(s.alias.clone(), s.stats);
-                }
+                self.publish_versions(&repaired.versions);
                 let mut cache = self.cache.lock();
                 cache.counters_mut().repairs += 1;
+                let (set, mut stats) = answer_of(&repaired);
                 match cache.lookup(&signature) {
                     Some(id) => {
                         if let Some(slot) = cache.get_mut(id) {
@@ -1059,53 +967,12 @@ impl Portal {
         Some(out)
     }
 
-    /// Authoritative `(host, table)` versions for every step target,
-    /// fetched through each node's Metadata service. The caching walk
-    /// brackets its execution with two of these: if any version moved
-    /// mid-walk, the walk's provenance is torn and the result is not
-    /// cached.
-    fn fetch_versions(&self, plan: &ExecutionPlan) -> Result<Vec<Vec<StepVersion>>> {
-        let mut out = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
-            let targets: Vec<Url> = if step.shards.is_empty() {
-                vec![step.url.clone()]
-            } else {
-                step.shards.iter().map(|s| s.url.clone()).collect()
-            };
-            let mut vs = Vec::with_capacity(targets.len());
-            for url in &targets {
-                let resp = self.call(url, &RpcCall::new("Metadata"))?;
-                let catalog = catalog_from_element(
-                    resp.require("catalog")?
-                        .as_xml()
-                        .ok_or_else(|| FederationError::protocol("catalog must be xml"))?,
-                )?;
-                let version = catalog
-                    .tables
-                    .iter()
-                    .find(|t| t.schema.name.eq_ignore_ascii_case(&step.table))
-                    .map(|t| t.version)
-                    .ok_or_else(|| {
-                        FederationError::protocol(format!(
-                            "table {} missing from the {} catalog",
-                            step.table, url.host
-                        ))
-                    })?;
-                vs.push(StepVersion {
-                    host: url.host.clone(),
-                    table: step.table.clone(),
-                    version,
-                });
-            }
-            out.push(vs);
-        }
-        Ok(out)
-    }
-
     /// Updates the registry's version snapshot for one `(host, table)`
     /// pair — called when an authoritative version is learned outside a
     /// full re-registration (delta probes, table transfers, caching
-    /// walks).
+    /// walks). Monotone: a recording walk spans job quanta, so the
+    /// registry may already know a newer version than an early step saw;
+    /// keeping it makes that entry stale (repairable), never a false hit.
     pub(crate) fn update_registry_version(&self, host: &str, table: &str, version: u64) {
         let mut nodes = self.nodes.lock();
         for group in nodes.values_mut() {
@@ -1113,11 +980,44 @@ impl Portal {
                 if n.url.host == host {
                     for t in &mut n.catalog.tables {
                         if t.schema.name.eq_ignore_ascii_case(table) {
-                            t.version = version;
+                            t.version = t.version.max(version);
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// Publishes a cache entry's version vector to the registry: the
+    /// steps that built (or repaired) it observed authoritative versions,
+    /// so the next lookup validates as a hit.
+    fn publish_versions(&self, versions: &[Vec<StepVersion>]) {
+        for v in versions.iter().flatten() {
+            self.update_registry_version(&v.host, &v.table, v.version);
+        }
+    }
+
+    /// Inserts the entry a clean recording walk built, under the
+    /// configured lease.
+    pub(crate) fn populate_cache(&self, entry: CacheEntry, trace: &mut ExecutionTrace) {
+        let config = self.config();
+        self.publish_versions(&entry.versions);
+        let n = entry.steps.len();
+        let inserted = self.cache.lock().insert(
+            entry,
+            self.net.now_s(),
+            config.result_cache_ttl_s,
+            config.result_cache_capacity,
+        );
+        if inserted.is_some() {
+            trace.push(
+                "Portal",
+                "cache populate",
+                format!(
+                    "cached all {n} step partial sets under a {:.0}s lease",
+                    config.result_cache_ttl_s
+                ),
+            );
         }
     }
 
@@ -1134,12 +1034,7 @@ impl Portal {
         }
         let mut refreshed = 0;
         for shard in &shards {
-            let resp = self.call(&shard.url, &RpcCall::new("Metadata"))?;
-            let catalog = catalog_from_element(
-                resp.require("catalog")?
-                    .as_xml()
-                    .ok_or_else(|| FederationError::protocol("catalog must be xml"))?,
-            )?;
+            let catalog = self.fetch_catalog(&shard.url)?;
             let mut nodes = self.nodes.lock();
             if let Some(group) = nodes.get_mut(&archive.to_ascii_uppercase()) {
                 if let Some(n) = group.iter_mut().find(|n| n.url.host == shard.url.host) {
@@ -1160,866 +1055,9 @@ impl Portal {
 
     /// Stamps the current cache counters into the first entry of a
     /// stats chain (see [`stamp_cache_counters`]).
-    fn stamp_cache_counters(&self, stats: &mut StatsChain) {
+    pub(crate) fn stamp_cache_counters(&self, stats: &mut StatsChain) {
         let c = self.cache.lock().counters();
         stamp_cache_counters(stats, c);
-    }
-
-    /// Runs the plan step by step from the Portal — reusing the
-    /// scatter executor, which degenerates to one call per step for an
-    /// unsharded plan — while recording every step's committed partial
-    /// set and per-tuple provenance for the result cache. Each step's
-    /// input is tagged with a [`CACHE_SRC_COL`] provenance column
-    /// (stripped from the output) so a later incremental repair knows
-    /// which upstream tuple every output row extends. The walk is
-    /// bracketed by two authoritative version fetches; if any table
-    /// moved mid-walk the result is returned but not cached.
-    fn run_caching_chain(
-        &self,
-        plan: &ExecutionPlan,
-        trace: &mut ExecutionTrace,
-        config: &FederationConfig,
-    ) -> Result<(PartialSet, StatsChain)> {
-        let before = self.fetch_versions(plan)?;
-        let n = plan.steps.len();
-        let mut steps: Vec<Option<CachedStep>> = (0..n).map(|_| None).collect();
-        let mut stats = StatsChain::new();
-        let mut current: Option<PartialSet> = None;
-        for idx in (0..n).rev() {
-            let input_tagged = current.as_ref().map(|set| {
-                let all: Vec<usize> = (0..set.tuples.len()).collect();
-                tag_with_cache_src(set, &all)
-            });
-            let (set, st, _) = self.scatter_step(
-                plan,
-                idx,
-                input_tagged.as_ref(),
-                ChainMode::Recursive,
-                trace,
-            )?;
-            let (clean, src) = match &current {
-                Some(_) => strip_cache_src(set)?,
-                None => {
-                    let src = (0..set.len() as u64).collect();
-                    (set, src)
-                }
-            };
-            stats.push(plan.steps[idx].alias.clone(), st);
-            steps[idx] = Some(CachedStep {
-                alias: plan.steps[idx].alias.clone(),
-                set: clean.clone(),
-                src,
-                stats: st,
-            });
-            current = Some(clean);
-        }
-        let final_set =
-            current.ok_or_else(|| FederationError::planning("caching chain committed no steps"))?;
-        let after = self.fetch_versions(plan)?;
-        if before == after {
-            for vs in &after {
-                for v in vs {
-                    self.update_registry_version(&v.host, &v.table, v.version);
-                }
-            }
-            let entry = CacheEntry {
-                signature: plan.cache_signature(),
-                versions: after,
-                steps: steps
-                    .into_iter()
-                    .map(|s| s.expect("every step executed"))
-                    .collect(),
-            };
-            let now = self.net.now_s();
-            let mut cache = self.cache.lock();
-            cache.insert(
-                entry,
-                now,
-                config.result_cache_ttl_s,
-                config.result_cache_capacity,
-            );
-            drop(cache);
-            trace.push(
-                "Portal",
-                "cache populate",
-                format!(
-                    "cached all {n} step partial sets under a {:.0}s lease",
-                    config.result_cache_ttl_s
-                ),
-            );
-        } else {
-            trace.push(
-                "Portal",
-                "cache",
-                "table versions moved during execution; result not cached".to_string(),
-            );
-        }
-        Ok((final_set, stats))
-    }
-
-    /// Repairs a monotonically stale cache entry in place of a cold
-    /// run: walking the chain in execution order, each step keeps the
-    /// cached outputs whose upstream tuples survived, probes **only
-    /// the rows inserted since the cached version** (plus any
-    /// freshly-appended upstream tuples, which must see the whole
-    /// table) through the node `DeltaStep` service, and splices the
-    /// delta results into the cached partial set. Because tables are
-    /// append-only and kernels emit candidates in row order within
-    /// each match group, the spliced set is byte-identical to a cold
-    /// run over the same data (proven by the repair proptests).
-    fn repair_entry(
-        &self,
-        plan: &ExecutionPlan,
-        entry: &CacheEntry,
-        current: &[Vec<StepVersion>],
-    ) -> Result<CacheEntry> {
-        let n = plan.steps.len();
-        if entry.steps.len() != n || entry.versions.len() != n || current.len() != n {
-            return Err(FederationError::protocol(
-                "cache entry shape does not match the plan",
-            ));
-        }
-        let mut new_steps: Vec<Option<CachedStep>> = (0..n).map(|_| None).collect();
-        let mut new_versions = entry.versions.clone();
-        let mut up: Option<RepairedUpstream> = None;
-        for idx in (0..n).rev() {
-            let cached = &entry.steps[idx];
-            if cached.src.len() != cached.set.tuples.len() {
-                return Err(FederationError::protocol(
-                    "cached step provenance is out of sync with its tuples",
-                ));
-            }
-            let v_old = entry.versions[idx]
-                .first()
-                .map(|v| v.version)
-                .ok_or_else(|| FederationError::protocol("cached step has no version record"))?;
-            let v_reg = current[idx].first().map(|v| v.version).unwrap_or(v_old);
-            let needs_delta = v_reg > v_old;
-            let (repaired, src, stats) = match up.take() {
-                None => self.repair_seed(
-                    plan,
-                    idx,
-                    cached,
-                    v_old,
-                    needs_delta,
-                    &mut new_versions[idx],
-                )?,
-                Some(upstream) => {
-                    if plan.steps[idx].dropout {
-                        self.repair_dropout(
-                            plan,
-                            idx,
-                            cached,
-                            upstream,
-                            v_old,
-                            v_reg,
-                            needs_delta,
-                            &mut new_versions[idx],
-                        )?
-                    } else {
-                        self.repair_match(
-                            plan,
-                            idx,
-                            cached,
-                            upstream,
-                            v_old,
-                            v_reg,
-                            needs_delta,
-                            &mut new_versions[idx],
-                        )?
-                    }
-                }
-            };
-            new_steps[idx] = Some(CachedStep {
-                alias: cached.alias.clone(),
-                set: repaired.set.clone(),
-                src,
-                stats,
-            });
-            up = Some(repaired);
-        }
-        Ok(CacheEntry {
-            signature: entry.signature.clone(),
-            versions: new_versions,
-            steps: new_steps
-                .into_iter()
-                .map(|s| s.expect("every step repaired"))
-                .collect(),
-        })
-    }
-
-    /// Repairs the seed step: cached rows keep their positions (the
-    /// seed scans its table in row order, so new rows sort after old
-    /// ones) and the delta rows are probed and appended.
-    fn repair_seed(
-        &self,
-        plan: &ExecutionPlan,
-        idx: usize,
-        cached: &CachedStep,
-        v_old: u64,
-        needs_delta: bool,
-        versions: &mut [StepVersion],
-    ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
-        let mut set = cached.set.clone();
-        let mut stats = cached.stats;
-        let old_len = set.tuples.len();
-        if needs_delta {
-            let (delta, chain, version) =
-                invoke_delta_step(&self.net, &self.host, &step.url, plan, idx, v_old, None)?;
-            if delta.columns != set.columns {
-                return Err(FederationError::protocol(
-                    "delta seed schema diverged from the cached set",
-                ));
-            }
-            stats = combine_delta_stats(stats, first_stats(&chain));
-            set.tuples.extend(delta.tuples);
-            if let Some(v) = versions.first_mut() {
-                v.version = version;
-            }
-        }
-        stats.tuples_out = set.tuples.len();
-        let src: Vec<u64> = (0..set.tuples.len() as u64).collect();
-        let map = (0..old_len).map(Some).collect();
-        let fresh = (old_len..set.tuples.len()).collect();
-        Ok((RepairedUpstream { set, map, fresh }, src, stats))
-    }
-
-    /// Repairs one match step. Surviving cached outputs are remapped to
-    /// their inputs' new positions; kept inputs are probed against only
-    /// the delta rows (their new extensions splice onto the end of
-    /// their match groups — within a group candidates come out in row
-    /// order, and delta rows have the highest row ids); fresh inputs
-    /// are probed against the whole table.
-    #[allow(clippy::too_many_arguments)]
-    fn repair_match(
-        &self,
-        plan: &ExecutionPlan,
-        idx: usize,
-        cached: &CachedStep,
-        upstream: RepairedUpstream,
-        v_old: u64,
-        v_reg: u64,
-        needs_delta: bool,
-        versions: &mut [StepVersion],
-    ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
-        let up_len = upstream.set.tuples.len();
-        let mut old_of_new: Vec<Option<usize>> = vec![None; up_len];
-        for (s, m) in upstream.map.iter().enumerate() {
-            if let Some(u) = m {
-                old_of_new[*u] = Some(s);
-            }
-        }
-        let kept: Vec<usize> = (0..up_len).filter(|u| old_of_new[*u].is_some()).collect();
-        let mut old_groups: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, s) in cached.src.iter().enumerate() {
-            old_groups.entry(*s).or_default().push(i);
-        }
-
-        let mut stats = cached.stats;
-        let mut observed: Option<u64> = None;
-        let delta_groups = if needs_delta && !kept.is_empty() {
-            let input = tag_with_cache_src(&upstream.set, &kept);
-            let (reply, chain, version) = invoke_delta_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                idx,
-                v_old,
-                Some(&input.to_votable()),
-            )?;
-            observed = Some(version);
-            stats = combine_delta_stats(stats, first_stats(&chain));
-            group_delta_reply(reply, &cached.set.columns)?
-        } else {
-            HashMap::new()
-        };
-        let full_groups = if !upstream.fresh.is_empty() {
-            let input = tag_with_cache_src(&upstream.set, &upstream.fresh);
-            let (reply, chain, version) = invoke_delta_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                idx,
-                0,
-                Some(&input.to_votable()),
-            )?;
-            if observed.is_none() && needs_delta {
-                observed = Some(version);
-            }
-            stats = combine_delta_stats(stats, first_stats(&chain));
-            group_delta_reply(reply, &cached.set.columns)?
-        } else {
-            HashMap::new()
-        };
-        if needs_delta {
-            if let Some(v) = versions.first_mut() {
-                v.version = observed.unwrap_or(v_reg);
-            }
-        }
-
-        let mut tuples = Vec::new();
-        let mut src: Vec<u64> = Vec::new();
-        let mut map = vec![None; cached.set.tuples.len()];
-        let mut fresh = Vec::new();
-        for (u, s_old) in old_of_new.iter().enumerate() {
-            match s_old {
-                Some(s_old) => {
-                    if let Some(group) = old_groups.get(&(*s_old as u64)) {
-                        for &i in group {
-                            map[i] = Some(tuples.len());
-                            src.push(u as u64);
-                            tuples.push(cached.set.tuples[i].clone());
-                        }
-                    }
-                    if let Some(extra) = delta_groups.get(&(u as u64)) {
-                        for t in extra {
-                            fresh.push(tuples.len());
-                            src.push(u as u64);
-                            tuples.push(t.clone());
-                        }
-                    }
-                }
-                None => {
-                    if let Some(group) = full_groups.get(&(u as u64)) {
-                        for t in group {
-                            fresh.push(tuples.len());
-                            src.push(u as u64);
-                            tuples.push(t.clone());
-                        }
-                    }
-                }
-            }
-        }
-        let set = PartialSet {
-            columns: cached.set.columns.clone(),
-            tuples,
-        };
-        stats.tuples_in = up_len;
-        stats.tuples_out = set.tuples.len();
-        Ok((RepairedUpstream { set, map, fresh }, src, stats))
-    }
-
-    /// Repairs one drop-out step. Drop-out is monotone — new rows can
-    /// only drop more tuples — so cached survivors need re-probing
-    /// against only the delta rows, tuples the cache already dropped
-    /// stay dropped, and fresh upstream tuples are filtered against the
-    /// whole table.
-    #[allow(clippy::too_many_arguments)]
-    fn repair_dropout(
-        &self,
-        plan: &ExecutionPlan,
-        idx: usize,
-        cached: &CachedStep,
-        upstream: RepairedUpstream,
-        v_old: u64,
-        v_reg: u64,
-        needs_delta: bool,
-        versions: &mut [StepVersion],
-    ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
-        let up_len = upstream.set.tuples.len();
-        let mut old_of_new: Vec<Option<usize>> = vec![None; up_len];
-        for (s, m) in upstream.map.iter().enumerate() {
-            if let Some(u) = m {
-                old_of_new[*u] = Some(s);
-            }
-        }
-        // A drop-out step passes each input through at most once.
-        let mut old_out_of_src: HashMap<u64, usize> = HashMap::new();
-        for (i, s) in cached.src.iter().enumerate() {
-            old_out_of_src.insert(*s, i);
-        }
-        let candidates: Vec<usize> = (0..up_len)
-            .filter(|u| old_of_new[*u].is_some_and(|s| old_out_of_src.contains_key(&(s as u64))))
-            .collect();
-
-        let mut stats = cached.stats;
-        let mut observed: Option<u64> = None;
-        let survivors_delta: Option<std::collections::HashSet<u64>> =
-            if needs_delta && !candidates.is_empty() {
-                let input = tag_with_cache_src(&upstream.set, &candidates);
-                let (reply, chain, version) = invoke_delta_step(
-                    &self.net,
-                    &self.host,
-                    &step.url,
-                    plan,
-                    idx,
-                    v_old,
-                    Some(&input.to_votable()),
-                )?;
-                observed = Some(version);
-                stats = combine_delta_stats(stats, first_stats(&chain));
-                let (_, srcs) = strip_cache_src(reply)?;
-                Some(srcs.into_iter().collect())
-            } else {
-                None
-            };
-        let survivors_full: std::collections::HashSet<u64> = if !upstream.fresh.is_empty() {
-            let input = tag_with_cache_src(&upstream.set, &upstream.fresh);
-            let (reply, chain, version) = invoke_delta_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                idx,
-                0,
-                Some(&input.to_votable()),
-            )?;
-            if observed.is_none() && needs_delta {
-                observed = Some(version);
-            }
-            stats = combine_delta_stats(stats, first_stats(&chain));
-            let (_, srcs) = strip_cache_src(reply)?;
-            srcs.into_iter().collect()
-        } else {
-            std::collections::HashSet::new()
-        };
-        if needs_delta {
-            if let Some(v) = versions.first_mut() {
-                v.version = observed.unwrap_or(v_reg);
-            }
-        }
-
-        let mut tuples = Vec::new();
-        let mut src: Vec<u64> = Vec::new();
-        let mut map = vec![None; cached.set.tuples.len()];
-        let mut fresh = Vec::new();
-        for (u, s_old) in old_of_new.iter().enumerate() {
-            match s_old {
-                Some(s_old) => {
-                    if let Some(&i) = old_out_of_src.get(&(*s_old as u64)) {
-                        let survives = survivors_delta
-                            .as_ref()
-                            .is_none_or(|s| s.contains(&(u as u64)));
-                        if survives {
-                            map[i] = Some(tuples.len());
-                            src.push(u as u64);
-                            tuples.push(cached.set.tuples[i].clone());
-                        }
-                    }
-                }
-                None => {
-                    if survivors_full.contains(&(u as u64)) {
-                        fresh.push(tuples.len());
-                        src.push(u as u64);
-                        tuples.push(upstream.set.tuples[u].clone());
-                    }
-                }
-            }
-        }
-        let set = PartialSet {
-            columns: cached.set.columns.clone(),
-            tuples,
-        };
-        stats.tuples_in = up_len;
-        stats.tuples_out = set.tuples.len();
-        Ok((RepairedUpstream { set, map, fresh }, src, stats))
-    }
-
-    /// Drives a plan with sharded steps from the Portal, seed to head.
-    /// Each step is scattered in parallel to the shards that own it
-    /// (`ScatterStep` calls), the shard outputs are merged
-    /// deterministically ([`crate::shard`]), and the merged set — held
-    /// in Portal memory — is both the next step's input and the chain's
-    /// checkpoint; shards retain no per-query state between steps.
-    ///
-    /// Under [`ChainMode::Recursive`] any failure aborts the submission
-    /// (the daisy chain's semantics). Under [`ChainMode::Checkpointed`]
-    /// the executor re-plans exactly like [`CheckpointedWalk`]: a
-    /// drop-out step that lost *some* shards degrades to the shards
-    /// that answered, a drop-out step that lost *all* shards is skipped
-    /// (unless residuals or carried columns route through it), and a
-    /// failing mandatory step is deferred behind the other mandatory
-    /// steps — resuming from the in-memory merged set without
-    /// re-running any committed step.
-    fn run_scatter_chain(
-        &self,
-        plan: &ExecutionPlan,
-        trace: &mut ExecutionTrace,
-        mode: ChainMode,
-    ) -> Result<(PartialSet, StatsChain, Degradation)> {
-        let mut remaining = plan.steps.clone();
-        let mut executed: Vec<String> = Vec::new();
-        let mut deferrals: HashMap<String, u64> = HashMap::new();
-        let mut current: Option<PartialSet> = None;
-        let mut stats = StatsChain::new();
-        let mut degradation = Degradation::default();
-        let mut recovering = false;
-        while let Some(idx) = remaining.len().checked_sub(1) {
-            let step = remaining[idx].clone();
-            let mut sub_plan = plan.clone();
-            sub_plan.steps = remaining.clone();
-            match self.scatter_step(&sub_plan, idx, current.as_ref(), mode, trace) {
-                Ok((set, st, deg)) => {
-                    stats.push(step.alias.clone(), st);
-                    let degraded = deg.degraded;
-                    degradation.absorb(deg);
-                    if recovering && !degraded {
-                        recovering = false;
-                        trace.push(
-                            "Portal",
-                            "resume",
-                            format!("chain resumed at {} ({} rows)", step.alias, set.len()),
-                        );
-                        self.net.record_node_event(&self.host, "resume");
-                    }
-                    if degraded {
-                        recovering = true;
-                    }
-                    current = Some(set);
-                    executed.push(step.alias.clone());
-                    remaining.pop();
-                }
-                Err(e) => {
-                    if mode == ChainMode::Recursive
-                        || !matches!(e, FederationError::NodeUnhealthy { .. })
-                    {
-                        return Err(e);
-                    }
-                    if step.dropout {
-                        // Optional archive entirely unreachable:
-                        // continue without its filter — unless the plan
-                        // routed residuals or carried columns through
-                        // it, where skipping would change the query's
-                        // meaning rather than its completeness.
-                        if !step.residual_sql.is_empty() || !step.carried.is_empty() {
-                            return Err(e);
-                        }
-                        trace.push(
-                            "Portal",
-                            "degraded",
-                            format!(
-                                "optional archive {} unreachable; continuing without its \
-                                 drop-out filter",
-                                step.alias
-                            ),
-                        );
-                        self.net.record_node_event(&self.host, "degraded");
-                        degradation.absorb(Degradation {
-                            degraded: true,
-                            dropped: vec![step.archive.clone()],
-                        });
-                        remaining.pop();
-                        recovering = true;
-                    } else {
-                        let first_mandatory = remaining
-                            .iter()
-                            .position(|s| !s.dropout)
-                            .expect("the failing step itself is mandatory");
-                        let tries = deferrals.entry(step.alias.clone()).or_insert(0);
-                        if *tries >= MAX_STEP_DEFERRALS || remaining.len() - first_mandatory < 2 {
-                            return Err(e);
-                        }
-                        *tries += 1;
-                        let failed = remaining.pop().expect("indexed above");
-                        remaining.insert(first_mandatory, failed);
-                        replace_residuals(&mut remaining, &executed)?;
-                        trace.push(
-                            "Portal",
-                            "replan",
-                            format!(
-                                "deferred {} after failure; new order: {}",
-                                step.alias,
-                                remaining
-                                    .iter()
-                                    .rev()
-                                    .map(|s| s.alias.as_str())
-                                    .collect::<Vec<_>>()
-                                    .join(" -> ")
-                            ),
-                        );
-                        self.net.record_node_event(&self.host, "replan");
-                        recovering = true;
-                    }
-                }
-            }
-        }
-        let set =
-            current.ok_or_else(|| FederationError::planning("scatter chain committed no steps"))?;
-        Ok((set, stats, degradation))
-    }
-
-    /// Scatters one step (`idx`, the tail of `plan.steps`) to its owning
-    /// shards in parallel and gathers the replies into one merged
-    /// partial set plus the step's merged statistics. Each extent is
-    /// served by one replica of its group: the first healthy candidate
-    /// in deterministic `(extent, host)` order is probed, a reply slower
-    /// than the configured hedge delay races a duplicate probe against
-    /// the first untried sibling (first response wins; the loser is
-    /// discarded before the gather, so no duplicate rows can merge), and
-    /// an unhealthy verdict fails over through the remaining siblings
-    /// before the step is allowed to fail. The third return records
-    /// partial-result honesty: `degraded` with the lost shards named
-    /// `archive@host` when a drop-out step lost whole extents but was
-    /// answered from the rest (Checkpointed mode only).
-    fn scatter_step(
-        &self,
-        plan: &ExecutionPlan,
-        idx: usize,
-        input: Option<&PartialSet>,
-        mode: ChainMode,
-        trace: &mut ExecutionTrace,
-    ) -> Result<(PartialSet, StepStats, Degradation)> {
-        let step = &plan.steps[idx];
-        // One entry per extent: the primary scatter target plus its
-        // same-extent replicas (failover/hedge candidates).
-        let mut targets: Vec<(Url, Vec<Url>)> = if step.shards.is_empty() {
-            vec![(step.url.clone(), Vec::new())]
-        } else {
-            step.shards
-                .iter()
-                .map(|s| (s.url.clone(), s.replicas.clone()))
-                .collect()
-        };
-        let multi = targets.len() > 1;
-        let dropout = step.dropout;
-
-        // Extent-prune the fan-out: a shard whose declination range
-        // cannot intersect any of the input tuples' probe balls is
-        // guaranteed to contribute nothing — no extensions on a match
-        // step, no dropped tuples on a drop-out step — so skipping the
-        // call is byte-identical. Seed steps (no input) always scatter
-        // to every shard. At least one target is always kept so the
-        // merge sees a well-formed (possibly empty) shard reply.
-        let mut shards_pruned = 0usize;
-        if multi {
-            if let Some(input) = input {
-                let span = probe_dec_span(input, plan.threshold, step.sigma_arcsec);
-                let mut keep = Vec::with_capacity(targets.len());
-                for shard in &step.shards {
-                    keep.push(span.is_some_and(|(lo, hi)| {
-                        shard.extent.dec_lo_deg <= hi && shard.extent.dec_hi_deg >= lo
-                    }));
-                }
-                if keep.iter().all(|k| !k) {
-                    keep[0] = true;
-                }
-                let mut it = keep.iter();
-                targets.retain(|_| *it.next().expect("keep covers targets"));
-                shards_pruned = keep.iter().filter(|k| !**k).count();
-            }
-        }
-
-        // When scattered, a non-drop-out step additionally carries the
-        // shard table's rank column so the gather can restore the
-        // single-node output order; the input set is tagged with each
-        // tuple's index for the same reason.
-        let mut wire_plan = plan.clone();
-        if multi && !dropout {
-            wire_plan.steps[idx]
-                .carried
-                .push(shard::RANK_COL.to_string());
-        }
-        let input_table = input.map(|set| {
-            if multi {
-                shard::tag_with_src(set).to_votable()
-            } else {
-                set.to_votable()
-            }
-        });
-
-        let net = &self.net;
-        let host = &self.host;
-        let wire = &wire_plan;
-        let tbl = input_table.as_ref();
-        let hedge_delay = self.config().hedge_delay_s;
-
-        // One probe attempt against one replica, with health
-        // book-keeping and the simulated-time cost of the exchange
-        // (what the hedge decision races against).
-        let probe = |url: &Url| -> (Result<(PartialSet, StatsChain)>, f64) {
-            let t0 = net.now_s();
-            let r = invoke_scatter_step(net, host, url, wire, idx, tbl);
-            let elapsed = net.now_s() - t0;
-            self.note_health(&r);
-            if r.is_ok() {
-                self.note_healthy(&url.host);
-            }
-            (r, elapsed)
-        };
-
-        // Serves one extent from its replica group: healthy-first pick,
-        // optional hedge, then failover through the untried siblings on
-        // unhealthy verdicts. Replicas hold identical data, so whichever
-        // one answers yields byte-identical rows. Non-unhealthy errors
-        // (a malformed body surviving its retry budget, a planning
-        // error) stay fatal: failing over past a poisoned reply would
-        // mask corruption, not route around an outage.
-        let serve_extent = |primary: &Url, replicas: &[Url]| -> ExtentOutcome {
-            let mut candidates: Vec<&Url> = Vec::with_capacity(1 + replicas.len());
-            candidates.push(primary);
-            candidates.extend(replicas.iter());
-            let pick = candidates
-                .iter()
-                .position(|u| !self.host_is_unhealthy(&u.host))
-                .unwrap_or(0);
-            let picked = candidates.remove(pick);
-            candidates.insert(0, picked);
-
-            let mut out = ExtentOutcome::default();
-            let (mut r, elapsed) = probe(candidates[0]);
-            let mut tried = 1;
-            if hedge_delay > 0.0 && elapsed >= hedge_delay && candidates.len() > 1 {
-                // The picked replica was slower than the hedge delay:
-                // model a duplicate probe issued at `hedge_delay` racing
-                // the (already-measured) straggler; first response wins
-                // and the loser is dropped here, before the gather.
-                out.hedges += 1;
-                net.record_node_event(host, "hedge");
-                let sibling = candidates[1];
-                tried = 2;
-                let (r2, sibling_elapsed) = probe(sibling);
-                let sibling_wins = match (&r, &r2) {
-                    (Err(_), Ok(_)) => true,
-                    (Ok(_), Ok(_)) => hedge_delay + sibling_elapsed < elapsed,
-                    _ => false,
-                };
-                if sibling_wins {
-                    r = r2;
-                    out.hedge_wins += 1;
-                }
-            }
-            while matches!(r, Err(FederationError::NodeUnhealthy { .. }))
-                && tried < candidates.len()
-            {
-                let next = candidates[tried];
-                tried += 1;
-                out.failovers += 1;
-                net.record_node_event(host, "failover");
-                r = probe(next).0;
-            }
-            out.result = Some(r);
-            out
-        };
-        let serve_extent = &serve_extent;
-
-        let outcomes: Vec<ExtentOutcome> = if multi {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = targets
-                    .iter()
-                    .map(|(primary, replicas)| {
-                        scope.spawn(move |_| serve_extent(primary, replicas))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("no panics"))
-                    .collect()
-            })
-            .expect("scope does not panic")
-        } else {
-            targets
-                .iter()
-                .map(|(primary, replicas)| serve_extent(primary, replicas))
-                .collect()
-        };
-
-        let mut parts: Vec<(PartialSet, StepStats)> = Vec::new();
-        let mut errs: Vec<(String, FederationError)> = Vec::new();
-        let (mut failovers, mut hedges, mut hedge_wins) = (0usize, 0usize, 0usize);
-        for ((primary, _), o) in targets.iter().zip(outcomes) {
-            failovers += o.failovers;
-            hedges += o.hedges;
-            hedge_wins += o.hedge_wins;
-            match o.result.expect("every extent produced an outcome") {
-                Ok((set, chain)) => {
-                    let st = chain
-                        .entries
-                        .into_iter()
-                        .next()
-                        .map(|(_, s)| s)
-                        .unwrap_or_default();
-                    parts.push((set, st));
-                }
-                // A failed extent is named by its primary host — the
-                // stable group identity — not whichever replica happened
-                // to answer last.
-                Err(e) => errs.push((primary.host.clone(), e)),
-            }
-        }
-
-        if !errs.is_empty() {
-            let all_unhealthy = errs
-                .iter()
-                .all(|(_, e)| matches!(e, FederationError::NodeUnhealthy { .. }));
-            // A drop-out step may degrade to the shards that answered:
-            // intersecting over fewer shards only weakens the filter,
-            // which is a completeness loss, not a correctness one.
-            let degradable =
-                mode == ChainMode::Checkpointed && dropout && multi && !parts.is_empty();
-            if !(all_unhealthy && degradable) {
-                // Prefer surfacing a fatal error so the driver aborts
-                // rather than deferring a step that can never succeed.
-                let fatal = errs
-                    .iter()
-                    .position(|(_, e)| !matches!(e, FederationError::NodeUnhealthy { .. }))
-                    .unwrap_or(0);
-                return Err(errs.swap_remove(fatal).1);
-            }
-            let lost: Vec<&str> = errs.iter().map(|(h, _)| h.as_str()).collect();
-            trace.push(
-                "Portal",
-                "degraded",
-                format!(
-                    "drop-out {}: shard(s) {} unreachable; intersecting over {} answering \
-                     shard(s)",
-                    step.alias,
-                    lost.join(", "),
-                    parts.len()
-                ),
-            );
-            self.net.record_node_event(&self.host, "degraded");
-            let (set, mut st) = shard::merge_dropout(&parts)?;
-            st.shards_pruned += shards_pruned;
-            st.failovers += failovers;
-            st.hedges += hedges;
-            st.hedge_wins += hedge_wins;
-            let degradation = Degradation {
-                degraded: true,
-                dropped: errs
-                    .iter()
-                    .map(|(h, _)| format!("{}@{}", step.archive, h))
-                    .collect(),
-            };
-            return Ok((set, st, degradation));
-        }
-
-        let (set, mut st) = if !multi {
-            parts.into_iter().next().expect("one target answered")
-        } else if input.is_none() {
-            shard::merge_seed(&parts, &step.alias)?
-        } else if dropout {
-            shard::merge_dropout(&parts)?
-        } else {
-            shard::merge_match(&parts, &step.alias)?
-        };
-        st.shards_pruned += shards_pruned;
-        st.failovers += failovers;
-        st.hedges += hedges;
-        st.hedge_wins += hedge_wins;
-        if multi {
-            let pruned_note = if shards_pruned > 0 {
-                format!(" ({shards_pruned} shard(s) extent-pruned)")
-            } else {
-                String::new()
-            };
-            trace.push(
-                "Portal",
-                "scatter",
-                format!(
-                    "{}: {} shards -> {} rows merged{}",
-                    step.alias,
-                    targets.len(),
-                    set.len(),
-                    pruned_note
-                ),
-            );
-        }
-        Ok((set, st, Degradation::default()))
     }
 
     /// Runs the count-star performance queries, in parallel when
@@ -2034,31 +1072,21 @@ impl Portal {
         // One job per (alias, extent): each shard counts its own zone
         // range and the Portal sums the estimates per alias, so a
         // sharded archive orders the plan exactly as its single-node
-        // equivalent would. Replicas of an extent hold identical data —
-        // each extent is counted once (`shards_of` sorts by extent then
-        // host, so a same-extent run is one replica group), or the sum
-        // would scale with the replication factor.
+        // equivalent would. Each extent is counted once — by one member
+        // of its replica group — or the sum would scale with the
+        // replication factor.
         let mut jobs: Vec<(String, String, Vec<Url>)> = Vec::new();
         for pq in &dq.performance_queries {
-            let group = self.shards_of(&pq.archive);
-            if group.is_empty() {
+            let groups = self.replica_groups(&pq.archive);
+            if groups.is_empty() {
                 return Err(FederationError::planning(format!(
                     "archive {} is not registered with the Portal",
                     pq.archive
                 )));
             }
-            let mut prev: Option<ZoneExtent> = None;
-            for n in group {
-                let e = n.extent();
-                let dup = prev
-                    .is_some_and(|p| p.dec_lo_deg == e.dec_lo_deg && p.dec_hi_deg == e.dec_hi_deg);
-                prev = Some(e);
-                if dup {
-                    let (_, _, siblings) = jobs.last_mut().expect("a replica follows its primary");
-                    siblings.push(n.url);
-                } else {
-                    jobs.push((pq.alias.clone(), pq.to_sql(), vec![n.url]));
-                }
+            for g in groups {
+                let urls = g.into_iter().map(|n| n.url).collect();
+                jobs.push((pq.alias.clone(), pq.to_sql(), urls));
             }
         }
 
@@ -2202,21 +1230,8 @@ impl Portal {
             // scatter-gather step: the plan lists one entry per distinct
             // zone range — the primary (lowest host) as the scatter
             // target, its same-extent siblings as failover/hedge
-            // replicas. `shards_of` orders by (extent, host), so
-            // same-extent nodes are adjacent with the primary first.
-            let group = self.shards_of(&slice.table.archive);
-            let mut extent_groups: Vec<Vec<&RegisteredNode>> = Vec::new();
-            for n in &group {
-                match extent_groups.last_mut() {
-                    Some(eg)
-                        if eg[0].extent().dec_lo_deg == n.extent().dec_lo_deg
-                            && eg[0].extent().dec_hi_deg == n.extent().dec_hi_deg =>
-                    {
-                        eg.push(n)
-                    }
-                    _ => extent_groups.push(vec![n]),
-                }
-            }
+            // replicas.
+            let extent_groups = self.replica_groups(&slice.table.archive);
             let replicated = extent_groups.iter().any(|eg| eg.len() > 1);
             // Any replication routes the step through the scatter
             // executor even for a single extent (the daisy chain has no
@@ -2312,393 +1327,18 @@ impl Portal {
     }
 }
 
-/// Portal-driven stepwise execution of one plan, one `ExecuteStep` call
-/// at a time ([`ChainMode::Checkpointed`]).
-///
-/// `Portal::submit` drives a walk to completion in a tight loop; the job
-/// service interleaves many walks — one [`CheckpointedWalk::step`] per
-/// scheduler quantum — so a long chain from one tenant cannot monopolize
-/// the Portal, and a cancellation between quanta can
-/// [release](CheckpointedWalk::release) the retained checkpoint
-/// immediately instead of leaking it until its lease lapses.
-///
-/// Each successful step commits its partial set as a leased checkpoint
-/// on the executing node; only the checkpoint id, row count, and
-/// statistics travel back. On a mid-chain `NodeUnhealthy` failure the
-/// walk re-plans: a failing drop-out archive is skipped (`degraded`), a
-/// failing mandatory archive is deferred behind the other mandatory
-/// steps (`replan`) — in both cases execution resumes from the last good
-/// checkpoint without re-running any committed step.
-pub struct CheckpointedWalk {
-    plan: ExecutionPlan,
-    /// Steps not yet executed, in plan-list order (drop-outs at the
-    /// head); execution walks from the tail (the seed) toward the head.
-    remaining: Vec<PlanStep>,
-    executed: Vec<String>,
-    deferrals: HashMap<String, u64>,
-    /// The last good checkpoint: where the committed prefix lives.
-    checkpoint: Option<(Url, u64)>,
-    stats: StatsChain,
-    degradation: Degradation,
-    recovering: bool,
-}
-
-impl CheckpointedWalk {
-    /// A walk over `plan` with no steps executed yet.
-    pub fn new(plan: &ExecutionPlan) -> CheckpointedWalk {
-        CheckpointedWalk {
-            plan: plan.clone(),
-            remaining: plan.steps.clone(),
-            executed: Vec::new(),
-            deferrals: HashMap::new(),
-            checkpoint: None,
-            stats: StatsChain::new(),
-            degradation: Degradation::default(),
-            recovering: false,
-        }
+/// The answer a cache entry holds: the head step's set, and the steps'
+/// statistics in execution order.
+fn answer_of(entry: &CacheEntry) -> (PartialSet, StatsChain) {
+    let head = entry
+        .steps
+        .first()
+        .expect("a cache entry holds every plan step");
+    let mut stats = StatsChain::new();
+    for s in entry.steps.iter().rev() {
+        stats.push(s.alias.clone(), s.stats);
     }
-
-    /// What this walk has dropped so far: read it before
-    /// [`CheckpointedWalk::finish`] consumes the walk, so the caller can
-    /// stamp partial-result honesty onto whatever it relays.
-    pub fn degradation(&self) -> &Degradation {
-        &self.degradation
-    }
-
-    /// Whether every step has executed (or been skipped as degraded).
-    pub fn is_done(&self) -> bool {
-        self.remaining.is_empty()
-    }
-
-    /// Steps not yet executed.
-    pub fn steps_remaining(&self) -> usize {
-        self.remaining.len()
-    }
-
-    /// Aliases of the steps already committed, in execution order.
-    pub fn executed(&self) -> &[String] {
-        &self.executed
-    }
-
-    /// Executes (or re-plans around) the next step of the chain. A
-    /// returned error is fatal for the walk: the caller should
-    /// [release](CheckpointedWalk::release) the retained checkpoint and
-    /// abandon the query.
-    pub fn step(&mut self, portal: &Portal, trace: &mut ExecutionTrace) -> Result<()> {
-        let idx = match self.remaining.len().checked_sub(1) {
-            Some(i) => i,
-            None => return Ok(()),
-        };
-        let step = self.remaining[idx].clone();
-        let mut sub_plan = self.plan.clone();
-        sub_plan.steps = self.remaining.clone();
-        let mut call = RpcCall::new("ExecuteStep")
-            .param("plan", SoapValue::Xml(sub_plan.to_element()))
-            .param("step", SoapValue::Int(idx as i64));
-        if let Some((cp_url, cp_id)) = &self.checkpoint {
-            call = call
-                .param("checkpoint_url", SoapValue::Str(cp_url.to_string()))
-                .param("checkpoint_id", SoapValue::Int(*cp_id as i64));
-        }
-        match send_rpc_with(&portal.net, &portal.host, &step.url, &call, self.plan.retry) {
-            Ok(resp) => {
-                let cp_id = resp
-                    .require("checkpoint")?
-                    .as_i64()
-                    .filter(|v| *v >= 0)
-                    .ok_or_else(|| {
-                        FederationError::protocol("checkpoint must be a non-negative integer")
-                    })? as u64;
-                let rows = resp.require("rows")?.as_i64().unwrap_or(-1);
-                let chain = StatsChain::from_element(
-                    resp.require("stats")?
-                        .as_xml()
-                        .ok_or_else(|| FederationError::protocol("stats must be xml"))?,
-                )?;
-                self.stats.entries.extend(chain.entries);
-                // The new checkpoint supersedes the previous one:
-                // release it best-effort (if the holder is
-                // unreachable, its janitor reclaims the lease) — but a
-                // failed release is tallied, never swallowed: the
-                // checkpoint pins node memory until its TTL.
-                if let Some((prev_url, prev_id)) = self.checkpoint.take() {
-                    if release_checkpoint(
-                        &portal.net,
-                        &portal.host,
-                        &prev_url,
-                        prev_id,
-                        RetryPolicy::none(),
-                    )
-                    .is_err()
-                    {
-                        note_release_failure(portal, &prev_url.host, prev_id, Some(trace));
-                    }
-                }
-                self.checkpoint = Some((step.url.clone(), cp_id));
-                portal.note_healthy(&step.url.host);
-                if self.recovering {
-                    self.recovering = false;
-                    trace.push(
-                        "Portal",
-                        "resume",
-                        format!(
-                            "chain resumed at {} (checkpoint {cp_id}, {rows} rows)",
-                            step.alias
-                        ),
-                    );
-                    portal.net.record_node_event(&portal.host, "resume");
-                }
-                self.executed.push(step.alias.clone());
-                self.remaining.pop();
-                Ok(())
-            }
-            Err(e) => {
-                if !matches!(e, FederationError::NodeUnhealthy { .. }) {
-                    return Err(e);
-                }
-                portal.note_failure(&e);
-                // Keep the surviving prefix alive while re-planning. A
-                // renewal that cannot be delivered is tallied: the
-                // checkpoint keeps its old deadline and may lapse
-                // before the re-planned chain returns to it.
-                if let Some((cp_url, cp_id)) = &self.checkpoint {
-                    if renew_lease(
-                        &portal.net,
-                        &portal.host,
-                        cp_url,
-                        "checkpoint",
-                        *cp_id,
-                        RetryPolicy::none(),
-                    )
-                    .is_err()
-                    {
-                        portal.net.record_renew_failure();
-                        portal.net.record_node_event(&portal.host, "renew-failed");
-                        trace.push(
-                            "Portal",
-                            "renew failed",
-                            format!(
-                                "checkpoint {cp_id} lease on {} not renewed; it may lapse \
-                                 before the re-planned chain resumes",
-                                cp_url.host
-                            ),
-                        );
-                    }
-                }
-                if step.dropout {
-                    // A drop-out archive is optional: continue without
-                    // it and flag the result as degraded — unless the
-                    // plan routed residuals or carried columns through
-                    // it, where skipping would change the query's
-                    // meaning rather than its completeness.
-                    if !step.residual_sql.is_empty() || !step.carried.is_empty() {
-                        return Err(e);
-                    }
-                    trace.push(
-                        "Portal",
-                        "degraded",
-                        format!(
-                            "optional archive {} unreachable; continuing without its \
-                             drop-out filter",
-                            step.alias
-                        ),
-                    );
-                    portal.net.record_node_event(&portal.host, "degraded");
-                    self.degradation.absorb(Degradation {
-                        degraded: true,
-                        dropped: vec![step.archive.clone()],
-                    });
-                    self.remaining.pop();
-                    self.recovering = true;
-                    Ok(())
-                } else {
-                    // A failing mandatory step is deferred to the
-                    // earliest mandatory slot (it will execute last);
-                    // the node may recover in the meantime.
-                    let first_mandatory = self
-                        .remaining
-                        .iter()
-                        .position(|s| !s.dropout)
-                        .expect("the failing step itself is mandatory");
-                    let tries = self.deferrals.entry(step.alias.clone()).or_insert(0);
-                    if *tries >= MAX_STEP_DEFERRALS || self.remaining.len() - first_mandatory < 2 {
-                        return Err(e);
-                    }
-                    *tries += 1;
-                    let failed = self.remaining.pop().expect("indexed above");
-                    self.remaining.insert(first_mandatory, failed);
-                    replace_residuals(&mut self.remaining, &self.executed)?;
-                    trace.push(
-                        "Portal",
-                        "replan",
-                        format!(
-                            "deferred {} after failure; new order: {}",
-                            step.alias,
-                            self.remaining
-                                .iter()
-                                .rev()
-                                .map(|s| s.alias.as_str())
-                                .collect::<Vec<_>>()
-                                .join(" -> ")
-                        ),
-                    );
-                    portal.net.record_node_event(&portal.host, "replan");
-                    self.recovering = true;
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// Collects the final checkpoint (the matched partial set) and
-    /// releases it. The checkpoint is freed best-effort even when
-    /// collection fails — a dead walk must not pin node resources until
-    /// a janitor sweep.
-    pub fn finish(mut self, portal: &Portal) -> Result<(PartialSet, StatsChain)> {
-        let (url, id) = self
-            .checkpoint
-            .take()
-            .ok_or_else(|| FederationError::planning("checkpointed chain committed no steps"))?;
-        let collected =
-            open_checkpoint(&portal.net, &portal.host, &url, &self.plan, id).and_then(|incoming| {
-                match incoming {
-                    IncomingPartial::Inline(set) => Ok(set),
-                    IncomingPartial::Chunked(stream) => stream.collect_set(),
-                }
-            });
-        if release_checkpoint(&portal.net, &portal.host, &url, id, RetryPolicy::none()).is_err() {
-            note_release_failure(portal, &url.host, id, None);
-        }
-        Ok((collected?, self.stats))
-    }
-
-    /// Best-effort release of the retained checkpoint — the cleanup path
-    /// for a failed or cancelled walk. Idempotent; if the holder is
-    /// unreachable, its janitor reclaims the lease at TTL instead, but
-    /// the failed call is still tallied in the network metrics.
-    pub fn release(&mut self, portal: &Portal) {
-        if let Some((url, id)) = self.checkpoint.take() {
-            if release_checkpoint(&portal.net, &portal.host, &url, id, RetryPolicy::none()).is_err()
-            {
-                note_release_failure(portal, &url.host, id, None);
-            }
-        }
-    }
-}
-
-/// Tallies one failed best-effort checkpoint release: bumps the
-/// `release_failures` network metric, records a node event, and — when a
-/// trace is in scope — an execution-trace entry. The checkpoint itself
-/// is not leaked (the holder's janitor reclaims it at TTL); what must
-/// not vanish is the evidence that cleanup RPCs are failing.
-fn note_release_failure(
-    portal: &Portal,
-    holder: &str,
-    id: u64,
-    trace: Option<&mut ExecutionTrace>,
-) {
-    portal.net.record_release_failure();
-    portal.net.record_node_event(&portal.host, "release-failed");
-    if let Some(trace) = trace {
-        trace.push(
-            "Portal",
-            "release failed",
-            format!("checkpoint {id} on {holder} not released; its janitor reclaims it at TTL"),
-        );
-    }
-}
-
-/// Portal-private provenance column tagged onto each step's input during
-/// a caching walk or repair probe. Node-side match and drop-out carry
-/// input columns through untouched (the same property the shard executor
-/// relies on for its `__src` tag), so the value survives the round trip
-/// and tells the Portal which upstream tuple each output row extends.
-/// Stripped before anything is cached or returned.
-const CACHE_SRC_COL: &str = "__csrc";
-
-/// Projects the tuples at `indices` out of `set` and appends a
-/// [`CACHE_SRC_COL`] column holding each tuple's index in the *full*
-/// upstream set — the provenance the repair merge keys on.
-fn tag_with_cache_src(set: &PartialSet, indices: &[usize]) -> PartialSet {
-    let mut columns = set.columns.clone();
-    columns.push(ResultColumn::new(CACHE_SRC_COL, DataType::Id));
-    let tuples = indices
-        .iter()
-        .map(|&i| {
-            let t = &set.tuples[i];
-            let mut values = t.values.clone();
-            values.push(Value::Id(i as u64));
-            PartialTuple {
-                state: t.state,
-                values,
-            }
-        })
-        .collect();
-    PartialSet { columns, tuples }
-}
-
-/// Removes the [`CACHE_SRC_COL`] column from a node reply, returning
-/// the clean set plus each tuple's upstream provenance index.
-fn strip_cache_src(mut set: PartialSet) -> Result<(PartialSet, Vec<u64>)> {
-    let pos = set
-        .columns
-        .iter()
-        .position(|c| c.name == CACHE_SRC_COL)
-        .ok_or_else(|| FederationError::protocol("delta reply lost the cache provenance column"))?;
-    set.columns.remove(pos);
-    let mut srcs = Vec::with_capacity(set.tuples.len());
-    for t in &mut set.tuples {
-        match t.values.remove(pos) {
-            Value::Id(s) => srcs.push(s),
-            other => {
-                return Err(FederationError::protocol(format!(
-                    "cache provenance column held {other:?}, expected an id"
-                )))
-            }
-        }
-    }
-    Ok((set, srcs))
-}
-
-/// Strips the provenance column from a delta-probe reply, checks the
-/// remaining schema still matches the cached set, and groups the reply
-/// tuples by upstream index (reply order preserved within each group).
-fn group_delta_reply(
-    reply: PartialSet,
-    expect_columns: &[ResultColumn],
-) -> Result<HashMap<u64, Vec<PartialTuple>>> {
-    let (clean, srcs) = strip_cache_src(reply)?;
-    if clean.columns.as_slice() != expect_columns {
-        return Err(FederationError::protocol(
-            "delta reply schema diverged from the cached set",
-        ));
-    }
-    let mut groups: HashMap<u64, Vec<PartialTuple>> = HashMap::new();
-    for (t, s) in clean.tuples.into_iter().zip(srcs) {
-        groups.entry(s).or_default().push(t);
-    }
-    Ok(groups)
-}
-
-/// The stats of the one step a delta probe executed.
-fn first_stats(chain: &StatsChain) -> StepStats {
-    chain.entries.first().map(|(_, s)| *s).unwrap_or_default()
-}
-
-/// Folds a delta probe's stats into a cached step's: kernel-internal
-/// counters accumulate (the repaired totals reflect the cached work
-/// plus the delta work — an approximation documented in DESIGN.md),
-/// while `tuples_in` / `tuples_out` are overwritten by the caller with
-/// exact values for the repaired set.
-fn combine_delta_stats(mut base: StepStats, delta: StepStats) -> StepStats {
-    base.candidates_probed += delta.candidates_probed;
-    base.candidates_examined += delta.candidates_examined;
-    base.chi2_accepted += delta.chi2_accepted;
-    base.scratch_reuse += delta.scratch_reuse;
-    base.tile_builds += delta.tile_builds;
-    base.tile_decodes += delta.tile_decodes;
-    base.tile_hits += delta.tile_hits;
-    base
+    (head.set.clone(), stats)
 }
 
 /// Writes a cache-counter snapshot into the first entry of a stats
@@ -2711,16 +1351,6 @@ fn stamp_cache_counters(stats: &mut StatsChain, c: CacheCounters) {
         s.cache_repairs = c.repairs as usize;
         s.cache_evictions = c.evictions as usize;
     }
-}
-
-/// Per-step repair state flowing down the chain in execution order: the
-/// repaired upstream output, where each old cached upstream row moved
-/// (`map[old] = Some(new)`, `None` if it was dropped), and which rows
-/// are new since the entry was populated.
-struct RepairedUpstream {
-    set: PartialSet,
-    map: Vec<Option<usize>>,
-    fresh: Vec<usize>,
 }
 
 // Crate-internal accessors for the baseline strategies (baseline.rs).
@@ -2749,34 +1379,6 @@ impl Portal {
 /// Final projection, shared with the pull-to-portal baseline.
 pub(crate) fn project_for_baseline(plan: &ExecutionPlan, set: PartialSet) -> Result<ResultSet> {
     project(plan, set)
-}
-
-/// Re-attaches residual clauses after a re-plan: each residual moves to
-/// the earliest remaining processing position where every alias it
-/// references is bound — either carried in the checkpointed tuples
-/// (already executed) or joined by a remaining step.
-fn replace_residuals(remaining: &mut [PlanStep], executed: &[String]) -> Result<()> {
-    let pool: Vec<String> = remaining
-        .iter_mut()
-        .flat_map(|s| std::mem::take(&mut s.residual_sql))
-        .collect();
-    let n = remaining.len();
-    let alias_order: Vec<String> = remaining.iter().map(|s| s.alias.clone()).collect();
-    for sql in pool {
-        let expr = skyquery_sql::parse_expr(&sql).map_err(FederationError::Sql)?;
-        let mut max_pos = 0usize;
-        for a in expr.referenced_aliases() {
-            if executed.iter().any(|e| e == a) {
-                continue; // already bound in the checkpointed tuples
-            }
-            let i = alias_order.iter().position(|x| x == a).ok_or_else(|| {
-                FederationError::planning(format!("residual references unknown alias {a}"))
-            })?;
-            max_pos = max_pos.max(n - 1 - i);
-        }
-        remaining[n - 1 - max_pos].residual_sql.push(sql);
-    }
-    Ok(())
 }
 
 /// Processing position at which a residual becomes evaluable.
@@ -2887,23 +1489,7 @@ fn project(plan: &ExecutionPlan, mut set: PartialSet) -> Result<ResultSet> {
 
 impl Endpoint for Portal {
     fn handle(&self, _net: &SimNetwork, req: HttpRequest) -> HttpResponse {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(b) => b,
-            Err(_) => {
-                return HttpResponse::soap_fault(
-                    skyquery_soap::SoapFault::client("request body is not UTF-8").to_xml(),
-                )
-            }
-        };
-        let call = match RpcCall::parse(body) {
-            Ok(c) => c,
-            Err(e) => {
-                return HttpResponse::soap_fault(
-                    skyquery_soap::SoapFault::client(e.to_string()).to_xml(),
-                )
-            }
-        };
-        let result = match call.method.as_str() {
+        crate::service::serve(&req, |call| match call.method.as_str() {
             // Registration service (§5.1): "When a SkyNode wishes to join
             // the SkyQuery federation; it calls the Registration service
             // of the Portal."
@@ -2953,32 +1539,6 @@ impl Endpoint for Portal {
             other => Err(FederationError::protocol(format!(
                 "unknown portal service {other}"
             ))),
-        };
-        match result {
-            Ok(resp) => HttpResponse::ok(resp.to_xml()),
-            Err(e) => HttpResponse::soap_fault(e.to_fault().to_xml()),
-        }
+        })
     }
-}
-
-/// The union of the input tuples' probe-ball declination spans, in
-/// degrees, padded with the same slack the zone kernels use for band
-/// selection. `None` when no tuple has a probe ball — nothing can match
-/// at any shard.
-fn probe_dec_span(input: &PartialSet, threshold: f64, sigma_arcsec: f64) -> Option<(f64, f64)> {
-    let sigma_rad = (sigma_arcsec / 3600.0).to_radians();
-    let mut span: Option<(f64, f64)> = None;
-    for tuple in &input.tuples {
-        let Some(best) = tuple.state.best_position() else {
-            continue;
-        };
-        let dec = SkyPoint::from_vec3(best).dec_deg;
-        let r_deg = tuple.state.search_radius(threshold, sigma_rad).to_degrees() + 1e-9;
-        let (lo, hi) = (dec - r_deg, dec + r_deg);
-        span = Some(match span {
-            None => (lo, hi),
-            Some((a, b)) => (a.min(lo), b.max(hi)),
-        });
-    }
-    span
 }

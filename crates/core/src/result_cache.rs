@@ -22,7 +22,7 @@
 //! match kernels (the node-side `DeltaStep` service) and merges them
 //! into the cached partial sets — producing a byte-identical result to
 //! a cold run at a fraction of the cost. See the repair logic in
-//! `portal.rs` for the merge discipline and the identity argument.
+//! `repair.rs` for the merge discipline and the identity argument.
 //!
 //! Entries are leased through [`LeaseTable`] — the same TTL mechanism
 //! that governs checkpoints and staging tables — so a cold cache entry

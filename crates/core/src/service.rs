@@ -7,8 +7,8 @@
 //! in the service's WSDL (or vice versa) — the §3.1 discipline that
 //! "WSDL consists of two distinct parts" stays mechanically enforced.
 
-use skyquery_net::SimNetwork;
-use skyquery_soap::{Operation, RpcCall, RpcResponse, WsdlBuilder};
+use skyquery_net::{HttpRequest, HttpResponse, SimNetwork};
+use skyquery_soap::{Operation, RpcCall, RpcResponse, SoapFault, WsdlBuilder};
 
 use crate::error::{FederationError, Result};
 
@@ -37,6 +37,23 @@ pub fn dispatch<T: ?Sized>(
             "unknown service {}",
             call.method
         ))),
+    }
+}
+
+/// The SOAP binding of an endpoint: decodes the request body as an RPC
+/// call, hands it to `handle`, and encodes the response — or the fault
+/// an undecodable request or a failed call becomes — as the HTTP reply.
+pub fn serve(
+    req: &HttpRequest,
+    handle: impl FnOnce(RpcCall) -> Result<RpcResponse>,
+) -> HttpResponse {
+    let call = std::str::from_utf8(&req.body)
+        .map_err(|_| "request body is not UTF-8".to_string())
+        .and_then(|body| RpcCall::parse(body).map_err(|e| e.to_string()));
+    match call.map(handle) {
+        Err(undecodable) => HttpResponse::soap_fault(SoapFault::client(undecodable).to_xml()),
+        Ok(Ok(resp)) => HttpResponse::ok(resp.to_xml()),
+        Ok(Err(e)) => HttpResponse::soap_fault(e.to_fault().to_xml()),
     }
 }
 

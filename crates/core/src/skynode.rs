@@ -42,7 +42,7 @@ use crate::query_exec::{execute_local, LocalQueryResult};
 use crate::service::ServiceMethod;
 use crate::trace::StatsChain;
 use crate::transfer::{open_checkpoint, open_cross_match, zone_label, IncomingPartial};
-use crate::xmatch::PartialSet;
+use crate::xmatch::{PartialSet, StepConfig, StepStats};
 
 pub use crate::transfer::{invoke_cross_match, send_rpc};
 
@@ -139,9 +139,10 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("partial", "table")
                 .output("manifest", "xml")
                 .output("stats", "xml")
+                .output("version", "long")
                 .doc("One scattered cross-match step against this shard's zone range")
         },
-        handler: |node, net, call| node.handle_scatter_step(net, call),
+        handler: |node, net, call| node.handle_portal_step(net, call, None),
     },
     ServiceMethod {
         name: "DeltaStep",
@@ -160,7 +161,10 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                       (the result cache's incremental-repair probe)",
                 )
         },
-        handler: |node, net, call| node.handle_delta_step(net, call),
+        handler: |node, net, call| {
+            let from_row = require_u64(call, "from_row")? as usize;
+            node.handle_portal_step(net, call, Some(from_row))
+        },
     },
     ServiceMethod {
         name: "FetchCheckpoint",
@@ -485,13 +489,9 @@ impl SkyNode {
 
     /// Decodes and validates the `plan`/`step` pair every cross-match
     /// entry point carries: the step must exist and address this node
-    /// (autonomy check).
-    fn decode_plan_step(&self, call: &RpcCall) -> Result<(ExecutionPlan, usize)> {
-        let plan_el = call
-            .require("plan")?
-            .as_xml()
-            .ok_or_else(|| FederationError::protocol("plan must be xml"))?;
-        let plan = ExecutionPlan::from_element(plan_el)?;
+    /// (autonomy check), and its SQL fragments must parse.
+    fn decode_plan_step(&self, call: &RpcCall) -> Result<(ExecutionPlan, usize, StepConfig)> {
+        let plan = decode_plan(call)?;
         let step = call
             .require("step")?
             .as_i64()
@@ -512,69 +512,117 @@ impl SkyNode {
                 plan.steps[step].archive, self.info.name
             )));
         }
-        Ok((plan, step))
+        let cfg = plan.step_config(step)?;
+        Ok((plan, step, cfg))
     }
 
-    fn handle_cross_match(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let (plan, step) = self.decode_plan_step(call)?;
-        let cfg = plan.step_config(step)?;
-        let dropout = plan.steps[step].dropout;
-
-        // Daisy chain: obtain the partial results from the next step,
-        // then run this node's stored-procedure step on them.
-        let (mut set, stats, mut stats_chain) = if step == plan.seed_index() {
-            if dropout {
-                return Err(FederationError::protocol(
-                    "a drop-out archive cannot be the seed of the chain",
-                ));
-            }
-            let mut db = self.db.lock();
-            let (set, stats) = self.engine.seed(&mut db, &cfg)?;
-            (set, stats, StatsChain::new())
+    /// Runs one cross-match step of `plan` at this archive — the one
+    /// place a node seeds, matches or drops out, whichever service asked.
+    /// `input` is the upstream partial set (`None` seeds the chain); a
+    /// chunked input feeds the engine's incremental ingest as it arrives.
+    /// `from_row > 0` restricts the step to the rows inserted at or after
+    /// that row id: tables are append-only with sequential row ids, so
+    /// `[from_row..len)` is exactly what changed since the version a cache
+    /// entry recorded; the delta rows are materialized into an indexed
+    /// temp table, probed with the same kernels as a full execution, and
+    /// the temp table is dropped before the lock is released, success or
+    /// failure. Returns the output (residuals applied), the step's
+    /// statistics, and the table version read under the same database
+    /// lock as the probe — for a chunked input, which releases the lock
+    /// between chunks, the lock of the final ingest.
+    fn run_step(
+        &self,
+        plan: &ExecutionPlan,
+        step: usize,
+        mut cfg: StepConfig,
+        input: Option<IncomingPartial<'_>>,
+        from_row: usize,
+    ) -> Result<(PartialSet, StepStats, u64)> {
+        let kind = if plan.steps[step].dropout {
+            StepKind::Dropout
         } else {
-            let next_url = plan.steps[step + 1].url.clone();
-            let (incoming, chain) = open_cross_match(net, &self.host, &next_url, &plan, step + 1)?;
-            let kind = if dropout {
-                StepKind::Dropout
-            } else {
-                StepKind::Match
-            };
-            let (set, stats) = match incoming {
-                IncomingPartial::Inline(inc) => {
-                    let mut db = self.db.lock();
-                    match kind {
-                        StepKind::Match => self.engine.match_tuples(&mut db, &cfg, &inc)?,
-                        StepKind::Dropout => self.engine.dropout(&mut db, &cfg, &inc)?,
-                    }
-                }
-                IncomingPartial::Chunked(stream) => self.ingest_chunked(stream, &cfg, kind)?,
-            };
-            (set, stats, chain)
+            StepKind::Match
         };
-
-        // Residual clauses scheduled at this step.
+        let (mut set, stats, version) = match input {
+            Some(IncomingPartial::Chunked(stream)) => self.ingest_chunked(stream, &cfg, kind)?,
+            inline => {
+                let inc = match inline {
+                    Some(IncomingPartial::Inline(set)) => Some(set),
+                    _ => None,
+                };
+                if inc.is_none() && kind == StepKind::Dropout {
+                    return Err(FederationError::protocol(
+                        "a drop-out archive cannot be the seed of the chain",
+                    ));
+                }
+                let mut db = self.db.lock();
+                let version = db.table_version(&cfg.table)?;
+                let temp = if from_row > 0 {
+                    let rows: Vec<skyquery_storage::Row> = db
+                        .table(&cfg.table)?
+                        .rows()
+                        .iter()
+                        .skip(from_row)
+                        .cloned()
+                        .collect();
+                    let schema = db.schema(&cfg.table)?.clone();
+                    let name = db.create_temp_table(schema)?;
+                    for row in rows {
+                        db.insert(&name, row).map_err(FederationError::Storage)?;
+                    }
+                    cfg.table = name.clone();
+                    Some(name)
+                } else {
+                    None
+                };
+                let result = match (&inc, kind) {
+                    (None, _) => self.engine.seed(&mut db, &cfg),
+                    (Some(inc), StepKind::Match) => self.engine.match_tuples(&mut db, &cfg, inc),
+                    (Some(inc), StepKind::Dropout) => self.engine.dropout(&mut db, &cfg, inc),
+                };
+                if let Some(name) = &temp {
+                    db.drop_table(name)
+                        .expect("the delta temp table was created under this same lock");
+                }
+                let (set, stats) = result?;
+                (set, stats, version)
+            }
+        };
         let residuals = plan.residuals(step)?;
         if !residuals.is_empty() {
             set = crate::xmatch::apply_residuals(set, &residuals)?;
         }
         self.executed_steps.fetch_add(1, Ordering::Relaxed);
-        stats_chain.push(plan.steps[step].alias.clone(), stats);
-
-        self.encode_set_response(net, &plan, "CrossMatch", set, Some(&stats_chain))
+        Ok((set, stats, version))
     }
 
-    /// One portal-driven step of the checkpointed chain. Unlike
+    /// The Cross match service, the daisy-chain participant: obtains the
+    /// partial results from the next step (unless this node is the
+    /// seed), runs its own step on them, and appends its statistics to
+    /// the chain riding back to the caller.
+    fn handle_cross_match(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
+        let (plan, step, cfg) = self.decode_plan_step(call)?;
+        let (input, mut chain) = if step == plan.seed_index() {
+            (None, StatsChain::new())
+        } else {
+            let next_url = plan.steps[step + 1].url.clone();
+            let (incoming, chain) = open_cross_match(net, &self.host, &next_url, &plan, step + 1)?;
+            (Some(incoming), chain)
+        };
+        let (set, stats, _) = self.run_step(&plan, step, cfg, input, 0)?;
+        chain.push(plan.steps[step].alias.clone(), stats);
+        self.encode_set_response(net, &plan, "CrossMatch", set, Some(&chain))
+    }
+
+    /// One portal-driven step against a node-held checkpoint. Unlike
     /// `CrossMatch`, the node does not call the next step itself: the
-    /// Portal supplies the input (the previous step's checkpoint, or
+    /// Portal names the input (the previous step's checkpoint, or
     /// nothing for the seed), and the result is retained here as a fresh
     /// leased checkpoint — only its id, row count, and statistics travel
     /// back. A failure *later* in the chain can then resume from this
     /// checkpoint without re-running the step.
     fn handle_execute_step(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let (plan, step) = self.decode_plan_step(call)?;
-        let cfg = plan.step_config(step)?;
-        let dropout = plan.steps[step].dropout;
-
+        let (plan, step, cfg) = self.decode_plan_step(call)?;
         let input = match call.get("checkpoint_id") {
             Some(v) => {
                 let id = v.as_i64().filter(|v| *v >= 0).ok_or_else(|| {
@@ -584,70 +632,19 @@ impl SkyNode {
                     .require("checkpoint_url")?
                     .as_str()
                     .ok_or_else(|| FederationError::protocol("checkpoint_url must be a string"))?;
-                Some((Url::parse(url_str).map_err(FederationError::Net)?, id))
+                let url = Url::parse(url_str).map_err(FederationError::Net)?;
+                Some(if url.host == self.host {
+                    // The previous step ran here too: read the checkpoint
+                    // locally instead of fetching it over the wire from
+                    // ourselves.
+                    IncomingPartial::Inline(self.read_checkpoint(net, id)?)
+                } else {
+                    open_checkpoint(net, &self.host, &url, &plan, id)?
+                })
             }
             None => None,
         };
-
-        let (mut set, stats) = match input {
-            None => {
-                if dropout {
-                    return Err(FederationError::protocol(
-                        "a drop-out archive cannot be the seed of the chain",
-                    ));
-                }
-                let mut db = self.db.lock();
-                self.engine.seed(&mut db, &cfg)?
-            }
-            Some((cp_url, cp_id)) => {
-                let kind = if dropout {
-                    StepKind::Dropout
-                } else {
-                    StepKind::Match
-                };
-                if cp_url.host == self.host {
-                    // The previous step ran here too: read the checkpoint
-                    // locally (renewing its lease) instead of fetching it
-                    // over the wire from ourselves.
-                    let inc = {
-                        let mut cps = self.checkpoints.lock();
-                        cps.renew(cp_id, net.now_s());
-                        cps.get(cp_id)
-                            .cloned()
-                            .ok_or_else(|| FederationError::LeaseExpired {
-                                kind: "checkpoint".into(),
-                                id: cp_id,
-                                host: self.host.clone(),
-                            })?
-                    };
-                    net.record_node_event(&self.host, "lease-renewed");
-                    let mut db = self.db.lock();
-                    match kind {
-                        StepKind::Match => self.engine.match_tuples(&mut db, &cfg, &inc)?,
-                        StepKind::Dropout => self.engine.dropout(&mut db, &cfg, &inc)?,
-                    }
-                } else {
-                    match open_checkpoint(net, &self.host, &cp_url, &plan, cp_id)? {
-                        IncomingPartial::Inline(inc) => {
-                            let mut db = self.db.lock();
-                            match kind {
-                                StepKind::Match => self.engine.match_tuples(&mut db, &cfg, &inc)?,
-                                StepKind::Dropout => self.engine.dropout(&mut db, &cfg, &inc)?,
-                            }
-                        }
-                        IncomingPartial::Chunked(stream) => {
-                            self.ingest_chunked(stream, &cfg, kind)?
-                        }
-                    }
-                }
-            }
-        };
-
-        let residuals = plan.residuals(step)?;
-        if !residuals.is_empty() {
-            set = crate::xmatch::apply_residuals(set, &residuals)?;
-        }
-        self.executed_steps.fetch_add(1, Ordering::Relaxed);
+        let (set, stats, _) = self.run_step(&plan, step, cfg, input, 0)?;
 
         let rows = set.tuples.len();
         let cp_id = self.next_checkpoint.fetch_add(1, Ordering::Relaxed);
@@ -663,158 +660,61 @@ impl SkyNode {
             .result("stats", SoapValue::Xml(chain.to_element())))
     }
 
-    /// One scattered step of a sharded archive: the Portal supplies the
-    /// input partial set inline (absent for the seed), this shard runs
-    /// the step against the zone range it owns, and the output travels
-    /// straight back (inline or chunked). Unlike `ExecuteStep`, no
-    /// checkpoint is retained here — the Portal's merged set between
-    /// steps *is* the scatter chain's checkpoint, so a shard holds no
-    /// per-query state beyond a chunked-reply transfer session.
-    fn handle_scatter_step(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let (plan, step) = self.decode_plan_step(call)?;
-        let cfg = plan.step_config(step)?;
-        let dropout = plan.steps[step].dropout;
-
-        let (mut set, stats) = match call.get("input") {
-            None => {
-                if dropout {
-                    return Err(FederationError::protocol(
-                        "a drop-out archive cannot be the seed of the chain",
-                    ));
-                }
-                let mut db = self.db.lock();
-                self.engine.seed(&mut db, &cfg)?
-            }
-            Some(v) => {
-                let table = v
-                    .as_table()
-                    .ok_or_else(|| FederationError::protocol("input must be a table"))?;
-                let inc = PartialSet::from_votable(table)?;
-                let mut db = self.db.lock();
-                if dropout {
-                    self.engine.dropout(&mut db, &cfg, &inc)?
-                } else {
-                    self.engine.match_tuples(&mut db, &cfg, &inc)?
-                }
-            }
-        };
-
-        let residuals = plan.residuals(step)?;
-        if !residuals.is_empty() {
-            set = crate::xmatch::apply_residuals(set, &residuals)?;
-        }
-        self.executed_steps.fetch_add(1, Ordering::Relaxed);
-        let mut chain = StatsChain::new();
-        chain.push(plan.steps[step].alias.clone(), stats);
-        self.encode_set_response(net, &plan, "ScatterStep", set, Some(&chain))
-    }
-
-    /// One cross-match step restricted to the rows inserted at or after
-    /// `from_row` — the probe the Portal's result cache issues to repair
-    /// a stale entry incrementally. The delta rows are materialized into
-    /// an indexed temp table (tables are append-only with sequential row
-    /// ids, so `[from_row..len)` is exactly what changed since the cached
-    /// version) and the step runs against it with the same kernels as a
-    /// full execution; `from_row = 0` runs against the whole table, which
-    /// is what freshly-appended upstream tuples need. The temp table is
-    /// dropped before the reply leaves, success or failure.
-    fn handle_delta_step(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let (plan, step) = self.decode_plan_step(call)?;
-        let mut cfg = plan.step_config(step)?;
-        let dropout = plan.steps[step].dropout;
-        let from_row = require_u64(call, "from_row")? as usize;
-
+    /// `ScatterStep` and `DeltaStep`: one portal-driven step whose input
+    /// the Portal supplies inline (absent for the seed) and whose output
+    /// travels straight back, inline or chunked. No checkpoint is
+    /// retained — the set the Portal holds between steps *is* the walk's
+    /// checkpoint, so the node keeps no per-query state beyond a
+    /// chunked-reply transfer session. `ScatterStep` runs against the
+    /// whole table (this shard's zone range); `DeltaStep` against only
+    /// the rows at or after its `from_row` (the result cache's repair
+    /// probe).
+    fn handle_portal_step(
+        &self,
+        net: &SimNetwork,
+        call: &RpcCall,
+        from_row: Option<usize>,
+    ) -> Result<RpcResponse> {
+        let (plan, step, cfg) = self.decode_plan_step(call)?;
+        let method = from_row.map_or("ScatterStep", |_| "DeltaStep");
         let input = match call.get("input") {
             Some(v) => {
                 let table = v
                     .as_table()
                     .ok_or_else(|| FederationError::protocol("input must be a table"))?;
-                Some(PartialSet::from_votable(table)?)
+                Some(IncomingPartial::Inline(PartialSet::from_votable(table)?))
             }
             None => None,
         };
-        if input.is_none() && dropout {
-            return Err(FederationError::protocol(
-                "a drop-out archive cannot be the seed of the chain",
-            ));
-        }
-
-        let (mut set, stats, version) = {
-            let mut db = self.db.lock();
-            // The version observed under the same lock as the probe: the
-            // repaired cache entry records this as its new baseline.
-            let version = db.table_version(&cfg.table)?;
-            let temp = if from_row > 0 {
-                let rows: Vec<skyquery_storage::Row> = db
-                    .table(&cfg.table)?
-                    .rows()
-                    .iter()
-                    .skip(from_row)
-                    .cloned()
-                    .collect();
-                let schema = db.schema(&cfg.table)?.clone();
-                let name = db.create_temp_table(schema)?;
-                for row in rows {
-                    db.insert(&name, row).map_err(FederationError::Storage)?;
-                }
-                cfg.table = name.clone();
-                Some(name)
-            } else {
-                None
-            };
-            let result = match &input {
-                None => self.engine.seed(&mut db, &cfg),
-                Some(inc) => {
-                    if dropout {
-                        self.engine.dropout(&mut db, &cfg, inc)
-                    } else {
-                        self.engine.match_tuples(&mut db, &cfg, inc)
-                    }
-                }
-            };
-            if let Some(name) = &temp {
-                db.drop_table(name)
-                    .expect("the delta temp table was created under this same lock");
-            }
-            let (set, stats) = result?;
-            (set, stats, version)
-        };
-
-        let residuals = plan.residuals(step)?;
-        if !residuals.is_empty() {
-            set = crate::xmatch::apply_residuals(set, &residuals)?;
-        }
-        self.executed_steps.fetch_add(1, Ordering::Relaxed);
+        let (set, stats, version) =
+            self.run_step(&plan, step, cfg, input, from_row.unwrap_or(0))?;
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
-        let resp = self.encode_set_response(net, &plan, "DeltaStep", set, Some(&chain))?;
+        let resp = self.encode_set_response(net, &plan, method, set, Some(&chain))?;
         Ok(resp.result("version", SoapValue::Int(version as i64)))
     }
 
-    /// Serves a checkpointed partial set (inline or chunked under the
-    /// plan's message limit), renewing its lease — fetching is also
-    /// keeping-alive. A stale id answers a deterministic
-    /// [`FederationError::LeaseExpired`] fault: the checkpoint will not
-    /// come back, so the caller must re-plan rather than retry.
-    fn handle_fetch_checkpoint(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let plan_el = call
-            .require("plan")?
-            .as_xml()
-            .ok_or_else(|| FederationError::protocol("plan must be xml"))?;
-        let plan = ExecutionPlan::from_element(plan_el)?;
-        let id = require_u64(call, "checkpoint_id")?;
+    /// Clones a checkpointed partial set out of the store, renewing its
+    /// lease — reading is also keeping-alive. A stale id answers a
+    /// deterministic [`FederationError::LeaseExpired`]: the checkpoint
+    /// will not come back, so the caller must re-plan rather than retry.
+    fn read_checkpoint(&self, net: &SimNetwork, id: u64) -> Result<PartialSet> {
         let set = {
             let mut cps = self.checkpoints.lock();
-            if !cps.renew(id, net.now_s()) {
-                return Err(FederationError::LeaseExpired {
-                    kind: "checkpoint".into(),
-                    id,
-                    host: self.host.clone(),
-                });
-            }
-            cps.get(id).cloned().expect("renewed above")
+            cps.renew(id, net.now_s());
+            cps.get(id)
+                .cloned()
+                .ok_or_else(|| FederationError::lease_expired("checkpoint", id, &self.host))?
         };
         net.record_node_event(&self.host, "lease-renewed");
+        Ok(set)
+    }
+
+    /// Serves a checkpointed partial set (inline or chunked under the
+    /// plan's message limit), renewing its lease.
+    fn handle_fetch_checkpoint(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
+        let plan = decode_plan(call)?;
+        let set = self.read_checkpoint(net, require_u64(call, "checkpoint_id")?)?;
         self.encode_set_response(net, &plan, "FetchCheckpoint", set, None)
     }
 
@@ -866,9 +766,9 @@ impl SkyNode {
     fn ingest_chunked(
         &self,
         mut stream: crate::transfer::ChunkStream<'_>,
-        cfg: &crate::xmatch::StepConfig,
+        cfg: &StepConfig,
         kind: StepKind,
-    ) -> Result<(PartialSet, crate::xmatch::StepStats)> {
+    ) -> Result<(PartialSet, StepStats, u64)> {
         let mut session: Option<Box<dyn PartialIngest + '_>> = None;
         let mut next_seq = 0u64;
         while let Some(chunk) = stream.fetch_next()? {
@@ -899,7 +799,10 @@ impl SkyNode {
         }
         let session = session
             .ok_or_else(|| FederationError::protocol("chunked transfer delivered zero chunks"))?;
-        session.finish(&mut self.db.lock())
+        let mut db = self.db.lock();
+        let version = db.table_version(&cfg.table)?;
+        let (set, stats) = session.finish(&mut db)?;
+        Ok((set, stats, version))
     }
 
     /// Encodes a partial set under `method`, chunking when the monolithic
@@ -988,11 +891,7 @@ impl SkyNode {
         pending.renew(transfer_id, net.now_s());
         let chunks = pending
             .get(transfer_id)
-            .ok_or_else(|| FederationError::LeaseExpired {
-                kind: "transfer".into(),
-                id: transfer_id,
-                host: self.host.clone(),
-            })?;
+            .ok_or_else(|| FederationError::lease_expired("transfer", transfer_id, &self.host))?;
         let (header, table) = chunks
             .get(index)
             .cloned()
@@ -1028,27 +927,17 @@ impl SkyNode {
 
 impl Endpoint for SkyNode {
     fn handle(&self, net: &SimNetwork, req: HttpRequest) -> HttpResponse {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(b) => b,
-            Err(_) => {
-                return HttpResponse::soap_fault(
-                    skyquery_soap::SoapFault::client("request body is not UTF-8").to_xml(),
-                )
-            }
-        };
-        let call = match RpcCall::parse(body) {
-            Ok(c) => c,
-            Err(e) => {
-                return HttpResponse::soap_fault(
-                    skyquery_soap::SoapFault::client(e.to_string()).to_xml(),
-                )
-            }
-        };
-        match self.handle_call(net, call) {
-            Ok(resp) => HttpResponse::ok(resp.to_xml()),
-            Err(e) => HttpResponse::soap_fault(e.to_fault().to_xml()),
-        }
+        crate::service::serve(&req, |call| self.handle_call(net, call))
     }
+}
+
+/// Decodes the required `plan` parameter.
+fn decode_plan(call: &RpcCall) -> Result<ExecutionPlan> {
+    ExecutionPlan::from_element(
+        call.require("plan")?
+            .as_xml()
+            .ok_or_else(|| FederationError::protocol("plan must be xml"))?,
+    )
 }
 
 /// Decodes a required unsigned-integer parameter.

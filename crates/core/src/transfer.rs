@@ -274,6 +274,17 @@ pub enum IncomingPartial<'a> {
     Chunked(ChunkStream<'a>),
 }
 
+impl IncomingPartial<'_> {
+    /// The whole set in the sender's row order, draining a chunked reply
+    /// — for callers with no incremental ingest path.
+    pub fn collect(self) -> Result<PartialSet> {
+        match self {
+            IncomingPartial::Inline(set) => Ok(set),
+            IncomingPartial::Chunked(stream) => stream.collect_set(),
+        }
+    }
+}
+
 /// Calls the Cross match service for `step` and opens the reply without
 /// draining it: inline sets decode immediately, chunked replies return a
 /// [`ChunkStream`] so the caller can overlap processing with the
@@ -289,13 +300,17 @@ pub fn open_cross_match<'a>(
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("step", SoapValue::Int(step as i64));
     let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
-    let stats = StatsChain::from_element(
+    let incoming = decode_partial(net, from_host, url, plan, &resp)?;
+    Ok((incoming, stats_of(&resp)?))
+}
+
+/// The statistics chain riding back on a step reply.
+fn stats_of(resp: &RpcResponse) -> Result<StatsChain> {
+    StatsChain::from_element(
         resp.require("stats")?
             .as_xml()
             .ok_or_else(|| FederationError::protocol("stats must be xml"))?,
-    )?;
-    let incoming = decode_partial(net, from_host, url, plan, &resp)?;
-    Ok((incoming, stats))
+    )
 }
 
 /// Decodes a manifest-or-inline partial-set response (the shared shape of
@@ -313,15 +328,7 @@ fn decode_partial<'a>(
             .as_xml()
             .ok_or_else(|| FederationError::protocol("manifest must be xml"))?;
         let manifest = ChunkManifest::from_element(manifest_el).map_err(FederationError::Soap)?;
-        let stream = ChunkStream {
-            net,
-            from_host: from_host.to_string(),
-            url: url.clone(),
-            manifest,
-            next: 0,
-            retry: plan.retry,
-            closed: false,
-        };
+        let stream = open_chunk_stream(net, from_host, url, manifest, plan.retry);
         return Ok(IncomingPartial::Chunked(stream));
     }
     let table = resp
@@ -400,84 +407,69 @@ pub fn invoke_cross_match(
     step: usize,
 ) -> Result<(PartialSet, StatsChain)> {
     let (incoming, stats) = open_cross_match(net, from_host, url, plan, step)?;
-    match incoming {
-        IncomingPartial::Inline(set) => Ok((set, stats)),
-        IncomingPartial::Chunked(stream) => Ok((stream.collect_set()?, stats)),
-    }
+    Ok((incoming.collect()?, stats))
 }
 
-/// Client side of the `ScatterStep` service: asks one shard to run plan
-/// step `step` against its zone range, seeding when `input` is absent or
-/// extending/filtering the supplied input set otherwise. Drains any
-/// chunked continuation and returns the shard's partial set plus its
-/// single-entry stats chain. Used by the Portal's scatter-gather
-/// executor, which merges the per-shard replies deterministically
-/// ([`crate::shard`]).
-pub fn invoke_scatter_step(
+/// Client side of the `ExecuteStep` service: asks the node at `url` to
+/// run plan step `step` on the checkpoint `input` names (seeding when it
+/// is absent) and to retain the output as a fresh leased checkpoint.
+/// Returns that checkpoint's id, its row count, and the step's
+/// single-entry stats chain.
+pub fn invoke_execute_step(
     net: &SimNetwork,
     from_host: &str,
     url: &Url,
     plan: &ExecutionPlan,
     step: usize,
-    input: Option<&VoTable>,
-) -> Result<(PartialSet, StatsChain)> {
-    let mut call = RpcCall::new("ScatterStep")
+    input: Option<(&Url, u64)>,
+) -> Result<(u64, i64, StatsChain)> {
+    let mut call = RpcCall::new("ExecuteStep")
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("step", SoapValue::Int(step as i64));
-    if let Some(table) = input {
-        call = call.param("input", SoapValue::Table(table.clone()));
+    if let Some((holder, id)) = input {
+        call = call
+            .param("checkpoint_url", SoapValue::Str(holder.to_string()))
+            .param("checkpoint_id", SoapValue::Int(id as i64));
     }
     let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
-    let stats = StatsChain::from_element(
-        resp.require("stats")?
-            .as_xml()
-            .ok_or_else(|| FederationError::protocol("stats must be xml"))?,
-    )?;
-    match decode_partial(net, from_host, url, plan, &resp)? {
-        IncomingPartial::Inline(set) => Ok((set, stats)),
-        IncomingPartial::Chunked(stream) => Ok((stream.collect_set()?, stats)),
-    }
+    let checkpoint = require_usize(&resp, "checkpoint")? as u64;
+    let rows = resp.require("rows")?.as_i64().unwrap_or(-1);
+    Ok((checkpoint, rows, stats_of(&resp)?))
 }
 
-/// Client side of the `DeltaStep` service: asks a node to run plan step
-/// `step` against only the rows inserted at or after `from_row` of its
-/// step table (`from_row = 0` probes the whole table), seeding when
-/// `input` is absent. Drains any chunked continuation and returns the
-/// delta partial set, its single-entry stats chain, and the table
-/// version the probe observed (the row count at probe time — what the
-/// repaired cache entry must record as its new version). Used by the
-/// Portal's result cache to repair a stale entry incrementally instead
-/// of re-running the full chain.
-pub fn invoke_delta_step(
+/// Client side of the portal-driven step services: asks the node at
+/// `url` to run plan step `step` on the supplied `input` set (seeding
+/// when it is absent) and hand the output straight back. `from_row =
+/// None` is a `ScatterStep` over the node's whole table (its zone range,
+/// for a shard); `Some(r)` is a `DeltaStep` over only the rows inserted
+/// at or after row `r` — the result cache's incremental-repair probe.
+/// Drains any chunked continuation and returns the partial set, its
+/// single-entry stats chain, and the table version the step observed
+/// under its database lock (what a cache entry built from this reply
+/// must record).
+pub fn invoke_portal_step(
     net: &SimNetwork,
     from_host: &str,
     url: &Url,
     plan: &ExecutionPlan,
     step: usize,
-    from_row: u64,
+    from_row: Option<u64>,
     input: Option<&VoTable>,
 ) -> Result<(PartialSet, StatsChain, u64)> {
-    let mut call = RpcCall::new("DeltaStep")
+    let method = from_row.map_or("ScatterStep", |_| "DeltaStep");
+    let mut call = RpcCall::new(method)
         .param("plan", SoapValue::Xml(plan.to_element()))
-        .param("step", SoapValue::Int(step as i64))
-        .param("from_row", SoapValue::Int(from_row as i64));
+        .param("step", SoapValue::Int(step as i64));
+    if let Some(from_row) = from_row {
+        call = call.param("from_row", SoapValue::Int(from_row as i64));
+    }
     if let Some(table) = input {
         call = call.param("input", SoapValue::Table(table.clone()));
     }
     let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
-    let stats = StatsChain::from_element(
-        resp.require("stats")?
-            .as_xml()
-            .ok_or_else(|| FederationError::protocol("stats must be xml"))?,
-    )?;
-    let version =
-        resp.require("version")?
-            .as_i64()
-            .ok_or_else(|| FederationError::protocol("version must be an integer"))? as u64;
-    match decode_partial(net, from_host, url, plan, &resp)? {
-        IncomingPartial::Inline(set) => Ok((set, stats, version)),
-        IncomingPartial::Chunked(stream) => Ok((stream.collect_set()?, stats, version)),
-    }
+    let version = require_usize(&resp, "version")? as u64;
+    let set = decode_partial(net, from_host, url, plan, &resp)?.collect()?;
+    Ok((set, stats_of(&resp)?, version))
 }
 
 /// Sends one RPC with the default [`RetryPolicy`] and decodes the

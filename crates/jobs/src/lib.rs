@@ -19,7 +19,7 @@
 //!   executions, weighting tenants by [`QuotaClass`].
 //! - Running jobs interleave: each scheduler quantum drives one
 //!   checkpointed-chain step
-//!   ([`CheckpointedWalk`](skyquery_core::portal::CheckpointedWalk)), so
+//!   ([`CheckpointedWalk`](skyquery_core::CheckpointedWalk)), so
 //!   one tenant's long chain cannot monopolize the Portal.
 //! - Finished results, terminal records, and paginated result transfers
 //!   all live under [`LeaseTable`](skyquery_core::LeaseTable) TTLs swept

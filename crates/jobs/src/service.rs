@@ -6,7 +6,7 @@
 //! simulation. `SubmitQuery` parks the query in a bounded per-tenant
 //! queue and answers immediately with a job id; a weighted-fair scheduler
 //! drains the queue into a bounded pool of chain executions (reusing the
-//! Portal's `ChainMode` machinery — one [`CheckpointedWalk`] quantum per
+//! Portal's `ChainMode` machinery — one [`CheckpointedWalk`] step per
 //! scheduler turn, so a long chain from one tenant cannot monopolize the
 //! Portal); `PollJob` reports progress; `FetchResults` delivers the
 //! VOTable, paginated through the same zone-chunk transfer machinery the
@@ -25,11 +25,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use skyquery_core::error::{FederationError, Result};
 use skyquery_core::plan::ExecutionPlan;
-use skyquery_core::portal::CheckpointedWalk;
 use skyquery_core::result::ResultSet;
 use skyquery_core::service::ServiceMethod;
-use skyquery_core::trace::ExecutionTrace;
-use skyquery_core::{ChainMode, LeaseTable, Portal};
+use skyquery_core::trace::{ExecutionTrace, StatsChain};
+use skyquery_core::{ChainMode, CheckpointedWalk, Degradation, LeaseTable, PartialSet, Portal};
 use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_soap::{
     ChunkHeader, ChunkManifest, MessageLimits, Operation, RpcCall, RpcResponse, SoapValue,
@@ -123,7 +122,7 @@ enum ExecPhase {
     Pending,
     /// Planned; the chain has not fired.
     Planned(Box<ExecutionPlan>),
-    /// Mid-walk through a checkpointed chain.
+    /// Mid-walk through a portal-driven chain.
     Walking(Box<ExecutionPlan>, Box<CheckpointedWalk>),
     /// Terminal; nothing left to drive.
     Done,
@@ -457,11 +456,7 @@ impl JobService {
         let job = st
             .jobs
             .get(&id)
-            .ok_or_else(|| FederationError::LeaseExpired {
-                kind: "job".into(),
-                id,
-                host: self.host.clone(),
-            })?;
+            .ok_or_else(|| FederationError::lease_expired("job", id, &self.host))?;
         st.records.renew(id, now);
         let wait_s = job.admitted_at_s.unwrap_or(now) - job.submitted_at_s;
         let run_s = job
@@ -496,11 +491,7 @@ impl JobService {
         let job = st
             .jobs
             .get_mut(&id)
-            .ok_or_else(|| FederationError::LeaseExpired {
-                kind: "job".into(),
-                id,
-                host: self.host.clone(),
-            })?;
+            .ok_or_else(|| FederationError::lease_expired("job", id, &self.host))?;
         // Free any result pagination sessions the job holds, whatever its
         // state — cancellation means "stop spending resources on this".
         let orphaned: Vec<u64> = st
@@ -663,136 +654,24 @@ impl JobService {
         let outcome: SliceOutcome = match phase {
             ExecPhase::Pending => match self.portal.plan_query(&job.sql, &mut job.trace) {
                 Ok(plan) => SliceOutcome::Continue(ExecPhase::Planned(Box::new(plan))),
-                Err(e) => SliceOutcome::Failed(e),
+                Err(e) => SliceOutcome::Finished(Err(e)),
             },
-            ExecPhase::Planned(plan) => match self.portal.cached_result(&plan, &mut job.trace) {
-                // A cache hit (or incremental repair) skips the chain
-                // walk entirely — the whole execution fits one quantum
-                // regardless of chain mode.
-                Some((set, stats)) => {
-                    for (alias, s) in &stats.entries {
-                        job.trace.push(
-                            alias.clone(),
-                            "cross match step",
-                            format!("tuples in {}, tuples out {}", s.tuples_in, s.tuples_out),
-                        );
-                    }
-                    match Portal::project_result(&plan, set) {
-                        Ok(rs) => SliceOutcome::Succeeded(rs),
-                        Err(e) => SliceOutcome::Failed(e),
-                    }
+            ExecPhase::Planned(plan) => match self.portal.config().chain_mode {
+                // The paper's daisy chain is a single synchronous
+                // recursion — one quantum runs the plan to completion.
+                ChainMode::Recursive => finish(
+                    &plan,
+                    self.portal.execute_plan(&plan, &mut job.trace),
+                    &mut job.trace,
+                ),
+                // Otherwise one walk step per quantum — none at all when
+                // the result cache answered and the walk starts done.
+                ChainMode::Checkpointed => {
+                    let walk = self.portal.start_walk(&plan, &mut job.trace);
+                    self.drive(plan, Box::new(walk), &mut job.trace)
                 }
-                None => match self.portal.config().chain_mode {
-                    // A plan addressing sharded or replicated archives is
-                    // driven by the Portal's scatter executor whatever the
-                    // chain mode — a node-to-node walk cannot express a
-                    // scatter — so, like the recursive daisy chain, it
-                    // runs to completion in one quantum.
-                    _ if plan.has_shards() => {
-                        match self.portal.execute_plan(&plan, &mut job.trace) {
-                            Ok((set, stats, degradation)) => {
-                                for (alias, s) in &stats.entries {
-                                    job.trace.push(
-                                        alias.clone(),
-                                        "cross match step",
-                                        format!(
-                                            "tuples in {}, tuples out {}",
-                                            s.tuples_in, s.tuples_out
-                                        ),
-                                    );
-                                }
-                                match Portal::project_result(&plan, set) {
-                                    Ok(mut rs) => {
-                                        rs.degraded = degradation.degraded;
-                                        rs.dropped_archives = degradation.dropped;
-                                        SliceOutcome::Succeeded(rs)
-                                    }
-                                    Err(e) => SliceOutcome::Failed(e),
-                                }
-                            }
-                            Err(e) => SliceOutcome::Failed(e),
-                        }
-                    }
-                    ChainMode::Recursive => {
-                        // The paper's daisy chain is a single synchronous
-                        // recursion — one quantum runs it to completion.
-                        match self.portal.execute_plan(&plan, &mut job.trace) {
-                            Ok((set, stats, degradation)) => {
-                                for (alias, s) in &stats.entries {
-                                    job.trace.push(
-                                        alias.clone(),
-                                        "cross match step",
-                                        format!(
-                                            "tuples in {}, tuples out {}",
-                                            s.tuples_in, s.tuples_out
-                                        ),
-                                    );
-                                }
-                                match Portal::project_result(&plan, set) {
-                                    Ok(mut rs) => {
-                                        rs.degraded = degradation.degraded;
-                                        rs.dropped_archives = degradation.dropped;
-                                        SliceOutcome::Succeeded(rs)
-                                    }
-                                    Err(e) => SliceOutcome::Failed(e),
-                                }
-                            }
-                            Err(e) => SliceOutcome::Failed(e),
-                        }
-                    }
-                    ChainMode::Checkpointed => {
-                        let mut walk = CheckpointedWalk::new(&plan);
-                        match walk.step(&self.portal, &mut job.trace) {
-                            Ok(()) => {
-                                SliceOutcome::Continue(ExecPhase::Walking(plan, Box::new(walk)))
-                            }
-                            Err(e) => {
-                                walk.release(&self.portal);
-                                SliceOutcome::Failed(e)
-                            }
-                        }
-                    }
-                },
             },
-            ExecPhase::Walking(plan, mut walk) => {
-                if walk.is_done() {
-                    // Read the honesty record before `finish` consumes
-                    // the walk: a degraded walk must relay its partial
-                    // flag, not a silently complete-looking answer.
-                    let degradation = walk.degradation().clone();
-                    match walk.finish(&self.portal) {
-                        Ok((set, stats)) => {
-                            for (alias, s) in &stats.entries {
-                                job.trace.push(
-                                    alias.clone(),
-                                    "cross match step",
-                                    format!(
-                                        "tuples in {}, tuples out {}",
-                                        s.tuples_in, s.tuples_out
-                                    ),
-                                );
-                            }
-                            match Portal::project_result(&plan, set) {
-                                Ok(mut rs) => {
-                                    rs.degraded = degradation.degraded;
-                                    rs.dropped_archives = degradation.dropped;
-                                    SliceOutcome::Succeeded(rs)
-                                }
-                                Err(e) => SliceOutcome::Failed(e),
-                            }
-                        }
-                        Err(e) => SliceOutcome::Failed(e),
-                    }
-                } else {
-                    match walk.step(&self.portal, &mut job.trace) {
-                        Ok(()) => SliceOutcome::Continue(ExecPhase::Walking(plan, walk)),
-                        Err(e) => {
-                            walk.release(&self.portal);
-                            SliceOutcome::Failed(e)
-                        }
-                    }
-                }
-            }
+            ExecPhase::Walking(plan, walk) => self.drive(plan, walk, &mut job.trace),
             ExecPhase::Done => SliceOutcome::Continue(ExecPhase::Done),
         };
 
@@ -807,19 +686,18 @@ impl JobService {
                 job.exec = next;
                 true
             }
-            SliceOutcome::Succeeded(rs) => {
-                job.result_rows = Some(rs.row_count());
-                job.degraded = rs.degraded;
-                job.dropped_archives = rs.dropped_archives.clone();
-                if rs.degraded {
-                    job.trace.push(
-                        "JobService",
-                        "partial result",
-                        format!(
-                            "answer degraded; dropped: {}",
-                            rs.dropped_archives.join(", ")
-                        ),
-                    );
+            SliceOutcome::Finished(result) => {
+                if let Ok(rs) = &result {
+                    if rs.degraded {
+                        job.trace.push(
+                            "JobService",
+                            "partial result",
+                            format!(
+                                "answer degraded; dropped: {}",
+                                rs.dropped_archives.join(", ")
+                            ),
+                        );
+                    }
                 }
                 if job.retries > 0 || job.faults > 0 {
                     job.trace.push(
@@ -831,45 +709,54 @@ impl JobService {
                         ),
                     );
                 }
-                job.trace.push(
-                    "JobService",
-                    "finished",
-                    format!("succeeded with {} rows", rs.row_count()),
-                );
-                job.state = JobState::Succeeded;
+                let outcome = match result {
+                    Ok(rs) => {
+                        job.result_rows = Some(rs.row_count());
+                        job.degraded = rs.degraded;
+                        job.dropped_archives = rs.dropped_archives.clone();
+                        job.trace.push(
+                            "JobService",
+                            "finished",
+                            format!("succeeded with {} rows", rs.row_count()),
+                        );
+                        job.state = JobState::Succeeded;
+                        st.results.insert(id, rs, now, config.result_ttl_s);
+                        self.net.record_node_event(&self.host, "lease-granted");
+                        "succeeded"
+                    }
+                    Err(e) => {
+                        job.trace
+                            .push("JobService", "finished", format!("failed: {e}"));
+                        job.error = Some(e.to_string());
+                        job.state = JobState::Failed;
+                        "failed"
+                    }
+                };
                 job.finished_at_s = Some(now);
                 let run_s = now - job.admitted_at_s.unwrap_or(now);
-                let tenant = job.tenant.clone();
-                st.running.retain(|rid| *rid != id);
-                st.results.insert(id, rs, now, config.result_ttl_s);
-                st.records.insert(id, id, now, config.record_ttl_s);
-                self.net.record_node_event(&self.host, "lease-granted");
-                self.net.record_job_finished(&tenant, "succeeded", run_s);
-                true
-            }
-            SliceOutcome::Failed(e) => {
-                if job.retries > 0 || job.faults > 0 {
-                    job.trace.push(
-                        "JobService",
-                        "recovery",
-                        format!(
-                            "{} retries ({:.3}s backoff), {} fault events during execution",
-                            job.retries, job.backoff_s, job.faults
-                        ),
-                    );
-                }
-                job.trace
-                    .push("JobService", "finished", format!("failed: {e}"));
-                job.error = Some(e.to_string());
-                job.state = JobState::Failed;
-                job.finished_at_s = Some(now);
-                let run_s = now - job.admitted_at_s.unwrap_or(now);
-                let tenant = job.tenant.clone();
                 st.running.retain(|rid| *rid != id);
                 st.records.insert(id, id, now, config.record_ttl_s);
-                self.net.record_job_finished(&tenant, "failed", run_s);
+                self.net.record_job_finished(&job.tenant, outcome, run_s);
                 true
             }
+        }
+    }
+
+    /// One quantum of a walk: its next step, or — once every step has
+    /// run — its answer. A fatal step error has already released whatever
+    /// the walk retained.
+    fn drive(
+        &self,
+        plan: Box<ExecutionPlan>,
+        mut walk: Box<CheckpointedWalk>,
+        trace: &mut ExecutionTrace,
+    ) -> SliceOutcome {
+        if walk.is_done() {
+            return finish(&plan, walk.finish(&self.portal), trace);
+        }
+        match walk.step(&self.portal, trace) {
+            Ok(()) => SliceOutcome::Continue(ExecPhase::Walking(plan, walk)),
+            Err(e) => SliceOutcome::Finished(Err(e)),
         }
     }
 
@@ -957,19 +844,11 @@ impl JobService {
         let job = st
             .jobs
             .get(&id)
-            .ok_or_else(|| FederationError::LeaseExpired {
-                kind: "job".into(),
-                id,
-                host: self.host.clone(),
-            })?;
+            .ok_or_else(|| FederationError::lease_expired("job", id, &self.host))?;
         match job.state {
             JobState::Succeeded => {}
             JobState::Expired => {
-                return Err(FederationError::LeaseExpired {
-                    kind: "result".into(),
-                    id,
-                    host: self.host.clone(),
-                })
+                return Err(FederationError::lease_expired("result", id, &self.host))
             }
             other => {
                 return Err(FederationError::protocol(format!(
@@ -984,11 +863,7 @@ impl JobService {
         let dropped = job.dropped_archives.join(",");
         st.records.renew(id, now);
         if !st.results.renew(id, now) {
-            return Err(FederationError::LeaseExpired {
-                kind: "result".into(),
-                id,
-                host: self.host.clone(),
-            });
+            return Err(FederationError::lease_expired("result", id, &self.host));
         }
         let table = st
             .results
@@ -1024,14 +899,10 @@ impl JobService {
         // Each continuation renews the session's lease, like a SkyNode's
         // chunked transfers: a live receiver never loses one mid-stream.
         st.transfers.renew(transfer_id, net.now_s());
-        let (_, chunks) =
-            st.transfers
-                .get(transfer_id)
-                .ok_or_else(|| FederationError::LeaseExpired {
-                    kind: "transfer".into(),
-                    id: transfer_id,
-                    host: self.host.clone(),
-                })?;
+        let (_, chunks) = st
+            .transfers
+            .get(transfer_id)
+            .ok_or_else(|| FederationError::lease_expired("transfer", transfer_id, &self.host))?;
         let (header, table) = chunks
             .get(index)
             .cloned()
@@ -1063,32 +934,36 @@ impl JobService {
 /// What one execution quantum decided.
 enum SliceOutcome {
     Continue(ExecPhase),
-    Succeeded(ResultSet),
-    Failed(FederationError),
+    Finished(Result<ResultSet>),
+}
+
+/// The one way an execution ends, whichever path ran it: per-step trace
+/// lines, the final projection, and partial-result honesty stamped on the
+/// result — a degraded execution must relay its partial flag, not a
+/// silently complete-looking answer.
+fn finish(
+    plan: &ExecutionPlan,
+    executed: Result<(PartialSet, StatsChain, Degradation)>,
+    trace: &mut ExecutionTrace,
+) -> SliceOutcome {
+    SliceOutcome::Finished(executed.and_then(|(set, stats, degradation)| {
+        for (alias, s) in &stats.entries {
+            trace.push(
+                alias.clone(),
+                "cross match step",
+                format!("tuples in {}, tuples out {}", s.tuples_in, s.tuples_out),
+            );
+        }
+        let mut rs = Portal::project_result(plan, set)?;
+        rs.degraded = degradation.degraded;
+        rs.dropped_archives = degradation.dropped;
+        Ok(rs)
+    }))
 }
 
 impl Endpoint for JobService {
     fn handle(&self, net: &SimNetwork, req: HttpRequest) -> HttpResponse {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(b) => b,
-            Err(_) => {
-                return HttpResponse::soap_fault(
-                    skyquery_soap::SoapFault::client("request body is not UTF-8").to_xml(),
-                )
-            }
-        };
-        let call = match RpcCall::parse(body) {
-            Ok(c) => c,
-            Err(e) => {
-                return HttpResponse::soap_fault(
-                    skyquery_soap::SoapFault::client(e.to_string()).to_xml(),
-                )
-            }
-        };
-        match self.handle_call(net, call) {
-            Ok(resp) => HttpResponse::ok(resp.to_xml()),
-            Err(e) => HttpResponse::soap_fault(e.to_fault().to_xml()),
-        }
+        skyquery_core::service::serve(&req, |call| self.handle_call(net, call))
     }
 }
 

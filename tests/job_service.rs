@@ -423,6 +423,58 @@ fn cancelling_an_inflight_chain_releases_checkpoints_immediately() {
     assert_eq!(cli.poll(id2).unwrap().state, JobState::Succeeded);
 }
 
+/// Runs `ordered_three_sql` as a cold job and then as its repeat through
+/// a capacity-4 result cache, returning the cache counters after each
+/// and the chain steps the repeat executed.
+fn cold_job_then_repeat(mode: ChainMode) -> [(u64, u64); 2] {
+    let fed = federation(mode);
+    fed.portal.set_config(FederationConfig {
+        result_cache_capacity: 4,
+        ..fed.portal.config()
+    });
+    let svc = job_service(&fed, JobServiceConfig::default());
+    let cli = client(&fed, &svc, "alice-web");
+    let steps = || fed.nodes.iter().map(|n| n.executed_steps()).sum::<u64>();
+    let run = || {
+        let id = cli.submit("alice", ordered_three_sql()).unwrap();
+        svc.run_until_idle(100_000);
+        assert_eq!(cli.poll(id).unwrap().state, JobState::Succeeded);
+        let counters = fed.portal.cache_report().0;
+        (cli.fetch(id).unwrap(), (counters.hits, counters.misses))
+    };
+    let (cold, after_cold) = run();
+    let steps_before = steps();
+    let (repeat, after_repeat) = run();
+    assert_eq!(
+        repeat.to_votable("result").to_xml(),
+        cold.to_votable("result").to_xml(),
+        "mode {mode:?}: the repeat diverged from the cold job"
+    );
+    assert_eq!(
+        steps(),
+        steps_before,
+        "mode {mode:?}: a hit must not execute any chain step"
+    );
+    [after_cold, after_repeat]
+}
+
+/// One classification per submission: the job service leaves the cache
+/// lookup to the Portal, so a cold job is one miss, not two.
+#[test]
+fn a_jobs_cache_miss_is_counted_once() {
+    let [(_, cold_misses), (hits, misses)] = cold_job_then_repeat(ChainMode::Recursive);
+    assert_eq!(cold_misses, 1, "a cold job is classified exactly once");
+    assert_eq!((hits, misses), (1, 1));
+}
+
+/// A walked job records like any other execution: under
+/// `ChainMode::Checkpointed` the second identical job is a hit.
+#[test]
+fn checkpointed_jobs_populate_the_cache() {
+    let [_, (hits, misses)] = cold_job_then_repeat(ChainMode::Checkpointed);
+    assert_eq!((hits, misses), (1, 1));
+}
+
 #[test]
 fn wsdl_describes_every_job_method() {
     let fed = federation(ChainMode::Recursive);

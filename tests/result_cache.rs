@@ -7,7 +7,10 @@
 //! are tallied in the network metrics instead of being swallowed.
 
 use proptest::prelude::*;
-use skyquery_core::{ChainMode, FederationConfig, MatchKernel, RetryPolicy};
+use skyquery_core::{
+    ChainMode, FederationConfig, FederationError, MatchKernel, ResultSet, RetryPolicy,
+};
+use skyquery_jobs::{JobClient, JobService, JobServiceConfig};
 use skyquery_net::{FaultKind, FaultPlan, FaultRule};
 use skyquery_sim::{CatalogParams, FederationBuilder, QuerySpec, SurveyParams, TestFederation};
 use skyquery_storage::Value;
@@ -65,6 +68,27 @@ fn sweep_query(dropout: bool) -> String {
 
 fn total_executed_steps(fed: &TestFederation) -> u64 {
     fed.nodes.iter().map(|n| n.executed_steps()).sum()
+}
+
+/// Answers `sql` synchronously through the Portal or, given a job
+/// service fronting it, as a job. Returns the result and the trace's
+/// actions.
+fn answer(fed: &TestFederation, jobs: Option<&JobService>, sql: &str) -> (ResultSet, Vec<String>) {
+    let Some(svc) = jobs else {
+        let (result, trace) = fed.portal.submit(sql).unwrap();
+        let actions = trace.events().iter().map(|e| e.action.clone()).collect();
+        return (result, actions);
+    };
+    let cli = JobClient::new(&fed.net, "web", svc.url());
+    let id = cli.submit("t", sql).unwrap();
+    svc.run_until_idle(100_000);
+    let actions = svc
+        .job_trace(id)
+        .expect("job known")
+        .into_iter()
+        .map(|(_, action, _)| action)
+        .collect();
+    (cli.fetch(id).unwrap(), actions)
 }
 
 /// Appends deterministic rows to an archive's primary table directly in
@@ -243,23 +267,33 @@ proptest! {
     #[test]
     fn cached_and_repaired_results_match_cold_execution(
         kernel_ix in 0usize..3,
-        mode_ix in 0usize..2,
+        mode_ix in 0usize..3,
         shards in 1usize..3,
         dropout in any::<bool>(),
     ) {
         let kernel = [MatchKernel::Columnar, MatchKernel::Htm, MatchKernel::Batch][kernel_ix];
-        let mode = [ChainMode::Recursive, ChainMode::Checkpointed][mode_ix];
+        // The third driver: checkpointed walks sliced by the job service.
+        let (mode, via_jobs) = [
+            (ChainMode::Recursive, false),
+            (ChainMode::Checkpointed, false),
+            (ChainMode::Checkpointed, true),
+        ][mode_ix];
         let cached = fed(4, shards, kernel, mode);
         let cold = fed(0, shards, kernel, mode);
+        let jobs = via_jobs.then(|| {
+            let config = JobServiceConfig::default();
+            JobService::start(&cached.net, "jobs.skyquery.net", cached.portal.clone(), config)
+        });
+        let jobs = jobs.as_deref();
         let sql = sweep_query(dropout);
 
-        let (a1, _) = cached.portal.submit(&sql).unwrap();
+        let (a1, _) = answer(&cached, jobs, &sql);
         let (b1, _) = cold.portal.submit(&sql).unwrap();
         prop_assert_eq!(&a1, &b1, "populating walk diverged from direct execution");
 
-        let (a2, trace) = cached.portal.submit(&sql).unwrap();
+        let (a2, actions) = answer(&cached, jobs, &sql);
         prop_assert_eq!(&a2, &b1, "cache hit diverged from the cold result");
-        prop_assert!(trace.events().iter().any(|e| e.action == "cache hit"));
+        prop_assert!(actions.iter().any(|a| a == "cache hit"));
 
         if shards == 1 {
             // Grow every archive identically in both federations: the
@@ -267,15 +301,142 @@ proptest! {
             // cold side's full re-run.
             grow_archives(&cached);
             grow_archives(&cold);
-            let (a3, trace) = cached.portal.submit(&sql).unwrap();
+            let (a3, actions) = answer(&cached, jobs, &sql);
             let (b3, _) = cold.portal.submit(&sql).unwrap();
             prop_assert_eq!(&a3, &b3, "incremental repair diverged from a cold run");
             prop_assert!(
-                trace.events().iter().any(|e| e.action == "cache repair"),
+                actions.iter().any(|a| a == "cache repair"),
                 "unsharded monotone growth must take the repair path"
             );
         }
     }
+}
+
+/// A recording walk that meets an unhealthy archive re-plans in place
+/// like any other walk: it resumes from the committed set — no committed
+/// step runs twice — returns the healthy answer, and caches nothing (a
+/// re-ordered walk no longer mirrors the plan a hit would be served for).
+#[test]
+fn recording_walk_resumes_from_the_committed_set_instead_of_rerunning() {
+    let sql = "SELECT O.object_id, T.object_id, P.object_id \
+               FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, FIRST:Primary_Object P \
+               WHERE XMATCH(O, T, P) < 4 \
+               ORDER BY O.object_id, T.object_id, P.object_id";
+    let healthy = fed(4, 1, MatchKernel::default(), ChainMode::Checkpointed);
+    let (want, clean_trace) = healthy.portal.submit(sql).unwrap();
+    assert!(want.row_count() > 0, "test premise: the query matches");
+    // The per-step trace lines come out in execution order: the second
+    // one names the mid-chain archive.
+    let order: Vec<&str> = clean_trace
+        .events()
+        .iter()
+        .filter(|e| e.action == "cross match step")
+        .map(|e| e.actor.as_str())
+        .collect();
+    assert_eq!(order.len(), 3);
+    let victim = match order[1] {
+        "O" => SDSS_HOST,
+        "T" => TWOMASS_HOST,
+        "P" => "first.skyquery.net",
+        other => panic!("unknown alias {other}"),
+    };
+
+    let faulted = fed(4, 1, MatchKernel::default(), ChainMode::Checkpointed);
+    faulted.net.install_faults(
+        FaultPlan::new().rule(
+            FaultRule::new(FaultKind::HostDown)
+                .host(victim)
+                .action("ScatterStep")
+                .times(RetryPolicy::default().max_attempts),
+        ),
+    );
+    let (got, trace) = faulted.portal.submit(sql).unwrap();
+    assert_eq!(got, want, "the resumed walk must return the healthy bytes");
+    for action in ["replan", "resume"] {
+        assert!(
+            trace.events().iter().any(|e| e.action == action),
+            "the trace must carry {action}"
+        );
+    }
+    assert_eq!(
+        total_executed_steps(&faulted),
+        3,
+        "no committed step may run twice"
+    );
+    assert_eq!(
+        faulted.portal.cache_report().1,
+        0,
+        "a re-planned walk caches nothing"
+    );
+}
+
+/// A recording walk sliced by the job service spans quanta, so archives
+/// can grow — and the registry can learn of it — between its seed step
+/// and its populate. Publishing the entry must not roll the registry
+/// back to the version the seed observed: the repeat has to see a stale
+/// entry and repair it, never validate it as a hit on the old rows.
+#[test]
+fn growth_during_a_recording_walk_is_never_served_as_a_hit() {
+    let cached = fed(4, 1, MatchKernel::default(), ChainMode::Checkpointed);
+    let cold = fed(0, 1, MatchKernel::default(), ChainMode::Checkpointed);
+    let config = JobServiceConfig::default();
+    let svc = JobService::start(
+        &cached.net,
+        "jobs.skyquery.net",
+        cached.portal.clone(),
+        config,
+    );
+    let cli = JobClient::new(&cached.net, "web", svc.url());
+    let sql = sweep_query(false);
+
+    let id = cli.submit("t", &sql).unwrap();
+    while total_executed_steps(&cached) == 0 {
+        assert!(svc.pump(), "the job must reach its seed step");
+    }
+    assert_eq!(total_executed_steps(&cached), 1, "one step per quantum");
+    grow_archives(&cached);
+    grow_archives(&cold);
+    svc.run_until_idle(100_000);
+    cli.fetch(id).expect("the interleaved job completes");
+
+    let (repeat, actions) = answer(&cached, Some(&*svc), &sql);
+    let (want, _) = cold.portal.submit(&sql).unwrap();
+    assert_eq!(repeat, want, "the repeat must see the grown archives");
+    assert!(
+        actions.iter().all(|a| a != "cache hit"),
+        "an entry whose seed predates the growth is stale, not a hit"
+    );
+}
+
+/// With the cache on, `ChainMode::Recursive` runs the recording walk
+/// with `replan = false`: an archive that stays down for a whole retry
+/// budget aborts the submission with the typed error (it is not re-run
+/// through a second driver), and nothing is cached.
+#[test]
+fn recursive_recording_walk_aborts_on_an_unhealthy_archive() {
+    let fed = fed(4, 1, MatchKernel::default(), ChainMode::Recursive);
+    fed.net.install_faults(
+        FaultPlan::new().rule(
+            FaultRule::new(FaultKind::HostDown)
+                .host(TWOMASS_HOST)
+                .action("ScatterStep")
+                .times(RetryPolicy::default().max_attempts),
+        ),
+    );
+    let err = fed.portal.submit(&sweep_query(false)).unwrap_err();
+    assert!(
+        matches!(err, FederationError::NodeUnhealthy { .. }),
+        "expected NodeUnhealthy, got {err}"
+    );
+    assert_eq!(
+        fed.portal.cache_report().1,
+        0,
+        "an aborted walk caches nothing"
+    );
+
+    // The outage is spent: the same submission now answers and populates.
+    fed.portal.submit(&sweep_query(false)).unwrap();
+    assert_eq!(fed.portal.cache_report().1, 1);
 }
 
 /// Satellite regression: best-effort cleanup RPC failures during a
