@@ -1,28 +1,16 @@
-//! Columnar vs HTM vs batch cross-match kernels — §5.4's probe loop.
+//! Columnar vs HTM cross-match kernels — §5.4's probe loop (E11).
 //!
 //! Table: wall-clock time of one sequential match step at 10k and 100k
-//! archive rows under each kernel, with rows/sec (incoming tuples pushed
-//! through the step per second), ns/probe, and speedups (columnar over
-//! HTM, batch over columnar). The workload models the paper's headline
-//! federation: radio-survey detections (σ_t = 3") matched against a
-//! dense optical archive (σ = 1", 25k objects/deg²), so each probe ball
-//! spans ~11" and the kernels face real candidate windows rather than
-//! empty sky. The three kernels must be byte-identical —
-//! the table asserts it — so the speedups are free. The batch kernel's
-//! compressed zone tiles are also sized against the 48 B/row columnar
-//! layout, and its steady-state zero-allocation claim is proven in-bench:
-//! two sweeps on one `BatchScratch` must report every probe as served
-//! without buffer growth.
-//!
-//! Results are also written to `BENCH_kernel.json` at the repository
-//! root so the numbers ride with the tree — every speedup the table
-//! prints comes from the same `Measurement` the JSON serializes, so the
-//! prose can't drift from the artifact. Criterion then times a smaller
-//! configuration per kernel.
-//!
-//! Set `SKYQUERY_BENCH_SMOKE=1` to run a single small configuration that
-//! asserts byte-identity and the zero-allocation invariant without
-//! rewriting `BENCH_kernel.json` (the CI smoke step).
+//! archive rows under each kernel, with ns/probe and the columnar
+//! speedup over HTM — the evidence for which kernel is production. The
+//! workload models the paper's headline federation: radio-survey
+//! detections (σ_t = 3") matched against a dense optical archive
+//! (σ = 1", 25k objects/deg²), so each probe ball spans ~11" and the
+//! kernels face real candidate windows rather than empty sky. The two
+//! kernels must be byte-identical — the table asserts it — so the
+//! speedup is free. Criterion then times a smaller configuration per
+//! kernel. (Whole-query cost on a dense field is the `dense-pair`
+//! workload of `crates/bench/e2e`.)
 
 use std::time::Instant;
 
@@ -33,8 +21,7 @@ use skyquery_core::xmatch::{
 use skyquery_core::ResultColumn;
 use skyquery_htm::SkyPoint;
 use skyquery_storage::{
-    BatchScratch, BufferCache, ColumnDef, DataType, Database, PositionColumns, ProbeScratch,
-    TableSchema, Value,
+    BufferCache, ColumnDef, DataType, Database, PositionColumns, TableSchema, Value,
 };
 
 const ARCSEC: f64 = 1.0 / 3600.0;
@@ -49,10 +36,6 @@ const INCOMING_SIGMA_ARCSEC: f64 = 3.0;
 
 /// Astrometric error of the archive being matched against, in arcsec.
 const ARCHIVE_SIGMA_ARCSEC: f64 = 1.0;
-
-/// What the columnar snapshot spends per row: zone-sorted `(ra, dec,
-/// row id, unit vector)` as plain f64/usize words.
-const COLUMNAR_BYTES_PER_ROW: usize = 48;
 
 /// Deterministic xorshift so the bench needs no RNG dependency.
 struct Rng(u64);
@@ -132,57 +115,17 @@ fn cfg(kernel: MatchKernel) -> StepConfig {
     }
 }
 
-/// One measured configuration, for the table and the JSON artifact.
+/// One measured configuration of the table.
 struct Measurement {
     rows: usize,
     tuples: usize,
     htm_ms: f64,
     columnar_ms: f64,
-    batch_ms: f64,
-    /// Probe-loop-only time of the scalar columnar kernel (warm layout,
-    /// warm scratch): the step time minus the shared tuple plumbing.
-    columnar_kernel_ms: f64,
-    /// Probe-loop-only time of the batch sweep (warm tiles, warm scratch).
-    batch_kernel_ms: f64,
-    /// Encoded size of the compressed zone tiles.
-    tile_bytes: usize,
 }
 
 impl Measurement {
-    fn columnar_speedup(&self) -> f64 {
-        self.htm_ms / self.columnar_ms
-    }
-
-    fn batch_speedup_vs_htm(&self) -> f64 {
-        self.htm_ms / self.batch_ms
-    }
-
-    fn batch_speedup_vs_columnar(&self) -> f64 {
-        self.columnar_ms / self.batch_ms
-    }
-
-    /// The headline kernel-vs-kernel number: batch sweep over columnar
-    /// probe loop, with the shared step plumbing (temp-table
-    /// materialization, χ² extension, tuple assembly) excluded from both
-    /// sides.
-    fn batch_kernel_speedup(&self) -> f64 {
-        self.columnar_kernel_ms / self.batch_kernel_ms
-    }
-
-    fn rows_per_sec(&self, ms: f64) -> f64 {
-        self.tuples as f64 / (ms / 1e3)
-    }
-
     fn ns_per_probe(&self, ms: f64) -> f64 {
         ms * 1e6 / self.tuples as f64
-    }
-
-    fn tile_bytes_per_row(&self) -> f64 {
-        self.tile_bytes as f64 / self.rows as f64
-    }
-
-    fn tile_compression(&self) -> f64 {
-        (self.rows * COLUMNAR_BYTES_PER_ROW) as f64 / self.tile_bytes as f64
     }
 }
 
@@ -197,204 +140,55 @@ fn time_step(db: &mut Database, kernel: MatchKernel, set: &PartialSet, iters: us
     best
 }
 
-/// The probe balls the match step would issue for `set`, in tuple order.
-fn probe_balls(set: &PartialSet) -> Vec<(SkyPoint, f64)> {
-    let sigma_rad = (ARCHIVE_SIGMA_ARCSEC * ARCSEC).to_radians();
-    set.tuples
-        .iter()
-        .filter_map(|t| {
-            let best = t.state.best_position()?;
-            Some((
-                SkyPoint::from_vec3(best),
-                t.state.search_radius(3.5, sigma_rad),
-            ))
-        })
-        .collect()
-}
-
-/// Times the two probe kernels in isolation (warm snapshots, warm
-/// scratch, best-of-`iters`) and proves the batch hot loop allocates
-/// nothing at steady state: after the cold sweep has grown the scratch to
-/// its high-water mark, every later sweep must report every probe as
-/// served without any buffer growth.
-fn time_kernels(db: &mut Database, set: &PartialSet, iters: usize) -> (f64, f64) {
-    db.ensure_columnar("objects", 0.1).unwrap();
-    db.ensure_tiles("objects", 0.1).unwrap();
-    let probes = probe_balls(set);
-
-    let cols = db.columnar_positions("objects").unwrap();
-    let mut ps = ProbeScratch::new();
-    let mut columnar_ms = f64::INFINITY;
-    for _ in 0..iters.max(5) {
-        let t0 = Instant::now();
-        for &(c, r) in &probes {
-            cols.probe(c, r, &mut ps);
-        }
-        columnar_ms = columnar_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-
-    let tiles = db.zone_tiles("objects").unwrap();
-    let mut scratch = BatchScratch::new();
-    tiles.probe_batch(&probes, &mut scratch); // cold: buffers grow here
-    let mut batch_ms = f64::INFINITY;
-    for _ in 0..iters.max(5) {
-        let t0 = Instant::now();
-        let warm = tiles.probe_batch(&probes, &mut scratch);
-        batch_ms = batch_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            warm.reused,
-            probes.len(),
-            "batch hot loop allocated at steady state"
-        );
-    }
-    (columnar_ms, batch_ms)
-}
-
 fn measure(rows: usize, stride: usize, iters: usize) -> Measurement {
     let mut db = archive(rows);
     let set = incoming(&db, stride);
-    // Prewarm all three kernels outside the timed region — the HTM index
-    // sort, the columnar layout build, and the tile encode are each
-    // one-time costs — and assert byte-identity while at it.
+    // Prewarm both kernels outside the timed region — the HTM index sort
+    // and the columnar layout build are one-time costs — and assert
+    // byte-identity while at it.
     let (htm_out, htm_stats) = match_step(&mut db, &cfg(MatchKernel::Htm), &set).unwrap();
     let (col_out, col_stats) = match_step(&mut db, &cfg(MatchKernel::Columnar), &set).unwrap();
-    let (bat_out, bat_stats) = match_step(&mut db, &cfg(MatchKernel::Batch), &set).unwrap();
     assert!(
         htm_out == col_out && htm_stats == col_stats,
         "columnar kernel diverged at {rows} rows"
     );
-    assert!(
-        htm_out == bat_out && htm_stats == bat_stats,
-        "batch kernel diverged at {rows} rows"
-    );
-    let (columnar_kernel_ms, batch_kernel_ms) = time_kernels(&mut db, &set, iters);
-    let htm_ms = time_step(&mut db, MatchKernel::Htm, &set, iters);
-    let columnar_ms = time_step(&mut db, MatchKernel::Columnar, &set, iters);
-    let batch_ms = time_step(&mut db, MatchKernel::Batch, &set, iters);
-    let tile_bytes = db.zone_tiles("objects").unwrap().encoded_bytes();
     Measurement {
         rows,
         tuples: set.len(),
-        htm_ms,
-        columnar_ms,
-        batch_ms,
-        columnar_kernel_ms,
-        batch_kernel_ms,
-        tile_bytes,
-    }
-}
-
-fn write_json(measurements: &[Measurement]) {
-    let mut configs = String::new();
-    for (i, m) in measurements.iter().enumerate() {
-        if i > 0 {
-            configs.push_str(",\n");
-        }
-        configs.push_str(&format!(
-            "    {{\"archive_rows\": {}, \"incoming_tuples\": {}, \
-             \"htm_ms\": {:.3}, \"columnar_ms\": {:.3}, \"batch_ms\": {:.3}, \
-             \"columnar_kernel_ms\": {:.3}, \"batch_kernel_ms\": {:.3}, \
-             \"htm_rows_per_sec\": {:.0}, \"columnar_rows_per_sec\": {:.0}, \
-             \"batch_rows_per_sec\": {:.0}, \
-             \"htm_ns_per_probe\": {:.0}, \"columnar_ns_per_probe\": {:.0}, \
-             \"batch_ns_per_probe\": {:.0}, \
-             \"columnar_speedup\": {:.2}, \"batch_speedup_vs_htm\": {:.2}, \
-             \"batch_speedup_vs_columnar\": {:.2}, \"batch_kernel_speedup\": {:.2}, \
-             \"tile_bytes\": {}, \"tile_bytes_per_row\": {:.1}, \
-             \"columnar_bytes_per_row\": {}, \"tile_compression\": {:.2}, \
-             \"steady_state_zero_alloc\": true, \"byte_identical\": true}}",
-            m.rows,
-            m.tuples,
-            m.htm_ms,
-            m.columnar_ms,
-            m.batch_ms,
-            m.columnar_kernel_ms,
-            m.batch_kernel_ms,
-            m.rows_per_sec(m.htm_ms),
-            m.rows_per_sec(m.columnar_ms),
-            m.rows_per_sec(m.batch_ms),
-            m.ns_per_probe(m.htm_ms),
-            m.ns_per_probe(m.columnar_ms),
-            m.ns_per_probe(m.batch_ms),
-            m.columnar_speedup(),
-            m.batch_speedup_vs_htm(),
-            m.batch_speedup_vs_columnar(),
-            m.batch_kernel_speedup(),
-            m.tile_bytes,
-            m.tile_bytes_per_row(),
-            COLUMNAR_BYTES_PER_ROW,
-            m.tile_compression(),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"kernel\",\n  \"step\": \"sequential match over a 2°×2° field, zone height 0.1°, radio σ_t=3.0\\\" vs optical σ=1.0\\\", threshold 3.5\",\n  \"configs\": [\n{configs}\n  ]\n}}\n"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
+        htm_ms: time_step(&mut db, MatchKernel::Htm, &set, iters),
+        columnar_ms: time_step(&mut db, MatchKernel::Columnar, &set, iters),
     }
 }
 
 fn print_tables() {
-    println!("\n=== kernel: batch vs columnar vs HTM, one sequential match step ===");
+    println!("\n=== kernel: columnar vs HTM, one sequential match step ===");
     println!(
-        "{:<10} {:>8} {:>10} {:>10} {:>10} {:>11} {:>11} {:>9} {:>12} {:>10}",
-        "rows",
-        "tuples",
-        "htm (ms)",
-        "col (ms)",
-        "bat (ms)",
-        "colk (ms)",
-        "batk (ms)",
-        "batk/colk",
-        "tile B/row",
-        "tile comp"
+        "{:<10} {:>8} {:>10} {:>10} {:>8} {:>13} {:>13}",
+        "rows", "tuples", "htm (ms)", "col (ms)", "speedup", "htm ns/probe", "col ns/probe"
     );
-    let mut measurements = Vec::new();
     for &(rows, stride, iters) in &[(10_000usize, 2usize, 5usize), (100_000, 4, 3)] {
         let m = measure(rows, stride, iters);
         println!(
-            "{:<10} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>11.1} {:>11.1} {:>8.2}x {:>12.1} {:>9.2}x",
+            "{:<10} {:>8} {:>10.1} {:>10.1} {:>7.1}x {:>13.0} {:>13.0}",
             m.rows,
             m.tuples,
             m.htm_ms,
             m.columnar_ms,
-            m.batch_ms,
-            m.columnar_kernel_ms,
-            m.batch_kernel_ms,
-            m.batch_kernel_speedup(),
-            m.tile_bytes_per_row(),
-            m.tile_compression(),
+            m.htm_ms / m.columnar_ms,
+            m.ns_per_probe(m.htm_ms),
+            m.ns_per_probe(m.columnar_ms),
         );
-        measurements.push(m);
     }
-    write_json(&measurements);
     println!();
 }
 
 fn bench(c: &mut Criterion) {
-    if std::env::var_os("SKYQUERY_BENCH_SMOKE").is_some() {
-        // CI smoke: one small configuration; `measure` asserts all three
-        // kernels are byte-identical and the batch hot loop is
-        // allocation-free at steady state. No JSON rewrite, no timing.
-        let m = measure(2_000, 2, 1);
-        println!(
-            "smoke OK: byte_identical=true across htm/columnar/batch at {} rows, \
-             steady-state zero-alloc proven, tile {} B ({:.1} B/row)",
-            m.rows,
-            m.tile_bytes,
-            m.tile_bytes_per_row(),
-        );
-        return;
-    }
     print_tables();
     let mut group = c.benchmark_group("kernel_match_step");
     group.sample_size(10);
     let mut db = archive(20_000);
     let set = incoming(&db, 4);
-    for kernel in [MatchKernel::Htm, MatchKernel::Columnar, MatchKernel::Batch] {
+    for kernel in [MatchKernel::Htm, MatchKernel::Columnar] {
         // Prewarm so no kernel pays its one-time setup in the loop.
         match_step(&mut db, &cfg(kernel), &set).unwrap();
         group.bench_with_input(

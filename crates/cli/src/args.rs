@@ -15,8 +15,6 @@ pub struct Options {
     /// Split oversized transfers on zone boundaries (the pipelined path);
     /// `false` falls back to plain byte-budget chunking.
     pub zone_chunking: bool,
-    /// Probe kernel for cross-match steps (columnar, HTM, or batch).
-    pub kernel: skyquery_core::MatchKernel,
     /// Retry attempts for every federation RPC (1 = no retries).
     pub retries: u32,
     /// First retry's backoff in simulated seconds (doubles per retry).
@@ -43,7 +41,6 @@ impl Default for Options {
             workers: 1,
             zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
             zone_chunking: true,
-            kernel: skyquery_core::MatchKernel::default(),
             retries: skyquery_core::RetryPolicy::default().max_attempts,
             retry_backoff_s: skyquery_core::RetryPolicy::default().backoff_base_s,
             chain_mode: skyquery_core::ChainMode::default(),
@@ -119,20 +116,6 @@ where
                         return Command::Help(Some(
                             "--zone-height needs a positive number of degrees".into(),
                         ))
-                    }
-                }
-            }
-            "--kernel" => {
-                i += 1;
-                match args
-                    .get(i)
-                    .and_then(|v| skyquery_core::MatchKernel::parse(v))
-                {
-                    Some(k) => opts.kernel = k,
-                    None => {
-                        return Command::Help(Some(
-                            "--kernel needs columnar, htm, or batch".into(),
-                        ));
                     }
                 }
             }
@@ -226,7 +209,6 @@ OPTIONS:
     --seed <N>         catalog RNG seed                            [default: 42]
     --workers <N>      cross-match worker threads per SkyNode      [default: 1]
     --zone-height <D>  declination zone height, degrees            [default: 0.1]
-    --kernel <K>       cross-match probe kernel: columnar | htm | batch    [default: columnar]
     --retries <N>      RPC attempts before a node is unhealthy     [default: 3]
     --retry-backoff <S> first retry backoff, simulated seconds     [default: 0.05]
     --chain <M>        chain driver: recursive | checkpointed      [default: recursive]
@@ -264,8 +246,6 @@ mod tests {
             "4",
             "--zone-height",
             "0.5",
-            "--kernel",
-            "htm",
             "--retries",
             "5",
             "--retry-backoff",
@@ -283,7 +263,6 @@ mod tests {
                 assert_eq!(o.workers, 4);
                 assert_eq!(o.zone_height_deg, 0.5);
                 assert!(o.zone_chunking, "zone chunking defaults on");
-                assert_eq!(o.kernel, skyquery_core::MatchKernel::Htm);
                 assert_eq!(o.retries, 5);
                 assert_eq!(o.retry_backoff_s, 0.2);
                 assert_eq!(o.retry_policy().max_attempts, 5);
@@ -293,11 +272,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(
-            Options::default().kernel,
-            skyquery_core::MatchKernel::Columnar,
-            "columnar kernel is the default"
-        );
         match parse_args(["demo", "--no-zone-chunking"]) {
             Command::Demo(o) => assert!(!o.zone_chunking),
             other => panic!("{other:?}"),
@@ -338,6 +312,11 @@ mod tests {
             parse_args(["--wat"]),
             Command::Help(Some(msg)) if msg.contains("--wat")
         ));
+        // The kernel knob retired in PR 19: refused like any unknown flag.
+        assert!(matches!(
+            parse_args(["--kernel", "htm", "demo"]),
+            Command::Help(Some(msg)) if msg.contains("unknown option --kernel")
+        ));
         assert!(matches!(
             parse_args(["launch"]),
             Command::Help(Some(msg)) if msg.contains("launch")
@@ -349,10 +328,6 @@ mod tests {
         assert!(matches!(
             parse_args(["--zone-height", "-2", "demo"]),
             Command::Help(Some(msg)) if msg.contains("--zone-height")
-        ));
-        assert!(matches!(
-            parse_args(["--kernel", "quadtree", "demo"]),
-            Command::Help(Some(msg)) if msg.contains("--kernel")
         ));
         assert!(matches!(
             parse_args(["--retries", "0", "demo"]),
@@ -386,7 +361,6 @@ mod tests {
             "--seed",
             "--workers",
             "--zone-height",
-            "--kernel",
             "--retries",
             "--retry-backoff",
             "--chain",

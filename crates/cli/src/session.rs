@@ -44,7 +44,6 @@ impl Session {
                 xmatch_workers: opts.workers,
                 zone_height_deg: opts.zone_height_deg,
                 zone_chunking: opts.zone_chunking,
-                kernel: opts.kernel,
                 retry: opts.retry_policy(),
                 chain_mode: opts.chain_mode,
                 ..FederationConfig::default()
@@ -295,16 +294,6 @@ impl Session {
                     writeln!(out, "zone-aware chunking {word}")?;
                 }
                 _ => writeln!(out, "usage: \\zonechunking on|off")?,
-            },
-            Some("kernel") => match parts.next().and_then(skyquery_core::MatchKernel::parse) {
-                Some(k) => {
-                    self.fed.portal.set_config(FederationConfig {
-                        kernel: k,
-                        ..self.fed.portal.config()
-                    });
-                    writeln!(out, "cross-match kernel set to {k}")?;
-                }
-                None => writeln!(out, "usage: \\kernel columnar|htm|batch")?,
             },
             Some("faults") => {
                 let usage =
@@ -624,7 +613,6 @@ pub fn meta_help() -> &'static str {
   \\cache [<capacity>]               result-cache counters / set capacity (0 = off)
   \\chunking on|off                  §6 chunked-transfer workaround
   \\zonechunking on|off              zone-aware pipelined transfer chunks
-  \\kernel columnar|htm|batch        cross-match probe kernel (byte-identical)
   \\faults [<kind> <archive> <n>]    inject network faults / show fault+retry tallies
                                     (kinds: down step 500 truncate garbage latency)
   \\retry <attempts> [backoff]       RPC retry policy (attempts, base backoff seconds)
@@ -694,14 +682,6 @@ mod tests {
         let (_, out) = drive(&mut s, "\\zonechunking off");
         assert!(out.contains("zone-aware chunking off"));
         assert!(!s.fed.portal.config().zone_chunking);
-        let (_, out) = drive(&mut s, "\\kernel htm");
-        assert!(out.contains("kernel set to htm"));
-        assert_eq!(
-            s.fed.portal.config().kernel,
-            skyquery_core::MatchKernel::Htm
-        );
-        let (_, out) = drive(&mut s, "\\kernel quadtree");
-        assert!(out.contains("usage: \\kernel"));
         let (_, out) = drive(&mut s, "\\cache 8");
         assert!(out.contains("capacity set to 8 entries"));
         assert_eq!(s.fed.portal.config().result_cache_capacity, 8);
@@ -712,8 +692,11 @@ mod tests {
         assert!(out.contains("result cache off"));
         let (_, out) = drive(&mut s, "\\cache lots");
         assert!(out.contains("usage: \\cache"));
-        let (_, out) = drive(&mut s, "\\nonsense");
-        assert!(out.contains("unknown meta-command"));
+        // `\\kernel` retired with `--kernel` in PR 19.
+        for line in ["\\nonsense", "\\kernel htm"] {
+            let (_, out) = drive(&mut s, line);
+            assert!(out.contains("unknown meta-command"), "{line}");
+        }
         let (more, _) = drive(&mut s, "\\quit");
         assert!(!more);
     }

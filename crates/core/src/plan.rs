@@ -110,8 +110,9 @@ pub struct ExecutionPlan {
     /// `false` keeps the legacy byte-budget split.
     pub zone_chunking: bool,
     /// Candidate-probe kernel each node uses for its match/drop-out step.
-    /// Both kernels produce byte-identical results, so this is purely a
-    /// performance knob and is safe to default when absent on the wire.
+    /// An oracle/test override; production runs the default. Both kernels
+    /// produce byte-identical results, so it is safe to default when
+    /// absent or unknown on the wire.
     pub kernel: MatchKernel,
     /// Retry policy every participant applies to its onward calls
     /// (daisy-chain hops, `FetchChunk` continuations). Travels with the
@@ -625,7 +626,7 @@ mod tests {
         threshold.threshold += 0.5;
         assert_ne!(base.cache_signature(), threshold.cache_signature());
         let mut kernel = demo_plan();
-        kernel.kernel = MatchKernel::Batch;
+        kernel.kernel = MatchKernel::Columnar;
         assert_ne!(base.cache_signature(), kernel.cache_signature());
         let mut sigma = demo_plan();
         sigma.steps[0].sigma_arcsec += 0.1;
@@ -637,7 +638,7 @@ mod tests {
 
     #[test]
     fn kernel_name_roundtrips_for_every_variant() {
-        for kernel in [MatchKernel::Columnar, MatchKernel::Htm, MatchKernel::Batch] {
+        for kernel in [MatchKernel::Columnar, MatchKernel::Htm] {
             let mut p = demo_plan();
             p.kernel = kernel;
             let back = ExecutionPlan::from_element(&p.to_element()).unwrap();
@@ -726,11 +727,15 @@ mod tests {
         el.attributes.retain(|(k, _)| k != "kernel");
         let p = ExecutionPlan::from_element(&el).unwrap();
         assert_eq!(p.kernel, MatchKernel::Columnar);
-        let mut el = demo_plan().to_element();
-        el.attributes.retain(|(k, _)| k != "kernel");
-        let el = el.with_attr("kernel", "quadtree");
-        let p = ExecutionPlan::from_element(&el).unwrap();
-        assert_eq!(p.kernel, MatchKernel::Columnar);
+        // "batch" is what a peer predating the tile kernel's withdrawal
+        // (PR 19) sends.
+        for name in ["quadtree", "batch"] {
+            let mut el = demo_plan().to_element();
+            el.attributes.retain(|(k, _)| k != "kernel");
+            let el = el.with_attr("kernel", name);
+            let p = ExecutionPlan::from_element(&el).unwrap();
+            assert_eq!(p.kernel, MatchKernel::Columnar, "{name}");
+        }
         // A named kernel round-trips.
         let p = ExecutionPlan::from_element(&demo_plan().to_element()).unwrap();
         assert_eq!(p.kernel, MatchKernel::Htm);

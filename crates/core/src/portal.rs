@@ -107,8 +107,11 @@ pub struct FederationConfig {
     /// Whether oversized partial results are split on zone boundaries so
     /// downstream nodes can pipeline zone processing with the transfer.
     pub zone_chunking: bool,
-    /// Candidate-probe kernel the nodes use for match/drop-out steps
-    /// (columnar zone buckets by default; HTM as the legacy fallback).
+    /// Candidate-probe kernel the nodes use for match/drop-out steps. An
+    /// oracle/test override (HTM is the paper's path and the reference the
+    /// parity suites compare against); production runs the default. The
+    /// field is pinned by the benchmark harness, whose oracle twin sets
+    /// it, so it waits on a `benchmark` PR to leave this struct.
     pub kernel: MatchKernel,
     /// Retry policy for every federation RPC the Portal issues and, via
     /// the plan, every onward call along the daisy chain.

@@ -470,13 +470,8 @@ fn first_stats(chain: &StatsChain) -> StepStats {
 /// while `tuples_in` / `tuples_out` are overwritten by the caller with
 /// exact values for the repaired set.
 fn combine_delta_stats(mut base: StepStats, delta: StepStats) -> StepStats {
-    base.candidates_probed += delta.candidates_probed;
-    base.candidates_examined += delta.candidates_examined;
+    base.add_work(&delta);
     base.chi2_accepted += delta.chi2_accepted;
-    base.scratch_reuse += delta.scratch_reuse;
-    base.tile_builds += delta.tile_builds;
-    base.tile_decodes += delta.tile_decodes;
-    base.tile_hits += delta.tile_hits;
     base
 }
 

@@ -121,17 +121,8 @@ pub fn merge_seed(
     let mut keyed = Vec::new();
     for (set, st) in parts {
         stats.tuples_in += st.tuples_in;
-        stats.candidates_probed += st.candidates_probed;
-        stats.candidates_examined += st.candidates_examined;
+        stats.add_work(st);
         stats.chi2_accepted += st.chi2_accepted;
-        stats.scratch_reuse += st.scratch_reuse;
-        stats.tile_builds += st.tile_builds;
-        stats.tile_decodes += st.tile_decodes;
-        stats.tile_hits += st.tile_hits;
-        stats.shards_pruned += st.shards_pruned;
-        stats.failovers += st.failovers;
-        stats.hedges += st.hedges;
-        stats.hedge_wins += st.hedge_wins;
         for t in &set.tuples {
             keyed.push((id_at(t, rank_idx)?, t.clone()));
         }
@@ -163,17 +154,8 @@ pub fn merge_match(
     };
     let mut keyed = Vec::new();
     for (set, st) in parts {
-        stats.candidates_probed += st.candidates_probed;
-        stats.candidates_examined += st.candidates_examined;
+        stats.add_work(st);
         stats.chi2_accepted += st.chi2_accepted;
-        stats.scratch_reuse += st.scratch_reuse;
-        stats.tile_builds += st.tile_builds;
-        stats.tile_decodes += st.tile_decodes;
-        stats.tile_hits += st.tile_hits;
-        stats.shards_pruned += st.shards_pruned;
-        stats.failovers += st.failovers;
-        stats.hedges += st.hedges;
-        stats.hedge_wins += st.hedge_wins;
         for t in &set.tuples {
             keyed.push(((id_at(t, src_idx)?, id_at(t, rank_idx)?), t.clone()));
         }
@@ -224,16 +206,7 @@ pub fn merge_dropout(parts: &[(PartialSet, StepStats)]) -> Result<(PartialSet, S
                 "drop-out shards disagree on input size",
             ));
         }
-        stats.candidates_probed += st.candidates_probed;
-        stats.candidates_examined += st.candidates_examined;
-        stats.scratch_reuse += st.scratch_reuse;
-        stats.tile_builds += st.tile_builds;
-        stats.tile_decodes += st.tile_decodes;
-        stats.tile_hits += st.tile_hits;
-        stats.shards_pruned += st.shards_pruned;
-        stats.failovers += st.failovers;
-        stats.hedges += st.hedges;
-        stats.hedge_wins += st.hedge_wins;
+        stats.add_work(st);
         let mut ids = HashSet::with_capacity(set.tuples.len());
         for t in &set.tuples {
             ids.insert(id_at(t, src_idx)?);

@@ -194,7 +194,9 @@ impl ChunkStream<'_> {
     /// Portal) that have no incremental ingest path.
     pub fn collect_set(mut self) -> Result<PartialSet> {
         let mut columns = None;
-        let mut tuples: Vec<(u64, PartialTuple)> = Vec::with_capacity(self.manifest.total_rows);
+        // Grown from the rows that actually arrive: `total_rows` is a
+        // number a peer declared, and must not size an allocation.
+        let mut tuples: Vec<(u64, PartialTuple)> = Vec::new();
         let mut next_seq = 0u64;
         while let Some(chunk) = self.fetch_next()? {
             let set = PartialSet::from_votable(&chunk.table)?;
@@ -604,5 +606,55 @@ mod tests {
         assert_eq!(zone_label(f64::NAN, 0.1), 0);
         // Tiny heights are clamped so the band count stays bounded.
         assert_eq!(zone_label(90.0, 1e-9), zone_label(90.0, 1e-4));
+    }
+
+    #[test]
+    fn declared_row_count_does_not_size_an_allocation() {
+        use crate::xmatch::TupleState;
+        use skyquery_net::HttpResponse;
+        use skyquery_xml::Element;
+        use std::sync::Arc;
+
+        // A sender that promises 10^12 rows in one chunk and serves one.
+        let net = SimNetwork::new();
+        net.bind(
+            "liar.skyquery.net",
+            Arc::new(|_: &SimNetwork, _: HttpRequest| {
+                let mut set = PartialSet::new(vec![]);
+                set.tuples.push(PartialTuple {
+                    state: TupleState {
+                        a: 1.0,
+                        ax: 1.0,
+                        ay: 0.0,
+                        az: 0.0,
+                    },
+                    values: vec![],
+                });
+                let reply = RpcResponse::new("FetchChunk")
+                    .result("chunk", SoapValue::Table(set.to_votable()))
+                    .result("index", SoapValue::Int(0))
+                    .result("total", SoapValue::Int(1))
+                    .result("transfer_id", SoapValue::Int(7));
+                HttpResponse::ok(reply.to_xml())
+            }),
+        );
+        let rows = 1_000_000_000_000usize.to_string();
+        let manifest = ChunkManifest::from_element(
+            &Element::new("ChunkManifest")
+                .with_attr("transfer_id", "7")
+                .with_attr("total_rows", rows.clone())
+                .with_child(Element::new("Chunk").with_attr("rows", rows)),
+        )
+        .expect("a large count is not malformed");
+        let url = Url::parse("http://liar.skyquery.net/skynode").unwrap();
+        let stream = open_chunk_stream(&net, "tester", &url, manifest, RetryPolicy::none());
+        // The real row is read, found short of the promise, and the
+        // transfer fails with a typed error — nothing was reserved.
+        let err = stream.collect_set().unwrap_err();
+        assert!(
+            matches!(err, FederationError::Protocol { .. }),
+            "expected a protocol error, got {err}"
+        );
+        assert!(err.to_string().contains("manifest promised"), "{err}");
     }
 }

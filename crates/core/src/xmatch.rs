@@ -27,8 +27,8 @@
 use skyquery_htm::{SkyPoint, Vec3};
 use skyquery_sql::{Bindings, Expr, RowBindings, SqlError};
 use skyquery_storage::{
-    BatchScratch, ColumnDef, DataType, Database, PositionColumns, ProbeScratch, RangeSearchHit,
-    Row, ScanOptions, Table, TableSchema, Value,
+    ColumnDef, DataType, Database, PositionColumns, ProbeScratch, RangeSearchHit, Row, ScanOptions,
+    Table, TableSchema, Value,
 };
 use skyquery_xml::VoTable;
 
@@ -230,29 +230,25 @@ pub enum MatchKernel {
     Columnar,
     /// HTM trixel cover plus candidate walk (the original path).
     Htm,
-    /// Batch kernel over compressed zone tiles: probes grouped by zone and
-    /// sorted by RA sweep delta-encoded, bit-packed tiles in fixed-width
-    /// branch-free lanes, with exact f64 refinement on accept.
-    Batch,
 }
 
 impl MatchKernel {
-    /// Canonical lowercase name (`columnar` / `htm` / `batch`), used by
-    /// the plan wire format and the CLI knob.
+    /// Canonical lowercase name (`columnar` / `htm`), used by the plan
+    /// wire format.
     pub fn as_str(&self) -> &'static str {
         match self {
             MatchKernel::Columnar => "columnar",
             MatchKernel::Htm => "htm",
-            MatchKernel::Batch => "batch",
         }
     }
 
-    /// Parses a kernel name; `None` for anything unrecognized.
+    /// Parses a kernel name; `None` for anything unrecognized — including
+    /// `batch`, the tile kernel withdrawn in PR 19, so an older peer's
+    /// plan decodes onto the default.
     pub fn parse(s: &str) -> Option<MatchKernel> {
         match s {
             "columnar" => Some(MatchKernel::Columnar),
             "htm" => Some(MatchKernel::Htm),
-            "batch" => Some(MatchKernel::Batch),
             _ => None,
         }
     }
@@ -287,7 +283,8 @@ pub struct StepConfig {
     pub xmatch_workers: usize,
     /// Declination zone height in degrees for the parallel zone engine.
     pub zone_height_deg: f64,
-    /// Candidate-probe kernel for the match/drop-out steps.
+    /// Candidate-probe kernel for the match/drop-out steps. An
+    /// oracle/test override; production runs the default.
     pub kernel: MatchKernel,
 }
 
@@ -298,11 +295,10 @@ pub struct StepConfig {
 /// pure function of the step's inputs (`tuples_in`, `candidates_probed`,
 /// `chi2_accepted`, `tuples_out`). `candidates_examined` depends on the
 /// kernel and index granularity, `scratch_reuse` on worker scheduling,
-/// the tile/pruning counters (`tile_builds`, `tile_decodes`,
-/// `tile_hits`, `shards_pruned`) on kernel choice and shard layout, and
-/// the result-cache counters (`cache_hits`, `cache_misses`,
-/// `cache_repairs`, `cache_evictions`) on what earlier submissions left
-/// cached, and the replica counters (`failovers`, `hedges`,
+/// `shards_pruned` on shard layout, the result-cache counters
+/// (`cache_hits`, `cache_misses`, `cache_repairs`, `cache_evictions`) on
+/// what earlier submissions left cached, and the replica counters
+/// (`failovers`, `hedges`,
 /// `hedge_wins`) on which replicas happened to be reachable, so — like
 /// `ExecutionTrace` excluding its clock — they are deliberately outside
 /// `==`; parity tests can therefore compare stats across kernels, worker
@@ -325,14 +321,13 @@ pub struct StepStats {
     pub scratch_reuse: usize,
     /// Partial tuples forwarded to the next step.
     pub tuples_out: usize,
-    /// Zone-tile snapshots (re)built for this step (batch kernel only;
-    /// zero once the lazy cache is warm).
+    /// Always 0 since PR 19 (the batch tile kernel was withdrawn); kept
+    /// for the benchmark harness and the `StatsChain` wire, to retire
+    /// with them in a `benchmark` PR.
     pub tile_builds: usize,
-    /// Zone tiles decoded while sweeping batch probe segments (batch
-    /// kernel only).
+    /// Always 0 since PR 19; kept like `tile_builds`.
     pub tile_decodes: usize,
-    /// Lane-prefilter survivors refined with the exact separation test
-    /// (batch kernel only).
+    /// Always 0 since PR 19; kept like `tile_builds`.
     pub tile_hits: usize,
     /// Scatter-target shards skipped because their declination extent
     /// cannot intersect the input set's probe span (scatter steps only).
@@ -358,6 +353,26 @@ pub struct StepStats {
     /// Hedged probes whose sibling reply won the first-response race
     /// (Portal-side; the duplicate loser is reconciled away).
     pub hedge_wins: usize,
+}
+
+impl StepStats {
+    /// Folds another step's *work* counters into this one: the counters
+    /// that sum whenever partial steps combine (shard gather, cache
+    /// repair). `tuples_in`, `tuples_out` and `chi2_accepted` follow a
+    /// different rule at each merge and stay with the caller; the
+    /// result-cache counters belong to a submission, not a step.
+    pub fn add_work(&mut self, other: &StepStats) {
+        self.candidates_probed += other.candidates_probed;
+        self.candidates_examined += other.candidates_examined;
+        self.scratch_reuse += other.scratch_reuse;
+        self.tile_builds += other.tile_builds;
+        self.tile_decodes += other.tile_decodes;
+        self.tile_hits += other.tile_hits;
+        self.shards_pruned += other.shards_pruned;
+        self.failovers += other.failovers;
+        self.hedges += other.hedges;
+        self.hedge_wins += other.hedge_wins;
+    }
 }
 
 impl PartialEq for StepStats {
@@ -692,48 +707,6 @@ pub fn match_step(
                 )?;
             }
         }
-        MatchKernel::Batch => {
-            db.drop_table(&temp)?;
-            stats.tile_builds += usize::from(
-                db.ensure_tiles(&cfg.table, cfg.zone_height_deg)
-                    .map_err(FederationError::Storage)?,
-            );
-            let table = db.table(&cfg.table)?;
-            let tiles = db.zone_tiles(&cfg.table).expect("ensure_tiles above");
-            // Decode every tuple first so the whole chunk probes as one
-            // batch; tuples without a probe ball never enter the kernel.
-            let mut decoded = Vec::with_capacity(temp_rows.len());
-            let mut probes: Vec<(SkyPoint, f64)> = Vec::with_capacity(temp_rows.len());
-            for trow in &temp_rows {
-                let (state, carried) = decode_materialized(trow);
-                let Some(ball) = probe_ball(&state, cfg) else {
-                    continue;
-                };
-                decoded.push((state, carried));
-                probes.push(ball);
-            }
-            let mut batch = BatchScratch::new();
-            let bstats = tiles.probe_batch(&probes, &mut batch);
-            stats.candidates_examined += bstats.examined;
-            stats.scratch_reuse += bstats.reused;
-            stats.tile_decodes += bstats.tile_decodes;
-            stats.tile_hits += bstats.tile_hits;
-            let mut staging = Vec::new();
-            for (i, (state, carried)) in decoded.iter().enumerate() {
-                let hits = batch.group(i);
-                stats.candidates_probed += hits.len();
-                stats.chi2_accepted += extend_tuple_staged(
-                    cfg,
-                    &ctx,
-                    table,
-                    state,
-                    carried,
-                    hits,
-                    &mut staging,
-                    &mut out.tuples,
-                )?;
-            }
-        }
     }
     stats.tuples_out = out.len();
     Ok((out, stats))
@@ -791,38 +764,6 @@ pub fn dropout_step(
                 stats.chi2_accepted += usize::from(found);
                 if !found {
                     out.tuples.push(tuple.clone());
-                }
-            }
-        }
-        MatchKernel::Batch => {
-            stats.tile_builds += usize::from(
-                db.ensure_tiles(&cfg.table, cfg.zone_height_deg)
-                    .map_err(FederationError::Storage)?,
-            );
-            let table = db.table(&cfg.table)?;
-            let tiles = db.zone_tiles(&cfg.table).expect("ensure_tiles above");
-            let mut tuples = Vec::with_capacity(incoming.tuples.len());
-            let mut probes: Vec<(SkyPoint, f64)> = Vec::with_capacity(incoming.tuples.len());
-            for tuple in &incoming.tuples {
-                let Some(ball) = probe_ball(&tuple.state, cfg) else {
-                    continue;
-                };
-                tuples.push(tuple);
-                probes.push(ball);
-            }
-            let mut batch = BatchScratch::new();
-            let bstats = tiles.probe_batch(&probes, &mut batch);
-            stats.candidates_examined += bstats.examined;
-            stats.scratch_reuse += bstats.reused;
-            stats.tile_decodes += bstats.tile_decodes;
-            stats.tile_hits += bstats.tile_hits;
-            for (i, tuple) in tuples.iter().enumerate() {
-                let hits = batch.group(i);
-                stats.candidates_probed += hits.len();
-                let found = tuple_has_counterpart(cfg, &ctx, table, &tuple.state, hits)?;
-                stats.chi2_accepted += usize::from(found);
-                if !found {
-                    out.tuples.push((*tuple).clone());
                 }
             }
         }
@@ -1312,6 +1253,7 @@ mod tests {
             assert_eq!(format!("{k}"), k.as_str());
         }
         assert_eq!(MatchKernel::parse("quadtree"), None);
+        assert_eq!(MatchKernel::parse("batch"), None, "withdrawn in PR 19");
         assert_eq!(MatchKernel::default(), MatchKernel::Columnar);
     }
 

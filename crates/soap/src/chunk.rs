@@ -6,9 +6,10 @@
 //!
 //! [`MessageLimits`] models the parser's capacity; senders use
 //! [`split_table`] to produce chunks whose encoded envelopes stay under
-//! the limit, tagging each with a [`ChunkHeader`]; receivers feed chunks
-//! to a [`Reassembler`], which verifies sequence completeness and schema
-//! consistency before yielding the whole table.
+//! the limit, tagging each with a [`ChunkHeader`]; receivers place chunks
+//! by header index and concatenate them ([`VoTable::concat`] checks schema
+//! consistency). The federation's receiver is `core::transfer::ChunkStream`,
+//! which additionally checks every chunk against a [`ChunkManifest`].
 
 use skyquery_xml::{Element, VoColumn, VoTable, VoType};
 
@@ -196,7 +197,12 @@ impl ChunkManifest {
                 detail: "ChunkManifest has no chunks".into(),
             });
         }
-        if chunks.iter().map(|c| c.rows).sum::<usize>() != total_rows {
+        // The counts come off the wire: a hostile peer can make the sum
+        // overflow, so add with a check.
+        let declared = chunks
+            .iter()
+            .try_fold(0usize, |sum, c| sum.checked_add(c.rows));
+        if declared != Some(total_rows) {
             return Err(SoapError::Protocol {
                 detail: "ChunkManifest row counts do not sum to total_rows".into(),
             });
@@ -470,80 +476,6 @@ pub fn take_seq_column(table: &VoTable) -> Result<(Vec<u64>, VoTable), SoapError
     Ok((seqs, out))
 }
 
-/// Reassembles chunks into the original table.
-#[derive(Debug)]
-pub struct Reassembler {
-    transfer_id: u64,
-    total: usize,
-    received: Vec<Option<VoTable>>,
-    count: usize,
-}
-
-impl Reassembler {
-    /// Starts a transfer from its first observed chunk header.
-    pub fn new(header: ChunkHeader) -> Reassembler {
-        Reassembler {
-            transfer_id: header.transfer_id,
-            total: header.total.max(1),
-            received: vec![None; header.total.max(1)],
-            count: 0,
-        }
-    }
-
-    /// Accepts one chunk. Returns `true` when the transfer is complete.
-    pub fn accept(&mut self, header: ChunkHeader, table: VoTable) -> Result<bool, SoapError> {
-        if header.transfer_id != self.transfer_id {
-            return Err(SoapError::Chunking {
-                detail: format!(
-                    "chunk from transfer {} fed to reassembler for {}",
-                    header.transfer_id, self.transfer_id
-                ),
-            });
-        }
-        if header.total != self.total {
-            return Err(SoapError::Chunking {
-                detail: format!(
-                    "chunk declares total {} but transfer started with {}",
-                    header.total, self.total
-                ),
-            });
-        }
-        if header.index >= self.total {
-            return Err(SoapError::Chunking {
-                detail: format!(
-                    "chunk index {} out of range 0..{}",
-                    header.index, self.total
-                ),
-            });
-        }
-        if self.received[header.index].is_some() {
-            return Err(SoapError::Chunking {
-                detail: format!("duplicate chunk {}", header.index),
-            });
-        }
-        self.received[header.index] = Some(table);
-        self.count += 1;
-        Ok(self.count == self.total)
-    }
-
-    /// Whether all chunks have arrived.
-    pub fn is_complete(&self) -> bool {
-        self.count == self.total
-    }
-
-    /// Yields the reassembled table; errors if incomplete or if chunk
-    /// schemas disagree.
-    pub fn finish(self) -> Result<VoTable, SoapError> {
-        if !self.is_complete() {
-            return Err(SoapError::Chunking {
-                detail: format!("transfer incomplete: {}/{} chunks", self.count, self.total),
-            });
-        }
-        let tables: Vec<VoTable> = self.received.into_iter().map(Option::unwrap).collect();
-        VoTable::concat(tables).map_err(SoapError::Xml)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,16 +517,11 @@ mod tests {
         for (_, c) in &chunks {
             assert!(c.to_xml().len() <= limits.max_message_bytes);
         }
-        let mut r = Reassembler::new(chunks[0].0);
-        // Deliver out of order.
-        let mut order: Vec<usize> = (0..chunks.len()).collect();
-        order.reverse();
-        let mut complete = false;
-        for i in order {
-            complete = r.accept(chunks[i].0, chunks[i].1.clone()).unwrap();
+        for (i, (h, _)) in chunks.iter().enumerate() {
+            assert_eq!((h.transfer_id, h.index, h.total), (42, i, chunks.len()));
         }
-        assert!(complete);
-        assert_eq!(r.finish().unwrap(), t);
+        let tables = chunks.into_iter().map(|(_, c)| c).collect();
+        assert_eq!(VoTable::concat(tables).unwrap(), t);
     }
 
     #[test]
@@ -611,27 +538,6 @@ mod tests {
         t.push_row(vec![Some("y".repeat(5000))]).unwrap();
         let err = split_table(&t, MessageLimits::tiny(1000), 0).unwrap_err();
         assert!(matches!(err, SoapError::Chunking { .. }));
-    }
-
-    #[test]
-    fn reassembler_rejects_duplicates_and_mixups() {
-        let t = big_table(100);
-        let chunks = split_table(&t, MessageLimits::tiny(2000), 7).unwrap();
-        let mut r = Reassembler::new(chunks[0].0);
-        r.accept(chunks[0].0, chunks[0].1.clone()).unwrap();
-        // Duplicate.
-        assert!(r.accept(chunks[0].0, chunks[0].1.clone()).is_err());
-        // Wrong transfer id.
-        let mut alien = chunks[1].0;
-        alien.transfer_id = 99;
-        assert!(r.accept(alien, chunks[1].1.clone()).is_err());
-        // Wrong declared total.
-        let mut liar = chunks[1].0;
-        liar.total += 1;
-        assert!(r.accept(liar, chunks[1].1.clone()).is_err());
-        // Premature finish.
-        assert!(!r.is_complete());
-        assert!(r.finish().is_err());
     }
 
     /// Zone labels cycling through a few zones so runs interleave.
@@ -686,6 +592,18 @@ mod tests {
             .with_attr("total_rows", "10")
             .with_child(Element::new("Chunk").with_attr("rows", "3"));
         assert!(ChunkManifest::from_element(&bad).is_err());
+        // Rows whose sum overflows (it wraps to the declared 0) are
+        // refused, not added up.
+        let half = (usize::MAX / 2 + 1).to_string();
+        let overflow = Element::new("ChunkManifest")
+            .with_attr("transfer_id", "1")
+            .with_attr("total_rows", "0")
+            .with_child(Element::new("Chunk").with_attr("rows", half.clone()))
+            .with_child(Element::new("Chunk").with_attr("rows", half));
+        assert!(matches!(
+            ChunkManifest::from_element(&overflow),
+            Err(SoapError::Protocol { .. })
+        ));
     }
 
     #[test]
@@ -787,8 +705,7 @@ mod tests {
         let t = VoTable::new("empty", vec![VoColumn::new("id", VoType::Id)]);
         let chunks = split_table(&t, MessageLimits::paper_2002(), 0).unwrap();
         assert_eq!(chunks.len(), 1);
-        let mut r = Reassembler::new(chunks[0].0);
-        assert!(r.accept(chunks[0].0, chunks[0].1.clone()).unwrap());
-        assert_eq!(r.finish().unwrap().row_count(), 0);
+        assert_eq!((chunks[0].0.index, chunks[0].0.total), (0, 1));
+        assert_eq!(chunks[0].1, t);
     }
 }

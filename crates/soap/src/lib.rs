@@ -15,7 +15,7 @@
 //!   would run out of memory while parsing SOAP messages of about 10 MB.
 //!   We worked around by dividing large data sets into smaller chunks."
 //!   [`chunk::MessageLimits`] models the parser limit; [`chunk::split_table`]
-//!   and [`chunk::Reassembler`] implement the workaround, and
+//!   implements the workaround, and
 //!   [`chunk::split_table_zoned`] is the zone-aware variant whose
 //!   [`chunk::ChunkManifest`] lets a receiver pipeline zone processing
 //!   with the `FetchChunk` continuation.
@@ -25,7 +25,7 @@ pub mod envelope;
 pub mod rpc;
 pub mod wsdl;
 
-pub use chunk::{ChunkHeader, ChunkInfo, ChunkManifest, MessageLimits, Reassembler, ZoneRange};
+pub use chunk::{ChunkHeader, ChunkInfo, ChunkManifest, MessageLimits, ZoneRange};
 pub use envelope::Envelope;
 pub use rpc::{RpcCall, RpcResponse, SoapFault, SoapValue};
 pub use wsdl::{Operation, ParamDef, WsdlBuilder};

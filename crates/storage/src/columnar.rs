@@ -45,7 +45,7 @@ const MIN_HEIGHT_DEG: f64 = 1e-4;
 /// admits `sep <= radius + 1e-15` rad, so a hit's declination can exceed
 /// the nominal window by at most ~6e-14 degrees; 1e-9 covers that plus
 /// the degree/radian conversion rounding with orders of magnitude to spare.
-pub(crate) const DEC_SLACK_DEG: f64 = 1e-9;
+const DEC_SLACK_DEG: f64 = 1e-9;
 
 /// Relative inflation of the probe radius before computing the RA window,
 /// absorbing rounding in the window formula itself.
@@ -66,12 +66,6 @@ pub struct ProbeStats {
     /// Whether the probe completed without growing the scratch buffers —
     /// i.e. a zero-allocation probe.
     pub reused: bool,
-    /// Compressed zone tiles decoded on behalf of this probe (batch
-    /// kernel only; always zero for the columnar and HTM paths).
-    pub tile_decodes: usize,
-    /// Tile-lane candidates that survived the vectorized prefilter and
-    /// went to exact refinement (batch kernel only).
-    pub tile_hits: usize,
 }
 
 /// Reusable per-worker scratch for the columnar kernel: the candidate/hit
@@ -261,7 +255,6 @@ impl ColumnarPositions {
         ProbeStats {
             examined,
             reused: scratch.hits.capacity() == cap_before,
-            ..ProbeStats::default()
         }
     }
 
@@ -291,9 +284,8 @@ impl ColumnarPositions {
 }
 
 /// Clamps/defaults a requested zone height exactly like `zones::ZoneMap`
-/// and derives the zone count. Shared by the columnar layout and the
-/// compressed tile layout so both bucket positions identically.
-pub(crate) fn effective_height(zone_height_deg: f64) -> (f64, usize) {
+/// and derives the zone count.
+fn effective_height(zone_height_deg: f64) -> (f64, usize) {
     let height = if zone_height_deg.is_finite() && zone_height_deg > 0.0 {
         zone_height_deg.clamp(MIN_HEIGHT_DEG, 180.0)
     } else {
@@ -306,22 +298,21 @@ pub(crate) fn effective_height(zone_height_deg: f64) -> (f64, usize) {
 /// One position in canonical pack order: bucketed by declination zone,
 /// then sorted by normalized right ascension, ties broken by row id.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PackedPos {
+struct PackedPos {
     /// Declination zone index.
-    pub zone: usize,
+    zone: usize,
     /// Right ascension normalized into `[0, 360]` (`rem_euclid` can round
     /// up to exactly 360); the sort key, not necessarily the raw column.
-    pub ra_norm: f64,
+    ra_norm: f64,
     /// The row id.
-    pub rid: RowId,
+    rid: RowId,
     /// Raw declination in degrees.
-    pub dec: f64,
+    dec: f64,
 }
 
-/// Extracts and sorts `table`'s positions into the canonical pack order
-/// shared by [`ColumnarPositions`] and [`crate::tile::ZoneTileSet`]. Fails
-/// on rows with non-finite positions, like the HTM index build.
-pub(crate) fn pack_order(
+/// Extracts and sorts `table`'s positions into the canonical pack order.
+/// Fails on rows with non-finite positions, like the HTM index build.
+fn pack_order(
     table: &Table,
     ra_ci: usize,
     dec_ci: usize,
@@ -349,7 +340,7 @@ pub(crate) fn pack_order(
 
 /// Zone formula shared with `zones::ZoneMap::zone_of` (same constants,
 /// same rounding; the zones crate keeps an agreement test).
-pub(crate) fn zone_of_raw(dec_deg: f64, height_deg: f64, zone_count: usize) -> usize {
+fn zone_of_raw(dec_deg: f64, height_deg: f64, zone_count: usize) -> usize {
     let idx = ((dec_deg + 90.0) / height_deg).floor();
     if idx.is_nan() || idx < 0.0 {
         return 0;
@@ -358,7 +349,7 @@ pub(crate) fn zone_of_raw(dec_deg: f64, height_deg: f64, zone_count: usize) -> u
 }
 
 /// The probe's right-ascension window(s) in normalized degrees.
-pub(crate) enum RaWindows {
+enum RaWindows {
     /// Window covers all RA — scan whole zone buckets.
     Full,
     /// Up to two `[lo, hi]` subranges (two when the window wraps 0°/360°).
@@ -370,7 +361,7 @@ pub(crate) enum RaWindows {
 /// `atan( sin θ / sqrt( cos(δ−θ)·cos(δ+θ) ) )` (the classic zone-algorithm
 /// bound; the product equals `cos²θ − sin²δ`). Degenerate geometry — the
 /// ball touching a pole, or θ ≥ π — falls back to a full scan.
-pub(crate) fn ra_windows(center: SkyPoint, radius_rad: f64) -> RaWindows {
+fn ra_windows(center: SkyPoint, radius_rad: f64) -> RaWindows {
     let theta = radius_rad * RA_SAFETY + RA_SLACK_RAD;
     if theta >= PI {
         return RaWindows::Full;

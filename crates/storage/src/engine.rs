@@ -13,7 +13,6 @@ use crate::exec::{RangeSearchHit, ScanOptions};
 use crate::index::{extract_position, BTreeIndex, HtmPositionIndex};
 use crate::schema::TableSchema;
 use crate::table::{Row, RowId, Table};
-use crate::tile::ZoneTileSet;
 use crate::value::Value;
 
 /// One stored table with its indexes.
@@ -28,11 +27,8 @@ struct TableEntry {
     /// Columnar SoA snapshot of the position columns for the cross-match
     /// kernel; rebuilt lazily and invalidated by any row insert.
     columnar: Option<ColumnarPositions>,
-    /// Compressed zone tiles for the batch kernel; same lazy build and
-    /// insert invalidation as the columnar snapshot.
-    tiles: Option<ZoneTileSet>,
     /// Monotonic modification version: bumped by every insert, never
-    /// reset. The generalization of the columnar/tile invalidation above
+    /// reset. The generalization of the columnar invalidation above
     /// — external caches key on this number to validate entries without
     /// re-reading rows. Tables are append-only with sequential row ids,
     /// so the version equals the row count and rows `[version..len)` of
@@ -100,7 +96,6 @@ impl Database {
                 htm,
                 btrees: HashMap::new(),
                 columnar: None,
-                tiles: None,
                 version: 0,
                 temp: false,
             },
@@ -128,7 +123,6 @@ impl Database {
                 htm,
                 btrees: HashMap::new(),
                 columnar: None,
-                tiles: None,
                 version: 0,
                 temp: true,
             },
@@ -199,10 +193,9 @@ impl Database {
             _ => None,
         };
         let rid = entry.table.insert_conformed(row);
-        // Any mutation invalidates the columnar and tile snapshots and
-        // advances the table's modification version.
+        // Any mutation invalidates the columnar snapshot and advances the
+        // table's modification version.
         entry.columnar = None;
-        entry.tiles = None;
         entry.version += 1;
         let stored = entry.table.row(rid).expect("row just inserted");
         if let (Some(htm), Some(p)) = (entry.htm.as_mut(), position) {
@@ -421,50 +414,6 @@ impl Database {
     /// [`Database::ensure_columnar`] first.
     pub fn columnar_positions(&self, table: &str) -> Option<&ColumnarPositions> {
         self.tables.get(table).and_then(|e| e.columnar.as_ref())
-    }
-
-    /// Builds (or keeps) the compressed zone-tile snapshot for `table` at
-    /// the requested zone height. Returns whether a build happened (the
-    /// `tile_builds` step counter); a no-op when a tile set for the same
-    /// requested height is already cached. Any insert invalidates it.
-    pub fn ensure_tiles(
-        &mut self,
-        table: &str,
-        zone_height_deg: f64,
-    ) -> Result<bool, StorageError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| StorageError::UnknownTable {
-                name: table.to_string(),
-            })?;
-        let pos = entry.table.schema().position.as_ref().ok_or_else(|| {
-            StorageError::NoPositionIndex {
-                table: table.to_string(),
-            }
-        })?;
-        let ra_ci = entry.table.schema().column_index(&pos.ra).unwrap();
-        let dec_ci = entry.table.schema().column_index(&pos.dec).unwrap();
-        let stale = match &entry.tiles {
-            Some(t) => t.requested_height_deg().to_bits() != zone_height_deg.to_bits(),
-            None => true,
-        };
-        if stale {
-            entry.tiles = Some(ZoneTileSet::build(
-                &entry.table,
-                ra_ci,
-                dec_ci,
-                zone_height_deg,
-            )?);
-        }
-        Ok(stale)
-    }
-
-    /// The cached zone-tile snapshot for `table`, if one is valid.
-    /// Borrowed immutably so it can coexist with [`Database::table`];
-    /// call [`Database::ensure_tiles`] first.
-    pub fn zone_tiles(&self, table: &str) -> Option<&ZoneTileSet> {
-        self.tables.get(table).and_then(|e| e.tiles.as_ref())
     }
 
     /// Region search over a position-indexed table: like

@@ -31,7 +31,6 @@ pub mod exec;
 pub mod index;
 pub mod schema;
 pub mod table;
-pub mod tile;
 pub mod value;
 
 pub use cache::{BufferCache, CacheStats};
@@ -43,7 +42,6 @@ pub use exec::{RangeSearchHit, ScanOptions};
 pub use index::{BTreeIndex, HtmCandidate, HtmPositionIndex};
 pub use schema::{ColumnDef, DataType, PositionColumns, TableSchema};
 pub use table::{Row, RowId, Table};
-pub use tile::{BatchScratch, BatchStats, ZoneTileSet};
 pub use value::Value;
 
 /// Convenience result alias.

@@ -4,10 +4,10 @@
 //! same output tuples, same order, same statistics — while running the
 //! per-tuple kernels concurrently:
 //!
-//! 1. incoming tuples are materialized into the §5.3 temp table and read
-//!    back (sharing the sequential path's schema conformance), then
-//!    bucketed into declination zones by their maximum-likelihood
-//!    position;
+//! 1. incoming tuples are bucketed into declination zones by their
+//!    maximum-likelihood position (a match step first round-trips them
+//!    through the §5.3 temp table, sharing the sequential path's schema
+//!    conformance);
 //! 2. each zone task gets a probing mode: with the default columnar
 //!    kernel, the archive's shared [`ColumnarPositions`] layout (built
 //!    once, zone ranges scanned directly); with the HTM kernel, a private
@@ -19,6 +19,11 @@
 //!    against a per-worker `ZoneProber` whose scratch buffers stay warm
 //!    across tasks;
 //! 4. outcomes are merged back into incoming-tuple order.
+//!
+//! Steps 1 and 4 live in [`crate::stream`]: a whole-set step is a
+//! streaming session fed one chunk holding every tuple, so there is one
+//! copy of the step routine; this module owns the worker pool (steps 2
+//! and 3).
 //!
 //! Equality with the sequential engine holds because the HTM cover of a
 //! probe ball depends only on the mesh (identical at both index scales),
@@ -35,21 +40,18 @@ use std::sync::Mutex;
 use skyquery_core::engine::{BufferingIngest, CrossMatchEngine, PartialIngest, StepKind};
 use skyquery_core::error::{FederationError, Result};
 use skyquery_core::xmatch::{
-    decode_materialized, dropout_step, extend_tuple_staged, match_step, materialize_temp,
-    probe_ball, tuple_has_counterpart, MatchKernel, PartialSet, StepConfig, StepContext, StepStats,
+    dropout_step, match_step, PartialSet, PartialTuple, StepConfig, StepContext, StepStats,
 };
 use skyquery_core::ResultColumn;
 use skyquery_htm::SkyPoint;
 use skyquery_storage::{
-    resolve_range_candidates_into, BatchScratch, ColumnarPositions, Database, HtmPositionIndex,
-    ProbeScratch, ProbeStats, RangeSearchHit, Table, Value, ZoneTileSet,
+    resolve_range_candidates_into, ColumnarPositions, Database, HtmPositionIndex, ProbeScratch,
+    ProbeStats, RangeSearchHit, Table, Value,
 };
 
-use crate::merge::{
-    merge_dropout, merge_match, zone_reports, TupleAction, TupleOutcome, ZoneReport,
-};
-use crate::partition::{partition, sorted_declinations, TupleProbe, ZonePlan, ZoneTask};
-use crate::zonemap::ZoneMap;
+use crate::merge::{TupleOutcome, ZoneReport};
+use crate::partition::{TupleProbe, ZoneTask};
+use crate::stream::ZoneIngest;
 
 /// A [`CrossMatchEngine`] running match and drop-out steps across a pool
 /// of zone workers. With `xmatch_workers <= 1` (the default federation
@@ -75,13 +77,16 @@ impl ZoneEngine {
         self.last_reports.lock().expect("reports lock").clone()
     }
 
-    /// Timing summary of the most recent streaming ingest session (`None`
-    /// until a chunked transfer has been pipelined). Diagnostics only.
+    /// Timing summary of the most recent ingest session (`None` until
+    /// the engine has run a parallel step). A whole-set step
+    /// (`match_tuples` / `dropout` with `xmatch_workers > 1`) runs as a
+    /// one-chunk session, so it is reported here too, with `chunks == 1`.
+    /// Diagnostics only.
     pub fn last_pipeline_report(&self) -> Option<crate::stream::PipelineReport> {
         *self.last_pipeline.lock().expect("pipeline lock")
     }
 
-    /// Stores a finished streaming session's diagnostics.
+    /// Stores a finished session's diagnostics.
     pub(crate) fn record_stream(
         &self,
         reports: Vec<ZoneReport>,
@@ -91,26 +96,20 @@ impl ZoneEngine {
         *self.last_pipeline.lock().expect("pipeline lock") = Some(pipeline);
     }
 
-    /// Splits the non-degenerate tuples of a step into zone tasks.
-    fn plan_step<I>(cfg: &StepConfig, table: &Table, dec_ci: usize, states: I) -> ZonePlan
-    where
-        I: Iterator<Item = Option<(SkyPoint, f64)>>,
-    {
-        let mut probes = Vec::new();
-        let mut degenerate = 0usize;
-        for (index, ball) in states.enumerate() {
-            match ball {
-                Some((center, radius_rad)) => probes.push(TupleProbe {
-                    index,
-                    center,
-                    radius_rad,
-                }),
-                None => degenerate += 1,
-            }
-        }
-        let map = ZoneMap::new(cfg.zone_height_deg);
-        let decs = sorted_declinations(table, dec_ci);
-        partition(&map, probes, &decs, degenerate)
+    /// Runs a whole-set step as a streaming session fed one chunk holding
+    /// every tuple. Tuple by tuple — statistics included — that is the
+    /// same computation (see [`crate::stream`]), so the session is the
+    /// only copy of the zone step routine.
+    fn one_chunk_session(
+        &self,
+        db: &mut Database,
+        cfg: &StepConfig,
+        kind: StepKind,
+        incoming: &PartialSet,
+    ) -> Result<(PartialSet, StepStats)> {
+        let mut session = ZoneIngest::begin(self, db, cfg.clone(), kind, incoming.columns.clone())?;
+        session.ingest(db, incoming.tuples.iter().cloned().enumerate().collect())?;
+        Box::new(session).finish(db)
     }
 }
 
@@ -128,83 +127,7 @@ impl CrossMatchEngine for ZoneEngine {
         if cfg.xmatch_workers <= 1 {
             return match_step(db, cfg, incoming);
         }
-        let ctx = StepContext::new(db, cfg)?;
-        let mut columns = incoming.columns.clone();
-        columns.extend(ctx.appended.iter().cloned());
-
-        // Materialize and read back through the temp table exactly like
-        // the sequential step, so schema conformance (e.g. numeric
-        // coercion) cannot make the two engines diverge.
-        let temp = materialize_temp(db, incoming)?;
-        let temp_rows = db.table(&temp)?.rows().to_vec();
-        db.drop_table(&temp)?;
-        let mut tile_builds = 0usize;
-        match cfg.kernel {
-            MatchKernel::Columnar => db
-                .ensure_columnar(&cfg.table, cfg.zone_height_deg)
-                .map_err(FederationError::Storage)?,
-            MatchKernel::Batch => {
-                tile_builds += usize::from(
-                    db.ensure_tiles(&cfg.table, cfg.zone_height_deg)
-                        .map_err(FederationError::Storage)?,
-                )
-            }
-            MatchKernel::Htm => {}
-        }
-        let table = db.table(&cfg.table)?;
-        let snapshots = ProbeSnapshots::for_kernel(db, cfg);
-
-        let plan = ZoneEngine::plan_step(
-            cfg,
-            table,
-            ctx.dec_ci,
-            temp_rows
-                .iter()
-                .map(|trow| probe_ball(&decode_materialized(trow).0, cfg)),
-        );
-        *self.last_reports.lock().expect("reports lock") = zone_reports(&plan.tasks);
-
-        let outcomes = run_zone_tasks(
-            table,
-            &ctx,
-            snapshots,
-            &plan.tasks,
-            cfg.xmatch_workers,
-            &|task: &ZoneTask, prober: &mut ZoneProber<'_>| {
-                let mut out = Vec::with_capacity(task.probes.len());
-                for probe in &task.probes {
-                    let pstats = prober.probe(probe.center, probe.radius_rad)?;
-                    let (state, carried) = decode_materialized(&temp_rows[probe.index]);
-                    let mut extensions = Vec::new();
-                    let (hits, staging) = prober.parts();
-                    let probed = hits.len();
-                    let accepted = extend_tuple_staged(
-                        cfg,
-                        &ctx,
-                        table,
-                        &state,
-                        carried,
-                        hits,
-                        staging,
-                        &mut extensions,
-                    )?;
-                    out.push(TupleOutcome {
-                        index: probe.index,
-                        probed,
-                        examined: pstats.examined,
-                        accepted,
-                        reused: usize::from(pstats.reused),
-                        tile_decodes: pstats.tile_decodes,
-                        tile_hits: pstats.tile_hits,
-                        action: TupleAction::Extend(extensions),
-                    });
-                }
-                Ok(out)
-            },
-        )?;
-        let (out, mut stats) = merge_match(columns, incoming.len(), outcomes);
-        stats.tile_builds = tile_builds;
-        Ok((out, stats))
+        self.one_chunk_session(db, cfg, StepKind::Match, incoming)
     }
 
     fn dropout(
@@ -216,64 +139,7 @@ impl CrossMatchEngine for ZoneEngine {
         if cfg.xmatch_workers <= 1 {
             return dropout_step(db, cfg, incoming);
         }
-        let ctx = StepContext::new(db, cfg)?;
-        let mut tile_builds = 0usize;
-        match cfg.kernel {
-            MatchKernel::Columnar => db
-                .ensure_columnar(&cfg.table, cfg.zone_height_deg)
-                .map_err(FederationError::Storage)?,
-            MatchKernel::Batch => {
-                tile_builds += usize::from(
-                    db.ensure_tiles(&cfg.table, cfg.zone_height_deg)
-                        .map_err(FederationError::Storage)?,
-                )
-            }
-            MatchKernel::Htm => {}
-        }
-        let table = db.table(&cfg.table)?;
-        let snapshots = ProbeSnapshots::for_kernel(db, cfg);
-
-        let plan = ZoneEngine::plan_step(
-            cfg,
-            table,
-            ctx.dec_ci,
-            incoming.tuples.iter().map(|t| probe_ball(&t.state, cfg)),
-        );
-        *self.last_reports.lock().expect("reports lock") = zone_reports(&plan.tasks);
-
-        let outcomes = run_zone_tasks(
-            table,
-            &ctx,
-            snapshots,
-            &plan.tasks,
-            cfg.xmatch_workers,
-            &|task: &ZoneTask, prober: &mut ZoneProber<'_>| {
-                let mut out = Vec::with_capacity(task.probes.len());
-                for probe in &task.probes {
-                    let pstats = prober.probe(probe.center, probe.radius_rad)?;
-                    let state = &incoming.tuples[probe.index].state;
-                    let found = tuple_has_counterpart(cfg, &ctx, table, state, prober.hits())?;
-                    out.push(TupleOutcome {
-                        index: probe.index,
-                        probed: prober.hits().len(),
-                        examined: pstats.examined,
-                        accepted: usize::from(found),
-                        reused: usize::from(pstats.reused),
-                        tile_decodes: pstats.tile_decodes,
-                        tile_hits: pstats.tile_hits,
-                        action: if found {
-                            TupleAction::Drop
-                        } else {
-                            TupleAction::Keep
-                        },
-                    });
-                }
-                Ok(out)
-            },
-        )?;
-        let (out, mut stats) = merge_dropout(incoming, outcomes);
-        stats.tile_builds = tile_builds;
-        Ok((out, stats))
+        self.one_chunk_session(db, cfg, StepKind::Dropout, incoming)
     }
 
     fn begin_partial<'a>(
@@ -293,7 +159,7 @@ impl CrossMatchEngine for ZoneEngine {
                 columns,
             )));
         }
-        Ok(Box::new(crate::stream::ZoneIngest::begin(
+        Ok(Box::new(ZoneIngest::begin(
             self,
             db,
             cfg.clone(),
@@ -322,19 +188,12 @@ enum ProberMode<'a> {
     Htm(HtmPositionIndex),
     /// The archive-wide columnar layout, shared read-only across workers.
     Columnar(&'a ColumnarPositions),
-    /// The batch tile kernel: the whole task's probes were swept through
-    /// the compressed tiles when the prober was constructed; `probe()`
-    /// pops the next per-probe hit group in task order.
-    Batch {
-        batch: &'a mut BatchScratch,
-        next: usize,
-    },
 }
 
 impl ZoneProber<'_> {
     /// Fills the scratch hit buffer with the verified candidates inside
     /// the probe ball and returns the kernel counters.
-    pub(crate) fn probe(&mut self, center: SkyPoint, radius_rad: f64) -> Result<ProbeStats> {
+    fn probe(&mut self, center: SkyPoint, radius_rad: f64) -> Result<ProbeStats> {
         match &mut self.mode {
             ProberMode::Htm(index) => {
                 let cands = index.search_sorted(center, radius_rad);
@@ -353,20 +212,10 @@ impl ZoneProber<'_> {
                 // sequential HTM arm, whose scratch_reuse is always zero.
                 Ok(ProbeStats {
                     examined: cands.len(),
-                    ..ProbeStats::default()
+                    reused: false,
                 })
             }
             ProberMode::Columnar(cols) => Ok(cols.probe(center, radius_rad, self.scratch)),
-            ProberMode::Batch { batch, next } => {
-                // Groups were computed for the task's probe list in order,
-                // so the cursor pop corresponds to (center, radius_rad).
-                let i = *next;
-                *next += 1;
-                let hits = self.scratch.hits_mut();
-                hits.clear();
-                hits.extend_from_slice(batch.group(i));
-                Ok(batch.probe_stats(i))
-            }
         }
     }
 
@@ -382,51 +231,24 @@ impl ZoneProber<'_> {
     }
 }
 
-/// The archive-wide probe snapshots shared read-only across zone
-/// workers: whichever of the columnar layout / compressed tile set the
-/// step's kernel uses (both `None` on the HTM path, which builds
-/// private zone-local indexes instead).
-#[derive(Clone, Copy)]
-pub(crate) struct ProbeSnapshots<'a> {
-    pub(crate) columnar: Option<&'a ColumnarPositions>,
-    pub(crate) tiles: Option<&'a ZoneTileSet>,
-}
-
-impl<'a> ProbeSnapshots<'a> {
-    /// Borrows the snapshots `cfg.kernel` probes through; the caller
-    /// must already have warmed the matching cache
-    /// (`ensure_columnar` / `ensure_tiles`).
-    pub(crate) fn for_kernel(db: &'a Database, cfg: &StepConfig) -> ProbeSnapshots<'a> {
-        ProbeSnapshots {
-            columnar: match cfg.kernel {
-                MatchKernel::Columnar => db.columnar_positions(&cfg.table),
-                MatchKernel::Htm | MatchKernel::Batch => None,
-            },
-            tiles: match cfg.kernel {
-                MatchKernel::Batch => db.zone_tiles(&cfg.table),
-                _ => None,
-            },
-        }
-    }
-}
-
 /// Runs zone tasks on a scoped worker pool. Workers pull tasks off an
 /// atomic cursor (cheap dynamic load balancing — dense zones near the
 /// galactic plane can be arbitrarily heavier than sparse ones), set up
 /// the task's probing mode — the shared columnar layout when one is
-/// supplied, otherwise a private zone-local HTM index — and hand a
-/// [`ZoneProber`] wrapping it and the worker's scratch to the step
-/// kernel.
+/// supplied, otherwise a private zone-local HTM index — then probe each
+/// of the task's tuples and hand the [`ZoneProber`] holding its hits to
+/// `step`, which returns how many candidates passed the chi² test and
+/// the tuples the step emits for it.
 pub(crate) fn run_zone_tasks<K>(
     table: &Table,
     ctx: &StepContext,
-    snapshots: ProbeSnapshots<'_>,
+    columnar: Option<&ColumnarPositions>,
     tasks: &[ZoneTask],
     workers: usize,
-    kernel: &K,
+    step: &K,
 ) -> Result<Vec<TupleOutcome>>
 where
-    K: Fn(&ZoneTask, &mut ZoneProber<'_>) -> Result<Vec<TupleOutcome>> + Sync,
+    K: Fn(&TupleProbe, &mut ZoneProber<'_>) -> Result<(usize, Vec<PartialTuple>)> + Sync,
 {
     let depth = ctx
         .schema
@@ -441,37 +263,23 @@ where
         // One scratch per worker: buffers stay warm across every task the
         // worker pulls, so steady-state probing is allocation-free.
         let mut scratch = ProbeScratch::new();
-        let mut batch = BatchScratch::new();
-        let mut balls: Vec<(SkyPoint, f64)> = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(task) = tasks.get(i) else {
                 break;
             };
-            let mode = if let Some(tiles) = snapshots.tiles {
-                // Sweep the whole task as one batch up front; per-tuple
-                // probe() calls then just pop their hit group.
-                balls.clear();
-                balls.extend(task.probes.iter().map(|p| (p.center, p.radius_rad)));
-                tiles.probe_batch(&balls, &mut batch);
-                ProberMode::Batch {
-                    batch: &mut batch,
-                    next: 0,
-                }
-            } else {
-                match snapshots.columnar {
-                    Some(cols) => ProberMode::Columnar(cols),
-                    None => {
-                        let mut index = HtmPositionIndex::new(depth);
-                        for &rid in &task.rows {
-                            let row = table.row(rid).expect("partitioned row exists");
-                            let ra = row[ctx.ra_ci].as_f64().expect("position column");
-                            let dec = row[ctx.dec_ci].as_f64().expect("position column");
-                            index.insert(SkyPoint::from_radec_deg(ra, dec), rid);
-                        }
-                        index.ensure_sorted();
-                        ProberMode::Htm(index)
+            let mode = match columnar {
+                Some(cols) => ProberMode::Columnar(cols),
+                None => {
+                    let mut index = HtmPositionIndex::new(depth);
+                    for &rid in &task.rows {
+                        let row = table.row(rid).expect("partitioned row exists");
+                        let ra = row[ctx.ra_ci].as_f64().expect("position column");
+                        let dec = row[ctx.dec_ci].as_f64().expect("position column");
+                        index.insert(SkyPoint::from_radec_deg(ra, dec), rid);
                     }
+                    index.ensure_sorted();
+                    ProberMode::Htm(index)
                 }
             };
             let mut prober = ZoneProber {
@@ -481,7 +289,19 @@ where
                 dec_ci: ctx.dec_ci,
                 scratch: &mut scratch,
             };
-            local.extend(kernel(task, &mut prober)?);
+            for probe in &task.probes {
+                let pstats = prober.probe(probe.center, probe.radius_rad)?;
+                let probed = prober.hits().len();
+                let (accepted, extensions) = step(probe, &mut prober)?;
+                local.push(TupleOutcome {
+                    index: probe.index,
+                    probed,
+                    examined: pstats.examined,
+                    accepted,
+                    reused: usize::from(pstats.reused),
+                    extensions,
+                });
+            }
         }
         Ok(local)
     };

@@ -17,6 +17,8 @@
 //! * [`mod@partition`] — tuple bucketing and padded archive bands;
 //! * [`engine`] — the [`ZoneEngine`] worker pool implementing
 //!   `skyquery_core::engine::CrossMatchEngine`;
+//! * [`stream`] — the step routine itself, as an ingest session over
+//!   chunks of the incoming set (a whole-set step is a one-chunk session);
 //! * [`merge`] — deterministic reassembly and per-zone reports.
 //!
 //! The engine is driven by two `FederationConfig` knobs that flow through
@@ -30,7 +32,7 @@ pub mod stream;
 pub mod zonemap;
 
 pub use engine::ZoneEngine;
-pub use merge::{merge_dropout, merge_match, zone_reports, TupleAction, TupleOutcome, ZoneReport};
+pub use merge::{merge_match, zone_reports, TupleOutcome, ZoneReport};
 pub use partition::{partition, sorted_declinations, TupleProbe, ZonePlan, ZoneTask};
 pub use stream::PipelineReport;
 pub use zonemap::ZoneMap;

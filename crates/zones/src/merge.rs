@@ -27,28 +27,14 @@ pub struct TupleOutcome {
     /// Probes served entirely from warm scratch buffers, 0 or 1 (feeds
     /// `StepStats::scratch_reuse`).
     pub reused: usize,
-    /// Zone tiles decoded on behalf of this tuple (batch kernel only;
-    /// feeds `StepStats::tile_decodes`).
-    pub tile_decodes: usize,
-    /// Lane-prefilter survivors refined for this tuple (batch kernel
-    /// only; feeds `StepStats::tile_hits`).
-    pub tile_hits: usize,
-    /// The step-kind-specific result.
-    pub action: TupleAction,
+    /// The tuples the step emits for this one, in candidate row order: a
+    /// match step's surviving extensions; for a drop-out step the tuple
+    /// itself when no counterpart was found, nothing when one was.
+    pub extensions: Vec<PartialTuple>,
 }
 
-/// Per-tuple result of a zone kernel.
-#[derive(Debug, Clone)]
-pub enum TupleAction {
-    /// Match step: the surviving extensions, in candidate row order.
-    Extend(Vec<PartialTuple>),
-    /// Drop-out step: no counterpart found, the tuple passes through.
-    Keep,
-    /// Drop-out step: a counterpart exists, the tuple is discarded.
-    Drop,
-}
-
-/// Reassembles match-step outcomes into the output partial set.
+/// Reassembles per-tuple outcomes — of either step kind — into the
+/// output partial set.
 pub fn merge_match(
     columns: Vec<ResultColumn>,
     tuples_in: usize,
@@ -65,43 +51,7 @@ pub fn merge_match(
         stats.candidates_examined += outcome.examined;
         stats.chi2_accepted += outcome.accepted;
         stats.scratch_reuse += outcome.reused;
-        stats.tile_decodes += outcome.tile_decodes;
-        stats.tile_hits += outcome.tile_hits;
-        match outcome.action {
-            TupleAction::Extend(exts) => out.tuples.extend(exts),
-            TupleAction::Keep | TupleAction::Drop => {
-                unreachable!("drop-out outcome in a match merge")
-            }
-        }
-    }
-    stats.tuples_out = out.len();
-    (out, stats)
-}
-
-/// Reassembles drop-out outcomes, cloning surviving tuples out of the
-/// incoming set in their original order.
-pub fn merge_dropout(
-    incoming: &PartialSet,
-    mut outcomes: Vec<TupleOutcome>,
-) -> (PartialSet, StepStats) {
-    outcomes.sort_by_key(|o| o.index);
-    let mut out = PartialSet::new(incoming.columns.clone());
-    let mut stats = StepStats {
-        tuples_in: incoming.len(),
-        ..StepStats::default()
-    };
-    for outcome in outcomes {
-        stats.candidates_probed += outcome.probed;
-        stats.candidates_examined += outcome.examined;
-        stats.chi2_accepted += outcome.accepted;
-        stats.scratch_reuse += outcome.reused;
-        stats.tile_decodes += outcome.tile_decodes;
-        stats.tile_hits += outcome.tile_hits;
-        match outcome.action {
-            TupleAction::Keep => out.tuples.push(incoming.tuples[outcome.index].clone()),
-            TupleAction::Drop => {}
-            TupleAction::Extend(_) => unreachable!("match outcome in a drop-out merge"),
-        }
+        out.tuples.extend(outcome.extensions);
     }
     stats.tuples_out = out.len();
     (out, stats)
@@ -159,9 +109,7 @@ mod tests {
                     examined: 9,
                     accepted: 1,
                     reused: 1,
-                    tile_decodes: 0,
-                    tile_hits: 0,
-                    action: TupleAction::Extend(vec![tuple(2.0)]),
+                    extensions: vec![tuple(2.0)],
                 },
                 TupleOutcome {
                     index: 0,
@@ -169,9 +117,7 @@ mod tests {
                     examined: 2,
                     accepted: 2,
                     reused: 0,
-                    tile_decodes: 0,
-                    tile_hits: 0,
-                    action: TupleAction::Extend(vec![tuple(0.0), tuple(0.5)]),
+                    extensions: vec![tuple(0.0), tuple(0.5)],
                 },
             ],
         );
@@ -198,8 +144,11 @@ mod tests {
             columns: vec![],
             tuples: vec![tuple(0.0), tuple(1.0), tuple(2.0)],
         };
-        let (set, stats) = merge_dropout(
-            &incoming,
+        // A drop-out outcome carries the tuple itself when it survives
+        // and nothing when a counterpart was found.
+        let (set, stats) = merge_match(
+            vec![],
+            incoming.len(),
             vec![
                 TupleOutcome {
                     index: 2,
@@ -207,9 +156,7 @@ mod tests {
                     examined: 4,
                     accepted: 0,
                     reused: 1,
-                    tile_decodes: 0,
-                    tile_hits: 0,
-                    action: TupleAction::Keep,
+                    extensions: vec![incoming.tuples[2].clone()],
                 },
                 TupleOutcome {
                     index: 1,
@@ -217,9 +164,7 @@ mod tests {
                     examined: 6,
                     accepted: 1,
                     reused: 1,
-                    tile_decodes: 0,
-                    tile_hits: 0,
-                    action: TupleAction::Drop,
+                    extensions: vec![],
                 },
                 TupleOutcome {
                     index: 0,
@@ -227,9 +172,7 @@ mod tests {
                     examined: 0,
                     accepted: 0,
                     reused: 0,
-                    tile_decodes: 0,
-                    tile_hits: 0,
-                    action: TupleAction::Keep,
+                    extensions: vec![incoming.tuples[0].clone()],
                 },
             ],
         );

@@ -1,4 +1,4 @@
-//! Incremental (streaming) ingest for the zone engine.
+//! The zone step routine, as an incremental (streaming) ingest session.
 //!
 //! When a chunked partial-result transfer is in flight, the receiving
 //! node feeds chunks to the engine as they arrive instead of buffering
@@ -9,13 +9,15 @@
 //! chunk's tuples share a narrow declination range, so the zone-local
 //! HTM indexes built per chunk stay small.
 //!
-//! Byte-identity with the batch path holds tuple-by-tuple: a tuple's
+//! Byte-identity with a whole-set run holds tuple-by-tuple: a tuple's
 //! outcome depends only on its own probe ball and the archive rows
 //! within it (the padded band always covers the ball, and hits are
 //! verified by exact distance), so processing any subset of tuples in
 //! any chunk order and merging outcomes by the tuples' original indices
 //! reproduces the whole-set run exactly — including statistics, since
-//! per-tuple probe counts are independent too.
+//! per-tuple probe counts are independent too. The engine takes that
+//! literally: its whole-set step *is* a session fed one chunk holding
+//! every tuple, so this file holds the only copy of the step routine.
 
 use std::time::{Duration, Instant};
 
@@ -26,16 +28,16 @@ use skyquery_core::xmatch::{
     MatchKernel, PartialSet, PartialTuple, StepConfig, StepContext, StepStats,
 };
 use skyquery_core::ResultColumn;
-use skyquery_storage::{Database, Table};
+use skyquery_storage::Database;
 
-use crate::engine::{run_zone_tasks, ProbeSnapshots, ZoneEngine, ZoneProber};
-use crate::merge::{merge_match, zone_reports, TupleAction, TupleOutcome, ZoneReport};
-use crate::partition::{partition, sorted_declinations, TupleProbe, ZoneTask};
+use crate::engine::{run_zone_tasks, ZoneEngine, ZoneProber};
+use crate::merge::{merge_match, zone_reports, TupleOutcome, ZoneReport};
+use crate::partition::{partition, sorted_declinations, TupleProbe};
 use crate::zonemap::ZoneMap;
 
-/// Timing summary of the most recent streaming ingest session: how far
-/// ahead of the transfer the zone workers ran. All durations are
-/// measured from the session's start (the first chunk's arrival).
+/// Timing summary of the most recent ingest session: how far ahead of
+/// the transfer the zone workers ran. All durations are measured from
+/// the session's start (the first chunk's arrival).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineReport {
     /// Chunks ingested.
@@ -77,8 +79,6 @@ pub struct ZoneIngest<'a> {
     zones_processed: usize,
     first_zone_done: Option<Duration>,
     last_chunk_ingested: Option<Duration>,
-    /// Tile snapshots (re)built during the session (batch kernel only).
-    tile_builds: usize,
 }
 
 impl<'a> ZoneIngest<'a> {
@@ -86,28 +86,12 @@ impl<'a> ZoneIngest<'a> {
     /// declination distribution so per-chunk work is partition + probe.
     pub(crate) fn begin(
         engine: &'a ZoneEngine,
-        db: &mut Database,
+        db: &Database,
         cfg: StepConfig,
         kind: StepKind,
         columns_in: Vec<ResultColumn>,
     ) -> Result<ZoneIngest<'a>> {
         let ctx = StepContext::new(db, &cfg)?;
-        let mut tile_builds = 0usize;
-        match cfg.kernel {
-            MatchKernel::Columnar => {
-                // Warm the columnar layout before the first chunk arrives,
-                // so per-chunk work stays partition + probe.
-                db.ensure_columnar(&cfg.table, cfg.zone_height_deg)
-                    .map_err(FederationError::Storage)?;
-            }
-            MatchKernel::Batch => {
-                tile_builds += usize::from(
-                    db.ensure_tiles(&cfg.table, cfg.zone_height_deg)
-                        .map_err(FederationError::Storage)?,
-                );
-            }
-            MatchKernel::Htm => {}
-        }
         let table = db.table(&cfg.table)?;
         let decs = sorted_declinations(table, ctx.dec_ci);
         let map = ZoneMap::new(cfg.zone_height_deg);
@@ -127,44 +111,7 @@ impl<'a> ZoneIngest<'a> {
             zones_processed: 0,
             first_zone_done: None,
             last_chunk_ingested: None,
-            tile_builds,
         })
-    }
-
-    /// Partitions `probes` (chunk-local indices) and runs the zone pool,
-    /// remapping outcome indices back to the sender's numbering.
-    fn run_chunk<K>(
-        &mut self,
-        table: &Table,
-        snapshots: ProbeSnapshots<'_>,
-        probes: Vec<TupleProbe>,
-        degenerate: usize,
-        global: &[usize],
-        kernel: &K,
-    ) -> Result<()>
-    where
-        K: Fn(&ZoneTask, &mut ZoneProber<'_>) -> Result<Vec<TupleOutcome>> + Sync,
-    {
-        let plan = partition(&self.map, probes, &self.decs, degenerate);
-        self.reports.extend(zone_reports(&plan.tasks));
-        let ran_zones = !plan.tasks.is_empty();
-        let outcomes = run_zone_tasks(
-            table,
-            &self.ctx,
-            snapshots,
-            &plan.tasks,
-            self.cfg.xmatch_workers,
-            kernel,
-        )?;
-        self.outcomes.extend(outcomes.into_iter().map(|mut o| {
-            o.index = global[o.index];
-            o
-        }));
-        self.zones_processed += plan.tasks.len();
-        if ran_zones && self.first_zone_done.is_none() {
-            self.first_zone_done = Some(self.started.elapsed());
-        }
-        Ok(())
     }
 }
 
@@ -177,176 +124,103 @@ impl PartialIngest for ZoneIngest<'_> {
         }
         let (global, tuples): (Vec<usize>, Vec<PartialTuple>) = chunk.into_iter().unzip();
         self.indices_seen.extend(&global);
-        match self.kind {
+        let chunk = PartialSet {
+            columns: self.columns_in.clone(),
+            tuples,
+        };
+        // A match step round-trips the chunk through the §5.3 temp table
+        // so the carried values it copies into its extensions see the
+        // sequential path's schema conformance; a drop-out step emits its
+        // input tuples untouched and needs no copy.
+        let temp_rows = match self.kind {
             StepKind::Match => {
-                // Round-trip the chunk through the §5.3 temp table so
-                // schema conformance matches the sequential path.
-                let mini = PartialSet {
-                    columns: self.columns_in.clone(),
-                    tuples,
-                };
-                let temp = materialize_temp(db, &mini)?;
-                let temp_rows = db.table(&temp)?.rows().to_vec();
+                let temp = materialize_temp(db, &chunk)?;
+                let rows = db.table(&temp)?.rows().to_vec();
                 db.drop_table(&temp)?;
-                match self.cfg.kernel {
-                    MatchKernel::Columnar => {
-                        // Cheap no-op unless an insert invalidated the
-                        // cache since the session began.
-                        db.ensure_columnar(&self.cfg.table, self.cfg.zone_height_deg)
-                            .map_err(FederationError::Storage)?;
-                    }
-                    MatchKernel::Batch => {
-                        self.tile_builds += usize::from(
-                            db.ensure_tiles(&self.cfg.table, self.cfg.zone_height_deg)
-                                .map_err(FederationError::Storage)?,
-                        );
-                    }
-                    MatchKernel::Htm => {}
-                }
-                let table = db.table(&self.cfg.table)?;
-                let snapshots = ProbeSnapshots::for_kernel(db, &self.cfg);
-
-                let mut probes = Vec::new();
-                let mut degenerate = 0usize;
-                for (index, trow) in temp_rows.iter().enumerate() {
-                    match probe_ball(&decode_materialized(trow).0, &self.cfg) {
-                        Some((center, radius_rad)) => probes.push(TupleProbe {
-                            index,
-                            center,
-                            radius_rad,
-                        }),
-                        None => degenerate += 1,
-                    }
-                }
-                let cfg = self.cfg.clone();
-                // The borrow checker can't see that the kernel only reads
-                // `ctx` while `self` mutates bookkeeping, so clone the
-                // small context pieces the kernel needs.
-                let ctx = StepContext {
-                    schema: self.ctx.schema.clone(),
-                    ra_ci: self.ctx.ra_ci,
-                    dec_ci: self.ctx.dec_ci,
-                    appended: self.ctx.appended.clone(),
-                    carried_ci: self.ctx.carried_ci.clone(),
-                };
-                self.run_chunk(
-                    table,
-                    snapshots,
-                    probes,
-                    degenerate,
-                    &global,
-                    &|task: &ZoneTask, prober: &mut ZoneProber<'_>| {
-                        let mut out = Vec::with_capacity(task.probes.len());
-                        for probe in &task.probes {
-                            let pstats = prober.probe(probe.center, probe.radius_rad)?;
-                            let (state, carried) = decode_materialized(&temp_rows[probe.index]);
-                            let mut extensions = Vec::new();
-                            let (hits, staging) = prober.parts();
-                            let probed = hits.len();
-                            let accepted = extend_tuple_staged(
-                                &cfg,
-                                &ctx,
-                                table,
-                                &state,
-                                carried,
-                                hits,
-                                staging,
-                                &mut extensions,
-                            )?;
-                            out.push(TupleOutcome {
-                                index: probe.index,
-                                probed,
-                                examined: pstats.examined,
-                                accepted,
-                                reused: usize::from(pstats.reused),
-                                tile_decodes: pstats.tile_decodes,
-                                tile_hits: pstats.tile_hits,
-                                action: TupleAction::Extend(extensions),
-                            });
-                        }
-                        Ok(out)
-                    },
-                )
+                rows
             }
-            StepKind::Dropout => {
-                match self.cfg.kernel {
-                    MatchKernel::Columnar => {
-                        db.ensure_columnar(&self.cfg.table, self.cfg.zone_height_deg)
-                            .map_err(FederationError::Storage)?;
-                    }
-                    MatchKernel::Batch => {
-                        self.tile_builds += usize::from(
-                            db.ensure_tiles(&self.cfg.table, self.cfg.zone_height_deg)
-                                .map_err(FederationError::Storage)?,
-                        );
-                    }
-                    MatchKernel::Htm => {}
-                }
-                let table = db.table(&self.cfg.table)?;
-                let snapshots = ProbeSnapshots::for_kernel(db, &self.cfg);
-                let mut probes = Vec::new();
-                let mut degenerate = 0usize;
-                for (index, tuple) in tuples.iter().enumerate() {
-                    match probe_ball(&tuple.state, &self.cfg) {
-                        Some((center, radius_rad)) => probes.push(TupleProbe {
-                            index,
-                            center,
-                            radius_rad,
-                        }),
-                        None => degenerate += 1,
-                    }
-                }
-                let cfg = self.cfg.clone();
-                let ctx = StepContext {
-                    schema: self.ctx.schema.clone(),
-                    ra_ci: self.ctx.ra_ci,
-                    dec_ci: self.ctx.dec_ci,
-                    appended: self.ctx.appended.clone(),
-                    carried_ci: self.ctx.carried_ci.clone(),
-                };
-                let tuples_ref = &tuples;
-                self.run_chunk(
-                    table,
-                    snapshots,
-                    probes,
-                    degenerate,
-                    &global,
-                    &|task: &ZoneTask, prober: &mut ZoneProber<'_>| {
-                        let mut out = Vec::with_capacity(task.probes.len());
-                        for probe in &task.probes {
-                            let pstats = prober.probe(probe.center, probe.radius_rad)?;
-                            let tuple = &tuples_ref[probe.index];
-                            let found = tuple_has_counterpart(
-                                &cfg,
-                                &ctx,
-                                table,
-                                &tuple.state,
-                                prober.hits(),
-                            )?;
-                            out.push(TupleOutcome {
-                                index: probe.index,
-                                probed: prober.hits().len(),
-                                examined: pstats.examined,
-                                accepted: usize::from(found),
-                                reused: usize::from(pstats.reused),
-                                tile_decodes: pstats.tile_decodes,
-                                tile_hits: pstats.tile_hits,
-                                // Encode keep/drop as an extension so the
-                                // match merge reassembles both step kinds:
-                                // a kept tuple passes through unchanged, a
-                                // dropped one contributes nothing.
-                                action: TupleAction::Extend(if found {
-                                    Vec::new()
-                                } else {
-                                    vec![tuple.clone()]
-                                }),
-                            });
-                        }
-                        Ok(out)
-                    },
-                )
+            StepKind::Dropout => Vec::new(),
+        };
+        if self.cfg.kernel == MatchKernel::Columnar {
+            // A cheap no-op unless this is the first chunk or an insert
+            // invalidated the snapshot since the last one.
+            db.ensure_columnar(&self.cfg.table, self.cfg.zone_height_deg)
+                .map_err(FederationError::Storage)?;
+        }
+        let table = db.table(&self.cfg.table)?;
+        // The HTM kernel builds private zone-local indexes instead.
+        let columnar = match self.cfg.kernel {
+            MatchKernel::Columnar => db.columnar_positions(&self.cfg.table),
+            MatchKernel::Htm => None,
+        };
+
+        // Probes carry chunk-local indices; tuples with no defined best
+        // position cannot be extended and silently leave the chain.
+        let mut probes = Vec::new();
+        let mut degenerate = 0usize;
+        for (index, tuple) in chunk.tuples.iter().enumerate() {
+            match probe_ball(&tuple.state, &self.cfg) {
+                Some((center, radius_rad)) => probes.push(TupleProbe {
+                    index,
+                    center,
+                    radius_rad,
+                }),
+                None => degenerate += 1,
             }
         }
+        let plan = partition(&self.map, probes, &self.decs, degenerate);
+        self.reports.extend(zone_reports(&plan.tasks));
+
+        let (cfg, ctx, kind) = (&self.cfg, &self.ctx, self.kind);
+        let outcomes = run_zone_tasks(
+            table,
+            ctx,
+            columnar,
+            &plan.tasks,
+            cfg.xmatch_workers,
+            &|probe: &TupleProbe, prober: &mut ZoneProber<'_>| match kind {
+                StepKind::Match => {
+                    let (state, carried) = decode_materialized(&temp_rows[probe.index]);
+                    let mut extensions = Vec::new();
+                    let (hits, staging) = prober.parts();
+                    let accepted = extend_tuple_staged(
+                        cfg,
+                        ctx,
+                        table,
+                        &state,
+                        carried,
+                        hits,
+                        staging,
+                        &mut extensions,
+                    )?;
+                    Ok((accepted, extensions))
+                }
+                StepKind::Dropout => {
+                    let tuple = &chunk.tuples[probe.index];
+                    let found =
+                        tuple_has_counterpart(cfg, ctx, table, &tuple.state, prober.hits())?;
+                    // A kept tuple passes through unchanged; a dropped
+                    // one contributes nothing.
+                    let kept = if found {
+                        Vec::new()
+                    } else {
+                        vec![tuple.clone()]
+                    };
+                    Ok((usize::from(found), kept))
+                }
+            },
+        )?;
+        // Back to the sender's numbering.
+        self.outcomes
+            .extend(outcomes.into_iter().map(|o| TupleOutcome {
+                index: global[o.index],
+                ..o
+            }));
+        self.zones_processed += plan.tasks.len();
+        if !plan.tasks.is_empty() && self.first_zone_done.is_none() {
+            self.first_zone_done = Some(self.started.elapsed());
+        }
+        Ok(())
     }
 
     fn finish(self: Box<Self>, _db: &mut Database) -> Result<(PartialSet, StepStats)> {
@@ -371,9 +245,7 @@ impl PartialIngest for ZoneIngest<'_> {
             StepKind::Dropout => this.columns_in,
         };
         let total = this.indices_seen.len();
-        let (out, mut stats) = merge_match(columns, total, this.outcomes);
-        stats.tile_builds = this.tile_builds;
-        let merged = (out, stats);
+        let merged = merge_match(columns, total, this.outcomes);
         this.engine.record_stream(
             this.reports,
             PipelineReport {

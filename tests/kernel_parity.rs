@@ -1,6 +1,5 @@
-//! Kernel parity: the columnar structure-of-arrays kernel and the batch
-//! tile kernel must be **byte-identical** to the HTM kernel — same
-//! tuples, same order, same
+//! Kernel parity: the columnar structure-of-arrays kernel must be
+//! **byte-identical** to the HTM kernel — same tuples, same order, same
 //! `chi2_min` (tuple states compare exactly, field by field), same
 //! engine-invariant statistics — through the sequential steps *and* the
 //! zone-partitioned parallel engine, at every worker count and zone
@@ -115,7 +114,7 @@ fn assert_kernel_parity(
     )
     .expect("oracle dropout");
     let engine = ZoneEngine::new();
-    for kernel in [MatchKernel::Columnar, MatchKernel::Htm, MatchKernel::Batch] {
+    for kernel in [MatchKernel::Columnar, MatchKernel::Htm] {
         for &height in &HEIGHTS {
             for &workers in &WORKERS {
                 let c = cfg(sigma_arcsec, threshold, workers, height, kernel);

@@ -266,12 +266,12 @@ proptest! {
     /// the repeat (hit or repair) run, and after the archives grow.
     #[test]
     fn cached_and_repaired_results_match_cold_execution(
-        kernel_ix in 0usize..3,
+        kernel_ix in 0usize..2,
         mode_ix in 0usize..3,
         shards in 1usize..3,
         dropout in any::<bool>(),
     ) {
-        let kernel = [MatchKernel::Columnar, MatchKernel::Htm, MatchKernel::Batch][kernel_ix];
+        let kernel = [MatchKernel::Columnar, MatchKernel::Htm][kernel_ix];
         // The third driver: checkpointed walks sliced by the job service.
         let (mode, via_jobs) = [
             (ChainMode::Recursive, false),

@@ -63,11 +63,7 @@ proptest! {
     #[test]
     fn sharded_results_are_byte_identical(
         shards in prop_oneof![Just(2usize), Just(4usize), Just(8usize)],
-        kernel in prop_oneof![
-            Just(MatchKernel::Columnar),
-            Just(MatchKernel::Htm),
-            Just(MatchKernel::Batch),
-        ],
+        kernel in prop_oneof![Just(MatchKernel::Columnar), Just(MatchKernel::Htm)],
         mode in prop_oneof![Just(ChainMode::Recursive), Just(ChainMode::Checkpointed)],
         center in prop_oneof![
             Just((185.0, -0.5)),  // the paper's equatorial field
