@@ -12,7 +12,7 @@ use crate::portal::Portal;
 use crate::result::ResultColumn;
 use crate::result_cache::{CacheEntry, CachedStep, StepVersion};
 use crate::trace::StatsChain;
-use crate::transfer::invoke_portal_step;
+use crate::transfer::{invoke_portal_step, portal_step_call};
 use crate::xmatch::{PartialSet, PartialTuple, StepStats};
 
 impl Portal {
@@ -129,9 +129,7 @@ impl Portal {
                 &self.host,
                 &step.url,
                 plan,
-                idx,
-                Some(v_old),
-                None,
+                &portal_step_call(plan, idx, Some(v_old), None),
             )?;
             if delta.columns != set.columns {
                 return Err(FederationError::protocol(
@@ -192,9 +190,7 @@ impl Portal {
                 &self.host,
                 &step.url,
                 plan,
-                idx,
-                Some(v_old),
-                Some(&input.to_votable()),
+                &portal_step_call(plan, idx, Some(v_old), Some(input.to_votable())),
             )?;
             observed = Some(version);
             stats = combine_delta_stats(stats, first_stats(&chain));
@@ -209,9 +205,7 @@ impl Portal {
                 &self.host,
                 &step.url,
                 plan,
-                idx,
-                Some(0),
-                Some(&input.to_votable()),
+                &portal_step_call(plan, idx, Some(0), Some(input.to_votable())),
             )?;
             if observed.is_none() && needs_delta {
                 observed = Some(version);
@@ -313,9 +307,7 @@ impl Portal {
                     &self.host,
                     &step.url,
                     plan,
-                    idx,
-                    Some(v_old),
-                    Some(&input.to_votable()),
+                    &portal_step_call(plan, idx, Some(v_old), Some(input.to_votable())),
                 )?;
                 observed = Some(version);
                 stats = combine_delta_stats(stats, first_stats(&chain));
@@ -331,9 +323,7 @@ impl Portal {
                 &self.host,
                 &step.url,
                 plan,
-                idx,
-                Some(0),
-                Some(&input.to_votable()),
+                &portal_step_call(plan, idx, Some(0), Some(input.to_votable())),
             )?;
             if observed.is_none() && needs_delta {
                 observed = Some(version);

@@ -39,7 +39,7 @@ use crate::lease::LeaseTable;
 use crate::meta::{catalog_to_element, ArchiveInfo};
 use crate::plan::{ExecutionPlan, DEFAULT_LEASE_TTL_S};
 use crate::query_exec::{execute_local, LocalQueryResult};
-use crate::service::ServiceMethod;
+use crate::service::{require_u64, Reply, ServiceMethod};
 use crate::trace::StatsChain;
 use crate::transfer::{open_checkpoint, open_cross_match, zone_label, IncomingPartial};
 use crate::xmatch::{PartialSet, StepConfig, StepStats};
@@ -58,7 +58,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("info", "xml")
                 .doc("Astronomy-specific constants: σ, primary table, HTM depth")
         },
-        handler: SkyNode::handle_information,
+        handler: |node, net, call| node.handle_information(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "Metadata",
@@ -67,7 +67,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("catalog", "xml")
                 .doc("Complete schema information for the Portal's catalog")
         },
-        handler: SkyNode::handle_metadata,
+        handler: |node, net, call| node.handle_metadata(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "Query",
@@ -78,7 +78,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("rows", "table")
                 .doc("General-purpose single-archive queries (performance queries)")
         },
-        handler: SkyNode::handle_query,
+        handler: |node, net, call| node.handle_query(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "CrossMatch",
@@ -102,7 +102,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("chunk", "table")
                 .doc("Chunked-transfer continuation for oversized partial results")
         },
-        handler: |node, net, call| node.handle_fetch_chunk(net, call),
+        handler: |node, net, call| node.handle_fetch_chunk(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "AbortTransfer",
@@ -112,7 +112,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("aborted", "boolean")
                 .doc("Free an open chunked transfer without serving its remaining chunks")
         },
-        handler: |node, _net, call| node.handle_abort_transfer(call),
+        handler: |node, _net, call| node.handle_abort_transfer(call).map(Reply::from),
     },
     ServiceMethod {
         name: "ExecuteStep",
@@ -127,7 +127,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("stats", "xml")
                 .doc("One portal-driven cross-match step; result retained as a leased checkpoint")
         },
-        handler: |node, net, call| node.handle_execute_step(net, call),
+        handler: |node, net, call| node.handle_execute_step(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "ScatterStep",
@@ -186,7 +186,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("released", "boolean")
                 .doc("Free a checkpointed partial set that is no longer needed")
         },
-        handler: |node, net, call| node.handle_release_checkpoint(net, call),
+        handler: |node, net, call| node.handle_release_checkpoint(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "RenewLease",
@@ -197,7 +197,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("renewed", "boolean")
                 .doc("Extend the TTL lease on a checkpoint, transfer, or staged transaction")
         },
-        handler: |node, net, call| node.handle_renew_lease(net, call),
+        handler: |node, net, call| node.handle_renew_lease(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "PrepareReceive",
@@ -210,7 +210,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("staged", "long")
                 .doc("Data-exchange 2PC: stage rows for an incoming transfer")
         },
-        handler: SkyNode::handle_prepare_receive,
+        handler: |node, net, call| node.handle_prepare_receive(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "CommitReceive",
@@ -221,7 +221,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("version", "long")
                 .doc("Data-exchange 2PC: publish a staged transfer")
         },
-        handler: SkyNode::handle_commit_receive,
+        handler: |node, net, call| node.handle_commit_receive(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "AbortReceive",
@@ -231,7 +231,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 .output("aborted", "boolean")
                 .doc("Data-exchange 2PC: discard a staged transfer")
         },
-        handler: SkyNode::handle_abort_receive,
+        handler: |node, net, call| node.handle_abort_receive(net, call).map(Reply::from),
     },
 ];
 
@@ -402,7 +402,7 @@ impl SkyNode {
         crate::service::wsdl(SERVICES, "SkyNode", &self.url().to_string())
     }
 
-    fn handle_call(&self, net: &SimNetwork, call: RpcCall) -> Result<RpcResponse> {
+    fn handle_call(&self, net: &SimNetwork, call: RpcCall) -> Result<Reply> {
         // Janitor first: any request is an opportunity to reclaim leases
         // that lapsed while the node sat idle.
         self.sweep_leases(net);
@@ -600,7 +600,7 @@ impl SkyNode {
     /// partial results from the next step (unless this node is the
     /// seed), runs its own step on them, and appends its statistics to
     /// the chain riding back to the caller.
-    fn handle_cross_match(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
+    fn handle_cross_match(&self, net: &SimNetwork, call: &RpcCall) -> Result<Reply> {
         let (plan, step, cfg) = self.decode_plan_step(call)?;
         let (input, mut chain) = if step == plan.seed_index() {
             (None, StatsChain::new())
@@ -611,7 +611,7 @@ impl SkyNode {
         };
         let (set, stats, _) = self.run_step(&plan, step, cfg, input, 0)?;
         chain.push(plan.steps[step].alias.clone(), stats);
-        self.encode_set_response(net, &plan, "CrossMatch", set, Some(&chain))
+        self.encode_set_response(net, &plan, "CrossMatch", set, Some(&chain), None)
     }
 
     /// One portal-driven step against a node-held checkpoint. Unlike
@@ -674,7 +674,7 @@ impl SkyNode {
         net: &SimNetwork,
         call: &RpcCall,
         from_row: Option<usize>,
-    ) -> Result<RpcResponse> {
+    ) -> Result<Reply> {
         let (plan, step, cfg) = self.decode_plan_step(call)?;
         let method = from_row.map_or("ScatterStep", |_| "DeltaStep");
         let input = match call.get("input") {
@@ -690,8 +690,7 @@ impl SkyNode {
             self.run_step(&plan, step, cfg, input, from_row.unwrap_or(0))?;
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
-        let resp = self.encode_set_response(net, &plan, method, set, Some(&chain))?;
-        Ok(resp.result("version", SoapValue::Int(version as i64)))
+        self.encode_set_response(net, &plan, method, set, Some(&chain), Some(version))
     }
 
     /// Clones a checkpointed partial set out of the store, renewing its
@@ -712,10 +711,10 @@ impl SkyNode {
 
     /// Serves a checkpointed partial set (inline or chunked under the
     /// plan's message limit), renewing its lease.
-    fn handle_fetch_checkpoint(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
+    fn handle_fetch_checkpoint(&self, net: &SimNetwork, call: &RpcCall) -> Result<Reply> {
         let plan = decode_plan(call)?;
         let set = self.read_checkpoint(net, require_u64(call, "checkpoint_id")?)?;
-        self.encode_set_response(net, &plan, "FetchCheckpoint", set, None)
+        self.encode_set_response(net, &plan, "FetchCheckpoint", set, None, None)
     }
 
     /// Frees a checkpointed partial set. Idempotent: an unknown id
@@ -806,12 +805,14 @@ impl SkyNode {
     }
 
     /// Encodes a partial set under `method`, chunking when the monolithic
-    /// response would exceed the plan's message limit. Chunked replies
+    /// response would exceed the plan's message limit. A reply that fits
+    /// is sent as the very bytes that were measured. Chunked replies
     /// return a typed [`ChunkManifest`] and lease the sender-side session
     /// under the plan's TTL; with the plan's `zone_chunking` knob on,
     /// chunks are split on declination-zone boundaries and carry the
     /// `__seq` sequence column so the receiver can pipeline zone
-    /// processing.
+    /// processing. The stats chain and table `version`, when given,
+    /// follow the set or manifest in the reply.
     fn encode_set_response(
         &self,
         net: &SimNetwork,
@@ -819,28 +820,36 @@ impl SkyNode {
         method: &'static str,
         set: PartialSet,
         stats_chain: Option<&StatsChain>,
-    ) -> Result<RpcResponse> {
+        version: Option<u64>,
+    ) -> Result<Reply> {
         let limits = MessageLimits::tiny(plan.max_message_bytes);
-        let table = set.to_votable();
-        let with_stats = |resp: RpcResponse| match stats_chain {
-            Some(c) => resp.result("stats", SoapValue::Xml(c.to_element())),
-            None => resp,
+        let reply = |name: &str, value: SoapValue| {
+            let mut resp = RpcResponse::new(method).result(name, value);
+            if let Some(c) = stats_chain {
+                resp = resp.result("stats", SoapValue::Xml(c.to_element()));
+            }
+            if let Some(v) = version {
+                resp = resp.result("version", SoapValue::Int(v as i64));
+            }
+            resp
         };
-        let monolithic =
-            with_stats(RpcResponse::new(method).result("partial", SoapValue::Table(table.clone())));
-        let encoded_len = monolithic.to_xml().len();
-        if encoded_len <= plan.max_message_bytes {
-            return Ok(monolithic);
+        let mut monolithic = reply("partial", SoapValue::Table(set.to_votable()));
+        let encoded = monolithic.to_xml();
+        if encoded.len() <= plan.max_message_bytes {
+            return Ok(Reply::Encoded(encoded));
         }
         if !plan.chunking {
             // The pre-workaround behaviour: the caller's parser would die.
             return Err(FederationError::Soap(
                 skyquery_soap::SoapError::MessageTooLarge {
-                    size: encoded_len,
+                    size: encoded.len(),
                     limit: plan.max_message_bytes,
                 },
             ));
         }
+        let Some(SoapValue::Table(table)) = monolithic.take("partial") else {
+            unreachable!("the monolithic reply carries the partial set")
+        };
         let transfer_id = self.next_transfer.fetch_add(1, Ordering::Relaxed);
         let (manifest, chunks) = if plan.zone_chunking {
             // Zone labels from each tuple's current best position;
@@ -873,18 +882,11 @@ impl SkyNode {
             .lock()
             .insert(transfer_id, chunks, net.now_s(), plan.lease_ttl_s);
         net.record_node_event(&self.host, "lease-granted");
-        Ok(with_stats(
-            RpcResponse::new(method).result("manifest", SoapValue::Xml(manifest.to_element())),
-        ))
+        Ok(reply("manifest", SoapValue::Xml(manifest.to_element())).into())
     }
 
     fn handle_fetch_chunk(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let transfer_id = require_u64(call, "transfer_id")?;
-        let index = call
-            .require("index")?
-            .as_i64()
-            .ok_or_else(|| FederationError::protocol("index must be an integer"))?
-            as usize;
         let mut pending = self.pending.lock();
         // Each continuation renews the session's lease: a live receiver
         // never loses a transfer mid-stream, however slowly it pulls.
@@ -892,19 +894,11 @@ impl SkyNode {
         let chunks = pending
             .get(transfer_id)
             .ok_or_else(|| FederationError::lease_expired("transfer", transfer_id, &self.host))?;
-        let (header, table) = chunks
-            .get(index)
-            .cloned()
-            .ok_or_else(|| FederationError::protocol(format!("no chunk {index}")))?;
-        // Free the transfer once the last chunk has been served.
-        if index + 1 == header.total {
+        let (reply, last) = crate::service::fetch_chunk(call, chunks)?;
+        if last {
             pending.remove(transfer_id);
         }
-        Ok(RpcResponse::new("FetchChunk")
-            .result("chunk", SoapValue::Table(table))
-            .result("index", SoapValue::Int(header.index as i64))
-            .result("total", SoapValue::Int(header.total as i64))
-            .result("transfer_id", SoapValue::Int(header.transfer_id as i64)))
+        Ok(reply)
     }
 
     /// Frees an open chunked transfer a receiver abandoned mid-stream.
@@ -938,15 +932,6 @@ fn decode_plan(call: &RpcCall) -> Result<ExecutionPlan> {
             .as_xml()
             .ok_or_else(|| FederationError::protocol("plan must be xml"))?,
     )
-}
-
-/// Decodes a required unsigned-integer parameter.
-fn require_u64(call: &RpcCall, name: &str) -> Result<u64> {
-    call.require(name)?
-        .as_i64()
-        .filter(|v| *v >= 0)
-        .map(|v| v as u64)
-        .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative integer")))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use skyquery_net::{HttpRequest, NetError, SimNetwork, Url};
 use skyquery_soap::{ChunkManifest, RpcCall, RpcResponse, SoapValue, ZoneRange};
-use skyquery_xml::VoTable;
+use skyquery_xml::{VoColumn, VoTable};
 
 use crate::error::{FederationError, Result};
 use crate::plan::{ExecutionPlan, DEFAULT_ZONE_HEIGHT_DEG};
@@ -80,6 +80,8 @@ pub struct ChunkStream<'a> {
     manifest: ChunkManifest,
     next: usize,
     retry: RetryPolicy,
+    /// The first chunk's columns, which every later chunk must repeat.
+    columns: Option<Vec<VoColumn>>,
     /// The sender-side session is known to be gone: fully drained,
     /// explicitly aborted, or abort already attempted from `Drop`.
     closed: bool,
@@ -94,8 +96,8 @@ impl ChunkStream<'_> {
     /// Fetches the next chunk, or `None` when the transfer is complete.
     ///
     /// Validates the served chunk against the manifest (transfer id,
-    /// index, total, row count) and records per-chunk wire metrics on the
-    /// network.
+    /// index, total, row count) and against the first chunk's columns,
+    /// and records per-chunk wire metrics on the network.
     pub fn fetch_next(&mut self) -> Result<Option<TransferChunk>> {
         if self.next >= self.manifest.total_chunks() {
             return Ok(None);
@@ -107,7 +109,9 @@ impl ChunkStream<'_> {
                 SoapValue::Int(self.manifest.transfer_id as i64),
             )
             .param("index", SoapValue::Int(index as i64));
-        let resp = send_rpc_with(self.net, &self.from_host, &self.url, &call, self.retry)?;
+        let request = EncodedCall::new(&call);
+        let (mut resp, reply_len) =
+            send_encoded(self.net, &self.from_host, &self.url, &request, self.retry)?;
         let served_index = require_usize(&resp, "index")?;
         let served_total = require_usize(&resp, "total")?;
         let served_id = require_usize(&resp, "transfer_id")? as u64;
@@ -122,15 +126,22 @@ impl ChunkStream<'_> {
                 self.manifest.transfer_id
             )));
         }
-        let table = resp
-            .require("chunk")?
-            .as_table()
-            .ok_or_else(|| FederationError::protocol("chunk must be a table"))?
-            .clone();
+        let Some(SoapValue::Table(table)) = resp.take("chunk") else {
+            return Err(FederationError::protocol("chunk must be a table"));
+        };
+        match &self.columns {
+            None => self.columns = Some(table.columns.clone()),
+            Some(first) if *first != table.columns => {
+                return Err(FederationError::protocol(format!(
+                    "chunk {index} declares different columns from chunk 0"
+                )))
+            }
+            Some(_) => {}
+        }
         self.net.record_chunk(
             &self.url.host,
             &self.from_host,
-            table.to_xml().len(),
+            reply_len,
             table.row_count(),
         );
         let info = &self.manifest.chunks[index];
@@ -263,6 +274,7 @@ pub fn open_chunk_stream<'a>(
         manifest,
         next: 0,
         retry,
+        columns: None,
         closed: false,
     }
 }
@@ -439,25 +451,19 @@ pub fn invoke_execute_step(
     Ok((checkpoint, rows, stats_of(&resp)?))
 }
 
-/// Client side of the portal-driven step services: asks the node at
-/// `url` to run plan step `step` on the supplied `input` set (seeding
-/// when it is absent) and hand the output straight back. `from_row =
-/// None` is a `ScatterStep` over the node's whole table (its zone range,
-/// for a shard); `Some(r)` is a `DeltaStep` over only the rows inserted
-/// at or after row `r` — the result cache's incremental-repair probe.
-/// Drains any chunked continuation and returns the partial set, its
-/// single-entry stats chain, and the table version the step observed
-/// under its database lock (what a cache entry built from this reply
-/// must record).
-pub fn invoke_portal_step(
-    net: &SimNetwork,
-    from_host: &str,
-    url: &Url,
+/// The call of the portal-driven step services, encoded once so that a
+/// scatter sends the same bytes to every extent, hedge and failover: run
+/// plan step `step` on the supplied `input` set (seeding when it is
+/// absent) and hand the output straight back. `from_row = None` is a
+/// `ScatterStep` over the node's whole table (its zone range, for a
+/// shard); `Some(r)` is a `DeltaStep` over only the rows inserted at or
+/// after row `r` — the result cache's incremental-repair probe.
+pub fn portal_step_call(
     plan: &ExecutionPlan,
     step: usize,
     from_row: Option<u64>,
-    input: Option<&VoTable>,
-) -> Result<(PartialSet, StatsChain, u64)> {
+    input: Option<VoTable>,
+) -> EncodedCall {
     let method = from_row.map_or("ScatterStep", |_| "DeltaStep");
     let mut call = RpcCall::new(method)
         .param("plan", SoapValue::Xml(plan.to_element()))
@@ -466,9 +472,24 @@ pub fn invoke_portal_step(
         call = call.param("from_row", SoapValue::Int(from_row as i64));
     }
     if let Some(table) = input {
-        call = call.param("input", SoapValue::Table(table.clone()));
+        call = call.param("input", SoapValue::Table(table));
     }
-    let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
+    EncodedCall::new(&call)
+}
+
+/// Client side of the portal-driven step services: sends a
+/// [`portal_step_call`] to the node at `url`, drains any chunked
+/// continuation, and returns the partial set, its single-entry stats
+/// chain, and the table version the step observed under its database
+/// lock (what a cache entry built from this reply must record).
+pub fn invoke_portal_step(
+    net: &SimNetwork,
+    from_host: &str,
+    url: &Url,
+    plan: &ExecutionPlan,
+    call: &EncodedCall,
+) -> Result<(PartialSet, StatsChain, u64)> {
+    let (resp, _) = send_encoded(net, from_host, url, call, plan.retry)?;
     let version = require_usize(&resp, "version")? as u64;
     let set = decode_partial(net, from_host, url, plan, &resp)?.collect()?;
     Ok((set, stats_of(&resp)?, version))
@@ -499,6 +520,7 @@ pub fn send_rpc(
 /// exhausted after actual retries, the last failure is wrapped in
 /// [`FederationError::NodeUnhealthy`] so the caller can degrade
 /// gracefully; with a one-attempt policy the error surfaces unwrapped.
+/// The call is encoded once: every attempt resends the same bytes.
 pub fn send_rpc_with(
     net: &SimNetwork,
     from_host: &str,
@@ -506,6 +528,35 @@ pub fn send_rpc_with(
     call: &RpcCall,
     policy: RetryPolicy,
 ) -> Result<RpcResponse> {
+    let request = EncodedCall::new(call);
+    send_encoded(net, from_host, url, &request, policy).map(|(resp, _)| resp)
+}
+
+/// A call encoded once, so that retries, hedges, failovers and a
+/// scatter's extents resend its bytes instead of encoding it again.
+pub struct EncodedCall(HttpRequest);
+
+impl EncodedCall {
+    /// Encodes `call` into a SOAP request; each send addresses it to its
+    /// target's path.
+    pub fn new(call: &RpcCall) -> EncodedCall {
+        EncodedCall(HttpRequest::soap_post(
+            String::new(),
+            &call.soap_action(),
+            call.to_xml(),
+        ))
+    }
+}
+
+/// [`send_rpc_with`] for a call already encoded, also returning the
+/// length of the reply body the link carried.
+fn send_encoded(
+    net: &SimNetwork,
+    from_host: &str,
+    url: &Url,
+    call: &EncodedCall,
+    policy: RetryPolicy,
+) -> Result<(RpcResponse, usize)> {
     let mut waited = 0.0f64;
     let mut attempts_made = 0u32;
     let mut last_err: Option<FederationError> = None;
@@ -519,8 +570,8 @@ pub fn send_rpc_with(
             net.record_retry(from_host, &url.host, backoff);
         }
         attempts_made = attempt;
-        match send_rpc_once(net, from_host, url, call) {
-            Ok(resp) => return Ok(resp),
+        match send_once(net, from_host, url, call) {
+            Ok(reply) => return Ok(reply),
             Err(e) if e.is_retryable() => last_err = Some(e),
             Err(e) => return Err(e),
         }
@@ -538,13 +589,16 @@ pub fn send_rpc_with(
 }
 
 /// One attempt: send, check the HTTP status line, decode the body.
-fn send_rpc_once(
+fn send_once(
     net: &SimNetwork,
     from_host: &str,
     url: &Url,
-    call: &RpcCall,
-) -> Result<RpcResponse> {
-    let req = HttpRequest::soap_post(url.path.clone(), &call.soap_action(), call.to_xml());
+    call: &EncodedCall,
+) -> Result<(RpcResponse, usize)> {
+    let req = HttpRequest {
+        path: url.path.clone(),
+        ..call.0.clone()
+    };
     let resp = net
         .send(from_host, url, req)
         .map_err(FederationError::Net)?;
@@ -569,7 +623,7 @@ fn send_rpc_once(
         });
     }
     match RpcResponse::parse(body).map_err(FederationError::Soap)? {
-        Ok(r) => Ok(r),
+        Ok(r) => Ok((r, body.len())),
         Err(fault) => Err(FederationError::Fault(fault)),
     }
 }
@@ -656,5 +710,61 @@ mod tests {
             "expected a protocol error, got {err}"
         );
         assert!(err.to_string().contains("manifest promised"), "{err}");
+    }
+
+    #[test]
+    fn a_chunk_with_different_columns_fails_the_transfer() {
+        use crate::result::ResultColumn;
+        use crate::xmatch::TupleState;
+        use skyquery_net::HttpResponse;
+        use skyquery_storage::{DataType, Value};
+        use std::sync::Arc;
+
+        // A two-chunk sender whose second chunk carries an extra column.
+        let net = SimNetwork::new();
+        net.bind(
+            "ragged.skyquery.net",
+            Arc::new(|_: &SimNetwork, req: HttpRequest| {
+                let call = RpcCall::parse(std::str::from_utf8(&req.body).unwrap()).unwrap();
+                let Some(index) = call.get("index").and_then(SoapValue::as_i64) else {
+                    // The failed stream's `AbortTransfer`.
+                    return HttpResponse::ok(RpcResponse::new(call.method).to_xml());
+                };
+                let (columns, values) = match index {
+                    0 => (vec![], vec![]),
+                    _ => (
+                        vec![ResultColumn::new("O.extra", DataType::Int)],
+                        vec![Value::Int(1)],
+                    ),
+                };
+                let mut set = PartialSet::new(columns);
+                set.tuples.push(PartialTuple {
+                    state: TupleState {
+                        a: 1.0,
+                        ax: 1.0,
+                        ay: 0.0,
+                        az: 0.0,
+                    },
+                    values,
+                });
+                let reply = RpcResponse::new("FetchChunk")
+                    .result("chunk", SoapValue::Table(set.to_votable()))
+                    .result("index", SoapValue::Int(index))
+                    .result("total", SoapValue::Int(2))
+                    .result("transfer_id", SoapValue::Int(7));
+                HttpResponse::ok(reply.to_xml())
+            }),
+        );
+        let manifest = ChunkManifest::legacy(7, &[1, 1]);
+        let url = Url::parse("http://ragged.skyquery.net/skynode").unwrap();
+        let stream = open_chunk_stream(&net, "tester", &url, manifest, RetryPolicy::none());
+        // A set whose tuples do not match its columns would panic at its
+        // next encode; the transfer fails with a typed error instead.
+        let err = stream.collect_set().unwrap_err();
+        assert!(
+            matches!(err, FederationError::Protocol { .. }),
+            "expected a protocol error, got {err}"
+        );
+        assert!(err.to_string().contains("different columns"), "{err}");
     }
 }

@@ -29,8 +29,8 @@ use crate::retry::RetryPolicy;
 use crate::shard;
 use crate::trace::{ExecutionTrace, StatsChain};
 use crate::transfer::{
-    invoke_execute_step, invoke_portal_step, open_checkpoint, release_checkpoint, renew_lease,
-    IncomingPartial,
+    invoke_execute_step, invoke_portal_step, open_checkpoint, portal_step_call, release_checkpoint,
+    renew_lease, IncomingPartial,
 };
 use crate::xmatch::{PartialSet, StepStats};
 
@@ -563,11 +563,13 @@ impl Portal {
                 set.to_votable()
             }
         });
+        // One call body per step: every extent, hedge and failover is
+        // sent these bytes.
+        let call = &portal_step_call(&wire_plan, idx, None, input_table);
 
         let net = &self.net;
         let host = &self.host;
         let wire = &wire_plan;
-        let tbl = input_table.as_ref();
         let hedge_delay = self.config().hedge_delay_s;
 
         // One probe attempt against one replica, with health
@@ -575,7 +577,7 @@ impl Portal {
         // (what the hedge decision races against).
         let probe = |url: &Url| -> (Result<(PartialSet, StatsChain, u64)>, f64) {
             let t0 = net.now_s();
-            let r = invoke_portal_step(net, host, url, wire, idx, None, tbl);
+            let r = invoke_portal_step(net, host, url, wire, call);
             let elapsed = net.now_s() - t0;
             self.observe(&url.host, &r);
             (r, elapsed)

@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use skyquery_core::error::{FederationError, Result};
 use skyquery_core::plan::ExecutionPlan;
 use skyquery_core::result::ResultSet;
-use skyquery_core::service::ServiceMethod;
+use skyquery_core::service::{require_u64, Reply, ServiceMethod};
 use skyquery_core::trace::{ExecutionTrace, StatsChain};
 use skyquery_core::{ChainMode, CheckpointedWalk, Degradation, LeaseTable, PartialSet, Portal};
 use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
@@ -55,7 +55,7 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
                 .output("duplicate", "boolean")
                 .doc("Queue a cross-match query for asynchronous execution")
         },
-        handler: |svc, net, call| svc.handle_submit(net, call),
+        handler: |svc, net, call| svc.handle_submit(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "PollJob",
@@ -70,7 +70,7 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
                 .output("error", "string")
                 .doc("Report a job's life-cycle state (renews its record lease)")
         },
-        handler: |svc, _net, call| svc.handle_poll(call),
+        handler: |svc, _net, call| svc.handle_poll(call).map(Reply::from),
     },
     ServiceMethod {
         name: "CancelJob",
@@ -80,7 +80,7 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
                 .output("cancelled", "boolean")
                 .doc("Cancel a queued or running job, releasing its checkpoints immediately")
         },
-        handler: |svc, _net, call| svc.handle_cancel(call),
+        handler: |svc, _net, call| svc.handle_cancel(call).map(Reply::from),
     },
     ServiceMethod {
         name: "FetchResults",
@@ -102,7 +102,7 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
                 .output("chunk", "table")
                 .doc("Chunked-transfer continuation for a paginated result")
         },
-        handler: |svc, net, call| svc.handle_fetch_chunk(net, call),
+        handler: |svc, net, call| svc.handle_fetch_chunk(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "AbortTransfer",
@@ -112,7 +112,7 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
                 .output("aborted", "boolean")
                 .doc("Free an open result transfer without serving its remaining chunks")
         },
-        handler: |svc, _net, call| svc.handle_abort_transfer(call),
+        handler: |svc, _net, call| svc.handle_abort_transfer(call).map(Reply::from),
     },
 ];
 
@@ -834,7 +834,7 @@ impl JobService {
     /// continuations exactly like an oversized partial set on the daisy
     /// chain. Fetching renews the result lease, so delivery is
     /// idempotent until the TTL finally lapses.
-    fn handle_fetch_results(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
+    fn handle_fetch_results(&self, net: &SimNetwork, call: &RpcCall) -> Result<Reply> {
         let id = require_u64(call, "job")?;
         let config = self.config();
         let max_bytes = self.portal.config().max_message_bytes;
@@ -870,13 +870,18 @@ impl JobService {
             .get(id)
             .expect("renewed above")
             .to_votable("result");
-        let monolithic = RpcResponse::new("FetchResults")
-            .result("result", SoapValue::Table(table.clone()))
+        let mut monolithic = RpcResponse::new("FetchResults")
+            .result("result", SoapValue::Table(table))
             .result("degraded", SoapValue::Bool(degraded))
             .result("dropped", SoapValue::Str(dropped.clone()));
-        if monolithic.to_xml().len() <= max_bytes {
-            return Ok(monolithic);
+        // A reply that fits is sent as the very bytes that were measured.
+        let encoded = monolithic.to_xml();
+        if encoded.len() <= max_bytes {
+            return Ok(Reply::Encoded(encoded));
         }
+        let Some(SoapValue::Table(table)) = monolithic.take("result") else {
+            unreachable!("the monolithic reply carries the result")
+        };
         let transfer_id = self.next_transfer.fetch_add(1, Ordering::Relaxed);
         let chunks =
             skyquery_soap::chunk::split_table(&table, MessageLimits::tiny(max_bytes), transfer_id)
@@ -889,12 +894,12 @@ impl JobService {
         Ok(RpcResponse::new("FetchResults")
             .result("manifest", SoapValue::Xml(manifest.to_element()))
             .result("degraded", SoapValue::Bool(degraded))
-            .result("dropped", SoapValue::Str(dropped)))
+            .result("dropped", SoapValue::Str(dropped))
+            .into())
     }
 
     fn handle_fetch_chunk(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let transfer_id = require_u64(call, "transfer_id")?;
-        let index = require_u64(call, "index")? as usize;
         let mut st = self.state.lock();
         // Each continuation renews the session's lease, like a SkyNode's
         // chunked transfers: a live receiver never loses one mid-stream.
@@ -903,18 +908,11 @@ impl JobService {
             .transfers
             .get(transfer_id)
             .ok_or_else(|| FederationError::lease_expired("transfer", transfer_id, &self.host))?;
-        let (header, table) = chunks
-            .get(index)
-            .cloned()
-            .ok_or_else(|| FederationError::protocol(format!("no chunk {index}")))?;
-        if index + 1 == header.total {
+        let (reply, last) = skyquery_core::service::fetch_chunk(call, chunks)?;
+        if last {
             st.transfers.remove(transfer_id);
         }
-        Ok(RpcResponse::new("FetchChunk")
-            .result("chunk", SoapValue::Table(table))
-            .result("index", SoapValue::Int(header.index as i64))
-            .result("total", SoapValue::Int(header.total as i64))
-            .result("transfer_id", SoapValue::Int(header.transfer_id as i64)))
+        Ok(reply)
     }
 
     fn handle_abort_transfer(&self, call: &RpcCall) -> Result<RpcResponse> {
@@ -923,7 +921,7 @@ impl JobService {
         Ok(RpcResponse::new("AbortTransfer").result("aborted", SoapValue::Bool(freed)))
     }
 
-    fn handle_call(&self, net: &SimNetwork, call: RpcCall) -> Result<RpcResponse> {
+    fn handle_call(&self, net: &SimNetwork, call: RpcCall) -> Result<Reply> {
         // Janitor first, like a SkyNode: every request is an opportunity
         // to reclaim leases that lapsed while the service sat idle.
         self.sweep_leases();
@@ -973,12 +971,4 @@ fn require_str(call: &RpcCall, name: &str) -> Result<String> {
         .as_str()
         .ok_or_else(|| FederationError::protocol(format!("{name} must be a string")))?
         .to_string())
-}
-
-fn require_u64(call: &RpcCall, name: &str) -> Result<u64> {
-    call.require(name)?
-        .as_i64()
-        .filter(|v| *v >= 0)
-        .map(|v| v as u64)
-        .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative integer")))
 }

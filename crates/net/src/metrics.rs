@@ -60,7 +60,8 @@ impl LinkStats {
 pub struct ChunkFlowStats {
     /// Payload chunks served over the link.
     pub chunks: u64,
-    /// Encoded payload bytes across those chunks.
+    /// Reply body bytes across those chunks: each whole `FetchChunk`
+    /// reply envelope, as the link carried it.
     pub bytes: u64,
     /// Table rows carried across those chunks.
     pub rows: u64,
@@ -198,11 +199,13 @@ impl NetworkMetrics {
         self.total.record(bytes, seconds);
     }
 
-    /// Records one chunked-transfer payload chunk of `bytes` / `rows`
-    /// flowing from `from` to `to`. The chunk's framed message is already
-    /// counted by [`NetworkMetrics::record`]; this tracks the transfer
-    /// pattern itself (chunk counts, payload bytes, rows) so experiments
-    /// can compare monolithic and pipelined transfers.
+    /// Records one chunked-transfer payload chunk flowing from `from` to
+    /// `to`: `bytes` is the length of the `FetchChunk` reply body the link
+    /// carried (the SOAP envelope around the chunk's table), `rows` the
+    /// table's rows. The chunk's framed message is already counted by
+    /// [`NetworkMetrics::record`]; this tracks the transfer pattern itself
+    /// (chunk counts, reply body bytes, rows) so experiments can compare
+    /// monolithic and pipelined transfers.
     pub fn record_chunk(&mut self, from: &str, to: &str, bytes: usize, rows: usize) {
         self.chunk_flows
             .entry((from.to_string(), to.to_string()))

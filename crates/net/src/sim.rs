@@ -193,9 +193,10 @@ impl SimNetwork {
         self.inner.metrics.lock().record_fault(from, to, kind);
     }
 
-    /// Records one chunked-transfer payload chunk flowing `from → to`
-    /// (see [`NetworkMetrics::record_chunk`]). Called by the transfer
-    /// layer as it pulls `FetchChunk` continuations.
+    /// Records one chunked-transfer payload chunk flowing `from → to`:
+    /// its `FetchChunk` reply body bytes and its rows (see
+    /// [`NetworkMetrics::record_chunk`]). Called by the transfer layer as
+    /// it pulls `FetchChunk` continuations.
     pub fn record_chunk(&self, from: &str, to: &str, bytes: usize, rows: usize) {
         self.inner
             .metrics

@@ -25,19 +25,21 @@ impl Envelope {
         self
     }
 
-    /// Serializes to the on-the-wire XML document.
-    pub fn to_xml(&self) -> String {
+    /// Serializes to the on-the-wire XML document, moving the header and
+    /// body into the envelope rather than copying them.
+    pub fn into_xml(self) -> String {
         let mut env = Element::new("soap:Envelope").with_attr("xmlns:soap", SOAP_ENV_NS);
-        if let Some(h) = &self.header {
-            env = env.with_child(Element::new("soap:Header").with_child(h.clone()));
+        if let Some(h) = self.header {
+            env = env.with_child(Element::new("soap:Header").with_child(h));
         }
-        env = env.with_child(Element::new("soap:Body").with_child(self.body.clone()));
-        env.to_xml()
+        env.with_child(Element::new("soap:Body").with_child(self.body))
+            .to_xml()
     }
 
-    /// Parses and validates a wire document.
+    /// Parses and validates a wire document, moving the header and body
+    /// out of the parsed tree.
     pub fn parse(xml: &str) -> Result<Envelope, SoapError> {
-        let root = Element::parse(xml)?;
+        let mut root = Element::parse(xml)?;
         if !name_is(&root.name, "Envelope") {
             return Err(SoapError::Protocol {
                 detail: format!("root element is {}, not Envelope", root.name),
@@ -53,25 +55,22 @@ impl Envelope {
                 detail: "missing SOAP envelope namespace".into(),
             });
         }
-        let header = root
-            .child("Header")
-            .and_then(|h| h.children.first())
-            .cloned();
-        let body_el = root.child("Body").ok_or_else(|| SoapError::Protocol {
+        let mut take = |name| {
+            let at = root.children.iter().position(|c| name_is(&c.name, name))?;
+            Some(root.children.remove(at))
+        };
+        let header = take("Header").and_then(|h| h.children.into_iter().next());
+        let mut body_el = take("Body").ok_or_else(|| SoapError::Protocol {
             detail: "envelope has no Body".into(),
         })?;
-        let body = body_el
-            .children
-            .first()
-            .cloned()
-            .ok_or_else(|| SoapError::Protocol {
-                detail: "Body is empty".into(),
-            })?;
         if body_el.children.len() > 1 {
             return Err(SoapError::Protocol {
                 detail: "Body carries more than one payload element".into(),
             });
         }
+        let body = body_el.children.pop().ok_or_else(|| SoapError::Protocol {
+            detail: "Body is empty".into(),
+        })?;
         Ok(Envelope { header, body })
     }
 }
@@ -94,7 +93,7 @@ mod tests {
                 .with_attr("xmlns:m", "urn:skyquery")
                 .with_leaf("threshold", "3.5"),
         );
-        let xml = env.to_xml();
+        let xml = env.clone().into_xml();
         assert!(xml.starts_with("<soap:Envelope"));
         let back = Envelope::parse(&xml).unwrap();
         assert_eq!(back, env);
@@ -104,7 +103,7 @@ mod tests {
     fn header_preserved() {
         let env =
             Envelope::new(Element::new("x")).with_header(Element::new("TraceId").with_text("abc"));
-        let back = Envelope::parse(&env.to_xml()).unwrap();
+        let back = Envelope::parse(&env.into_xml()).unwrap();
         assert_eq!(back.header.unwrap().text, "abc");
     }
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 //! # skyquery-soap — the Web-services message layer
 //!
 //! SkyQuery interoperates "using the emerging Web services standard"

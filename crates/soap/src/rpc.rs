@@ -56,7 +56,7 @@ impl SoapValue {
         }
     }
 
-    fn decode(e: &Element) -> Result<SoapValue, SoapError> {
+    fn decode(e: Element) -> Result<SoapValue, SoapError> {
         let ty = e.attr("sq:type").ok_or_else(|| SoapError::Protocol {
             detail: format!("parameter {} missing sq:type", e.name),
         })?;
@@ -64,7 +64,7 @@ impl SoapValue {
             detail: format!("parameter {} is not a valid {what}: {:?}", e.name, e.text),
         };
         Ok(match ty {
-            "string" => SoapValue::Str(e.text.clone()),
+            "string" => SoapValue::Str(e.text),
             "long" => SoapValue::Int(e.text.parse().map_err(|_| parse_err("long"))?),
             "double" => SoapValue::Float(e.text.parse().map_err(|_| parse_err("double"))?),
             "boolean" => SoapValue::Bool(e.text.parse().map_err(|_| parse_err("boolean"))?),
@@ -74,16 +74,14 @@ impl SoapValue {
                 })?;
                 SoapValue::Table(VoTable::from_element(t)?)
             }
-            "xml" => {
-                let x = e
-                    .children
-                    .first()
-                    .cloned()
-                    .ok_or_else(|| SoapError::Protocol {
+            "xml" => match e.children.into_iter().next() {
+                Some(x) => SoapValue::Xml(x),
+                None => {
+                    return Err(SoapError::Protocol {
                         detail: format!("xml parameter {} has no child", e.name),
-                    })?;
-                SoapValue::Xml(x)
-            }
+                    })
+                }
+            },
             "nil" => SoapValue::Null,
             other => {
                 return Err(SoapError::Protocol {
@@ -190,7 +188,7 @@ impl RpcCall {
         for (name, value) in &self.params {
             m = m.with_child(value.encode_into(name));
         }
-        Envelope::new(m).to_xml()
+        Envelope::new(m).into_xml()
     }
 
     /// Decodes a wire document into a call.
@@ -204,7 +202,7 @@ impl RpcCall {
             .unwrap_or(&env.body.name)
             .to_string();
         let mut params = Vec::new();
-        for child in &env.body.children {
+        for child in env.body.children {
             params.push((child.name.clone(), SoapValue::decode(child)?));
         }
         Ok(RpcCall { method, params })
@@ -247,6 +245,13 @@ impl RpcResponse {
         })
     }
 
+    /// Removes and returns a result by name — for a caller that wants
+    /// the value itself rather than a copy of it.
+    pub fn take(&mut self, name: &str) -> Option<SoapValue> {
+        let at = self.results.iter().position(|(n, _)| n == name)?;
+        Some(self.results.remove(at).1)
+    }
+
     /// Encodes to a wire XML document.
     pub fn to_xml(&self) -> String {
         let mut m =
@@ -254,7 +259,7 @@ impl RpcResponse {
         for (name, value) in &self.results {
             m = m.with_child(value.encode_into(name));
         }
-        Envelope::new(m).to_xml()
+        Envelope::new(m).into_xml()
     }
 
     /// Decodes a wire document into either a response or a fault.
@@ -276,7 +281,7 @@ impl RpcResponse {
             })?
             .to_string();
         let mut results = Vec::new();
-        for child in &env.body.children {
+        for child in env.body.children {
             results.push((child.name.clone(), SoapValue::decode(child)?));
         }
         Ok(Ok(RpcResponse { method, results }))
@@ -325,7 +330,7 @@ impl SoapFault {
             .with_leaf("faultcode", format!("soap:{}", self.code))
             .with_leaf("faultstring", self.message.clone())
             .with_leaf("detail", self.detail.clone());
-        Envelope::new(f).to_xml()
+        Envelope::new(f).into_xml()
     }
 
     fn from_element(e: &Element) -> Result<SoapFault, SoapError> {

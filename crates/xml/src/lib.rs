@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 //! # skyquery-xml — the XML substrate
 //!
 //! SkyQuery's components exchange everything — registrations, metadata,

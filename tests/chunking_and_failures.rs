@@ -166,6 +166,28 @@ fn fetch_chunk_with_missing_index_faults() {
 }
 
 #[test]
+fn fetch_chunk_with_negative_index_is_refused() {
+    let fed = FederationBuilder::paper_triple(400).build();
+    let manifest = open_seed_transfer(&fed);
+    let node = fed.node("SDSS").unwrap();
+    let err = send_rpc(
+        &fed.net,
+        "tester",
+        &node.url(),
+        &RpcCall::new("FetchChunk")
+            .param("transfer_id", SoapValue::Int(manifest.transfer_id as i64))
+            .param("index", SoapValue::Int(-1)),
+    )
+    .unwrap_err();
+    assert!(
+        err.to_string().contains("must be a non-negative integer"),
+        "{err}"
+    );
+    // The refused index did not tear down the transfer: chunk 0 serves.
+    fetch_chunk(&fed, manifest.transfer_id, 0).expect("transfer survives a negative index");
+}
+
+#[test]
 fn out_of_order_fetch_frees_transfer_after_last_chunk() {
     let fed = FederationBuilder::paper_triple(400).build();
     let manifest = open_seed_transfer(&fed);

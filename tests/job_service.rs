@@ -19,10 +19,10 @@
 
 use std::sync::Arc;
 
-use skyquery_core::{ChainMode, FederationConfig, FederationError, RetryPolicy};
+use skyquery_core::{send_rpc, ChainMode, FederationConfig, FederationError, RetryPolicy};
 use skyquery_jobs::{JobClient, JobService, JobServiceConfig, JobState, QuotaClass};
 use skyquery_sim::{FederationBuilder, TestFederation};
-use skyquery_soap::wsdl;
+use skyquery_soap::{wsdl, ChunkManifest, RpcCall, SoapValue};
 use skyquery_xml::Element;
 
 const JOBS_HOST: &str = "jobs.skyquery.net";
@@ -142,6 +142,41 @@ fn oversized_results_paginate_through_chunked_transfer_and_drain() {
     assert!(
         svc.open_transfers().is_empty(),
         "serving the last chunk must free the pagination session"
+    );
+}
+
+#[test]
+fn fetch_chunk_with_negative_index_is_refused() {
+    let fed = federation(ChainMode::Recursive);
+    let (reference, _) = fed.portal.submit(ordered_three_sql()).unwrap();
+    let limit = reference.to_votable("result").to_xml().len() * 3 / 4;
+    fed.portal.set_config(FederationConfig {
+        max_message_bytes: limit,
+        ..fed.portal.config()
+    });
+    let svc = job_service(&fed, JobServiceConfig::default());
+    let id = client(&fed, &svc, "alice-web")
+        .submit("alice", ordered_three_sql())
+        .unwrap();
+    svc.run_until_idle(100_000);
+    let call = |call: RpcCall| send_rpc(&fed.net, "alice-web", &svc.url(), &call);
+    let resp = call(RpcCall::new("FetchResults").param("job", SoapValue::Int(id as i64))).unwrap();
+    let manifest = ChunkManifest::from_element(resp.require("manifest").unwrap().as_xml().unwrap())
+        .expect("an oversized result answers a manifest");
+    let err = call(
+        RpcCall::new("FetchChunk")
+            .param("transfer_id", SoapValue::Int(manifest.transfer_id as i64))
+            .param("index", SoapValue::Int(-1)),
+    )
+    .unwrap_err();
+    assert!(
+        err.to_string().contains("must be a non-negative integer"),
+        "{err}"
+    );
+    assert_eq!(
+        svc.open_transfers(),
+        vec![manifest.transfer_id],
+        "a refused index leaves the transfer open"
     );
 }
 
