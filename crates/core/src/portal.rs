@@ -1477,7 +1477,17 @@ fn project(plan: &ExecutionPlan, mut set: PartialSet) -> Result<ResultSet> {
                     .map(|c| c.dtype),
                 _ => None,
             }
-            .or_else(|| rows.iter().filter_map(|r| r[i].data_type()).next())
+            .or_else(|| {
+                let mut types = rows.iter().filter_map(|r| r[i].data_type());
+                let first = types.next()?;
+                // `sql::eval` turns an Int product past i64 into a Float,
+                // so one computed column can hold both; an Int's text is
+                // also a valid double.
+                Some(match first {
+                    DataType::Int if types.any(|t| t == DataType::Float) => DataType::Float,
+                    _ => first,
+                })
+            })
             .unwrap_or(DataType::Float);
             ResultColumn::new(name.clone(), dtype)
         })
@@ -1543,5 +1553,52 @@ impl Endpoint for Portal {
                 "unknown portal service {other}"
             ))),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::xmatch::{PartialTuple, TupleState};
+
+    #[test]
+    fn computed_column_mixing_int_and_float_is_declared_float() {
+        let plan = ExecutionPlan {
+            threshold: 3.5,
+            region: None,
+            steps: Vec::new(),
+            select: vec![("A.n * A.n".into(), Some("sq".into()))],
+            order_by: Vec::new(),
+            limit: None,
+            max_message_bytes: DEFAULT_MAX_MESSAGE_BYTES,
+            chunking: true,
+            xmatch_workers: 1,
+            zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
+            zone_chunking: true,
+            kernel: MatchKernel::default(),
+            retry: RetryPolicy::default(),
+            lease_ttl_s: DEFAULT_LEASE_TTL_S,
+        };
+        let mut set = PartialSet::new(vec![ResultColumn::new("A.n", DataType::Int)]);
+        let state = TupleState {
+            a: 1.0,
+            ax: 1.0,
+            ay: 0.0,
+            az: 0.0,
+        };
+        for n in [3, 3_000_000_000] {
+            set.tuples.push(PartialTuple {
+                state,
+                values: vec![Value::Int(n)],
+            });
+        }
+        let rs = Portal::project_result(&plan, set).unwrap();
+        let table = rs.to_votable("result");
+        assert_eq!(rs.columns[0].dtype, DataType::Float);
+        assert_eq!(rs.rows[0][0], Value::Int(9));
+        assert_eq!(
+            table.rows,
+            vec![vec![Some("9".to_string())], vec![Some("9e18".to_string())]]
+        );
     }
 }

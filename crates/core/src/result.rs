@@ -2,7 +2,8 @@
 
 use skyquery_storage::{DataType, Row, Value};
 use skyquery_xml::votable::format_f64;
-use skyquery_xml::{VoColumn, VoTable, VoType};
+use skyquery_xml::votable::VoCell;
+use skyquery_xml::{VoColumn, VoTable, VoType, XmlError};
 
 use crate::error::{FederationError, Result};
 
@@ -94,17 +95,17 @@ impl ResultSet {
 
     /// Encodes into the VOTable wire payload.
     pub fn to_votable(&self, name: &str) -> VoTable {
-        let cols = self
-            .columns
+        let mut t = VoTable::new(name, vo_columns(&self.columns));
+        t.rows = self
+            .rows
             .iter()
-            .map(|c| VoColumn::new(c.name.clone(), dtype_to_votype(c.dtype)))
+            .map(|row| {
+                let mut cells = Vec::with_capacity(row.len());
+                push_cells(&mut cells, row, &t.columns)
+                    .expect("rows conform to columns by construction");
+                cells
+            })
             .collect();
-        let mut t = VoTable::new(name, cols);
-        for row in &self.rows {
-            let cells = row.iter().map(value_to_cell).collect();
-            t.push_row(cells)
-                .expect("rows conform to columns by construction");
-        }
         t
     }
 
@@ -160,6 +161,50 @@ impl ResultSet {
     }
 }
 
+/// The wire declarations of `columns`.
+pub(crate) fn vo_columns(columns: &[ResultColumn]) -> Vec<VoColumn> {
+    columns
+        .iter()
+        .map(|c| VoColumn::new(c.name.clone(), dtype_to_votype(c.dtype)))
+        .collect()
+}
+
+/// Appends the wire cells of `values`, one per column of `columns`, to
+/// `cells`. A value of its column's own type is valid by construction and
+/// is not re-parsed; any other value's text is checked as
+/// [`VoTable::push_row`] checks a cell.
+pub(crate) fn push_cells(
+    cells: &mut Vec<VoCell>,
+    values: &[Value],
+    columns: &[VoColumn],
+) -> std::result::Result<(), XmlError> {
+    if values.len() != columns.len() {
+        return Err(XmlError::SchemaViolation {
+            detail: format!("{} values for {} columns", values.len(), columns.len()),
+        });
+    }
+    for (v, col) in values.iter().zip(columns) {
+        let cell = value_to_cell(v);
+        let own_type = v
+            .data_type()
+            .is_none_or(|d| dtype_to_votype(d) == col.vtype);
+        if let Some(text) = cell
+            .as_deref()
+            .filter(|t| !own_type && !col.vtype.validate(t))
+        {
+            return Err(XmlError::SchemaViolation {
+                detail: format!(
+                    "cell {text:?} is not a valid {} for column {}",
+                    col.vtype.as_str(),
+                    col.name
+                ),
+            });
+        }
+        cells.push(cell);
+    }
+    Ok(())
+}
+
 fn dtype_to_votype(d: DataType) -> VoType {
     match d {
         DataType::Bool => VoType::Bool,
@@ -170,7 +215,7 @@ fn dtype_to_votype(d: DataType) -> VoType {
     }
 }
 
-fn votype_to_dtype(v: VoType) -> DataType {
+pub(crate) fn votype_to_dtype(v: VoType) -> DataType {
     match v {
         VoType::Bool => DataType::Bool,
         VoType::Int => DataType::Int,
@@ -191,7 +236,7 @@ fn value_to_cell(v: &Value) -> Option<String> {
     }
 }
 
-fn cell_to_value(cell: Option<&str>, ty: VoType) -> Result<Value> {
+pub(crate) fn cell_to_value(cell: Option<&str>, ty: VoType) -> Result<Value> {
     let Some(text) = cell else {
         return Ok(Value::Null);
     };

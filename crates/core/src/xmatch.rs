@@ -30,11 +30,12 @@ use skyquery_storage::{
     ColumnDef, DataType, Database, PositionColumns, ProbeScratch, RangeSearchHit, Row, ScanOptions,
     Table, TableSchema, Value,
 };
-use skyquery_xml::VoTable;
+use skyquery_xml::votable::format_f64;
+use skyquery_xml::{VoColumn, VoTable, VoType};
 
 use crate::error::{FederationError, Result};
 use crate::region::Region;
-use crate::result::{ResultColumn, ResultSet};
+use crate::result::{cell_to_value, push_cells, vo_columns, votype_to_dtype, ResultColumn};
 
 /// Multiplicative safety margin on the candidate search radius. Two
 /// effects make the bound inexact at f64: the spherical re-normalization
@@ -161,56 +162,69 @@ impl PartialSet {
 
     /// Wire encoding: four state columns then the carried columns.
     pub fn to_votable(&self) -> VoTable {
-        let mut rs = ResultSet::new(
-            STATE_COLS
-                .iter()
-                .map(|n| ResultColumn::new(*n, DataType::Float))
-                .chain(self.columns.iter().cloned())
-                .collect(),
-        );
-        for t in &self.tuples {
-            let mut row = vec![
-                Value::Float(t.state.a),
-                Value::Float(t.state.ax),
-                Value::Float(t.state.ay),
-                Value::Float(t.state.az),
-            ];
-            row.extend(t.values.iter().cloned());
-            rs.push_row(row).expect("state+values match columns");
-        }
-        rs.to_votable("partial")
+        let columns = STATE_COLS
+            .iter()
+            .map(|n| VoColumn::new(*n, VoType::Float))
+            .chain(vo_columns(&self.columns))
+            .collect();
+        let mut t = VoTable::new("partial", columns);
+        let carried = &t.columns[STATE_COLS.len()..];
+        t.rows = self
+            .tuples
+            .iter()
+            .map(|tuple| {
+                let s = tuple.state;
+                let mut cells = Vec::with_capacity(STATE_COLS.len() + carried.len());
+                cells.extend([s.a, s.ax, s.ay, s.az].map(|x| Some(format_f64(x))));
+                push_cells(&mut cells, &tuple.values, carried).expect("state+values match columns");
+                cells
+            })
+            .collect();
+        t
     }
 
     /// Decodes the wire encoding.
     pub fn from_votable(t: &VoTable) -> Result<PartialSet> {
-        let rs = ResultSet::from_votable(t)?;
-        if rs.columns.len() < 4
-            || rs.columns[..4]
-                .iter()
-                .zip(STATE_COLS)
-                .any(|(c, n)| c.name != n)
-        {
+        let names = t.columns.iter().map(|c| c.name.as_str());
+        if !names.take(STATE_COLS.len()).eq(STATE_COLS) {
             return Err(FederationError::protocol(
                 "partial-result table missing __a/__ax/__ay/__az state columns",
             ));
         }
-        let columns = rs.columns[4..].to_vec();
-        let mut tuples = Vec::with_capacity(rs.rows.len());
-        for row in rs.rows {
-            let f = |v: &Value, name: &str| {
-                v.as_f64().ok_or_else(|| {
-                    FederationError::protocol(format!("state column {name} is not numeric"))
-                })
-            };
-            let state = TupleState {
-                a: f(&row[0], "__a")?,
-                ax: f(&row[1], "__ax")?,
-                ay: f(&row[2], "__ay")?,
-                az: f(&row[3], "__az")?,
-            };
+        let (state_cols, carried) = t.columns.split_at(STATE_COLS.len());
+        let columns = carried
+            .iter()
+            .map(|c| ResultColumn::new(c.name.clone(), votype_to_dtype(c.vtype)))
+            .collect();
+        let mut tuples = Vec::with_capacity(t.rows.len());
+        for row in &t.rows {
+            if row.len() != t.columns.len() {
+                return Err(FederationError::protocol(format!(
+                    "partial-result row arity {} != {} columns",
+                    row.len(),
+                    t.columns.len()
+                )));
+            }
+            let (state_cells, cells) = row.split_at(STATE_COLS.len());
+            let mut state = [0.0; 4];
+            for ((x, cell), col) in state.iter_mut().zip(state_cells).zip(state_cols) {
+                *x = cell_to_value(cell.as_deref(), col.vtype)?
+                    .as_f64()
+                    .ok_or_else(|| {
+                        FederationError::protocol(format!(
+                            "state column {} is not numeric",
+                            col.name
+                        ))
+                    })?;
+            }
+            let [a, ax, ay, az] = state;
             tuples.push(PartialTuple {
-                state,
-                values: row[4..].to_vec(),
+                state: TupleState { a, ax, ay, az },
+                values: cells
+                    .iter()
+                    .zip(carried)
+                    .map(|(cell, col)| cell_to_value(cell.as_deref(), col.vtype))
+                    .collect::<Result<_>>()?,
             });
         }
         Ok(PartialSet { columns, tuples })
@@ -865,6 +879,7 @@ pub fn decode_materialized(row: &Row) -> (TupleState, &[Value]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::ResultSet;
     use skyquery_sql::parse_expr;
     use skyquery_storage::BufferCache;
 

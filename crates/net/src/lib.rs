@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 //! # skyquery-net — the simulated Internet
 //!
 //! The real SkyQuery federated geographically separate archives over the

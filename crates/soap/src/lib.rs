@@ -6,10 +6,9 @@
 //! (paper §3.1): SOAP 1.1 envelopes over HTTP, services described by WSDL.
 //! This crate is that layer, from scratch on top of `skyquery-xml`:
 //!
-//! * [`envelope`] — SOAP `Envelope`/`Header`/`Body` encoding and strict
-//!   decoding;
 //! * [`rpc`] — method-call encoding with typed parameters (including whole
-//!   result tables), responses, and `Fault`s;
+//!   result tables), responses, and `Fault`s, in SOAP `Envelope`/`Body`
+//!   documents decoded strictly in one pass;
 //! * [`wsdl`] — generation of service descriptions for the four SkyNode
 //!   services and the Portal services;
 //! * [`chunk`] — the paper's §6 workaround: "The XML parser at the SkyNode
@@ -22,12 +21,10 @@
 //!   with the `FetchChunk` continuation.
 
 pub mod chunk;
-pub mod envelope;
 pub mod rpc;
 pub mod wsdl;
 
 pub use chunk::{ChunkHeader, ChunkInfo, ChunkManifest, MessageLimits, ZoneRange};
-pub use envelope::Envelope;
 pub use rpc::{RpcCall, RpcResponse, SoapFault, SoapValue};
 pub use wsdl::{Operation, ParamDef, WsdlBuilder};
 

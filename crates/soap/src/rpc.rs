@@ -1,15 +1,24 @@
-//! SOAP RPC: typed method calls, responses, and faults.
+//! SOAP RPC: typed method calls, responses, and faults, in SOAP 1.1
+//! envelopes.
 //!
 //! Calls are encoded in the RPC style of early SOAP stacks: the body
 //! element is the method name in the service namespace, each parameter a
 //! child element with an `xsi:type`-like `sq:type` attribute. Result
 //! tables ride as embedded VOTable elements — "the SkyNode returns this
 //! result, as a serialized XML encoded SOAP message" (§5.3).
+//!
+//! A message is written through one [`XmlWriter`] and read in one pass of
+//! an [`XmlReader`]: a table parameter goes straight between its cells and
+//! the XML text, and only `xml` parameters and faults become element
+//! trees.
 
-use skyquery_xml::{Element, VoTable};
+use skyquery_xml::dom::local_matches;
+use skyquery_xml::reader::{attr, Attributes};
+use skyquery_xml::{Element, VoTable, XmlError, XmlReader, XmlWriter};
 
-use crate::envelope::Envelope;
-use crate::{SoapError, SKYQUERY_NS};
+use crate::{SoapError, SKYQUERY_NS, SOAP_ENV_NS};
+
+const BALANCED: &str = "balanced by construction";
 
 /// A typed RPC parameter or result value.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,51 +52,42 @@ impl SoapValue {
         }
     }
 
-    fn encode_into(&self, name: &str) -> Element {
-        let e = Element::new(name).with_attr("sq:type", self.type_name());
+    /// Writes this value as the parameter element `name`.
+    fn write_param(&self, w: &mut XmlWriter, name: &str) {
+        w.open(name).attr("sq:type", self.type_name());
         match self {
-            SoapValue::Str(s) => e.with_text(s.clone()),
-            SoapValue::Int(i) => e.with_text(i.to_string()),
-            SoapValue::Float(x) => e.with_text(format!("{x:?}")),
-            SoapValue::Bool(b) => e.with_text(b.to_string()),
-            SoapValue::Table(t) => e.with_child(t.to_element()),
-            SoapValue::Xml(x) => e.with_child(x.clone()),
-            SoapValue::Null => e,
+            SoapValue::Str(s) => _ = w.text(s),
+            SoapValue::Int(i) => _ = w.text(&i.to_string()),
+            SoapValue::Float(x) => _ = w.text(&format!("{x:?}")),
+            SoapValue::Bool(b) => _ = w.text(&b.to_string()),
+            SoapValue::Table(t) => t.write_into(w),
+            SoapValue::Xml(x) => x.write_into(w),
+            SoapValue::Null => {}
         }
+        w.close().expect(BALANCED);
     }
 
-    fn decode(e: Element) -> Result<SoapValue, SoapError> {
-        let ty = e.attr("sq:type").ok_or_else(|| SoapError::Protocol {
-            detail: format!("parameter {} missing sq:type", e.name),
-        })?;
-        let parse_err = |what: &str| SoapError::Protocol {
-            detail: format!("parameter {} is not a valid {what}: {:?}", e.name, e.text),
-        };
+    /// Reads the parameter element `name` whose start tag `r` just
+    /// returned, through its end tag.
+    fn read_param(
+        r: &mut XmlReader<'_>,
+        name: &str,
+        attributes: &Attributes<'_>,
+    ) -> Result<SoapValue, SoapError> {
+        let ty = attr(attributes, "sq:type")
+            .ok_or_else(|| protocol(format!("parameter {name} missing sq:type")))?;
         Ok(match ty {
-            "string" => SoapValue::Str(e.text),
-            "long" => SoapValue::Int(e.text.parse().map_err(|_| parse_err("long"))?),
-            "double" => SoapValue::Float(e.text.parse().map_err(|_| parse_err("double"))?),
-            "boolean" => SoapValue::Bool(e.text.parse().map_err(|_| parse_err("boolean"))?),
-            "table" => {
-                let t = e.children.first().ok_or_else(|| SoapError::Protocol {
-                    detail: format!("table parameter {} has no VOTABLE child", e.name),
-                })?;
-                SoapValue::Table(VoTable::from_element(t)?)
+            "string" => SoapValue::Str(r.read_text()?.into_owned()),
+            "long" => SoapValue::Int(scalar(r, name, "long")?),
+            "double" => SoapValue::Float(scalar(r, name, "double")?),
+            "boolean" => SoapValue::Bool(scalar(r, name, "boolean")?),
+            "table" => SoapValue::Table(first_child(r, name, |r, n, a| VoTable::read(r, n, &a))?),
+            "xml" => SoapValue::Xml(first_child(r, name, Element::read)?),
+            "nil" => {
+                r.skip_element()?;
+                SoapValue::Null
             }
-            "xml" => match e.children.into_iter().next() {
-                Some(x) => SoapValue::Xml(x),
-                None => {
-                    return Err(SoapError::Protocol {
-                        detail: format!("xml parameter {} has no child", e.name),
-                    })
-                }
-            },
-            "nil" => SoapValue::Null,
-            other => {
-                return Err(SoapError::Protocol {
-                    detail: format!("unknown parameter type {other}"),
-                })
-            }
+            other => return Err(protocol(format!("unknown parameter type {other}"))),
         })
     }
 
@@ -184,28 +184,17 @@ impl RpcCall {
 
     /// Encodes to a wire XML document.
     pub fn to_xml(&self) -> String {
-        let mut m = Element::new(format!("sq:{}", self.method)).with_attr("xmlns:sq", SKYQUERY_NS);
-        for (name, value) in &self.params {
-            m = m.with_child(value.encode_into(name));
-        }
-        Envelope::new(m).into_xml()
+        rpc_envelope(&format!("sq:{}", self.method), &self.params)
     }
 
     /// Decodes a wire document into a call.
     pub fn parse(xml: &str) -> Result<RpcCall, SoapError> {
-        let env = Envelope::parse(xml)?;
-        let method = env
-            .body
-            .name
-            .rsplit_once(':')
-            .map(|(_, local)| local)
-            .unwrap_or(&env.body.name)
-            .to_string();
-        let mut params = Vec::new();
-        for child in env.body.children {
-            params.push((child.name.clone(), SoapValue::decode(child)?));
-        }
-        Ok(RpcCall { method, params })
+        read_envelope(xml, |r, name, _| {
+            Ok(RpcCall {
+                method: local_name(name).to_string(),
+                params: read_params(r)?,
+            })
+        })
     }
 }
 
@@ -254,37 +243,31 @@ impl RpcResponse {
 
     /// Encodes to a wire XML document.
     pub fn to_xml(&self) -> String {
-        let mut m =
-            Element::new(format!("sq:{}Response", self.method)).with_attr("xmlns:sq", SKYQUERY_NS);
-        for (name, value) in &self.results {
-            m = m.with_child(value.encode_into(name));
-        }
-        Envelope::new(m).into_xml()
+        rpc_envelope(&format!("sq:{}Response", self.method), &self.results)
     }
 
     /// Decodes a wire document into either a response or a fault.
     pub fn parse(xml: &str) -> Result<std::result::Result<RpcResponse, SoapFault>, SoapError> {
-        let env = Envelope::parse(xml)?;
-        let local = env
-            .body
-            .name
-            .rsplit_once(':')
-            .map(|(_, l)| l)
-            .unwrap_or(&env.body.name);
-        if local == "Fault" {
-            return Ok(Err(SoapFault::from_element(&env.body)?));
-        }
-        let method = local
-            .strip_suffix("Response")
-            .ok_or_else(|| SoapError::Protocol {
-                detail: format!("body element {local} is neither a Response nor a Fault"),
-            })?
-            .to_string();
-        let mut results = Vec::new();
-        for child in env.body.children {
-            results.push((child.name.clone(), SoapValue::decode(child)?));
-        }
-        Ok(Ok(RpcResponse { method, results }))
+        read_envelope(xml, |r, name, attributes| {
+            let local = local_name(name);
+            if local == "Fault" {
+                return Ok(Err(SoapFault::from_element(&Element::read(
+                    r, name, attributes,
+                )?)?));
+            }
+            let method = local
+                .strip_suffix("Response")
+                .ok_or_else(|| {
+                    protocol(format!(
+                        "body element {local} is neither a Response nor a Fault"
+                    ))
+                })?
+                .to_string();
+            Ok(Ok(RpcResponse {
+                method,
+                results: read_params(r)?,
+            }))
+        })
     }
 }
 
@@ -330,7 +313,7 @@ impl SoapFault {
             .with_leaf("faultcode", format!("soap:{}", self.code))
             .with_leaf("faultstring", self.message.clone())
             .with_leaf("detail", self.detail.clone());
-        Envelope::new(f).into_xml()
+        envelope(|w| f.write_into(w))
     }
 
     fn from_element(e: &Element) -> Result<SoapFault, SoapError> {
@@ -363,6 +346,117 @@ impl std::fmt::Display for SoapFault {
             write!(f, " ({})", self.detail)?;
         }
         Ok(())
+    }
+}
+
+/// A whole envelope whose body payload `write_payload` writes.
+fn envelope(write_payload: impl FnOnce(&mut XmlWriter)) -> String {
+    let mut w = XmlWriter::new();
+    w.open("soap:Envelope").attr("xmlns:soap", SOAP_ENV_NS);
+    w.open("soap:Body");
+    write_payload(&mut w);
+    w.close().expect(BALANCED);
+    w.close().expect(BALANCED);
+    w.finish().expect(BALANCED)
+}
+
+/// An envelope around the RPC element `element` holding `values`.
+fn rpc_envelope(element: &str, values: &[(String, SoapValue)]) -> String {
+    envelope(|w| {
+        w.open(element).attr("xmlns:sq", SKYQUERY_NS);
+        for (name, value) in values {
+            value.write_param(w, name);
+        }
+        w.close().expect(BALANCED);
+    })
+}
+
+/// Reads a wire document in one pass. The root must be an `Envelope`
+/// declaring the SOAP namespace, and its first `Body` must hold exactly
+/// one payload element, which `read_payload` reads from its start tag
+/// through its end tag; the envelope's other children (a `Header`, say)
+/// are skipped.
+fn read_envelope<'a, T>(
+    xml: &'a str,
+    mut read_payload: impl FnMut(&mut XmlReader<'a>, &'a str, Attributes<'a>) -> Result<T, SoapError>,
+) -> Result<T, SoapError> {
+    let mut r = XmlReader::new(xml);
+    let (name, attributes) = r.root()?;
+    if !local_matches(name, "Envelope") {
+        return Err(protocol(format!("root element is {name}, not Envelope")));
+    }
+    // The namespace declaration must be present and correct.
+    let ns_ok = attributes
+        .iter()
+        .any(|(k, v)| (*k == "xmlns" || k.starts_with("xmlns:")) && v == SOAP_ENV_NS);
+    if !ns_ok {
+        return Err(protocol("missing SOAP envelope namespace"));
+    }
+    let mut payload = None;
+    while let Some((name, _)) = r.next_child()? {
+        if payload.is_some() || !local_matches(name, "Body") {
+            r.skip_element()?;
+            continue;
+        }
+        let (name, attributes) = r.next_child()?.ok_or_else(|| protocol("Body is empty"))?;
+        payload = Some(read_payload(&mut r, name, attributes)?);
+        if r.next_child()?.is_some() {
+            return Err(protocol("Body carries more than one payload element"));
+        }
+    }
+    let payload = payload.ok_or_else(|| protocol("envelope has no Body"))?;
+    r.finish()?;
+    Ok(payload)
+}
+
+/// Reads the named, typed parameters of the RPC element being read.
+fn read_params(r: &mut XmlReader<'_>) -> Result<Vec<(String, SoapValue)>, SoapError> {
+    let mut params = Vec::new();
+    while let Some((name, attributes)) = r.next_child()? {
+        params.push((
+            name.to_string(),
+            SoapValue::read_param(r, name, &attributes)?,
+        ));
+    }
+    Ok(params)
+}
+
+/// Reads the text of parameter `param` as a `what`.
+fn scalar<T: std::str::FromStr>(
+    r: &mut XmlReader<'_>,
+    param: &str,
+    what: &str,
+) -> Result<T, SoapError> {
+    let text = r.read_text()?;
+    text.parse()
+        .map_err(|_| protocol(format!("parameter {param} is not a valid {what}: {text:?}")))
+}
+
+/// Reads the first child element of parameter `param` with `read`, then
+/// skips the rest of the parameter.
+fn first_child<'a, T>(
+    r: &mut XmlReader<'a>,
+    param: &str,
+    read: impl FnOnce(&mut XmlReader<'a>, &'a str, Attributes<'a>) -> Result<T, XmlError>,
+) -> Result<T, SoapError> {
+    let (name, attributes) = r
+        .next_child()?
+        .ok_or_else(|| protocol(format!("parameter {param} has no child element")))?;
+    let value = read(r, name, attributes)?;
+    while r.next_child()?.is_some() {
+        r.skip_element()?;
+    }
+    Ok(value)
+}
+
+/// An element name without its namespace prefix.
+fn local_name(name: &str) -> &str {
+    name.rsplit_once(':').map_or(name, |(_, local)| local)
+}
+
+fn protocol(detail: impl Into<String>) -> SoapError {
+    SoapError::Protocol {
+        detail: detail.into(),
     }
 }
 
@@ -465,5 +559,59 @@ mod tests {
             SKYQUERY_NS
         );
         assert!(RpcCall::parse(&xml).is_err());
+    }
+
+    /// Both decoders refuse `xml`.
+    fn refused(xml: &str) -> bool {
+        RpcCall::parse(xml).is_err() && RpcResponse::parse(xml).is_err()
+    }
+
+    #[test]
+    fn rejects_non_envelope() {
+        assert!(refused("<NotSoap/>"));
+    }
+
+    #[test]
+    fn rejects_missing_namespace() {
+        assert!(refused(
+            "<soap:Envelope><soap:Body><xResponse/></soap:Body></soap:Envelope>"
+        ));
+    }
+
+    #[test]
+    fn rejects_empty_or_crowded_body() {
+        let ns = crate::SOAP_ENV_NS;
+        let empty =
+            format!(r#"<soap:Envelope xmlns:soap="{ns}"><soap:Body></soap:Body></soap:Envelope>"#);
+        assert!(refused(&empty));
+        let two = format!(
+            r#"<soap:Envelope xmlns:soap="{ns}"><soap:Body><aResponse/><bResponse/></soap:Body></soap:Envelope>"#
+        );
+        assert!(refused(&two));
+        let none = format!(r#"<soap:Envelope xmlns:soap="{ns}"/>"#);
+        assert!(refused(&none));
+    }
+
+    #[test]
+    fn accepts_default_namespace_form() {
+        let ns = crate::SOAP_ENV_NS;
+        let xml = format!(r#"<Envelope xmlns="{ns}"><Body><x/></Body></Envelope>"#);
+        assert_eq!(RpcCall::parse(&xml).unwrap(), RpcCall::new("x"));
+        let xml = format!(r#"<Envelope xmlns="{ns}"><Body><xResponse/></Body></Envelope>"#);
+        assert_eq!(
+            RpcResponse::parse(&xml).unwrap().unwrap(),
+            RpcResponse::new("x")
+        );
+    }
+
+    #[test]
+    fn header_block_is_skipped() {
+        let call = RpcCall::new("M").param("x", SoapValue::Int(1));
+        let xml = call.to_xml().replacen(
+            "<soap:Body>",
+            "<soap:Header><TraceId>abc</TraceId></soap:Header><soap:Body>",
+            1,
+        );
+        assert_eq!(RpcCall::parse(&xml).unwrap(), call);
     }
 }

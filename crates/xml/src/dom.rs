@@ -1,6 +1,6 @@
 //! A small element tree for message construction and navigation.
 
-use crate::reader::{XmlEvent, XmlReader};
+use crate::reader::{Attributes, XmlEvent, XmlReader};
 use crate::writer::XmlWriter;
 use crate::XmlError;
 
@@ -73,7 +73,6 @@ impl Element {
     }
 
     /// Attribute value by name.
-    /// Attribute value by name.
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attributes
             .iter()
@@ -108,59 +107,53 @@ impl Element {
         w.finish().expect("element trees are always balanced")
     }
 
-    fn write_into(&self, w: &mut XmlWriter) {
+    /// Writes this element and its subtree into `w`.
+    pub fn write_into(&self, w: &mut XmlWriter) {
         w.open(&self.name);
         for (k, v) in &self.attributes {
             w.attr(k, v);
         }
-        if !self.text.is_empty() {
-            w.text(&self.text);
-        }
+        w.text(&self.text);
         for c in &self.children {
             c.write_into(w);
         }
         w.close().expect("balanced by construction");
     }
 
-    /// Parses a document into its root element.
-    pub fn parse(input: &str) -> Result<Element, XmlError> {
-        let mut reader = XmlReader::new(input);
-        // Find the root start element.
-        let root = loop {
-            match reader.next_event()? {
-                XmlEvent::StartElement { name, attributes } => {
-                    break Element {
-                        name,
-                        attributes,
-                        children: Vec::new(),
-                        text: String::new(),
-                    }
-                }
-                XmlEvent::Eof => {
-                    return Err(XmlError::UnexpectedEof {
-                        context: "document has no root element".into(),
-                    })
-                }
-                _ => {}
-            }
-        };
-        let mut stack = vec![root];
+    fn start_tag(name: &str, attributes: Attributes<'_>) -> Element {
+        Element {
+            name: name.to_string(),
+            attributes: attributes
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v.into_owned()))
+                .collect(),
+            children: Vec::new(),
+            text: String::new(),
+        }
+    }
+
+    /// Builds the subtree of the element whose start tag `reader` just
+    /// returned as `name` and `attributes`, reading through its end tag.
+    pub fn read(
+        reader: &mut XmlReader<'_>,
+        name: &str,
+        attributes: Attributes<'_>,
+    ) -> Result<Element, XmlError> {
+        let mut stack = vec![Element::start_tag(name, attributes)];
         loop {
             match reader.next_event()? {
                 XmlEvent::StartElement { name, attributes } => {
-                    stack.push(Element {
-                        name,
-                        attributes,
-                        children: Vec::new(),
-                        text: String::new(),
-                    });
+                    stack.push(Element::start_tag(name, attributes));
                 }
                 XmlEvent::Text(t) => {
-                    let top = stack.last_mut().expect("text implies open element");
-                    top.text.push_str(&t);
+                    if let Some(top) = stack.last_mut() {
+                        top.text.push_str(&t);
+                    }
                 }
                 XmlEvent::EndElement { .. } => {
-                    let mut done = stack.pop().expect("reader guarantees balance");
+                    let Some(mut done) = stack.pop() else {
+                        break;
+                    };
                     // Whitespace around child elements is formatting noise
                     // (pretty printing); an all-space *leaf* keeps its text.
                     if !done.children.is_empty() && done.text.trim().is_empty() {
@@ -168,34 +161,30 @@ impl Element {
                     }
                     match stack.last_mut() {
                         Some(parent) => parent.children.push(done),
-                        None => {
-                            // Root closed: consume trailing events to Eof.
-                            loop {
-                                match reader.next_event()? {
-                                    XmlEvent::Eof => return Ok(done),
-                                    XmlEvent::Text(t) if t.trim().is_empty() => {}
-                                    other => {
-                                        return Err(XmlError::Malformed {
-                                            offset: reader.offset(),
-                                            detail: format!(
-                                                "content after root element: {other:?}"
-                                            ),
-                                        })
-                                    }
-                                }
-                            }
-                        }
+                        None => return Ok(done),
                     }
                 }
-                XmlEvent::Eof => unreachable!("reader errors on unclosed elements"),
+                XmlEvent::Eof => break,
             }
         }
+        Err(XmlError::UnexpectedEof {
+            context: "element never closed".into(),
+        })
+    }
+
+    /// Parses a document into its root element.
+    pub fn parse(input: &str) -> Result<Element, XmlError> {
+        let mut reader = XmlReader::new(input);
+        let (name, attributes) = reader.root()?;
+        let root = Element::read(&mut reader, name, attributes)?;
+        reader.finish()?;
+        Ok(root)
     }
 }
 
 /// Whether element name `actual` (possibly `prefix:local`) matches `wanted`
 /// (compared against the full name and the local part).
-fn local_matches(actual: &str, wanted: &str) -> bool {
+pub fn local_matches(actual: &str, wanted: &str) -> bool {
     actual == wanted
         || actual
             .rsplit_once(':')

@@ -1,40 +1,48 @@
 //! Entity escaping and unescaping.
 
+use std::borrow::Cow;
+
 use crate::XmlError;
 
-/// Escapes text content: `&`, `<`, `>` (the latter for `]]>` safety).
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
+/// Appends `s` to `out` with `&`, `<`, `>` escaped, plus `"` and `'` when
+/// `attr` is set. Runs of plain text are copied whole.
+fn escape_into(out: &mut String, s: &str, attr: bool) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            b'\'' if attr => "&apos;",
+            _ => continue,
+        };
+        // `i` is at an ASCII byte, so both slices are on char boundaries.
+        out.push_str(&s[plain..i]);
+        out.push_str(entity);
+        plain = i + 1;
     }
-    out
+    out.push_str(&s[plain..]);
 }
 
-/// Escapes attribute values (quoted with `"`): text escapes plus `"`.
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
-    }
-    out
+/// Appends escaped text content to `out`: `&`, `<`, `>` (the latter for
+/// `]]>` safety).
+pub fn escape_text_into(out: &mut String, s: &str) {
+    escape_into(out, s, false);
+}
+
+/// Appends an escaped attribute value (quoted with `"`) to `out`: text
+/// escapes plus `"` and `'`.
+pub fn escape_attr_into(out: &mut String, s: &str) {
+    escape_into(out, s, true);
 }
 
 /// Expands the five predefined entities plus decimal/hex character
-/// references.
-pub fn unescape(s: &str) -> Result<String, XmlError> {
+/// references. Text without a `&` is returned as it is, unallocated.
+pub fn unescape(s: &str) -> Result<Cow<'_, str>, XmlError> {
+    if !s.contains('&') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.char_indices();
     while let Some((_, c)) = chars.next() {
@@ -79,12 +87,24 @@ pub fn unescape(s: &str) -> Result<String, XmlError> {
             }
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escape_text(s: &str) -> String {
+        let mut out = String::new();
+        escape_text_into(&mut out, s);
+        out
+    }
+
+    fn escape_attr(s: &str) -> String {
+        let mut out = String::new();
+        escape_attr_into(&mut out, s);
+        out
+    }
 
     #[test]
     fn text_escaping() {

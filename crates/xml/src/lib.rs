@@ -7,12 +7,16 @@
 //! (paper §3.1). This crate is a from-scratch XML 1.0 subset sufficient for
 //! that traffic:
 //!
-//! * [`escape`] — text/attribute escaping,
+//! * [`escape`] — text/attribute escaping, straight into an output buffer,
 //! * [`writer`] — a streaming, well-formedness-checking writer,
-//! * [`reader`] — a pull parser producing [`reader::XmlEvent`]s,
-//! * [`dom`] — a small element tree for convenient message construction,
+//! * [`reader`] — a pull parser producing [`reader::XmlEvent`]s that
+//!   borrow from the input, with a fixed nesting limit,
+//! * [`dom`] — a small element tree for plans, manifests, catalogs and
+//!   other small structured payloads,
 //! * [`votable`] — tabular result-set encoding (columns + typed rows),
-//!   modeled on the VOTable format astronomy archives adopted.
+//!   modeled on the VOTable format astronomy archives adopted; rows go
+//!   straight between cells and the writer or reader, never through a
+//!   tree.
 //!
 //! The parser is deliberately strict about well-formedness (mismatched
 //! tags, bad entities, stray `<`) and deliberately small: no DTDs, no
@@ -29,7 +33,7 @@ pub mod votable;
 pub mod writer;
 
 pub use dom::Element;
-pub use escape::{escape_attr, escape_text, unescape};
+pub use escape::{escape_attr_into, escape_text_into, unescape};
 pub use reader::{XmlEvent, XmlReader};
 pub use votable::{VoColumn, VoTable, VoType};
 pub use writer::XmlWriter;

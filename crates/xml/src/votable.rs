@@ -9,7 +9,9 @@
 //! Cells are typed text; `Float` cells use Rust's shortest round-trip
 //! formatting so values survive serialize/parse exactly.
 
-use crate::dom::Element;
+use crate::dom::local_matches;
+use crate::reader::{attr, Attributes, XmlReader};
+use crate::writer::XmlWriter;
 use crate::XmlError;
 
 /// Column types a VOTable payload can carry.
@@ -51,8 +53,8 @@ impl VoType {
         }
     }
 
-    /// Validates that a non-null cell's text parses as this type.
-    fn validate(self, text: &str) -> bool {
+    /// Whether a non-null cell's text parses as this type.
+    pub fn validate(self, text: &str) -> bool {
         match self {
             VoType::Bool => matches!(text, "true" | "false"),
             VoType::Int => text.parse::<i64>().is_ok(),
@@ -145,73 +147,114 @@ impl VoTable {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Encodes into an element tree.
-    pub fn to_element(&self) -> Element {
-        let mut table = Element::new("VOTABLE").with_attr("name", self.name.clone());
+    /// Writes the table into `w`: the `FIELD` declarations, then one
+    /// `TR` per row straight from its cells.
+    pub fn write_into(&self, w: &mut XmlWriter) {
+        w.open("VOTABLE").attr("name", &self.name);
         for col in &self.columns {
-            table = table.with_child(
-                Element::new("FIELD")
-                    .with_attr("name", col.name.clone())
-                    .with_attr("datatype", col.vtype.as_str()),
-            );
+            w.open("FIELD")
+                .attr("name", &col.name)
+                .attr("datatype", col.vtype.as_str());
+            w.close().expect("balanced by construction");
         }
-        let mut data = Element::new("DATA");
+        w.open("DATA");
         for row in &self.rows {
-            let mut tr = Element::new("TR");
+            w.open("TR");
             for cell in row {
-                let td = match cell {
-                    Some(text) => Element::new("TD").with_text(text.clone()),
-                    None => Element::new("TD").with_attr("null", "true"),
+                w.open("TD");
+                match cell {
+                    Some(text) => w.text(text),
+                    None => w.attr("null", "true"),
                 };
-                tr = tr.with_child(td);
+                w.close().expect("balanced by construction");
             }
-            data = data.with_child(tr);
+            w.close().expect("balanced by construction");
         }
-        table.with_child(data)
+        w.close().expect("balanced by construction");
+        w.close().expect("balanced by construction");
     }
 
     /// Serializes to compact XML.
     pub fn to_xml(&self) -> String {
-        self.to_element().to_xml()
+        let mut w = XmlWriter::new();
+        self.write_into(&mut w);
+        w.finish().expect("balanced by construction")
     }
 
-    /// Decodes from an element tree.
-    pub fn from_element(e: &Element) -> Result<VoTable, XmlError> {
-        if e.name != "VOTABLE" {
+    /// Reads the table whose start tag `reader` just returned as `name`
+    /// and `attributes`, through its end tag, validating every cell
+    /// against its column's type as [`VoTable::push_row`] does. `FIELD`s
+    /// are read before the first `DATA`, whose rows are the table's; any
+    /// other element is skipped.
+    pub fn read(
+        reader: &mut XmlReader<'_>,
+        name: &str,
+        attributes: &Attributes<'_>,
+    ) -> Result<VoTable, XmlError> {
+        if name != "VOTABLE" {
             return Err(XmlError::SchemaViolation {
-                detail: format!("expected VOTABLE root, found {}", e.name),
+                detail: format!("expected VOTABLE root, found {name}"),
             });
         }
-        let name = e.attr("name").unwrap_or("").to_string();
-        let mut columns = Vec::new();
-        for f in e.children_named("FIELD") {
-            let cname = f.require_attr("name")?.to_string();
-            let dt = f.require_attr("datatype")?;
-            let vtype = VoType::parse(dt).ok_or_else(|| XmlError::SchemaViolation {
-                detail: format!("unknown datatype {dt} for field {cname}"),
-            })?;
-            columns.push(VoColumn::new(cname, vtype));
-        }
-        let mut table = VoTable::new(name, columns);
-        if let Some(data) = e.child("DATA") {
-            for tr in data.children_named("TR") {
-                let mut row = Vec::with_capacity(table.columns.len());
-                for td in tr.children_named("TD") {
-                    if td.attr("null") == Some("true") {
-                        row.push(None);
-                    } else {
-                        row.push(Some(td.text.clone()));
-                    }
+        let mut table = VoTable::new(attr(attributes, "name").unwrap_or(""), Vec::new());
+        let mut data_seen = false;
+        while let Some((name, attributes)) = reader.next_child()? {
+            if local_matches(name, "FIELD") {
+                if data_seen {
+                    return Err(XmlError::SchemaViolation {
+                        detail: format!("FIELD after DATA in table {}", table.name),
+                    });
                 }
-                table.push_row(row)?;
+                let missing = |what: &str| XmlError::MissingNode {
+                    path: format!("{name}/@{what}"),
+                };
+                let cname = attr(&attributes, "name").ok_or_else(|| missing("name"))?;
+                let dt = attr(&attributes, "datatype").ok_or_else(|| missing("datatype"))?;
+                let vtype = VoType::parse(dt).ok_or_else(|| XmlError::SchemaViolation {
+                    detail: format!("unknown datatype {dt} for field {cname}"),
+                })?;
+                table.columns.push(VoColumn::new(cname, vtype));
+                reader.skip_element()?;
+            } else if !data_seen && local_matches(name, "DATA") {
+                data_seen = true;
+                table.read_rows(reader)?;
+            } else {
+                reader.skip_element()?;
             }
         }
         Ok(table)
     }
 
+    /// Reads a `DATA` element's `TR` rows through its end tag.
+    fn read_rows(&mut self, reader: &mut XmlReader<'_>) -> Result<(), XmlError> {
+        while let Some((name, _)) = reader.next_child()? {
+            if !local_matches(name, "TR") {
+                reader.skip_element()?;
+                continue;
+            }
+            let mut row = Vec::with_capacity(self.columns.len());
+            while let Some((name, attributes)) = reader.next_child()? {
+                if !local_matches(name, "TD") {
+                    reader.skip_element()?;
+                } else if attr(&attributes, "null") == Some("true") {
+                    reader.skip_element()?;
+                    row.push(None);
+                } else {
+                    row.push(Some(reader.read_text()?.into_owned()));
+                }
+            }
+            self.push_row(row)?;
+        }
+        Ok(())
+    }
+
     /// Parses from an XML string.
     pub fn parse(xml: &str) -> Result<VoTable, XmlError> {
-        VoTable::from_element(&Element::parse(xml)?)
+        let mut reader = XmlReader::new(xml);
+        let (name, attributes) = reader.root()?;
+        let table = VoTable::read(&mut reader, name, &attributes)?;
+        reader.finish()?;
+        Ok(table)
     }
 
     /// Splits this table into chunks of at most `rows_per_chunk` rows,

@@ -1,6 +1,6 @@
 //! A streaming XML writer with well-formedness checking.
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{escape_attr_into, escape_text_into};
 use crate::XmlError;
 
 /// Streaming writer. Elements are opened with [`XmlWriter::open`] /
@@ -21,7 +21,10 @@ use crate::XmlError;
 #[derive(Debug)]
 pub struct XmlWriter {
     buf: String,
-    stack: Vec<String>,
+    /// The open elements' names, end to end, innermost last.
+    names: String,
+    /// Where each open element's name starts in `names`.
+    starts: Vec<usize>,
     /// True when the current open tag has not yet been closed with `>`.
     tag_open: bool,
     indent: Option<usize>,
@@ -35,7 +38,8 @@ impl XmlWriter {
     pub fn new() -> XmlWriter {
         XmlWriter {
             buf: String::new(),
-            stack: Vec::new(),
+            names: String::new(),
+            starts: Vec::new(),
             tag_open: false,
             indent: None,
             had_text: false,
@@ -66,7 +70,7 @@ impl XmlWriter {
 
     fn pad(&mut self) {
         if let Some(w) = self.indent {
-            for _ in 0..(self.stack.len() * w) {
+            for _ in 0..(self.starts.len() * w) {
                 self.buf.push(' ');
             }
         }
@@ -88,7 +92,8 @@ impl XmlWriter {
         self.pad();
         self.buf.push('<');
         self.buf.push_str(name);
-        self.stack.push(name.to_string());
+        self.starts.push(self.names.len());
+        self.names.push_str(name);
         self.tag_open = true;
         self.had_text = false;
         self
@@ -105,16 +110,20 @@ impl XmlWriter {
             self.buf.push(' ');
             self.buf.push_str(name);
             self.buf.push_str("=\"");
-            self.buf.push_str(&escape_attr(value));
+            escape_attr_into(&mut self.buf, value);
             self.buf.push('"');
         }
         self
     }
 
-    /// Writes escaped text content into the current element.
+    /// Writes escaped text content into the current element. Empty text
+    /// writes nothing, so an element with no other content self-closes.
     pub fn text(&mut self, content: &str) -> &mut Self {
+        if content.is_empty() {
+            return self;
+        }
         self.seal_tag();
-        self.buf.push_str(&escape_text(content));
+        escape_text_into(&mut self.buf, content);
         self.had_text = true;
         self
     }
@@ -129,7 +138,7 @@ impl XmlWriter {
 
     /// Closes the innermost element.
     pub fn close(&mut self) -> Result<&mut Self, XmlError> {
-        let name = self.stack.pop().ok_or_else(|| XmlError::WriterMisuse {
+        let start = self.starts.pop().ok_or_else(|| XmlError::WriterMisuse {
             detail: "close() with no open element".into(),
         })?;
         if self.tag_open {
@@ -142,27 +151,25 @@ impl XmlWriter {
                 self.pad();
             }
             self.buf.push_str("</");
-            self.buf.push_str(&name);
+            self.buf.push_str(&self.names[start..]);
             self.buf.push('>');
         }
+        self.names.truncate(start);
         self.had_text = false;
         Ok(self)
     }
 
     /// Convenience: `<name>text</name>`.
     pub fn leaf(&mut self, name: &str, text: &str) -> Result<&mut Self, XmlError> {
-        self.open(name);
-        if !text.is_empty() {
-            self.text(text);
-        }
+        self.open(name).text(text);
         self.close()
     }
 
     /// Finishes the document, verifying all elements were closed.
     pub fn finish(self) -> Result<String, XmlError> {
-        if let Some(unclosed) = self.stack.last() {
+        if let Some(&start) = self.starts.last() {
             return Err(XmlError::WriterMisuse {
-                detail: format!("unclosed element <{unclosed}>"),
+                detail: format!("unclosed element <{}>", &self.names[start..]),
             });
         }
         Ok(self.buf)
