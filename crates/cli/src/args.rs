@@ -12,9 +12,6 @@ pub struct Options {
     pub workers: usize,
     /// Declination zone height in degrees for the parallel engine.
     pub zone_height_deg: f64,
-    /// Split oversized transfers on zone boundaries (the pipelined path);
-    /// `false` falls back to plain byte-budget chunking.
-    pub zone_chunking: bool,
     /// Retry attempts for every federation RPC (1 = no retries).
     pub retries: u32,
     /// First retry's backoff in simulated seconds (doubles per retry).
@@ -40,7 +37,6 @@ impl Default for Options {
             seed: 42,
             workers: 1,
             zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
-            zone_chunking: true,
             retries: skyquery_core::RetryPolicy::default().max_attempts,
             retry_backoff_s: skyquery_core::RetryPolicy::default().backoff_base_s,
             chain_mode: skyquery_core::ChainMode::default(),
@@ -165,7 +161,6 @@ where
                     _ => return Command::Help(Some("--replicas needs a number ≥ 1".into())),
                 }
             }
-            "--no-zone-chunking" => opts.zone_chunking = false,
             "--jobs" => opts.jobs = true,
             "--help" | "-h" => return Command::Help(None),
             other if other.starts_with("--") => {
@@ -214,7 +209,6 @@ OPTIONS:
     --chain <M>        chain driver: recursive | checkpointed      [default: recursive]
     --shards <N>       declination-zone shards per archive         [default: 1]
     --replicas <N>     identical replicas per zone extent          [default: 1]
-    --no-zone-chunking legacy byte-budget chunking for oversized transfers
     --jobs             start the async job service (REPL: \\submit, \\jobs)
 "
 }
@@ -262,7 +256,6 @@ mod tests {
                 assert_eq!(o.seed, 7);
                 assert_eq!(o.workers, 4);
                 assert_eq!(o.zone_height_deg, 0.5);
-                assert!(o.zone_chunking, "zone chunking defaults on");
                 assert_eq!(o.retries, 5);
                 assert_eq!(o.retry_backoff_s, 0.2);
                 assert_eq!(o.retry_policy().max_attempts, 5);
@@ -270,10 +263,6 @@ mod tests {
                 assert_eq!(o.shards, 4);
                 assert_eq!(o.replicas, 2);
             }
-            other => panic!("{other:?}"),
-        }
-        match parse_args(["demo", "--no-zone-chunking"]) {
-            Command::Demo(o) => assert!(!o.zone_chunking),
             other => panic!("{other:?}"),
         }
         match parse_args(["repl", "--jobs"]) {
@@ -312,10 +301,15 @@ mod tests {
             parse_args(["--wat"]),
             Command::Help(Some(msg)) if msg.contains("--wat")
         ));
-        // The kernel knob retired in PR 19: refused like any unknown flag.
+        // Retired knobs are refused like any unknown flag: the kernel
+        // choice, and the zone-aware transfer's switch.
         assert!(matches!(
             parse_args(["--kernel", "htm", "demo"]),
             Command::Help(Some(msg)) if msg.contains("unknown option --kernel")
+        ));
+        assert!(matches!(
+            parse_args(["--no-zone-chunking", "demo"]),
+            Command::Help(Some(msg)) if msg.contains("unknown option --no-zone-chunking")
         ));
         assert!(matches!(
             parse_args(["launch"]),
@@ -366,7 +360,6 @@ mod tests {
             "--chain",
             "--shards",
             "--replicas",
-            "--no-zone-chunking",
             "--jobs",
         ] {
             assert!(usage().contains(word), "{word}");

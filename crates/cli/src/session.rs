@@ -43,7 +43,6 @@ impl Session {
             .config(FederationConfig {
                 xmatch_workers: opts.workers,
                 zone_height_deg: opts.zone_height_deg,
-                zone_chunking: opts.zone_chunking,
                 retry: opts.retry_policy(),
                 chain_mode: opts.chain_mode,
                 ..FederationConfig::default()
@@ -283,17 +282,6 @@ impl Session {
                     writeln!(out, "chunking {word}")?;
                 }
                 _ => writeln!(out, "usage: \\chunking on|off")?,
-            },
-            Some("zonechunking") => match parts.next() {
-                Some(word @ ("on" | "off")) => {
-                    let enabled = word == "on";
-                    self.fed.portal.set_config(FederationConfig {
-                        zone_chunking: enabled,
-                        ..self.fed.portal.config()
-                    });
-                    writeln!(out, "zone-aware chunking {word}")?;
-                }
-                _ => writeln!(out, "usage: \\zonechunking on|off")?,
             },
             Some("faults") => {
                 let usage =
@@ -612,7 +600,6 @@ pub fn meta_help() -> &'static str {
   \\limit <bytes>                    SOAP parser message limit
   \\cache [<capacity>]               result-cache counters / set capacity (0 = off)
   \\chunking on|off                  §6 chunked-transfer workaround
-  \\zonechunking on|off              zone-aware pipelined transfer chunks
   \\faults [<kind> <archive> <n>]    inject network faults / show fault+retry tallies
                                     (kinds: down step 500 truncate garbage latency)
   \\retry <attempts> [backoff]       RPC retry policy (attempts, base backoff seconds)
@@ -679,9 +666,6 @@ mod tests {
         assert!(out.contains("50000"));
         let (_, out) = drive(&mut s, "\\chunking off");
         assert!(out.contains("chunking off"));
-        let (_, out) = drive(&mut s, "\\zonechunking off");
-        assert!(out.contains("zone-aware chunking off"));
-        assert!(!s.fed.portal.config().zone_chunking);
         let (_, out) = drive(&mut s, "\\cache 8");
         assert!(out.contains("capacity set to 8 entries"));
         assert_eq!(s.fed.portal.config().result_cache_capacity, 8);
@@ -692,8 +676,8 @@ mod tests {
         assert!(out.contains("result cache off"));
         let (_, out) = drive(&mut s, "\\cache lots");
         assert!(out.contains("usage: \\cache"));
-        // `\\kernel` retired with `--kernel` in PR 19.
-        for line in ["\\nonsense", "\\kernel htm"] {
+        // `\\kernel` and `\\zonechunking` retired with their flags.
+        for line in ["\\nonsense", "\\kernel htm", "\\zonechunking off"] {
             let (_, out) = drive(&mut s, line);
             assert!(out.contains("unknown meta-command"), "{line}");
         }

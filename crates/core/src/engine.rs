@@ -14,38 +14,8 @@ use std::sync::Arc;
 
 use skyquery_storage::Database;
 
-use crate::error::{FederationError, Result};
-use crate::result::ResultColumn;
-use crate::xmatch::{
-    dropout_step, match_step, seed_step, PartialSet, PartialTuple, StepConfig, StepStats,
-};
-
-/// The step kind an incremental ingest session runs (the seed step never
-/// receives partial results, so it has no incremental form).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepKind {
-    /// Extend incoming tuples with this archive's counterparts.
-    Match,
-    /// Drop incoming tuples that have a counterpart here (`!` archives).
-    Dropout,
-}
-
-/// An in-progress incremental cross-match step.
-///
-/// Chunks of the incoming partial set are fed as they arrive over the
-/// wire; each tuple carries its index in the sender's original set, so
-/// the final output is **byte-identical** to running the whole set at
-/// once — chunk sizes and arrival order are transport details, never a
-/// semantics change. The database handle is passed per call (not held by
-/// the session) so the node is free to release its lock between chunks
-/// while the next `FetchChunk` round-trip is in flight.
-pub trait PartialIngest: Send {
-    /// Feeds one chunk of `(original index, tuple)` pairs.
-    fn ingest(&mut self, db: &mut Database, chunk: Vec<(usize, PartialTuple)>) -> Result<()>;
-
-    /// Completes the step, returning the output set and statistics.
-    fn finish(self: Box<Self>, db: &mut Database) -> Result<(PartialSet, StepStats)>;
-}
+use crate::error::Result;
+use crate::xmatch::{dropout_step, match_step, seed_step, PartialSet, StepConfig, StepStats};
 
 /// Strategy object executing the three cross-match step kinds.
 ///
@@ -81,91 +51,6 @@ pub trait CrossMatchEngine: Send + Sync {
     ) -> Result<(PartialSet, StepStats)> {
         dropout_step(db, cfg, incoming)
     }
-
-    /// Opens an incremental ingest session for a match or drop-out step,
-    /// letting the engine process chunks of the incoming set while later
-    /// chunks are still in flight. `columns` is the incoming set's
-    /// (qualified) column schema.
-    ///
-    /// The default session buffers every chunk and delegates to
-    /// [`CrossMatchEngine::match_tuples`] / [`CrossMatchEngine::dropout`]
-    /// at finish, so engines only override this when they can genuinely
-    /// overlap computation with the transfer.
-    fn begin_partial<'a>(
-        &'a self,
-        db: &mut Database,
-        cfg: &StepConfig,
-        kind: StepKind,
-        columns: Vec<ResultColumn>,
-    ) -> Result<Box<dyn PartialIngest + 'a>> {
-        let _ = db;
-        Ok(Box::new(BufferingIngest::new(
-            self,
-            cfg.clone(),
-            kind,
-            columns,
-        )))
-    }
-}
-
-/// The default [`PartialIngest`] session: buffers all chunks, restores
-/// the sender's tuple order, and runs the engine's whole-set step at
-/// finish. Correct for every engine; overlaps nothing.
-pub struct BufferingIngest<'a, E: CrossMatchEngine + ?Sized> {
-    engine: &'a E,
-    cfg: StepConfig,
-    kind: StepKind,
-    columns: Vec<ResultColumn>,
-    tuples: Vec<(usize, PartialTuple)>,
-}
-
-impl<'a, E: CrossMatchEngine + ?Sized> BufferingIngest<'a, E> {
-    /// A session delegating to `engine` at finish.
-    pub fn new(
-        engine: &'a E,
-        cfg: StepConfig,
-        kind: StepKind,
-        columns: Vec<ResultColumn>,
-    ) -> BufferingIngest<'a, E> {
-        BufferingIngest {
-            engine,
-            cfg,
-            kind,
-            columns,
-            tuples: Vec::new(),
-        }
-    }
-}
-
-impl<E: CrossMatchEngine + ?Sized> PartialIngest for BufferingIngest<'_, E> {
-    fn ingest(&mut self, _db: &mut Database, chunk: Vec<(usize, PartialTuple)>) -> Result<()> {
-        self.tuples.extend(chunk);
-        Ok(())
-    }
-
-    fn finish(self: Box<Self>, db: &mut Database) -> Result<(PartialSet, StepStats)> {
-        let mut this = *self;
-        // Restore the sender's order and insist the indices form a dense
-        // 0..n — anything else means the transfer dropped or duplicated
-        // tuples.
-        this.tuples.sort_by_key(|(i, _)| *i);
-        for (expected, (index, _)) in this.tuples.iter().enumerate() {
-            if *index != expected {
-                return Err(FederationError::protocol(format!(
-                    "incremental transfer is not a permutation of 0..{}: saw index {index} at position {expected}",
-                    this.tuples.len()
-                )));
-            }
-        }
-        let incoming = PartialSet {
-            columns: this.columns,
-            tuples: this.tuples.into_iter().map(|(_, t)| t).collect(),
-        };
-        match this.kind {
-            StepKind::Match => this.engine.match_tuples(db, &this.cfg, &incoming),
-            StepKind::Dropout => this.engine.dropout(db, &this.cfg, &incoming),
-        }
-    }
 }
 
 /// The paper's engine: one thread walks the tuples in order.
@@ -186,9 +71,6 @@ pub fn default_engine() -> Arc<dyn CrossMatchEngine> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::xmatch::TupleState;
-    use skyquery_htm::SkyPoint;
-    use skyquery_storage::{BufferCache, ColumnDef, DataType, PositionColumns, TableSchema, Value};
 
     #[test]
     fn sequential_engine_is_the_default() {
@@ -200,105 +82,5 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
         let engine: Arc<dyn CrossMatchEngine> = Arc::new(SequentialEngine);
         assert_send_sync(&engine);
-    }
-
-    const ARCSEC: f64 = 1.0 / 3600.0;
-
-    fn archive(points: &[(f64, f64)]) -> Database {
-        let mut db = Database::with_cache("B", BufferCache::new(4096, 16));
-        let schema = TableSchema::new(
-            "objects",
-            vec![
-                ColumnDef::new("object_id", DataType::Id),
-                ColumnDef::new("ra", DataType::Float),
-                ColumnDef::new("dec", DataType::Float),
-            ],
-        )
-        .with_position(PositionColumns::new("ra", "dec", 14))
-        .unwrap();
-        db.create_table(schema).unwrap();
-        for (i, &(ra, dec)) in points.iter().enumerate() {
-            db.insert(
-                "objects",
-                vec![Value::Id(i as u64 + 1), Value::Float(ra), Value::Float(dec)],
-            )
-            .unwrap();
-        }
-        db
-    }
-
-    fn cfg() -> StepConfig {
-        StepConfig {
-            alias: "B".into(),
-            table: "objects".into(),
-            sigma_rad: (0.3 * ARCSEC).to_radians(),
-            threshold: 3.5,
-            region: None,
-            local_predicate: None,
-            carried_columns: vec!["object_id".into()],
-            xmatch_workers: 1,
-            zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
-            kernel: crate::xmatch::MatchKernel::default(),
-        }
-    }
-
-    fn singles(points: &[(f64, f64)]) -> PartialSet {
-        let mut set = PartialSet::new(vec![ResultColumn::new("A.object_id", DataType::Id)]);
-        for (i, &(ra, dec)) in points.iter().enumerate() {
-            set.tuples.push(PartialTuple {
-                state: TupleState::single(
-                    SkyPoint::from_radec_deg(ra, dec).to_vec3(),
-                    (0.3 * ARCSEC).to_radians(),
-                ),
-                values: vec![Value::Id(i as u64 + 1)],
-            });
-        }
-        set
-    }
-
-    #[test]
-    fn buffering_ingest_matches_whole_set_run() {
-        let pts = [(180.0, 0.0), (180.001, 0.001), (180.002, -0.001)];
-        let mut db = archive(&pts);
-        let incoming = singles(&pts);
-        let engine = SequentialEngine;
-        let (whole, whole_stats) = engine.match_tuples(&mut db, &cfg(), &incoming).unwrap();
-
-        // Feed the same tuples in two out-of-order chunks.
-        let mut session = engine
-            .begin_partial(&mut db, &cfg(), StepKind::Match, incoming.columns.clone())
-            .unwrap();
-        session
-            .ingest(&mut db, vec![(2, incoming.tuples[2].clone())])
-            .unwrap();
-        session
-            .ingest(
-                &mut db,
-                vec![
-                    (0, incoming.tuples[0].clone()),
-                    (1, incoming.tuples[1].clone()),
-                ],
-            )
-            .unwrap();
-        let (chunked, chunked_stats) = session.finish(&mut db).unwrap();
-        assert_eq!(chunked, whole);
-        assert_eq!(chunked_stats, whole_stats);
-    }
-
-    #[test]
-    fn buffering_ingest_rejects_non_dense_indices() {
-        let pts = [(180.0, 0.0)];
-        let mut db = archive(&pts);
-        let incoming = singles(&pts);
-        let engine = SequentialEngine;
-        let mut session = engine
-            .begin_partial(&mut db, &cfg(), StepKind::Match, incoming.columns.clone())
-            .unwrap();
-        // Index 3 with no 0..2 delivered: the transfer lost tuples.
-        session
-            .ingest(&mut db, vec![(3, incoming.tuples[0].clone())])
-            .unwrap();
-        let err = session.finish(&mut db).unwrap_err();
-        assert!(err.to_string().contains("permutation"), "{err}");
     }
 }

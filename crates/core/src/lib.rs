@@ -49,7 +49,6 @@ pub mod xmatch;
 
 pub use client::Client;
 pub use engine::{CrossMatchEngine, SequentialEngine};
-pub use engine::{PartialIngest, StepKind};
 pub use error::{FederationError, Result};
 pub use exchange::TransferReport;
 pub use lease::LeaseTable;
@@ -64,9 +63,7 @@ pub use retry::RetryPolicy;
 pub use service::ServiceMethod;
 pub use skynode::{SkyNode, SkyNodeBuilder};
 pub use trace::{ExecutionTrace, TraceEvent};
-pub use transfer::{
-    open_chunk_stream, send_rpc, send_rpc_with, ChunkStream, IncomingPartial, TransferChunk,
-};
+pub use transfer::{open_chunk_stream, send_rpc, send_rpc_with, ChunkStream};
 pub use walk::CheckpointedWalk;
 pub use xmatch::{
     MatchKernel, PartialSet, PartialTuple, StepConfig, StepContext, StepStats, TupleState,

@@ -104,11 +104,6 @@ pub struct ExecutionPlan {
     pub xmatch_workers: usize,
     /// Declination zone height in degrees for the parallel zone engine.
     pub zone_height_deg: f64,
-    /// Whether oversized partial results are split on declination-zone
-    /// boundaries (carrying a sequence column and per-chunk zone ranges)
-    /// so receivers can pipeline zone processing with the transfer.
-    /// `false` keeps the legacy byte-budget split.
-    pub zone_chunking: bool,
     /// Candidate-probe kernel each node uses for its match/drop-out step.
     /// An oracle/test override; production runs the default. Both kernels
     /// produce byte-identical results, so it is safe to default when
@@ -135,11 +130,7 @@ pub const DEFAULT_MAX_MESSAGE_BYTES: usize = 10 * 1024 * 1024;
 /// loses a lease, while an abandoned one is reclaimed on the next sweep.
 pub const DEFAULT_LEASE_TTL_S: f64 = 300.0;
 
-/// Default declination zone height for the parallel zone engine, degrees.
-/// Candidate search radii are arcsecond-scale, so even a 0.1° zone dwarfs
-/// the overlap margin while still slicing a survey cap into enough zones
-/// to keep a worker pool busy.
-pub const DEFAULT_ZONE_HEIGHT_DEG: f64 = 0.1;
+pub use skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG;
 
 /// Upper bound on plan length a node will accept. Each step is one
 /// archive in the daisy chain, and every hop nests a synchronous call
@@ -254,7 +245,6 @@ impl ExecutionPlan {
             .with_attr("chunking", self.chunking.to_string())
             .with_attr("xmatch_workers", self.xmatch_workers.to_string())
             .with_attr("zone_height_deg", format!("{:?}", self.zone_height_deg))
-            .with_attr("zone_chunking", self.zone_chunking.to_string())
             .with_attr("kernel", self.kernel.as_str())
             .with_attr("retry_attempts", self.retry.max_attempts.to_string())
             .with_attr(
@@ -468,12 +458,6 @@ impl ExecutionPlan {
                 .and_then(|v| v.parse::<f64>().ok())
                 .filter(|h| h.is_finite() && *h > 0.0)
                 .unwrap_or(DEFAULT_ZONE_HEIGHT_DEG),
-            // Plans from peers predating zone-aware transfer omit the
-            // attribute; absent means the legacy byte-budget split.
-            zone_chunking: e
-                .attr("zone_chunking")
-                .map(|v| v == "true")
-                .unwrap_or(false),
             // Absent or unknown kernel names fall back to the default —
             // both kernels are byte-identical, so mixed-version chains
             // stay correct either way.
@@ -587,7 +571,6 @@ mod tests {
             chunking: true,
             xmatch_workers: 4,
             zone_height_deg: 0.25,
-            zone_chunking: true,
             kernel: MatchKernel::Htm,
             retry: RetryPolicy {
                 max_attempts: 4,
@@ -743,15 +726,13 @@ mod tests {
 
     #[test]
     fn legacy_plans_default_to_byte_budget_chunking() {
-        // A plan element written before the zone-aware transfer existed
-        // must fall back to the plain byte-budget split.
-        let mut el = demo_plan().to_element();
-        el.attributes.retain(|(k, _)| k != "zone_chunking");
+        // Peers predating the one chunked transfer still send the switch
+        // of the withdrawn zone-aware transfer: the plan decodes, chunks on
+        // the byte budget like every plan, and re-encodes without it.
+        let el = demo_plan().to_element().with_attr("zone_chunking", "true");
         let p = ExecutionPlan::from_element(&el).unwrap();
-        assert!(!p.zone_chunking);
-        // The attribute round-trips when present.
-        let back = ExecutionPlan::from_element(&demo_plan().to_element()).unwrap();
-        assert!(back.zone_chunking);
+        assert_eq!(p, demo_plan());
+        assert_eq!(p.to_element(), demo_plan().to_element());
     }
 
     #[test]

@@ -104,9 +104,6 @@ pub struct FederationConfig {
     pub xmatch_workers: usize,
     /// Declination height (degrees) of each zone in the parallel engine.
     pub zone_height_deg: f64,
-    /// Whether oversized partial results are split on zone boundaries so
-    /// downstream nodes can pipeline zone processing with the transfer.
-    pub zone_chunking: bool,
     /// Candidate-probe kernel the nodes use for match/drop-out steps. An
     /// oracle/test override (HTM is the paper's path and the reference the
     /// parity suites compare against); production runs the default. The
@@ -149,7 +146,6 @@ impl Default for FederationConfig {
             parallel_performance_queries: true,
             xmatch_workers: 1,
             zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
-            zone_chunking: true,
             kernel: MatchKernel::default(),
             retry: RetryPolicy::default(),
             chain_mode: ChainMode::default(),
@@ -1322,7 +1318,6 @@ impl Portal {
             chunking: config.chunking,
             xmatch_workers: config.xmatch_workers.max(1),
             zone_height_deg: config.zone_height_deg,
-            zone_chunking: config.zone_chunking,
             kernel: config.kernel,
             retry: config.retry,
             lease_ttl_s: config.lease_ttl_s,
@@ -1574,7 +1569,6 @@ mod tests {
             chunking: true,
             xmatch_workers: 1,
             zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
-            zone_chunking: true,
             kernel: MatchKernel::default(),
             retry: RetryPolicy::default(),
             lease_ttl_s: DEFAULT_LEASE_TTL_S,

@@ -8,9 +8,7 @@
 //! "WSDL consists of two distinct parts" stays mechanically enforced.
 
 use skyquery_net::{HttpRequest, HttpResponse, SimNetwork};
-use skyquery_soap::{
-    ChunkHeader, Operation, RpcCall, RpcResponse, SoapFault, SoapValue, WsdlBuilder,
-};
+use skyquery_soap::{Operation, RpcCall, RpcResponse, SoapFault, SoapValue, WsdlBuilder};
 use skyquery_xml::VoTable;
 
 use crate::error::{FederationError, Result};
@@ -91,23 +89,24 @@ pub fn require_u64(call: &RpcCall, name: &str) -> Result<u64> {
 }
 
 /// The `FetchChunk` handler body every service with chunked transfers
-/// shares, once it has found the transfer's `chunks`: the chunk the
-/// call's `index` names, as the reply, and whether it was the last one —
-/// the caller frees the transfer then.
+/// shares, once it has found transfer `transfer_id`'s `chunks`: the chunk
+/// the call's `index` names, as the reply, and whether it was the last
+/// one — the caller frees the transfer then.
 pub fn fetch_chunk(
     call: &RpcCall,
-    chunks: &[(ChunkHeader, VoTable)],
+    transfer_id: u64,
+    chunks: &[VoTable],
 ) -> Result<(RpcResponse, bool)> {
     let index = require_u64(call, "index")? as usize;
-    let (header, table) = chunks
+    let table = chunks
         .get(index)
         .ok_or_else(|| FederationError::protocol(format!("no chunk {index}")))?;
     let reply = RpcResponse::new("FetchChunk")
         .result("chunk", SoapValue::Table(table.clone()))
-        .result("index", SoapValue::Int(header.index as i64))
-        .result("total", SoapValue::Int(header.total as i64))
-        .result("transfer_id", SoapValue::Int(header.transfer_id as i64));
-    Ok((reply, index + 1 == header.total))
+        .result("index", SoapValue::Int(index as i64))
+        .result("total", SoapValue::Int(chunks.len() as i64))
+        .result("transfer_id", SoapValue::Int(transfer_id as i64));
+    Ok((reply, index + 1 == chunks.len()))
 }
 
 /// Every method name in `services`, in registry (WSDL) order.

@@ -12,27 +12,21 @@
 //! step index `i` it first calls step `i+1` (unless it is the seed), then
 //! runs its own stored-procedure step on the returned partial results,
 //! applies any residual clauses scheduled at this step, and returns the
-//! new partial set (chunked when oversized) to its caller. When the
-//! upstream reply is chunked, the node does not wait for the whole set:
-//! it feeds each chunk to the engine's [incremental ingest
-//! session](crate::engine::PartialIngest) as it arrives, releasing the
-//! database lock between chunks, so zone workers can process completed
-//! zones while later chunks are still in flight.
+//! new partial set (chunked when oversized) to its caller. A chunked
+//! upstream reply is drained whole, with no database lock held, before the
+//! node's step runs on it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use skyquery_htm::SkyPoint;
 use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
-use skyquery_soap::{
-    ChunkHeader, ChunkManifest, MessageLimits, Operation, RpcCall, RpcResponse, SoapValue,
-};
+use skyquery_soap::{MessageLimits, Operation, RpcCall, RpcResponse, SoapValue};
 use skyquery_sql::parse_query;
 use skyquery_storage::Database;
 use skyquery_xml::VoTable;
 
-use crate::engine::{default_engine, CrossMatchEngine, PartialIngest, StepKind};
+use crate::engine::{default_engine, CrossMatchEngine};
 use crate::error::{FederationError, Result};
 use crate::exchange::ExchangeState;
 use crate::lease::LeaseTable;
@@ -41,7 +35,7 @@ use crate::plan::{ExecutionPlan, DEFAULT_LEASE_TTL_S};
 use crate::query_exec::{execute_local, LocalQueryResult};
 use crate::service::{require_u64, Reply, ServiceMethod};
 use crate::trace::StatsChain;
-use crate::transfer::{open_checkpoint, open_cross_match, zone_label, IncomingPartial};
+use crate::transfer::open_checkpoint;
 use crate::xmatch::{PartialSet, StepConfig, StepStats};
 
 pub use crate::transfer::{invoke_cross_match, send_rpc};
@@ -294,7 +288,7 @@ pub struct SkyNode {
     host: String,
     db: Mutex<Database>,
     /// Outgoing chunked transfers awaiting FetchChunk calls, leased.
-    pending: Mutex<LeaseTable<Vec<(ChunkHeader, VoTable)>>>,
+    pending: Mutex<LeaseTable<Vec<VoTable>>>,
     next_transfer: AtomicU64,
     /// Checkpointed partial sets retained for portal-driven stepwise
     /// execution, leased: the committed result of each `ExecuteStep`
@@ -518,75 +512,62 @@ impl SkyNode {
 
     /// Runs one cross-match step of `plan` at this archive — the one
     /// place a node seeds, matches or drops out, whichever service asked.
-    /// `input` is the upstream partial set (`None` seeds the chain); a
-    /// chunked input feeds the engine's incremental ingest as it arrives.
-    /// `from_row > 0` restricts the step to the rows inserted at or after
-    /// that row id: tables are append-only with sequential row ids, so
-    /// `[from_row..len)` is exactly what changed since the version a cache
-    /// entry recorded; the delta rows are materialized into an indexed
-    /// temp table, probed with the same kernels as a full execution, and
-    /// the temp table is dropped before the lock is released, success or
-    /// failure. Returns the output (residuals applied), the step's
-    /// statistics, and the table version read under the same database
-    /// lock as the probe — for a chunked input, which releases the lock
-    /// between chunks, the lock of the final ingest.
+    /// `input` is the upstream partial set, already drained if it came
+    /// chunked (`None` seeds the chain). `from_row > 0` restricts the step
+    /// to the rows inserted at or after that row id: tables are
+    /// append-only with sequential row ids, so `[from_row..len)` is exactly
+    /// what changed since the version a cache entry recorded; the delta
+    /// rows are materialized into an indexed temp table, probed with the
+    /// same kernels as a full execution, and the temp table is dropped
+    /// before the lock is released, success or failure. Returns the output
+    /// (residuals applied), the step's statistics, and the table version
+    /// read under the same database lock as the probe.
     fn run_step(
         &self,
         plan: &ExecutionPlan,
         step: usize,
         mut cfg: StepConfig,
-        input: Option<IncomingPartial<'_>>,
+        input: Option<PartialSet>,
         from_row: usize,
     ) -> Result<(PartialSet, StepStats, u64)> {
-        let kind = if plan.steps[step].dropout {
-            StepKind::Dropout
-        } else {
-            StepKind::Match
-        };
-        let (mut set, stats, version) = match input {
-            Some(IncomingPartial::Chunked(stream)) => self.ingest_chunked(stream, &cfg, kind)?,
-            inline => {
-                let inc = match inline {
-                    Some(IncomingPartial::Inline(set)) => Some(set),
-                    _ => None,
-                };
-                if inc.is_none() && kind == StepKind::Dropout {
-                    return Err(FederationError::protocol(
-                        "a drop-out archive cannot be the seed of the chain",
-                    ));
+        let dropout = plan.steps[step].dropout;
+        if input.is_none() && dropout {
+            return Err(FederationError::protocol(
+                "a drop-out archive cannot be the seed of the chain",
+            ));
+        }
+        let (mut set, stats, version) = {
+            let mut db = self.db.lock();
+            let version = db.table_version(&cfg.table)?;
+            let temp = if from_row > 0 {
+                let rows: Vec<skyquery_storage::Row> = db
+                    .table(&cfg.table)?
+                    .rows()
+                    .iter()
+                    .skip(from_row)
+                    .cloned()
+                    .collect();
+                let schema = db.schema(&cfg.table)?.clone();
+                let name = db.create_temp_table(schema)?;
+                for row in rows {
+                    db.insert(&name, row).map_err(FederationError::Storage)?;
                 }
-                let mut db = self.db.lock();
-                let version = db.table_version(&cfg.table)?;
-                let temp = if from_row > 0 {
-                    let rows: Vec<skyquery_storage::Row> = db
-                        .table(&cfg.table)?
-                        .rows()
-                        .iter()
-                        .skip(from_row)
-                        .cloned()
-                        .collect();
-                    let schema = db.schema(&cfg.table)?.clone();
-                    let name = db.create_temp_table(schema)?;
-                    for row in rows {
-                        db.insert(&name, row).map_err(FederationError::Storage)?;
-                    }
-                    cfg.table = name.clone();
-                    Some(name)
-                } else {
-                    None
-                };
-                let result = match (&inc, kind) {
-                    (None, _) => self.engine.seed(&mut db, &cfg),
-                    (Some(inc), StepKind::Match) => self.engine.match_tuples(&mut db, &cfg, inc),
-                    (Some(inc), StepKind::Dropout) => self.engine.dropout(&mut db, &cfg, inc),
-                };
-                if let Some(name) = &temp {
-                    db.drop_table(name)
-                        .expect("the delta temp table was created under this same lock");
-                }
-                let (set, stats) = result?;
-                (set, stats, version)
+                cfg.table = name.clone();
+                Some(name)
+            } else {
+                None
+            };
+            let result = match (&input, dropout) {
+                (None, _) => self.engine.seed(&mut db, &cfg),
+                (Some(inc), false) => self.engine.match_tuples(&mut db, &cfg, inc),
+                (Some(inc), true) => self.engine.dropout(&mut db, &cfg, inc),
+            };
+            if let Some(name) = &temp {
+                db.drop_table(name)
+                    .expect("the delta temp table was created under this same lock");
             }
+            let (set, stats) = result?;
+            (set, stats, version)
         };
         let residuals = plan.residuals(step)?;
         if !residuals.is_empty() {
@@ -606,7 +587,8 @@ impl SkyNode {
             (None, StatsChain::new())
         } else {
             let next_url = plan.steps[step + 1].url.clone();
-            let (incoming, chain) = open_cross_match(net, &self.host, &next_url, &plan, step + 1)?;
+            let (incoming, chain) =
+                invoke_cross_match(net, &self.host, &next_url, &plan, step + 1)?;
             (Some(incoming), chain)
         };
         let (set, stats, _) = self.run_step(&plan, step, cfg, input, 0)?;
@@ -637,7 +619,7 @@ impl SkyNode {
                     // The previous step ran here too: read the checkpoint
                     // locally instead of fetching it over the wire from
                     // ourselves.
-                    IncomingPartial::Inline(self.read_checkpoint(net, id)?)
+                    self.read_checkpoint(net, id)?
                 } else {
                     open_checkpoint(net, &self.host, &url, &plan, id)?
                 })
@@ -682,7 +664,7 @@ impl SkyNode {
                 let table = v
                     .as_table()
                     .ok_or_else(|| FederationError::protocol("input must be a table"))?;
-                Some(IncomingPartial::Inline(PartialSet::from_votable(table)?))
+                Some(PartialSet::from_votable(table)?)
             }
             None => None,
         };
@@ -757,62 +739,12 @@ impl SkyNode {
         Ok(RpcResponse::new("RenewLease").result("renewed", SoapValue::Bool(renewed)))
     }
 
-    /// Feeds a chunked upstream reply to the engine's incremental ingest
-    /// session as chunks arrive. The database lock is taken per chunk and
-    /// released before the next `FetchChunk` round-trip — both to overlap
-    /// engine work with the transfer and because the daisy chain may
-    /// revisit this very node at an earlier step.
-    fn ingest_chunked(
-        &self,
-        mut stream: crate::transfer::ChunkStream<'_>,
-        cfg: &StepConfig,
-        kind: StepKind,
-    ) -> Result<(PartialSet, StepStats, u64)> {
-        let mut session: Option<Box<dyn PartialIngest + '_>> = None;
-        let mut next_seq = 0u64;
-        while let Some(chunk) = stream.fetch_next()? {
-            let set = PartialSet::from_votable(&chunk.table)?;
-            let columns = set.columns;
-            let pairs: Vec<_> = match chunk.seqs {
-                Some(seqs) => seqs
-                    .into_iter()
-                    .map(|s| s as usize)
-                    .zip(set.tuples)
-                    .collect(),
-                None => set
-                    .tuples
-                    .into_iter()
-                    .map(|t| {
-                        let i = next_seq as usize;
-                        next_seq += 1;
-                        (i, t)
-                    })
-                    .collect(),
-            };
-            let mut db = self.db.lock();
-            let session = match session.as_mut() {
-                Some(s) => s,
-                None => session.insert(self.engine.begin_partial(&mut db, cfg, kind, columns)?),
-            };
-            session.ingest(&mut db, pairs)?;
-        }
-        let session = session
-            .ok_or_else(|| FederationError::protocol("chunked transfer delivered zero chunks"))?;
-        let mut db = self.db.lock();
-        let version = db.table_version(&cfg.table)?;
-        let (set, stats) = session.finish(&mut db)?;
-        Ok((set, stats, version))
-    }
-
     /// Encodes a partial set under `method`, chunking when the monolithic
     /// response would exceed the plan's message limit. A reply that fits
-    /// is sent as the very bytes that were measured. Chunked replies
-    /// return a typed [`ChunkManifest`] and lease the sender-side session
-    /// under the plan's TTL; with the plan's `zone_chunking` knob on,
-    /// chunks are split on declination-zone boundaries and carry the
-    /// `__seq` sequence column so the receiver can pipeline zone
-    /// processing. The stats chain and table `version`, when given,
-    /// follow the set or manifest in the reply.
+    /// is sent as the very bytes that were measured. A chunked reply
+    /// returns the typed manifest `split_table` announces and leases the
+    /// sender-side session under the plan's TTL. The stats chain and table
+    /// `version`, when given, follow the set or manifest in the reply.
     fn encode_set_response(
         &self,
         net: &SimNetwork,
@@ -822,7 +754,6 @@ impl SkyNode {
         stats_chain: Option<&StatsChain>,
         version: Option<u64>,
     ) -> Result<Reply> {
-        let limits = MessageLimits::tiny(plan.max_message_bytes);
         let reply = |name: &str, value: SoapValue| {
             let mut resp = RpcResponse::new(method).result(name, value);
             if let Some(c) = stats_chain {
@@ -851,33 +782,12 @@ impl SkyNode {
             unreachable!("the monolithic reply carries the partial set")
         };
         let transfer_id = self.next_transfer.fetch_add(1, Ordering::Relaxed);
-        let (manifest, chunks) = if plan.zone_chunking {
-            // Zone labels from each tuple's current best position;
-            // degenerate tuples (no position) go to zone 0.
-            let zones: Vec<u32> = set
-                .tuples
-                .iter()
-                .map(|t| {
-                    t.state
-                        .best_position()
-                        .map(|v| zone_label(SkyPoint::from_vec3(v).dec_deg, plan.zone_height_deg))
-                        .unwrap_or(0)
-                })
-                .collect();
-            skyquery_soap::chunk::split_table_zoned(
-                &table,
-                limits,
-                transfer_id,
-                &zones,
-                plan.zone_height_deg,
-            )
-            .map_err(FederationError::Soap)?
-        } else {
-            let chunks = skyquery_soap::chunk::split_table(&table, limits, transfer_id)
-                .map_err(FederationError::Soap)?;
-            let rows: Vec<usize> = chunks.iter().map(|(_, t)| t.row_count()).collect();
-            (ChunkManifest::legacy(transfer_id, &rows), chunks)
-        };
+        let (manifest, chunks) = skyquery_soap::chunk::split_table(
+            &table,
+            MessageLimits::tiny(plan.max_message_bytes),
+            transfer_id,
+        )
+        .map_err(FederationError::Soap)?;
         self.pending
             .lock()
             .insert(transfer_id, chunks, net.now_s(), plan.lease_ttl_s);
@@ -894,7 +804,7 @@ impl SkyNode {
         let chunks = pending
             .get(transfer_id)
             .ok_or_else(|| FederationError::lease_expired("transfer", transfer_id, &self.host))?;
-        let (reply, last) = crate::service::fetch_chunk(call, chunks)?;
+        let (reply, last) = crate::service::fetch_chunk(call, transfer_id, chunks)?;
         if last {
             pending.remove(transfer_id);
         }

@@ -1,70 +1,23 @@
 //! Typed client side of the chunked Cross match transfer (paper §6).
 //!
-//! The original workaround shipped oversized partial sets as an ad-hoc
-//! `chunked`/`transfer_id`/`chunks` triple of SOAP results; this module
-//! replaces that with the typed [`ChunkManifest`] from `skyquery-soap`
-//! and exposes the transfer as a *stream*: [`open_cross_match`] returns
-//! either an inline [`PartialSet`] or a [`ChunkStream`] whose chunks the
-//! caller pulls one `FetchChunk` round-trip at a time. When the sender's
-//! plan enables `zone_chunking`, chunks never straddle a declination-zone
-//! boundary and each carries its zone range plus the original row indices
-//! (the `__seq` column), so a receiving node can hand completed zones to
-//! its cross-match engine while later chunks are still in flight.
-//!
-//! Byte-identity: every tuple carries its index in the sender's set, and
-//! the receiver restores that order, so chunk sizing, zone grouping, and
-//! arrival order are transport details that can never change the result.
+//! An oversized partial set travels as a typed [`ChunkManifest`] from
+//! `skyquery-soap` followed by one `FetchChunk` round-trip per chunk.
+//! [`ChunkStream`] is the receiver: it checks every chunk against the
+//! manifest and against the first chunk's columns, and
+//! [`ChunkStream::collect_table`] drains it into the sender's table, which
+//! the caller decodes once. Every receiver drains the whole transfer before
+//! it computes: chunk sizes are a transport detail that can never change
+//! the result.
 
 use skyquery_net::{HttpRequest, NetError, SimNetwork, Url};
-use skyquery_soap::{ChunkManifest, RpcCall, RpcResponse, SoapValue, ZoneRange};
+use skyquery_soap::{ChunkManifest, RpcCall, RpcResponse, SoapValue};
 use skyquery_xml::{VoColumn, VoTable};
 
 use crate::error::{FederationError, Result};
-use crate::plan::{ExecutionPlan, DEFAULT_ZONE_HEIGHT_DEG};
+use crate::plan::ExecutionPlan;
 use crate::retry::RetryPolicy;
 use crate::trace::StatsChain;
-use crate::xmatch::{PartialSet, PartialTuple};
-
-/// The declination-zone label a sender stamps on outgoing tuples.
-///
-/// Replicates the zone formula of the `skyquery-zones` partitioner (fixed
-/// bands of `height_deg` starting at dec −90°, non-finite or non-positive
-/// heights falling back to the default, clamped to the band count) so the
-/// wire format and the engine agree on zone boundaries without this crate
-/// depending on the zones crate. Agreement is an *efficiency* property —
-/// the receiver merges by tuple index, so a mislabeled zone could only
-/// cost overlap, never correctness — but a cross-check test in
-/// `skyquery-zones` keeps the two formulas identical.
-pub fn zone_label(dec_deg: f64, height_deg: f64) -> u32 {
-    let height = if height_deg.is_finite() && height_deg > 0.0 {
-        height_deg.clamp(1e-4, 180.0)
-    } else {
-        DEFAULT_ZONE_HEIGHT_DEG
-    };
-    let count = (180.0 / height).ceil().max(1.0) as usize;
-    let raw = ((dec_deg + 90.0) / height).floor();
-    let zone = if raw.is_nan() || raw < 0.0 {
-        0
-    } else {
-        raw as usize
-    };
-    zone.min(count - 1) as u32
-}
-
-/// One chunk pulled off a [`ChunkStream`].
-#[derive(Debug, Clone)]
-pub struct TransferChunk {
-    /// Position in the transfer (`0..manifest.total_chunks()`).
-    pub index: usize,
-    /// Inclusive zone range covered, when the transfer is zone-aware.
-    pub zones: Option<ZoneRange>,
-    /// Original row index of each payload row in the sender's set, when
-    /// the transfer is zone-aware (`None` for legacy byte-budget chunks,
-    /// which arrive in row order).
-    pub seqs: Option<Vec<u64>>,
-    /// The payload rows (sequence column already stripped).
-    pub table: VoTable,
-}
+use crate::xmatch::PartialSet;
 
 /// An open chunked transfer: the manifest plus a cursor over `FetchChunk`
 /// continuations. The sender frees the transfer when the last chunk is
@@ -98,7 +51,7 @@ impl ChunkStream<'_> {
     /// Validates the served chunk against the manifest (transfer id,
     /// index, total, row count) and against the first chunk's columns,
     /// and records per-chunk wire metrics on the network.
-    pub fn fetch_next(&mut self) -> Result<Option<TransferChunk>> {
+    pub fn fetch_next(&mut self) -> Result<Option<VoTable>> {
         if self.next >= self.manifest.total_chunks() {
             return Ok(None);
         }
@@ -144,19 +97,11 @@ impl ChunkStream<'_> {
             reply_len,
             table.row_count(),
         );
-        let info = &self.manifest.chunks[index];
-        let (seqs, table) = if self.manifest.is_zoned() {
-            let (seqs, payload) =
-                skyquery_soap::chunk::take_seq_column(&table).map_err(FederationError::Soap)?;
-            (Some(seqs), payload)
-        } else {
-            (None, table)
-        };
-        if table.row_count() != info.rows {
+        let promised = self.manifest.chunk_rows[index];
+        if table.row_count() != promised {
             return Err(FederationError::protocol(format!(
-                "chunk {index} carries {} rows, manifest promised {}",
-                table.row_count(),
-                info.rows
+                "chunk {index} carries {} rows, manifest promised {promised}",
+                table.row_count()
             )));
         }
         self.next = index + 1;
@@ -164,12 +109,7 @@ impl ChunkStream<'_> {
             // The sender frees the transfer on serving the last chunk.
             self.closed = true;
         }
-        Ok(Some(TransferChunk {
-            index,
-            zones: info.zones,
-            seqs,
-            table,
-        }))
+        Ok(Some(table))
     }
 
     /// Tells the sender to free this transfer without serving the
@@ -200,44 +140,21 @@ impl ChunkStream<'_> {
         }
     }
 
-    /// Drains the stream and reassembles the sender's partial set in its
-    /// original row order — the monolithic view for callers (such as the
-    /// Portal) that have no incremental ingest path.
-    pub fn collect_set(mut self) -> Result<PartialSet> {
-        let mut columns = None;
-        // Grown from the rows that actually arrive: `total_rows` is a
-        // number a peer declared, and must not size an allocation.
-        let mut tuples: Vec<(u64, PartialTuple)> = Vec::new();
-        let mut next_seq = 0u64;
-        while let Some(chunk) = self.fetch_next()? {
-            let set = PartialSet::from_votable(&chunk.table)?;
-            columns.get_or_insert(set.columns);
-            match chunk.seqs {
-                Some(seqs) => tuples.extend(seqs.into_iter().zip(set.tuples)),
-                None => {
-                    for t in set.tuples {
-                        tuples.push((next_seq, t));
-                        next_seq += 1;
-                    }
-                }
-            }
+    /// Drains the stream and concatenates its chunks in fetch order into
+    /// the sender's table, for the caller to decode once. This is the one
+    /// drain routine: a partial set ([`ChunkStream::collect_set`]) and a
+    /// job's result page both come through it.
+    pub fn collect_table(mut self) -> Result<VoTable> {
+        let mut tables = Vec::new();
+        while let Some(table) = self.fetch_next()? {
+            tables.push(table);
         }
-        tuples.sort_by_key(|(seq, _)| *seq);
-        for (expected, (seq, _)) in tuples.iter().enumerate() {
-            if *seq != expected as u64 {
-                return Err(FederationError::protocol(format!(
-                    "reassembled transfer is not a permutation of 0..{}: saw \
-                     sequence {seq} at position {expected}",
-                    tuples.len()
-                )));
-            }
-        }
-        let columns = columns
-            .ok_or_else(|| FederationError::protocol("chunked transfer with zero chunks"))?;
-        Ok(PartialSet {
-            columns,
-            tuples: tuples.into_iter().map(|(_, t)| t).collect(),
-        })
+        Ok(VoTable::concat(tables)?)
+    }
+
+    /// Drains the stream and decodes the sender's partial set.
+    pub fn collect_set(self) -> Result<PartialSet> {
+        PartialSet::from_votable(&self.collect_table()?)
     }
 }
 
@@ -256,10 +173,9 @@ impl Drop for ChunkStream<'_> {
 
 /// Opens a client-side cursor over an already-announced chunked transfer:
 /// the caller has a [`ChunkManifest`] from some service's reply and pulls
-/// the chunks with `FetchChunk` continuations against `url`. This is how
-/// the job service's `FetchResults` pagination reuses the zone-chunk
-/// transfer machinery: the manifest rides back in the `FetchResults`
-/// reply, and the job client drains the stream chunk by chunk.
+/// the chunks with `FetchChunk` continuations against `url`. The job
+/// service's `FetchResults` pagination and the Cross match chain share
+/// it: the manifest rides back in the reply, and the client drains it.
 pub fn open_chunk_stream<'a>(
     net: &'a SimNetwork,
     from_host: &str,
@@ -279,43 +195,22 @@ pub fn open_chunk_stream<'a>(
     }
 }
 
-/// What a Cross match call handed back: the whole set inline, or an open
-/// chunk stream to pull.
-pub enum IncomingPartial<'a> {
-    /// The response fit under the message limit.
-    Inline(PartialSet),
-    /// The response was chunked; pull chunks with [`ChunkStream::fetch_next`].
-    Chunked(ChunkStream<'a>),
-}
-
-impl IncomingPartial<'_> {
-    /// The whole set in the sender's row order, draining a chunked reply
-    /// — for callers with no incremental ingest path.
-    pub fn collect(self) -> Result<PartialSet> {
-        match self {
-            IncomingPartial::Inline(set) => Ok(set),
-            IncomingPartial::Chunked(stream) => stream.collect_set(),
-        }
-    }
-}
-
-/// Calls the Cross match service for `step` and opens the reply without
-/// draining it: inline sets decode immediately, chunked replies return a
-/// [`ChunkStream`] so the caller can overlap processing with the
-/// remaining `FetchChunk` round-trips.
-pub fn open_cross_match<'a>(
-    net: &'a SimNetwork,
+/// Client side of the Cross match service: sends the call for `step`,
+/// drains any chunked continuation, and decodes the partial set plus the
+/// statistics chain riding back.
+pub fn invoke_cross_match(
+    net: &SimNetwork,
     from_host: &str,
     url: &Url,
     plan: &ExecutionPlan,
     step: usize,
-) -> Result<(IncomingPartial<'a>, StatsChain)> {
+) -> Result<(PartialSet, StatsChain)> {
     let call = RpcCall::new("CrossMatch")
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("step", SoapValue::Int(step as i64));
     let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
-    let incoming = decode_partial(net, from_host, url, plan, &resp)?;
-    Ok((incoming, stats_of(&resp)?))
+    let set = decode_partial(net, from_host, url, plan, &resp)?;
+    Ok((set, stats_of(&resp)?))
 }
 
 /// The statistics chain riding back on a step reply.
@@ -328,42 +223,42 @@ fn stats_of(resp: &RpcResponse) -> Result<StatsChain> {
 }
 
 /// Decodes a manifest-or-inline partial-set response (the shared shape of
-/// `CrossMatch` and `FetchCheckpoint` replies): a `manifest` result opens
-/// a [`ChunkStream`], a `partial` result decodes inline.
-fn decode_partial<'a>(
-    net: &'a SimNetwork,
+/// `CrossMatch`, `FetchCheckpoint` and the portal-step replies): a
+/// `manifest` result is drained through a [`ChunkStream`], a `partial`
+/// result decodes inline.
+fn decode_partial(
+    net: &SimNetwork,
     from_host: &str,
     url: &Url,
     plan: &ExecutionPlan,
     resp: &RpcResponse,
-) -> Result<IncomingPartial<'a>> {
+) -> Result<PartialSet> {
     if let Some(value) = resp.get("manifest") {
         let manifest_el = value
             .as_xml()
             .ok_or_else(|| FederationError::protocol("manifest must be xml"))?;
         let manifest = ChunkManifest::from_element(manifest_el).map_err(FederationError::Soap)?;
-        let stream = open_chunk_stream(net, from_host, url, manifest, plan.retry);
-        return Ok(IncomingPartial::Chunked(stream));
+        return open_chunk_stream(net, from_host, url, manifest, plan.retry).collect_set();
     }
     let table = resp
         .require("partial")?
         .as_table()
         .ok_or_else(|| FederationError::protocol("partial must be a table"))?;
-    Ok(IncomingPartial::Inline(PartialSet::from_votable(table)?))
+    PartialSet::from_votable(table)
 }
 
 /// Calls the `FetchCheckpoint` service at `url` for a checkpointed
-/// partial set and opens the reply without draining it. The holder
+/// partial set and decodes it, draining a chunked reply. The holder
 /// renews the checkpoint's lease as a side effect, so fetching is also
 /// keeping-alive. The plan supplies the retry policy and the message
 /// limits the holder chunks against.
-pub fn open_checkpoint<'a>(
-    net: &'a SimNetwork,
+pub fn open_checkpoint(
+    net: &SimNetwork,
     from_host: &str,
     url: &Url,
     plan: &ExecutionPlan,
     checkpoint_id: u64,
-) -> Result<IncomingPartial<'a>> {
+) -> Result<PartialSet> {
     let call = RpcCall::new("FetchCheckpoint")
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("checkpoint_id", SoapValue::Int(checkpoint_id as i64));
@@ -409,26 +304,12 @@ pub fn release_checkpoint(
         .ok_or_else(|| FederationError::protocol("released must be a boolean"))
 }
 
-/// Client side of the Cross match service: sends the call, drains any
-/// chunked-transfer continuation, and decodes partial set plus stats.
-/// The blocking convenience over [`open_cross_match`], shared by the
-/// Portal and by tests; SkyNodes use the streaming form directly.
-pub fn invoke_cross_match(
-    net: &SimNetwork,
-    from_host: &str,
-    url: &Url,
-    plan: &ExecutionPlan,
-    step: usize,
-) -> Result<(PartialSet, StatsChain)> {
-    let (incoming, stats) = open_cross_match(net, from_host, url, plan, step)?;
-    Ok((incoming.collect()?, stats))
-}
-
 /// Client side of the `ExecuteStep` service: asks the node at `url` to
 /// run plan step `step` on the checkpoint `input` names (seeding when it
 /// is absent) and to retain the output as a fresh leased checkpoint.
 /// Returns that checkpoint's id, its row count, and the step's
-/// single-entry stats chain.
+/// single-entry stats chain; a reply whose row count is not a
+/// non-negative integer is a protocol error.
 pub fn invoke_execute_step(
     net: &SimNetwork,
     from_host: &str,
@@ -436,7 +317,7 @@ pub fn invoke_execute_step(
     plan: &ExecutionPlan,
     step: usize,
     input: Option<(&Url, u64)>,
-) -> Result<(u64, i64, StatsChain)> {
+) -> Result<(u64, usize, StatsChain)> {
     let mut call = RpcCall::new("ExecuteStep")
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("step", SoapValue::Int(step as i64));
@@ -447,7 +328,7 @@ pub fn invoke_execute_step(
     }
     let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
     let checkpoint = require_usize(&resp, "checkpoint")? as u64;
-    let rows = resp.require("rows")?.as_i64().unwrap_or(-1);
+    let rows = require_usize(&resp, "rows")?;
     Ok((checkpoint, rows, stats_of(&resp)?))
 }
 
@@ -491,7 +372,7 @@ pub fn invoke_portal_step(
 ) -> Result<(PartialSet, StatsChain, u64)> {
     let (resp, _) = send_encoded(net, from_host, url, call, plan.retry)?;
     let version = require_usize(&resp, "version")? as u64;
-    let set = decode_partial(net, from_host, url, plan, &resp)?.collect()?;
+    let set = decode_partial(net, from_host, url, plan, &resp)?;
     Ok((set, stats_of(&resp)?, version))
 }
 
@@ -642,29 +523,31 @@ mod tests {
 
     #[test]
     fn zone_label_follows_the_band_formula() {
+        // A receiver zones the rows it drains under the plan's zone height
+        // with storage's one band formula; pin the labels that yields.
+        use crate::plan::DEFAULT_ZONE_HEIGHT_DEG;
+        use skyquery_storage::{declination_zone, effective_height};
+        let band = |dec: f64, height: f64| {
+            let (h, n) = effective_height(height);
+            declination_zone(dec, h, n)
+        };
         // Bands of 0.1° from −90: dec −90 → 0, dec 0 → 900, dec +90 →
         // clamped to the last band (1799).
-        assert_eq!(zone_label(-90.0, 0.1), 0);
-        assert_eq!(zone_label(0.0, 0.1), 900);
-        assert_eq!(zone_label(90.0, 0.1), 1799);
+        assert_eq!(band(-90.0, 0.1), 0);
+        assert_eq!(band(0.0, 0.1), 900);
+        assert_eq!(band(90.0, 0.1), 1799);
         // Non-positive / non-finite heights fall back to the default.
-        assert_eq!(
-            zone_label(0.0, 0.0),
-            zone_label(0.0, DEFAULT_ZONE_HEIGHT_DEG)
-        );
-        assert_eq!(
-            zone_label(0.0, f64::NAN),
-            zone_label(0.0, DEFAULT_ZONE_HEIGHT_DEG)
-        );
+        assert_eq!(band(0.0, 0.0), band(0.0, DEFAULT_ZONE_HEIGHT_DEG));
+        assert_eq!(band(0.0, f64::NAN), band(0.0, DEFAULT_ZONE_HEIGHT_DEG));
         // NaN declination lands in zone 0, matching the partitioner.
-        assert_eq!(zone_label(f64::NAN, 0.1), 0);
+        assert_eq!(band(f64::NAN, 0.1), 0);
         // Tiny heights are clamped so the band count stays bounded.
-        assert_eq!(zone_label(90.0, 1e-9), zone_label(90.0, 1e-4));
+        assert_eq!(band(90.0, 1e-9), band(90.0, 1e-4));
     }
 
     #[test]
     fn declared_row_count_does_not_size_an_allocation() {
-        use crate::xmatch::TupleState;
+        use crate::xmatch::{PartialTuple, TupleState};
         use skyquery_net::HttpResponse;
         use skyquery_xml::Element;
         use std::sync::Arc;
@@ -715,7 +598,7 @@ mod tests {
     #[test]
     fn a_chunk_with_different_columns_fails_the_transfer() {
         use crate::result::ResultColumn;
-        use crate::xmatch::TupleState;
+        use crate::xmatch::{PartialTuple, TupleState};
         use skyquery_net::HttpResponse;
         use skyquery_storage::{DataType, Value};
         use std::sync::Arc;
@@ -755,7 +638,10 @@ mod tests {
                 HttpResponse::ok(reply.to_xml())
             }),
         );
-        let manifest = ChunkManifest::legacy(7, &[1, 1]);
+        let manifest = ChunkManifest {
+            transfer_id: 7,
+            chunk_rows: vec![1, 1],
+        };
         let url = Url::parse("http://ragged.skyquery.net/skynode").unwrap();
         let stream = open_chunk_stream(&net, "tester", &url, manifest, RetryPolicy::none());
         // A set whose tuples do not match its columns would panic at its
@@ -766,5 +652,132 @@ mod tests {
             "expected a protocol error, got {err}"
         );
         assert!(err.to_string().contains("different columns"), "{err}");
+    }
+
+    #[test]
+    fn a_garbled_execute_step_row_count_is_a_protocol_error() {
+        use skyquery_net::HttpResponse;
+        use std::sync::Arc;
+
+        let plan = one_step_plan(Url::new("garbled.skyquery.net", "/soap"), 10_000);
+        for rows in [SoapValue::Str("zz".into()), SoapValue::Int(-5)] {
+            let net = SimNetwork::new();
+            net.bind(
+                "garbled.skyquery.net",
+                Arc::new(move |_: &SimNetwork, _: HttpRequest| {
+                    let reply = RpcResponse::new("ExecuteStep")
+                        .result("checkpoint", SoapValue::Int(1))
+                        .result("rows", rows.clone())
+                        .result("stats", SoapValue::Xml(StatsChain::new().to_element()));
+                    HttpResponse::ok(reply.to_xml())
+                }),
+            );
+            let err = invoke_execute_step(&net, "tester", &plan.steps[0].url, &plan, 0, None)
+                .expect_err("a garbled row count is refused");
+            assert!(
+                matches!(err, FederationError::Protocol { .. }),
+                "expected a protocol error, got {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chunked_cross_match_reply_is_the_sender_set_in_order() {
+        use crate::meta::ArchiveInfo;
+        use crate::skynode::SkyNodeBuilder;
+        use skyquery_storage::{
+            ColumnDef, DataType, Database, PositionColumns, TableSchema, Value,
+        };
+
+        // Positions spread over several 0.1° zones, in no zone order.
+        let mut db = Database::new("A");
+        let schema = TableSchema::new(
+            "objects",
+            vec![
+                ColumnDef::new("object_id", DataType::Id),
+                ColumnDef::new("ra", DataType::Float),
+                ColumnDef::new("dec", DataType::Float),
+            ],
+        )
+        .with_position(PositionColumns::new("ra", "dec", 14))
+        .unwrap();
+        db.create_table(schema).unwrap();
+        for i in 0..300u64 {
+            let dec = (i * 7 % 17) as f64 * 0.05 - 0.4;
+            db.insert(
+                "objects",
+                vec![
+                    Value::Id(i),
+                    Value::Float(180.0 + i as f64 * 1e-3),
+                    Value::Float(dec),
+                ],
+            )
+            .unwrap();
+        }
+        let info = ArchiveInfo {
+            name: "A".into(),
+            sigma_arcsec: 0.1,
+            primary_table: "objects".into(),
+            htm_depth: 14,
+            extent: None,
+        };
+        let net = SimNetwork::new();
+        let url = SkyNodeBuilder::new(info, db)
+            .start(&net, "a.skyquery.net")
+            .url();
+
+        let whole = one_step_plan(url.clone(), crate::plan::DEFAULT_MAX_MESSAGE_BYTES);
+        let (inline, _) = invoke_cross_match(&net, "tester", &url, &whole, 0).unwrap();
+        assert_eq!(inline.len(), 300);
+
+        let chunked = one_step_plan(url.clone(), 3_000);
+        let call = RpcCall::new("CrossMatch")
+            .param("plan", SoapValue::Xml(chunked.to_element()))
+            .param("step", SoapValue::Int(0));
+        let resp = send_rpc(&net, "tester", &url, &call).unwrap();
+        let manifest =
+            ChunkManifest::from_element(resp.require("manifest").unwrap().as_xml().unwrap())
+                .unwrap();
+        assert!(manifest.total_chunks() > 1, "the budget must force chunks");
+        // Every chunk carries exactly the set's own columns: no sequence
+        // column rides along.
+        let columns = inline.to_votable().columns;
+        let mut stream = open_chunk_stream(&net, "tester", &url, manifest, RetryPolicy::none());
+        while let Some(chunk) = stream.fetch_next().unwrap() {
+            assert_eq!(chunk.columns, columns);
+        }
+        let (set, _) = invoke_cross_match(&net, "tester", &url, &chunked, 0).unwrap();
+        assert_eq!(set, inline);
+    }
+
+    /// A one-step plan seeding from archive `A` at `url`.
+    fn one_step_plan(url: Url, max_message_bytes: usize) -> ExecutionPlan {
+        ExecutionPlan {
+            threshold: 3.0,
+            region: None,
+            steps: vec![crate::plan::PlanStep {
+                alias: "A".into(),
+                archive: "A".into(),
+                table: "objects".into(),
+                url,
+                dropout: false,
+                sigma_arcsec: 0.1,
+                local_sql: None,
+                carried: vec!["object_id".into()],
+                residual_sql: vec![],
+                count_estimate: None,
+                shards: vec![],
+            }],
+            select: vec![("A.object_id".into(), None)],
+            order_by: vec![],
+            limit: None,
+            max_message_bytes,
+            chunking: true,
+            xmatch_workers: 1,
+            zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
+            kernel: Default::default(),
+            retry: RetryPolicy::none(),
+            lease_ttl_s: crate::plan::DEFAULT_LEASE_TTL_S,
+        }
     }
 }

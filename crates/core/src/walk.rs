@@ -30,7 +30,7 @@ use crate::shard;
 use crate::trace::{ExecutionTrace, StatsChain};
 use crate::transfer::{
     invoke_execute_step, invoke_portal_step, open_checkpoint, portal_step_call, release_checkpoint,
-    renew_lease, IncomingPartial,
+    renew_lease,
 };
 use crate::xmatch::{PartialSet, StepStats};
 
@@ -200,7 +200,7 @@ impl CheckpointedWalk {
         sub_plan: &ExecutionPlan,
         idx: usize,
         trace: &mut ExecutionTrace,
-    ) -> Result<i64> {
+    ) -> Result<usize> {
         let step = &sub_plan.steps[idx];
         let input = match &self.committed {
             Some(Committed::OnNode { url, id }) => Some((url, *id)),
@@ -232,7 +232,7 @@ impl CheckpointedWalk {
         sub_plan: &ExecutionPlan,
         idx: usize,
         trace: &mut ExecutionTrace,
-    ) -> Result<(i64, Degradation)> {
+    ) -> Result<(usize, Degradation)> {
         let input = match &self.committed {
             Some(Committed::AtPortal(set)) => Some(set),
             _ => None,
@@ -266,7 +266,7 @@ impl CheckpointedWalk {
             });
         }
         self.stats.push(alias.clone(), out.stats);
-        let rows = set.len() as i64;
+        let rows = set.len();
         self.committed = Some(Committed::AtPortal(set));
         Ok((rows, out.degradation))
     }
@@ -384,8 +384,7 @@ impl CheckpointedWalk {
             None => return Err(FederationError::planning("the walk committed no steps")),
             Some(Committed::AtPortal(set)) => set,
             Some(Committed::OnNode { url, id }) => {
-                let collected = open_checkpoint(&portal.net, &portal.host, &url, &self.plan, id)
-                    .and_then(IncomingPartial::collect);
+                let collected = open_checkpoint(&portal.net, &portal.host, &url, &self.plan, id);
                 release_node_checkpoint(portal, &url, id, None);
                 collected?
             }

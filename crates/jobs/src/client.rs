@@ -8,7 +8,6 @@ use skyquery_core::result::ResultSet;
 use skyquery_core::{open_chunk_stream, send_rpc_with, RetryPolicy};
 use skyquery_net::{SimNetwork, Url};
 use skyquery_soap::{ChunkManifest, RpcCall, RpcResponse, SoapValue};
-use skyquery_xml::VoTable;
 
 use crate::job::{JobState, JobStatus, QuotaClass};
 
@@ -144,13 +143,8 @@ impl JobClient {
                 ))
             }
         };
-        let mut stream =
-            open_chunk_stream(&self.net, &self.host, &self.service, manifest, self.retry);
-        let mut tables: Vec<VoTable> = Vec::new();
-        while let Some(chunk) = stream.fetch_next()? {
-            tables.push(chunk.table);
-        }
-        let table = VoTable::concat(tables)?;
+        let table = open_chunk_stream(&self.net, &self.host, &self.service, manifest, self.retry)
+            .collect_table()?;
         ResultSet::from_votable(&table).map(stamp)
     }
 }

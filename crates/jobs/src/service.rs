@@ -30,9 +30,7 @@ use skyquery_core::service::{require_u64, Reply, ServiceMethod};
 use skyquery_core::trace::{ExecutionTrace, StatsChain};
 use skyquery_core::{ChainMode, CheckpointedWalk, Degradation, LeaseTable, PartialSet, Portal};
 use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
-use skyquery_soap::{
-    ChunkHeader, ChunkManifest, MessageLimits, Operation, RpcCall, RpcResponse, SoapValue,
-};
+use skyquery_soap::{MessageLimits, Operation, RpcCall, RpcResponse, SoapValue};
 use skyquery_xml::VoTable;
 
 use crate::admission::{FairScheduler, JobServiceConfig};
@@ -171,7 +169,7 @@ struct ServiceState {
     /// Terminal job records awaiting their record TTL, keyed by job id.
     records: LeaseTable<u64>,
     /// Open result transfers: (owning job id, remaining chunks).
-    transfers: LeaseTable<(u64, Vec<(ChunkHeader, VoTable)>)>,
+    transfers: LeaseTable<(u64, Vec<VoTable>)>,
 }
 
 /// The multi-tenant asynchronous job service.
@@ -830,7 +828,7 @@ impl JobService {
 
     /// Delivers a succeeded job's result, inline when it fits the
     /// federation's message limit, otherwise paginated: the reply carries
-    /// a [`ChunkManifest`] and the rows stream through `FetchChunk`
+    /// a chunk manifest and the rows stream through `FetchChunk`
     /// continuations exactly like an oversized partial set on the daisy
     /// chain. Fetching renews the result lease, so delivery is
     /// idempotent until the TTL finally lapses.
@@ -883,11 +881,9 @@ impl JobService {
             unreachable!("the monolithic reply carries the result")
         };
         let transfer_id = self.next_transfer.fetch_add(1, Ordering::Relaxed);
-        let chunks =
+        let (manifest, chunks) =
             skyquery_soap::chunk::split_table(&table, MessageLimits::tiny(max_bytes), transfer_id)
                 .map_err(FederationError::Soap)?;
-        let rows: Vec<usize> = chunks.iter().map(|(_, t)| t.row_count()).collect();
-        let manifest = ChunkManifest::legacy(transfer_id, &rows);
         st.transfers
             .insert(transfer_id, (id, chunks), now, config.result_ttl_s);
         self.net.record_node_event(&self.host, "lease-granted");
@@ -908,7 +904,7 @@ impl JobService {
             .transfers
             .get(transfer_id)
             .ok_or_else(|| FederationError::lease_expired("transfer", transfer_id, &self.host))?;
-        let (reply, last) = skyquery_core::service::fetch_chunk(call, chunks)?;
+        let (reply, last) = skyquery_core::service::fetch_chunk(call, transfer_id, chunks)?;
         if last {
             st.transfers.remove(transfer_id);
         }

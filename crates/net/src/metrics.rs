@@ -205,7 +205,7 @@ impl NetworkMetrics {
     /// table's rows. The chunk's framed message is already counted by
     /// [`NetworkMetrics::record`]; this tracks the transfer pattern itself
     /// (chunk counts, reply body bytes, rows) so experiments can compare
-    /// monolithic and pipelined transfers.
+    /// monolithic and chunked transfers.
     pub fn record_chunk(&mut self, from: &str, to: &str, bytes: usize, rows: usize) {
         self.chunk_flows
             .entry((from.to_string(), to.to_string()))

@@ -8,9 +8,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr_free::sample_standard_normal;
-use skyquery_core::transfer::zone_label;
 use skyquery_core::ZoneExtent;
 use skyquery_htm::SkyPoint;
+use skyquery_storage::declination_zone;
 use skyquery_storage::{ColumnDef, DataType, Database, PositionColumns, TableSchema, Value};
 
 use crate::bodies::{orthonormal_frame, BodyCatalog};
@@ -195,7 +195,7 @@ impl Survey {
         let table = self.db.table(&self.params.table).expect("table exists");
         for (rank, row) in table.rows().iter().enumerate() {
             let dec = row[2].as_f64().expect("dec is FLOAT");
-            let zone = zone_label(dec, HEIGHT) as usize;
+            let zone = declination_zone(dec, HEIGHT, ZONES);
             let owner = bounds[..n].partition_point(|b| *b <= zone) - 1;
             let mut dealt = row.clone();
             dealt.push(Value::Id(rank as u64));

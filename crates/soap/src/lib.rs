@@ -15,16 +15,15 @@
 //!   would run out of memory while parsing SOAP messages of about 10 MB.
 //!   We worked around by dividing large data sets into smaller chunks."
 //!   [`chunk::MessageLimits`] models the parser limit; [`chunk::split_table`]
-//!   implements the workaround, and
-//!   [`chunk::split_table_zoned`] is the zone-aware variant whose
-//!   [`chunk::ChunkManifest`] lets a receiver pipeline zone processing
-//!   with the `FetchChunk` continuation.
+//!   implements the workaround and announces the chunks in a
+//!   [`chunk::ChunkManifest`] the receiver drives the `FetchChunk`
+//!   continuation from.
 
 pub mod chunk;
 pub mod rpc;
 pub mod wsdl;
 
-pub use chunk::{ChunkHeader, ChunkInfo, ChunkManifest, MessageLimits, ZoneRange};
+pub use chunk::{ChunkManifest, MessageLimits};
 pub use rpc::{RpcCall, RpcResponse, SoapFault, SoapValue};
 pub use wsdl::{Operation, ParamDef, WsdlBuilder};
 

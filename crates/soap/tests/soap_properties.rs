@@ -90,12 +90,12 @@ proptest! {
         for i in 0..rows {
             t.push_row(vec![Some(i.to_string()), Some(format!("data-{i}"))]).unwrap();
         }
-        let chunks = match chunk::split_table(&t, MessageLimits::tiny(limit), 9) {
+        let (manifest, chunks) = match chunk::split_table(&t, MessageLimits::tiny(limit), 9) {
             Ok(c) => c,
             // Schema alone exceeding the limit is a legitimate refusal.
             Err(_) => return Ok(()),
         };
-        for (_, c) in &chunks {
+        for c in &chunks {
             prop_assert!(c.to_xml().len() <= limit);
         }
         // Deterministic pseudo-shuffle of the delivery order.
@@ -107,13 +107,17 @@ proptest! {
             s ^= s << 17;
             order.swap(i, (s % (i as u64 + 1)) as usize);
         }
-        // Whatever order the chunks arrive in, their headers put them
-        // back: indices are a dense 0..total, and concatenating in index
-        // order restores the original table.
-        let mut arrived: Vec<_> = order.iter().map(|&i| chunks[i].clone()).collect();
-        arrived.sort_by_key(|(h, _)| h.index);
-        for (i, (h, _)) in arrived.iter().enumerate() {
-            prop_assert_eq!((h.index, h.total, h.transfer_id), (i, chunks.len(), 9));
+        // Whatever order the chunks arrive in, the manifest puts them
+        // back: it announces one row count per chunk under the transfer
+        // id, and concatenating in fetch order restores the original
+        // table.
+        prop_assert_eq!(manifest.transfer_id, 9);
+        prop_assert_eq!(manifest.total_chunks(), chunks.len());
+        let mut arrived: Vec<(usize, VoTable)> =
+            order.iter().map(|&i| (i, chunks[i].clone())).collect();
+        arrived.sort_by_key(|(i, _)| *i);
+        for (rows, (_, c)) in manifest.chunk_rows.iter().zip(&arrived) {
+            prop_assert_eq!(*rows, c.row_count());
         }
         let tables = arrived.into_iter().map(|(_, c)| c).collect();
         prop_assert_eq!(VoTable::concat(tables).unwrap(), t);

@@ -14,9 +14,9 @@
 //! 3. a branch-light exact distance test over the surviving slice.
 //!
 //! Hits land in a caller-owned [`ProbeScratch`], so the steady-state match
-//! loop performs no per-tuple heap allocation. The zone bucketing replicates
-//! `zones::ZoneMap` (same constants, same rounding) without a crate
-//! dependency in that direction — the zones crate keeps an agreement test.
+//! loop performs no per-tuple heap allocation. [`effective_height`] and
+//! [`declination_zone`] are the federation's one zone formula, which the
+//! zone engine's `ZoneMap` and the simulator's shard dealer call too.
 //!
 //! Output contract: for any probe, the hit set is byte-identical to
 //! [`crate::resolve_range_candidates`] over an HTM candidate superset —
@@ -34,11 +34,12 @@ use crate::index::extract_position;
 use crate::table::{RowId, Table};
 use crate::value::Value;
 
-/// Zone height used when the requested height is non-finite or ≤ 0.
-/// Mirrors `skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG`.
-const DEFAULT_ZONE_HEIGHT_DEG: f64 = 0.1;
+/// Default declination zone height, degrees: it dwarfs arcsecond-scale
+/// search radii yet slices a survey cap into enough zones to keep a worker
+/// pool busy. Non-finite or non-positive requests fall back to it.
+pub const DEFAULT_ZONE_HEIGHT_DEG: f64 = 0.1;
 
-/// Smallest admissible zone height. Mirrors `zones::zonemap::MIN_HEIGHT_DEG`.
+/// Smallest admissible zone height; it bounds the zone count.
 const MIN_HEIGHT_DEG: f64 = 1e-4;
 
 /// Slack added to the declination window, in degrees. The acceptance test
@@ -133,9 +134,9 @@ pub struct ColumnarPositions {
 
 impl ColumnarPositions {
     /// Packs `table`'s positions. `ra_ci`/`dec_ci` are the position column
-    /// indexes; `zone_height_deg` is the requested zone height (clamped
-    /// exactly like `zones::ZoneMap`). Fails on rows with non-finite
-    /// positions, like the HTM index build.
+    /// indexes; `zone_height_deg` is the requested zone height (resolved by
+    /// [`effective_height`]). Fails on rows with non-finite positions, like
+    /// the HTM index build.
     pub fn build(
         table: &Table,
         ra_ci: usize,
@@ -204,16 +205,9 @@ impl ColumnarPositions {
         self.row.is_empty()
     }
 
-    /// The zone bucket a declination falls in under this layout. Exposed
-    /// so the zone engine can assert its own `ZoneMap` bucketing (a
-    /// deliberate re-derivation — the crates must not depend on each
-    /// other) stays identical to this one.
+    /// The zone bucket a declination falls in under this layout.
     pub fn zone_of_dec(&self, dec_deg: f64) -> usize {
-        self.zone_of(dec_deg)
-    }
-
-    fn zone_of(&self, dec_deg: f64) -> usize {
-        zone_of_raw(dec_deg, self.height_deg, self.zone_count)
+        declination_zone(dec_deg, self.height_deg, self.zone_count)
     }
 
     /// Probes the ball around `center` with radius `radius_rad`, filling
@@ -230,8 +224,8 @@ impl ColumnarPositions {
         scratch.hits.clear();
         let cvec = center.to_vec3();
         let r_deg = radius_rad.to_degrees();
-        let zone_lo = self.zone_of(center.dec_deg - r_deg - DEC_SLACK_DEG);
-        let zone_hi = self.zone_of(center.dec_deg + r_deg + DEC_SLACK_DEG);
+        let zone_lo = self.zone_of_dec(center.dec_deg - r_deg - DEC_SLACK_DEG);
+        let zone_hi = self.zone_of_dec(center.dec_deg + r_deg + DEC_SLACK_DEG);
         let windows = ra_windows(center, radius_rad);
         let mut examined = 0usize;
         for zone in zone_lo..=zone_hi {
@@ -283,9 +277,10 @@ impl ColumnarPositions {
     }
 }
 
-/// Clamps/defaults a requested zone height exactly like `zones::ZoneMap`
-/// and derives the zone count.
-fn effective_height(zone_height_deg: f64) -> (f64, usize) {
+/// The zone height a requested one resolves to — clamped into `[1e-4, 180]`
+/// degrees, or the default when non-finite or non-positive — and the zone
+/// count covering declination `[-90°, +90°]`.
+pub fn effective_height(zone_height_deg: f64) -> (f64, usize) {
     let height = if zone_height_deg.is_finite() && zone_height_deg > 0.0 {
         zone_height_deg.clamp(MIN_HEIGHT_DEG, 180.0)
     } else {
@@ -322,7 +317,7 @@ fn pack_order(
     let mut order: Vec<PackedPos> = Vec::with_capacity(table.len());
     for (rid, raw) in table.iter() {
         let (ra, dec) = extract_position(table.name(), raw, ra_ci, dec_ci)?;
-        let zone = zone_of_raw(dec, height, zone_count);
+        let zone = declination_zone(dec, height, zone_count);
         order.push(PackedPos {
             zone,
             ra_norm: ra.rem_euclid(360.0),
@@ -338,9 +333,9 @@ fn pack_order(
     Ok(order)
 }
 
-/// Zone formula shared with `zones::ZoneMap::zone_of` (same constants,
-/// same rounding; the zones crate keeps an agreement test).
-fn zone_of_raw(dec_deg: f64, height_deg: f64, zone_count: usize) -> usize {
+/// The zone of `dec_deg` among `zone_count` zones of `height_deg` from
+/// dec −90°; NaN and out-of-range declinations clamp to the end zones.
+pub fn declination_zone(dec_deg: f64, height_deg: f64, zone_count: usize) -> usize {
     let idx = ((dec_deg + 90.0) / height_deg).floor();
     if idx.is_nan() || idx < 0.0 {
         return 0;
@@ -570,5 +565,38 @@ mod tests {
                 assert!(cols.ra_deg[i - 1] <= cols.ra_deg[i]);
             }
         }
+    }
+
+    #[test]
+    fn zone_formula_clamps_defaults_and_counts() {
+        // (requested height, effective height, zone count).
+        let pinned = [
+            (1e-9, 1e-4, 1_800_000),
+            (1e-4, 1e-4, 1_800_000),
+            (0.0, DEFAULT_ZONE_HEIGHT_DEG, 1800),
+            (-3.0, DEFAULT_ZONE_HEIGHT_DEG, 1800),
+            (f64::NAN, DEFAULT_ZONE_HEIGHT_DEG, 1800),
+            (f64::INFINITY, DEFAULT_ZONE_HEIGHT_DEG, 1800),
+            (0.37, 0.37, 487),
+            (180.0, 180.0, 1),
+            (500.0, 180.0, 1),
+        ];
+        for (requested, height, count) in pinned {
+            let (h, n) = effective_height(requested);
+            assert_eq!((h.to_bits(), n), (height.to_bits(), count), "{requested}");
+            // The poles clamp into the first and last zone, NaN into the
+            // first, and the equator sits where the bands say.
+            assert_eq!(declination_zone(-90.0, h, n), 0);
+            assert_eq!(declination_zone(-1000.0, h, n), 0);
+            assert_eq!(declination_zone(f64::NAN, h, n), 0);
+            assert_eq!(declination_zone(90.0, h, n), n - 1);
+            assert_eq!(declination_zone(1000.0, h, n), n - 1);
+            assert_eq!(
+                declination_zone(0.0, h, n),
+                ((90.0 / h) as usize).min(n - 1)
+            );
+        }
+        assert_eq!(declination_zone(0.0, 0.1, 1800), 900);
+        assert_eq!(declination_zone(-0.05, 0.1, 1800), 899);
     }
 }

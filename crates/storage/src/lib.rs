@@ -35,6 +35,7 @@ pub mod value;
 
 pub use cache::{BufferCache, CacheStats};
 pub use catalog::{Catalog, TableStats};
+pub use columnar::{declination_zone, effective_height, DEFAULT_ZONE_HEIGHT_DEG};
 pub use columnar::{ColumnarPositions, ProbeScratch, ProbeStats};
 pub use engine::{resolve_range_candidates, resolve_range_candidates_into, Database};
 pub use error::StorageError;

@@ -20,11 +20,6 @@
 //!    across tasks;
 //! 4. outcomes are merged back into incoming-tuple order.
 //!
-//! Steps 1 and 4 live in [`crate::stream`]: a whole-set step is a
-//! streaming session fed one chunk holding every tuple, so there is one
-//! copy of the step routine; this module owns the worker pool (steps 2
-//! and 3).
-//!
 //! Equality with the sequential engine holds because the HTM cover of a
 //! probe ball depends only on the mesh (identical at both index scales),
 //! full-cover rows are geometrically guaranteed to lie inside the padded
@@ -37,21 +32,22 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use skyquery_core::engine::{BufferingIngest, CrossMatchEngine, PartialIngest, StepKind};
+use skyquery_core::engine::CrossMatchEngine;
 use skyquery_core::error::{FederationError, Result};
 use skyquery_core::xmatch::{
-    dropout_step, match_step, PartialSet, PartialTuple, StepConfig, StepContext, StepStats,
+    decode_materialized, dropout_step, extend_tuple_staged, match_step, materialize_temp,
+    probe_ball, tuple_has_counterpart, MatchKernel, PartialSet, PartialTuple, StepConfig,
+    StepContext, StepStats,
 };
-use skyquery_core::ResultColumn;
 use skyquery_htm::SkyPoint;
 use skyquery_storage::{
     resolve_range_candidates_into, ColumnarPositions, Database, HtmPositionIndex, ProbeScratch,
     ProbeStats, RangeSearchHit, Table, Value,
 };
 
-use crate::merge::{TupleOutcome, ZoneReport};
-use crate::partition::{TupleProbe, ZoneTask};
-use crate::stream::ZoneIngest;
+use crate::merge::{merge_match, zone_reports, TupleOutcome, ZoneReport};
+use crate::partition::{partition, sorted_declinations, TupleProbe, ZoneTask};
+use crate::zonemap::ZoneMap;
 
 /// A [`CrossMatchEngine`] running match and drop-out steps across a pool
 /// of zone workers. With `xmatch_workers <= 1` (the default federation
@@ -61,8 +57,16 @@ use crate::stream::ZoneIngest;
 pub struct ZoneEngine {
     /// Per-zone summaries of the most recent partitioned step.
     last_reports: Mutex<Vec<ZoneReport>>,
-    /// Timing summary of the most recent streaming ingest session.
-    last_pipeline: Mutex<Option<crate::stream::PipelineReport>>,
+}
+
+/// The step kinds that receive an incoming set (the seed step has none,
+/// so it always runs the sequential kernel).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StepKind {
+    /// Extend incoming tuples with this archive's counterparts.
+    Match,
+    /// Drop incoming tuples that have a counterpart here (`!` archives).
+    Dropout,
 }
 
 impl ZoneEngine {
@@ -77,39 +81,105 @@ impl ZoneEngine {
         self.last_reports.lock().expect("reports lock").clone()
     }
 
-    /// Timing summary of the most recent ingest session (`None` until
-    /// the engine has run a parallel step). A whole-set step
-    /// (`match_tuples` / `dropout` with `xmatch_workers > 1`) runs as a
-    /// one-chunk session, so it is reported here too, with `chunks == 1`.
-    /// Diagnostics only.
-    pub fn last_pipeline_report(&self) -> Option<crate::stream::PipelineReport> {
-        *self.last_pipeline.lock().expect("pipeline lock")
-    }
-
-    /// Stores a finished session's diagnostics.
-    pub(crate) fn record_stream(
-        &self,
-        reports: Vec<ZoneReport>,
-        pipeline: crate::stream::PipelineReport,
-    ) {
-        *self.last_reports.lock().expect("reports lock") = reports;
-        *self.last_pipeline.lock().expect("pipeline lock") = Some(pipeline);
-    }
-
-    /// Runs a whole-set step as a streaming session fed one chunk holding
-    /// every tuple. Tuple by tuple — statistics included — that is the
-    /// same computation (see [`crate::stream`]), so the session is the
-    /// only copy of the zone step routine.
-    fn one_chunk_session(
+    /// The zone step routine, for either step kind: partition the
+    /// incoming tuples into declination zones, run the zone tasks on the
+    /// worker pool, and merge the outcomes back into incoming-tuple order,
+    /// summing per-tuple probe counts into the statistics.
+    fn zone_step(
         &self,
         db: &mut Database,
         cfg: &StepConfig,
         kind: StepKind,
         incoming: &PartialSet,
     ) -> Result<(PartialSet, StepStats)> {
-        let mut session = ZoneIngest::begin(self, db, cfg.clone(), kind, incoming.columns.clone())?;
-        session.ingest(db, incoming.tuples.iter().cloned().enumerate().collect())?;
-        Box::new(session).finish(db)
+        let ctx = StepContext::new(db, cfg)?;
+        let decs = sorted_declinations(db.table(&cfg.table)?, ctx.dec_ci);
+        let map = ZoneMap::new(cfg.zone_height_deg);
+        // A match step round-trips the set through the §5.3 temp table so
+        // the carried values it copies into its extensions see the
+        // sequential path's schema conformance; a drop-out step emits its
+        // input tuples untouched and needs no copy.
+        let temp_rows = match kind {
+            StepKind::Match => {
+                let temp = materialize_temp(db, incoming)?;
+                let rows = db.table(&temp)?.rows().to_vec();
+                db.drop_table(&temp)?;
+                rows
+            }
+            StepKind::Dropout => Vec::new(),
+        };
+        if cfg.kernel == MatchKernel::Columnar {
+            // A cheap no-op once built, until an insert invalidates it.
+            db.ensure_columnar(&cfg.table, cfg.zone_height_deg)
+                .map_err(FederationError::Storage)?;
+        }
+        let table = db.table(&cfg.table)?;
+        // The HTM kernel builds private zone-local indexes instead.
+        let columnar = match cfg.kernel {
+            MatchKernel::Columnar => db.columnar_positions(&cfg.table),
+            MatchKernel::Htm => None,
+        };
+
+        // Tuples with no defined best position cannot be extended and
+        // silently leave the chain.
+        let mut probes = Vec::new();
+        let mut degenerate = 0usize;
+        for (index, tuple) in incoming.tuples.iter().enumerate() {
+            match probe_ball(&tuple.state, cfg) {
+                Some((center, radius_rad)) => probes.push(TupleProbe {
+                    index,
+                    center,
+                    radius_rad,
+                }),
+                None => degenerate += 1,
+            }
+        }
+        let plan = partition(&map, probes, &decs, degenerate);
+
+        let outcomes = run_zone_tasks(
+            table,
+            &ctx,
+            columnar,
+            &plan.tasks,
+            cfg.xmatch_workers,
+            &|probe: &TupleProbe, prober: &mut ZoneProber<'_>| match kind {
+                StepKind::Match => {
+                    let (state, carried) = decode_materialized(&temp_rows[probe.index]);
+                    let mut extensions = Vec::new();
+                    let (hits, staging) = prober.parts();
+                    let accepted = extend_tuple_staged(
+                        cfg,
+                        &ctx,
+                        table,
+                        &state,
+                        carried,
+                        hits,
+                        staging,
+                        &mut extensions,
+                    )?;
+                    Ok((accepted, extensions))
+                }
+                StepKind::Dropout => {
+                    let tuple = &incoming.tuples[probe.index];
+                    let found =
+                        tuple_has_counterpart(cfg, &ctx, table, &tuple.state, prober.hits())?;
+                    // A kept tuple passes through unchanged; a dropped
+                    // one contributes nothing.
+                    let kept = if found {
+                        Vec::new()
+                    } else {
+                        vec![tuple.clone()]
+                    };
+                    Ok((usize::from(found), kept))
+                }
+            },
+        )?;
+        *self.last_reports.lock().expect("reports lock") = zone_reports(&plan.tasks);
+        let mut columns = incoming.columns.clone();
+        if kind == StepKind::Match {
+            columns.extend(ctx.appended.iter().cloned());
+        }
+        Ok(merge_match(columns, incoming.tuples.len(), outcomes))
     }
 }
 
@@ -127,7 +197,7 @@ impl CrossMatchEngine for ZoneEngine {
         if cfg.xmatch_workers <= 1 {
             return match_step(db, cfg, incoming);
         }
-        self.one_chunk_session(db, cfg, StepKind::Match, incoming)
+        self.zone_step(db, cfg, StepKind::Match, incoming)
     }
 
     fn dropout(
@@ -139,33 +209,7 @@ impl CrossMatchEngine for ZoneEngine {
         if cfg.xmatch_workers <= 1 {
             return dropout_step(db, cfg, incoming);
         }
-        self.one_chunk_session(db, cfg, StepKind::Dropout, incoming)
-    }
-
-    fn begin_partial<'a>(
-        &'a self,
-        db: &mut Database,
-        cfg: &StepConfig,
-        kind: StepKind,
-        columns: Vec<ResultColumn>,
-    ) -> Result<Box<dyn PartialIngest + 'a>> {
-        if cfg.xmatch_workers <= 1 {
-            // Sequential mode: buffer and delegate, exactly like the
-            // default engine.
-            return Ok(Box::new(BufferingIngest::new(
-                self,
-                cfg.clone(),
-                kind,
-                columns,
-            )));
-        }
-        Ok(Box::new(ZoneIngest::begin(
-            self,
-            db,
-            cfg.clone(),
-            kind,
-            columns,
-        )?))
+        self.zone_step(db, cfg, StepKind::Dropout, incoming)
     }
 }
 
@@ -175,7 +219,7 @@ impl CrossMatchEngine for ZoneEngine {
 /// modes fill the same scratch hit buffer with the identical verified
 /// hit list — exact distance test, `sep <= radius + 1e-15`, sorted by
 /// row id — so the choice of mode can never change step output.
-pub(crate) struct ZoneProber<'a> {
+struct ZoneProber<'a> {
     mode: ProberMode<'a>,
     table: &'a Table,
     ra_ci: usize,
@@ -220,13 +264,13 @@ impl ZoneProber<'_> {
     }
 
     /// The verified hits of the most recent probe, sorted by row id.
-    pub(crate) fn hits(&self) -> &[RangeSearchHit] {
+    fn hits(&self) -> &[RangeSearchHit] {
         self.scratch.hits()
     }
 
     /// The hits plus the carried-value staging buffer, for feeding
     /// `extend_tuple_staged` without per-tuple allocation.
-    pub(crate) fn parts(&mut self) -> (&[RangeSearchHit], &mut Vec<Value>) {
+    fn parts(&mut self) -> (&[RangeSearchHit], &mut Vec<Value>) {
         self.scratch.parts()
     }
 }
@@ -239,7 +283,7 @@ impl ZoneProber<'_> {
 /// of the task's tuples and hand the [`ZoneProber`] holding its hits to
 /// `step`, which returns how many candidates passed the chi² test and
 /// the tuples the step emits for it.
-pub(crate) fn run_zone_tasks<K>(
+fn run_zone_tasks<K>(
     table: &Table,
     ctx: &StepContext,
     columnar: Option<&ColumnarPositions>,

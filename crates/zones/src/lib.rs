@@ -15,10 +15,8 @@
 //!
 //! * [`zonemap`] — the declination slicing;
 //! * [`mod@partition`] — tuple bucketing and padded archive bands;
-//! * [`engine`] — the [`ZoneEngine`] worker pool implementing
-//!   `skyquery_core::engine::CrossMatchEngine`;
-//! * [`stream`] — the step routine itself, as an ingest session over
-//!   chunks of the incoming set (a whole-set step is a one-chunk session);
+//! * [`engine`] — the [`ZoneEngine`] step routine and worker pool
+//!   implementing `skyquery_core::engine::CrossMatchEngine`;
 //! * [`merge`] — deterministic reassembly and per-zone reports.
 //!
 //! The engine is driven by two `FederationConfig` knobs that flow through
@@ -28,11 +26,9 @@
 pub mod engine;
 pub mod merge;
 pub mod partition;
-pub mod stream;
 pub mod zonemap;
 
 pub use engine::ZoneEngine;
 pub use merge::{merge_match, zone_reports, TupleOutcome, ZoneReport};
 pub use partition::{partition, sorted_declinations, TupleProbe, ZonePlan, ZoneTask};
-pub use stream::PipelineReport;
 pub use zonemap::ZoneMap;

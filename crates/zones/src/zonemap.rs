@@ -5,14 +5,11 @@
 //! index is a pure function of declination, so partitioning never needs
 //! the mesh: tuples land in the zone of their maximum-likelihood position,
 //! and archive rows are bucketed by declination bands widened with a
-//! per-zone overlap margin.
+//! per-zone overlap margin. The formula is the storage crate's
+//! ([`effective_height`], [`declination_zone`]), which the columnar probe
+//! layout buckets by too.
 
-use skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG;
-
-/// Smallest admissible zone height. Below this the zone *count* stays
-/// bounded but the partitioner would degenerate into one tuple per task;
-/// it also guards the division in [`ZoneMap::zone_of`].
-const MIN_HEIGHT_DEG: f64 = 1e-4;
+use skyquery_storage::{declination_zone, effective_height};
 
 /// A slicing of declination `[-90°, +90°]` into fixed-height zones.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,20 +19,12 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Builds a map with the given zone height in degrees. Non-finite,
-    /// zero, or negative heights fall back to the federation default;
-    /// valid heights are clamped into `[MIN_HEIGHT_DEG, 180]`.
+    /// Builds a map with the given zone height in degrees, resolved by
+    /// [`effective_height`]: non-finite, zero, or negative heights fall
+    /// back to the federation default, valid ones are clamped.
     pub fn new(height_deg: f64) -> ZoneMap {
-        let height = if height_deg.is_finite() && height_deg > 0.0 {
-            height_deg.clamp(MIN_HEIGHT_DEG, 180.0)
-        } else {
-            DEFAULT_ZONE_HEIGHT_DEG
-        };
-        let count = (180.0 / height).ceil().max(1.0) as usize;
-        ZoneMap {
-            height_deg: height,
-            count,
-        }
+        let (height_deg, count) = effective_height(height_deg);
+        ZoneMap { height_deg, count }
     }
 
     /// The (possibly clamped) zone height in degrees.
@@ -51,11 +40,7 @@ impl ZoneMap {
     /// The zone containing the given declination. Out-of-range inputs are
     /// clamped to the polar zones.
     pub fn zone_of(&self, dec_deg: f64) -> usize {
-        let idx = ((dec_deg + 90.0) / self.height_deg).floor();
-        if idx.is_nan() || idx < 0.0 {
-            return 0;
-        }
-        (idx as usize).min(self.count - 1)
+        declination_zone(dec_deg, self.height_deg, self.count)
     }
 
     /// The `[lo, hi)` declination bounds of a zone (the last zone closes
@@ -70,6 +55,7 @@ impl ZoneMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG;
 
     #[test]
     fn covers_the_sphere() {
@@ -95,47 +81,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_zone_label_agrees_with_the_map() {
-        // The transfer layer stamps outgoing tuples with
-        // `skyquery_core::transfer::zone_label`, which replicates this
-        // map's formula so sender and engine agree on zone boundaries
-        // without a crate dependency in that direction. Keep them
-        // identical.
-        for height in [
-            1e-9,
-            1e-4,
-            0.05,
-            0.1,
-            0.37,
-            5.0,
-            180.0,
-            500.0,
-            0.0,
-            f64::NAN,
-        ] {
-            let m = ZoneMap::new(height);
-            for i in 0..=1800 {
-                let dec = -90.0 + 0.1 * i as f64;
-                assert_eq!(
-                    skyquery_core::transfer::zone_label(dec, height) as usize,
-                    m.zone_of(dec),
-                    "dec {dec} height {height}"
-                );
-            }
-            assert_eq!(
-                skyquery_core::transfer::zone_label(f64::NAN, height) as usize,
-                m.zone_of(f64::NAN)
-            );
-        }
-    }
-
-    #[test]
     fn columnar_layout_agrees_with_the_map() {
-        // The storage crate's columnar position layout re-derives this
-        // map's zone formula (storage cannot depend on this crate); the
-        // columnar kernel scans the zone ranges that partitioning
-        // computed with *this* map, so the two bucketings must stay
-        // identical for every height and declination.
+        // The columnar kernel scans the zone ranges that partitioning
+        // computed with *this* map, so a layout built at any height must
+        // bucket every declination exactly as the map does.
         use skyquery_storage::{
             BufferCache, ColumnDef, DataType, Database, PositionColumns, TableSchema, Value,
         };

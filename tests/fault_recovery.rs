@@ -11,11 +11,12 @@
 //!   `NetworkMetrics`, and recovery shows up in the execution trace.
 
 use skyquery_core::{
-    transfer::{open_cross_match, IncomingPartial},
-    ExecutionPlan, FederationConfig, FederationError, PlanStep, RetryPolicy,
+    open_chunk_stream, send_rpc_with, ChunkStream, ExecutionPlan, FederationConfig,
+    FederationError, PlanStep, RetryPolicy,
 };
 use skyquery_net::{FaultKind, FaultPlan, FaultRule, NetError};
 use skyquery_sim::{xmatch_query, FederationBuilder, TestFederation};
+use skyquery_soap::{ChunkManifest, RpcCall, SoapValue};
 
 const PORTAL: &str = "portal.skyquery.net";
 const SDSS: &str = "sdss.skyquery.net";
@@ -391,11 +392,26 @@ fn tiny_budget_plan(fed: &TestFederation) -> ExecutionPlan {
         chunking: true,
         xmatch_workers: 1,
         zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
-        zone_chunking: true,
         kernel: Default::default(),
         retry: Default::default(),
         lease_ttl_s: skyquery_core::plan::DEFAULT_LEASE_TTL_S,
     }
+}
+
+/// Calls CrossMatch at the SDSS node with `plan` and opens the chunk
+/// stream its reply's manifest announces, as `JobClient::fetch` does.
+fn open_cross_match_stream<'a>(fed: &'a TestFederation, plan: &ExecutionPlan) -> ChunkStream<'a> {
+    let url = fed.node("SDSS").unwrap().url();
+    let call = RpcCall::new("CrossMatch")
+        .param("plan", SoapValue::Xml(plan.to_element()))
+        .param("step", SoapValue::Int(0));
+    let resp = send_rpc_with(&fed.net, "tester", &url, &call, plan.retry).unwrap();
+    let manifest = resp
+        .get("manifest")
+        .and_then(SoapValue::as_xml)
+        .expect("tiny budget must force chunking");
+    let manifest = ChunkManifest::from_element(manifest).unwrap();
+    open_chunk_stream(&fed.net, "tester", &url, manifest, plan.retry)
 }
 
 #[test]
@@ -403,11 +419,7 @@ fn dropped_chunk_stream_aborts_the_sender_session() {
     let fed = FederationBuilder::paper_triple(400).build();
     let node = fed.node("SDSS").unwrap();
     let plan = tiny_budget_plan(&fed);
-    let (incoming, _) = open_cross_match(&fed.net, "tester", &node.url(), &plan, 0).unwrap();
-    let mut stream = match incoming {
-        IncomingPartial::Chunked(s) => s,
-        IncomingPartial::Inline(_) => panic!("tiny budget must force chunking"),
-    };
+    let mut stream = open_cross_match_stream(&fed, &plan);
     assert!(stream.manifest().total_chunks() > 1);
     assert_eq!(node.open_transfers().len(), 1, "sender session open");
     // Pull one chunk, then walk away mid-transfer.
@@ -428,11 +440,7 @@ fn explicit_abort_is_observable_and_idempotent() {
     let fed = FederationBuilder::paper_triple(400).build();
     let node = fed.node("SDSS").unwrap();
     let plan = tiny_budget_plan(&fed);
-    let (incoming, _) = open_cross_match(&fed.net, "tester", &node.url(), &plan, 0).unwrap();
-    let mut stream = match incoming {
-        IncomingPartial::Chunked(s) => s,
-        IncomingPartial::Inline(_) => panic!("tiny budget must force chunking"),
-    };
+    let mut stream = open_cross_match_stream(&fed, &plan);
     stream.abort().unwrap();
     assert!(node.open_transfers().is_empty());
     // Idempotent: aborting again (and dropping after) does nothing more.
@@ -451,11 +459,7 @@ fn fully_drained_stream_sends_no_abort() {
     let fed = FederationBuilder::paper_triple(400).build();
     let node = fed.node("SDSS").unwrap();
     let plan = tiny_budget_plan(&fed);
-    let (incoming, _) = open_cross_match(&fed.net, "tester", &node.url(), &plan, 0).unwrap();
-    let stream = match incoming {
-        IncomingPartial::Chunked(s) => s,
-        IncomingPartial::Inline(_) => panic!("tiny budget must force chunking"),
-    };
+    let stream = open_cross_match_stream(&fed, &plan);
     let set = stream.collect_set().unwrap();
     assert!(set.tuples.len() > 0);
     // The sender freed the transfer on the last chunk; no abort traffic.

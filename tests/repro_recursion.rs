@@ -34,7 +34,6 @@ fn malicious_long_plan_overflows_stack() {
         chunking: true,
         xmatch_workers: 1,
         zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
-        zone_chunking: true,
         kernel: Default::default(),
         retry: Default::default(),
         lease_ttl_s: skyquery_core::plan::DEFAULT_LEASE_TTL_S,

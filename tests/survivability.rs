@@ -253,7 +253,6 @@ fn seed_plan(fed: &TestFederation, lease_ttl_s: f64) -> ExecutionPlan {
         chunking: true,
         xmatch_workers: 1,
         zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
-        zone_chunking: true,
         kernel: Default::default(),
         retry: RetryPolicy::none(),
         lease_ttl_s,

@@ -1,11 +1,9 @@
-//! Zone-aware streaming chunk transfer: byte-identity parity suite.
+//! Chunked transfer under the zone engine: byte-identity parity suite.
 //!
-//! The pipelined path — zone-boundary chunk splitting on the sender,
-//! incremental per-chunk ingest on the receiver — must be a pure
-//! transport optimization: for every worker count, zone height, and
-//! message budget, query results must be **byte-identical** to a
-//! monolithic (unchunked) run, and to the legacy byte-budget chunking
-//! the §6 workaround shipped with.
+//! The §6 workaround — byte-budget chunks on the sender, drained whole by
+//! the receiver before its step runs — must be a pure transport detail:
+//! for every worker count, zone height, and message budget, query results
+//! must be **byte-identical** to a monolithic (unchunked) run.
 
 use proptest::prelude::*;
 use skyquery_core::{FederationConfig, ResultSet};
@@ -52,7 +50,6 @@ fn pipelined_transfer_is_byte_identical_to_monolithic() {
                     FederationConfig {
                         max_message_bytes,
                         chunking: true,
-                        zone_chunking: true,
                         xmatch_workers: workers,
                         zone_height_deg,
                         ..FederationConfig::default()
@@ -69,6 +66,8 @@ fn pipelined_transfer_is_byte_identical_to_monolithic() {
 
 #[test]
 fn legacy_byte_budget_chunking_still_byte_identical() {
+    // The §6 workaround as it first shipped: the default zone height and a
+    // 4 000-byte budget.
     let fed = federation();
     let sql = three_archive_sql();
     let reference = run_with(&fed, &sql, FederationConfig::default());
@@ -79,7 +78,6 @@ fn legacy_byte_budget_chunking_still_byte_identical() {
             FederationConfig {
                 max_message_bytes: 4_000,
                 chunking: true,
-                zone_chunking: false, // pre-zone-aware plans
                 xmatch_workers: workers,
                 ..FederationConfig::default()
             },
@@ -94,7 +92,6 @@ fn chunk_flow_metrics_record_the_pipelined_transfer() {
     let sql = three_archive_sql();
     fed.portal.set_config(FederationConfig {
         max_message_bytes: 3_000,
-        zone_chunking: true,
         ..FederationConfig::default()
     });
     fed.net.reset_metrics();
@@ -129,7 +126,6 @@ proptest! {
         max_message_bytes in 1_500usize..60_000,
         zone_height_deg in 0.02f64..10.0,
         workers in 1usize..8,
-        zone_chunking in any::<bool>(),
     ) {
         let fed = FederationBuilder::paper_triple(180).build();
         let sql = three_archive_sql();
@@ -137,7 +133,6 @@ proptest! {
         let rs = run_with(&fed, &sql, FederationConfig {
             max_message_bytes,
             chunking: true,
-            zone_chunking,
             xmatch_workers: workers,
             zone_height_deg,
             ..FederationConfig::default()
