@@ -109,8 +109,6 @@ fn cfg(kernel: MatchKernel) -> StepConfig {
         region: None,
         local_predicate: None,
         carried_columns: vec!["object_id".into()],
-        xmatch_workers: 1,
-        zone_height_deg: 0.1,
         kernel,
     }
 }

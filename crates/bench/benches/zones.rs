@@ -61,6 +61,8 @@ fn archive(rows: usize) -> Database {
         )
         .unwrap();
     }
+    // Half-degree zones: how this node lays out its positions.
+    db.set_zone_height(0.5);
     db
 }
 
@@ -85,7 +87,7 @@ fn incoming(db: &Database, sigma_arcsec: f64, stride: usize) -> PartialSet {
     set
 }
 
-fn cfg(workers: usize) -> StepConfig {
+fn cfg() -> StepConfig {
     StepConfig {
         alias: "B".into(),
         table: "objects".into(),
@@ -94,8 +96,6 @@ fn cfg(workers: usize) -> StepConfig {
         region: None,
         local_predicate: None,
         carried_columns: vec!["object_id".into()],
-        xmatch_workers: workers,
-        zone_height_deg: 0.5,
         kernel: MatchKernel::Htm,
     }
 }
@@ -109,8 +109,7 @@ fn print_tables() {
     );
     let mut db = archive(ROWS);
     let set = incoming(&db, 0.2, STRIDE);
-    let (reference, ref_stats) = match_step(&mut db, &cfg(1), &set).unwrap();
-    let engine = ZoneEngine::new();
+    let (reference, ref_stats) = match_step(&mut db, &cfg(), &set).unwrap();
     println!(
         "{:<10} {:>12} {:>10} {:>12} {:>10}",
         "workers", "time (ms)", "speedup", "tuples out", "identical"
@@ -118,7 +117,8 @@ fn print_tables() {
     let mut base_ms = 0.0;
     for workers in [1usize, 2, 4] {
         let t0 = Instant::now();
-        let (out, stats) = engine.match_tuples(&mut db, &cfg(workers), &set).unwrap();
+        let engine = ZoneEngine::new(workers);
+        let (out, stats) = engine.match_tuples(&mut db, &cfg(), &set).unwrap();
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if workers == 1 {
             base_ms = ms;
@@ -144,8 +144,8 @@ fn bench(c: &mut Criterion) {
     let mut db = archive(20_000);
     let set = incoming(&db, 0.2, 4);
     for workers in [1usize, 2, 4] {
-        let engine = ZoneEngine::new();
-        let step_cfg = cfg(workers);
+        let engine = ZoneEngine::new(workers);
+        let step_cfg = cfg();
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
             b.iter(|| engine.match_tuples(&mut db, &step_cfg, &set).unwrap())
         });

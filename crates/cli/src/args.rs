@@ -10,8 +10,8 @@ pub struct Options {
     pub seed: u64,
     /// Cross-match worker threads per SkyNode (1 = sequential engine).
     pub workers: usize,
-    /// Declination zone height in degrees for the parallel engine.
-    pub zone_height_deg: f64,
+    /// Declination zone height in degrees of every SkyNode's layout.
+    pub zone_height: f64,
     /// Retry attempts for every federation RPC (1 = no retries).
     pub retries: u32,
     /// First retry's backoff in simulated seconds (doubles per retry).
@@ -36,7 +36,7 @@ impl Default for Options {
             bodies: 2000,
             seed: 42,
             workers: 1,
-            zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
+            zone_height: skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG,
             retries: skyquery_core::RetryPolicy::default().max_attempts,
             retry_backoff_s: skyquery_core::RetryPolicy::default().backoff_base_s,
             chain_mode: skyquery_core::ChainMode::default(),
@@ -107,7 +107,7 @@ where
             "--zone-height" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(h) if h.is_finite() && h > 0.0 => opts.zone_height_deg = h,
+                    Some(h) if h.is_finite() && h > 0.0 => opts.zone_height = h,
                     _ => {
                         return Command::Help(Some(
                             "--zone-height needs a positive number of degrees".into(),
@@ -255,7 +255,7 @@ mod tests {
                 assert_eq!(o.bodies, 500);
                 assert_eq!(o.seed, 7);
                 assert_eq!(o.workers, 4);
-                assert_eq!(o.zone_height_deg, 0.5);
+                assert_eq!(o.zone_height, 0.5);
                 assert_eq!(o.retries, 5);
                 assert_eq!(o.retry_backoff_s, 0.2);
                 assert_eq!(o.retry_policy().max_attempts, 5);

@@ -41,8 +41,6 @@ impl Session {
                 ..CatalogParams::default()
             })
             .config(FederationConfig {
-                xmatch_workers: opts.workers,
-                zone_height_deg: opts.zone_height_deg,
                 retry: opts.retry_policy(),
                 chain_mode: opts.chain_mode,
                 ..FederationConfig::default()
@@ -52,6 +50,7 @@ impl Session {
             .survey(skyquery_sim::SurveyParams::first_like())
             .shards(opts.shards)
             .replicas(opts.replicas)
+            .zone_engine(opts.workers, opts.zone_height)
             .build();
         let mut session = Session {
             fed,

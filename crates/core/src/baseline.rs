@@ -139,8 +139,6 @@ impl Portal {
                 region: None,
                 local_predicate: None,
                 carried_columns: step.carried.clone(),
-                xmatch_workers: 1,
-                zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
                 kernel: plan.kernel,
             };
             let (set, _) = match (&current, step.dropout) {

@@ -6,7 +6,7 @@
 use skyquery_net::{SimNetwork, Url};
 use skyquery_soap::{RpcCall, SoapValue};
 
-use crate::error::{FederationError, Result};
+use crate::error::{opt_result, FederationError, Result};
 use crate::result::ResultSet;
 use crate::skynode::send_rpc;
 use crate::trace::{ExecutionTrace, TraceEvent};
@@ -45,10 +45,9 @@ impl Client {
         let mut result = ResultSet::from_votable(table)?;
         // Partial-result honesty: the Portal stamps a degraded answer on
         // the response header. Older portals omit the fields — absent
-        // means complete, matching their behaviour.
-        if let Some(v) = resp.get("degraded") {
-            result.degraded = v.as_bool().unwrap_or(false);
-        }
+        // means complete, matching their behaviour; a garbled flag is
+        // refused rather than read as complete.
+        result.degraded = opt_result(&resp, "degraded", SoapValue::as_bool)?.unwrap_or(false);
         if let Some(SoapValue::Str(dropped)) = resp.get("dropped") {
             if !dropped.is_empty() {
                 result.dropped_archives = dropped.split(',').map(str::to_string).collect();

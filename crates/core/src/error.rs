@@ -1,9 +1,12 @@
 //! Federation-level errors.
 
+use std::str::FromStr;
+
 use skyquery_net::NetError;
-use skyquery_soap::{SoapError, SoapFault};
+use skyquery_soap::{RpcResponse, SoapError, SoapFault, SoapValue};
 use skyquery_sql::SqlError;
 use skyquery_storage::StorageError;
+use skyquery_xml::Element;
 
 /// Errors surfaced by the Portal, SkyNodes, and the execution chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,6 +155,42 @@ impl FederationError {
             | FederationError::AbortFailed { .. } => false,
         }
     }
+}
+
+/// Decodes the optional attribute `name` of a wire element: `None` when
+/// it is absent (an older peer), its value when it parses and `valid`
+/// accepts it, and a [`FederationError::Protocol`] naming it when it is
+/// present but malformed — a garbled value never reads as the default.
+pub fn opt_attr<T: FromStr>(
+    e: &Element,
+    name: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>> {
+    let Some(raw) = e.attr(name) else {
+        return Ok(None);
+    };
+    match raw.parse() {
+        Ok(v) if valid(&v) => Ok(Some(v)),
+        _ => Err(FederationError::protocol(format!(
+            "{} has malformed {name} {raw:?}",
+            e.name
+        ))),
+    }
+}
+
+/// [`opt_attr`] for a result of an RPC reply: `None` when absent, the
+/// value when `view` accepts it, and a [`FederationError::Protocol`]
+/// naming it when it is present but malformed.
+pub fn opt_result<T>(
+    resp: &RpcResponse,
+    name: &str,
+    view: impl Fn(&SoapValue) -> Option<T>,
+) -> Result<Option<T>> {
+    resp.get(name)
+        .map(|v| {
+            view(v).ok_or_else(|| FederationError::protocol(format!("malformed {name} {v:?}")))
+        })
+        .transpose()
 }
 
 impl From<SqlError> for FederationError {

@@ -30,7 +30,7 @@ use skyquery_sql::parse_query;
 use skyquery_storage::{ColumnDef, TableSchema};
 use skyquery_xml::Element;
 
-use crate::error::{FederationError, Result};
+use crate::error::{opt_result, FederationError, Result};
 use crate::meta::{catalog_from_element, catalog_to_element};
 use crate::portal::Portal;
 use crate::result::ResultSet;
@@ -148,11 +148,15 @@ impl Portal {
         match send_rpc_with(&net, self.host(), &dest.url, &commit, retry) {
             Ok(resp) => {
                 // The participant reports the destination table's new
-                // modification version (lenient: absent from pre-version
-                // peers). Feeding it to the registry keeps the result
-                // cache's version vectors honest without a re-register.
-                if let Some(v) = resp.get("version").and_then(|v| v.as_i64()) {
-                    self.update_registry_version(&dest.url.host, dest_table, v as u64);
+                // modification version (absent from pre-version peers).
+                // Feeding it to the registry keeps the result cache's
+                // version vectors honest without a re-register; a negative
+                // one would wrap and stick under the registry's `max`.
+                let version = opt_result(&resp, "version", |v| {
+                    v.as_i64().and_then(|n| u64::try_from(n).ok())
+                })?;
+                if let Some(v) = version {
+                    self.update_registry_version(&dest.url.host, dest_table, v);
                 }
                 Ok(TransferReport {
                     txn_id,

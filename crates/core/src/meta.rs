@@ -4,7 +4,7 @@
 use skyquery_storage::{Catalog, ColumnDef, DataType, PositionColumns, TableSchema, TableStats};
 use skyquery_xml::Element;
 
-use crate::error::{FederationError, Result};
+use crate::error::{opt_attr, FederationError, Result};
 
 /// A declination-zone range — the first-class addressing unit for shards
 /// of one logical archive. An archive split across several SkyNodes
@@ -248,25 +248,12 @@ pub fn catalog_from_element(e: &Element) -> Result<Catalog> {
             .attr("rows")
             .and_then(|r| r.parse().ok())
             .ok_or_else(|| FederationError::protocol("Table missing rows"))?;
-        // Absent is back-compat (peers predating size estimates), but a
-        // present-yet-unparseable value is corruption — defaulting it to
-        // 0 would silently skew the planner's size estimates.
-        let approx_bytes: usize = match te.attr("bytes") {
-            None => 0,
-            Some(raw) => raw.parse().map_err(|_| {
-                FederationError::protocol(format!("Table {name} has malformed bytes {raw:?}"))
-            })?,
-        };
-        // Same discipline for the modification version: absent is
-        // back-compat (peers predating the result cache), but a garbled
-        // value is corruption — defaulting it to 0 would validate stale
-        // cache entries against a table that has actually changed.
-        let version: u64 = match te.attr("version") {
-            None => 0,
-            Some(raw) => raw.parse().map_err(|_| {
-                FederationError::protocol(format!("Table {name} has malformed version {raw:?}"))
-            })?,
-        };
+        // Absent is back-compat (peers predating size estimates and the
+        // result cache), but a garbled value is corruption: a zero would
+        // skew the planner's size estimates, or validate stale cache
+        // entries against a table that has actually changed.
+        let approx_bytes = opt_attr(te, "bytes", |_| true)?.unwrap_or(0);
+        let version = opt_attr(te, "version", |_| true)?.unwrap_or(0);
         let mut columns = Vec::new();
         for ce in te.children_named("Column") {
             let cname = ce
@@ -276,9 +263,8 @@ pub fn catalog_from_element(e: &Element) -> Result<Catalog> {
                 .attr("type")
                 .and_then(DataType::parse)
                 .ok_or_else(|| FederationError::protocol("Column missing/bad type"))?;
-            let nullable = ce.attr("nullable") == Some("true");
             let mut def = ColumnDef::new(cname, dtype);
-            if nullable {
+            if opt_attr(ce, "nullable", |_| true)?.unwrap_or(false) {
                 def = def.nullable();
             }
             columns.push(def);
@@ -509,6 +495,49 @@ mod tests {
         // would validate stale cache entries against changed tables).
         assert!(catalog_from_element(&table(Some("not-a-number"))).is_err());
         assert!(catalog_from_element(&table(Some("-3"))).is_err());
+    }
+
+    #[test]
+    fn malformed_wire_catalog_attributes_are_refused() {
+        // (element, attribute, garbled values); every one is optional.
+        let rows: [(&str, &str, &[&str]); 3] = [
+            ("Table", "bytes", &["zz", "-3", "1.5"]),
+            ("Table", "version", &["zz", "-3", ""]),
+            ("Column", "nullable", &["yes", "1", ""]),
+        ];
+        let catalog = |on: &str, name: &str, value: Option<&str>| {
+            let mut column = Element::new("Column")
+                .with_attr("name", "c")
+                .with_attr("type", "FLOAT");
+            let mut table = Element::new("Table")
+                .with_attr("name", "t")
+                .with_attr("rows", "1");
+            let target = if on == "Table" {
+                &mut table
+            } else {
+                &mut column
+            };
+            if let Some(v) = value {
+                target.attributes.push((name.into(), v.into()));
+            }
+            Element::new("Catalog")
+                .with_attr("database", "X")
+                .with_child(table.with_child(column))
+        };
+        for (on, name, garbled) in rows {
+            let cat = catalog_from_element(&catalog(on, name, None)).unwrap();
+            let t = &cat.tables[0];
+            assert_eq!((t.approx_bytes, t.version), (0, 0));
+            assert!(!t.schema.columns[0].nullable, "{name} absent");
+            for value in garbled {
+                match catalog_from_element(&catalog(on, name, Some(value))) {
+                    Err(FederationError::Protocol { detail }) => {
+                        assert!(detail.contains(name), "{detail}")
+                    }
+                    other => panic!("{on} {name}={value:?} decoded to {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use skyquery_xml::Element;
 
 use crate::region::Region;
 
-use crate::error::{FederationError, Result};
+use crate::error::{opt_attr, FederationError, Result};
 use crate::meta::ZoneExtent;
 use crate::retry::RetryPolicy;
 use crate::xmatch::{MatchKernel, StepConfig};
@@ -99,11 +99,6 @@ pub struct ExecutionPlan {
     /// (§6 workaround). With chunking off, an oversized partial result
     /// faults — the pre-workaround behaviour.
     pub chunking: bool,
-    /// Worker threads each node's cross-match engine may use per step.
-    /// 1 (the default) keeps the sequential path.
-    pub xmatch_workers: usize,
-    /// Declination zone height in degrees for the parallel zone engine.
-    pub zone_height_deg: f64,
     /// Candidate-probe kernel each node uses for its match/drop-out step.
     /// An oracle/test override; production runs the default. Both kernels
     /// produce byte-identical results, so it is safe to default when
@@ -129,8 +124,6 @@ pub const DEFAULT_MAX_MESSAGE_BYTES: usize = 10 * 1024 * 1024;
 /// bounded by the 30 s default deadline per call), so a live query never
 /// loses a lease, while an abandoned one is reclaimed on the next sweep.
 pub const DEFAULT_LEASE_TTL_S: f64 = 300.0;
-
-pub use skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG;
 
 /// Upper bound on plan length a node will accept. Each step is one
 /// archive in the daisy chain, and every hop nests a synchronous call
@@ -172,8 +165,6 @@ impl ExecutionPlan {
             region: self.region.clone(),
             local_predicate,
             carried_columns: step.carried.clone(),
-            xmatch_workers: self.xmatch_workers,
-            zone_height_deg: self.zone_height_deg,
             kernel: self.kernel,
         })
     }
@@ -183,11 +174,11 @@ impl ExecutionPlan {
     /// identity (alias, archive, table, shards), match parameters
     /// (σ, drop-out), and SQL fragments (local predicate, carried
     /// columns, residuals) in chain order. Execution knobs — message
-    /// size, chunking, worker count, retry policy, lease TTL — and the
-    /// projection (`SELECT` list, `ORDER BY`, `LIMIT`, applied after
-    /// the partial set is final) are deliberately excluded: two plans
-    /// that differ only in those produce byte-identical partial sets,
-    /// so they share a cache entry.
+    /// size, chunking, retry policy, lease TTL — and the projection
+    /// (`SELECT` list, `ORDER BY`, `LIMIT`, applied after the partial
+    /// set is final) are deliberately excluded: two plans that differ
+    /// only in those produce byte-identical partial sets, so they share
+    /// a cache entry.
     pub fn cache_signature(&self) -> String {
         use std::fmt::Write;
         let mut sig = String::new();
@@ -243,8 +234,6 @@ impl ExecutionPlan {
             .with_attr("threshold", format!("{:?}", self.threshold))
             .with_attr("max_message_bytes", self.max_message_bytes.to_string())
             .with_attr("chunking", self.chunking.to_string())
-            .with_attr("xmatch_workers", self.xmatch_workers.to_string())
-            .with_attr("zone_height_deg", format!("{:?}", self.zone_height_deg))
             .with_attr("kernel", self.kernel.as_str())
             .with_attr("retry_attempts", self.retry.max_attempts.to_string())
             .with_attr(
@@ -316,7 +305,9 @@ impl ExecutionPlan {
         plan
     }
 
-    /// Parses the wire element.
+    /// Parses the wire element. An optional attribute that is absent (an
+    /// older peer) takes its default; one present but malformed is a
+    /// protocol error. Attributes of withdrawn knobs are ignored.
     pub fn from_element(e: &Element) -> Result<ExecutionPlan> {
         if e.name != "Plan" {
             return Err(FederationError::protocol(format!(
@@ -357,7 +348,9 @@ impl ExecutionPlan {
                 archive: attr("archive")?.to_string(),
                 table: attr("table")?.to_string(),
                 url: Url::parse(attr("url")?).map_err(FederationError::Net)?,
-                dropout: attr("dropout")? == "true",
+                dropout: attr("dropout")?
+                    .parse()
+                    .map_err(|_| FederationError::protocol("Step has malformed dropout"))?,
                 sigma_arcsec: attr("sigma_arcsec")?
                     .parse()
                     .map_err(|_| FederationError::protocol("bad sigma_arcsec"))?,
@@ -367,7 +360,7 @@ impl ExecutionPlan {
                     .children_named("Residual")
                     .map(|r| r.text.clone())
                     .collect(),
-                count_estimate: se.attr("count").and_then(|c| c.parse().ok()),
+                count_estimate: opt_attr(se, "count", |_| true)?,
                 // Plans from peers predating sharded archives carry no
                 // Shard children; empty means the single node at `url`.
                 shards: se
@@ -426,14 +419,17 @@ impl ExecutionPlan {
                                     FederationError::protocol("OrderLimit Key missing expr")
                                 })?
                                 .to_string(),
-                            k.attr("desc") == Some("true"),
+                            opt_attr(k, "desc", |_| true)?.unwrap_or(false),
                         ))
                     })
                     .collect::<Result<Vec<_>>>()?,
-                ol.attr("limit").and_then(|v| v.parse().ok()),
+                opt_attr(ol, "limit", |_| true)?,
             ),
             None => (Vec::new(), None),
         };
+        let retry = RetryPolicy::default();
+        let at_least = |min: f64| move |v: &f64| v.is_finite() && *v >= min;
+        let positive = |v: &f64| v.is_finite() && *v > 0.0;
         Ok(ExecutionPlan {
             threshold,
             region,
@@ -441,23 +437,9 @@ impl ExecutionPlan {
             select,
             order_by,
             limit,
-            max_message_bytes: e
-                .attr("max_message_bytes")
-                .and_then(|v| v.parse().ok())
+            max_message_bytes: opt_attr(e, "max_message_bytes", |_| true)?
                 .unwrap_or(DEFAULT_MAX_MESSAGE_BYTES),
-            chunking: e.attr("chunking").map(|v| v == "true").unwrap_or(true),
-            // Plans from older peers omit the zone-engine knobs; absent
-            // (or degenerate) values fall back to the sequential path.
-            xmatch_workers: e
-                .attr("xmatch_workers")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1)
-                .max(1),
-            zone_height_deg: e
-                .attr("zone_height_deg")
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|h| h.is_finite() && *h > 0.0)
-                .unwrap_or(DEFAULT_ZONE_HEIGHT_DEG),
+            chunking: opt_attr(e, "chunking", |_| true)?.unwrap_or(true),
             // Absent or unknown kernel names fall back to the default —
             // both kernels are byte-identical, so mixed-version chains
             // stay correct either way.
@@ -466,45 +448,21 @@ impl ExecutionPlan {
                 .and_then(MatchKernel::parse)
                 .unwrap_or_default(),
             // Plans from peers predating the retry layer omit the retry
-            // attributes; each falls back to the default policy's value
-            // independently, so a partially-attributed plan stays sane.
-            retry: {
-                let default = RetryPolicy::default();
-                RetryPolicy {
-                    max_attempts: e
-                        .attr("retry_attempts")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(default.max_attempts)
-                        .max(1),
-                    backoff_base_s: e
-                        .attr("retry_backoff_s")
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|v| v.is_finite() && *v >= 0.0)
-                        .unwrap_or(default.backoff_base_s),
-                    backoff_factor: e
-                        .attr("retry_factor")
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|v| v.is_finite() && *v >= 1.0)
-                        .unwrap_or(default.backoff_factor),
-                    deadline_s: e
-                        .attr("retry_deadline_s")
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|v| v.is_finite() && *v > 0.0)
-                        .unwrap_or(default.deadline_s),
-                    jitter: e
-                        .attr("retry_jitter")
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|v| v.is_finite() && (0.0..1.0).contains(v))
-                        .unwrap_or(default.jitter),
-                }
+            // attributes; each falls back to the default policy's value.
+            retry: RetryPolicy {
+                max_attempts: opt_attr(e, "retry_attempts", |n| *n >= 1)?
+                    .unwrap_or(retry.max_attempts),
+                backoff_base_s: opt_attr(e, "retry_backoff_s", at_least(0.0))?
+                    .unwrap_or(retry.backoff_base_s),
+                backoff_factor: opt_attr(e, "retry_factor", at_least(1.0))?
+                    .unwrap_or(retry.backoff_factor),
+                deadline_s: opt_attr(e, "retry_deadline_s", positive)?.unwrap_or(retry.deadline_s),
+                jitter: opt_attr(e, "retry_jitter", |v| (0.0..1.0).contains(v))?
+                    .unwrap_or(retry.jitter),
             },
             // Plans from peers predating leases omit the attribute; the
             // default TTL keeps their node-side state reclaimable.
-            lease_ttl_s: e
-                .attr("lease_ttl_s")
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|v| v.is_finite() && *v > 0.0)
-                .unwrap_or(DEFAULT_LEASE_TTL_S),
+            lease_ttl_s: opt_attr(e, "lease_ttl_s", positive)?.unwrap_or(DEFAULT_LEASE_TTL_S),
         })
     }
 }
@@ -569,8 +527,6 @@ mod tests {
             limit: Some(100),
             max_message_bytes: DEFAULT_MAX_MESSAGE_BYTES,
             chunking: true,
-            xmatch_workers: 4,
-            zone_height_deg: 0.25,
             kernel: MatchKernel::Htm,
             retry: RetryPolicy {
                 max_attempts: 4,
@@ -598,7 +554,6 @@ mod tests {
         let mut tuned = demo_plan();
         tuned.max_message_bytes = 1;
         tuned.chunking = !tuned.chunking;
-        tuned.xmatch_workers = 7;
         tuned.retry = RetryPolicy::none();
         tuned.lease_ttl_s = 1.0;
         tuned.limit = Some(3);
@@ -669,36 +624,47 @@ mod tests {
 
     #[test]
     fn zone_knobs_roundtrip_and_reach_step_config() {
-        let p = demo_plan();
-        let back = ExecutionPlan::from_element(&p.to_element()).unwrap();
-        assert_eq!(back.xmatch_workers, 4);
-        assert!((back.zone_height_deg - 0.25).abs() < 1e-12);
-        let cfg = back.step_config(1).unwrap();
-        assert_eq!(cfg.xmatch_workers, 4);
-        assert!((cfg.zone_height_deg - 0.25).abs() < 1e-12);
+        // Worker count and zone height are the node's business: the plan
+        // carries what to compute and how the chain retries and leases,
+        // nothing about how a node probes.
+        let el = demo_plan().to_element();
+        let names: Vec<&str> = el.attributes.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "threshold",
+                "max_message_bytes",
+                "chunking",
+                "kernel",
+                "retry_attempts",
+                "retry_backoff_s",
+                "retry_factor",
+                "retry_deadline_s",
+                "retry_jitter",
+                "lease_ttl_s",
+            ]
+        );
+        let back = ExecutionPlan::from_element(&el).unwrap();
+        assert_eq!(
+            format!("{:?}", back.step_config(1).unwrap()),
+            format!("{:?}", demo_plan().step_config(1).unwrap())
+        );
     }
 
     #[test]
     fn legacy_plans_default_to_sequential() {
-        // A plan element written before the zone knobs existed.
-        let strip = |el: &mut Element| {
-            el.attributes
-                .retain(|(k, _)| k != "xmatch_workers" && k != "zone_height_deg");
-        };
-        let mut el = demo_plan().to_element();
-        strip(&mut el);
-        let p = ExecutionPlan::from_element(&el).unwrap();
-        assert_eq!(p.xmatch_workers, 1);
-        assert!((p.zone_height_deg - DEFAULT_ZONE_HEIGHT_DEG).abs() < 1e-12);
-        // Degenerate values are rejected in favour of safe defaults.
-        let mut el = demo_plan().to_element();
-        strip(&mut el);
-        let el = el
-            .with_attr("xmatch_workers", "0")
-            .with_attr("zone_height_deg", "-3.0");
-        let p = ExecutionPlan::from_element(&el).unwrap();
-        assert_eq!(p.xmatch_workers, 1);
-        assert!(p.zone_height_deg > 0.0);
+        // Peers predating node-side engines still send the worker count
+        // and zone height, well-formed or not: the plan decodes, ignores
+        // both, and re-encodes without them.
+        for (workers, height) in [("4", "0.25"), ("0", "-3.0"), ("zz", "NaN")] {
+            let el = demo_plan()
+                .to_element()
+                .with_attr("xmatch_workers", workers)
+                .with_attr("zone_height_deg", height);
+            let p = ExecutionPlan::from_element(&el).unwrap();
+            assert_eq!(p, demo_plan());
+            assert_eq!(p.to_element(), demo_plan().to_element());
+        }
     }
 
     #[test]
@@ -742,25 +708,18 @@ mod tests {
         el.attributes.retain(|(k, _)| !k.starts_with("retry_"));
         let p = ExecutionPlan::from_element(&el).unwrap();
         assert_eq!(p.retry, RetryPolicy::default());
-        // Degenerate values are clamped/defaulted.
-        let mut el = demo_plan().to_element();
-        el.attributes.retain(|(k, _)| !k.starts_with("retry_"));
-        let el = el
-            .with_attr("retry_attempts", "0")
-            .with_attr("retry_backoff_s", "-1.0")
-            .with_attr("retry_factor", "0.1")
-            .with_attr("retry_deadline_s", "NaN");
-        let p = ExecutionPlan::from_element(&el).unwrap();
-        assert_eq!(p.retry.max_attempts, 1);
-        assert_eq!(
-            p.retry.backoff_base_s,
-            RetryPolicy::default().backoff_base_s
-        );
-        assert_eq!(
-            p.retry.backoff_factor,
-            RetryPolicy::default().backoff_factor
-        );
-        assert_eq!(p.retry.deadline_s, RetryPolicy::default().deadline_s);
+        // Degenerate values are refused, not clamped to a default.
+        for (name, value) in [
+            ("retry_attempts", "0"),
+            ("retry_backoff_s", "-1.0"),
+            ("retry_factor", "0.1"),
+            ("retry_deadline_s", "NaN"),
+        ] {
+            let mut el = demo_plan().to_element();
+            el.attributes.retain(|(k, _)| !k.starts_with("retry_"));
+            let el = el.with_attr(name, value);
+            assert!(ExecutionPlan::from_element(&el).is_err(), "{name}={value}");
+        }
         // A customized policy round-trips (exercised by element_roundtrip
         // too, since demo_plan carries a non-default policy).
         let back = ExecutionPlan::from_element(&demo_plan().to_element()).unwrap();
@@ -775,12 +734,12 @@ mod tests {
         el.attributes.retain(|(k, _)| k != "lease_ttl_s");
         let p = ExecutionPlan::from_element(&el).unwrap();
         assert_eq!(p.lease_ttl_s, DEFAULT_LEASE_TTL_S);
-        // Degenerate TTLs fall back rather than making leases stillborn.
+        // A degenerate TTL is refused rather than making leases
+        // stillborn or quietly taking the default.
         let mut el = demo_plan().to_element();
         el.attributes.retain(|(k, _)| k != "lease_ttl_s");
         let el = el.with_attr("lease_ttl_s", "-5.0");
-        let p = ExecutionPlan::from_element(&el).unwrap();
-        assert_eq!(p.lease_ttl_s, DEFAULT_LEASE_TTL_S);
+        assert!(ExecutionPlan::from_element(&el).is_err());
         // A customized TTL round-trips.
         let back = ExecutionPlan::from_element(&demo_plan().to_element()).unwrap();
         assert_eq!(back.lease_ttl_s, 120.0);
@@ -863,6 +822,85 @@ mod tests {
             }
         }
         assert!(ExecutionPlan::from_element(&el).is_err());
+    }
+
+    /// The demo plan's element with attribute `name` set to `value` (or
+    /// removed, for `None`) on the plan and on every descendant named `on`.
+    fn with_attr_on(on: &str, name: &str, value: Option<&str>) -> Element {
+        fn visit(el: &mut Element, on: &str, name: &str, value: Option<&str>) {
+            if el.name == on {
+                el.attributes.retain(|(k, _)| k != name);
+                if let Some(v) = value {
+                    el.attributes.push((name.into(), v.into()));
+                }
+            }
+            for child in &mut el.children {
+                visit(child, on, name, value);
+            }
+        }
+        let mut el = demo_plan().to_element();
+        visit(&mut el, on, name, value);
+        el
+    }
+
+    #[test]
+    fn malformed_wire_plan_attributes_are_refused() {
+        // One row per optional plan attribute: (element, attribute,
+        // garbled or out-of-range values, what absence decodes to).
+        type Absent = fn(&ExecutionPlan) -> bool;
+        let default = RetryPolicy::default();
+        let rows: [(&str, &str, &[&str], Absent); 11] = [
+            ("Plan", "max_message_bytes", &["zz", "-1", "1.5"], |p| {
+                p.max_message_bytes == DEFAULT_MAX_MESSAGE_BYTES
+            }),
+            ("Plan", "chunking", &["yes", "TRUE", ""], |p| p.chunking),
+            ("Plan", "retry_attempts", &["zz", "0", "-2"], |p| {
+                p.retry.max_attempts == RetryPolicy::default().max_attempts
+            }),
+            ("Plan", "retry_backoff_s", &["zz", "-1.0", "NaN"], |p| {
+                p.retry.backoff_base_s == RetryPolicy::default().backoff_base_s
+            }),
+            ("Plan", "retry_factor", &["zz", "0.5", "inf"], |p| {
+                p.retry.backoff_factor == RetryPolicy::default().backoff_factor
+            }),
+            ("Plan", "retry_deadline_s", &["zz", "0", "NaN"], |p| {
+                p.retry.deadline_s == RetryPolicy::default().deadline_s
+            }),
+            ("Plan", "retry_jitter", &["zz", "1.0", "-0.1"], |p| {
+                p.retry.jitter == RetryPolicy::default().jitter
+            }),
+            ("Plan", "lease_ttl_s", &["zz", "-5.0", "0", "inf"], |p| {
+                p.lease_ttl_s == DEFAULT_LEASE_TTL_S
+            }),
+            ("Step", "count", &["zz", "-1", "1e3"], |p| {
+                p.steps.iter().all(|s| s.count_estimate.is_none())
+            }),
+            ("OrderLimit", "limit", &["abc", "-1"], |p| p.limit.is_none()),
+            ("Key", "desc", &["yes", "1"], |p| {
+                p.order_by.iter().all(|(_, desc)| !desc)
+            }),
+        ];
+        assert_ne!(demo_plan().retry, default, "absence must be observable");
+        for (on, name, garbled, absent) in rows {
+            let p = ExecutionPlan::from_element(&with_attr_on(on, name, None)).unwrap();
+            assert!(absent(&p), "{on} without {name}");
+            for value in garbled {
+                match ExecutionPlan::from_element(&with_attr_on(on, name, Some(value))) {
+                    Err(FederationError::Protocol { detail }) => {
+                        assert!(detail.contains(name), "{detail}")
+                    }
+                    other => panic!("{on} {name}={value:?} decoded to {other:?}"),
+                }
+            }
+        }
+        // A step's drop-out flag is required: missing or garbled, refused
+        // (anything but "true" used to read as a mandatory archive).
+        for value in [None, Some("yes"), Some("")] {
+            assert!(matches!(
+                ExecutionPlan::from_element(&with_attr_on("Step", "dropout", value)),
+                Err(FederationError::Protocol { .. })
+            ));
+        }
     }
 
     #[test]

@@ -98,12 +98,6 @@ pub struct FederationConfig {
     /// Issue performance queries concurrently (the paper sends them as
     /// asynchronous SOAP messages).
     pub parallel_performance_queries: bool,
-    /// Worker threads each SkyNode may use for a cross-match step. `1`
-    /// preserves the sequential engine; larger values enable the
-    /// zone-partitioned parallel engine where one is installed.
-    pub xmatch_workers: usize,
-    /// Declination height (degrees) of each zone in the parallel engine.
-    pub zone_height_deg: f64,
     /// Candidate-probe kernel the nodes use for match/drop-out steps. An
     /// oracle/test override (HTM is the paper's path and the reference the
     /// parity suites compare against); production runs the default. The
@@ -144,8 +138,6 @@ impl Default for FederationConfig {
             chunking: true,
             ordering: OrderingStrategy::CountStarDescending,
             parallel_performance_queries: true,
-            xmatch_workers: 1,
-            zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
             kernel: MatchKernel::default(),
             retry: RetryPolicy::default(),
             chain_mode: ChainMode::default(),
@@ -1112,11 +1104,15 @@ impl Portal {
                 );
                 match r {
                     Ok(resp) => {
+                        // A negative count would wrap and reorder the plan.
                         let count = resp
                             .require("count")?
                             .as_i64()
-                            .ok_or_else(|| FederationError::protocol("count must be an integer"))?;
-                        return Ok((alias.to_string(), count as u64));
+                            .and_then(|c| u64::try_from(c).ok())
+                            .ok_or_else(|| {
+                                FederationError::protocol("count must be a non-negative integer")
+                            })?;
+                        return Ok((alias.to_string(), count));
                     }
                     Err(e @ FederationError::NodeUnhealthy { .. }) => unhealthy = Some(e),
                     Err(e) => return Err(e),
@@ -1126,26 +1122,27 @@ impl Portal {
         };
 
         if config.parallel_performance_queries && jobs.len() > 1 {
-            let results: Vec<Result<(String, u64)>> = crossbeam::thread::scope(|scope| {
+            let results: Vec<Result<(String, u64)>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = jobs
                     .iter()
-                    .map(|(alias, sql, url)| scope.spawn(move |_| run_one(alias, sql, url)))
+                    .map(|(alias, sql, url)| scope.spawn(move || run_one(alias, sql, url)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("no panics"))
                     .collect()
-            })
-            .expect("scope does not panic");
+            });
             for r in results {
                 let (alias, count) = r?;
-                *out.entry(alias).or_insert(0) += count;
+                let sum = out.entry(alias).or_insert(0u64);
+                *sum = sum.saturating_add(count);
             }
         } else {
             for (alias, sql, url) in &jobs {
                 let (a, c) = run_one(alias, sql, url)?;
                 trace.push("Portal", "performance query", format!("{sql} -> {c} [{a}]"));
-                *out.entry(a).or_insert(0) += c;
+                let sum = out.entry(a).or_insert(0u64);
+                *sum = sum.saturating_add(c);
             }
         }
         if config.parallel_performance_queries && !jobs.is_empty() {
@@ -1316,8 +1313,6 @@ impl Portal {
             limit: dq.query.limit,
             max_message_bytes: config.max_message_bytes,
             chunking: config.chunking,
-            xmatch_workers: config.xmatch_workers.max(1),
-            zone_height_deg: config.zone_height_deg,
             kernel: config.kernel,
             retry: config.retry,
             lease_ttl_s: config.lease_ttl_s,
@@ -1567,8 +1562,6 @@ mod tests {
             limit: None,
             max_message_bytes: DEFAULT_MAX_MESSAGE_BYTES,
             chunking: true,
-            xmatch_workers: 1,
-            zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
             kernel: MatchKernel::default(),
             retry: RetryPolicy::default(),
             lease_ttl_s: DEFAULT_LEASE_TTL_S,

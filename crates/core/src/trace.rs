@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use skyquery_xml::Element;
 
-use crate::error::{FederationError, Result};
+use crate::error::{opt_attr, FederationError, Result};
 use crate::xmatch::StepStats;
 
 /// One logged event of a federated execution.
@@ -211,36 +211,36 @@ impl StatsChain {
         }
         let mut chain = StatsChain::new();
         for se in e.children_named("Step") {
+            // Kernel counters were added after the original wire format;
+            // entries from older peers omit them, which reads as zero.
+            let opt = |name: &str| opt_attr::<usize>(se, name, |_| true);
             let num = |name: &str| -> Result<usize> {
-                se.attr(name).and_then(|v| v.parse().ok()).ok_or_else(|| {
+                opt(name)?.ok_or_else(|| {
                     FederationError::protocol(format!("StatsChain step missing {name}"))
                 })
             };
-            // Kernel counters were added after the original wire format;
-            // entries from older peers simply report them as zero.
-            let lenient =
-                |name: &str| -> usize { se.attr(name).and_then(|v| v.parse().ok()).unwrap_or(0) };
+            let lenient = |name: &str| -> Result<usize> { Ok(opt(name)?.unwrap_or(0)) };
             chain.push(
                 se.attr("alias")
                     .ok_or_else(|| FederationError::protocol("StatsChain step missing alias"))?,
                 StepStats {
                     tuples_in: num("tuples_in")?,
                     candidates_probed: num("candidates")?,
-                    candidates_examined: lenient("examined"),
-                    chi2_accepted: lenient("accepted"),
-                    scratch_reuse: lenient("scratch_reuse"),
+                    candidates_examined: lenient("examined")?,
+                    chi2_accepted: lenient("accepted")?,
+                    scratch_reuse: lenient("scratch_reuse")?,
                     tuples_out: num("tuples_out")?,
-                    tile_builds: lenient("tile_builds"),
-                    tile_decodes: lenient("tile_decodes"),
-                    tile_hits: lenient("tile_hits"),
-                    shards_pruned: lenient("shards_pruned"),
-                    cache_hits: lenient("cache_hits"),
-                    cache_misses: lenient("cache_misses"),
-                    cache_repairs: lenient("cache_repairs"),
-                    cache_evictions: lenient("cache_evictions"),
-                    failovers: lenient("failovers"),
-                    hedges: lenient("hedges"),
-                    hedge_wins: lenient("hedge_wins"),
+                    tile_builds: lenient("tile_builds")?,
+                    tile_decodes: lenient("tile_decodes")?,
+                    tile_hits: lenient("tile_hits")?,
+                    shards_pruned: lenient("shards_pruned")?,
+                    cache_hits: lenient("cache_hits")?,
+                    cache_misses: lenient("cache_misses")?,
+                    cache_repairs: lenient("cache_repairs")?,
+                    cache_evictions: lenient("cache_evictions")?,
+                    failovers: lenient("failovers")?,
+                    hedges: lenient("hedges")?,
+                    hedge_wins: lenient("hedge_wins")?,
                 },
             );
         }
@@ -377,6 +377,47 @@ mod tests {
         assert_eq!(s.failovers, 0);
         assert_eq!(s.hedges, 0);
         assert_eq!(s.hedge_wins, 0);
+    }
+
+    #[test]
+    fn malformed_wire_stats_counters_are_refused() {
+        // Every counter an older peer may omit (absent reads as zero, see
+        // above): a garbled or negative one is refused, never read as zero.
+        let counters = [
+            "examined",
+            "accepted",
+            "scratch_reuse",
+            "tile_builds",
+            "tile_decodes",
+            "tile_hits",
+            "shards_pruned",
+            "cache_hits",
+            "cache_misses",
+            "cache_repairs",
+            "cache_evictions",
+            "failovers",
+            "hedges",
+            "hedge_wins",
+        ];
+        let step = || {
+            Element::new("Step")
+                .with_attr("alias", "T")
+                .with_attr("tuples_in", "3")
+                .with_attr("candidates", "7")
+                .with_attr("tuples_out", "2")
+        };
+        for name in counters {
+            let chain = |v: &str| Element::new("StatsChain").with_child(step().with_attr(name, v));
+            assert!(StatsChain::from_element(&chain("5")).is_ok(), "{name}");
+            for garbled in ["zz", "-1", "2.5", ""] {
+                match StatsChain::from_element(&chain(garbled)) {
+                    Err(FederationError::Protocol { detail }) => {
+                        assert!(detail.contains(name), "{detail}")
+                    }
+                    other => panic!("{name}={garbled:?} decoded to {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

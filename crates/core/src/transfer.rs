@@ -523,10 +523,9 @@ mod tests {
 
     #[test]
     fn zone_label_follows_the_band_formula() {
-        // A receiver zones the rows it drains under the plan's zone height
+        // A receiver zones the rows it drains under its own zone height
         // with storage's one band formula; pin the labels that yields.
-        use crate::plan::DEFAULT_ZONE_HEIGHT_DEG;
-        use skyquery_storage::{declination_zone, effective_height};
+        use skyquery_storage::{declination_zone, effective_height, DEFAULT_ZONE_HEIGHT_DEG};
         let band = |dec: f64, height: f64| {
             let (h, n) = effective_height(height);
             declination_zone(dec, h, n)
@@ -773,8 +772,6 @@ mod tests {
             limit: None,
             max_message_bytes,
             chunking: true,
-            xmatch_workers: 1,
-            zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
             kernel: Default::default(),
             retry: RetryPolicy::none(),
             lease_ttl_s: crate::plan::DEFAULT_LEASE_TTL_S,

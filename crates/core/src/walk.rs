@@ -638,19 +638,16 @@ impl Portal {
         let serve_extent = &serve_extent;
 
         let outcomes: Vec<ExtentOutcome> = if multi {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = targets
                     .iter()
-                    .map(|(primary, replicas)| {
-                        scope.spawn(move |_| serve_extent(primary, replicas))
-                    })
+                    .map(|(primary, replicas)| scope.spawn(move || serve_extent(primary, replicas)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("no panics"))
                     .collect()
             })
-            .expect("scope does not panic")
         } else {
             targets
                 .iter()

@@ -292,11 +292,6 @@ pub struct StepConfig {
     pub local_predicate: Option<Expr>,
     /// Columns of this archive to append to surviving tuples.
     pub carried_columns: Vec<String>,
-    /// Worker threads this node's cross-match engine may use for the step
-    /// (1 = the sequential path).
-    pub xmatch_workers: usize,
-    /// Declination zone height in degrees for the parallel zone engine.
-    pub zone_height_deg: f64,
     /// Candidate-probe kernel for the match/drop-out steps. An
     /// oracle/test override; production runs the default.
     pub kernel: MatchKernel,
@@ -692,7 +687,7 @@ pub fn match_step(
             // Drop the temp before taking shared borrows; the rows are
             // already copied out.
             db.drop_table(&temp)?;
-            db.ensure_columnar(&cfg.table, cfg.zone_height_deg)
+            db.ensure_columnar(&cfg.table)
                 .map_err(FederationError::Storage)?;
             let table = db.table(&cfg.table)?;
             let cols = db
@@ -759,7 +754,7 @@ pub fn dropout_step(
             }
         }
         MatchKernel::Columnar => {
-            db.ensure_columnar(&cfg.table, cfg.zone_height_deg)
+            db.ensure_columnar(&cfg.table)
                 .map_err(FederationError::Storage)?;
             let table = db.table(&cfg.table)?;
             let cols = db
@@ -929,8 +924,6 @@ mod tests {
             region: None,
             local_predicate: None,
             carried_columns: vec!["object_id".into()],
-            xmatch_workers: 1,
-            zone_height_deg: crate::plan::DEFAULT_ZONE_HEIGHT_DEG,
             kernel: MatchKernel::default(),
         }
     }

@@ -3,7 +3,7 @@
 //! transparently reassembles chunk-paginated results, so callers see one
 //! [`ResultSet`] whether the service answered inline or with a manifest.
 
-use skyquery_core::error::{FederationError, Result};
+use skyquery_core::error::{opt_result, FederationError, Result};
 use skyquery_core::result::ResultSet;
 use skyquery_core::{open_chunk_stream, send_rpc_with, RetryPolicy};
 use skyquery_net::{SimNetwork, Url};
@@ -86,14 +86,10 @@ impl JobClient {
             id: job,
             tenant: require_str(&resp, "tenant")?,
             state,
-            result_rows: resp
-                .get("rows")
-                .and_then(|v| v.as_i64())
-                .map(|v| v as usize),
-            degraded: resp
-                .get("degraded")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
+            result_rows: opt_result(&resp, "rows", |v| {
+                v.as_i64().and_then(|n| usize::try_from(n).ok())
+            })?,
+            degraded: opt_result(&resp, "degraded", SoapValue::as_bool)?.unwrap_or(false),
             dropped_archives: decode_dropped(&resp),
             error: resp.get("error").and_then(|v| v.as_str()).map(String::from),
             wait_s: require_f64(&resp, "wait_s")?,
@@ -118,11 +114,9 @@ impl JobClient {
         let resp =
             self.call(&RpcCall::new("FetchResults").param("job", SoapValue::Int(job as i64)))?;
         // The degradation header rides the first reply on both delivery
-        // shapes; stamp it onto whatever result set we decode.
-        let degraded = resp
-            .get("degraded")
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false);
+        // shapes; stamp it onto whatever result set we decode. Absent
+        // means complete; a garbled flag is refused.
+        let degraded = opt_result(&resp, "degraded", SoapValue::as_bool)?.unwrap_or(false);
         let dropped = decode_dropped(&resp);
         let stamp = |mut rs: ResultSet| {
             rs.degraded = degraded;
@@ -181,5 +175,77 @@ fn require_f64(resp: &RpcResponse, name: &str) -> Result<f64> {
         _ => Err(FederationError::protocol(format!(
             "{name} must be a number"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    use skyquery_net::{HttpRequest, HttpResponse};
+
+    /// A client of a job service that answers every call with `reply`.
+    fn client_answered_by(reply: RpcResponse) -> JobClient {
+        let net = SimNetwork::new();
+        let body = reply.to_xml();
+        net.bind(
+            "jobs.example.org",
+            Arc::new(move |_: &SimNetwork, _: HttpRequest| HttpResponse::ok(body.clone())),
+        );
+        JobClient::new(
+            &net,
+            "tenant.example.org",
+            Url::new("jobs.example.org", "/soap"),
+        )
+    }
+
+    fn poll_reply() -> RpcResponse {
+        RpcResponse::new("PollJob")
+            .result("state", SoapValue::Str("succeeded".into()))
+            .result("tenant", SoapValue::Str("t".into()))
+            .result("wait_s", SoapValue::Float(0.0))
+            .result("run_s", SoapValue::Float(0.1))
+    }
+
+    fn fetch_reply() -> RpcResponse {
+        let rs = ResultSet::new(vec![]);
+        RpcResponse::new("FetchResults").result("result", SoapValue::Table(rs.to_votable("result")))
+    }
+
+    fn is_protocol<T: std::fmt::Debug>(r: Result<T>) -> bool {
+        matches!(r, Err(FederationError::Protocol { .. }))
+    }
+
+    #[test]
+    fn malformed_wire_poll_fields_are_refused() {
+        // Absent: complete, and no row count yet.
+        let status = client_answered_by(poll_reply()).poll(1).unwrap();
+        assert!(!status.degraded);
+        assert_eq!(status.result_rows, None);
+        let ok = poll_reply()
+            .result("rows", SoapValue::Int(7))
+            .result("degraded", SoapValue::Bool(true));
+        let status = client_answered_by(ok).poll(1).unwrap();
+        assert_eq!((status.result_rows, status.degraded), (Some(7), true));
+        // A garbled flag is not a complete answer, and a negative row
+        // count does not wrap into a huge one.
+        for garbled in [
+            poll_reply().result("degraded", SoapValue::Str("yes".into())),
+            poll_reply().result("degraded", SoapValue::Int(1)),
+            poll_reply().result("rows", SoapValue::Int(-1)),
+            poll_reply().result("rows", SoapValue::Str("7".into())),
+        ] {
+            assert!(is_protocol(client_answered_by(garbled).poll(1)));
+        }
+    }
+
+    #[test]
+    fn malformed_wire_fetch_degraded_flag_is_refused() {
+        assert!(!client_answered_by(fetch_reply()).fetch(1).unwrap().degraded);
+        let degraded = fetch_reply().result("degraded", SoapValue::Bool(true));
+        assert!(client_answered_by(degraded).fetch(1).unwrap().degraded);
+        let garbled = fetch_reply().result("degraded", SoapValue::Str("yes".into()));
+        assert!(is_protocol(client_answered_by(garbled).fetch(1)));
     }
 }

@@ -56,6 +56,8 @@ pub struct FederationBuilder {
     faults: FaultPlan,
     shards: usize,
     replicas: usize,
+    /// Zone workers of every node's engine, and its database's zone height.
+    zones: (usize, f64),
 }
 
 impl FederationBuilder {
@@ -70,6 +72,7 @@ impl FederationBuilder {
             faults: FaultPlan::new(),
             shards: 1,
             replicas: 1,
+            zones: (1, skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG),
         }
     }
 
@@ -139,6 +142,14 @@ impl FederationBuilder {
         self
     }
 
+    /// Builder: how every node probes — a zone engine of `workers` workers
+    /// (1, the default, runs the sequential kernels) over zones
+    /// `height_deg` high in its database's layout. Answers are identical.
+    pub fn zone_engine(mut self, workers: usize, height_deg: f64) -> FederationBuilder {
+        self.zones = (workers, height_deg);
+        self
+    }
+
     /// Builder: installs a fault-injection plan on the network. Faults
     /// are armed *after* registration, so the federation always builds
     /// cleanly; only query traffic sees them.
@@ -197,7 +208,7 @@ impl FederationBuilder {
                     ));
                 }
             }
-            for (host, extent, db) in pieces {
+            for (host, extent, mut db) in pieces {
                 let info = ArchiveInfo {
                     name: params.name.clone(),
                     sigma_arcsec: params.sigma_arcsec,
@@ -205,12 +216,9 @@ impl FederationBuilder {
                     htm_depth: params.htm_depth,
                     extent,
                 };
-                // Every node gets the zone engine; with the default
-                // `xmatch_workers = 1` it delegates to the sequential
-                // kernels, so this changes nothing unless the config asks
-                // for workers.
+                db.set_zone_height(self.zones.1);
                 let node = SkyNodeBuilder::new(info, db)
-                    .engine(Arc::new(skyquery_zones::ZoneEngine::new()))
+                    .engine(Arc::new(skyquery_zones::ZoneEngine::new(self.zones.0)))
                     .start(&net, host.clone());
                 if self.register_via_soap {
                     // The node calls the Portal's Registration service,

@@ -106,13 +106,10 @@ impl ProbeScratch {
 
 /// Structure-of-arrays snapshot of a table's positions, bucketed by
 /// declination zone and RA-sorted within each bucket. Built once per
-/// (table contents, zone height) and cached by the database; any table
-/// mutation invalidates it.
+/// table contents at the database's zone height and cached by the
+/// database; a table mutation or a zone-height change invalidates it.
 #[derive(Debug, Clone)]
 pub struct ColumnarPositions {
-    /// The zone height as requested (the cache key — may differ from the
-    /// effective height after clamping/fallback).
-    requested_height_deg: f64,
     /// Effective (clamped) zone height used for bucketing.
     height_deg: f64,
     zone_count: usize,
@@ -134,20 +131,19 @@ pub struct ColumnarPositions {
 
 impl ColumnarPositions {
     /// Packs `table`'s positions. `ra_ci`/`dec_ci` are the position column
-    /// indexes; `zone_height_deg` is the requested zone height (resolved by
+    /// indexes; `height_deg` is the requested zone height (resolved by
     /// [`effective_height`]). Fails on rows with non-finite positions, like
     /// the HTM index build.
     pub fn build(
         table: &Table,
         ra_ci: usize,
         dec_ci: usize,
-        zone_height_deg: f64,
+        height_deg: f64,
     ) -> Result<ColumnarPositions, StorageError> {
-        let (height, zone_count) = effective_height(zone_height_deg);
+        let (height, zone_count) = effective_height(height_deg);
         let order = pack_order(table, ra_ci, dec_ci, height, zone_count)?;
         let n = order.len();
         let mut cols = ColumnarPositions {
-            requested_height_deg: zone_height_deg,
             height_deg: height,
             zone_count,
             zone_starts: vec![0; zone_count + 1],
@@ -178,11 +174,6 @@ impl ColumnarPositions {
             cols.zone_starts[z + 1] = cols.zone_starts[z] + count;
         }
         Ok(cols)
-    }
-
-    /// The zone height this cache was requested with (the cache key).
-    pub fn requested_height_deg(&self) -> f64 {
-        self.requested_height_deg
     }
 
     /// The effective (clamped) zone height in degrees.
@@ -280,9 +271,9 @@ impl ColumnarPositions {
 /// The zone height a requested one resolves to — clamped into `[1e-4, 180]`
 /// degrees, or the default when non-finite or non-positive — and the zone
 /// count covering declination `[-90°, +90°]`.
-pub fn effective_height(zone_height_deg: f64) -> (f64, usize) {
-    let height = if zone_height_deg.is_finite() && zone_height_deg > 0.0 {
-        zone_height_deg.clamp(MIN_HEIGHT_DEG, 180.0)
+pub fn effective_height(height_deg: f64) -> (f64, usize) {
+    let height = if height_deg.is_finite() && height_deg > 0.0 {
+        height_deg.clamp(MIN_HEIGHT_DEG, 180.0)
     } else {
         DEFAULT_ZONE_HEIGHT_DEG
     };

@@ -7,7 +7,7 @@ use skyquery_htm::{RangeKind, SkyPoint};
 
 use crate::cache::{BufferCache, CacheStats};
 use crate::catalog::{Catalog, TableStats};
-use crate::columnar::ColumnarPositions;
+use crate::columnar::{ColumnarPositions, DEFAULT_ZONE_HEIGHT_DEG};
 use crate::error::StorageError;
 use crate::exec::{RangeSearchHit, ScanOptions};
 use crate::index::{extract_position, BTreeIndex, HtmPositionIndex};
@@ -24,8 +24,8 @@ struct TableEntry {
     epoch: u64,
     htm: Option<HtmPositionIndex>,
     btrees: HashMap<String, BTreeIndex>,
-    /// Columnar SoA snapshot of the position columns for the cross-match
-    /// kernel; rebuilt lazily and invalidated by any row insert.
+    /// Columnar SoA snapshot of the position columns at the database's zone
+    /// height; rebuilt lazily, invalidated by an insert or a height change.
     columnar: Option<ColumnarPositions>,
     /// Monotonic modification version: bumped by every insert, never
     /// reset. The generalization of the columnar invalidation above
@@ -46,6 +46,8 @@ pub struct Database {
     name: String,
     tables: HashMap<String, TableEntry>,
     cache: BufferCache,
+    /// Declination zone height, degrees, of every columnar snapshot.
+    zone_height: f64,
     next_epoch: u64,
     next_temp: u64,
 }
@@ -64,9 +66,24 @@ impl Database {
             name: name.into(),
             tables: HashMap::new(),
             cache,
+            zone_height: DEFAULT_ZONE_HEIGHT_DEG,
             next_epoch: 0,
             next_temp: 0,
         }
+    }
+
+    /// Sets the zone height, degrees ([`crate::effective_height`]), of the
+    /// columnar layout, dropping every snapshot built at the old one.
+    pub fn set_zone_height(&mut self, height_deg: f64) {
+        self.zone_height = height_deg;
+        for entry in self.tables.values_mut() {
+            entry.columnar = None;
+        }
+    }
+
+    /// The declination zone height, in degrees, of the columnar layout.
+    pub fn zone_height(&self) -> f64 {
+        self.zone_height
     }
 
     /// The database's name (the archive name).
@@ -374,13 +391,9 @@ impl Database {
     }
 
     /// Builds (or keeps) the columnar position snapshot for `table` at the
-    /// requested zone height. A no-op when a snapshot for the same
-    /// requested height is already cached; any insert invalidates it.
-    pub fn ensure_columnar(
-        &mut self,
-        table: &str,
-        zone_height_deg: f64,
-    ) -> Result<(), StorageError> {
+    /// database's zone height. A no-op when one is already cached; any
+    /// insert invalidates it.
+    pub fn ensure_columnar(&mut self, table: &str) -> Result<(), StorageError> {
         let entry = self
             .tables
             .get_mut(table)
@@ -394,16 +407,12 @@ impl Database {
         })?;
         let ra_ci = entry.table.schema().column_index(&pos.ra).unwrap();
         let dec_ci = entry.table.schema().column_index(&pos.dec).unwrap();
-        let stale = match &entry.columnar {
-            Some(c) => c.requested_height_deg().to_bits() != zone_height_deg.to_bits(),
-            None => true,
-        };
-        if stale {
+        if entry.columnar.is_none() {
             entry.columnar = Some(ColumnarPositions::build(
                 &entry.table,
                 ra_ci,
                 dec_ci,
-                zone_height_deg,
+                self.zone_height,
             )?);
         }
         Ok(())
@@ -840,10 +849,12 @@ mod tests {
         use crate::columnar::ProbeScratch;
         let mut db = demo_db();
         assert!(db.columnar_positions("photo_object").is_none());
-        db.ensure_columnar("photo_object", 0.5).unwrap();
+        assert_eq!(db.zone_height(), DEFAULT_ZONE_HEIGHT_DEG);
+        db.set_zone_height(0.5);
+        db.ensure_columnar("photo_object").unwrap();
         let built = db.columnar_positions("photo_object").unwrap();
         assert_eq!(built.len(), 5);
-        assert_eq!(built.requested_height_deg(), 0.5);
+        assert_eq!(built.height_deg(), 0.5);
 
         // The columnar probe agrees with the HTM range search.
         let center = SkyPoint::from_radec_deg(185.0, -0.5);
@@ -857,12 +868,13 @@ mod tests {
             .unwrap();
         assert_eq!(scratch.hits(), htm.as_slice());
 
-        // A different requested height rebuilds; an insert invalidates.
-        db.ensure_columnar("photo_object", 1.0).unwrap();
+        // A new zone height drops the snapshot and the next build uses
+        // it; an insert invalidates.
+        db.set_zone_height(1.0);
+        assert!(db.columnar_positions("photo_object").is_none());
+        db.ensure_columnar("photo_object").unwrap();
         assert_eq!(
-            db.columnar_positions("photo_object")
-                .unwrap()
-                .requested_height_deg(),
+            db.columnar_positions("photo_object").unwrap().height_deg(),
             1.0
         );
         db.insert(
@@ -877,7 +889,7 @@ mod tests {
         )
         .unwrap();
         assert!(db.columnar_positions("photo_object").is_none());
-        db.ensure_columnar("photo_object", 1.0).unwrap();
+        db.ensure_columnar("photo_object").unwrap();
         assert_eq!(db.columnar_positions("photo_object").unwrap().len(), 6);
     }
 
@@ -890,11 +902,11 @@ mod tests {
         ))
         .unwrap();
         assert!(matches!(
-            db.ensure_columnar("plain", 0.1),
+            db.ensure_columnar("plain"),
             Err(StorageError::NoPositionIndex { .. })
         ));
         assert!(matches!(
-            db.ensure_columnar("missing", 0.1),
+            db.ensure_columnar("missing"),
             Err(StorageError::UnknownTable { .. })
         ));
     }

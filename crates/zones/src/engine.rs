@@ -14,7 +14,7 @@
 //!    HTM index built over the archive rows inside the task's padded
 //!    declination band — either way workers need only shared `&Table`
 //!    access;
-//! 3. a crossbeam scoped worker pool pulls tasks off an atomic cursor and
+//! 3. a scoped worker pool pulls tasks off an atomic cursor and
 //!    runs the shared match / drop-out kernels from `skyquery_core::xmatch`
 //!    against a per-worker `ZoneProber` whose scratch buffers stay warm
 //!    across tasks;
@@ -30,7 +30,6 @@
 //! test, so both modes produce the identical hit list for every probe.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use skyquery_core::engine::CrossMatchEngine;
 use skyquery_core::error::{FederationError, Result};
@@ -45,18 +44,17 @@ use skyquery_storage::{
     ProbeStats, RangeSearchHit, Table, Value,
 };
 
-use crate::merge::{merge_match, zone_reports, TupleOutcome, ZoneReport};
+use crate::merge::{merge_match, TupleOutcome};
 use crate::partition::{partition, sorted_declinations, TupleProbe, ZoneTask};
 use crate::zonemap::ZoneMap;
 
 /// A [`CrossMatchEngine`] running match and drop-out steps across a pool
-/// of zone workers. With `xmatch_workers <= 1` (the default federation
-/// configuration) every step delegates to the sequential kernels, so
-/// installing the engine unconditionally is safe.
-#[derive(Debug, Default)]
+/// of zone workers, over zones of the node database's height. With one
+/// worker (the default federation) every step delegates to the
+/// sequential kernels, so installing the engine unconditionally is safe.
+#[derive(Debug)]
 pub struct ZoneEngine {
-    /// Per-zone summaries of the most recent partitioned step.
-    last_reports: Mutex<Vec<ZoneReport>>,
+    workers: usize,
 }
 
 /// The step kinds that receive an incoming set (the seed step has none,
@@ -70,15 +68,10 @@ enum StepKind {
 }
 
 impl ZoneEngine {
-    /// Creates the engine.
-    pub fn new() -> ZoneEngine {
-        ZoneEngine::default()
-    }
-
-    /// Per-zone summaries of the most recent partitioned step (empty
-    /// until the engine has run a parallel step). Diagnostics only.
-    pub fn last_zone_reports(&self) -> Vec<ZoneReport> {
-        self.last_reports.lock().expect("reports lock").clone()
+    /// An engine running each step on `workers` zone workers (`<= 1`:
+    /// the sequential kernels).
+    pub fn new(workers: usize) -> ZoneEngine {
+        ZoneEngine { workers }
     }
 
     /// The zone step routine, for either step kind: partition the
@@ -94,7 +87,8 @@ impl ZoneEngine {
     ) -> Result<(PartialSet, StepStats)> {
         let ctx = StepContext::new(db, cfg)?;
         let decs = sorted_declinations(db.table(&cfg.table)?, ctx.dec_ci);
-        let map = ZoneMap::new(cfg.zone_height_deg);
+        // The database's height, which its columnar layout is built at.
+        let map = ZoneMap::new(db.zone_height());
         // A match step round-trips the set through the §5.3 temp table so
         // the carried values it copies into its extensions see the
         // sequential path's schema conformance; a drop-out step emits its
@@ -110,7 +104,7 @@ impl ZoneEngine {
         };
         if cfg.kernel == MatchKernel::Columnar {
             // A cheap no-op once built, until an insert invalidates it.
-            db.ensure_columnar(&cfg.table, cfg.zone_height_deg)
+            db.ensure_columnar(&cfg.table)
                 .map_err(FederationError::Storage)?;
         }
         let table = db.table(&cfg.table)?;
@@ -141,7 +135,7 @@ impl ZoneEngine {
             &ctx,
             columnar,
             &plan.tasks,
-            cfg.xmatch_workers,
+            self.workers,
             &|probe: &TupleProbe, prober: &mut ZoneProber<'_>| match kind {
                 StepKind::Match => {
                     let (state, carried) = decode_materialized(&temp_rows[probe.index]);
@@ -174,7 +168,6 @@ impl ZoneEngine {
                 }
             },
         )?;
-        *self.last_reports.lock().expect("reports lock") = zone_reports(&plan.tasks);
         let mut columns = incoming.columns.clone();
         if kind == StepKind::Match {
             columns.extend(ctx.appended.iter().cloned());
@@ -194,7 +187,7 @@ impl CrossMatchEngine for ZoneEngine {
         cfg: &StepConfig,
         incoming: &PartialSet,
     ) -> Result<(PartialSet, StepStats)> {
-        if cfg.xmatch_workers <= 1 {
+        if self.workers <= 1 {
             return match_step(db, cfg, incoming);
         }
         self.zone_step(db, cfg, StepKind::Match, incoming)
@@ -206,7 +199,7 @@ impl CrossMatchEngine for ZoneEngine {
         cfg: &StepConfig,
         incoming: &PartialSet,
     ) -> Result<(PartialSet, StepStats)> {
-        if cfg.xmatch_workers <= 1 {
+        if self.workers <= 1 {
             return dropout_step(db, cfg, incoming);
         }
         self.zone_step(db, cfg, StepKind::Dropout, incoming)
@@ -350,14 +343,13 @@ where
         Ok(local)
     };
 
-    let joined = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads).map(|_| s.spawn(|_| worker())).collect();
+    let joined = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
         handles
             .into_iter()
             .map(|h| h.join())
             .collect::<Vec<std::result::Result<_, _>>>()
-    })
-    .expect("zone worker scope");
+    });
 
     let mut outcomes = Vec::new();
     for result in joined {

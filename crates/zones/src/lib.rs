@@ -17,11 +17,11 @@
 //! * [`mod@partition`] — tuple bucketing and padded archive bands;
 //! * [`engine`] — the [`ZoneEngine`] step routine and worker pool
 //!   implementing `skyquery_core::engine::CrossMatchEngine`;
-//! * [`merge`] — deterministic reassembly and per-zone reports.
+//! * [`merge`] — deterministic reassembly.
 //!
-//! The engine is driven by two `FederationConfig` knobs that flow through
-//! the execution plan to every step: `xmatch_workers` (1 ⇒ delegate to the
-//! sequential kernels) and `zone_height_deg`.
+//! How a step is run is the node's own choice, made when the node is
+//! built: the engine's worker count (1 ⇒ delegate to the sequential
+//! kernels), and the zone height of the node database's layout.
 
 pub mod engine;
 pub mod merge;
@@ -29,6 +29,6 @@ pub mod partition;
 pub mod zonemap;
 
 pub use engine::ZoneEngine;
-pub use merge::{merge_match, zone_reports, TupleOutcome, ZoneReport};
+pub use merge::{merge_match, TupleOutcome};
 pub use partition::{partition, sorted_declinations, TupleProbe, ZonePlan, ZoneTask};
 pub use zonemap::ZoneMap;

@@ -8,8 +8,6 @@
 
 use skyquery_core::{PartialSet, PartialTuple, ResultColumn, StepStats};
 
-use crate::partition::ZoneTask;
-
 /// What one zone worker decided about one tuple.
 #[derive(Debug, Clone)]
 pub struct TupleOutcome {
@@ -55,33 +53,6 @@ pub fn merge_match(
     }
     stats.tuples_out = out.len();
     (out, stats)
-}
-
-/// A per-zone work summary (diagnostics: zone load balance, replication
-/// overhead of the overlap margins).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZoneReport {
-    /// The zone index.
-    pub zone: usize,
-    /// Tuples assigned to the zone.
-    pub tuples: usize,
-    /// Archive rows in the zone's padded band.
-    pub rows: usize,
-    /// The declination pad applied, degrees.
-    pub margin_deg: f64,
-}
-
-/// Summarizes a partitioned step for diagnostics.
-pub fn zone_reports(tasks: &[ZoneTask]) -> Vec<ZoneReport> {
-    tasks
-        .iter()
-        .map(|t| ZoneReport {
-            zone: t.zone,
-            tuples: t.probes.len(),
-            rows: t.rows.len(),
-            margin_deg: t.margin_deg,
-        })
-        .collect()
 }
 
 #[cfg(test)]

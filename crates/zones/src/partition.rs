@@ -36,8 +36,6 @@ pub struct TupleProbe {
 pub struct ZoneTask {
     /// The zone index in the [`ZoneMap`].
     pub zone: usize,
-    /// Declination pad applied on both sides of the zone, degrees.
-    pub margin_deg: f64,
     /// Probes of the tuples assigned to this zone, in tuple order.
     pub probes: Vec<TupleProbe>,
     /// Archive rows inside the padded band, ascending declination.
@@ -98,12 +96,7 @@ pub fn partition(
             let start = decs.partition_point(|(d, _)| *d < lo - margin_deg);
             let end = decs.partition_point(|(d, _)| *d <= hi + margin_deg);
             let rows = decs[start..end].iter().map(|(_, rid)| *rid).collect();
-            ZoneTask {
-                zone,
-                margin_deg,
-                probes,
-                rows,
-            }
+            ZoneTask { zone, probes, rows }
         })
         .collect();
     ZonePlan { tasks, degenerate }

@@ -107,7 +107,8 @@ mod tests {
         .unwrap();
         for height in [1e-9, 1e-4, 0.05, 0.1, 0.37, 5.0, 180.0, 500.0, 0.0, -3.0] {
             let m = ZoneMap::new(height);
-            db.ensure_columnar("objects", height).unwrap();
+            db.set_zone_height(height);
+            db.ensure_columnar("objects").unwrap();
             let cols = db.columnar_positions("objects").unwrap();
             assert_eq!(cols.zone_count(), m.zone_count(), "height {height}");
             assert_eq!(

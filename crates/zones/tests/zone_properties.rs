@@ -50,7 +50,7 @@ fn archive(name: &str, points: &[(f64, f64)]) -> Database {
     db
 }
 
-fn cfg(sigma_arcsec: f64, threshold: f64, workers: usize, zone_height_deg: f64) -> StepConfig {
+fn cfg(sigma_arcsec: f64, threshold: f64) -> StepConfig {
     StepConfig {
         alias: "B".into(),
         table: "objects".into(),
@@ -59,8 +59,6 @@ fn cfg(sigma_arcsec: f64, threshold: f64, workers: usize, zone_height_deg: f64) 
         region: None,
         local_predicate: None,
         carried_columns: vec!["object_id".into()],
-        xmatch_workers: workers,
-        zone_height_deg,
         kernel: MatchKernel::Htm,
     }
 }
@@ -92,20 +90,20 @@ fn singles(points: &[(f64, f64)], sigma_arcsec: f64) -> PartialSet {
 }
 
 /// Asserts that the zone engine reproduces the sequential match step
-/// exactly at every worker count and zone height.
+/// exactly at every worker count and zone height of the node's database.
 fn assert_match_parity(
     db: &mut Database,
     incoming: &PartialSet,
     sigma_arcsec: f64,
     threshold: f64,
 ) -> Result<(), TestCaseError> {
-    let (seq, seq_stats) =
-        match_step(db, &cfg(sigma_arcsec, threshold, 1, 0.1), incoming).expect("sequential match");
-    let engine = ZoneEngine::new();
+    let c = cfg(sigma_arcsec, threshold);
+    let (seq, seq_stats) = match_step(db, &c, incoming).expect("sequential match");
     for &height in &HEIGHTS {
+        db.set_zone_height(height);
         for &workers in &WORKERS {
-            let (zoned, stats) = engine
-                .match_tuples(db, &cfg(sigma_arcsec, threshold, workers, height), incoming)
+            let (zoned, stats) = ZoneEngine::new(workers)
+                .match_tuples(db, &c, incoming)
                 .expect("zoned match");
             prop_assert_eq!(
                 &zoned,
@@ -133,13 +131,13 @@ fn assert_dropout_parity(
     sigma_arcsec: f64,
     threshold: f64,
 ) -> Result<(), TestCaseError> {
-    let (seq, seq_stats) = dropout_step(db, &cfg(sigma_arcsec, threshold, 1, 0.1), incoming)
-        .expect("sequential dropout");
-    let engine = ZoneEngine::new();
+    let c = cfg(sigma_arcsec, threshold);
+    let (seq, seq_stats) = dropout_step(db, &c, incoming).expect("sequential dropout");
     for &height in &HEIGHTS {
+        db.set_zone_height(height);
         for &workers in &WORKERS {
-            let (zoned, stats) = engine
-                .dropout(db, &cfg(sigma_arcsec, threshold, workers, height), incoming)
+            let (zoned, stats) = ZoneEngine::new(workers)
+                .dropout(db, &c, incoming)
                 .expect("zoned dropout");
             prop_assert_eq!(
                 &zoned,
@@ -233,7 +231,7 @@ proptest! {
         let mut db_b = archive("B", &archive_pts);
         let incoming = singles(&incoming_pts, sigma);
         let (two_tuples, _) =
-            match_step(&mut db_b, &cfg(sigma, 3.5, 1, 0.1), &incoming).expect("first step");
+            match_step(&mut db_b, &cfg(sigma, 3.5), &incoming).expect("first step");
         prop_assume!(!two_tuples.is_empty());
         let archive_c: Vec<(f64, f64)> = field
             .iter()
@@ -273,26 +271,19 @@ fn boundary_straddling_tuples_match_exactly() {
         .collect();
     let mut db = archive("B", &archive_pts);
     let incoming = singles(&incoming_pts, 0.3);
-    let (seq, seq_stats) = match_step(&mut db, &cfg(0.3, 3.5, 1, 0.1), &incoming).unwrap();
+    let (seq, seq_stats) = match_step(&mut db, &cfg(0.3, 3.5), &incoming).unwrap();
     assert!(
         seq.len() >= boundary_decs.len() - 2,
         "expected mostly matches"
     );
-    let engine = ZoneEngine::new();
+    // The database's default zone height is the 0.1° map above.
     for workers in [2usize, 4, 8] {
-        let (zoned, stats) = engine
-            .match_tuples(&mut db, &cfg(0.3, 3.5, workers, 0.1), &incoming)
+        let (zoned, stats) = ZoneEngine::new(workers)
+            .match_tuples(&mut db, &cfg(0.3, 3.5), &incoming)
             .unwrap();
         assert_eq!(zoned, seq, "workers={workers}");
         assert_eq!(stats, seq_stats, "workers={workers}");
     }
-    // Every zone task the engine built is visible in the report.
-    let reports = engine.last_zone_reports();
-    assert!(!reports.is_empty());
-    assert_eq!(
-        reports.iter().map(|r| r.tuples).sum::<usize>(),
-        incoming.len() - 1 // minus the degenerate tuple
-    );
 }
 
 #[test]
@@ -300,12 +291,9 @@ fn workers_one_delegates_to_sequential() {
     let pts = vec![(180.0, 0.0), (180.001, 0.001)];
     let mut db = archive("B", &pts);
     let incoming = singles(&pts, 0.2);
-    let engine = ZoneEngine::new();
-    let (zoned, _) = engine
-        .match_tuples(&mut db, &cfg(0.2, 3.0, 1, 0.1), &incoming)
+    let (zoned, _) = ZoneEngine::new(1)
+        .match_tuples(&mut db, &cfg(0.2, 3.0), &incoming)
         .unwrap();
-    let (seq, _) = match_step(&mut db, &cfg(0.2, 3.0, 1, 0.1), &incoming).unwrap();
+    let (seq, _) = match_step(&mut db, &cfg(0.2, 3.0), &incoming).unwrap();
     assert_eq!(zoned, seq);
-    // The delegation path never partitions, so no reports are recorded.
-    assert!(engine.last_zone_reports().is_empty());
 }

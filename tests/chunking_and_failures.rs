@@ -113,8 +113,6 @@ fn open_seed_transfer(fed: &TestFederation) -> ChunkManifest {
         limit: None,
         max_message_bytes: 3_000,
         chunking: true,
-        xmatch_workers: 1,
-        zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
         kernel: Default::default(),
         retry: Default::default(),
         lease_ttl_s: skyquery_core::plan::DEFAULT_LEASE_TTL_S,

@@ -170,3 +170,47 @@ fn transferred_rows_queryable_at_destination() {
     .unwrap();
     assert!(catalog.table("imported").is_some());
 }
+
+#[test]
+fn malformed_wire_commit_version_is_refused() {
+    // A participant that commits but reports a negative table version:
+    // `as u64` would wrap it into a huge version the registry's monotone
+    // `max` then keeps for good, so the coordinator refuses the reply.
+    use std::sync::Arc;
+
+    use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork};
+    use skyquery_soap::{RpcResponse, SoapValue};
+
+    let fed = FederationBuilder::paper_triple(200).build();
+    let node = fed.node("FIRST").unwrap().clone();
+    let lying = RpcResponse::new("CommitReceive")
+        .result("version", SoapValue::Int(-1))
+        .to_xml();
+    fed.net.bind(
+        node.host().to_string(),
+        Arc::new(move |net: &SimNetwork, req: HttpRequest| {
+            let commit = req
+                .soap_action()
+                .is_some_and(|a| a.ends_with("#CommitReceive"));
+            let served = node.handle(net, req);
+            if commit {
+                HttpResponse::ok(lying.clone())
+            } else {
+                served
+            }
+        }),
+    );
+    let err = fed
+        .portal
+        .transfer_table(
+            "SDSS",
+            "SELECT O.object_id, O.i_flux FROM SDSS:Photo_Object O WHERE O.i_flux > 400",
+            "FIRST",
+            "bright",
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, skyquery_core::FederationError::Protocol { detail } if detail.contains("version")),
+        "{err}"
+    );
+}

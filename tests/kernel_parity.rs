@@ -55,13 +55,7 @@ fn archive(name: &str, points: &[(f64, f64)]) -> Database {
     db
 }
 
-fn cfg(
-    sigma_arcsec: f64,
-    threshold: f64,
-    workers: usize,
-    height: f64,
-    k: MatchKernel,
-) -> StepConfig {
+fn cfg(sigma_arcsec: f64, threshold: f64, k: MatchKernel) -> StepConfig {
     StepConfig {
         alias: "B".into(),
         table: "objects".into(),
@@ -70,8 +64,6 @@ fn cfg(
         region: None,
         local_predicate: None,
         carried_columns: vec!["object_id".into()],
-        xmatch_workers: workers,
-        zone_height_deg: height,
         kernel: k,
     }
 }
@@ -92,32 +84,25 @@ fn singles(points: &[(f64, f64)], sigma_arcsec: f64) -> PartialSet {
 }
 
 /// Runs both step kinds under every kernel × worker-count × zone-height
-/// combination and asserts byte-identity against the sequential HTM
-/// oracle. `StepStats` equality compares only the engine-invariant
-/// fields, so kernel-granularity counters cannot cause false failures.
+/// combination (the engine's workers, the database's height) and asserts
+/// byte-identity against the sequential HTM oracle. `StepStats` equality
+/// compares only the engine-invariant fields, so kernel-granularity
+/// counters cannot cause false failures.
 fn assert_kernel_parity(
     db: &mut Database,
     incoming: &PartialSet,
     sigma_arcsec: f64,
     threshold: f64,
 ) -> Result<(), TestCaseError> {
-    let (m_oracle, m_stats) = match_step(
-        db,
-        &cfg(sigma_arcsec, threshold, 1, 0.1, MatchKernel::Htm),
-        incoming,
-    )
-    .expect("oracle match");
-    let (d_oracle, d_stats) = dropout_step(
-        db,
-        &cfg(sigma_arcsec, threshold, 1, 0.1, MatchKernel::Htm),
-        incoming,
-    )
-    .expect("oracle dropout");
-    let engine = ZoneEngine::new();
+    let oracle = cfg(sigma_arcsec, threshold, MatchKernel::Htm);
+    let (m_oracle, m_stats) = match_step(db, &oracle, incoming).expect("oracle match");
+    let (d_oracle, d_stats) = dropout_step(db, &oracle, incoming).expect("oracle dropout");
     for kernel in [MatchKernel::Columnar, MatchKernel::Htm] {
+        let c = cfg(sigma_arcsec, threshold, kernel);
         for &height in &HEIGHTS {
+            db.set_zone_height(height);
             for &workers in &WORKERS {
-                let c = cfg(sigma_arcsec, threshold, workers, height, kernel);
+                let engine = ZoneEngine::new(workers);
                 let (m, ms) = engine.match_tuples(db, &c, incoming).expect("match");
                 prop_assert_eq!(
                     &m,

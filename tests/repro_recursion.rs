@@ -32,8 +32,6 @@ fn malicious_long_plan_overflows_stack() {
         limit: None,
         max_message_bytes: usize::MAX / 2,
         chunking: true,
-        xmatch_workers: 1,
-        zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
         kernel: Default::default(),
         retry: Default::default(),
         lease_ttl_s: skyquery_core::plan::DEFAULT_LEASE_TTL_S,

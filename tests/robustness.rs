@@ -4,9 +4,10 @@
 
 use std::sync::Arc;
 
-use skyquery_core::{FederationError, Portal};
+use skyquery_core::{Client, FederationError, Portal};
 use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_sim::{xmatch_query, FederationBuilder};
+use skyquery_soap::{RpcResponse, SoapValue};
 
 /// An endpoint that answers every request with the given body.
 struct CannedEndpoint(&'static str);
@@ -123,12 +124,12 @@ fn concurrent_clients_get_consistent_answers() {
         v
     };
     // 8 clients × 3 queries each, all in flight together.
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for c in 0..8 {
             let portal = fed.portal.clone();
             let sql = sql.clone();
             let ref_rows = ref_rows.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..3 {
                     let (result, _) = portal.submit(&sql).unwrap();
                     let mut rows: Vec<String> =
@@ -138,8 +139,7 @@ fn concurrent_clients_get_consistent_answers() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 #[test]
@@ -153,16 +153,16 @@ fn concurrent_queries_and_transfers_coexist() {
         3.5,
         None,
     );
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let portal = fed.portal.clone();
         let q = sql.clone();
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for _ in 0..5 {
                 portal.submit(&q).unwrap();
             }
         });
         let portal = fed.portal.clone();
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for i in 0..3 {
                 portal
                     .transfer_table(
@@ -174,10 +174,87 @@ fn concurrent_queries_and_transfers_coexist() {
                     .unwrap();
             }
         });
-    })
-    .unwrap();
+    });
     let node = fed.node("TWOMASS").unwrap();
     for i in 0..3 {
         assert!(node.with_db(|db| db.has_table(&format!("copy_{i}"))));
+    }
+}
+
+/// Rebinds the federation's `archive` node so that its `method` calls are
+/// answered with `reply`, and every other call by the node itself.
+fn intercept(fed: &skyquery_sim::TestFederation, archive: &str, method: &str, reply: RpcResponse) {
+    let node = fed.node(archive).unwrap().clone();
+    let suffix = format!("#{method}");
+    let body = reply.to_xml();
+    fed.net.bind(
+        node.host().to_string(),
+        Arc::new(move |net: &SimNetwork, req: HttpRequest| {
+            if req.soap_action().is_some_and(|a| a.ends_with(&suffix)) {
+                return HttpResponse::ok(body.clone());
+            }
+            node.handle(net, req)
+        }),
+    );
+}
+
+#[test]
+fn malformed_wire_negative_count_is_refused() {
+    // A negative count-star answer would wrap to 2^64 - 1 and reorder
+    // the plan around it; the Portal refuses it instead.
+    let fed = FederationBuilder::paper_triple(150).build();
+    intercept(
+        &fed,
+        "TWOMASS",
+        "Query",
+        RpcResponse::new("Query").result("count", SoapValue::Int(-1)),
+    );
+    let err = fed
+        .portal
+        .submit(&xmatch_query(
+            &[
+                ("SDSS", "Photo_Object", "O"),
+                ("TWOMASS", "Photo_Primary", "T"),
+            ],
+            3.5,
+            None,
+        ))
+        .unwrap_err();
+    assert!(
+        matches!(&err, FederationError::Protocol { detail } if detail.contains("count")),
+        "{err}"
+    );
+}
+
+#[test]
+fn malformed_wire_degraded_flag_is_refused() {
+    // A Portal whose degraded flag is present but not a boolean: the
+    // client refuses the answer rather than taking it as complete.
+    let net = SimNetwork::new();
+    let table = skyquery_core::ResultSet::new(vec![]).to_votable("result");
+    let reply = |degraded: SoapValue| {
+        RpcResponse::new("SkyQuery")
+            .result("result", SoapValue::Table(table.clone()))
+            .result("degraded", degraded)
+            .to_xml()
+    };
+    for (host, degraded, ok) in [
+        ("complete", SoapValue::Bool(false), true),
+        ("garbled", SoapValue::Str("yes".into()), false),
+        ("numeric", SoapValue::Int(1), false),
+    ] {
+        let body = reply(degraded);
+        net.bind(
+            host,
+            Arc::new(move |_: &SimNetwork, _: HttpRequest| HttpResponse::ok(body.clone())),
+        );
+        let got = Client::new(&net, "astronomer", Url::new(host, "/soap")).query("SELECT 1");
+        match got {
+            Ok((rs, _)) => assert!(ok && !rs.degraded, "{host}"),
+            Err(e) => assert!(
+                !ok && matches!(e, FederationError::Protocol { .. }),
+                "{host}: {e}"
+            ),
+        }
     }
 }

@@ -192,8 +192,6 @@ fn cross_match_call_with_bad_step_faults() {
         limit: None,
         max_message_bytes: 10 * 1024 * 1024,
         chunking: true,
-        xmatch_workers: 1,
-        zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
         kernel: Default::default(),
         retry: Default::default(),
         lease_ttl_s: skyquery_core::plan::DEFAULT_LEASE_TTL_S,

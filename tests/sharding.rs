@@ -20,6 +20,16 @@ fn fed(
     center: (f64, f64),
     config: FederationConfig,
 ) -> TestFederation {
+    builder(shards, bodies, center, config).build()
+}
+
+/// [`fed`], before it is built.
+fn builder(
+    shards: usize,
+    bodies: usize,
+    center: (f64, f64),
+    config: FederationConfig,
+) -> FederationBuilder {
     FederationBuilder::new()
         .catalog(CatalogParams {
             count: bodies,
@@ -33,7 +43,6 @@ fn fed(
         .survey(SurveyParams::first_like())
         .config(config)
         .shards(shards)
-        .build()
 }
 
 /// The sweep query: a three-way cross-match, optionally demoting FIRST
@@ -76,17 +85,17 @@ proptest! {
         let config = FederationConfig {
             kernel,
             chain_mode: mode,
-            zone_height_deg: zone_height,
             ..FederationConfig::default()
         };
         let sql = sweep_query(dropout);
-        let baseline = fed(1, 160, center, config);
+        let fed = |shards| builder(shards, 160, center, config).zone_engine(1, zone_height).build();
+        let baseline = fed(1);
         let (want, base_trace) = baseline.portal.submit(&sql).unwrap();
         prop_assert!(
             base_trace.events().iter().all(|e| e.action != "scatter"),
             "single-node federations must take the classic chain"
         );
-        let sharded = fed(shards, 160, center, config);
+        let sharded = fed(shards);
         let (got, trace) = sharded.portal.submit(&sql).unwrap();
         prop_assert_eq!(got.to_ascii(), want.to_ascii());
         prop_assert!(

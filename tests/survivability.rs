@@ -251,8 +251,6 @@ fn seed_plan(fed: &TestFederation, lease_ttl_s: f64) -> ExecutionPlan {
         limit: None,
         max_message_bytes: 10 * 1024 * 1024,
         chunking: true,
-        xmatch_workers: 1,
-        zone_height_deg: skyquery_core::plan::DEFAULT_ZONE_HEIGHT_DEG,
         kernel: Default::default(),
         retry: RetryPolicy::none(),
         lease_ttl_s,

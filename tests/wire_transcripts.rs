@@ -151,13 +151,13 @@ fn paper_triple(mode: ChainMode) -> Transcript {
 #[test]
 fn paper_triple_on_the_recursive_chain() {
     let log = paper_triple(ChainMode::Recursive);
-    check("recursive", &log, 6, 0xf143_0a0d_51ac_a8cd);
+    check("recursive", &log, 6, 0x6b75_0a4d_73ad_5ade);
 }
 
 #[test]
 fn paper_triple_checkpointed() {
     let log = paper_triple(ChainMode::Checkpointed);
-    check("checkpointed", &log, 12, 0x83d7_79b3_be14_529f);
+    check("checkpointed", &log, 12, 0xcc7f_1064_5064_6bb4);
 }
 
 #[test]
@@ -201,7 +201,7 @@ fn sharded_replicated_scatter_with_a_garbled_extent() {
         m.node_event_total("failover") > 0,
         "the extent must fail over"
     );
-    check("scatter", &log, 23, 0xf755_94f1_0ae4_bc21);
+    check("scatter", &log, 23, 0x2dff_f47c_69f3_79a2);
 }
 
 #[test]
@@ -240,7 +240,7 @@ fn dense_pair_under_a_small_message_limit() {
         .unwrap()
         .iter()
         .all(|(_, _, resp)| !String::from_utf8_lossy(resp).contains("__seq")));
-    check("dense", &log, 15, 0x8b22_1f73_ed31_9ce2);
+    check("dense", &log, 15, 0x623b_d643_3a27_9974);
 }
 
 #[test]
@@ -274,5 +274,5 @@ fn paginated_job_results() {
         .unwrap()
         .iter()
         .any(|(action, _, _)| action.ends_with("#FetchChunk")));
-    check("job", &log, 38, 0x544d_ced2_9941_f892);
+    check("job", &log, 38, 0x2de8_68f8_fb23_7063);
 }

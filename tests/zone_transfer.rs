@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use skyquery_core::{FederationConfig, ResultSet};
 use skyquery_sim::{xmatch_query, FederationBuilder, TestFederation};
+use skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG;
 
 fn three_archive_sql() -> String {
     xmatch_query(
@@ -27,22 +28,30 @@ fn run_with(fed: &TestFederation, sql: &str, config: FederationConfig) -> Result
     rs
 }
 
-/// One federation reused across the sweep (building surveys dominates
-/// test time; config is per-submit).
-fn federation() -> TestFederation {
-    FederationBuilder::paper_triple(500).build()
+/// The sweep's federation, its nodes running `workers` zone workers over
+/// zones `height` high. Identical parameters yield identical skies, and
+/// the budget is per-submit config, so one federation serves a budget
+/// sweep (building surveys dominates test time).
+fn federation(workers: usize, height: f64) -> TestFederation {
+    FederationBuilder::paper_triple(500)
+        .zone_engine(workers, height)
+        .build()
 }
 
 #[test]
 fn pipelined_transfer_is_byte_identical_to_monolithic() {
-    let fed = federation();
     let sql = three_archive_sql();
     // Reference: monolithic transfer (limit far above any message).
-    let reference = run_with(&fed, &sql, FederationConfig::default());
+    let reference = run_with(
+        &federation(1, DEFAULT_ZONE_HEIGHT_DEG),
+        &sql,
+        FederationConfig::default(),
+    );
     assert!(reference.row_count() > 0, "sweep needs matches to move");
 
     for workers in [1usize, 2, 8] {
-        for zone_height_deg in [0.05f64, 0.1, 0.5, 5.0] {
+        for height in [0.05f64, 0.1, 0.5, 5.0] {
+            let fed = federation(workers, height);
             for max_message_bytes in [2_000usize, 20_000, 10_000_000] {
                 let rs = run_with(
                     &fed,
@@ -50,14 +59,12 @@ fn pipelined_transfer_is_byte_identical_to_monolithic() {
                     FederationConfig {
                         max_message_bytes,
                         chunking: true,
-                        xmatch_workers: workers,
-                        zone_height_deg,
                         ..FederationConfig::default()
                     },
                 );
                 assert_eq!(
                     rs, reference,
-                    "workers={workers} height={zone_height_deg} budget={max_message_bytes}"
+                    "workers={workers} height={height} budget={max_message_bytes}"
                 );
             }
         }
@@ -68,17 +75,19 @@ fn pipelined_transfer_is_byte_identical_to_monolithic() {
 fn legacy_byte_budget_chunking_still_byte_identical() {
     // The §6 workaround as it first shipped: the default zone height and a
     // 4 000-byte budget.
-    let fed = federation();
     let sql = three_archive_sql();
-    let reference = run_with(&fed, &sql, FederationConfig::default());
+    let reference = run_with(
+        &federation(1, DEFAULT_ZONE_HEIGHT_DEG),
+        &sql,
+        FederationConfig::default(),
+    );
     for workers in [1usize, 8] {
         let rs = run_with(
-            &fed,
+            &federation(workers, DEFAULT_ZONE_HEIGHT_DEG),
             &sql,
             FederationConfig {
                 max_message_bytes: 4_000,
                 chunking: true,
-                xmatch_workers: workers,
                 ..FederationConfig::default()
             },
         );
@@ -88,7 +97,7 @@ fn legacy_byte_budget_chunking_still_byte_identical() {
 
 #[test]
 fn chunk_flow_metrics_record_the_pipelined_transfer() {
-    let fed = federation();
+    let fed = federation(1, DEFAULT_ZONE_HEIGHT_DEG);
     let sql = three_archive_sql();
     fed.portal.set_config(FederationConfig {
         max_message_bytes: 3_000,
@@ -124,17 +133,18 @@ proptest! {
     #[test]
     fn pipelined_parity_holds_for_random_configs(
         max_message_bytes in 1_500usize..60_000,
-        zone_height_deg in 0.02f64..10.0,
+        height in 0.02f64..10.0,
         workers in 1usize..8,
     ) {
-        let fed = FederationBuilder::paper_triple(180).build();
         let sql = three_archive_sql();
-        let reference = run_with(&fed, &sql, FederationConfig::default());
+        let sequential = FederationBuilder::paper_triple(180).build();
+        let reference = run_with(&sequential, &sql, FederationConfig::default());
+        let fed = FederationBuilder::paper_triple(180)
+            .zone_engine(workers, height)
+            .build();
         let rs = run_with(&fed, &sql, FederationConfig {
             max_message_bytes,
             chunking: true,
-            xmatch_workers: workers,
-            zone_height_deg,
             ..FederationConfig::default()
         });
         prop_assert_eq!(rs, reference);
