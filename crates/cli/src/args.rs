@@ -8,8 +8,6 @@ pub struct Options {
     pub bodies: usize,
     /// Catalog RNG seed.
     pub seed: u64,
-    /// Cross-match worker threads per SkyNode (1 = sequential engine).
-    pub workers: usize,
     /// Declination zone height in degrees of every SkyNode's layout.
     pub zone_height: f64,
     /// Retry attempts for every federation RPC (1 = no retries).
@@ -35,7 +33,6 @@ impl Default for Options {
         Options {
             bodies: 2000,
             seed: 42,
-            workers: 1,
             zone_height: skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG,
             retries: skyquery_core::RetryPolicy::default().max_attempts,
             retry_backoff_s: skyquery_core::RetryPolicy::default().backoff_base_s,
@@ -95,13 +92,6 @@ where
                 match args.get(i).and_then(|v| v.parse().ok()) {
                     Some(n) => opts.seed = n,
                     None => return Command::Help(Some("--seed needs a number".into())),
-                }
-            }
-            "--workers" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => opts.workers = n,
-                    _ => return Command::Help(Some("--workers needs a number ≥ 1".into())),
                 }
             }
             "--zone-height" => {
@@ -202,7 +192,6 @@ COMMANDS:
 OPTIONS:
     --bodies <N>       synthetic bodies in the shared sky          [default: 2000]
     --seed <N>         catalog RNG seed                            [default: 42]
-    --workers <N>      cross-match worker threads per SkyNode      [default: 1]
     --zone-height <D>  declination zone height, degrees            [default: 0.1]
     --retries <N>      RPC attempts before a node is unhealthy     [default: 3]
     --retry-backoff <S> first retry backoff, simulated seconds     [default: 0.05]
@@ -236,8 +225,6 @@ mod tests {
             "500",
             "--seed",
             "7",
-            "--workers",
-            "4",
             "--zone-height",
             "0.5",
             "--retries",
@@ -254,7 +241,6 @@ mod tests {
             Command::Repl(o) => {
                 assert_eq!(o.bodies, 500);
                 assert_eq!(o.seed, 7);
-                assert_eq!(o.workers, 4);
                 assert_eq!(o.zone_height, 0.5);
                 assert_eq!(o.retries, 5);
                 assert_eq!(o.retry_backoff_s, 0.2);
@@ -302,7 +288,8 @@ mod tests {
             Command::Help(Some(msg)) if msg.contains("--wat")
         ));
         // Retired knobs are refused like any unknown flag: the kernel
-        // choice, and the zone-aware transfer's switch.
+        // choice, the zone-aware transfer's switch, and the in-node zone
+        // engine's worker count.
         assert!(matches!(
             parse_args(["--kernel", "htm", "demo"]),
             Command::Help(Some(msg)) if msg.contains("unknown option --kernel")
@@ -312,12 +299,12 @@ mod tests {
             Command::Help(Some(msg)) if msg.contains("unknown option --no-zone-chunking")
         ));
         assert!(matches!(
-            parse_args(["launch"]),
-            Command::Help(Some(msg)) if msg.contains("launch")
+            parse_args(["--workers", "4", "demo"]),
+            Command::Help(Some(msg)) if msg.contains("unknown option --workers")
         ));
         assert!(matches!(
-            parse_args(["--workers", "0", "demo"]),
-            Command::Help(Some(msg)) if msg.contains("--workers")
+            parse_args(["launch"]),
+            Command::Help(Some(msg)) if msg.contains("launch")
         ));
         assert!(matches!(
             parse_args(["--zone-height", "-2", "demo"]),
@@ -353,7 +340,6 @@ mod tests {
             "repl",
             "--bodies",
             "--seed",
-            "--workers",
             "--zone-height",
             "--retries",
             "--retry-backoff",

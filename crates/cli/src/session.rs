@@ -50,7 +50,7 @@ impl Session {
             .survey(skyquery_sim::SurveyParams::first_like())
             .shards(opts.shards)
             .replicas(opts.replicas)
-            .zone_engine(opts.workers, opts.zone_height)
+            .zone_height(opts.zone_height)
             .build();
         let mut session = Session {
             fed,

@@ -12,10 +12,8 @@
 //! * [`skynode`] — the wrapper: the Information, Meta-data, Query, and
 //!   Cross match services around one archive database (§5.1);
 //! * [`xmatch`] — the probabilistic cross-match algorithm and its
-//!   distributed, pruning evaluation (§5.4);
-//! * [`engine`] — pluggable cross-match execution engines (sequential
-//!   here; the zone-partitioned parallel engine lives in
-//!   `skyquery-zones`);
+//!   distributed, pruning evaluation (§5.4): the stored-procedure steps
+//!   every SkyNode runs, one sequential loop over the incoming tuples;
 //! * [`plan`] — the federated execution plan that daisy-chains between
 //!   SkyNodes (§5.3);
 //! * [`baseline`] — the strategies the paper argues against, for the
@@ -26,7 +24,6 @@
 
 pub mod baseline;
 pub mod client;
-pub mod engine;
 pub mod error;
 pub mod exchange;
 pub mod lease;
@@ -48,7 +45,6 @@ pub mod walk;
 pub mod xmatch;
 
 pub use client::Client;
-pub use engine::{CrossMatchEngine, SequentialEngine};
 pub use error::{FederationError, Result};
 pub use exchange::TransferReport;
 pub use lease::LeaseTable;
@@ -65,6 +61,4 @@ pub use skynode::{SkyNode, SkyNodeBuilder};
 pub use trace::{ExecutionTrace, TraceEvent};
 pub use transfer::{open_chunk_stream, send_rpc, send_rpc_with, ChunkStream};
 pub use walk::CheckpointedWalk;
-pub use xmatch::{
-    MatchKernel, PartialSet, PartialTuple, StepConfig, StepContext, StepStats, TupleState,
-};
+pub use xmatch::{MatchKernel, PartialSet, PartialTuple, StepConfig, StepStats, TupleState};

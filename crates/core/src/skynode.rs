@@ -26,7 +26,6 @@ use skyquery_sql::parse_query;
 use skyquery_storage::Database;
 use skyquery_xml::VoTable;
 
-use crate::engine::{default_engine, CrossMatchEngine};
 use crate::error::{FederationError, Result};
 use crate::exchange::ExchangeState;
 use crate::lease::LeaseTable;
@@ -36,7 +35,7 @@ use crate::query_exec::{execute_local, LocalQueryResult};
 use crate::service::{require_u64, Reply, ServiceMethod};
 use crate::trace::StatsChain;
 use crate::transfer::open_checkpoint;
-use crate::xmatch::{PartialSet, StepConfig, StepStats};
+use crate::xmatch::{dropout_step, match_step, seed_step, PartialSet, StepConfig, StepStats};
 
 pub use crate::transfer::{invoke_cross_match, send_rpc};
 
@@ -241,25 +240,12 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
 pub struct SkyNodeBuilder {
     info: ArchiveInfo,
     db: Database,
-    engine: Arc<dyn CrossMatchEngine>,
 }
 
 impl SkyNodeBuilder {
-    /// A builder for a node wrapping `db`, using the default sequential
-    /// engine until [`SkyNodeBuilder::engine`] installs another.
+    /// A builder for a node wrapping `db`.
     pub fn new(info: ArchiveInfo, db: Database) -> SkyNodeBuilder {
-        SkyNodeBuilder {
-            info,
-            db,
-            engine: default_engine(),
-        }
-    }
-
-    /// Installs a cross-match engine (e.g. the zone-partitioned parallel
-    /// engine from `skyquery-zones`).
-    pub fn engine(mut self, engine: Arc<dyn CrossMatchEngine>) -> SkyNodeBuilder {
-        self.engine = engine;
-        self
+        SkyNodeBuilder { info, db }
     }
 
     /// Starts the node and binds it to `host` on the network.
@@ -275,7 +261,6 @@ impl SkyNodeBuilder {
             next_checkpoint: AtomicU64::new(1),
             executed_steps: AtomicU64::new(0),
             exchange: Mutex::new(ExchangeState::new()),
-            engine: self.engine,
         });
         net.bind(host, node.clone());
         node
@@ -302,16 +287,9 @@ pub struct SkyNode {
     executed_steps: AtomicU64,
     /// Two-phase-commit staging for the data-exchange extension.
     exchange: Mutex<ExchangeState>,
-    /// Strategy executing the cross-match stored-procedure steps.
-    engine: Arc<dyn CrossMatchEngine>,
 }
 
 impl SkyNode {
-    /// The installed cross-match engine's name.
-    pub fn engine_name(&self) -> &str {
-        self.engine.name()
-    }
-
     /// The archive's survey constants.
     pub fn info(&self) -> &ArchiveInfo {
         &self.info
@@ -558,9 +536,9 @@ impl SkyNode {
                 None
             };
             let result = match (&input, dropout) {
-                (None, _) => self.engine.seed(&mut db, &cfg),
-                (Some(inc), false) => self.engine.match_tuples(&mut db, &cfg, inc),
-                (Some(inc), true) => self.engine.dropout(&mut db, &cfg, inc),
+                (None, _) => seed_step(&mut db, &cfg),
+                (Some(inc), false) => match_step(&mut db, &cfg, inc),
+                (Some(inc), true) => dropout_step(&mut db, &cfg, inc),
             };
             if let Some(name) = &temp {
                 db.drop_table(name)

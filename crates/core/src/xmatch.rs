@@ -300,18 +300,18 @@ pub struct StepConfig {
 /// Evaluation statistics for one step (feeds the Figure-3 trace and the
 /// pruning experiment E7).
 ///
-/// Equality is engine-invariant: it compares only the counters that are a
+/// Equality is kernel-invariant: it compares only the counters that are a
 /// pure function of the step's inputs (`tuples_in`, `candidates_probed`,
 /// `chi2_accepted`, `tuples_out`). `candidates_examined` depends on the
-/// kernel and index granularity, `scratch_reuse` on worker scheduling,
+/// kernel and index granularity, `scratch_reuse` on the kernel's buffers,
 /// `shards_pruned` on shard layout, the result-cache counters
 /// (`cache_hits`, `cache_misses`, `cache_repairs`, `cache_evictions`) on
 /// what earlier submissions left cached, and the replica counters
 /// (`failovers`, `hedges`,
 /// `hedge_wins`) on which replicas happened to be reachable, so — like
 /// `ExecutionTrace` excluding its clock — they are deliberately outside
-/// `==`; parity tests can therefore compare stats across kernels, worker
-/// counts, cache states, and replica layouts.
+/// `==`; parity tests can therefore compare stats across kernels, zone
+/// heights, cache states, and replica layouts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepStats {
     /// Partial tuples received from the previous step.
@@ -394,29 +394,27 @@ impl PartialEq for StepStats {
 }
 impl Eq for StepStats {}
 
-/// Precomputed per-step lookup state shared by the sequential step
-/// functions and the parallel zone engine: the step table's schema, its
-/// position column indexes, and the qualified columns the step appends.
-/// Building it once lets the per-tuple kernels run against plain `&Table`
-/// references, so zone workers never touch the database mutably.
-#[derive(Debug, Clone)]
-pub struct StepContext {
+/// Precomputed per-step lookup state of the match and drop-out steps: the
+/// step table's schema, its position column indexes, and the qualified
+/// columns the step appends. Building it once lets the per-tuple kernels
+/// run against a plain `&Table` reference.
+struct StepContext {
     /// The step table's schema (cloned out of the database).
-    pub schema: TableSchema,
+    schema: TableSchema,
     /// Column index of the table's right-ascension column.
-    pub ra_ci: usize,
+    ra_ci: usize,
     /// Column index of the table's declination column.
-    pub dec_ci: usize,
+    dec_ci: usize,
     /// Qualified result columns (`alias.column`) this step appends.
-    pub appended: Vec<ResultColumn>,
+    appended: Vec<ResultColumn>,
     /// Column indexes of the carried columns, precomputed so the match
     /// kernel appends values by index instead of by name lookup.
-    pub carried_ci: Vec<usize>,
+    carried_ci: Vec<usize>,
 }
 
 impl StepContext {
     /// Resolves the context for one step against the archive database.
-    pub fn new(db: &Database, cfg: &StepConfig) -> Result<StepContext> {
+    fn new(db: &Database, cfg: &StepConfig) -> Result<StepContext> {
         let (_, ra_ci, dec_ci) = position_columns(db, &cfg.table)?;
         let schema = db.schema(&cfg.table)?.clone();
         let appended = carried_result_columns(cfg, &schema)?;
@@ -440,7 +438,7 @@ impl StepContext {
 /// for a degenerate state with no defined best position — such tuples
 /// cannot be extended and silently leave the chain (in both the match and
 /// the drop-out step).
-pub fn probe_ball(state: &TupleState, cfg: &StepConfig) -> Option<(SkyPoint, f64)> {
+fn probe_ball(state: &TupleState, cfg: &StepConfig) -> Option<(SkyPoint, f64)> {
     let best = state.best_position()?;
     Some((
         SkyPoint::from_vec3(best),
@@ -560,27 +558,13 @@ fn qualify_hit(cfg: &StepConfig, ctx: &StepContext, row: &Row) -> Result<Option<
 
 /// Match kernel for one partial tuple: evaluates every candidate hit (in
 /// the hits' row-id order) and appends the surviving extensions to `out`,
-/// returning how many passed the chi² threshold. Runs against a read-only
-/// table reference so zone workers can share the archive across threads.
-pub fn extend_tuple(
-    cfg: &StepConfig,
-    ctx: &StepContext,
-    table: &Table,
-    state: &TupleState,
-    carried: &[Value],
-    hits: &[RangeSearchHit],
-    out: &mut Vec<PartialTuple>,
-) -> Result<usize> {
-    let mut staging = Vec::new();
-    extend_tuple_staged(cfg, ctx, table, state, carried, hits, &mut staging, out)
-}
-
-/// [`extend_tuple`] with an external carried-value staging buffer (the
-/// columnar kernel's [`ProbeScratch`] supplies one), so a long probe loop
-/// stages appended values without per-tuple allocation; the staged values
-/// then *move* into the exact-capacity output row.
-#[allow(clippy::too_many_arguments)] // extend_tuple plus the staging sink
-pub fn extend_tuple_staged(
+/// returning how many passed the chi² threshold. Appended values are
+/// staged in a caller-owned buffer (the columnar kernel's [`ProbeScratch`]
+/// supplies one; the HTM arm reuses its own), so a long probe loop stages
+/// them without per-tuple allocation; the staged values then *move* into
+/// the exact-capacity output row.
+#[allow(clippy::too_many_arguments)] // the tuple, its hits and two sinks
+fn extend_tuple_staged(
     cfg: &StepConfig,
     ctx: &StepContext,
     table: &Table,
@@ -618,7 +602,7 @@ pub fn extend_tuple_staged(
 /// Drop-out kernel for one partial tuple: whether any candidate hit would
 /// keep the tuple within the threshold (in which case the drop-out step
 /// discards it).
-pub fn tuple_has_counterpart(
+fn tuple_has_counterpart(
     cfg: &StepConfig,
     ctx: &StepContext,
     table: &Table,
@@ -662,6 +646,7 @@ pub fn match_step(
     let temp_rows = db.table(&temp)?.rows().to_vec();
     match cfg.kernel {
         MatchKernel::Htm => {
+            let mut staging = Vec::new();
             for trow in &temp_rows {
                 let (state, carried) = decode_materialized(trow);
                 let Some((center, radius)) = probe_ball(&state, cfg) else {
@@ -671,13 +656,14 @@ pub fn match_step(
                     db.range_search_counted(&cfg.table, center, radius, ScanOptions::default())?;
                 stats.candidates_probed += hits.len();
                 stats.candidates_examined += examined;
-                stats.chi2_accepted += extend_tuple(
+                stats.chi2_accepted += extend_tuple_staged(
                     cfg,
                     &ctx,
                     db.table(&cfg.table)?,
                     &state,
                     carried,
                     &hits,
+                    &mut staging,
                     &mut out.tuples,
                 )?;
             }
@@ -831,11 +817,10 @@ pub fn apply_residuals(set: PartialSet, residuals: &[Expr]) -> Result<PartialSet
 }
 
 /// Inserts a partial set into a temp table (state + carried columns) and
-/// returns the table's name. Public so the parallel zone engine can run
-/// the same §5.3 materialization — both engines then read tuple values
-/// back out of the temp rows, so schema conformance (e.g. numeric
-/// coercion on insert) cannot make their outputs diverge.
-pub fn materialize_temp(db: &mut Database, set: &PartialSet) -> Result<String> {
+/// returns the table's name: the §5.3 materialization. Both kernels read
+/// tuple values back out of the temp rows, so schema conformance (e.g.
+/// numeric coercion on insert) cannot make their outputs diverge.
+fn materialize_temp(db: &mut Database, set: &PartialSet) -> Result<String> {
     let mut cols: Vec<ColumnDef> = STATE_COLS
         .iter()
         .map(|n| ColumnDef::new(*n, DataType::Float))
@@ -859,7 +844,7 @@ pub fn materialize_temp(db: &mut Database, set: &PartialSet) -> Result<String> {
 
 /// Splits a materialized temp-table row back into its tuple state and
 /// carried values (the inverse of [`materialize_temp`]'s row layout).
-pub fn decode_materialized(row: &Row) -> (TupleState, &[Value]) {
+fn decode_materialized(row: &Row) -> (TupleState, &[Value]) {
     (
         TupleState {
             a: row[0].as_f64().expect("state column"),

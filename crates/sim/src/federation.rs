@@ -56,8 +56,8 @@ pub struct FederationBuilder {
     faults: FaultPlan,
     shards: usize,
     replicas: usize,
-    /// Zone workers of every node's engine, and its database's zone height.
-    zones: (usize, f64),
+    /// The declination zone height of every node database's layout.
+    zone_height_deg: f64,
 }
 
 impl FederationBuilder {
@@ -72,7 +72,7 @@ impl FederationBuilder {
             faults: FaultPlan::new(),
             shards: 1,
             replicas: 1,
-            zones: (1, skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG),
+            zone_height_deg: skyquery_storage::DEFAULT_ZONE_HEIGHT_DEG,
         }
     }
 
@@ -142,11 +142,11 @@ impl FederationBuilder {
         self
     }
 
-    /// Builder: how every node probes — a zone engine of `workers` workers
-    /// (1, the default, runs the sequential kernels) over zones
-    /// `height_deg` high in its database's layout. Answers are identical.
-    pub fn zone_engine(mut self, workers: usize, height_deg: f64) -> FederationBuilder {
-        self.zones = (workers, height_deg);
+    /// Builder: every node's database lays its positions out in zones
+    /// `height_deg` high for the columnar kernel. Answers are identical
+    /// at any height.
+    pub fn zone_height(mut self, height_deg: f64) -> FederationBuilder {
+        self.zone_height_deg = height_deg;
         self
     }
 
@@ -216,10 +216,8 @@ impl FederationBuilder {
                     htm_depth: params.htm_depth,
                     extent,
                 };
-                db.set_zone_height(self.zones.1);
-                let node = SkyNodeBuilder::new(info, db)
-                    .engine(Arc::new(skyquery_zones::ZoneEngine::new(self.zones.0)))
-                    .start(&net, host.clone());
+                db.set_zone_height(self.zone_height_deg);
+                let node = SkyNodeBuilder::new(info, db).start(&net, host.clone());
                 if self.register_via_soap {
                     // The node calls the Portal's Registration service,
                     // which calls back into the node's Meta-data and

@@ -16,7 +16,7 @@
 //! Hits land in a caller-owned [`ProbeScratch`], so the steady-state match
 //! loop performs no per-tuple heap allocation. [`effective_height`] and
 //! [`declination_zone`] are the federation's one zone formula, which the
-//! zone engine's `ZoneMap` and the simulator's shard dealer call too.
+//! simulator's shard dealer calls too.
 //!
 //! Output contract: for any probe, the hit set is byte-identical to
 //! [`crate::resolve_range_candidates`] over an HTM candidate superset —
@@ -35,8 +35,8 @@ use crate::table::{RowId, Table};
 use crate::value::Value;
 
 /// Default declination zone height, degrees: it dwarfs arcsecond-scale
-/// search radii yet slices a survey cap into enough zones to keep a worker
-/// pool busy. Non-finite or non-positive requests fall back to it.
+/// search radii yet keeps each zone's RA-sorted bucket short. Non-finite
+/// or non-positive requests fall back to it.
 pub const DEFAULT_ZONE_HEIGHT_DEG: f64 = 0.1;
 
 /// Smallest admissible zone height; it bounds the zone count.
@@ -69,7 +69,7 @@ pub struct ProbeStats {
     pub reused: bool,
 }
 
-/// Reusable per-worker scratch for the columnar kernel: the candidate/hit
+/// Reusable scratch for the columnar kernel: the candidate/hit
 /// staging buffer plus a carried-value staging buffer for tuple extension.
 /// Reusing one scratch across probes makes the steady-state loop
 /// allocation-free once the buffers reach their high-water mark.
@@ -88,12 +88,6 @@ impl ProbeScratch {
     /// The hits produced by the most recent probe, sorted by row id.
     pub fn hits(&self) -> &[RangeSearchHit] {
         &self.hits
-    }
-
-    /// Mutable access to the hit buffer, for probe paths (like the HTM
-    /// fallback) that fill it externally.
-    pub fn hits_mut(&mut self) -> &mut Vec<RangeSearchHit> {
-        &mut self.hits
     }
 
     /// Splits the scratch into the (read-only) hit slice and the
@@ -197,7 +191,7 @@ impl ColumnarPositions {
     }
 
     /// The zone bucket a declination falls in under this layout.
-    pub fn zone_of_dec(&self, dec_deg: f64) -> usize {
+    fn zone_of_dec(&self, dec_deg: f64) -> usize {
         declination_zone(dec_deg, self.height_deg, self.zone_count)
     }
 
@@ -589,5 +583,47 @@ mod tests {
         }
         assert_eq!(declination_zone(0.0, 0.1, 1800), 900);
         assert_eq!(declination_zone(-0.05, 0.1, 1800), 899);
+    }
+
+    #[test]
+    fn columnar_layout_agrees_with_the_map() {
+        // A layout the database builds at any height buckets every
+        // declination exactly as the shared zone formula does, so the
+        // shard dealer and the probe agree on what a zone is.
+        use crate::{BufferCache, Database};
+        let mut db = Database::with_cache("agree", BufferCache::new(4096, 16));
+        let schema = TableSchema::new(
+            "objects",
+            vec![
+                ColumnDef::new("object_id", DataType::Id),
+                ColumnDef::new("ra", DataType::Float),
+                ColumnDef::new("dec", DataType::Float),
+            ],
+        )
+        .with_position(PositionColumns::new("ra", "dec", 14))
+        .unwrap();
+        db.create_table(schema).unwrap();
+        db.insert(
+            "objects",
+            vec![Value::Id(1), Value::Float(10.0), Value::Float(0.0)],
+        )
+        .unwrap();
+        for height in [1e-9, 1e-4, 0.05, 0.1, 0.37, 5.0, 180.0, 500.0, 0.0, -3.0] {
+            let (h, n) = effective_height(height);
+            db.set_zone_height(height);
+            db.ensure_columnar("objects").unwrap();
+            let cols = db.columnar_positions("objects").unwrap();
+            assert_eq!(cols.zone_count(), n, "height {height}");
+            assert_eq!(cols.height_deg().to_bits(), h.to_bits(), "height {height}");
+            for i in 0..=1800 {
+                let dec = -90.0 + 0.1 * i as f64;
+                assert_eq!(
+                    cols.zone_of_dec(dec),
+                    declination_zone(dec, h, n),
+                    "dec {dec} height {height}"
+                );
+            }
+            assert_eq!(cols.zone_of_dec(f64::NAN), declination_zone(f64::NAN, h, n));
+        }
     }
 }

@@ -81,11 +81,6 @@ impl Database {
         }
     }
 
-    /// The declination zone height, in degrees, of the columnar layout.
-    pub fn zone_height(&self) -> f64 {
-        self.zone_height
-    }
-
     /// The database's name (the archive name).
     pub fn name(&self) -> &str {
         &self.name
@@ -587,9 +582,9 @@ impl Database {
 /// Distance-tests HTM candidates against a table's stored positions,
 /// returning qualifying hits sorted by row id. `Full`-kind candidates are
 /// accepted outright; `Partial`-kind ones are re-tested against the
-/// radius. Factored out of [`Database::range_search`] so the parallel
-/// zone engine, probing per-zone indexes through shared references, runs
-/// the exact same classification — the two paths must agree bit-for-bit.
+/// radius. Shared by [`Database::range_search`] and
+/// [`Database::range_search_counted`], and the contract the columnar
+/// kernel's probe is held to bit-for-bit.
 pub fn resolve_range_candidates(
     table: &Table,
     ra_ci: usize,
@@ -599,26 +594,6 @@ pub fn resolve_range_candidates(
     candidates: &[crate::index::HtmCandidate],
 ) -> Result<Vec<RangeSearchHit>, StorageError> {
     let mut hits = Vec::new();
-    resolve_range_candidates_into(
-        table, ra_ci, dec_ci, center, radius_rad, candidates, &mut hits,
-    )?;
-    Ok(hits)
-}
-
-/// Buffer-reusing variant of [`resolve_range_candidates`]: clears `hits`
-/// and fills it in place, so a long probe loop can amortize the hit
-/// allocation the same way the columnar kernel's scratch does.
-#[allow(clippy::too_many_arguments)] // mirrors resolve_range_candidates + sink
-pub fn resolve_range_candidates_into(
-    table: &Table,
-    ra_ci: usize,
-    dec_ci: usize,
-    center: SkyPoint,
-    radius_rad: f64,
-    candidates: &[crate::index::HtmCandidate],
-    hits: &mut Vec<RangeSearchHit>,
-) -> Result<(), StorageError> {
-    hits.clear();
     for cand in candidates {
         let row = table.row(cand.row).expect("index row exists");
         let (ra, dec) = extract_position(table.name(), row, ra_ci, dec_ci)?;
@@ -639,7 +614,7 @@ pub fn resolve_range_candidates_into(
         }
     }
     hits.sort_by_key(|h| h.row);
-    Ok(())
+    Ok(hits)
 }
 
 impl std::fmt::Debug for Database {
@@ -849,8 +824,13 @@ mod tests {
         use crate::columnar::ProbeScratch;
         let mut db = demo_db();
         assert!(db.columnar_positions("photo_object").is_none());
-        assert_eq!(db.zone_height(), DEFAULT_ZONE_HEIGHT_DEG);
+        db.ensure_columnar("photo_object").unwrap();
+        assert_eq!(
+            db.columnar_positions("photo_object").unwrap().height_deg(),
+            DEFAULT_ZONE_HEIGHT_DEG
+        );
         db.set_zone_height(0.5);
+        assert!(db.columnar_positions("photo_object").is_none());
         db.ensure_columnar("photo_object").unwrap();
         let built = db.columnar_positions("photo_object").unwrap();
         assert_eq!(built.len(), 5);

@@ -240,20 +240,12 @@ impl HtmPositionIndex {
     }
 
     /// Restores the sorted order after out-of-order appends. A no-op when
-    /// already sorted; `search` calls this lazily, and concurrent readers
-    /// call it up front so [`HtmPositionIndex::search_sorted`] can probe
-    /// through a shared reference.
-    pub fn ensure_sorted(&mut self) {
+    /// already sorted; every search calls this lazily.
+    fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.entries.sort_unstable();
             self.sorted = true;
         }
-    }
-
-    /// Whether the entry list is currently in sorted order (and therefore
-    /// searchable through [`HtmPositionIndex::search_sorted`]).
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
     }
 
     /// Candidate rows for a circular search centered at `center` with
@@ -261,24 +253,6 @@ impl HtmPositionIndex {
     /// `Partial` ones must be distance-tested by the caller.
     pub fn search(&mut self, center: SkyPoint, radius_rad: f64) -> Vec<HtmCandidate> {
         self.ensure_sorted();
-        let cover = Cover::circle(&self.mesh, center, radius_rad);
-        self.candidates_from_cover(&cover)
-    }
-
-    /// Read-only variant of [`HtmPositionIndex::search`] for concurrent
-    /// probing: the caller must have called
-    /// [`HtmPositionIndex::ensure_sorted`] first (the parallel zone engine
-    /// sorts each zone bucket once, then fans probes out across workers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index has unsorted appends, since a binary search
-    /// over an unsorted list would silently drop candidates.
-    pub fn search_sorted(&self, center: SkyPoint, radius_rad: f64) -> Vec<HtmCandidate> {
-        assert!(
-            self.sorted,
-            "HtmPositionIndex::search_sorted requires ensure_sorted() first"
-        );
         let cover = Cover::circle(&self.mesh, center, radius_rad);
         self.candidates_from_cover(&cover)
     }
@@ -460,29 +434,6 @@ mod tests {
         let rows: Vec<RowId> = cands.iter().map(|c| c.row).collect();
         assert!(rows.contains(&1) && rows.contains(&2));
         assert!(!rows.contains(&0));
-    }
-
-    #[test]
-    fn search_sorted_matches_mutable_search() {
-        let mut idx = HtmPositionIndex::new(10);
-        idx.insert(SkyPoint::from_radec_deg(300.0, 50.0), 0);
-        idx.insert(SkyPoint::from_radec_deg(10.0, -20.0), 1);
-        idx.insert(SkyPoint::from_radec_deg(10.001, -20.0), 2);
-        assert!(!idx.is_sorted());
-        idx.ensure_sorted();
-        assert!(idx.is_sorted());
-        let center = SkyPoint::from_radec_deg(10.0, -20.0);
-        let mut m = idx.clone();
-        assert_eq!(idx.search_sorted(center, 0.01), m.search(center, 0.01));
-    }
-
-    #[test]
-    #[should_panic(expected = "ensure_sorted")]
-    fn search_sorted_rejects_unsorted_index() {
-        let mut idx = HtmPositionIndex::new(10);
-        idx.insert(SkyPoint::from_radec_deg(300.0, 50.0), 0);
-        idx.insert(SkyPoint::from_radec_deg(10.0, -20.0), 1);
-        idx.search_sorted(SkyPoint::from_radec_deg(10.0, -20.0), 0.01);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use cache::{BufferCache, CacheStats};
 pub use catalog::{Catalog, TableStats};
 pub use columnar::{declination_zone, effective_height, DEFAULT_ZONE_HEIGHT_DEG};
 pub use columnar::{ColumnarPositions, ProbeScratch, ProbeStats};
-pub use engine::{resolve_range_candidates, resolve_range_candidates_into, Database};
+pub use engine::{resolve_range_candidates, Database};
 pub use error::StorageError;
 pub use exec::{RangeSearchHit, ScanOptions};
 pub use index::{BTreeIndex, HtmCandidate, HtmPositionIndex};

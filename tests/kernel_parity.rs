@@ -1,18 +1,16 @@
 //! Kernel parity: the columnar structure-of-arrays kernel must be
 //! **byte-identical** to the HTM kernel — same tuples, same order, same
 //! `chi2_min` (tuple states compare exactly, field by field), same
-//! engine-invariant statistics — through the sequential steps *and* the
-//! zone-partitioned parallel engine, at every worker count and zone
-//! height, on match and drop-out steps alike.
+//! kernel-invariant statistics — at every zone height of the columnar
+//! layout, on match and drop-out steps alike.
 //!
-//! The oracle is always the sequential HTM path. Fields are generated
-//! both straddling declination 0 (a zone boundary at every height) and
+//! The oracle is always the HTM path. Fields are generated both
+//! straddling declination 0 (a zone boundary at every height) and
 //! straddling right ascension 0°/360°, where the columnar kernel's RA
 //! windows must wrap.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use skyquery_core::engine::CrossMatchEngine;
 use skyquery_core::xmatch::{
     dropout_step, match_step, MatchKernel, PartialSet, PartialTuple, StepConfig, TupleState,
 };
@@ -21,10 +19,8 @@ use skyquery_htm::SkyPoint;
 use skyquery_storage::{
     BufferCache, ColumnDef, DataType, Database, PositionColumns, TableSchema, Value,
 };
-use skyquery_zones::ZoneEngine;
 
 const ARCSEC: f64 = 1.0 / 3600.0;
-const WORKERS: [usize; 3] = [1, 2, 8];
 const HEIGHTS: [f64; 4] = [0.05, 0.1, 0.5, 5.0];
 
 fn sigma_rad(arcsec: f64) -> f64 {
@@ -83,11 +79,10 @@ fn singles(points: &[(f64, f64)], sigma_arcsec: f64) -> PartialSet {
     set
 }
 
-/// Runs both step kinds under every kernel × worker-count × zone-height
-/// combination (the engine's workers, the database's height) and asserts
-/// byte-identity against the sequential HTM oracle. `StepStats` equality
-/// compares only the engine-invariant fields, so kernel-granularity
-/// counters cannot cause false failures.
+/// Runs both step kinds under every kernel × zone-height combination (the
+/// database's height) and asserts byte-identity against the HTM oracle.
+/// `StepStats` equality compares only the kernel-invariant fields, so
+/// kernel-granularity counters cannot cause false failures.
 fn assert_kernel_parity(
     db: &mut Database,
     incoming: &PartialSet,
@@ -101,43 +96,36 @@ fn assert_kernel_parity(
         let c = cfg(sigma_arcsec, threshold, kernel);
         for &height in &HEIGHTS {
             db.set_zone_height(height);
-            for &workers in &WORKERS {
-                let engine = ZoneEngine::new(workers);
-                let (m, ms) = engine.match_tuples(db, &c, incoming).expect("match");
-                prop_assert_eq!(
-                    &m,
-                    &m_oracle,
-                    "match diverged: kernel={} workers={} height={}",
-                    kernel,
-                    workers,
-                    height
-                );
-                prop_assert_eq!(
-                    ms,
-                    m_stats,
-                    "match stats diverged: kernel={} workers={} height={}",
-                    kernel,
-                    workers,
-                    height
-                );
-                let (d, ds) = engine.dropout(db, &c, incoming).expect("dropout");
-                prop_assert_eq!(
-                    &d,
-                    &d_oracle,
-                    "dropout diverged: kernel={} workers={} height={}",
-                    kernel,
-                    workers,
-                    height
-                );
-                prop_assert_eq!(
-                    ds,
-                    d_stats,
-                    "dropout stats diverged: kernel={} workers={} height={}",
-                    kernel,
-                    workers,
-                    height
-                );
-            }
+            let (m, ms) = match_step(db, &c, incoming).expect("match");
+            prop_assert_eq!(
+                &m,
+                &m_oracle,
+                "match diverged: kernel={} height={}",
+                kernel,
+                height
+            );
+            prop_assert_eq!(
+                ms,
+                m_stats,
+                "match stats diverged: kernel={} height={}",
+                kernel,
+                height
+            );
+            let (d, ds) = dropout_step(db, &c, incoming).expect("dropout");
+            prop_assert_eq!(
+                &d,
+                &d_oracle,
+                "dropout diverged: kernel={} height={}",
+                kernel,
+                height
+            );
+            prop_assert_eq!(
+                ds,
+                d_stats,
+                "dropout stats diverged: kernel={} height={}",
+                kernel,
+                height
+            );
         }
     }
     Ok(())

@@ -88,7 +88,7 @@ proptest! {
             ..FederationConfig::default()
         };
         let sql = sweep_query(dropout);
-        let fed = |shards| builder(shards, 160, center, config).zone_engine(1, zone_height).build();
+        let fed = |shards| builder(shards, 160, center, config).zone_height(zone_height).build();
         let baseline = fed(1);
         let (want, base_trace) = baseline.portal.submit(&sql).unwrap();
         prop_assert!(

@@ -1,9 +1,9 @@
-//! Chunked transfer under the zone engine: byte-identity parity suite.
+//! Chunked transfer across zone heights: byte-identity parity suite.
 //!
 //! The §6 workaround — byte-budget chunks on the sender, drained whole by
 //! the receiver before its step runs — must be a pure transport detail:
-//! for every worker count, zone height, and message budget, query results
-//! must be **byte-identical** to a monolithic (unchunked) run.
+//! for every zone height and message budget, query results must be
+//! **byte-identical** to a monolithic (unchunked) run.
 
 use proptest::prelude::*;
 use skyquery_core::{FederationConfig, ResultSet};
@@ -28,13 +28,13 @@ fn run_with(fed: &TestFederation, sql: &str, config: FederationConfig) -> Result
     rs
 }
 
-/// The sweep's federation, its nodes running `workers` zone workers over
-/// zones `height` high. Identical parameters yield identical skies, and
-/// the budget is per-submit config, so one federation serves a budget
-/// sweep (building surveys dominates test time).
-fn federation(workers: usize, height: f64) -> TestFederation {
+/// The sweep's federation, its nodes' layouts in zones `height` high.
+/// Identical parameters yield identical skies, and the budget is
+/// per-submit config, so one federation serves a budget sweep (building
+/// surveys dominates test time).
+fn federation(height: f64) -> TestFederation {
     FederationBuilder::paper_triple(500)
-        .zone_engine(workers, height)
+        .zone_height(height)
         .build()
 }
 
@@ -43,30 +43,25 @@ fn pipelined_transfer_is_byte_identical_to_monolithic() {
     let sql = three_archive_sql();
     // Reference: monolithic transfer (limit far above any message).
     let reference = run_with(
-        &federation(1, DEFAULT_ZONE_HEIGHT_DEG),
+        &federation(DEFAULT_ZONE_HEIGHT_DEG),
         &sql,
         FederationConfig::default(),
     );
     assert!(reference.row_count() > 0, "sweep needs matches to move");
 
-    for workers in [1usize, 2, 8] {
-        for height in [0.05f64, 0.1, 0.5, 5.0] {
-            let fed = federation(workers, height);
-            for max_message_bytes in [2_000usize, 20_000, 10_000_000] {
-                let rs = run_with(
-                    &fed,
-                    &sql,
-                    FederationConfig {
-                        max_message_bytes,
-                        chunking: true,
-                        ..FederationConfig::default()
-                    },
-                );
-                assert_eq!(
-                    rs, reference,
-                    "workers={workers} height={height} budget={max_message_bytes}"
-                );
-            }
+    for height in [0.05f64, 0.1, 0.5, 5.0] {
+        let fed = federation(height);
+        for max_message_bytes in [2_000usize, 20_000, 10_000_000] {
+            let rs = run_with(
+                &fed,
+                &sql,
+                FederationConfig {
+                    max_message_bytes,
+                    chunking: true,
+                    ..FederationConfig::default()
+                },
+            );
+            assert_eq!(rs, reference, "height={height} budget={max_message_bytes}");
         }
     }
 }
@@ -76,28 +71,23 @@ fn legacy_byte_budget_chunking_still_byte_identical() {
     // The §6 workaround as it first shipped: the default zone height and a
     // 4 000-byte budget.
     let sql = three_archive_sql();
-    let reference = run_with(
-        &federation(1, DEFAULT_ZONE_HEIGHT_DEG),
+    let fed = federation(DEFAULT_ZONE_HEIGHT_DEG);
+    let reference = run_with(&fed, &sql, FederationConfig::default());
+    let rs = run_with(
+        &fed,
         &sql,
-        FederationConfig::default(),
+        FederationConfig {
+            max_message_bytes: 4_000,
+            chunking: true,
+            ..FederationConfig::default()
+        },
     );
-    for workers in [1usize, 8] {
-        let rs = run_with(
-            &federation(workers, DEFAULT_ZONE_HEIGHT_DEG),
-            &sql,
-            FederationConfig {
-                max_message_bytes: 4_000,
-                chunking: true,
-                ..FederationConfig::default()
-            },
-        );
-        assert_eq!(rs, reference, "legacy path, workers={workers}");
-    }
+    assert_eq!(rs, reference, "legacy path");
 }
 
 #[test]
 fn chunk_flow_metrics_record_the_pipelined_transfer() {
-    let fed = federation(1, DEFAULT_ZONE_HEIGHT_DEG);
+    let fed = federation(DEFAULT_ZONE_HEIGHT_DEG);
     let sql = three_archive_sql();
     fed.portal.set_config(FederationConfig {
         max_message_bytes: 3_000,
@@ -128,19 +118,18 @@ fn chunk_flow_metrics_record_the_pipelined_transfer() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized corner of the sweep: any (budget, height, workers)
-    /// combination stays byte-identical to the monolithic reference.
+    /// Randomized corner of the sweep: any (budget, height) combination
+    /// stays byte-identical to the monolithic reference.
     #[test]
     fn pipelined_parity_holds_for_random_configs(
         max_message_bytes in 1_500usize..60_000,
         height in 0.02f64..10.0,
-        workers in 1usize..8,
     ) {
         let sql = three_archive_sql();
-        let sequential = FederationBuilder::paper_triple(180).build();
-        let reference = run_with(&sequential, &sql, FederationConfig::default());
+        let default_layout = FederationBuilder::paper_triple(180).build();
+        let reference = run_with(&default_layout, &sql, FederationConfig::default());
         let fed = FederationBuilder::paper_triple(180)
-            .zone_engine(workers, height)
+            .zone_height(height)
             .build();
         let rs = run_with(&fed, &sql, FederationConfig {
             max_message_bytes,
