@@ -10,11 +10,10 @@
 //! relays the result to the client.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use skyquery_net::{
-    Endpoint, HttpRequest, HttpResponse, ServiceRecord, ServiceRegistry, SimNetwork, Url,
+    lock, Endpoint, HttpRequest, HttpResponse, ServiceRecord, ServiceRegistry, SimNetwork, Url,
 };
 use skyquery_soap::{RpcCall, RpcResponse, SoapValue};
 use skyquery_sql::{decompose, parse_query, DecomposedQuery, Expr};
@@ -243,21 +242,19 @@ impl Portal {
     /// Replaces the execution configuration (experiments switch ordering
     /// strategies and message limits between runs).
     pub fn set_config(&self, config: FederationConfig) {
-        *self.config.lock() = config;
+        *lock(&self.config) = config;
     }
 
     /// The current execution configuration.
     pub fn config(&self) -> FederationConfig {
-        *self.config.lock()
+        *lock(&self.config)
     }
 
     /// Hosts currently considered unhealthy (they exhausted a retry
     /// budget more recently than they answered or passed a probe),
     /// sorted. Hosts in probation are excluded.
     pub fn unhealthy_hosts(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .health
-            .lock()
+        let mut v: Vec<String> = lock(&self.health)
             .iter()
             .filter(|(_, h)| h.state == HostState::Unhealthy)
             .map(|(host, _)| host.clone())
@@ -269,9 +266,7 @@ impl Portal {
     /// The full health book, sorted by host — for the REPL's `\health`
     /// view. Healthy hosts (no strikes on record) do not appear.
     pub fn health_report(&self) -> Vec<(String, HostHealth)> {
-        let mut v: Vec<(String, HostHealth)> = self
-            .health
-            .lock()
+        let mut v: Vec<(String, HostHealth)> = lock(&self.health)
             .iter()
             .map(|(host, h)| (host.clone(), *h))
             .collect();
@@ -281,7 +276,7 @@ impl Portal {
 
     /// Adds a strike against `host` and (re)marks it unhealthy.
     fn strike(&self, host: &str) {
-        let mut health = self.health.lock();
+        let mut health = lock(&self.health);
         let h = health.entry(host.to_string()).or_insert(HostHealth {
             strikes: 0,
             state: HostState::Unhealthy,
@@ -296,7 +291,7 @@ impl Portal {
     pub(crate) fn observe<T>(&self, host: &str, outcome: &Result<T>) {
         match outcome {
             Ok(_) => {
-                self.health.lock().remove(host);
+                lock(&self.health).remove(host);
             }
             Err(FederationError::NodeUnhealthy { host, .. }) => self.strike(host),
             Err(_) => {}
@@ -307,8 +302,7 @@ impl Portal {
     /// healthy: real traffic may flow again). Replica selection prefers
     /// the first healthy candidate of a group.
     pub(crate) fn host_is_unhealthy(&self, host: &str) -> bool {
-        self.health
-            .lock()
+        lock(&self.health)
             .get(host)
             .is_some_and(|h| h.state == HostState::Unhealthy)
     }
@@ -318,9 +312,7 @@ impl Portal {
     /// traffic may flow again); failure adds a strike. Returns whether
     /// the probe succeeded. Probing an unknown host returns `false`.
     pub fn probe_host(&self, host: &str) -> bool {
-        let url = self
-            .nodes
-            .lock()
+        let url = lock(&self.nodes)
             .values()
             .flatten()
             .find(|n| n.url.host == host)
@@ -336,7 +328,7 @@ impl Portal {
         .is_ok();
         if !ok {
             self.strike(host);
-        } else if let Some(h) = self.health.lock().get_mut(host) {
+        } else if let Some(h) = lock(&self.health).get_mut(host) {
             h.state = HostState::Probation;
         }
         ok
@@ -364,7 +356,7 @@ impl Portal {
 
     /// Registered archive names, sorted.
     pub fn archives(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.nodes.lock().keys().cloned().collect();
+        let mut v: Vec<String> = lock(&self.nodes).keys().cloned().collect();
         v.sort();
         v
     }
@@ -375,8 +367,7 @@ impl Portal {
     /// right entry point for planning lookups; use
     /// [`Portal::shards_of`] for the physical membership.
     pub fn node(&self, archive: &str) -> Option<RegisteredNode> {
-        self.nodes
-            .lock()
+        lock(&self.nodes)
             .get(&archive.to_ascii_uppercase())
             .and_then(|group| group.first().cloned())
     }
@@ -389,9 +380,7 @@ impl Portal {
     /// rather than trusted to registration-time bookkeeping. Empty if
     /// the archive is not registered.
     pub fn shards_of(&self, archive: &str) -> Vec<RegisteredNode> {
-        let mut group = self
-            .nodes
-            .lock()
+        let mut group = lock(&self.nodes)
             .get(&archive.to_ascii_uppercase())
             .cloned()
             .unwrap_or_default();
@@ -491,7 +480,7 @@ impl Portal {
             catalog,
         };
         let group = {
-            let mut nodes = self.nodes.lock();
+            let mut nodes = lock(&self.nodes);
             let group = nodes.entry(info.name.to_ascii_uppercase()).or_default();
             group.retain(|n| n.url.host != url.host);
             group.push(node);
@@ -520,7 +509,7 @@ impl Portal {
     /// Removes a logical archive — every shard of it — from the
     /// federation.
     pub fn unregister(&self, archive: &str) -> bool {
-        let removed = self.nodes.lock().remove(&archive.to_ascii_uppercase());
+        let removed = lock(&self.nodes).remove(&archive.to_ascii_uppercase());
         if let Some(group) = &removed {
             for (i, n) in group.iter().enumerate() {
                 self.registry.unregister(&Self::provider_name(i, n));
@@ -815,7 +804,7 @@ impl Portal {
         let current = self.current_versions(plan);
         // Classify under the cache lock; run any repair RPCs outside it.
         let stale = {
-            let mut cache = self.cache.lock();
+            let mut cache = lock(&self.cache);
             cache.sweep(now);
             let id = match cache.lookup(&signature) {
                 Some(id) => id,
@@ -878,7 +867,7 @@ impl Portal {
                 // The delta probes observed authoritative versions:
                 // publish them so the next lookup validates as a hit.
                 self.publish_versions(&repaired.versions);
-                let mut cache = self.cache.lock();
+                let mut cache = lock(&self.cache);
                 cache.counters_mut().repairs += 1;
                 let (set, mut stats) = answer_of(&repaired);
                 match cache.lookup(&signature) {
@@ -910,7 +899,7 @@ impl Portal {
                 Some((set, stats))
             }
             Err(e) => {
-                let mut cache = self.cache.lock();
+                let mut cache = lock(&self.cache);
                 if let Some(id) = cache.lookup(&signature) {
                     cache.evict(id);
                 }
@@ -930,7 +919,7 @@ impl Portal {
     /// touches — no round trips. `None` when any addressed host or
     /// table is no longer registered.
     fn current_versions(&self, plan: &ExecutionPlan) -> Option<Vec<Vec<StepVersion>>> {
-        let nodes = self.nodes.lock();
+        let nodes = lock(&self.nodes);
         let mut out = Vec::with_capacity(plan.steps.len());
         for step in &plan.steps {
             let hosts: Vec<&str> = if step.shards.is_empty() {
@@ -965,7 +954,7 @@ impl Portal {
     /// registry may already know a newer version than an early step saw;
     /// keeping it makes that entry stale (repairable), never a false hit.
     pub(crate) fn update_registry_version(&self, host: &str, table: &str, version: u64) {
-        let mut nodes = self.nodes.lock();
+        let mut nodes = lock(&self.nodes);
         for group in nodes.values_mut() {
             for n in group.iter_mut() {
                 if n.url.host == host {
@@ -994,7 +983,7 @@ impl Portal {
         let config = self.config();
         self.publish_versions(&entry.versions);
         let n = entry.steps.len();
-        let inserted = self.cache.lock().insert(
+        let inserted = lock(&self.cache).insert(
             entry,
             self.net.now_s(),
             config.result_cache_ttl_s,
@@ -1026,7 +1015,7 @@ impl Portal {
         let mut refreshed = 0;
         for shard in &shards {
             let catalog = self.fetch_catalog(&shard.url)?;
-            let mut nodes = self.nodes.lock();
+            let mut nodes = lock(&self.nodes);
             if let Some(group) = nodes.get_mut(&archive.to_ascii_uppercase()) {
                 if let Some(n) = group.iter_mut().find(|n| n.url.host == shard.url.host) {
                     n.catalog = catalog;
@@ -1040,14 +1029,14 @@ impl Portal {
     /// Result-cache effectiveness counters and live entry count — the
     /// REPL's `\cache` view.
     pub fn cache_report(&self) -> (CacheCounters, usize) {
-        let cache = self.cache.lock();
+        let cache = lock(&self.cache);
         (cache.counters(), cache.len())
     }
 
     /// Stamps the current cache counters into the first entry of a
     /// stats chain (see [`stamp_cache_counters`]).
     pub(crate) fn stamp_cache_counters(&self, stats: &mut StatsChain) {
-        let c = self.cache.lock().counters();
+        let c = lock(&self.cache).counters();
         stamp_cache_counters(stats, c);
     }
 

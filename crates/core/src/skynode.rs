@@ -17,10 +17,9 @@
 //! node's step runs on it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
+use skyquery_net::{lock, Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_soap::{MessageLimits, Operation, RpcCall, RpcResponse, SoapValue};
 use skyquery_sql::parse_query;
 use skyquery_storage::Database;
@@ -308,13 +307,13 @@ impl SkyNode {
     /// Runs a closure against the archive database (tests, data loading,
     /// cache manipulation for experiments).
     pub fn with_db<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.db.lock())
+        f(&mut lock(&self.db))
     }
 
     /// Transactions staged by the data-exchange extension and still
     /// awaiting a coordinator decision.
     pub fn pending_exchange_txns(&self) -> Vec<u64> {
-        self.exchange.lock().pending()
+        lock(&self.exchange).pending()
     }
 
     /// Checkpointed partial sets currently leased, sorted by id — a leak
@@ -322,16 +321,16 @@ impl SkyNode {
     /// checkpoints (or their leases lapse and a sweep runs), this should
     /// be empty.
     pub fn checkpoints(&self) -> Vec<u64> {
-        self.checkpoints.lock().ids()
+        lock(&self.checkpoints).ids()
     }
 
     /// Total node-side resources currently under lease: open chunked
     /// transfers, checkpointed partial sets, and staged exchange
     /// transactions.
     pub fn active_leases(&self) -> usize {
-        self.pending.lock().len()
-            + self.checkpoints.lock().len()
-            + self.exchange.lock().pending().len()
+        lock(&self.pending).len()
+            + lock(&self.checkpoints).len()
+            + lock(&self.exchange).pending().len()
     }
 
     /// How many cross-match steps this node has successfully executed
@@ -351,11 +350,11 @@ impl SkyNode {
     /// as a `lease-expired` node event in the network metrics.
     pub fn sweep_leases(&self, net: &SimNetwork) -> usize {
         let now = net.now_s();
-        let mut reclaimed = self.pending.lock().sweep(now).len();
-        reclaimed += self.checkpoints.lock().sweep(now).len();
+        let mut reclaimed = lock(&self.pending).sweep(now).len();
+        reclaimed += lock(&self.checkpoints).sweep(now).len();
         reclaimed += {
-            let mut db = self.db.lock();
-            self.exchange.lock().sweep(&mut db, now).len()
+            let mut db = lock(&self.db);
+            lock(&self.exchange).sweep(&mut db, now).len()
         };
         for _ in 0..reclaimed {
             net.record_node_event(&self.host, "lease-expired");
@@ -386,7 +385,7 @@ impl SkyNode {
     }
 
     fn handle_metadata(&self, _net: &SimNetwork, _call: &RpcCall) -> Result<RpcResponse> {
-        let catalog = self.db.lock().catalog();
+        let catalog = lock(&self.db).catalog();
         Ok(RpcResponse::new("Metadata")
             .result("catalog", SoapValue::Xml(catalog_to_element(&catalog))))
     }
@@ -398,7 +397,7 @@ impl SkyNode {
             .ok_or_else(|| FederationError::protocol("sql parameter must be a string"))?
             .to_string();
         let query = parse_query(&sql).map_err(FederationError::Sql)?;
-        let mut db = self.db.lock();
+        let mut db = lock(&self.db);
         match execute_local(&mut db, &self.info.name, &query)? {
             LocalQueryResult::Count(n) => {
                 Ok(RpcResponse::new("Query").result("count", SoapValue::Int(n as i64)))
@@ -427,10 +426,10 @@ impl SkyNode {
                 .as_table()
                 .ok_or_else(|| FederationError::protocol("rows must be a table"))?,
         )?;
-        let mut db = self.db.lock();
+        let mut db = lock(&self.db);
         // PrepareReceive predates plans and carries no TTL of its own;
         // the default lease keeps an undecided stage reclaimable.
-        let staged = self.exchange.lock().prepare(
+        let staged = lock(&self.exchange).prepare(
             &mut db,
             txn,
             &dest_table,
@@ -445,8 +444,8 @@ impl SkyNode {
 
     fn handle_commit_receive(&self, _net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let txn = require_u64(call, "txn")?;
-        let mut db = self.db.lock();
-        let (published, version) = self.exchange.lock().commit(&mut db, txn)?;
+        let mut db = lock(&self.db);
+        let (published, version) = lock(&self.exchange).commit(&mut db, txn)?;
         Ok(RpcResponse::new("CommitReceive")
             .result("published", SoapValue::Int(published as i64))
             .result("version", SoapValue::Int(version as i64)))
@@ -454,8 +453,8 @@ impl SkyNode {
 
     fn handle_abort_receive(&self, _net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let txn = require_u64(call, "txn")?;
-        let mut db = self.db.lock();
-        self.exchange.lock().abort(&mut db, txn)?;
+        let mut db = lock(&self.db);
+        lock(&self.exchange).abort(&mut db, txn)?;
         Ok(RpcResponse::new("AbortReceive").result("aborted", SoapValue::Bool(true)))
     }
 
@@ -515,7 +514,7 @@ impl SkyNode {
             ));
         }
         let (mut set, stats, version) = {
-            let mut db = self.db.lock();
+            let mut db = lock(&self.db);
             let version = db.table_version(&cfg.table)?;
             let temp = if from_row > 0 {
                 let rows: Vec<skyquery_storage::Row> = db
@@ -608,9 +607,7 @@ impl SkyNode {
 
         let rows = set.tuples.len();
         let cp_id = self.next_checkpoint.fetch_add(1, Ordering::Relaxed);
-        self.checkpoints
-            .lock()
-            .insert(cp_id, set, net.now_s(), plan.lease_ttl_s);
+        lock(&self.checkpoints).insert(cp_id, set, net.now_s(), plan.lease_ttl_s);
         net.record_node_event(&self.host, "lease-granted");
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
@@ -659,7 +656,7 @@ impl SkyNode {
     /// will not come back, so the caller must re-plan rather than retry.
     fn read_checkpoint(&self, net: &SimNetwork, id: u64) -> Result<PartialSet> {
         let set = {
-            let mut cps = self.checkpoints.lock();
+            let mut cps = lock(&self.checkpoints);
             cps.renew(id, net.now_s());
             cps.get(id)
                 .cloned()
@@ -683,7 +680,7 @@ impl SkyNode {
     /// never cascades.
     fn handle_release_checkpoint(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let id = require_u64(call, "checkpoint_id")?;
-        let released = self.checkpoints.lock().remove(id).is_some();
+        let released = lock(&self.checkpoints).remove(id).is_some();
         if released {
             net.record_node_event(&self.host, "checkpoint-released");
         }
@@ -702,9 +699,9 @@ impl SkyNode {
         let id = require_u64(call, "id")?;
         let now = net.now_s();
         let renewed = match kind.as_str() {
-            "checkpoint" => self.checkpoints.lock().renew(id, now),
-            "transfer" => self.pending.lock().renew(id, now),
-            "txn" => self.exchange.lock().renew(id, now),
+            "checkpoint" => lock(&self.checkpoints).renew(id, now),
+            "transfer" => lock(&self.pending).renew(id, now),
+            "txn" => lock(&self.exchange).renew(id, now),
             other => {
                 return Err(FederationError::protocol(format!(
                     "unknown lease kind {other} (expected checkpoint, transfer, or txn)"
@@ -766,16 +763,14 @@ impl SkyNode {
             transfer_id,
         )
         .map_err(FederationError::Soap)?;
-        self.pending
-            .lock()
-            .insert(transfer_id, chunks, net.now_s(), plan.lease_ttl_s);
+        lock(&self.pending).insert(transfer_id, chunks, net.now_s(), plan.lease_ttl_s);
         net.record_node_event(&self.host, "lease-granted");
         Ok(reply("manifest", SoapValue::Xml(manifest.to_element())).into())
     }
 
     fn handle_fetch_chunk(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let transfer_id = require_u64(call, "transfer_id")?;
-        let mut pending = self.pending.lock();
+        let mut pending = lock(&self.pending);
         // Each continuation renews the session's lease: a live receiver
         // never loses a transfer mid-stream, however slowly it pulls.
         pending.renew(transfer_id, net.now_s());
@@ -795,7 +790,7 @@ impl SkyNode {
     /// rather than faulting, so best-effort cleanup never cascades.
     fn handle_abort_transfer(&self, call: &RpcCall) -> Result<RpcResponse> {
         let transfer_id = require_u64(call, "transfer_id")?;
-        let freed = self.pending.lock().remove(transfer_id).is_some();
+        let freed = lock(&self.pending).remove(transfer_id).is_some();
         Ok(RpcResponse::new("AbortTransfer").result("aborted", SoapValue::Bool(freed)))
     }
 
@@ -803,7 +798,7 @@ impl SkyNode {
     /// a leak detector for tests: after every client has drained or
     /// aborted, this should be empty.
     pub fn open_transfers(&self) -> Vec<u64> {
-        self.pending.lock().ids()
+        lock(&self.pending).ids()
     }
 }
 

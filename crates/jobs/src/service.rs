@@ -20,16 +20,15 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use skyquery_core::error::{FederationError, Result};
 use skyquery_core::plan::ExecutionPlan;
 use skyquery_core::result::ResultSet;
 use skyquery_core::service::{require_u64, Reply, ServiceMethod};
 use skyquery_core::trace::{ExecutionTrace, StatsChain};
 use skyquery_core::{ChainMode, CheckpointedWalk, Degradation, LeaseTable, PartialSet, Portal};
-use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
+use skyquery_net::{lock, Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_soap::{MessageLimits, Operation, RpcCall, RpcResponse, SoapValue};
 use skyquery_xml::VoTable;
 
@@ -226,12 +225,12 @@ impl JobService {
 
     /// The current admission/queue configuration.
     pub fn config(&self) -> JobServiceConfig {
-        *self.config.lock()
+        *lock(&self.config)
     }
 
     /// Replaces the admission/queue configuration.
     pub fn set_config(&self, config: JobServiceConfig) {
-        *self.config.lock() = config;
+        *lock(&self.config) = config;
     }
 
     /// Every SOAPAction method this service dispatches, in WSDL order.
@@ -250,35 +249,34 @@ impl JobService {
 
     /// Queued job ids in submission order.
     pub fn queued(&self) -> Vec<u64> {
-        self.state.lock().queue.clone()
+        lock(&self.state).queue.clone()
     }
 
     /// Jobs currently occupying the execution pool.
     pub fn running(&self) -> Vec<u64> {
-        self.state.lock().running.clone()
+        lock(&self.state).running.clone()
     }
 
     /// Open result transfers awaiting `FetchChunk` continuations.
     pub fn open_transfers(&self) -> Vec<u64> {
-        self.state.lock().transfers.ids()
+        lock(&self.state).transfers.ids()
     }
 
     /// Job ids whose results are still held under lease.
     pub fn held_results(&self) -> Vec<u64> {
-        self.state.lock().results.ids()
+        lock(&self.state).results.ids()
     }
 
     /// Total service-side resources currently under lease: held results,
     /// terminal records, and open result transfers.
     pub fn active_leases(&self) -> usize {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         st.results.len() + st.records.len() + st.transfers.len()
     }
 
     /// Every known job with its current state, sorted by id.
     pub fn job_states(&self) -> Vec<(u64, JobState)> {
-        self.state
-            .lock()
+        lock(&self.state)
             .jobs
             .values()
             .map(|j| (j.id, j.state))
@@ -287,7 +285,7 @@ impl JobService {
 
     /// A terminal job's execution trace (`None` for unknown jobs).
     pub fn job_trace(&self, id: u64) -> Option<Vec<(String, String, String)>> {
-        self.state.lock().jobs.get(&id).map(|j| {
+        lock(&self.state).jobs.get(&id).map(|j| {
             j.trace
                 .events()
                 .iter()
@@ -307,7 +305,7 @@ impl JobService {
     /// were reclaimed.
     pub fn sweep_leases(&self) -> usize {
         let now = self.net.now_s();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let st = &mut *st;
         let mut reclaimed = 0usize;
         for (_, _) in st.transfers.sweep(now) {
@@ -369,7 +367,7 @@ impl JobService {
         }
         let config = self.config();
         let now = self.net.now_s();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
 
         // Idempotency: the same (tenant, client_ref) names the same job.
         if let Some(client_ref) = client_ref {
@@ -449,7 +447,7 @@ impl JobService {
     pub fn poll(&self, id: u64) -> Result<JobStatus> {
         self.sweep_leases();
         let now = self.net.now_s();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let st = &mut *st;
         let job = st
             .jobs
@@ -484,7 +482,7 @@ impl JobService {
         self.sweep_leases();
         let now = self.net.now_s();
         let config = self.config();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let st = &mut *st;
         let job = st
             .jobs
@@ -564,7 +562,7 @@ impl JobService {
     fn admit_jobs(&self) -> usize {
         let config = self.config();
         let now = self.net.now_s();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let st = &mut *st;
         let mut admitted = 0usize;
         while st.running.len() < config.max_running {
@@ -629,7 +627,7 @@ impl JobService {
     /// Executes one quantum of one running job, round-robin.
     fn execute_slice(&self) -> bool {
         let config = self.config();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let st = &mut *st;
         if st.running.is_empty() {
             return false;
@@ -837,7 +835,7 @@ impl JobService {
         let config = self.config();
         let max_bytes = self.portal.config().max_message_bytes;
         let now = net.now_s();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let st = &mut *st;
         let job = st
             .jobs
@@ -896,7 +894,7 @@ impl JobService {
 
     fn handle_fetch_chunk(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let transfer_id = require_u64(call, "transfer_id")?;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         // Each continuation renews the session's lease, like a SkyNode's
         // chunked transfers: a live receiver never loses one mid-stream.
         st.transfers.renew(transfer_id, net.now_s());
@@ -913,7 +911,7 @@ impl JobService {
 
     fn handle_abort_transfer(&self, call: &RpcCall) -> Result<RpcResponse> {
         let transfer_id = require_u64(call, "transfer_id")?;
-        let freed = self.state.lock().transfers.remove(transfer_id).is_some();
+        let freed = lock(&self.state).transfers.remove(transfer_id).is_some();
         Ok(RpcResponse::new("AbortTransfer").result("aborted", SoapValue::Bool(freed)))
     }
 

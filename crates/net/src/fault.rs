@@ -169,7 +169,7 @@ impl FaultPlan {
 /// The terminal effect the injector applies to one request (at most one
 /// per request; latency composes with any of them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultOutcome {
+pub(crate) enum FaultOutcome {
     /// Fail the connection.
     HostDown,
     /// Short-circuit with a 500 response.
@@ -182,18 +182,18 @@ pub enum FaultOutcome {
 
 /// The injector's verdict for one request.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Interception {
+pub(crate) struct Interception {
     /// Extra simulated seconds to charge the link.
-    pub latency_s: f64,
+    pub(crate) latency_s: f64,
     /// The terminal fault, if any (first matching rule wins).
-    pub outcome: Option<FaultOutcome>,
+    pub(crate) outcome: Option<FaultOutcome>,
 }
 
 /// Stateful evaluator for a [`FaultPlan`]: counts down bounded rules as
 /// they fire. One injector is installed per network; `SimNetwork` guards
 /// it with a lock, so `intercept` takes `&mut self`.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     rules: Vec<ActiveRule>,
 }
 
@@ -205,7 +205,7 @@ struct ActiveRule {
 
 impl FaultInjector {
     /// Arms the injector with a plan.
-    pub fn new(plan: FaultPlan) -> FaultInjector {
+    pub(crate) fn new(plan: FaultPlan) -> FaultInjector {
         FaultInjector {
             rules: plan
                 .rules
@@ -221,7 +221,7 @@ impl FaultInjector {
     /// Evaluates every live rule against one request and returns the
     /// composite verdict, decrementing the budget of each rule that
     /// fires. Labels of the fired rules ride along for fault tallying.
-    pub fn intercept(
+    pub(crate) fn intercept(
         &mut self,
         to_host: &str,
         req: &HttpRequest,
@@ -264,7 +264,7 @@ impl FaultInjector {
     }
 
     /// Whether any rule can still fire.
-    pub fn is_live(&self) -> bool {
+    pub(crate) fn is_live(&self) -> bool {
         self.rules.iter().any(|r| r.remaining != Some(0))
     }
 }

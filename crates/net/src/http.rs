@@ -1,14 +1,15 @@
-//! HTTP/1.1 message framing.
+//! HTTP/1.1 messages and their framed size.
 //!
 //! SOAP-over-HTTP needs only POST with a handful of headers — notably the
 //! `SOAPAction` header the paper highlights ("HTTP messages containing
-//! SOAP need to specify only one extra field 'Soap Action'", §3.1) — but
-//! we frame messages fully so the byte accounting reflects real wire
-//! sizes.
+//! SOAP need to specify only one extra field 'Soap Action'", §3.1). The
+//! simulated hop hands messages over in memory, so nothing here frames or
+//! parses them: `wire_len` adds up the bytes an HTTP/1.1 frame with a
+//! `Content-Length` header would carry, and the byte accounting records
+//! that sum.
 
-use bytes::Bytes;
-
-use crate::NetError;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Supported request methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,15 +26,6 @@ impl Method {
         match self {
             Method::Get => "GET",
             Method::Post => "POST",
-        }
-    }
-
-    /// Parses a wire method name.
-    pub fn parse(s: &str) -> Option<Method> {
-        match s {
-            "GET" => Some(Method::Get),
-            "POST" => Some(Method::Post),
-            _ => None,
         }
     }
 }
@@ -72,20 +64,46 @@ impl StatusCode {
         }
     }
 
-    /// The status for a numeric code, if modeled.
-    pub fn from_code(code: u16) -> Option<StatusCode> {
-        match code {
-            200 => Some(StatusCode::Ok),
-            400 => Some(StatusCode::BadRequest),
-            404 => Some(StatusCode::NotFound),
-            500 => Some(StatusCode::InternalServerError),
-            _ => None,
-        }
-    }
-
     /// Whether this is a 2xx status.
     pub fn is_success(self) -> bool {
         self == StatusCode::Ok
+    }
+}
+
+/// A message body: immutable bytes behind a reference count. A `String`
+/// or `Vec<u8>` moves in without a copy, and a clone shares the buffer, so
+/// retries, hedges and scatter extents resend one body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Body(Arc<Vec<u8>>);
+
+impl Deref for Body {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<Vec<u8>> for Body {
+    fn from(bytes: Vec<u8>) -> Body {
+        Body(Arc::new(bytes))
+    }
+}
+
+impl From<String> for Body {
+    fn from(s: String) -> Body {
+        Body::from(s.into_bytes())
+    }
+}
+
+impl From<&str> for Body {
+    fn from(s: &str) -> Body {
+        Body::from(s.as_bytes().to_vec())
+    }
+}
+
+impl<const N: usize> From<&[u8; N]> for Body {
+    fn from(bytes: &[u8; N]) -> Body {
+        Body::from(bytes.to_vec())
     }
 }
 
@@ -99,13 +117,12 @@ pub struct HttpRequest {
     /// Headers, excluding Content-Length (derived from the body).
     pub headers: Vec<(String, String)>,
     /// Request body.
-    pub body: Bytes,
+    pub body: Body,
 }
 
 impl HttpRequest {
     /// A POST carrying a SOAP envelope: sets Content-Type and SOAPAction.
-    pub fn soap_post(path: impl Into<String>, action: &str, body: impl Into<Bytes>) -> Self {
-        let body = body.into();
+    pub fn soap_post(path: impl Into<String>, action: &str, body: impl Into<Body>) -> Self {
         HttpRequest {
             method: Method::Post,
             path: path.into(),
@@ -113,7 +130,7 @@ impl HttpRequest {
                 ("Content-Type".into(), "text/xml; charset=utf-8".into()),
                 ("SOAPAction".into(), format!("\"{action}\"")),
             ],
-            body,
+            body: body.into(),
         }
     }
 
@@ -127,53 +144,12 @@ impl HttpRequest {
         self.header("SOAPAction").map(|v| v.trim_matches('"'))
     }
 
-    /// Serializes to wire bytes (HTTP/1.1 framing with Content-Length).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = String::new();
-        out.push_str(self.method.as_str());
-        out.push(' ');
-        out.push_str(&self.path);
-        out.push_str(" HTTP/1.1\r\n");
-        for (k, v) in &self.headers {
-            out.push_str(k);
-            out.push_str(": ");
-            out.push_str(v);
-            out.push_str("\r\n");
-        }
-        out.push_str(&format!("Content-Length: {}\r\n\r\n", self.body.len()));
-        let mut bytes = Vec::with_capacity(out.len() + self.body.len());
-        bytes.extend_from_slice(out.as_bytes());
-        bytes.extend_from_slice(&self.body);
-        Bytes::from(bytes)
-    }
-
-    /// Parses wire bytes back into a request.
-    pub fn parse(input: &[u8]) -> Result<HttpRequest, NetError> {
-        let (head, body) = split_frame(input)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().ok_or_else(|| bad("empty request"))?;
-        let mut parts = request_line.split(' ');
-        let method = parts
-            .next()
-            .and_then(Method::parse)
-            .ok_or_else(|| bad("bad method"))?;
-        let path = parts.next().ok_or_else(|| bad("missing path"))?.to_string();
-        if parts.next() != Some("HTTP/1.1") {
-            return Err(bad("expected HTTP/1.1"));
-        }
-        let (headers, content_length) = parse_headers(lines)?;
-        check_length(body, content_length)?;
-        Ok(HttpRequest {
-            method,
-            path,
-            headers,
-            body: Bytes::copy_from_slice(body),
-        })
-    }
-
-    /// Total framed size in bytes — what the accounting records.
+    /// Framed size in bytes — what the accounting records: the request
+    /// line `METHOD path HTTP/1.1`, the headers, then the body.
     pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
+        let request_line =
+            self.method.as_str().len() + " ".len() + self.path.len() + " HTTP/1.1\r\n".len();
+        framed_len(request_line, &self.headers, &self.body)
     }
 }
 
@@ -185,12 +161,12 @@ pub struct HttpResponse {
     /// Headers, excluding Content-Length (derived from the body).
     pub headers: Vec<(String, String)>,
     /// Response body.
-    pub body: Bytes,
+    pub body: Body,
 }
 
 impl HttpResponse {
     /// A 200 response with a `text/xml` body.
-    pub fn ok(body: impl Into<Bytes>) -> HttpResponse {
+    pub fn ok(body: impl Into<Body>) -> HttpResponse {
         HttpResponse {
             status: StatusCode::Ok,
             headers: vec![("Content-Type".into(), "text/xml; charset=utf-8".into())],
@@ -199,20 +175,11 @@ impl HttpResponse {
     }
 
     /// A SOAP fault response (HTTP 500 per the SOAP binding).
-    pub fn soap_fault(body: impl Into<Bytes>) -> HttpResponse {
+    pub fn soap_fault(body: impl Into<Body>) -> HttpResponse {
         HttpResponse {
             status: StatusCode::InternalServerError,
             headers: vec![("Content-Type".into(), "text/xml; charset=utf-8".into())],
             body: body.into(),
-        }
-    }
-
-    /// An empty 404 response.
-    pub fn not_found() -> HttpResponse {
-        HttpResponse {
-            status: StatusCode::NotFound,
-            headers: vec![],
-            body: Bytes::new(),
         }
     }
 
@@ -221,101 +188,32 @@ impl HttpResponse {
         header_lookup(&self.headers, name)
     }
 
-    /// Serializes to wire bytes (HTTP/1.1 framing with Content-Length).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "HTTP/1.1 {} {}\r\n",
-            self.status.code(),
-            self.status.reason()
-        ));
-        for (k, v) in &self.headers {
-            out.push_str(k);
-            out.push_str(": ");
-            out.push_str(v);
-            out.push_str("\r\n");
-        }
-        out.push_str(&format!("Content-Length: {}\r\n\r\n", self.body.len()));
-        let mut bytes = Vec::with_capacity(out.len() + self.body.len());
-        bytes.extend_from_slice(out.as_bytes());
-        bytes.extend_from_slice(&self.body);
-        Bytes::from(bytes)
-    }
-
-    /// Parses wire bytes back into a response.
-    pub fn parse(input: &[u8]) -> Result<HttpResponse, NetError> {
-        let (head, body) = split_frame(input)?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
-        let mut parts = status_line.split(' ');
-        if parts.next() != Some("HTTP/1.1") {
-            return Err(bad("expected HTTP/1.1"));
-        }
-        let status = parts
-            .next()
-            .and_then(|c| c.parse::<u16>().ok())
-            .and_then(StatusCode::from_code)
-            .ok_or_else(|| bad("bad status code"))?;
-        let (headers, content_length) = parse_headers(lines)?;
-        check_length(body, content_length)?;
-        Ok(HttpResponse {
-            status,
-            headers,
-            body: Bytes::copy_from_slice(body),
-        })
-    }
-
-    /// Total framed size in bytes — what the accounting records.
+    /// Framed size in bytes — what the accounting records: the status
+    /// line `HTTP/1.1 code reason`, the headers, then the body.
     pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
+        let status_line = "HTTP/1.1 ".len()
+            + decimal_digits(usize::from(self.status.code()))
+            + " ".len()
+            + self.status.reason().len()
+            + "\r\n".len();
+        framed_len(status_line, &self.headers, &self.body)
     }
 }
 
-fn bad(detail: &str) -> NetError {
-    NetError::BadFrame {
-        detail: detail.to_string(),
-    }
+/// Size of a frame whose start line, CRLF included, is `start_line` bytes:
+/// that line, one `name: value` line per header, the derived
+/// `Content-Length` line, the blank line and the body.
+fn framed_len(start_line: usize, headers: &[(String, String)], body: &[u8]) -> usize {
+    let header_lines: usize = headers
+        .iter()
+        .map(|(k, v)| k.len() + ": ".len() + v.len() + "\r\n".len())
+        .sum();
+    let content_length = "Content-Length: \r\n".len() + decimal_digits(body.len());
+    start_line + header_lines + content_length + "\r\n".len() + body.len()
 }
 
-fn split_frame(input: &[u8]) -> Result<(&str, &[u8]), NetError> {
-    let sep = input
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("missing header/body separator"))?;
-    let head = std::str::from_utf8(&input[..sep]).map_err(|_| bad("non-UTF8 header block"))?;
-    Ok((head, &input[sep + 4..]))
-}
-
-/// Parsed headers plus the declared Content-Length, if any.
-type ParsedHeaders = (Vec<(String, String)>, Option<usize>);
-
-fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<ParsedHeaders, NetError> {
-    let mut headers = Vec::new();
-    let mut content_length = None;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line.split_once(':').ok_or_else(|| bad("bad header line"))?;
-        let k = k.trim();
-        let v = v.trim();
-        if k.eq_ignore_ascii_case("Content-Length") {
-            content_length = Some(v.parse().map_err(|_| bad("bad Content-Length"))?);
-        } else {
-            headers.push((k.to_string(), v.to_string()));
-        }
-    }
-    Ok((headers, content_length))
-}
-
-fn check_length(body: &[u8], declared: Option<usize>) -> Result<(), NetError> {
-    match declared {
-        Some(n) if n != body.len() => Err(bad(&format!(
-            "Content-Length {n} does not match body length {}",
-            body.len()
-        ))),
-        _ => Ok(()),
-    }
+fn decimal_digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -328,22 +226,46 @@ fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{lock, SimNetwork, Url};
+    use std::sync::Mutex;
+
+    /// Sends `req` to a host that answers `reply`; returns the request the
+    /// host received and the reply the sender got back.
+    fn across_hop(req: HttpRequest, reply: HttpResponse) -> (HttpRequest, HttpResponse) {
+        let seen = Arc::new(Mutex::new(None));
+        let net = SimNetwork::new();
+        let slot = Arc::clone(&seen);
+        net.bind(
+            "n",
+            Arc::new(move |_: &SimNetwork, req: HttpRequest| {
+                *lock(&slot) = Some(req);
+                reply.clone()
+            }),
+        );
+        let back = net.send("c", &Url::new("n", "/soap"), req).unwrap();
+        let seen = lock(&seen).take().unwrap();
+        (seen, back)
+    }
 
     #[test]
     fn request_roundtrip() {
         let req = HttpRequest::soap_post("/soap", "urn:skyquery#CrossMatch", "<x/>");
-        let bytes = req.to_bytes();
-        let back = HttpRequest::parse(&bytes).unwrap();
-        assert_eq!(back.method, Method::Post);
-        assert_eq!(back.path, "/soap");
-        assert_eq!(back.soap_action(), Some("urn:skyquery#CrossMatch"));
-        assert_eq!(&back.body[..], b"<x/>");
+        let (seen, _) = across_hop(req.clone(), HttpResponse::ok(""));
+        assert_eq!(seen, req);
+        assert_eq!(seen.method, Method::Post);
+        assert_eq!(seen.path, "/soap");
+        assert_eq!(
+            seen.header("SOAPAction"),
+            Some("\"urn:skyquery#CrossMatch\"")
+        );
+        assert_eq!(seen.soap_action(), Some("urn:skyquery#CrossMatch"));
+        assert_eq!(&seen.body[..], b"<x/>");
     }
 
     #[test]
     fn response_roundtrip() {
-        let resp = HttpResponse::ok("<r/>");
-        let back = HttpResponse::parse(&resp.to_bytes()).unwrap();
+        let req = HttpRequest::soap_post("/soap", "a", "");
+        let (_, back) = across_hop(req, HttpResponse::ok("<r/>"));
         assert_eq!(back.status, StatusCode::Ok);
         assert_eq!(&back.body[..], b"<r/>");
         assert!(back.status.is_success());
@@ -354,38 +276,55 @@ mod tests {
         let resp = HttpResponse::soap_fault("<fault/>");
         assert_eq!(resp.status.code(), 500);
         assert!(!resp.status.is_success());
-        let back = HttpResponse::parse(&resp.to_bytes()).unwrap();
+        let req = HttpRequest::soap_post("/soap", "a", "");
+        let (_, back) = across_hop(req, resp);
         assert_eq!(back.status, StatusCode::InternalServerError);
-    }
-
-    #[test]
-    fn content_length_mismatch_rejected() {
-        let mut bytes = HttpRequest::soap_post("/p", "a", "12345")
-            .to_bytes()
-            .to_vec();
-        // Truncate the body.
-        bytes.truncate(bytes.len() - 2);
-        assert!(HttpRequest::parse(&bytes).is_err());
-    }
-
-    #[test]
-    fn frame_without_separator_rejected() {
-        assert!(HttpRequest::parse(b"POST / HTTP/1.1").is_err());
-        assert!(HttpResponse::parse(b"junk").is_err());
-    }
-
-    #[test]
-    fn bad_status_and_method_rejected() {
-        assert!(HttpResponse::parse(b"HTTP/1.1 999 Weird\r\n\r\n").is_err());
-        assert!(HttpRequest::parse(b"BREW /pot HTTP/1.1\r\n\r\n").is_err());
-        assert!(HttpRequest::parse(b"POST /p HTTP/0.9\r\n\r\n").is_err());
+        assert_eq!(back.header("content-type"), Some("text/xml; charset=utf-8"));
     }
 
     #[test]
     fn wire_len_includes_framing() {
         let req = HttpRequest::soap_post("/soap", "a", "body");
-        assert!(req.wire_len() > 4);
-        assert_eq!(req.wire_len(), req.to_bytes().len());
+        let framed = "POST /soap HTTP/1.1\r\n\
+                      Content-Type: text/xml; charset=utf-8\r\n\
+                      SOAPAction: \"a\"\r\n\
+                      Content-Length: 4\r\n\r\nbody";
+        assert_eq!(req.wire_len(), framed.len());
+        let resp = HttpResponse::soap_fault("");
+        let framed = "HTTP/1.1 500 Internal Server Error\r\n\
+                      Content-Type: text/xml; charset=utf-8\r\n\
+                      Content-Length: 0\r\n\r\n";
+        assert_eq!(resp.wire_len(), framed.len());
+    }
+
+    #[test]
+    fn wire_len_at_content_length_digit_boundaries() {
+        for n in [0, 9, 10, 99, 100, 1_000_000] {
+            let req = HttpRequest::soap_post("/soap", "Query", vec![b'x'; n]);
+            let head = format!(
+                "POST /soap HTTP/1.1\r\n\
+                 Content-Type: text/xml; charset=utf-8\r\n\
+                 SOAPAction: \"Query\"\r\n\
+                 Content-Length: {n}\r\n\r\n"
+            );
+            assert_eq!(req.wire_len(), head.len() + n);
+            let resp = HttpResponse::ok(vec![b'y'; n]);
+            let head = format!(
+                "HTTP/1.1 200 OK\r\n\
+                 Content-Type: text/xml; charset=utf-8\r\n\
+                 Content-Length: {n}\r\n\r\n"
+            );
+            assert_eq!(resp.wire_len(), head.len() + n);
+        }
+    }
+
+    #[test]
+    fn body_moves_in_and_clones_without_copying() {
+        let s = String::from("<Envelope/>");
+        let at = s.as_ptr();
+        let body = Body::from(s);
+        assert_eq!(body.as_ptr(), at);
+        assert_eq!(body.clone().as_ptr(), at);
     }
 
     #[test]
@@ -398,14 +337,16 @@ mod tests {
 
     #[test]
     fn binary_body_roundtrip() {
+        // Every byte value crosses the hop untouched, both ways.
         let body: Vec<u8> = (0u8..=255).collect();
         let req = HttpRequest {
             method: Method::Post,
             path: "/bin".into(),
             headers: vec![],
-            body: Bytes::from(body.clone()),
+            body: body.clone().into(),
         };
-        let back = HttpRequest::parse(&req.to_bytes()).unwrap();
+        let (seen, back) = across_hop(req, HttpResponse::ok(body.clone()));
+        assert_eq!(&seen.body[..], &body[..]);
         assert_eq!(&back.body[..], &body[..]);
     }
 }

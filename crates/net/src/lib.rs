@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 //! # skyquery-net — the simulated Internet
 //!
@@ -6,10 +7,11 @@
 //! Internet; its cost model is dominated by **transmission costs** of
 //! partial results moving between SkyNodes (paper §5.3). This crate is the
 //! substitution for that substrate (see DESIGN.md §4): an in-process
-//! network of named hosts exchanging HTTP/1.1-framed messages, with
+//! network of named hosts exchanging HTTP/1.1 messages, with
 //!
-//! * exact **byte accounting** per directed link (the quantity the
-//!   count-star ordering minimizes),
+//! * exact **byte accounting** per directed link, each message charged
+//!   its HTTP/1.1 framed size (the quantity the count-star ordering
+//!   minimizes),
 //! * a configurable **latency/bandwidth model** accumulating simulated
 //!   wall-clock time,
 //! * a UDDI-flavoured **service registry** for discovery (§3.1).
@@ -19,20 +21,22 @@
 //! §5.3). All accounting is thread-safe; the Portal issues performance
 //! queries from worker threads.
 
-pub mod fault;
-pub mod http;
-pub mod metrics;
-pub mod registry;
-pub mod sim;
-pub mod url;
+mod fault;
+mod http;
+mod metrics;
+mod registry;
+mod sim;
+mod sync;
+mod url;
 
-pub use fault::{FaultInjector, FaultKind, FaultOutcome, FaultPlan, FaultRule};
-pub use http::{HttpRequest, HttpResponse, Method, StatusCode};
+pub use fault::{FaultKind, FaultPlan, FaultRule};
+pub use http::{Body, HttpRequest, HttpResponse, Method, StatusCode};
 pub use metrics::{
     ChunkFlowStats, CostModel, LinkStats, NetworkMetrics, RetryStats, TenantJobStats,
 };
 pub use registry::{ServiceRecord, ServiceRegistry};
 pub use sim::{Endpoint, SimNetwork};
+pub use sync::{lock, read, write};
 pub use url::Url;
 
 /// Errors from the simulated network.
@@ -50,9 +54,9 @@ pub enum NetError {
         /// Why it failed.
         detail: String,
     },
-    /// HTTP framing failed to parse.
+    /// A message body could not be decoded.
     BadFrame {
-        /// Why framing failed.
+        /// Why decoding failed.
         detail: String,
     },
     /// The destination endpoint panicked or refused the message.

@@ -214,14 +214,6 @@ impl NetworkMetrics {
         self.chunk_total.record(bytes, rows);
     }
 
-    /// Chunk-flow stats for one directed link.
-    pub fn chunk_flow(&self, from: &str, to: &str) -> ChunkFlowStats {
-        self.chunk_flows
-            .get(&(from.to_string(), to.to_string()))
-            .copied()
-            .unwrap_or_default()
-    }
-
     /// All chunk flows, sorted for deterministic reporting.
     pub fn chunk_flows(&self) -> Vec<((String, String), ChunkFlowStats)> {
         let mut v: Vec<_> = self
@@ -254,13 +246,6 @@ impl NetworkMetrics {
             .get(&(from.to_string(), to.to_string()))
             .copied()
             .unwrap_or_default()
-    }
-
-    /// All per-link retry stats, sorted for deterministic reporting.
-    pub fn retries(&self) -> Vec<((String, String), RetryStats)> {
-        let mut v: Vec<_> = self.retries.iter().map(|(k, s)| (k.clone(), *s)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
     }
 
     /// Grand retry totals.
@@ -411,11 +396,6 @@ impl NetworkMetrics {
         self.jobs.get(tenant).copied().unwrap_or_default()
     }
 
-    /// All per-tenant job counters, sorted by tenant id.
-    pub fn job_stats_all(&self) -> Vec<(String, TenantJobStats)> {
-        self.jobs.iter().map(|(k, s)| (k.clone(), *s)).collect()
-    }
-
     /// Job counters summed across all tenants.
     pub fn job_total(&self) -> TenantJobStats {
         let mut total = TenantJobStats::default();
@@ -507,13 +487,14 @@ mod tests {
         m.record_chunk("sdss", "first", 100, 3);
         m.record_chunk("sdss", "first", 40, 1);
         m.record_chunk("first", "portal", 10, 1);
-        assert_eq!(m.chunk_flow("sdss", "first").chunks, 2);
-        assert_eq!(m.chunk_flow("sdss", "first").bytes, 140);
-        assert_eq!(m.chunk_flow("sdss", "first").rows, 4);
-        // Directed: reverse link untouched.
-        assert_eq!(m.chunk_flow("first", "sdss"), ChunkFlowStats::default());
+        // Directed and sorted: ("first", "portal") before ("sdss", "first").
+        let flows = m.chunk_flows();
+        assert_eq!(flows.len(), 2);
+        assert_eq!(flows[1].0, ("sdss".to_string(), "first".to_string()));
+        assert_eq!(flows[1].1.chunks, 2);
+        assert_eq!(flows[1].1.bytes, 140);
+        assert_eq!(flows[1].1.rows, 4);
         assert_eq!(m.chunk_total().chunks, 3);
-        assert_eq!(m.chunk_flows().len(), 2);
         m.reset();
         assert_eq!(m.chunk_total(), ChunkFlowStats::default());
         assert!(m.chunk_flows().is_empty());
@@ -529,8 +510,8 @@ mod tests {
         assert!((m.retry("portal", "sdss").backoff_seconds - 0.15).abs() < 1e-12);
         // Directed: reverse link untouched.
         assert_eq!(m.retry("sdss", "portal"), RetryStats::default());
+        assert_eq!(m.retry("sdss", "first").retries, 1);
         assert_eq!(m.retry_total().retries, 3);
-        assert_eq!(m.retries().len(), 2);
 
         m.record_fault("portal", "sdss", "host-down");
         m.record_fault("portal", "sdss", "host-down");
@@ -599,16 +580,12 @@ mod tests {
         // Unknown tenants read as zero, and have no contended share.
         assert_eq!(m.job_stats("carol"), TenantJobStats::default());
         assert_eq!(m.job_stats("carol").contended_share(), None);
-        // Sorted report + totals.
-        let all = m.job_stats_all();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, "alice");
         let total = m.job_total();
         assert_eq!(total.submitted, 3);
         assert_eq!(total.terminal(), 3);
         assert_eq!(total.contended_rounds, 2);
         m.reset();
-        assert!(m.job_stats_all().is_empty());
+        assert_eq!(m.job_stats("alice"), TenantJobStats::default());
         assert_eq!(m.job_total(), TenantJobStats::default());
     }
 

@@ -6,9 +6,9 @@
 //! archives wishing to join.
 
 use std::collections::HashMap;
+use std::sync::RwLock;
 
-use parking_lot::RwLock;
-
+use crate::sync::{read, write};
 use crate::url::Url;
 
 /// A registered service: who provides what, where.
@@ -39,24 +39,22 @@ impl ServiceRegistry {
     /// Registers (or re-registers) a service. Returns the previous record
     /// if the provider was already registered.
     pub fn register(&self, record: ServiceRecord) -> Option<ServiceRecord> {
-        self.records.write().insert(record.provider.clone(), record)
+        write(&self.records).insert(record.provider.clone(), record)
     }
 
     /// Removes a provider's registration.
     pub fn unregister(&self, provider: &str) -> Option<ServiceRecord> {
-        self.records.write().remove(provider)
+        write(&self.records).remove(provider)
     }
 
     /// Looks up a provider.
     pub fn find(&self, provider: &str) -> Option<ServiceRecord> {
-        self.records.read().get(provider).cloned()
+        read(&self.records).get(provider).cloned()
     }
 
     /// All services in a category, sorted by provider name.
     pub fn discover(&self, category: &str) -> Vec<ServiceRecord> {
-        let mut v: Vec<ServiceRecord> = self
-            .records
-            .read()
+        let mut v: Vec<ServiceRecord> = read(&self.records)
             .values()
             .filter(|r| r.category == category)
             .cloned()
@@ -67,12 +65,12 @@ impl ServiceRegistry {
 
     /// Number of registered providers.
     pub fn len(&self) -> usize {
-        self.records.read().len()
+        read(&self.records).len()
     }
 
     /// Whether no provider is registered.
     pub fn is_empty(&self) -> bool {
-        self.records.read().is_empty()
+        read(&self.records).is_empty()
     }
 }
 

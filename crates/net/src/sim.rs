@@ -1,14 +1,12 @@
 //! The simulated network: endpoint registry and synchronous dispatch.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::fault::{FaultInjector, FaultOutcome, FaultPlan, Interception};
 use crate::http::{HttpRequest, HttpResponse, StatusCode};
 use crate::metrics::{CostModel, NetworkMetrics};
+use crate::sync::{lock, read, write};
 use crate::url::Url;
 use crate::NetError;
 
@@ -63,19 +61,12 @@ impl SimNetwork {
 
     /// Binds an endpoint to a host name, replacing any previous binding.
     pub fn bind(&self, host: impl Into<String>, endpoint: Arc<dyn Endpoint>) {
-        self.inner.hosts.write().insert(host.into(), endpoint);
+        write(&self.inner.hosts).insert(host.into(), endpoint);
     }
 
     /// Removes a host (simulating an archive going offline).
     pub fn unbind(&self, host: &str) {
-        self.inner.hosts.write().remove(host);
-    }
-
-    /// Currently bound host names, sorted.
-    pub fn hosts(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.hosts.read().keys().cloned().collect();
-        v.sort();
-        v
+        write(&self.inner.hosts).remove(host);
     }
 
     /// Sends a request from `from` to the URL's host, recording request
@@ -92,57 +83,48 @@ impl SimNetwork {
                 host: url.host.clone(),
             });
         }
-        let endpoint = self
-            .inner
-            .hosts
-            .read()
+        let endpoint = read(&self.inner.hosts)
             .get(&url.host)
             .cloned()
             .ok_or_else(|| NetError::HostUnreachable {
                 host: url.host.clone(),
             })?;
-        {
-            let mut m = self.inner.metrics.lock();
-            m.record(from, &url.host, req.wire_len(), &self.inner.model);
-        }
+        lock(&self.inner.metrics).record(from, &url.host, req.wire_len(), &self.inner.model);
         let resp = match verdict.outcome {
             // The service behind the front door is broken: the request is
             // consumed but a bare (non-SOAP) 500 comes back.
             Some(FaultOutcome::ServerError) => HttpResponse {
                 status: StatusCode::InternalServerError,
                 headers: vec![("Content-Type".into(), "text/plain".into())],
-                body: Bytes::copy_from_slice(b"injected server error"),
+                body: b"injected server error".into(),
             },
             _ => {
                 let mut resp = endpoint.handle(self, req);
                 match verdict.outcome {
                     Some(FaultOutcome::TruncateBody) => {
-                        resp.body = Bytes::copy_from_slice(&resp.body[..resp.body.len() / 2]);
+                        resp.body = resp.body[..resp.body.len() / 2].to_vec().into();
                     }
                     Some(FaultOutcome::GarbageBody) => {
-                        resp.body = Bytes::copy_from_slice(&[0xFF, 0xFE, 0x00, 0xDE, 0xAD, 0xBE]);
+                        resp.body = (&[0xFF, 0xFE, 0x00, 0xDE, 0xAD, 0xBE]).into();
                     }
                     _ => {}
                 }
                 resp
             }
         };
-        {
-            let mut m = self.inner.metrics.lock();
-            m.record(&url.host, from, resp.wire_len(), &self.inner.model);
-        }
+        lock(&self.inner.metrics).record(&url.host, from, resp.wire_len(), &self.inner.model);
         Ok(resp)
     }
 
     /// Runs the fault injector (if any) over one outgoing request,
     /// tallying fired rules and injected latency into the metrics.
     fn intercept(&self, from: &str, to_host: &str, req: &HttpRequest) -> Interception {
-        let (verdict, fired) = match self.inner.faults.lock().as_mut() {
+        let (verdict, fired) = match lock(&self.inner.faults).as_mut() {
             Some(injector) => injector.intercept(to_host, req),
             None => return Interception::default(),
         };
         if !fired.is_empty() || verdict.latency_s > 0.0 {
-            let mut m = self.inner.metrics.lock();
+            let mut m = lock(&self.inner.metrics);
             for label in fired {
                 m.record_fault(from, to_host, label);
             }
@@ -156,7 +138,7 @@ impl SimNetwork {
     /// Installs a fault plan, replacing any previous one. An empty plan
     /// clears injection entirely.
     pub fn install_faults(&self, plan: FaultPlan) {
-        *self.inner.faults.lock() = if plan.is_empty() {
+        *lock(&self.inner.faults) = if plan.is_empty() {
             None
         } else {
             Some(FaultInjector::new(plan))
@@ -165,14 +147,12 @@ impl SimNetwork {
 
     /// Removes any installed fault plan (a healthy network again).
     pub fn clear_faults(&self) {
-        *self.inner.faults.lock() = None;
+        *lock(&self.inner.faults) = None;
     }
 
     /// Whether a fault plan with live rules is installed.
     pub fn has_faults(&self) -> bool {
-        self.inner
-            .faults
-            .lock()
+        lock(&self.inner.faults)
             .as_ref()
             .is_some_and(|inj| inj.is_live())
     }
@@ -182,7 +162,7 @@ impl SimNetwork {
     /// Called by the retry layer above; the simulated clock advances by
     /// the backoff instead of sleeping.
     pub fn record_retry(&self, from: &str, to: &str, backoff_seconds: f64) {
-        let mut m = self.inner.metrics.lock();
+        let mut m = lock(&self.inner.metrics);
         m.record_retry(from, to, backoff_seconds);
         m.record_injected_latency(from, to, backoff_seconds);
     }
@@ -190,7 +170,7 @@ impl SimNetwork {
     /// Tallies a fault event observed by a higher layer (e.g. a
     /// best-effort transfer abort) alongside the injected-fault counts.
     pub fn record_fault(&self, from: &str, to: &str, kind: &str) {
-        self.inner.metrics.lock().record_fault(from, to, kind);
+        lock(&self.inner.metrics).record_fault(from, to, kind);
     }
 
     /// Records one chunked-transfer payload chunk flowing `from → to`:
@@ -198,99 +178,87 @@ impl SimNetwork {
     /// [`NetworkMetrics::record_chunk`]). Called by the transfer layer as
     /// it pulls `FetchChunk` continuations.
     pub fn record_chunk(&self, from: &str, to: &str, bytes: usize, rows: usize) {
-        self.inner
-            .metrics
-            .lock()
-            .record_chunk(from, to, bytes, rows);
+        lock(&self.inner.metrics).record_chunk(from, to, bytes, rows);
     }
 
     /// Tallies a survivability event at `host` (lease grant/renewal/
     /// expiry, checkpoint release, portal replan/resume/degrade) — see
     /// [`NetworkMetrics::record_node_event`].
     pub fn record_node_event(&self, host: &str, kind: &str) {
-        self.inner.metrics.lock().record_node_event(host, kind);
+        lock(&self.inner.metrics).record_node_event(host, kind);
     }
 
     /// Records one failed best-effort checkpoint release — see
     /// [`NetworkMetrics::record_release_failure`].
     pub fn record_release_failure(&self) {
-        self.inner.metrics.lock().record_release_failure();
+        lock(&self.inner.metrics).record_release_failure();
     }
 
     /// Records one failed lease renewal — see
     /// [`NetworkMetrics::record_renew_failure`].
     pub fn record_renew_failure(&self) {
-        self.inner.metrics.lock().record_renew_failure();
+        lock(&self.inner.metrics).record_renew_failure();
     }
 
     /// Records one job accepted into `tenant`'s queue — see
     /// [`NetworkMetrics::record_job_submitted`].
     pub fn record_job_submitted(&self, tenant: &str) {
-        self.inner.metrics.lock().record_job_submitted(tenant);
+        lock(&self.inner.metrics).record_job_submitted(tenant);
     }
 
     /// Records one submission refused by the admission controller — see
     /// [`NetworkMetrics::record_job_rejected`].
     pub fn record_job_rejected(&self, tenant: &str) {
-        self.inner.metrics.lock().record_job_rejected(tenant);
+        lock(&self.inner.metrics).record_job_rejected(tenant);
     }
 
     /// Records one job admitted into the execution pool after
     /// `wait_seconds` of simulated queue latency — see
     /// [`NetworkMetrics::record_job_admitted`].
     pub fn record_job_admitted(&self, tenant: &str, wait_seconds: f64) {
-        self.inner
-            .metrics
-            .lock()
-            .record_job_admitted(tenant, wait_seconds);
+        lock(&self.inner.metrics).record_job_admitted(tenant, wait_seconds);
     }
 
     /// Records one job reaching a terminal state — see
     /// [`NetworkMetrics::record_job_finished`].
     pub fn record_job_finished(&self, tenant: &str, outcome: &str, run_seconds: f64) {
-        self.inner
-            .metrics
-            .lock()
-            .record_job_finished(tenant, outcome, run_seconds);
+        lock(&self.inner.metrics).record_job_finished(tenant, outcome, run_seconds);
     }
 
     /// Reclassifies one succeeded job as expired — see
     /// [`NetworkMetrics::record_job_expired`].
     pub fn record_job_expired(&self, tenant: &str) {
-        self.inner.metrics.lock().record_job_expired(tenant);
+        lock(&self.inner.metrics).record_job_expired(tenant);
     }
 
     /// Records one contended admission round for `tenant` — see
     /// [`NetworkMetrics::record_job_contention`].
     pub fn record_job_contention(&self, tenant: &str, won: bool) {
-        self.inner.metrics.lock().record_job_contention(tenant, won);
+        lock(&self.inner.metrics).record_job_contention(tenant, won);
     }
 
     /// The current simulated time in seconds: the total simulated seconds
     /// accumulated across all links (transfer time, injected latency, and
     /// retry backoff). Leases are charged against this clock.
     pub fn now_s(&self) -> f64 {
-        self.inner.metrics.lock().total().sim_seconds
+        lock(&self.inner.metrics).total().sim_seconds
     }
 
     /// Advances the simulated clock by `seconds` without moving any
     /// bytes (experiments and tests use this to age leases past their
     /// TTL). Accounted as injected latency on a synthetic `clock` link.
     pub fn advance_clock(&self, seconds: f64) {
-        self.inner
-            .metrics
-            .lock()
-            .record_injected_latency("clock", "clock", seconds);
+        lock(&self.inner.metrics).record_injected_latency("clock", "clock", seconds);
     }
 
     /// Snapshot of the accumulated metrics.
     pub fn metrics(&self) -> NetworkMetrics {
-        self.inner.metrics.lock().clone()
+        lock(&self.inner.metrics).clone()
     }
 
     /// Clears accumulated metrics (start of a measured experiment).
     pub fn reset_metrics(&self) {
-        self.inner.metrics.lock().reset();
+        lock(&self.inner.metrics).reset();
     }
 }
 
@@ -343,7 +311,6 @@ mod tests {
     fn unbind_takes_host_offline() {
         let net = SimNetwork::new();
         net.bind("n", echo());
-        assert_eq!(net.hosts(), vec!["n".to_string()]);
         net.unbind("n");
         assert!(net
             .send(
@@ -430,7 +397,12 @@ mod tests {
             .send("c", &url, HttpRequest::soap_post("/", "a", "x"))
             .unwrap();
         assert_eq!(resp.status, StatusCode::InternalServerError);
+        assert_eq!(resp.header("Content-Type"), Some("text/plain"));
         assert_eq!(&resp.body[..], b"injected server error");
+        let framed = "HTTP/1.1 500 Internal Server Error\r\n\
+                      Content-Type: text/plain\r\n\
+                      Content-Length: 21\r\n\r\ninjected server error";
+        assert_eq!(net.metrics().link("n", "c").bytes, framed.len() as u64);
         assert_eq!(net.metrics().fault_count("c", "n", "http-500"), 1);
         // The request is consumed and the 500 comes back: a round trip.
         assert_eq!(net.metrics().total().messages, 2);
@@ -483,7 +455,6 @@ mod tests {
         let net = SimNetwork::new();
         let net2 = net.clone();
         net.bind("n", echo());
-        assert_eq!(net2.hosts(), vec!["n".to_string()]);
         net2.send(
             "c",
             &Url::parse("http://n/").unwrap(),
