@@ -2,8 +2,6 @@
 //!
 //! * **A1 — HTM index depth** at the archives: deeper meshes probe fewer
 //!   rows per candidate search but pay larger covers.
-//! * **A2 — performance-query concurrency**: the paper sends them "as
-//!   asynchronous SOAP messages"; sequential is the ablated variant.
 //! * **A3 — residual placement**: evaluating cross-archive residuals
 //!   mid-chain (as built) vs deferring them to the Portal is approximated
 //!   by comparing a selective-residual query against the same query with
@@ -11,7 +9,6 @@
 //!   optimization saves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skyquery_core::FederationConfig;
 use skyquery_sim::{CatalogParams, FederationBuilder, QuerySpec, SurveyParams};
 
 fn federation_with_depth(depth: u8, bodies: usize) -> skyquery_sim::TestFederation {
@@ -64,29 +61,6 @@ fn print_tables() {
         println!("{:<8} {:>12} {:>20}", depth, result.row_count(), accesses);
     }
     println!("(match counts must be depth-invariant; row touches fall as depth rises)");
-
-    println!("\n=== A2: performance-query concurrency (3 archives, 1500 bodies) ===");
-    let fed = FederationBuilder::paper_triple(1500).build();
-    let sql = skyquery_sim::xmatch_query(
-        &[
-            ("SDSS", "Photo_Object", "O"),
-            ("TWOMASS", "Photo_Primary", "T"),
-            ("FIRST", "Primary_Object", "P"),
-        ],
-        3.5,
-        None,
-    );
-    for (name, parallel) in [("parallel (paper)", true), ("sequential", false)] {
-        fed.portal.set_config(FederationConfig {
-            parallel_performance_queries: parallel,
-            ..FederationConfig::default()
-        });
-        let t0 = std::time::Instant::now();
-        for _ in 0..5 {
-            fed.portal.submit(&sql).unwrap();
-        }
-        println!("{:<22} {:>10.2?} per query", name, t0.elapsed() / 5);
-    }
 
     println!("\n=== A3: residual placement — bytes saved by mid-chain filtering ===");
     let fed = FederationBuilder::paper_triple(2000).build();

@@ -31,7 +31,7 @@ use crate::retry::RetryPolicy;
 use crate::skynode::invoke_cross_match;
 use crate::trace::{ExecutionTrace, StatsChain};
 use crate::transfer::send_rpc_with;
-use crate::walk::CheckpointedWalk;
+use crate::walk::{fan_out, CheckpointedWalk};
 use crate::xmatch::MatchKernel;
 use crate::xmatch::{PartialSet, TupleBindings};
 
@@ -94,9 +94,6 @@ pub struct FederationConfig {
     pub chunking: bool,
     /// Plan-ordering strategy.
     pub ordering: OrderingStrategy,
-    /// Issue performance queries concurrently (the paper sends them as
-    /// asynchronous SOAP messages).
-    pub parallel_performance_queries: bool,
     /// Candidate-probe kernel the nodes use for match/drop-out steps. An
     /// oracle/test override (HTM is the paper's path and the reference the
     /// parity suites compare against); production runs the default. The
@@ -136,7 +133,6 @@ impl Default for FederationConfig {
             max_message_bytes: DEFAULT_MAX_MESSAGE_BYTES,
             chunking: true,
             ordering: OrderingStrategy::CountStarDescending,
-            parallel_performance_queries: true,
             kernel: MatchKernel::default(),
             retry: RetryPolicy::default(),
             chain_mode: ChainMode::default(),
@@ -1040,22 +1036,21 @@ impl Portal {
         stamp_cache_counters(stats, c);
     }
 
-    /// Runs the count-star performance queries, in parallel when
-    /// configured (the paper passes them "as asynchronous SOAP messages").
+    /// Runs the count-star performance queries concurrently (the paper
+    /// passes them "as asynchronous SOAP messages").
     fn run_performance_queries(
         &self,
         dq: &DecomposedQuery,
         trace: &mut ExecutionTrace,
     ) -> Result<HashMap<String, u64>> {
-        let config = self.config();
-        let mut out = HashMap::new();
+        let retry = self.config().retry;
         // One job per (alias, extent): each shard counts its own zone
         // range and the Portal sums the estimates per alias, so a
         // sharded archive orders the plan exactly as its single-node
         // equivalent would. Each extent is counted once — by one member
         // of its replica group — or the sum would scale with the
         // replication factor.
-        let mut jobs: Vec<(String, String, Vec<Url>)> = Vec::new();
+        let mut jobs: Vec<(String, RpcCall, Vec<Url>)> = Vec::new();
         for pq in &dq.performance_queries {
             let groups = self.replica_groups(&pq.archive);
             if groups.is_empty() {
@@ -1065,76 +1060,33 @@ impl Portal {
                 )));
             }
             for g in groups {
+                let call = RpcCall::new("Query").param("sql", SoapValue::Str(pq.to_sql()));
                 let urls = g.into_iter().map(|n| n.url).collect();
-                jobs.push((pq.alias.clone(), pq.to_sql(), urls));
+                jobs.push((pq.alias.clone(), call, urls));
             }
         }
 
-        // Counts one extent: healthy-first pick, then failover through
-        // the untried siblings on unhealthy verdicts — the scatter's
-        // replica selection (§13), so a dead primary cannot fail the
-        // query at planning time. Non-unhealthy errors stay fatal.
-        let run_one = |alias: &str, sql: &str, candidates: &[Url]| -> Result<(String, u64)> {
-            let mut order: Vec<&Url> = candidates.iter().collect();
-            let pick = order
-                .iter()
-                .position(|u| !self.host_is_unhealthy(&u.host))
-                .unwrap_or(0);
-            let picked = order.remove(pick);
-            order.insert(0, picked);
-            let mut unhealthy = None;
-            for (tried, url) in order.iter().enumerate() {
-                if tried > 0 {
-                    self.net.record_node_event(&self.host, "failover");
-                }
-                let r = self.call(
-                    url,
-                    &RpcCall::new("Query").param("sql", SoapValue::Str(sql.to_string())),
-                );
-                match r {
-                    Ok(resp) => {
-                        // A negative count would wrap and reorder the plan.
-                        let count = resp
-                            .require("count")?
-                            .as_i64()
-                            .and_then(|c| u64::try_from(c).ok())
-                            .ok_or_else(|| {
-                                FederationError::protocol("count must be a non-negative integer")
-                            })?;
-                        return Ok((alias.to_string(), count));
-                    }
-                    Err(e @ FederationError::NodeUnhealthy { .. }) => unhealthy = Some(e),
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(unhealthy.expect("every group has at least one candidate"))
-        };
-
-        if config.parallel_performance_queries && jobs.len() > 1 {
-            let results: Vec<Result<(String, u64)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .map(|(alias, sql, url)| scope.spawn(move || run_one(alias, sql, url)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("no panics"))
-                    .collect()
-            });
-            for r in results {
-                let (alias, count) = r?;
-                let sum = out.entry(alias).or_insert(0u64);
-                *sum = sum.saturating_add(count);
-            }
-        } else {
-            for (alias, sql, url) in &jobs {
-                let (a, c) = run_one(alias, sql, url)?;
-                trace.push("Portal", "performance query", format!("{sql} -> {c} [{a}]"));
-                let sum = out.entry(a).or_insert(0u64);
-                *sum = sum.saturating_add(c);
-            }
+        // Each extent goes through the scatter's replica selection
+        // (§13), so a dead primary cannot fail the query at planning
+        // time. Count-stars never hedge.
+        let replies = fan_out(&jobs, |(_, call, candidates)| {
+            self.serve_group(candidates, 0.0, |url| {
+                send_rpc_with(&self.net, &self.host, url, call, retry)
+            })
+            .result
+        });
+        let mut out = HashMap::new();
+        for ((alias, _, _), reply) in jobs.iter().zip(replies) {
+            // A negative count would wrap and reorder the plan.
+            let count = reply?
+                .require("count")?
+                .as_i64()
+                .and_then(|c| u64::try_from(c).ok())
+                .ok_or_else(|| FederationError::protocol("count must be a non-negative integer"))?;
+            let sum = out.entry(alias.clone()).or_insert(0u64);
+            *sum = sum.saturating_add(count);
         }
-        if config.parallel_performance_queries && !jobs.is_empty() {
+        if !jobs.is_empty() {
             let mut summary: Vec<String> = out
                 .iter()
                 .map(|(alias, c)| format!("{alias}={c}"))

@@ -2,7 +2,7 @@
 //! the archives gained since the entry was populated, and splice the
 //! delta results into the cached partial sets.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use skyquery_storage::{DataType, Value};
 
@@ -11,8 +11,7 @@ use crate::plan::ExecutionPlan;
 use crate::portal::Portal;
 use crate::result::ResultColumn;
 use crate::result_cache::{CacheEntry, CachedStep, StepVersion};
-use crate::trace::StatsChain;
-use crate::transfer::{invoke_portal_step, portal_step_call};
+use crate::trace::ExecutionTrace;
 use crate::xmatch::{PartialSet, PartialTuple, StepStats};
 
 impl Portal {
@@ -107,6 +106,40 @@ impl Portal {
         })
     }
 
+    /// One repair probe of step `idx`, an unsharded step, through the
+    /// scatter (its one-extent case, which pushes no trace line): the
+    /// rows at or after `from_row` (`0`: the whole table) against
+    /// `input`, seeding when it is absent. Returns the reply set with the
+    /// table version the node observed, and adds the probe's
+    /// kernel-internal counters to `stats` (the repaired totals reflect
+    /// the cached work plus the delta work — an approximation documented
+    /// in DESIGN.md); the caller overwrites `tuples_in` / `tuples_out`
+    /// with exact values for the repaired set.
+    fn repair_probe(
+        &self,
+        plan: &ExecutionPlan,
+        idx: usize,
+        from_row: u64,
+        input: Option<&PartialSet>,
+        stats: &mut StepStats,
+    ) -> Result<(PartialSet, u64)> {
+        let out = self.scatter_step(
+            plan,
+            idx,
+            input,
+            false,
+            Some(from_row),
+            &mut ExecutionTrace::default(),
+        )?;
+        stats.add_work(&out.stats);
+        stats.chi2_accepted += out.stats.chi2_accepted;
+        let (_, version) = out
+            .versions
+            .first()
+            .expect("an answered one-extent step reports its table version");
+        Ok((out.set, *version))
+    }
+
     /// Repairs the seed step: cached rows keep their positions (the
     /// seed scans its table in row order, so new rows sort after old
     /// ones) and the delta rows are probed and appended.
@@ -119,24 +152,16 @@ impl Portal {
         needs_delta: bool,
         versions: &mut [StepVersion],
     ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
         let mut set = cached.set.clone();
         let mut stats = cached.stats;
         let old_len = set.tuples.len();
         if needs_delta {
-            let (delta, chain, version) = invoke_portal_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                &portal_step_call(plan, idx, Some(v_old), None),
-            )?;
+            let (delta, version) = self.repair_probe(plan, idx, v_old, None, &mut stats)?;
             if delta.columns != set.columns {
                 return Err(FederationError::protocol(
                     "delta seed schema diverged from the cached set",
                 ));
             }
-            stats = combine_delta_stats(stats, first_stats(&chain));
             set.tuples.extend(delta.tuples);
             if let Some(v) = versions.first_mut() {
                 v.version = version;
@@ -167,14 +192,8 @@ impl Portal {
         needs_delta: bool,
         versions: &mut [StepVersion],
     ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
         let up_len = upstream.set.tuples.len();
-        let mut old_of_new: Vec<Option<usize>> = vec![None; up_len];
-        for (s, m) in upstream.map.iter().enumerate() {
-            if let Some(u) = m {
-                old_of_new[*u] = Some(s);
-            }
-        }
+        let old_of_new = upstream.old_of_new();
         let kept: Vec<usize> = (0..up_len).filter(|u| old_of_new[*u].is_some()).collect();
         let mut old_groups: HashMap<u64, Vec<usize>> = HashMap::new();
         for (i, s) in cached.src.iter().enumerate() {
@@ -185,32 +204,18 @@ impl Portal {
         let mut observed: Option<u64> = None;
         let delta_groups = if needs_delta && !kept.is_empty() {
             let input = tag_with_cache_src(&upstream.set, &kept);
-            let (reply, chain, version) = invoke_portal_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                &portal_step_call(plan, idx, Some(v_old), Some(input.to_votable())),
-            )?;
+            let (reply, version) = self.repair_probe(plan, idx, v_old, Some(&input), &mut stats)?;
             observed = Some(version);
-            stats = combine_delta_stats(stats, first_stats(&chain));
             group_delta_reply(reply, &cached.set.columns)?
         } else {
             HashMap::new()
         };
         let full_groups = if !upstream.fresh.is_empty() {
             let input = tag_with_cache_src(&upstream.set, &upstream.fresh);
-            let (reply, chain, version) = invoke_portal_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                &portal_step_call(plan, idx, Some(0), Some(input.to_votable())),
-            )?;
+            let (reply, version) = self.repair_probe(plan, idx, 0, Some(&input), &mut stats)?;
             if observed.is_none() && needs_delta {
                 observed = Some(version);
             }
-            stats = combine_delta_stats(stats, first_stats(&chain));
             group_delta_reply(reply, &cached.set.columns)?
         } else {
             HashMap::new()
@@ -280,14 +285,8 @@ impl Portal {
         needs_delta: bool,
         versions: &mut [StepVersion],
     ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
         let up_len = upstream.set.tuples.len();
-        let mut old_of_new: Vec<Option<usize>> = vec![None; up_len];
-        for (s, m) in upstream.map.iter().enumerate() {
-            if let Some(u) = m {
-                old_of_new[*u] = Some(s);
-            }
-        }
+        let old_of_new = upstream.old_of_new();
         // A drop-out step passes each input through at most once.
         let mut old_out_of_src: HashMap<u64, usize> = HashMap::new();
         for (i, s) in cached.src.iter().enumerate() {
@@ -299,40 +298,25 @@ impl Portal {
 
         let mut stats = cached.stats;
         let mut observed: Option<u64> = None;
-        let survivors_delta: Option<std::collections::HashSet<u64>> =
-            if needs_delta && !candidates.is_empty() {
-                let input = tag_with_cache_src(&upstream.set, &candidates);
-                let (reply, chain, version) = invoke_portal_step(
-                    &self.net,
-                    &self.host,
-                    &step.url,
-                    plan,
-                    &portal_step_call(plan, idx, Some(v_old), Some(input.to_votable())),
-                )?;
-                observed = Some(version);
-                stats = combine_delta_stats(stats, first_stats(&chain));
-                let (_, srcs) = strip_cache_src(reply)?;
-                Some(srcs.into_iter().collect())
-            } else {
-                None
-            };
-        let survivors_full: std::collections::HashSet<u64> = if !upstream.fresh.is_empty() {
+        let survivors_delta: Option<HashSet<u64>> = if needs_delta && !candidates.is_empty() {
+            let input = tag_with_cache_src(&upstream.set, &candidates);
+            let (reply, version) = self.repair_probe(plan, idx, v_old, Some(&input), &mut stats)?;
+            observed = Some(version);
+            let (_, srcs) = strip_cache_src(reply)?;
+            Some(srcs.into_iter().collect())
+        } else {
+            None
+        };
+        let survivors_full: HashSet<u64> = if !upstream.fresh.is_empty() {
             let input = tag_with_cache_src(&upstream.set, &upstream.fresh);
-            let (reply, chain, version) = invoke_portal_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                &portal_step_call(plan, idx, Some(0), Some(input.to_votable())),
-            )?;
+            let (reply, version) = self.repair_probe(plan, idx, 0, Some(&input), &mut stats)?;
             if observed.is_none() && needs_delta {
                 observed = Some(version);
             }
-            stats = combine_delta_stats(stats, first_stats(&chain));
             let (_, srcs) = strip_cache_src(reply)?;
             srcs.into_iter().collect()
         } else {
-            std::collections::HashSet::new()
+            HashSet::new()
         };
         if needs_delta {
             if let Some(v) = versions.first_mut() {
@@ -449,22 +433,6 @@ fn group_delta_reply(
     Ok(groups)
 }
 
-/// The stats of the one step a delta probe executed.
-fn first_stats(chain: &StatsChain) -> StepStats {
-    chain.entries.first().map(|(_, s)| *s).unwrap_or_default()
-}
-
-/// Folds a delta probe's stats into a cached step's: kernel-internal
-/// counters accumulate (the repaired totals reflect the cached work
-/// plus the delta work — an approximation documented in DESIGN.md),
-/// while `tuples_in` / `tuples_out` are overwritten by the caller with
-/// exact values for the repaired set.
-fn combine_delta_stats(mut base: StepStats, delta: StepStats) -> StepStats {
-    base.add_work(&delta);
-    base.chi2_accepted += delta.chi2_accepted;
-    base
-}
-
 /// Per-step repair state flowing down the chain in execution order: the
 /// repaired upstream output, where each old cached upstream row moved
 /// (`map[old] = Some(new)`, `None` if it was dropped), and which rows
@@ -473,4 +441,18 @@ struct RepairedUpstream {
     set: PartialSet,
     map: Vec<Option<usize>>,
     fresh: Vec<usize>,
+}
+
+impl RepairedUpstream {
+    /// The inverse of `map`: for each repaired upstream row, the cached
+    /// row it came from (`None` for a fresh row).
+    fn old_of_new(&self) -> Vec<Option<usize>> {
+        let mut old_of_new = vec![None; self.set.tuples.len()];
+        for (old, new) in self.map.iter().enumerate() {
+            if let Some(new) = new {
+                old_of_new[*new] = Some(old);
+            }
+        }
+        old_of_new
+    }
 }

@@ -15,6 +15,7 @@
 //!   step's committed set, provenance and observed table version, and
 //!   populates the result cache when the walk ends clean.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use skyquery_htm::SkyPoint;
@@ -241,8 +242,14 @@ impl CheckpointedWalk {
             let all: Vec<usize> = (0..set.tuples.len()).collect();
             tag_with_cache_src(set, &all)
         });
-        let out =
-            portal.scatter_step(sub_plan, idx, tagged.as_ref().or(input), self.replan, trace)?;
+        let out = portal.scatter_step(
+            sub_plan,
+            idx,
+            tagged.as_ref().or(input),
+            self.replan,
+            None,
+            trace,
+        )?;
         let (set, src) = match tagged {
             Some(_) => strip_cache_src(out.set).map(|(set, src)| (set, Some(src)))?,
             None => (out.set, None),
@@ -462,8 +469,8 @@ fn replace_residuals(remaining: &mut [PlanStep], executed: &[String]) -> Result<
 
 /// What one scattered step produced.
 pub(crate) struct ScatterOutcome {
-    set: PartialSet,
-    stats: StepStats,
+    pub(crate) set: PartialSet,
+    pub(crate) stats: StepStats,
     /// Partial-result honesty: `degraded`, with the lost shards named
     /// `archive@host`, when a drop-out step lost whole extents but was
     /// answered from the rest (re-planning walks only).
@@ -471,49 +478,141 @@ pub(crate) struct ScatterOutcome {
     /// `(primary host, table version)` of every extent that answered —
     /// an extent served by a replica is named by its primary, the stable
     /// group identity the registry's version snapshot is keyed on.
-    versions: Vec<(String, u64)>,
+    pub(crate) versions: Vec<(String, u64)>,
 }
 
-/// Outcome of serving one extent from its replica group during a
-/// scatter: the winning reply (or final error) plus the failover/hedge
-/// book-keeping the Portal folds into the step's statistics.
-#[derive(Default)]
-struct ExtentOutcome {
-    result: Option<Result<(PartialSet, StatsChain, u64)>>,
+/// What serving one replica group produced: the winning attempt's result
+/// (or the final error) plus the failover/hedge book-keeping a scatter
+/// folds into the step's statistics.
+pub(crate) struct ExtentOutcome<T> {
+    pub(crate) result: Result<T>,
     failovers: usize,
     hedges: usize,
     hedge_wins: usize,
 }
 
+/// Runs `f` over every item and returns the results in item order: on
+/// scoped threads when there is more than one item (the paper's
+/// "asynchronous SOAP messages"), inline otherwise. The program's only
+/// fork/join site — count-stars and scatter steps both fan out here.
+pub(crate) fn fan_out<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    if items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panics"))
+            .collect()
+    })
+}
+
 impl Portal {
+    /// Serves one request from a replica group (`candidates`, primary
+    /// first; never empty): the first healthy candidate is probed, a
+    /// reply slower than `hedge_delay_s` (when positive) races a
+    /// duplicate probe against the first untried sibling (first response
+    /// wins; the loser is discarded here), and an unhealthy verdict fails
+    /// over through the remaining siblings. Every attempt's outcome goes
+    /// into the health book. Replicas hold identical data, so whichever
+    /// one answers yields identical bytes. Non-unhealthy errors (a
+    /// malformed body surviving its retry budget, a planning error) stay
+    /// fatal: failing over past a poisoned reply would mask corruption,
+    /// not route around an outage.
+    pub(crate) fn serve_group<T>(
+        &self,
+        candidates: &[Url],
+        hedge_delay_s: f64,
+        probe: impl Fn(&Url) -> Result<T>,
+    ) -> ExtentOutcome<T> {
+        let net = &self.net;
+        // One attempt, with the simulated-time cost of the exchange
+        // (what the hedge decision races against).
+        let attempt = |url: &Url| -> (Result<T>, f64) {
+            let t0 = net.now_s();
+            let r = probe(url);
+            let elapsed = net.now_s() - t0;
+            self.observe(&url.host, &r);
+            (r, elapsed)
+        };
+        // Healthy-first: the first candidate not marked unhealthy moves
+        // to the front; the rest keep their order.
+        let mut order: Vec<&Url> = candidates.iter().collect();
+        let pick = order
+            .iter()
+            .position(|u| !self.host_is_unhealthy(&u.host))
+            .unwrap_or(0);
+        order[..=pick].rotate_right(1);
+
+        let (mut failovers, mut hedges, mut hedge_wins) = (0, 0, 0);
+        let (mut r, elapsed) = attempt(order[0]);
+        let mut tried = 1;
+        if hedge_delay_s > 0.0 && elapsed >= hedge_delay_s && order.len() > 1 {
+            // The picked replica was slower than the hedge delay: model a
+            // duplicate probe issued at `hedge_delay_s` racing the
+            // (already-measured) straggler.
+            hedges += 1;
+            net.record_node_event(&self.host, "hedge");
+            tried = 2;
+            let (r2, sibling_elapsed) = attempt(order[1]);
+            let sibling_wins = match (&r, &r2) {
+                (Err(_), Ok(_)) => true,
+                (Ok(_), Ok(_)) => hedge_delay_s + sibling_elapsed < elapsed,
+                _ => false,
+            };
+            if sibling_wins {
+                r = r2;
+                hedge_wins += 1;
+            }
+        }
+        while matches!(r, Err(FederationError::NodeUnhealthy { .. })) && tried < order.len() {
+            let next = order[tried];
+            tried += 1;
+            failovers += 1;
+            net.record_node_event(&self.host, "failover");
+            r = attempt(next).0;
+        }
+        ExtentOutcome {
+            result: r,
+            failovers,
+            hedges,
+            hedge_wins,
+        }
+    }
+
     /// Scatters one step (`idx`, the tail of `plan.steps`) to its owning
     /// shards in parallel and gathers the replies into one merged
     /// partial set plus the step's merged statistics; an unsharded
     /// archive is the one-extent case. Each extent is served by one
-    /// replica of its group: the first healthy candidate in
-    /// deterministic `(extent, host)` order is probed, a reply slower
-    /// than the configured hedge delay races a duplicate probe against
-    /// the first untried sibling (first response wins; the loser is
-    /// discarded before the gather, so no duplicate rows can merge), and
-    /// an unhealthy verdict fails over through the remaining siblings
-    /// before the step is allowed to fail.
+    /// replica of its group through [`Portal::serve_group`], in
+    /// deterministic `(extent, host)` order, under the configured hedge
+    /// delay. `from_row` is passed to [`portal_step_call`]: `None` runs
+    /// the step over the whole table, `Some(r)` over only the rows at or
+    /// after `r` (a cache-repair probe).
     pub(crate) fn scatter_step(
         &self,
         plan: &ExecutionPlan,
         idx: usize,
         input: Option<&PartialSet>,
         replan: bool,
+        from_row: Option<u64>,
         trace: &mut ExecutionTrace,
     ) -> Result<ScatterOutcome> {
         let step = &plan.steps[idx];
-        // One entry per extent: the primary scatter target plus its
-        // same-extent replicas (failover/hedge candidates).
-        let mut targets: Vec<(Url, Vec<Url>)> = if step.shards.is_empty() {
-            vec![(step.url.clone(), Vec::new())]
+        // One replica group per extent: the primary scatter target
+        // first, then its same-extent replicas (failover/hedge
+        // candidates).
+        let mut targets: Vec<Vec<Url>> = if step.shards.is_empty() {
+            vec![vec![step.url.clone()]]
         } else {
             step.shards
                 .iter()
-                .map(|s| (s.url.clone(), s.replicas.clone()))
+                .map(|s| [vec![s.url.clone()], s.replicas.clone()].concat())
                 .collect()
         };
         let multi = targets.len() > 1;
@@ -548,13 +647,15 @@ impl Portal {
         // When scattered, a non-drop-out step additionally carries the
         // shard table's rank column so the gather can restore the
         // single-node output order; the input set is tagged with each
-        // tuple's index for the same reason.
-        let mut wire_plan = plan.clone();
-        if multi && !dropout {
-            wire_plan.steps[idx]
-                .carried
-                .push(shard::RANK_COL.to_string());
-        }
+        // tuple's index for the same reason. Only then is the plan
+        // copied.
+        let wire_plan = if multi && !dropout {
+            let mut p = plan.clone();
+            p.steps[idx].carried.push(shard::RANK_COL.to_string());
+            Cow::Owned(p)
+        } else {
+            Cow::Borrowed(plan)
+        };
         let input_table = input.map(|set| {
             if multi {
                 shard::tag_with_src(set).to_votable()
@@ -564,106 +665,24 @@ impl Portal {
         });
         // One call body per step: every extent, hedge and failover is
         // sent these bytes.
-        let call = &portal_step_call(&wire_plan, idx, None, input_table);
-
-        let net = &self.net;
-        let host = &self.host;
-        let wire = &wire_plan;
+        let call = &portal_step_call(&wire_plan, idx, from_row, input_table);
         let hedge_delay = self.config().hedge_delay_s;
-
-        // One probe attempt against one replica, with health
-        // book-keeping and the simulated-time cost of the exchange
-        // (what the hedge decision races against).
-        let probe = |url: &Url| -> (Result<(PartialSet, StatsChain, u64)>, f64) {
-            let t0 = net.now_s();
-            let r = invoke_portal_step(net, host, url, wire, call);
-            let elapsed = net.now_s() - t0;
-            self.observe(&url.host, &r);
-            (r, elapsed)
-        };
-
-        // Serves one extent from its replica group: healthy-first pick,
-        // optional hedge, then failover through the untried siblings on
-        // unhealthy verdicts. Replicas hold identical data, so whichever
-        // one answers yields byte-identical rows. Non-unhealthy errors
-        // (a malformed body surviving its retry budget, a planning
-        // error) stay fatal: failing over past a poisoned reply would
-        // mask corruption, not route around an outage.
-        let serve_extent = |primary: &Url, replicas: &[Url]| -> ExtentOutcome {
-            let mut candidates: Vec<&Url> = Vec::with_capacity(1 + replicas.len());
-            candidates.push(primary);
-            candidates.extend(replicas.iter());
-            let pick = candidates
-                .iter()
-                .position(|u| !self.host_is_unhealthy(&u.host))
-                .unwrap_or(0);
-            let picked = candidates.remove(pick);
-            candidates.insert(0, picked);
-
-            let mut out = ExtentOutcome::default();
-            let (mut r, elapsed) = probe(candidates[0]);
-            let mut tried = 1;
-            if hedge_delay > 0.0 && elapsed >= hedge_delay && candidates.len() > 1 {
-                // The picked replica was slower than the hedge delay:
-                // model a duplicate probe issued at `hedge_delay` racing
-                // the (already-measured) straggler; first response wins
-                // and the loser is dropped here, before the gather.
-                out.hedges += 1;
-                net.record_node_event(host, "hedge");
-                let sibling = candidates[1];
-                tried = 2;
-                let (r2, sibling_elapsed) = probe(sibling);
-                let sibling_wins = match (&r, &r2) {
-                    (Err(_), Ok(_)) => true,
-                    (Ok(_), Ok(_)) => hedge_delay + sibling_elapsed < elapsed,
-                    _ => false,
-                };
-                if sibling_wins {
-                    r = r2;
-                    out.hedge_wins += 1;
-                }
-            }
-            while matches!(r, Err(FederationError::NodeUnhealthy { .. }))
-                && tried < candidates.len()
-            {
-                let next = candidates[tried];
-                tried += 1;
-                out.failovers += 1;
-                net.record_node_event(host, "failover");
-                r = probe(next).0;
-            }
-            out.result = Some(r);
-            out
-        };
-        let serve_extent = &serve_extent;
-
-        let outcomes: Vec<ExtentOutcome> = if multi {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = targets
-                    .iter()
-                    .map(|(primary, replicas)| scope.spawn(move || serve_extent(primary, replicas)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("no panics"))
-                    .collect()
+        let outcomes = fan_out(&targets, |group| {
+            self.serve_group(group, hedge_delay, |url| {
+                invoke_portal_step(&self.net, &self.host, url, &wire_plan, call)
             })
-        } else {
-            targets
-                .iter()
-                .map(|(primary, replicas)| serve_extent(primary, replicas))
-                .collect()
-        };
+        });
 
         let mut parts: Vec<(PartialSet, StepStats)> = Vec::new();
         let mut versions: Vec<(String, u64)> = Vec::new();
         let mut errs: Vec<(String, FederationError)> = Vec::new();
         let (mut failovers, mut hedges, mut hedge_wins) = (0usize, 0usize, 0usize);
-        for ((primary, _), o) in targets.iter().zip(outcomes) {
+        for (group, o) in targets.iter().zip(outcomes) {
+            let primary = &group[0];
             failovers += o.failovers;
             hedges += o.hedges;
             hedge_wins += o.hedge_wins;
-            match o.result.expect("every extent produced an outcome") {
+            match o.result {
                 Ok((set, chain, version)) => {
                     let st = chain
                         .entries

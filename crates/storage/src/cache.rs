@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// Identifier of a page: `(table epoch, page number)`. The epoch
 /// distinguishes reincarnations of dropped temp tables.
-pub type PageId = (u64, usize);
+pub(crate) type PageId = (u64, usize);
 
 /// Cache hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,25 +79,20 @@ impl BufferCache {
         self.capacity
     }
 
-    /// Rows stored per page.
-    pub fn rows_per_page(&self) -> usize {
-        self.rows_per_page
-    }
-
     /// The page a row lives on.
-    pub fn page_of(&self, table_epoch: u64, row: usize) -> PageId {
+    pub(crate) fn page_of(&self, table_epoch: u64, row: usize) -> PageId {
         (table_epoch, row / self.rows_per_page)
     }
 
     /// Touches the page holding `row` of table `table_epoch`; returns
     /// whether it was a hit.
-    pub fn touch_row(&mut self, table_epoch: u64, row: usize) -> bool {
+    pub(crate) fn touch_row(&mut self, table_epoch: u64, row: usize) -> bool {
         let page = self.page_of(table_epoch, row);
         self.touch_page(page)
     }
 
     /// Touches a page directly.
-    pub fn touch_page(&mut self, page: PageId) -> bool {
+    pub(crate) fn touch_page(&mut self, page: PageId) -> bool {
         self.clock += 1;
         if let Some(stamp) = self.resident.get_mut(&page) {
             *stamp = self.clock;
@@ -116,18 +111,13 @@ impl BufferCache {
         }
     }
 
-    /// Number of currently resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Current hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Clears counters but keeps resident pages (for measuring a warm run).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
@@ -162,7 +152,7 @@ mod tests {
         c.touch_page((0, 2)); // evicts page 1 (LRU)
         assert!(c.touch_page((0, 0)), "page 0 should still be resident");
         assert!(!c.touch_page((0, 1)), "page 1 should have been evicted");
-        assert_eq!(c.resident_pages(), 2);
+        assert_eq!(c.resident.len(), 2);
     }
 
     #[test]
@@ -195,7 +185,7 @@ mod tests {
         let mut c = BufferCache::new(10, 10);
         c.touch_row(0, 0);
         c.clear();
-        assert_eq!(c.resident_pages(), 0);
+        assert_eq!(c.resident.len(), 0);
         assert!(!c.touch_row(0, 0));
     }
 

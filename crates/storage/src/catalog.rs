@@ -37,11 +37,6 @@ impl Catalog {
         self.tables.iter().find(|t| t.schema.name == name)
     }
 
-    /// Names of all cataloged tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.iter().map(|t| t.schema.name.as_str()).collect()
-    }
-
     /// The first table carrying position metadata — by the paper's schema
     /// convention, the archive's primary table.
     pub fn primary_table(&self) -> Option<&TableStats> {
@@ -90,7 +85,8 @@ mod tests {
         let c = catalog();
         assert!(c.table("spectra").is_some());
         assert!(c.table("nope").is_none());
-        assert_eq!(c.table_names(), vec!["spectra", "photo_primary"]);
+        let names: Vec<&str> = c.tables.iter().map(|t| t.schema.name.as_str()).collect();
+        assert_eq!(names, vec!["spectra", "photo_primary"]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! simulator's shard dealer calls too.
 //!
 //! Output contract: for any probe, the hit set is byte-identical to
-//! [`crate::resolve_range_candidates`] over an HTM candidate superset —
+//! `resolve_range_candidates` over an HTM candidate superset —
 //! same `sep <= radius + 1e-15` acceptance, same separation values (the
 //! stored unit vectors are exactly `SkyPoint::from_radec_deg(..).to_vec3()`),
 //! same row-id ordering.
@@ -175,11 +175,6 @@ impl ColumnarPositions {
         self.height_deg
     }
 
-    /// Number of declination zones.
-    pub fn zone_count(&self) -> usize {
-        self.zone_count
-    }
-
     /// Number of packed positions.
     pub fn len(&self) -> usize {
         self.row.len()
@@ -197,7 +192,7 @@ impl ColumnarPositions {
 
     /// Probes the ball around `center` with radius `radius_rad`, filling
     /// `scratch` with hits (`sep <= radius + 1e-15`, sorted by row id —
-    /// the [`crate::resolve_range_candidates`] contract). Returns per-probe
+    /// the `resolve_range_candidates` contract). Returns per-probe
     /// counters.
     pub fn probe(
         &self,
@@ -544,7 +539,7 @@ mod tests {
         assert_eq!(cols.len(), 100);
         assert_eq!(*cols.zone_starts.last().unwrap(), 100);
         // Within each zone RA must be sorted.
-        for z in 0..cols.zone_count() {
+        for z in 0..cols.zone_count {
             let (a, b) = (cols.zone_starts[z], cols.zone_starts[z + 1]);
             for i in a + 1..b {
                 assert!(cols.ra_deg[i - 1] <= cols.ra_deg[i]);
@@ -613,7 +608,7 @@ mod tests {
             db.set_zone_height(height);
             db.ensure_columnar("objects").unwrap();
             let cols = db.columnar_positions("objects").unwrap();
-            assert_eq!(cols.zone_count(), n, "height {height}");
+            assert_eq!(cols.zone_count, n, "height {height}");
             assert_eq!(cols.height_deg().to_bits(), h.to_bits(), "height {height}");
             for i in 0..=1800 {
                 let dec = -90.0 + 0.1 * i as f64;

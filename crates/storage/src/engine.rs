@@ -158,13 +158,6 @@ impl Database {
         self.tables.contains_key(name)
     }
 
-    /// All table names (including temp tables), sorted.
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
-
     /// The table's schema.
     pub fn schema(&self, table: &str) -> Result<&TableSchema, StorageError> {
         self.entry(table).map(|e| e.table.schema())
@@ -218,19 +211,6 @@ impl Database {
             idx.insert(stored[ci].clone(), rid);
         }
         Ok(rid)
-    }
-
-    /// Bulk insert.
-    pub fn insert_all<I>(&mut self, table: &str, rows: I) -> Result<usize, StorageError>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        let mut n = 0;
-        for row in rows {
-            self.insert(table, row)?;
-            n += 1;
-        }
-        Ok(n)
     }
 
     /// Builds (or rebuilds) a B-tree index over a column.
@@ -585,7 +565,7 @@ impl Database {
 /// radius. Shared by [`Database::range_search`] and
 /// [`Database::range_search_counted`], and the contract the columnar
 /// kernel's probe is held to bit-for-bit.
-pub fn resolve_range_candidates(
+pub(crate) fn resolve_range_candidates(
     table: &Table,
     ra_ci: usize,
     dec_ci: usize,

@@ -11,7 +11,7 @@ use crate::value::Value;
 /// A `Value` wrapper giving the total `key_cmp` ordering, so values can be
 /// B-tree keys.
 #[derive(Debug, Clone)]
-pub struct Key(pub Value);
+pub(crate) struct Key(pub(crate) Value);
 
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
@@ -148,11 +148,6 @@ impl BTreeIndex {
         }
         out
     }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// A candidate produced by an HTM range probe.
@@ -260,7 +255,7 @@ impl HtmPositionIndex {
     /// Candidate rows for an arbitrary convex region (the §6 polygon
     /// extension uses this). Partial-kind candidates must be re-tested by
     /// the caller with the region's `contains`.
-    pub fn search_region(&mut self, region: &dyn ConvexRegion) -> Vec<HtmCandidate> {
+    pub(crate) fn search_region(&mut self, region: &dyn ConvexRegion) -> Vec<HtmCandidate> {
         self.ensure_sorted();
         let cover = Cover::region(&self.mesh, region);
         self.candidates_from_cover(&cover)
@@ -279,12 +274,6 @@ impl HtmPositionIndex {
             }
         }
         out
-    }
-
-    /// Number of index entries probed (not rows returned) for a search —
-    /// the quantity HTM keeps small relative to a full scan.
-    pub fn probe_cost(&mut self, center: SkyPoint, radius_rad: f64) -> usize {
-        self.search(center, radius_rad).len()
     }
 }
 
@@ -347,7 +336,7 @@ mod tests {
             t.insert(vec![Value::Int(i % 3), Value::Null]).unwrap();
         }
         let idx = BTreeIndex::build(&t, "k").unwrap();
-        assert_eq!(idx.distinct_keys(), 3);
+        assert_eq!(idx.map.len(), 3);
         assert_eq!(idx.lookup(&Value::Int(0)).len(), 4); // rows 0,3,6,9
         assert_eq!(idx.lookup(&Value::Int(5)).len(), 0);
         assert_eq!(idx.lookup(&Value::Null).len(), 0);
@@ -450,10 +439,14 @@ mod tests {
         }
         let t = pos_table(&points);
         let mut idx = HtmPositionIndex::build(&t, 10).unwrap();
-        let cost = idx.probe_cost(
-            SkyPoint::from_radec_deg(120.0, 12.0),
-            (30.0 / 3600.0_f64).to_radians(),
-        );
+        // Index entries probed (not rows returned) — the quantity HTM
+        // keeps small relative to a full scan.
+        let cost = idx
+            .search(
+                SkyPoint::from_radec_deg(120.0, 12.0),
+                (30.0 / 3600.0_f64).to_radians(),
+            )
+            .len();
         assert!(cost >= 5);
         assert!(cost < 200, "probe cost {cost} too close to full scan");
     }

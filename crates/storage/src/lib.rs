@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 //! # skyquery-storage — the archive database substrate
 //!
 //! Every SkyNode in the SkyQuery federation wraps an autonomous archive
@@ -22,22 +23,22 @@
 //! layered on by the federation crate, mirroring how each autonomous archive
 //! manages its own DBMS.
 
-pub mod cache;
-pub mod catalog;
-pub mod columnar;
-pub mod engine;
-pub mod error;
-pub mod exec;
-pub mod index;
-pub mod schema;
-pub mod table;
-pub mod value;
+mod cache;
+mod catalog;
+mod columnar;
+mod engine;
+mod error;
+mod exec;
+mod index;
+mod schema;
+mod table;
+mod value;
 
 pub use cache::{BufferCache, CacheStats};
 pub use catalog::{Catalog, TableStats};
 pub use columnar::{declination_zone, effective_height, DEFAULT_ZONE_HEIGHT_DEG};
 pub use columnar::{ColumnarPositions, ProbeScratch, ProbeStats};
-pub use engine::{resolve_range_candidates, Database};
+pub use engine::Database;
 pub use error::StorageError;
 pub use exec::{RangeSearchHit, ScanOptions};
 pub use index::{BTreeIndex, HtmCandidate, HtmPositionIndex};

@@ -165,14 +165,12 @@ impl TableSchema {
         self.columns.len()
     }
 
-    /// Column names in declaration order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
-
     /// Validates that a row conforms to this schema (arity, types,
     /// nullability) and coerces values into column storage types.
-    pub fn conform_row(&self, row: Vec<crate::Value>) -> Result<Vec<crate::Value>, StorageError> {
+    pub(crate) fn conform_row(
+        &self,
+        row: Vec<crate::Value>,
+    ) -> Result<Vec<crate::Value>, StorageError> {
         if row.len() != self.columns.len() {
             return Err(StorageError::ArityMismatch {
                 table: self.name.clone(),

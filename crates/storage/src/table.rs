@@ -65,19 +65,6 @@ impl Table {
         self.rows.len() - 1
     }
 
-    /// Appends many rows; stops at the first invalid row.
-    pub fn insert_all<I>(&mut self, rows: I) -> Result<usize, StorageError>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        let mut n = 0;
-        for row in rows {
-            self.insert(row)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// The row with the given id, if it exists.
     pub fn row(&self, id: RowId) -> Option<&Row> {
         self.rows.get(id)
@@ -144,12 +131,16 @@ mod tests {
 
     #[test]
     fn insert_all_stops_on_error() {
+        // A bulk load is a run of inserts that stops at the first invalid row.
         let mut t = table();
-        let res = t.insert_all(vec![
+        let res: Result<Vec<RowId>, _> = [
             vec![Value::Id(1), Value::Float(1.0), Value::Null],
             vec![Value::Null, Value::Float(2.0), Value::Null], // null id
             vec![Value::Id(3), Value::Float(3.0), Value::Null],
-        ]);
+        ]
+        .into_iter()
+        .map(|row| t.insert(row))
+        .collect();
         assert!(res.is_err());
         assert_eq!(t.len(), 1);
     }

@@ -62,14 +62,6 @@ impl Value {
         }
     }
 
-    /// Text view, for text values only.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Boolean view, for booleans only.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -143,26 +135,10 @@ impl Value {
         }
     }
 
-    /// Whether this value can be stored in a column of type `ty`.
-    /// `Int` widens into `Float`; `Int`≥0 narrows into `Id`.
-    pub fn conforms_to(&self, ty: DataType) -> bool {
-        match (self, ty) {
-            (Value::Null, _) => true,
-            (Value::Bool(_), DataType::Bool) => true,
-            (Value::Int(_), DataType::Int) => true,
-            (Value::Int(_), DataType::Float) => true,
-            (Value::Int(i), DataType::Id) => *i >= 0,
-            (Value::Float(_), DataType::Float) => true,
-            (Value::Text(_), DataType::Text) => true,
-            (Value::Id(_), DataType::Id) => true,
-            (Value::Id(u), DataType::Int) => i64::try_from(*u).is_ok(),
-            _ => false,
-        }
-    }
-
-    /// Coerces the value into the column type where [`Value::conforms_to`]
-    /// allows, returning the stored representation.
-    pub fn coerce(self, ty: DataType) -> Option<Value> {
+    /// Coerces the value into a column of type `ty`, returning the stored
+    /// representation, or `None` when it cannot be stored there. `Int`
+    /// widens into `Float`; `Int`≥0 narrows into `Id`.
+    pub(crate) fn coerce(self, ty: DataType) -> Option<Value> {
         match (self, ty) {
             (Value::Null, _) => Some(Value::Null),
             (v @ Value::Bool(_), DataType::Bool) => Some(v),
@@ -178,7 +154,7 @@ impl Value {
     }
 
     /// Approximate wire size in bytes, used by the network cost model.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         match self {
             Value::Null => 1,
             Value::Bool(_) => 1,

@@ -11,11 +11,8 @@ use skyquery_core::{FederationConfig, OrderingStrategy};
 use skyquery_sim::{paper_query, FederationBuilder};
 
 fn main() {
-    // Sequential performance queries make the trace read exactly like the
-    // figure: one numbered step per message.
     let fed = FederationBuilder::paper_triple(1500)
         .config(FederationConfig {
-            parallel_performance_queries: false,
             ordering: OrderingStrategy::CountStarDescending,
             ..FederationConfig::default()
         })

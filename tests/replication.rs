@@ -18,7 +18,9 @@
 //!   never reach the merge;
 //! * truncated and garbage response bodies on the `ScatterStep` and
 //!   `DeltaStep` paths exhaust their retry budget and then fail over
-//!   (or fall back to a cold run) — they never poison the merge.
+//!   (or fall back to a cold run) — they never poison the merge;
+//! * count-star performance queries fail over through the same replica
+//!   groups as a scatter extent, and are never hedged.
 
 use skyquery_core::{ChainMode, FederationConfig};
 use skyquery_net::{FaultKind, FaultPlan, FaultRule};
@@ -455,4 +457,63 @@ fn malformed_scatter_bodies_fail_over_not_poison() {
             );
         }
     }
+}
+
+/// A fault plan applying `kind` to the *primary* replica of every extent
+/// of every archive, scoped to the count-star `Query` service so the
+/// scatter itself stays clean.
+fn primaries_on_query(shards: usize, kind: FaultKind) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for archive in ["sdss", "twomass", "first"] {
+        for s in 0..shards {
+            plan = plan.rule(
+                FaultRule::new(kind)
+                    .host(format!("{archive}-s{s}.skyquery.net"))
+                    .action("Query"),
+            );
+        }
+    }
+    plan
+}
+
+/// Count-star performance queries follow the same replica policy as the
+/// scatter: with every primary down for `Query`, each extent is counted
+/// by its sibling, so the plan — and the answer — match a clean run.
+#[test]
+fn count_star_fails_over_to_a_sibling_replica() {
+    let config = FederationConfig::default();
+    let sql = sweep_query(false);
+    let (want, _) = fed(2, 1, 31, config).portal.submit(&sql).unwrap();
+    let faulted = builder(2, 2, 31, config)
+        .faults(primaries_on_query(2, FaultKind::HostDown))
+        .build();
+    let (got, _) = faulted.portal.submit(&sql).unwrap();
+    assert_eq!(
+        got.to_ascii(),
+        want.to_ascii(),
+        "failed-over count-stars changed the bytes"
+    );
+    assert!(!got.degraded);
+    assert!(
+        faulted.net.metrics().node_event_total("failover") > 0,
+        "a dead primary's count must fail over to its sibling"
+    );
+}
+
+/// Count-stars never hedge: a straggling primary `Query` under a positive
+/// hedge delay is waited out, not raced against its sibling.
+#[test]
+fn count_star_is_never_hedged() {
+    let config = FederationConfig {
+        hedge_delay_s: 1.0,
+        ..FederationConfig::default()
+    };
+    let sql = sweep_query(false);
+    let (want, _) = fed(2, 1, 31, config).portal.submit(&sql).unwrap();
+    let slow = builder(2, 2, 31, config)
+        .faults(primaries_on_query(2, FaultKind::Latency(5.0)))
+        .build();
+    let (got, _) = slow.portal.submit(&sql).unwrap();
+    assert_eq!(got.to_ascii(), want.to_ascii());
+    assert_eq!(slow.net.metrics().node_event_total("hedge"), 0);
 }
