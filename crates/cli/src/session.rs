@@ -324,15 +324,15 @@ impl Session {
                                 let plan = std::mem::take(&mut self.faults);
                                 self.faults = match kind {
                                     "down" => plan.host_down_for(&host, x as u32),
-                                    // Outage scoped to chain steps only: performance
-                                    // queries and checkpoint fetches stay clean, so the
+                                    // Outage scoped to the walk's step calls only:
+                                    // performance queries stay clean, so the
                                     // checkpointed driver's re-plan path is reachable.
                                     "step" => plan.rule(
                                         skyquery_net::FaultRule::new(
                                             skyquery_net::FaultKind::HostDown,
                                         )
                                         .host(&host)
-                                        .action("ExecuteStep")
+                                        .action("ScatterStep")
                                         .times(x as u32),
                                     ),
                                     "500" => plan.server_errors(&host, x as u32),
@@ -410,12 +410,11 @@ impl Session {
                 for node in &self.fed.nodes {
                     writeln!(
                         out,
-                        "{:<26} {:<8} {} leases ({} transfers, {} checkpoints, {} txns) · {} steps executed",
+                        "{:<26} {:<8} {} leases ({} transfers, {} txns) · {} steps executed",
                         node.url().host,
                         roles.get(&node.url().host).copied().unwrap_or("primary"),
                         node.active_leases(),
                         node.open_transfers().len(),
-                        node.checkpoints().len(),
                         node.pending_exchange_txns().len(),
                         node.executed_steps()
                     )?;
@@ -784,21 +783,57 @@ mod tests {
     fn step_fault_drives_replan_and_resume() {
         let mut s = session();
         drive(&mut s, "\\chain checkpointed");
-        // Down for exactly the retry budget, scoped to ExecuteStep: the
-        // portal re-plans around TWOMASS and resumes from the checkpoint.
+        // Down for exactly the retry budget, scoped to ScatterStep: the
+        // portal re-plans around TWOMASS and resumes from the committed
+        // set it holds.
         let (_, out) = drive(&mut s, "\\faults step TWOMASS 3");
         assert!(out.contains("armed: step on twomass.skyquery.net"), "{out}");
-        let (_, out) = drive(
-            &mut s,
-            "SELECT O.object_id, T.object_id, P.object_id \
-             FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, FIRST:Primary_Object P \
-             WHERE XMATCH(O, T, P) < 3.5",
-        );
+        let (_, out) = drive(&mut s, TRIPLE_SQL);
         assert!(out.contains("bytes on the wire"), "query recovers: {out}");
         let (_, out) = drive(&mut s, "\\health");
         assert!(out.contains("1 replans"), "{out}");
         assert!(out.contains("1 resumes"), "{out}");
+
+        // A sharded walk's steps are `ScatterStep` calls too, so the rule
+        // armed on the TWOMASS shard holding the field centre fires there.
+        let mut s = Session::new(&Options {
+            bodies: 200,
+            seed: 5,
+            shards: 4,
+            ..Options::default()
+        });
+        drive(&mut s, "\\chain checkpointed");
+        let host = s
+            .fed
+            .portal
+            .shards_of("TWOMASS")
+            .into_iter()
+            .find(|n| n.extent().contains_dec(-0.5))
+            .expect("the extents tile the sky")
+            .url
+            .host;
+        let (_, out) = drive(&mut s, &format!("\\faults step {host} 3"));
+        assert!(out.contains(&format!("armed: step on {host}")), "{out}");
+        let (_, out) = drive(&mut s, TRIPLE_SQL);
+        assert!(out.contains("bytes on the wire"), "query recovers: {out}");
+        let fired: u64 = s
+            .fed
+            .net
+            .metrics()
+            .faults()
+            .iter()
+            .filter(|((_, to, _), _)| *to == host)
+            .map(|(_, n)| n)
+            .sum();
+        assert!(fired > 0, "the step rule never fired on {host}");
+        let (_, out) = drive(&mut s, "\\health");
+        assert!(out.contains("1 replans"), "{out}");
+        assert!(out.contains("1 resumes"), "{out}");
     }
+
+    const TRIPLE_SQL: &str = "SELECT O.object_id, T.object_id, P.object_id \
+         FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, FIRST:Primary_Object P \
+         WHERE XMATCH(O, T, P) < 3.5";
 
     #[test]
     fn trace_toggle_shows_steps() {

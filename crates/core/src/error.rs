@@ -49,13 +49,13 @@ pub enum FederationError {
         /// The final attempt's failure.
         cause: Box<FederationError>,
     },
-    /// A leased node-side resource (checkpoint, transfer session, staged
-    /// exchange transaction) is unknown at the node — never created,
+    /// A leased resource (transfer session, staged exchange transaction,
+    /// job record) is unknown at the node — never created,
     /// already released, or reclaimed by the janitor after its TTL
     /// lapsed. Deterministic: the resource will not come back, so the
     /// caller must restart the work that created it rather than retry.
     LeaseExpired {
-        /// The resource kind (`checkpoint`, `transfer`, `txn`).
+        /// The resource kind (`transfer`, `txn`, `job`).
         kind: String,
         /// The id the caller presented.
         id: u64,

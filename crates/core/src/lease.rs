@@ -1,14 +1,15 @@
 //! TTL leases for node-side resources, charged in simulated time.
 //!
 //! Every piece of per-query state a SkyNode holds on behalf of a remote
-//! caller — a checkpointed partial set, an open chunked-transfer session,
-//! a staged exchange transaction — is an orphan the moment its owner
-//! crashes or loses connectivity. Drop-based cleanup only works while the
-//! owner's process survives, so each resource instead carries a *lease*:
-//! a TTL against the network's simulated clock, renewed by its owner
-//! alongside retries and continuations. A janitor sweep on the node
-//! ([`LeaseTable::sweep`], run at the front of every request it serves)
-//! expires whatever was left behind.
+//! caller — an open chunked-transfer session, a staged exchange
+//! transaction — is an orphan the moment its owner crashes or loses
+//! connectivity. Drop-based cleanup only works while the owner's process
+//! survives, so each resource instead carries a *lease*: a TTL against
+//! the network's simulated clock, renewed whenever its owner touches it
+//! (each `FetchChunk` continuation renews its transfer). A janitor sweep
+//! on the node ([`LeaseTable::sweep`], run at the front of every request
+//! it serves) expires whatever was left behind. The Portal's result
+//! cache and the job service keep their entries in the same table.
 //!
 //! Expiry is decided only by the sweep, never by lookups: a resource that
 //! outlives its TTL but is touched before the next sweep still answers

@@ -8,7 +8,8 @@
 //!   metadata catalog, query decomposition, count-star performance
 //!   queries, and plan construction (§5.1, §5.3);
 //! * [`walk`] — portal-driven execution of a plan one step at a time:
-//!   checkpoints, failover re-planning, result-cache recording;
+//!   the committed set held at the Portal, failover re-planning,
+//!   result-cache recording;
 //! * [`skynode`] — the wrapper: the Information, Meta-data, Query, and
 //!   Cross match services around one archive database (§5.1);
 //! * [`xmatch`] — the probabilistic cross-match algorithm and its

@@ -109,8 +109,8 @@ pub struct ExecutionPlan {
     /// plan so one submission retries consistently along the chain.
     pub retry: RetryPolicy,
     /// TTL, in simulated seconds, of every lease this submission creates
-    /// on a SkyNode — checkpointed partial sets, chunked-transfer
-    /// sessions, staged exchange transactions. A node's janitor sweep
+    /// on a SkyNode — chunked-transfer sessions and staged exchange
+    /// transactions. A node's janitor sweep
     /// reclaims anything whose lease expires unrenewed, so an abandoned
     /// query can never leak node-side state forever.
     pub lease_ttl_s: f64,

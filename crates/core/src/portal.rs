@@ -57,11 +57,12 @@ pub enum ChainMode {
     /// aborts the whole submission.
     #[default]
     Recursive,
-    /// Portal-driven execution ([`CheckpointedWalk`]): one call per
-    /// archive, each committing its partial set as a checkpoint. A
-    /// mid-chain failure re-plans the remaining steps around the failed
-    /// node and resumes from the last good checkpoint instead of
-    /// re-running the committed prefix.
+    /// Portal-driven execution ([`CheckpointedWalk`]): one `ScatterStep`
+    /// call per archive (per extent, when sharded), each step's output
+    /// committed at the Portal as the walk's checkpoint. A mid-chain
+    /// failure re-plans the remaining steps around the failed node and
+    /// resumes from the committed set instead of re-running the
+    /// committed prefix.
     Checkpointed,
 }
 
@@ -106,9 +107,9 @@ pub struct FederationConfig {
     /// How the chain is driven: the paper's recursive daisy chain, or
     /// portal-driven checkpointed execution with failover re-planning.
     pub chain_mode: ChainMode,
-    /// Lease TTL (simulated seconds) granted on every transfer session,
-    /// exchange transaction, and checkpoint created for this
-    /// federation's queries; node janitors reclaim anything older.
+    /// Lease TTL (simulated seconds) granted on every chunked-transfer
+    /// session and exchange transaction created for this federation's
+    /// queries; node janitors reclaim anything older.
     pub lease_ttl_s: f64,
     /// Maximum number of entries in the Portal's cross-match result
     /// cache ([`crate::result_cache`]). `0` (the default) disables

@@ -25,7 +25,7 @@
 //! `repair.rs` for the merge discipline and the identity argument.
 //!
 //! Entries are leased through [`LeaseTable`] — the same TTL mechanism
-//! that governs checkpoints and staging tables — so a cold cache entry
+//! that governs transfer sessions and staging tables — so a cold cache entry
 //! ages out without a dedicated janitor, and an expired entry forces a
 //! clean cold re-run rather than serving stale bytes past its lease.
 

@@ -4,9 +4,10 @@
 //! its DBMS and other platform specific details." A SkyNode exposes the
 //! four Web services of §5.1 — **Information**, **Meta-data**, **Query**,
 //! and **Cross match** — plus the `FetchChunk` continuation used by the
-//! §6 chunking workaround and the data-exchange two-phase-commit methods,
-//! all dispatched by `SOAPAction` through a single [service-method
-//! registry](SkyNode::service_names) that also generates the node's WSDL.
+//! §6 chunking workaround, the Portal-driven step services, and the
+//! data-exchange two-phase-commit methods, all dispatched by `SOAPAction`
+//! through a single [service-method registry](SkyNode::service_names)
+//! that also generates the node's WSDL.
 //!
 //! The Cross match service is the daisy-chain participant: on a call with
 //! step index `i` it first calls step `i+1` (unless it is the seed), then
@@ -33,7 +34,6 @@ use crate::plan::{ExecutionPlan, DEFAULT_LEASE_TTL_S};
 use crate::query_exec::{execute_local, LocalQueryResult};
 use crate::service::{require_u64, Reply, ServiceMethod};
 use crate::trace::StatsChain;
-use crate::transfer::open_checkpoint;
 use crate::xmatch::{dropout_step, match_step, seed_step, PartialSet, StepConfig, StepStats};
 
 pub use crate::transfer::{invoke_cross_match, send_rpc};
@@ -107,21 +107,6 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
         handler: |node, _net, call| node.handle_abort_transfer(call).map(Reply::from),
     },
     ServiceMethod {
-        name: "ExecuteStep",
-        operation: || {
-            Operation::new("ExecuteStep")
-                .input("plan", "xml")
-                .input("step", "long")
-                .input("checkpoint_url", "string")
-                .input("checkpoint_id", "long")
-                .output("checkpoint", "long")
-                .output("rows", "long")
-                .output("stats", "xml")
-                .doc("One portal-driven cross-match step; result retained as a leased checkpoint")
-        },
-        handler: |node, net, call| node.handle_execute_step(net, call).map(Reply::from),
-    },
-    ServiceMethod {
         name: "ScatterStep",
         operation: || {
             Operation::new("ScatterStep")
@@ -157,39 +142,6 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
             let from_row = require_u64(call, "from_row")? as usize;
             node.handle_portal_step(net, call, Some(from_row))
         },
-    },
-    ServiceMethod {
-        name: "FetchCheckpoint",
-        operation: || {
-            Operation::new("FetchCheckpoint")
-                .input("plan", "xml")
-                .input("checkpoint_id", "long")
-                .output("partial", "table")
-                .output("manifest", "xml")
-                .doc("Serve (and lease-renew) a checkpointed partial set")
-        },
-        handler: |node, net, call| node.handle_fetch_checkpoint(net, call),
-    },
-    ServiceMethod {
-        name: "ReleaseCheckpoint",
-        operation: || {
-            Operation::new("ReleaseCheckpoint")
-                .input("checkpoint_id", "long")
-                .output("released", "boolean")
-                .doc("Free a checkpointed partial set that is no longer needed")
-        },
-        handler: |node, net, call| node.handle_release_checkpoint(net, call).map(Reply::from),
-    },
-    ServiceMethod {
-        name: "RenewLease",
-        operation: || {
-            Operation::new("RenewLease")
-                .input("kind", "string")
-                .input("id", "long")
-                .output("renewed", "boolean")
-                .doc("Extend the TTL lease on a checkpoint, transfer, or staged transaction")
-        },
-        handler: |node, net, call| node.handle_renew_lease(net, call).map(Reply::from),
     },
     ServiceMethod {
         name: "PrepareReceive",
@@ -256,8 +208,6 @@ impl SkyNodeBuilder {
             db: Mutex::new(self.db),
             pending: Mutex::new(LeaseTable::new()),
             next_transfer: AtomicU64::new(1),
-            checkpoints: Mutex::new(LeaseTable::new()),
-            next_checkpoint: AtomicU64::new(1),
             executed_steps: AtomicU64::new(0),
             exchange: Mutex::new(ExchangeState::new()),
         });
@@ -274,12 +224,6 @@ pub struct SkyNode {
     /// Outgoing chunked transfers awaiting FetchChunk calls, leased.
     pending: Mutex<LeaseTable<Vec<VoTable>>>,
     next_transfer: AtomicU64,
-    /// Checkpointed partial sets retained for portal-driven stepwise
-    /// execution, leased: the committed result of each `ExecuteStep`
-    /// stays here until the Portal releases it (or its lease lapses), so
-    /// a mid-chain failure can resume without re-running this step.
-    checkpoints: Mutex<LeaseTable<PartialSet>>,
-    next_checkpoint: AtomicU64,
     /// Successful cross-match step executions (seed, match, or drop-out)
     /// performed by this node — the no-re-execution witness for the
     /// survivability tests.
@@ -316,42 +260,31 @@ impl SkyNode {
         lock(&self.exchange).pending()
     }
 
-    /// Checkpointed partial sets currently leased, sorted by id — a leak
-    /// detector for tests: after a query completes and releases its
-    /// checkpoints (or their leases lapse and a sweep runs), this should
-    /// be empty.
-    pub fn checkpoints(&self) -> Vec<u64> {
-        lock(&self.checkpoints).ids()
-    }
-
     /// Total node-side resources currently under lease: open chunked
-    /// transfers, checkpointed partial sets, and staged exchange
-    /// transactions.
+    /// transfers and staged exchange transactions.
     pub fn active_leases(&self) -> usize {
-        lock(&self.pending).len()
-            + lock(&self.checkpoints).len()
-            + lock(&self.exchange).pending().len()
+        lock(&self.pending).len() + lock(&self.exchange).pending().len()
     }
 
     /// How many cross-match steps this node has successfully executed
-    /// (via either the recursive `CrossMatch` chain or the stepwise
-    /// `ExecuteStep` service). Checkpoint resume must *not* grow this on
-    /// nodes whose steps already committed.
+    /// (via the recursive `CrossMatch` chain or a portal-driven
+    /// `ScatterStep`/`DeltaStep`). A walk resuming from its committed set
+    /// after a re-plan must *not* grow this on nodes whose steps already
+    /// committed.
     pub fn executed_steps(&self) -> u64 {
         self.executed_steps.load(Ordering::Relaxed)
     }
 
     /// Janitor sweep: reclaims every lease that expired at or before the
-    /// network's current simulated time — orphaned chunked transfers,
-    /// checkpointed partial sets, and staged exchange transactions (whose
-    /// staging tables are dropped). Runs at the front of every request
-    /// this node serves, and tests call it directly after advancing the
-    /// clock. Returns how many resources were reclaimed; each is tallied
-    /// as a `lease-expired` node event in the network metrics.
+    /// network's current simulated time — orphaned chunked transfers and
+    /// staged exchange transactions (whose staging tables are dropped).
+    /// Runs at the front of every request this node serves, and tests
+    /// call it directly after advancing the clock. Returns how many
+    /// resources were reclaimed; each is tallied as a `lease-expired` node
+    /// event in the network metrics.
     pub fn sweep_leases(&self, net: &SimNetwork) -> usize {
         let now = net.now_s();
         let mut reclaimed = lock(&self.pending).sweep(now).len();
-        reclaimed += lock(&self.checkpoints).sweep(now).len();
         reclaimed += {
             let mut db = lock(&self.db);
             lock(&self.exchange).sweep(&mut db, now).len()
@@ -573,59 +506,14 @@ impl SkyNode {
         self.encode_set_response(net, &plan, "CrossMatch", set, Some(&chain), None)
     }
 
-    /// One portal-driven step against a node-held checkpoint. Unlike
-    /// `CrossMatch`, the node does not call the next step itself: the
-    /// Portal names the input (the previous step's checkpoint, or
-    /// nothing for the seed), and the result is retained here as a fresh
-    /// leased checkpoint — only its id, row count, and statistics travel
-    /// back. A failure *later* in the chain can then resume from this
-    /// checkpoint without re-running the step.
-    fn handle_execute_step(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let (plan, step, cfg) = self.decode_plan_step(call)?;
-        let input = match call.get("checkpoint_id") {
-            Some(v) => {
-                let id = v.as_i64().filter(|v| *v >= 0).ok_or_else(|| {
-                    FederationError::protocol("checkpoint_id must be a non-negative integer")
-                })? as u64;
-                let url_str = call
-                    .require("checkpoint_url")?
-                    .as_str()
-                    .ok_or_else(|| FederationError::protocol("checkpoint_url must be a string"))?;
-                let url = Url::parse(url_str).map_err(FederationError::Net)?;
-                Some(if url.host == self.host {
-                    // The previous step ran here too: read the checkpoint
-                    // locally instead of fetching it over the wire from
-                    // ourselves.
-                    self.read_checkpoint(net, id)?
-                } else {
-                    open_checkpoint(net, &self.host, &url, &plan, id)?
-                })
-            }
-            None => None,
-        };
-        let (set, stats, _) = self.run_step(&plan, step, cfg, input, 0)?;
-
-        let rows = set.tuples.len();
-        let cp_id = self.next_checkpoint.fetch_add(1, Ordering::Relaxed);
-        lock(&self.checkpoints).insert(cp_id, set, net.now_s(), plan.lease_ttl_s);
-        net.record_node_event(&self.host, "lease-granted");
-        let mut chain = StatsChain::new();
-        chain.push(plan.steps[step].alias.clone(), stats);
-        Ok(RpcResponse::new("ExecuteStep")
-            .result("checkpoint", SoapValue::Int(cp_id as i64))
-            .result("rows", SoapValue::Int(rows as i64))
-            .result("stats", SoapValue::Xml(chain.to_element())))
-    }
-
     /// `ScatterStep` and `DeltaStep`: one portal-driven step whose input
     /// the Portal supplies inline (absent for the seed) and whose output
-    /// travels straight back, inline or chunked. No checkpoint is
-    /// retained — the set the Portal holds between steps *is* the walk's
-    /// checkpoint, so the node keeps no per-query state beyond a
-    /// chunked-reply transfer session. `ScatterStep` runs against the
-    /// whole table (this shard's zone range); `DeltaStep` against only
-    /// the rows at or after its `from_row` (the result cache's repair
-    /// probe).
+    /// travels straight back, inline or chunked. The set the Portal holds
+    /// between steps *is* the walk's checkpoint, so the node keeps no
+    /// per-query state beyond a chunked-reply transfer session.
+    /// `ScatterStep` runs against the whole table (this shard's zone
+    /// range); `DeltaStep` against only the rows at or after its
+    /// `from_row` (the result cache's repair probe).
     fn handle_portal_step(
         &self,
         net: &SimNetwork,
@@ -648,70 +536,6 @@ impl SkyNode {
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
         self.encode_set_response(net, &plan, method, set, Some(&chain), Some(version))
-    }
-
-    /// Clones a checkpointed partial set out of the store, renewing its
-    /// lease — reading is also keeping-alive. A stale id answers a
-    /// deterministic [`FederationError::LeaseExpired`]: the checkpoint
-    /// will not come back, so the caller must re-plan rather than retry.
-    fn read_checkpoint(&self, net: &SimNetwork, id: u64) -> Result<PartialSet> {
-        let set = {
-            let mut cps = lock(&self.checkpoints);
-            cps.renew(id, net.now_s());
-            cps.get(id)
-                .cloned()
-                .ok_or_else(|| FederationError::lease_expired("checkpoint", id, &self.host))?
-        };
-        net.record_node_event(&self.host, "lease-renewed");
-        Ok(set)
-    }
-
-    /// Serves a checkpointed partial set (inline or chunked under the
-    /// plan's message limit), renewing its lease.
-    fn handle_fetch_checkpoint(&self, net: &SimNetwork, call: &RpcCall) -> Result<Reply> {
-        let plan = decode_plan(call)?;
-        let set = self.read_checkpoint(net, require_u64(call, "checkpoint_id")?)?;
-        self.encode_set_response(net, &plan, "FetchCheckpoint", set, None, None)
-    }
-
-    /// Frees a checkpointed partial set. Idempotent: an unknown id
-    /// (already released, or reclaimed by the janitor) answers
-    /// `released = false` rather than faulting, so best-effort cleanup
-    /// never cascades.
-    fn handle_release_checkpoint(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let id = require_u64(call, "checkpoint_id")?;
-        let released = lock(&self.checkpoints).remove(id).is_some();
-        if released {
-            net.record_node_event(&self.host, "checkpoint-released");
-        }
-        Ok(RpcResponse::new("ReleaseCheckpoint").result("released", SoapValue::Bool(released)))
-    }
-
-    /// Extends the lease on one of this node's resources. Idempotent: an
-    /// unknown id answers `renewed = false`, telling the caller the
-    /// resource is gone for good.
-    fn handle_renew_lease(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let kind = call
-            .require("kind")?
-            .as_str()
-            .ok_or_else(|| FederationError::protocol("kind must be a string"))?
-            .to_string();
-        let id = require_u64(call, "id")?;
-        let now = net.now_s();
-        let renewed = match kind.as_str() {
-            "checkpoint" => lock(&self.checkpoints).renew(id, now),
-            "transfer" => lock(&self.pending).renew(id, now),
-            "txn" => lock(&self.exchange).renew(id, now),
-            other => {
-                return Err(FederationError::protocol(format!(
-                    "unknown lease kind {other} (expected checkpoint, transfer, or txn)"
-                )))
-            }
-        };
-        if renewed {
-            net.record_node_event(&self.host, "lease-renewed");
-        }
-        Ok(RpcResponse::new("RenewLease").result("renewed", SoapValue::Bool(renewed)))
     }
 
     /// Encodes a partial set under `method`, chunking when the monolithic
@@ -824,18 +648,31 @@ mod tests {
     #[test]
     fn wsdl_describes_every_dispatched_method() {
         // The registry drives both dispatch and WSDL, so every method a
-        // node answers must appear in its service description — including
-        // the data-exchange methods the hand-written WSDL used to omit.
+        // node answers appears in its service description, in this order.
+        // Adding or removing a service is an edit here.
         let names = SkyNode::service_names();
-        assert!(names.contains(&"CrossMatch"));
-        assert!(names.contains(&"PrepareReceive"));
-        assert!(names.contains(&"CommitReceive"));
-        assert!(names.contains(&"AbortReceive"));
-        assert_eq!(names.len(), SERVICES.len());
-        // Registry names are unique (duplicate entries would shadow).
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), names.len());
+        assert_eq!(
+            names,
+            [
+                "Information",
+                "Metadata",
+                "Query",
+                "CrossMatch",
+                "FetchChunk",
+                "AbortTransfer",
+                "ScatterStep",
+                "DeltaStep",
+                "PrepareReceive",
+                "CommitReceive",
+                "AbortReceive",
+            ]
+        );
+        let doc = skyquery_xml::Element::parse(&crate::service::wsdl(
+            SERVICES,
+            "SkyNode",
+            "http://node.example.org/soap",
+        ))
+        .unwrap();
+        assert_eq!(skyquery_soap::wsdl::operation_names(&doc).unwrap(), names);
     }
 }

@@ -223,7 +223,7 @@ fn stats_of(resp: &RpcResponse) -> Result<StatsChain> {
 }
 
 /// Decodes a manifest-or-inline partial-set response (the shared shape of
-/// `CrossMatch`, `FetchCheckpoint` and the portal-step replies): a
+/// `CrossMatch` and the portal-step replies): a
 /// `manifest` result is drained through a [`ChunkStream`], a `partial`
 /// result decodes inline.
 fn decode_partial(
@@ -245,91 +245,6 @@ fn decode_partial(
         .as_table()
         .ok_or_else(|| FederationError::protocol("partial must be a table"))?;
     PartialSet::from_votable(table)
-}
-
-/// Calls the `FetchCheckpoint` service at `url` for a checkpointed
-/// partial set and decodes it, draining a chunked reply. The holder
-/// renews the checkpoint's lease as a side effect, so fetching is also
-/// keeping-alive. The plan supplies the retry policy and the message
-/// limits the holder chunks against.
-pub fn open_checkpoint(
-    net: &SimNetwork,
-    from_host: &str,
-    url: &Url,
-    plan: &ExecutionPlan,
-    checkpoint_id: u64,
-) -> Result<PartialSet> {
-    let call = RpcCall::new("FetchCheckpoint")
-        .param("plan", SoapValue::Xml(plan.to_element()))
-        .param("checkpoint_id", SoapValue::Int(checkpoint_id as i64));
-    let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
-    decode_partial(net, from_host, url, plan, &resp)
-}
-
-/// Asks the node at `url` to extend the lease on one of its resources
-/// (`kind` is `checkpoint`, `transfer`, or `txn`). Returns whether the
-/// resource was still leased — `false` means it is gone for good and the
-/// caller must redo the work that created it.
-pub fn renew_lease(
-    net: &SimNetwork,
-    from_host: &str,
-    url: &Url,
-    kind: &str,
-    id: u64,
-    retry: RetryPolicy,
-) -> Result<bool> {
-    let call = RpcCall::new("RenewLease")
-        .param("kind", SoapValue::Str(kind.to_string()))
-        .param("id", SoapValue::Int(id as i64));
-    let resp = send_rpc_with(net, from_host, url, &call, retry)?;
-    resp.require("renewed")?
-        .as_bool()
-        .ok_or_else(|| FederationError::protocol("renewed must be a boolean"))
-}
-
-/// Asks the node at `url` to release a checkpointed partial set.
-/// Idempotent at the node (an already-released id answers `false`), so
-/// callers can fire it best-effort after every committed step.
-pub fn release_checkpoint(
-    net: &SimNetwork,
-    from_host: &str,
-    url: &Url,
-    id: u64,
-    retry: RetryPolicy,
-) -> Result<bool> {
-    let call = RpcCall::new("ReleaseCheckpoint").param("checkpoint_id", SoapValue::Int(id as i64));
-    let resp = send_rpc_with(net, from_host, url, &call, retry)?;
-    resp.require("released")?
-        .as_bool()
-        .ok_or_else(|| FederationError::protocol("released must be a boolean"))
-}
-
-/// Client side of the `ExecuteStep` service: asks the node at `url` to
-/// run plan step `step` on the checkpoint `input` names (seeding when it
-/// is absent) and to retain the output as a fresh leased checkpoint.
-/// Returns that checkpoint's id, its row count, and the step's
-/// single-entry stats chain; a reply whose row count is not a
-/// non-negative integer is a protocol error.
-pub fn invoke_execute_step(
-    net: &SimNetwork,
-    from_host: &str,
-    url: &Url,
-    plan: &ExecutionPlan,
-    step: usize,
-    input: Option<(&Url, u64)>,
-) -> Result<(u64, usize, StatsChain)> {
-    let mut call = RpcCall::new("ExecuteStep")
-        .param("plan", SoapValue::Xml(plan.to_element()))
-        .param("step", SoapValue::Int(step as i64));
-    if let Some((holder, id)) = input {
-        call = call
-            .param("checkpoint_url", SoapValue::Str(holder.to_string()))
-            .param("checkpoint_id", SoapValue::Int(id as i64));
-    }
-    let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
-    let checkpoint = require_usize(&resp, "checkpoint")? as u64;
-    let rows = require_usize(&resp, "rows")?;
-    Ok((checkpoint, rows, stats_of(&resp)?))
 }
 
 /// The call of the portal-driven step services, encoded once so that a
@@ -654,25 +569,29 @@ mod tests {
     }
 
     #[test]
-    fn a_garbled_execute_step_row_count_is_a_protocol_error() {
+    fn a_garbled_scatter_step_version_is_a_protocol_error() {
         use skyquery_net::HttpResponse;
         use std::sync::Arc;
 
         let plan = one_step_plan(Url::new("garbled.skyquery.net", "/soap"), 10_000);
-        for rows in [SoapValue::Str("zz".into()), SoapValue::Int(-5)] {
+        let call = portal_step_call(&plan, 0, None, None);
+        for version in [SoapValue::Str("zz".into()), SoapValue::Int(-5)] {
             let net = SimNetwork::new();
             net.bind(
                 "garbled.skyquery.net",
                 Arc::new(move |_: &SimNetwork, _: HttpRequest| {
-                    let reply = RpcResponse::new("ExecuteStep")
-                        .result("checkpoint", SoapValue::Int(1))
-                        .result("rows", rows.clone())
-                        .result("stats", SoapValue::Xml(StatsChain::new().to_element()));
+                    let reply = RpcResponse::new("ScatterStep")
+                        .result(
+                            "partial",
+                            SoapValue::Table(PartialSet::new(vec![]).to_votable()),
+                        )
+                        .result("stats", SoapValue::Xml(StatsChain::new().to_element()))
+                        .result("version", version.clone());
                     HttpResponse::ok(reply.to_xml())
                 }),
             );
-            let err = invoke_execute_step(&net, "tester", &plan.steps[0].url, &plan, 0, None)
-                .expect_err("a garbled row count is refused");
+            let err = invoke_portal_step(&net, "tester", &plan.steps[0].url, &plan, &call)
+                .expect_err("a garbled table version is refused");
             assert!(
                 matches!(err, FederationError::Protocol { .. }),
                 "expected a protocol error, got {err}"

@@ -4,11 +4,11 @@
 //! chain runs here. The walk owns the only copy of the loop state and of
 //! the re-plan policy; what varies between plans is data, not driver:
 //!
-//! * **where the committed set lives** — under a lease on the node that
-//!   produced it (`ExecuteStep`, for an unsharded plan whose rows nobody
-//!   at the Portal needs to see), or in Portal memory (`ScatterStep`, for
-//!   a plan that scatters to shards or a walk that records for the
-//!   result cache);
+//! * **how far each step scatters** — to one node for an unsharded
+//!   archive, or to every owning shard's replica group; either way the
+//!   step is one `ScatterStep` call per extent, its input supplied inline
+//!   and its output handed straight back. The committed set lives in
+//!   Portal memory, so nodes keep no per-query state between steps;
 //! * **whether an unhealthy archive aborts or re-plans** — one `bool`
 //!   set from [`ChainMode`](crate::portal::ChainMode);
 //! * **whether the walk records** — an optional observer that keeps each
@@ -26,35 +26,23 @@ use crate::plan::{ExecutionPlan, PlanStep};
 use crate::portal::{Degradation, Portal};
 use crate::repair::{strip_cache_src, tag_with_cache_src};
 use crate::result_cache::{CacheEntry, CachedStep, StepVersion};
-use crate::retry::RetryPolicy;
 use crate::shard;
 use crate::trace::{ExecutionTrace, StatsChain};
-use crate::transfer::{
-    invoke_execute_step, invoke_portal_step, open_checkpoint, portal_step_call, release_checkpoint,
-    renew_lease,
-};
+use crate::transfer::{invoke_portal_step, portal_step_call};
 use crate::xmatch::{PartialSet, StepStats};
 
 /// How often a failing mandatory step may be deferred (moved to the
 /// earliest mandatory slot) before the Portal gives up on the query.
 const MAX_STEP_DEFERRALS: u64 = 2;
 
-/// Where the set committed by the last executed step lives.
-enum Committed {
-    /// Retained by the node that produced it, under a lease.
-    OnNode { url: Url, id: u64 },
-    /// Held in Portal memory; nodes keep no per-query state.
-    AtPortal(PartialSet),
-}
-
 /// Portal-driven stepwise execution of one plan.
 ///
 /// [`Portal::start_walk`] builds one; [`Portal::execute_plan`] drives it
-/// to completion in a tight loop; the job service interleaves many walks — one [`CheckpointedWalk::step`]
-/// per scheduler quantum — so a long chain from one tenant cannot
-/// monopolize the Portal, and a cancellation between quanta can
-/// [release](CheckpointedWalk::release) a node-held checkpoint
-/// immediately instead of leaking it until its lease lapses.
+/// to completion in a tight loop; the job service interleaves many
+/// walks — one [`CheckpointedWalk::step`] per scheduler quantum — so a
+/// long chain from one tenant cannot monopolize the Portal. The committed
+/// set lives only here, so a cancellation between quanta just drops the
+/// walk.
 ///
 /// On a mid-chain `NodeUnhealthy` failure a re-planning walk continues:
 /// a failing drop-out archive is skipped (`degraded`), a failing
@@ -68,10 +56,8 @@ pub struct CheckpointedWalk {
     remaining: Vec<PlanStep>,
     executed: Vec<String>,
     deferrals: HashMap<String, u64>,
-    committed: Option<Committed>,
-    /// Whether committed sets are held at the Portal; fixed for the
-    /// walk's lifetime (a recorder may be dropped mid-walk).
-    at_portal: bool,
+    /// The set committed by the last executed step.
+    committed: Option<PartialSet>,
     stats: StatsChain,
     degradation: Degradation,
     recovering: bool,
@@ -101,7 +87,6 @@ impl CheckpointedWalk {
             executed: Vec::new(),
             deferrals: HashMap::new(),
             committed: None,
-            at_portal: plan.has_shards() || record.is_some(),
             stats: StatsChain::new(),
             degradation: Degradation::default(),
             recovering: false,
@@ -123,7 +108,7 @@ impl CheckpointedWalk {
     ) -> CheckpointedWalk {
         CheckpointedWalk {
             remaining: Vec::new(),
-            committed: Some(Committed::AtPortal(set)),
+            committed: Some(set),
             stats,
             ..CheckpointedWalk::new(plan, false, None)
         }
@@ -135,19 +120,13 @@ impl CheckpointedWalk {
     }
 
     /// Executes (or re-plans around) the next step of the chain. A
-    /// returned error is fatal for the walk, which has already released
-    /// whatever it retained on a node.
+    /// returned error is fatal for the walk.
     pub fn step(&mut self, portal: &Portal, trace: &mut ExecutionTrace) -> Result<()> {
         let Some(idx) = self.remaining.len().checked_sub(1) else {
             return Ok(());
         };
-        let result = self
-            .run_tail(portal, idx, trace)
-            .or_else(|e| self.replan_around(portal, idx, e, trace));
-        if result.is_err() {
-            self.release(portal);
-        }
-        result
+        self.run_tail(portal, idx, trace)
+            .or_else(|e| self.replan_around(portal, idx, e, trace))
     }
 
     /// Runs the tail step of `remaining` against the committed set and
@@ -156,14 +135,7 @@ impl CheckpointedWalk {
         let mut sub_plan = self.plan.clone();
         sub_plan.steps = self.remaining.clone();
         let step = &sub_plan.steps[idx];
-        let (rows, degradation) = if self.at_portal {
-            self.scatter(portal, &sub_plan, idx, trace)?
-        } else {
-            (
-                self.execute_on_node(portal, &sub_plan, idx, trace)?,
-                Degradation::default(),
-            )
-        };
+        let (rows, degradation) = self.scatter(portal, &sub_plan, idx, trace)?;
         let degraded = degradation.degraded;
         self.degradation.absorb(degradation);
         if self.recovering && !degraded {
@@ -191,37 +163,6 @@ impl CheckpointedWalk {
         Ok(())
     }
 
-    /// One `ExecuteStep` call: the node reads the previous checkpoint
-    /// (from itself or from its holder), runs the step, and retains the
-    /// output as a fresh leased checkpoint; only the id, row count and
-    /// statistics travel back. Returns the row count.
-    fn execute_on_node(
-        &mut self,
-        portal: &Portal,
-        sub_plan: &ExecutionPlan,
-        idx: usize,
-        trace: &mut ExecutionTrace,
-    ) -> Result<usize> {
-        let step = &sub_plan.steps[idx];
-        let input = match &self.committed {
-            Some(Committed::OnNode { url, id }) => Some((url, *id)),
-            _ => None,
-        };
-        let reply = invoke_execute_step(&portal.net, &portal.host, &step.url, sub_plan, idx, input);
-        portal.observe(&step.url.host, &reply);
-        let (cp_id, rows, chain) = reply?;
-        self.stats.entries.extend(chain.entries);
-        // The new checkpoint supersedes the previous one.
-        if let Some(Committed::OnNode { url, id }) = self.committed.take() {
-            release_node_checkpoint(portal, &url, id, Some(trace));
-        }
-        self.committed = Some(Committed::OnNode {
-            url: step.url.clone(),
-            id: cp_id,
-        });
-        Ok(rows)
-    }
-
     /// One scattered step with the committed set held at the Portal. A
     /// recording walk tags the input with each tuple's index (stripped
     /// from the output) so a later incremental repair knows which
@@ -234,10 +175,7 @@ impl CheckpointedWalk {
         idx: usize,
         trace: &mut ExecutionTrace,
     ) -> Result<(usize, Degradation)> {
-        let input = match &self.committed {
-            Some(Committed::AtPortal(set)) => Some(set),
-            _ => None,
-        };
+        let input = self.committed.as_ref();
         let tagged = input.filter(|_| self.recorder.is_some()).map(|set| {
             let all: Vec<usize> = (0..set.tuples.len()).collect();
             tag_with_cache_src(set, &all)
@@ -274,7 +212,7 @@ impl CheckpointedWalk {
         }
         self.stats.push(alias.clone(), out.stats);
         let rows = set.len();
-        self.committed = Some(Committed::AtPortal(set));
+        self.committed = Some(set);
         Ok((rows, out.degradation))
     }
 
@@ -292,33 +230,6 @@ impl CheckpointedWalk {
             return Err(e);
         }
         let step = self.remaining[idx].clone();
-        // Keep a node-held prefix alive while re-planning. A renewal
-        // that cannot be delivered is tallied: the checkpoint keeps its
-        // old deadline and may lapse before the chain returns to it.
-        if let Some(Committed::OnNode { url, id }) = &self.committed {
-            if renew_lease(
-                &portal.net,
-                &portal.host,
-                url,
-                "checkpoint",
-                *id,
-                RetryPolicy::none(),
-            )
-            .is_err()
-            {
-                portal.net.record_renew_failure();
-                portal.net.record_node_event(&portal.host, "renew-failed");
-                trace.push(
-                    "Portal",
-                    "renew failed",
-                    format!(
-                        "checkpoint {id} lease on {} not renewed; it may lapse before the \
-                         re-planned chain resumes",
-                        url.host
-                    ),
-                );
-            }
-        }
         // From here on the walk no longer mirrors the plan step for
         // step, so what it commits cannot be cached.
         self.recorder = None;
@@ -383,59 +294,15 @@ impl CheckpointedWalk {
     }
 
     /// Collects the final committed set (the matched partial set), the
-    /// statistics and what the walk dropped. A node-held checkpoint is
-    /// freed best-effort even when collection fails — a dead walk must
-    /// not pin node resources until a janitor sweep.
+    /// statistics and what the walk dropped.
     pub fn finish(mut self, portal: &Portal) -> Result<(PartialSet, StatsChain, Degradation)> {
-        let set = match self.committed.take() {
-            None => return Err(FederationError::planning("the walk committed no steps")),
-            Some(Committed::AtPortal(set)) => set,
-            Some(Committed::OnNode { url, id }) => {
-                let collected = open_checkpoint(&portal.net, &portal.host, &url, &self.plan, id);
-                release_node_checkpoint(portal, &url, id, None);
-                collected?
-            }
-        };
+        let set = self
+            .committed
+            .ok_or_else(|| FederationError::planning("the walk committed no steps"))?;
         if portal.config().result_cache_capacity > 0 {
             portal.stamp_cache_counters(&mut self.stats);
         }
         Ok((set, self.stats, self.degradation))
-    }
-
-    /// Best-effort release of whatever the walk retains on a node — the
-    /// cleanup path for a failed or cancelled walk. Idempotent.
-    pub fn release(&mut self, portal: &Portal) {
-        if let Some(Committed::OnNode { url, id }) = self.committed.take() {
-            release_node_checkpoint(portal, &url, id, None);
-        }
-    }
-}
-
-/// Releases a node-held checkpoint best-effort: if the holder is
-/// unreachable its janitor reclaims the lease at TTL, but the failed call
-/// is tallied, never swallowed — the `release_failures` network metric,
-/// a node event, and (when a trace is in scope) a trace entry. What must
-/// not vanish is the evidence that cleanup RPCs are failing.
-fn release_node_checkpoint(
-    portal: &Portal,
-    holder: &Url,
-    id: u64,
-    trace: Option<&mut ExecutionTrace>,
-) {
-    if release_checkpoint(&portal.net, &portal.host, holder, id, RetryPolicy::none()).is_ok() {
-        return;
-    }
-    portal.net.record_release_failure();
-    portal.net.record_node_event(&portal.host, "release-failed");
-    if let Some(trace) = trace {
-        trace.push(
-            "Portal",
-            "release failed",
-            format!(
-                "checkpoint {id} on {} not released; its janitor reclaims it at TTL",
-                holder.host
-            ),
-        );
     }
 }
 

@@ -67,8 +67,8 @@ pub enum JobState {
     Succeeded,
     /// Finished with an error (recorded in the status snapshot).
     Failed,
-    /// Cancelled by its owner; any retained checkpoints and transfer
-    /// sessions were released immediately.
+    /// Cancelled by its owner; its walk and any open transfer sessions
+    /// were released immediately.
     Cancelled,
     /// Succeeded, but the result lease lapsed unfetched and the janitor
     /// reclaimed the rows.

@@ -23,7 +23,7 @@
 //!   one tenant's long chain cannot monopolize the Portal.
 //! - Finished results, terminal records, and paginated result transfers
 //!   all live under [`LeaseTable`](skyquery_core::LeaseTable) TTLs swept
-//!   by a janitor; cancellation releases checkpoints and transfers
+//!   by a janitor; cancellation drops the job's walk and transfers
 //!   immediately rather than waiting for the TTL.
 //! - [`JobClient`] is the tenant-side facade; it reassembles
 //!   chunk-paginated results transparently.

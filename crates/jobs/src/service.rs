@@ -10,7 +10,7 @@
 //! scheduler turn, so a long chain from one tenant cannot monopolize the
 //! Portal); `PollJob` reports progress; `FetchResults` delivers the
 //! VOTable, paginated through the same zone-chunk transfer machinery the
-//! daisy chain uses; `CancelJob` releases retained checkpoints and
+//! daisy chain uses; `CancelJob` drops the job's walk and frees its
 //! transfer sessions *immediately*, not at lease TTL.
 //!
 //! Every resource a finished job pins — the result rows, the terminal
@@ -75,7 +75,7 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
             Operation::new("CancelJob")
                 .input("job", "long")
                 .output("cancelled", "boolean")
-                .doc("Cancel a queued or running job, releasing its checkpoints immediately")
+                .doc("Cancel a queued or running job, freeing what it holds immediately")
         },
         handler: |svc, _net, call| svc.handle_cancel(call).map(Reply::from),
     },
@@ -325,19 +325,7 @@ impl JobService {
             reclaimed += 1;
             st.jobs.remove(&job_id);
             st.results.remove(job_id);
-            let orphaned: Vec<u64> = st
-                .transfers
-                .ids()
-                .into_iter()
-                .filter(|tid| {
-                    st.transfers
-                        .get(*tid)
-                        .is_some_and(|(jid, _)| *jid == job_id)
-                })
-                .collect();
-            for tid in orphaned {
-                st.transfers.remove(tid);
-            }
+            drop_transfers_of(&mut st.transfers, job_id);
         }
         for _ in 0..reclaimed {
             self.net.record_node_event(&self.host, "lease-expired");
@@ -472,11 +460,11 @@ impl JobService {
         })
     }
 
-    /// Cancels a job. A queued job leaves the queue; a running job
-    /// releases its retained checkpoint *immediately* (no TTL wait) and
-    /// leaves the pool; a terminal job answers `false` but still frees
-    /// its open transfers, and a succeeded one surrenders its result
-    /// (decaying to `Expired` exactly as if the lease had lapsed).
+    /// Cancels a job. A queued job leaves the queue; a running job drops
+    /// its walk (and with it the committed set) and leaves the pool; a
+    /// terminal job answers `false` but still frees its open transfers,
+    /// and a succeeded one surrenders its result (decaying to `Expired`
+    /// exactly as if the lease had lapsed).
     /// Unknown jobs answer [`FederationError::LeaseExpired`].
     pub fn cancel(&self, id: u64) -> Result<bool> {
         self.sweep_leases();
@@ -490,15 +478,7 @@ impl JobService {
             .ok_or_else(|| FederationError::lease_expired("job", id, &self.host))?;
         // Free any result pagination sessions the job holds, whatever its
         // state — cancellation means "stop spending resources on this".
-        let orphaned: Vec<u64> = st
-            .transfers
-            .ids()
-            .into_iter()
-            .filter(|tid| st.transfers.get(*tid).is_some_and(|(jid, _)| *jid == id))
-            .collect();
-        for tid in orphaned {
-            st.transfers.remove(tid);
-        }
+        drop_transfers_of(&mut st.transfers, id);
         if job.state.is_terminal() {
             // Cancelling a finished job reclaims its result immediately:
             // the job decays to Expired exactly as if the lease lapsed,
@@ -512,12 +492,9 @@ impl JobService {
         }
 
         let was_queued = job.state == JobState::Queued;
-        let exec = std::mem::replace(&mut job.exec, ExecPhase::Done);
-        if let ExecPhase::Walking(_, mut walk) = exec {
-            // Satellite of survivable execution: the checkpoint retained
-            // on some archive node is released now, not at lease TTL.
-            walk.release(&self.portal);
-        }
+        // A mid-walk job's committed set lives in its walk, at the
+        // Portal: dropping the walk frees it, and no node holds anything.
+        job.exec = ExecPhase::Done;
         job.state = JobState::Cancelled;
         job.finished_at_s = Some(now);
         let run_s = job.admitted_at_s.map(|a| now - a).unwrap_or(0.0);
@@ -956,6 +933,15 @@ fn finish(
 impl Endpoint for JobService {
     fn handle(&self, net: &SimNetwork, req: HttpRequest) -> HttpResponse {
         skyquery_core::service::serve(&req, |call| self.handle_call(net, call))
+    }
+}
+
+/// Drops every open result transfer the job `job_id` owns.
+fn drop_transfers_of(transfers: &mut LeaseTable<(u64, Vec<VoTable>)>, job_id: u64) {
+    for tid in transfers.ids() {
+        if transfers.get(tid).is_some_and(|(jid, _)| *jid == job_id) {
+            transfers.remove(tid);
+        }
     }
 }
 

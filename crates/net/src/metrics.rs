@@ -168,19 +168,11 @@ pub struct NetworkMetrics {
     // reports want them sorted.
     faults: BTreeMap<(String, String, String), u64>,
     // Survivability events that happen *at* a host rather than on a link:
-    // lease grants/renewals/expiries, checkpoint releases, portal
-    // replan/resume/degrade decisions. Sorted for deterministic reports.
+    // lease grants and expiries, portal replan/resume/degrade decisions. Sorted for deterministic reports.
     node_events: BTreeMap<(String, String), u64>,
     // Job-service accounting keyed by tenant id. Sorted so fairness
     // reports are deterministic.
     jobs: BTreeMap<String, TenantJobStats>,
-    // Best-effort cleanup calls that failed: a checkpoint release or a
-    // lease renewal the caller could not deliver. The resource is not
-    // lost — the holder's janitor reclaims it at TTL — but the failure
-    // must be visible, not swallowed: a rising tally here means leases
-    // are draining by timeout instead of by release.
-    release_failures: u64,
-    renew_failures: u64,
 }
 
 impl NetworkMetrics {
@@ -282,8 +274,8 @@ impl NetworkMetrics {
     }
 
     /// Tallies one survivability event of `kind` observed at `host` (a
-    /// lease grant/renewal/expiry, a checkpoint release, or a portal
-    /// replan/resume/degrade decision).
+    /// lease grant or expiry, or a portal replan/resume/degrade
+    /// decision).
     pub fn record_node_event(&mut self, host: &str, kind: &str) {
         *self
             .node_events
@@ -314,28 +306,6 @@ impl NetworkMetrics {
             .iter()
             .map(|(k, n)| (k.clone(), *n))
             .collect()
-    }
-
-    /// Records one failed best-effort checkpoint release: the lease will
-    /// drain by TTL instead.
-    pub fn record_release_failure(&mut self) {
-        self.release_failures += 1;
-    }
-
-    /// Records one failed lease renewal: the lease keeps its current
-    /// deadline and may lapse before its owner returns.
-    pub fn record_renew_failure(&mut self) {
-        self.renew_failures += 1;
-    }
-
-    /// Checkpoint releases that could not be delivered.
-    pub fn release_failures(&self) -> u64 {
-        self.release_failures
-    }
-
-    /// Lease renewals that could not be delivered.
-    pub fn renew_failures(&self) -> u64 {
-        self.renew_failures
     }
 
     /// Records one job accepted into `tenant`'s queue.
@@ -446,8 +416,6 @@ impl NetworkMetrics {
         self.faults.clear();
         self.node_events.clear();
         self.jobs.clear();
-        self.release_failures = 0;
-        self.renew_failures = 0;
     }
 }
 
@@ -587,21 +555,6 @@ mod tests {
         m.reset();
         assert_eq!(m.job_stats("alice"), TenantJobStats::default());
         assert_eq!(m.job_total(), TenantJobStats::default());
-    }
-
-    #[test]
-    fn cleanup_failure_accounting() {
-        let mut m = NetworkMetrics::new();
-        assert_eq!(m.release_failures(), 0);
-        assert_eq!(m.renew_failures(), 0);
-        m.record_release_failure();
-        m.record_release_failure();
-        m.record_renew_failure();
-        assert_eq!(m.release_failures(), 2);
-        assert_eq!(m.renew_failures(), 1);
-        m.reset();
-        assert_eq!(m.release_failures(), 0);
-        assert_eq!(m.renew_failures(), 0);
     }
 
     #[test]

@@ -181,23 +181,11 @@ impl SimNetwork {
         lock(&self.inner.metrics).record_chunk(from, to, bytes, rows);
     }
 
-    /// Tallies a survivability event at `host` (lease grant/renewal/
-    /// expiry, checkpoint release, portal replan/resume/degrade) — see
+    /// Tallies a survivability event at `host` (lease grant or expiry,
+    /// portal replan/resume/degrade) — see
     /// [`NetworkMetrics::record_node_event`].
     pub fn record_node_event(&self, host: &str, kind: &str) {
         lock(&self.inner.metrics).record_node_event(host, kind);
-    }
-
-    /// Records one failed best-effort checkpoint release — see
-    /// [`NetworkMetrics::record_release_failure`].
-    pub fn record_release_failure(&self) {
-        lock(&self.inner.metrics).record_release_failure();
-    }
-
-    /// Records one failed lease renewal — see
-    /// [`NetworkMetrics::record_renew_failure`].
-    pub fn record_renew_failure(&self) {
-        lock(&self.inner.metrics).record_renew_failure();
     }
 
     /// Records one job accepted into `tenant`'s queue — see

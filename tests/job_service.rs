@@ -13,8 +13,8 @@
 //! * duplicate submissions under one client reference are idempotent;
 //! * polling an unknown or swept job answers `LeaseExpired`, and an
 //!   unfetched result decays `Succeeded → Expired` at its TTL;
-//! * cancelling an in-flight checkpointed chain releases every retained
-//!   checkpoint and transfer session immediately — no TTL wait;
+//! * cancelling an in-flight checkpointed chain frees it immediately — no
+//!   TTL wait — and no archive node holds a lease on its behalf;
 //! * the generated WSDL describes every job method.
 
 use std::sync::Arc;
@@ -416,31 +416,35 @@ fn unknown_and_swept_jobs_answer_lease_expired() {
 }
 
 #[test]
-fn cancelling_an_inflight_chain_releases_checkpoints_immediately() {
+fn cancelling_an_inflight_chain_leaves_no_node_lease() {
     let fed = federation(ChainMode::Checkpointed);
     let svc = job_service(&fed, JobServiceConfig::default());
     let cli = client(&fed, &svc, "alice-web");
 
     let id = cli.submit("alice", ordered_three_sql()).unwrap();
     // Admit, plan, then execute the first chain step — the walk now
-    // retains a checkpoint on some archive.
+    // holds a committed set, at the Portal.
     svc.pump();
     svc.pump();
     svc.pump();
     assert_eq!(cli.poll(id).unwrap().state, JobState::Running);
-    let retained: usize = fed.nodes.iter().map(|n| n.checkpoints().len()).sum();
-    assert!(retained > 0, "test premise: the walk holds a checkpoint");
+    let executed: u64 = fed.nodes.iter().map(|n| n.executed_steps()).sum();
+    assert!(executed > 0, "test premise: the walk has committed a step");
+    // Mid-walk, no archive node holds a lease on the walk's behalf.
+    for node in &fed.nodes {
+        assert_eq!(
+            node.active_leases(),
+            0,
+            "{} holds a lease",
+            node.info().name
+        );
+    }
 
     assert!(cli.cancel(id).unwrap());
 
     // Immediately — no clock advance, no janitor sweep — every archive
-    // is clean: the checkpoint release rode the cancellation itself.
+    // is still clean.
     for node in &fed.nodes {
-        assert!(
-            node.checkpoints().is_empty(),
-            "{} still retains checkpoints after cancel",
-            node.info().name
-        );
         assert!(node.open_transfers().is_empty());
         assert_eq!(node.active_leases(), 0);
     }

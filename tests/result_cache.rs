@@ -439,81 +439,6 @@ fn recursive_recording_walk_aborts_on_an_unhealthy_archive() {
     assert_eq!(fed.portal.cache_report().1, 1);
 }
 
-/// Satellite regression: best-effort cleanup RPC failures during a
-/// checkpointed walk (checkpoint release at finish, lease renewal
-/// during a re-plan) must be tallied in the network metrics and leave
-/// evidence in the trace — not vanish into `let _ =`.
-#[test]
-fn failed_cleanup_rpcs_are_tallied_not_swallowed() {
-    let fed = FederationBuilder::new()
-        .catalog(CatalogParams {
-            count: 200,
-            ..CatalogParams::default()
-        })
-        .survey(SurveyParams::sdss_like())
-        .survey(SurveyParams::twomass_like())
-        .survey(SurveyParams::first_like())
-        .config(FederationConfig {
-            chain_mode: ChainMode::Checkpointed,
-            ..FederationConfig::default()
-        })
-        .build();
-
-    // TWOMASS refuses one retry budget's worth of step calls — forcing
-    // the walk to mark it unhealthy, re-plan, and renew the last good
-    // checkpoint's lease — while every renewal and release RPC to the
-    // seed and mid-chain hosts is refused outright.
-    let attempts = RetryPolicy::default().max_attempts;
-    let mut faults = FaultPlan::new().rule(
-        FaultRule::new(FaultKind::HostDown)
-            .host(TWOMASS_HOST)
-            .action("ExecuteStep")
-            .times(attempts),
-    );
-    for host in [SDSS_HOST, TWOMASS_HOST, "first.skyquery.net"] {
-        faults = faults
-            .rule(
-                FaultRule::new(FaultKind::HostDown)
-                    .host(host)
-                    .action("RenewLease"),
-            )
-            .rule(
-                FaultRule::new(FaultKind::HostDown)
-                    .host(host)
-                    .action("ReleaseCheckpoint"),
-            );
-    }
-    fed.net.install_faults(faults);
-
-    let (_, trace) = fed
-        .portal
-        .submit(
-            "SELECT O.object_id, T.object_id, P.object_id \
-             FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, FIRST:Primary_Object P \
-             WHERE XMATCH(O, T, P) < 3.5 \
-             ORDER BY O.object_id, T.object_id, P.object_id",
-        )
-        .expect("cleanup failures must not fail the walk");
-
-    let m = fed.net.metrics();
-    assert!(
-        m.release_failures() > 0,
-        "failed checkpoint releases must be counted"
-    );
-    assert!(
-        m.renew_failures() > 0,
-        "failed lease renewals must be counted"
-    );
-    assert!(
-        trace.events().iter().any(|e| e.action == "release failed"),
-        "release failures must surface in the trace"
-    );
-    assert!(
-        trace.events().iter().any(|e| e.action == "renew failed"),
-        "renew failures must surface in the trace"
-    );
-}
-
 /// Satellite: malformed response bodies on the `DeltaStep` path —
 /// truncated and garbage alike — exhaust the repair probes' retry
 /// budget; the stale entry is evicted and the chain re-runs cold rather

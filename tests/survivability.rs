@@ -6,24 +6,23 @@
 //! * fault-free, the checkpointed chain returns a result byte-identical
 //!   to the recursive daisy chain;
 //! * a mid-chain outage of a mandatory archive is survived by deferring
-//!   the step (`replan`) and resuming from the last good checkpoint —
-//!   committed steps are never re-executed (asserted on the per-node
-//!   step counters), and the result stays byte-identical;
+//!   the step (`replan`) and resuming from the set committed at the
+//!   Portal — committed steps are never re-executed (asserted on the
+//!   per-node step counters), and the result stays byte-identical;
 //! * a failing drop-out archive is skipped with a `degraded` trace flag
 //!   rather than failing the query;
-//! * every checkpoint, transfer session, and exchange transaction is
-//!   leased: renewals extend, the janitor reclaims expired orphans, and
-//!   a stale id faults deterministically;
+//! * every node-side transfer session and exchange transaction is
+//!   leased: continuations renew, the janitor reclaims expired orphans,
+//!   and a stale id faults deterministically;
 //! * a seeded chaos soak drains every node back to zero leases.
 
 use skyquery_core::skynode::send_rpc;
-use skyquery_core::transfer::renew_lease;
 use skyquery_core::{
     ChainMode, ExecutionPlan, FederationConfig, FederationError, HostState, PlanStep, RetryPolicy,
 };
 use skyquery_net::{FaultKind, FaultPlan, FaultRule};
 use skyquery_sim::{FederationBuilder, TestFederation};
-use skyquery_soap::{RpcCall, SoapValue};
+use skyquery_soap::{ChunkManifest, RpcCall, RpcResponse, SoapValue};
 
 const SDSS_HOST: &str = "sdss.skyquery.net";
 const TWOMASS_HOST: &str = "twomass.skyquery.net";
@@ -47,12 +46,12 @@ fn checkpointed(fed: &TestFederation) {
 }
 
 /// Faults only the portal-driven step calls at `host`, leaving
-/// performance queries and checkpoint fetches untouched.
+/// performance queries untouched.
 fn step_outage(host: &str, times: u32) -> FaultPlan {
     FaultPlan::new().rule(
         FaultRule::new(FaultKind::HostDown)
             .host(host)
-            .action("ExecuteStep")
+            .action("ScatterStep")
             .times(times),
     )
 }
@@ -77,11 +76,6 @@ fn assert_all_drained(fed: &TestFederation, label: &str) {
             "{label}: {archive} leaked exchange txns {:?}",
             node.pending_exchange_txns()
         );
-        assert!(
-            node.checkpoints().is_empty(),
-            "{label}: {archive} leaked checkpoints {:?}",
-            node.checkpoints()
-        );
         assert_eq!(node.active_leases(), 0, "{label}: {archive} holds leases");
     }
 }
@@ -98,7 +92,7 @@ fn checkpointed_chain_matches_recursive_chain_byte_for_byte() {
     // A clean run neither re-plans nor degrades.
     assert!(!trace.contains_action("replan"));
     assert!(!trace.contains_action("degraded"));
-    // Every committed checkpoint was released on the way out.
+    // No node holds anything on the way out.
     fed.net.advance_clock(0.0);
     assert_all_drained(&fed, "clean checkpointed run");
 }
@@ -226,11 +220,11 @@ fn failed_probe_adds_a_strike_and_keeps_the_host_unhealthy() {
     assert!(!fed.portal.probe_host("nowhere.skyquery.net"));
 }
 
-/// A one-step plan addressed at SDSS, for driving the checkpoint
-/// services by hand.
-fn seed_plan(fed: &TestFederation, lease_ttl_s: f64) -> ExecutionPlan {
+/// Opens a chunked transfer at SDSS by hand: the seed step's reply under
+/// a 3 000-byte message limit, leased for `lease_ttl_s`.
+fn open_seed_transfer(fed: &TestFederation, lease_ttl_s: f64) -> ChunkManifest {
     let node = fed.node("SDSS").unwrap();
-    ExecutionPlan {
+    let plan = ExecutionPlan {
         threshold: 3.0,
         region: None,
         steps: vec![PlanStep {
@@ -249,51 +243,65 @@ fn seed_plan(fed: &TestFederation, lease_ttl_s: f64) -> ExecutionPlan {
         select: vec![("O.object_id".into(), None)],
         order_by: vec![],
         limit: None,
-        max_message_bytes: 10 * 1024 * 1024,
+        max_message_bytes: 3_000,
         chunking: true,
         kernel: Default::default(),
         retry: RetryPolicy::none(),
         lease_ttl_s,
-    }
-}
-
-#[test]
-fn checkpoint_leases_renew_and_expire() {
-    let fed = FederationBuilder::paper_triple(120).build();
-    let node = fed.node("SDSS").unwrap();
-    let plan = seed_plan(&fed, 50.0);
+    };
     let resp = send_rpc(
         &fed.net,
         "tester",
         &node.url(),
-        &RpcCall::new("ExecuteStep")
+        &RpcCall::new("CrossMatch")
             .param("plan", SoapValue::Xml(plan.to_element()))
             .param("step", SoapValue::Int(0)),
     )
     .expect("seed step executes");
-    let cp = resp.require("checkpoint").unwrap().as_i64().unwrap() as u64;
-    assert_eq!(node.checkpoints(), vec![cp]);
-    assert!(node.active_leases() >= 1);
+    let manifest = resp
+        .require("manifest")
+        .expect("the small limit forces a chunked reply")
+        .as_xml()
+        .expect("manifest is xml");
+    let manifest = ChunkManifest::from_element(manifest).expect("manifest decodes");
+    assert!(manifest.total_chunks() > 1, "the limit must force chunks");
+    manifest
+}
 
-    // Renewal at t=40 extends the 50 s lease to t=90.
-    fed.net.advance_clock(40.0);
-    assert!(renew_lease(
+fn fetch_chunk(
+    fed: &TestFederation,
+    transfer_id: u64,
+    index: usize,
+) -> Result<RpcResponse, FederationError> {
+    send_rpc(
         &fed.net,
         "tester",
-        &node.url(),
-        "checkpoint",
-        cp,
-        RetryPolicy::none()
+        &fed.node("SDSS").unwrap().url(),
+        &RpcCall::new("FetchChunk")
+            .param("transfer_id", SoapValue::Int(transfer_id as i64))
+            .param("index", SoapValue::Int(index as i64)),
     )
-    .unwrap());
+}
+
+#[test]
+fn transfer_leases_renew_and_expire() {
+    let fed = FederationBuilder::paper_triple(400).build();
+    let node = fed.node("SDSS").unwrap();
+    let id = open_seed_transfer(&fed, 50.0).transfer_id;
+    assert_eq!(node.open_transfers(), vec![id]);
+    assert!(node.active_leases() >= 1);
+
+    // A continuation at t=40 extends the 50 s lease to t=90.
+    fed.net.advance_clock(40.0);
+    fetch_chunk(&fed, id, 0).expect("chunk 0 serves");
     fed.net.advance_clock(40.0); // t=80: past the original expiry
     assert_eq!(node.sweep_leases(&fed.net), 0);
-    assert_eq!(node.checkpoints(), vec![cp]);
+    assert_eq!(node.open_transfers(), vec![id]);
 
-    // Unrenewed past t=90, the janitor reclaims the orphan.
+    // Untouched past t=90, the janitor reclaims the orphan.
     fed.net.advance_clock(60.0);
     assert_eq!(node.sweep_leases(&fed.net), 1);
-    assert!(node.checkpoints().is_empty());
+    assert!(node.open_transfers().is_empty());
     assert_eq!(node.active_leases(), 0);
     assert!(
         fed.net
@@ -303,44 +311,16 @@ fn checkpoint_leases_renew_and_expire() {
     );
 
     // A stale id faults deterministically — redo, don't retry.
-    let err = match skyquery_core::transfer::open_checkpoint(
-        &fed.net,
-        "tester",
-        &node.url(),
-        &plan,
-        cp,
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("fetching a reclaimed checkpoint must fault"),
-    };
+    let err = fetch_chunk(&fed, id, 1).expect_err("a reclaimed transfer must fault");
     assert!(err.to_string().contains("is not leased"), "{err}");
-    // Renewing it is a clean `false`, not a fault.
-    assert!(!renew_lease(
-        &fed.net,
-        "tester",
-        &node.url(),
-        "checkpoint",
-        cp,
-        RetryPolicy::none()
-    )
-    .unwrap());
 }
 
 #[test]
-fn abandoned_checkpoints_are_reclaimed_by_any_later_call() {
-    let fed = FederationBuilder::paper_triple(120).build();
+fn abandoned_transfers_are_reclaimed_by_any_later_call() {
+    let fed = FederationBuilder::paper_triple(400).build();
     let node = fed.node("SDSS").unwrap();
-    let plan = seed_plan(&fed, 30.0);
-    send_rpc(
-        &fed.net,
-        "tester",
-        &node.url(),
-        &RpcCall::new("ExecuteStep")
-            .param("plan", SoapValue::Xml(plan.to_element()))
-            .param("step", SoapValue::Int(0)),
-    )
-    .unwrap();
-    assert_eq!(node.checkpoints().len(), 1);
+    open_seed_transfer(&fed, 30.0);
+    assert_eq!(node.open_transfers().len(), 1);
     fed.net.advance_clock(31.0);
     // No explicit sweep: the janitor runs at the front of every service
     // call, so any traffic at the node reclaims the orphan.
@@ -351,7 +331,7 @@ fn abandoned_checkpoints_are_reclaimed_by_any_later_call() {
         &RpcCall::new("Information"),
     )
     .unwrap();
-    assert!(node.checkpoints().is_empty());
+    assert!(node.open_transfers().is_empty());
 }
 
 /// One seeded chaos round-trip: random step outages at random hosts,
@@ -403,7 +383,7 @@ fn chaos_soak(seed: u64) {
     assert!(completed > 0, "seed {seed:#x}: no round ever completed");
     let _ = failed; // some schedules never exhaust a budget — that's fine
 
-    // Drain: everything leased during the soak (including checkpoints
+    // Drain: everything leased during the soak (including transfers
     // orphaned by failed rounds) is reclaimed once its TTL passes.
     fed.net.advance_clock(fed.portal.config().lease_ttl_s + 1.0);
     for archive in ["SDSS", "TWOMASS", "FIRST"] {

@@ -157,7 +157,7 @@ fn paper_triple_on_the_recursive_chain() {
 #[test]
 fn paper_triple_checkpointed() {
     let log = paper_triple(ChainMode::Checkpointed);
-    check("checkpointed", &log, 12, 0xcc7f_1064_5064_6bb4);
+    check("checkpointed", &log, 6, 0xdd8c_8e5f_42e7_d2f5);
 }
 
 #[test]
