@@ -7,6 +7,7 @@
 //! are tallied in the network metrics instead of being swallowed.
 
 use proptest::prelude::*;
+use skyquery_core::result_cache::CacheCounters;
 use skyquery_core::{
     ChainMode, FederationConfig, FederationError, MatchKernel, ResultSet, RetryPolicy,
 };
@@ -248,6 +249,15 @@ fn incremental_repair_probes_deltas_without_rerunning_the_chain_cold() {
     );
     let (counters, _) = cached.portal.cache_report();
     assert_eq!(counters.repairs, 1);
+    // Repaired in place: the entry's slot is renewed, not re-inserted,
+    // so no eviction is tallied.
+    let repaired_counters = CacheCounters {
+        hits: 0,
+        misses: 1,
+        repairs: 1,
+        evictions: 0,
+    };
+    assert_eq!(counters, repaired_counters);
 
     // The repaired entry validates as a plain hit on the next round.
     let before = total_executed_steps(&cached);
@@ -255,6 +265,13 @@ fn incremental_repair_probes_deltas_without_rerunning_the_chain_cold() {
     assert_eq!(again, rerun);
     assert_eq!(total_executed_steps(&cached), before);
     assert_eq!(cached.portal.cache_report().0.hits, 1);
+    assert_eq!(
+        cached.portal.cache_report().0,
+        CacheCounters {
+            hits: 1,
+            ..repaired_counters
+        }
+    );
 }
 
 proptest! {
@@ -480,6 +497,18 @@ fn malformed_delta_bodies_fall_back_to_a_cold_run_not_a_poisoned_splice() {
         assert!(
             cached.net.metrics().retry_total().retries > 0,
             "{kind:?}: the retry budget runs before the fallback"
+        );
+        // The abandoned entry is evicted once and the fallback counts as
+        // a second miss; its cold walk re-populates the empty slot.
+        assert_eq!(
+            cached.portal.cache_report().0,
+            CacheCounters {
+                hits: 0,
+                misses: 2,
+                repairs: 0,
+                evictions: 1,
+            },
+            "{kind:?}"
         );
     }
 }

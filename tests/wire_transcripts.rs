@@ -20,8 +20,11 @@ use std::sync::{Arc, Mutex};
 use skyquery_core::{ChainMode, FederationConfig};
 use skyquery_jobs::{JobClient, JobService, JobServiceConfig};
 use skyquery_net::{Endpoint, FaultKind, FaultPlan, FaultRule, HttpRequest, SimNetwork};
-use skyquery_sim::{xmatch_query, CatalogParams, FederationBuilder, SurveyParams, TestFederation};
+use skyquery_sim::{
+    xmatch_query, CatalogParams, FederationBuilder, QuerySpec, SurveyParams, TestFederation,
+};
 use skyquery_soap::{RpcCall, RpcResponse};
+use skyquery_storage::Value;
 
 /// One served exchange: SOAPAction, request body, response body.
 type Exchange = (String, Vec<u8>, Vec<u8>);
@@ -275,4 +278,97 @@ fn paginated_job_results() {
         .iter()
         .any(|(action, _, _)| action.ends_with("#FetchChunk")));
     check("job", &log, 38, 0x2de8_68f8_fb23_7063);
+}
+
+/// Appends rows to an archive's primary table directly in storage, the
+/// way an autonomous archive grows between portal queries.
+fn inject(fed: &TestFederation, archive: &str, rows: &[(u64, f64, f64)]) {
+    let node = fed.node(archive).expect("archive registered");
+    let table = node.info().primary_table.clone();
+    node.with_db(|db| {
+        for &(id, ra, dec) in rows {
+            db.insert(
+                &table,
+                vec![
+                    Value::Id(id),
+                    Value::Float(ra),
+                    Value::Float(dec),
+                    Value::Text("GALAXY".into()),
+                    Value::Float(1.0),
+                ],
+            )
+            .expect("conforming row");
+        }
+    });
+}
+
+#[test]
+fn cached_triple_repaired_after_growth() {
+    let fed = FederationBuilder::new()
+        .catalog(CatalogParams {
+            count: 140,
+            ..CatalogParams::default()
+        })
+        .survey(SurveyParams::sdss_like())
+        .survey(SurveyParams::twomass_like())
+        .survey(SurveyParams::first_like())
+        .config(FederationConfig {
+            result_cache_capacity: 4,
+            result_cache_ttl_s: 600.0,
+            chain_mode: ChainMode::Recursive,
+            ..FederationConfig::default()
+        })
+        .build();
+    // Seed, match and drop-out: FIRST is the drop-out term.
+    let sql = QuerySpec {
+        archives: vec![
+            ("SDSS".into(), "Photo_Object".into(), "O".into(), false),
+            ("TWOMASS".into(), "Photo_Primary".into(), "T".into(), false),
+            ("FIRST".into(), "Primary_Object".into(), "P".into(), true),
+        ],
+        threshold: 4.0,
+        area: None,
+        polygon: None,
+        predicates: vec![],
+        select: vec![],
+    }
+    .to_sql();
+    fed.portal.submit(&sql).unwrap();
+    // A clump landing in every survey plus one singleton per archive:
+    // fresh seed rows, fresh match extensions and fresh drop-out probes.
+    inject(
+        &fed,
+        "SDSS",
+        &[(900_001, 185.02, -0.48), (900_002, 184.70, -0.30)],
+    );
+    inject(
+        &fed,
+        "TWOMASS",
+        &[(910_001, 185.0201, -0.4799), (910_002, 185.40, -0.90)],
+    );
+    inject(&fed, "FIRST", &[(920_001, 185.0199, -0.4801)]);
+    for archive in ["SDSS", "TWOMASS", "FIRST"] {
+        fed.portal.refresh_table_versions(archive).unwrap();
+    }
+    let log = record_nodes(&fed);
+    let (rs, trace) = fed.portal.submit(&sql).unwrap();
+    assert!(rs.row_count() > 0);
+    assert!(trace.events().iter().any(|e| e.action == "cache repair"));
+    // The repair probes the seed's delta rows, the kept inputs of both
+    // later steps against their delta rows, and their fresh inputs
+    // against the whole table.
+    let deltas: Vec<String> = log
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|(action, _, _)| action.ends_with("#DeltaStep"))
+        .map(|(_, req, _)| String::from_utf8_lossy(req).into_owned())
+        .collect();
+    assert_eq!(deltas.len(), 5);
+    let whole = deltas
+        .iter()
+        .filter(|req| req.contains("<from_row sq:type=\"long\">0</from_row>"))
+        .count();
+    assert_eq!(whole, 2, "the fresh inputs of the match and drop-out steps");
+    check("repair", &log, 7, 0x8d2f_2dfb_bcc9_7d14);
 }
