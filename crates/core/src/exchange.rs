@@ -335,12 +335,6 @@ impl ExchangeState {
         Ok(())
     }
 
-    /// Extends the lease of a staged transaction to a full TTL from
-    /// `now_s`. Returns whether the transaction was staged.
-    pub fn renew(&mut self, txn: u64, now_s: f64) -> bool {
-        self.staged.renew(txn, now_s)
-    }
-
     /// Janitor sweep: aborts every staged transaction whose lease expired
     /// at or before `now_s`, dropping its staging table. Returns the
     /// reclaimed transaction ids, sorted.
@@ -516,9 +510,6 @@ mod tests {
         state.prepare(&mut db, 1, "t", &el, &rs, 0.0, 5.0).unwrap();
         state.prepare(&mut db, 2, "t", &el, &rs, 0.0, 50.0).unwrap();
         assert!(state.sweep(&mut db, 4.0).is_empty());
-        // Renewal keeps an otherwise-expiring stage alive.
-        assert!(state.renew(1, 4.0));
-        assert!(state.sweep(&mut db, 8.0).is_empty());
         assert_eq!(state.sweep(&mut db, 9.0), vec![1]);
         assert_eq!(state.pending(), vec![2]);
         // Nothing published by the sweep.

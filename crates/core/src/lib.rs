@@ -33,7 +33,6 @@ pub mod plan;
 pub mod portal;
 pub mod query_exec;
 pub mod region;
-mod repair;
 pub mod result;
 pub mod result_cache;
 pub mod retry;

@@ -671,13 +671,13 @@ impl Portal {
 
     /// Classifies a submission against the result cache — once — and
     /// hands back the walk that runs it: already done when the cache
-    /// answered (a hit, or an incremental repair; cached entries are only
+    /// answered (a hit, or a repair walked inline; cached entries are only
     /// written by complete walks, so such an answer is never degraded),
     /// otherwise with every step ahead of it — re-planning under
     /// [`ChainMode::Checkpointed`], recording when the cache is on.
     pub fn start_walk(&self, plan: &ExecutionPlan, trace: &mut ExecutionTrace) -> CheckpointedWalk {
-        if let Some((set, stats)) = self.cached_result(plan, trace) {
-            return CheckpointedWalk::answered(plan, set, stats);
+        if let Some(walk) = self.cached_result(plan, trace) {
+            return walk;
         }
         let config = self.config();
         let record = (config.result_cache_capacity > 0)
@@ -777,21 +777,23 @@ impl Portal {
         Ok((result, trace))
     }
 
-    /// Attempts to serve `plan` from the result cache: a **hit** (the
-    /// registry's table versions match the entry's version vector
-    /// exactly) returns the cached final set with zero chain steps
-    /// executed; a **monotonically stale** unsharded entry (every
-    /// table at or past its cached version) is repaired incrementally
-    /// by probing only the delta rows through the node `DeltaStep`
-    /// service; anything else — a version regression, a vanished
-    /// archive, a stale sharded entry — evicts the entry and returns
-    /// `None` so the caller runs the chain cold. The one classification
-    /// every submission gets ([`Portal::start_walk`]).
+    /// Attempts to serve `plan` from the result cache, returning a
+    /// finished walk that answers it. A **hit** (the registry's table
+    /// versions match the entry's version vector exactly) hands over the
+    /// cached final set with zero chain steps executed. A **monotonically
+    /// stale** unsharded entry (every table at or past its cached version)
+    /// is repaired by walking it inline ([`CheckpointedWalk::repair`]),
+    /// probing only the delta rows through the node `DeltaStep` service,
+    /// and the repaired entry replaces the stale one in its slot. Anything
+    /// else — a version regression, a vanished archive, a stale sharded
+    /// entry, a failed repair — evicts the entry and returns `None` so the
+    /// caller runs the chain cold. The one classification every
+    /// submission gets ([`Portal::start_walk`]).
     fn cached_result(
         &self,
         plan: &ExecutionPlan,
         trace: &mut ExecutionTrace,
-    ) -> Option<(PartialSet, StatsChain)> {
+    ) -> Option<CheckpointedWalk> {
         let config = self.config();
         if config.result_cache_capacity == 0 {
             return None;
@@ -821,8 +823,7 @@ impl Portal {
             if &entry.versions == current {
                 cache.renew(id, now);
                 cache.counters_mut().hits += 1;
-                let (set, mut stats) = answer_of(cache.get(id).expect("present"));
-                stamp_cache_counters(&mut stats, cache.counters());
+                let (set, stats) = answer_of(cache.get(id).expect("present"));
                 drop(cache);
                 trace.push(
                     "Portal",
@@ -832,7 +833,7 @@ impl Portal {
                         set.len()
                     ),
                 );
-                return Some((set, stats));
+                return Some(CheckpointedWalk::answered(plan, set, stats));
             }
             let monotone = entry.versions.len() == current.len()
                 && entry.versions.iter().zip(current).all(|(old, new)| {
@@ -859,14 +860,14 @@ impl Portal {
             entry.clone()
         };
         let current = current.expect("repair requires current versions");
-        match self.repair_entry(plan, &stale, &current) {
-            Ok(repaired) => {
+        match CheckpointedWalk::repair(self, plan, stale, current, trace) {
+            Ok((walk, repaired)) => {
                 // The delta probes observed authoritative versions:
                 // publish them so the next lookup validates as a hit.
                 self.publish_versions(&repaired.versions);
+                let rows = repaired.steps[0].set.len();
                 let mut cache = lock(&self.cache);
                 cache.counters_mut().repairs += 1;
-                let (set, mut stats) = answer_of(&repaired);
                 match cache.lookup(&signature) {
                     Some(id) => {
                         if let Some(slot) = cache.get_mut(id) {
@@ -883,17 +884,15 @@ impl Portal {
                         );
                     }
                 }
-                stamp_cache_counters(&mut stats, cache.counters());
                 drop(cache);
                 trace.push(
                     "Portal",
                     "cache repair",
                     format!(
-                        "stale entry repaired incrementally ({} tuples); only delta rows probed",
-                        set.len()
+                        "stale entry repaired incrementally ({rows} tuples); only delta rows probed"
                     ),
                 );
-                Some((set, stats))
+                Some(walk)
             }
             Err(e) => {
                 let mut cache = lock(&self.cache);
@@ -1030,11 +1029,17 @@ impl Portal {
         (cache.counters(), cache.len())
     }
 
-    /// Stamps the current cache counters into the first entry of a
-    /// stats chain (see [`stamp_cache_counters`]).
+    /// Writes the current cache counters into the first entry of a
+    /// stats chain so the per-step trace lines and the `StatsChain` wire
+    /// format carry cache effectiveness alongside the kernel counters.
     pub(crate) fn stamp_cache_counters(&self, stats: &mut StatsChain) {
         let c = lock(&self.cache).counters();
-        stamp_cache_counters(stats, c);
+        if let Some((_, s)) = stats.entries.first_mut() {
+            s.cache_hits = c.hits as usize;
+            s.cache_misses = c.misses as usize;
+            s.cache_repairs = c.repairs as usize;
+            s.cache_evictions = c.evictions as usize;
+        }
     }
 
     /// Runs the count-star performance queries concurrently (the paper
@@ -1274,18 +1279,6 @@ fn answer_of(entry: &CacheEntry) -> (PartialSet, StatsChain) {
         stats.push(s.alias.clone(), s.stats);
     }
     (head.set.clone(), stats)
-}
-
-/// Writes a cache-counter snapshot into the first entry of a stats
-/// chain so the per-step trace lines and the `StatsChain` wire format
-/// carry cache effectiveness alongside the kernel counters.
-fn stamp_cache_counters(stats: &mut StatsChain, c: CacheCounters) {
-    if let Some((_, s)) = stats.entries.first_mut() {
-        s.cache_hits = c.hits as usize;
-        s.cache_misses = c.misses as usize;
-        s.cache_repairs = c.repairs as usize;
-        s.cache_evictions = c.evictions as usize;
-    }
 }
 
 // Crate-internal accessors for the baseline strategies (baseline.rs).

@@ -21,8 +21,9 @@
 //! the Portal re-probes **only the delta rows** through the ordinary
 //! match kernels (the node-side `DeltaStep` service) and merges them
 //! into the cached partial sets — producing a byte-identical result to
-//! a cold run at a fraction of the cost. See the repair logic in
-//! `repair.rs` for the merge discipline and the identity argument.
+//! a cold run at a fraction of the cost. A repair is a walk over the
+//! entry: see the step routine in `walk.rs` for the splice discipline
+//! and the identity argument.
 //!
 //! Entries are leased through [`LeaseTable`] — the same TTL mechanism
 //! that governs transfer sessions and staging tables — so a cold cache entry
@@ -59,9 +60,10 @@ pub struct CachedStep {
     /// The partial set this step committed.
     pub set: PartialSet,
     /// Per-tuple provenance: `src[i]` is the row index *in the upstream
-    /// step's cached set* that tuple `i` extends (the seed step stores
-    /// its own row index). Repair uses this to remap surviving tuples
-    /// and splice delta extensions into their match groups.
+    /// step's cached set* that tuple `i` extends (the seed step, whose
+    /// upstream is the query itself, stores 0). Repair uses this to
+    /// group surviving tuples and splice delta extensions into their
+    /// match groups.
     pub src: Vec<u64>,
     /// The stats the step reported when populated. After an
     /// incremental repair the kernel-internal counters are approximate

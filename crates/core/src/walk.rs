@@ -13,23 +13,29 @@
 //!   set from [`ChainMode`](crate::portal::ChainMode);
 //! * **whether the walk records** — an optional observer that keeps each
 //!   step's committed set, provenance and observed table version, and
-//!   populates the result cache when the walk ends clean.
+//!   populates the result cache when the walk ends clean;
+//! * **whether the walk repairs** — the same observer over a stale cache
+//!   entry: each step probes only what the entry lacks and splices the
+//!   replies onto its cached outputs.
+//!
+//! Recording, repairing and plain steps all run one step routine.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
 use skyquery_htm::SkyPoint;
 use skyquery_net::Url;
+use skyquery_storage::{DataType, Value};
 
 use crate::error::{FederationError, Result};
 use crate::plan::{ExecutionPlan, PlanStep};
 use crate::portal::{Degradation, Portal};
-use crate::repair::{strip_cache_src, tag_with_cache_src};
+use crate::result::ResultColumn;
 use crate::result_cache::{CacheEntry, CachedStep, StepVersion};
 use crate::shard;
 use crate::trace::{ExecutionTrace, StatsChain};
 use crate::transfer::{invoke_portal_step, portal_step_call};
-use crate::xmatch::{PartialSet, StepStats};
+use crate::xmatch::{PartialSet, PartialTuple, StepStats};
 
 /// How often a failing mandatory step may be deferred (moved to the
 /// earliest mandatory slot) before the Portal gives up on the query.
@@ -62,13 +68,29 @@ pub struct CheckpointedWalk {
     degradation: Degradation,
     recovering: bool,
     replan: bool,
-    /// The result-cache observer: the entry a recording walk is building.
-    /// Its version vector starts as the registry's view and is
-    /// overwritten with what each answering node reported (an
-    /// extent-pruned shard contributes nothing, so it keeps the
-    /// registry's version); its steps accumulate in execution order and
-    /// are reversed into plan order when the walk ends clean.
-    recorder: Option<CacheEntry>,
+    recorder: Option<Recorder>,
+}
+
+/// The result-cache observer of a recording or repairing walk.
+struct Recorder {
+    /// The entry the walk is building. Its version vector starts as the
+    /// registry's view and is overwritten with what each answering node
+    /// reported (an extent-pruned shard contributes nothing, so it keeps
+    /// the registry's version); its steps accumulate in execution order
+    /// and are reversed into plan order when the walk ends clean.
+    entry: CacheEntry,
+    /// The stale entry a repairing walk splices onto; `None` when cold.
+    stale: Option<Stale>,
+}
+
+/// What a repairing walk knows of the stale entry it walks.
+struct Stale {
+    entry: CacheEntry,
+    /// For each committed tuple, the row of the stale entry's last walked
+    /// step it continues (*kept*), or `None` (*fresh*). A seed's upstream
+    /// is one virtual tuple, the query, whose stale outputs are all the
+    /// cached seed rows.
+    origin: Vec<Option<u64>>,
 }
 
 impl CheckpointedWalk {
@@ -91,12 +113,44 @@ impl CheckpointedWalk {
             degradation: Degradation::default(),
             recovering: false,
             replan,
-            recorder: record.map(|versions| CacheEntry {
-                signature: plan.cache_signature(),
-                versions,
-                steps: Vec::new(),
+            recorder: record.map(|versions| Recorder {
+                entry: CacheEntry {
+                    signature: plan.cache_signature(),
+                    versions,
+                    steps: Vec::new(),
+                },
+                stale: None,
             }),
         }
+    }
+
+    /// Repairs `stale`, a monotone-stale entry for the unsharded `plan`,
+    /// by walking it inline, recording against `current` (the registry's
+    /// versions). Every step runs the one step routine, so each probes only
+    /// what the entry lacks and the answer is byte-identical to a cold
+    /// run. Returns the finished walk, which answers the plan, and the
+    /// repaired entry for the stale entry's slot. An error fails the
+    /// repair, not the query.
+    pub(crate) fn repair(
+        portal: &Portal,
+        plan: &ExecutionPlan,
+        stale: CacheEntry,
+        current: Vec<Vec<StepVersion>>,
+        trace: &mut ExecutionTrace,
+    ) -> Result<(CheckpointedWalk, CacheEntry)> {
+        let mut walk = CheckpointedWalk::new(plan, false, Some(current));
+        if let Some(rec) = &mut walk.recorder {
+            rec.stale = Some(Stale {
+                entry: stale,
+                origin: vec![Some(0)],
+            });
+        }
+        while !walk.is_done() {
+            walk.step(portal, trace)?;
+        }
+        // A walk that does not re-plan never drops its recorder.
+        let rec = walk.recorder.take().expect("a repair keeps its recorder");
+        Ok((walk, rec.entry))
     }
 
     /// A walk with nothing left to run: the result cache answered the
@@ -132,10 +186,14 @@ impl CheckpointedWalk {
     /// Runs the tail step of `remaining` against the committed set and
     /// commits its output.
     fn run_tail(&mut self, portal: &Portal, idx: usize, trace: &mut ExecutionTrace) -> Result<()> {
+        let repairing = self.recorder.as_ref().is_some_and(|r| r.stale.is_some());
         let mut sub_plan = self.plan.clone();
-        sub_plan.steps = self.remaining.clone();
+        // A repair sends the whole plan its entry was recorded under.
+        if !repairing {
+            sub_plan.steps = self.remaining.clone();
+        }
         let step = &sub_plan.steps[idx];
-        let (rows, degradation) = self.scatter(portal, &sub_plan, idx, trace)?;
+        let (rows, degradation) = self.run_step(portal, &sub_plan, idx, trace)?;
         let degraded = degradation.degraded;
         self.degradation.absorb(degradation);
         if self.recovering && !degraded {
@@ -155,65 +213,206 @@ impl CheckpointedWalk {
         self.executed.push(step.alias.clone());
         self.remaining.pop();
         if self.remaining.is_empty() {
-            if let Some(mut entry) = self.recorder.take() {
-                entry.steps.reverse();
-                portal.populate_cache(entry, trace);
+            if let Some(rec) = &mut self.recorder {
+                rec.entry.steps.reverse();
+            }
+            // A repair hands its entry back to the lookup that started it.
+            if let Some(rec) = self.recorder.take_if(|r| r.stale.is_none()) {
+                portal.populate_cache(rec.entry, trace);
             }
         }
         Ok(())
     }
 
-    /// One scattered step with the committed set held at the Portal. A
-    /// recording walk tags the input with each tuple's index (stripped
-    /// from the output) so a later incremental repair knows which
-    /// upstream tuple every output row extends. Returns the row count
-    /// and what a degraded drop-out step lost.
-    fn scatter(
+    /// The one step routine: every step of every walk, plain, recording
+    /// or repairing, runs here with the committed set held at the Portal.
+    ///
+    /// 1. The committed upstream splits into *kept* tuples, which continue
+    ///    a row of the stale entry a repair walks, and *fresh* ones.
+    /// 2. Kept tuples are probed against only the rows the table gained
+    ///    since the entry's version (`DeltaStep` from that row). A drop-out
+    ///    step probes only the kept tuples whose cached output survived.
+    /// 3. Fresh tuples are probed against the whole table: `DeltaStep`
+    ///    from row 0 in a repair, `ScatterStep` otherwise.
+    /// 4. The replies splice onto the cached outputs by provenance. A
+    ///    match step appends each kept tuple's new extensions to its cached
+    ///    group; a drop-out step keeps the cached survivors the new rows
+    ///    did not drop.
+    ///
+    /// A cold step is the case with no cached outputs: every tuple is
+    /// fresh and the reply is the step's output. Tables are append-only
+    /// and kernels emit each match group in row order, so a splice is
+    /// byte-identical to a cold run over the same rows. A recording walk
+    /// tags the input with each tuple's index (stripped from the output)
+    /// so a later repair knows which upstream tuple every output row
+    /// extends. Returns the row count and what a degraded drop-out step
+    /// lost.
+    fn run_step(
         &mut self,
         portal: &Portal,
         sub_plan: &ExecutionPlan,
         idx: usize,
         trace: &mut ExecutionTrace,
     ) -> Result<(usize, Degradation)> {
+        let step = &sub_plan.steps[idx];
         let input = self.committed.as_ref();
-        let tagged = input.filter(|_| self.recorder.is_some()).map(|set| {
-            let all: Vec<usize> = (0..set.tuples.len()).collect();
-            tag_with_cache_src(set, &all)
-        });
-        let out = portal.scatter_step(
-            sub_plan,
-            idx,
-            tagged.as_ref().or(input),
-            self.replan,
-            None,
-            trace,
-        )?;
-        let (set, src) = match tagged {
-            Some(_) => strip_cache_src(out.set).map(|(set, src)| (set, Some(src)))?,
-            None => (out.set, None),
+        let (recording, replan) = (self.recorder.is_some(), self.replan);
+        let stale = match &self.recorder {
+            Some(Recorder {
+                entry,
+                stale: Some(stale),
+            }) => Some((stale, &stale.entry.steps[idx], &entry.versions[idx])),
+            _ => None,
         };
-        let alias = &sub_plan.steps[idx].alias;
+        // The cached outputs grouped by the stale upstream row each extends.
+        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+        let (mut kept, mut fresh) = (Vec::new(), Vec::new());
+        // The row a kept tuple's probe starts at, when the table grew.
+        let mut delta_from = None;
+        match stale {
+            Some((stale, cached, current)) => {
+                for (i, src) in cached.src.iter().enumerate() {
+                    groups.entry(*src).or_default().push(i);
+                }
+                for (u, origin) in stale.origin.iter().enumerate() {
+                    match origin {
+                        None => fresh.push(u),
+                        Some(o) if !step.dropout || groups.contains_key(o) => kept.push(u),
+                        Some(_) => {}
+                    }
+                }
+                let v_old = stale.entry.versions[idx][0].version;
+                delta_from = (current[0].version > v_old).then_some(v_old);
+            }
+            None => fresh = (0..input.map_or(1, PartialSet::len)).collect(),
+        }
+        let cached = stale.map(|(_, cached, _)| cached);
+
+        // One probe of the upstream tuples at `tuples` (all of them when
+        // the walk keeps no provenance) against the rows at or after
+        // `from_row` (`None`: a `ScatterStep` over the whole table).
+        let mut probe = |tuples: &[usize], from_row: Option<u64>| {
+            let tagged = input
+                .filter(|_| recording)
+                .map(|set| tag_with_cache_src(set, tuples));
+            let input = tagged.as_ref().or(input);
+            let mut out = portal.scatter_step(sub_plan, idx, input, replan, from_row, trace)?;
+            // Untagged: the seed, whose rows all extend its one virtual
+            // upstream tuple, or a walk that keeps no provenance.
+            let mut src = vec![0; out.set.len()];
+            if tagged.is_some() {
+                (out.set, src) = strip_cache_src(out.set)?;
+            }
+            if cached.is_some_and(|c| c.set.columns != out.set.columns) {
+                return Err(FederationError::protocol(
+                    "delta reply schema diverged from the cached set",
+                ));
+            }
+            Ok((out, src))
+        };
+        let delta = match delta_from {
+            Some(from_row) if !kept.is_empty() => Some(probe(&kept, Some(from_row))?),
+            _ => None,
+        };
+        let mut full = match cached {
+            Some(_) if fresh.is_empty() => None,
+            _ => Some(probe(&fresh, cached.map(|_| 0))?),
+        };
+
+        // A fresh probe of a table that did not grow leaves the kept
+        // tuples unprobed past the entry's version, so it keeps that one.
+        let grown = cached.is_none() || delta_from.is_some();
+        let observed = match (&delta, &full) {
+            (Some((out, _)), _) => out.versions.clone(),
+            (None, Some((out, _))) if grown => out.versions.clone(),
+            _ => Vec::new(),
+        };
+        let degradation = full
+            .as_mut()
+            .map(|(out, _)| std::mem::take(&mut out.degradation))
+            .unwrap_or_default();
+        // A repaired step reports the cached totals plus the delta work
+        // (the approximation DESIGN §12 documents).
+        let mut stats = cached.map(|c| c.stats);
+        for (out, _) in delta.iter().chain(&full) {
+            match &mut stats {
+                Some(s) => {
+                    s.add_work(&out.stats);
+                    s.chi2_accepted += out.stats.chi2_accepted;
+                }
+                None => stats = Some(out.stats),
+            }
+        }
+        let mut stats = stats.expect("a step probes or has cached outputs");
+
+        let (set, src, origin) = match stale {
+            None => {
+                let (out, src) = full.expect("a cold step always probes");
+                (out.set, src, Vec::new())
+            }
+            Some((stale, cached, _)) => {
+                let by_src = |(out, src): (ScatterOutcome, Vec<u64>)| {
+                    let mut by: HashMap<u64, Vec<PartialTuple>> = HashMap::new();
+                    for (t, s) in out.set.tuples.into_iter().zip(src) {
+                        by.entry(s).or_default().push(t);
+                    }
+                    by
+                };
+                let mut delta = delta.map(by_src);
+                let mut full = full.map(by_src).unwrap_or_default();
+                let mut set = PartialSet::new(cached.set.columns.clone());
+                let (mut src, mut origin) = (Vec::new(), Vec::new());
+                for (u, o) in stale.origin.iter().enumerate() {
+                    let u = u as u64;
+                    // A drop-out keeps a cached survivor while the delta
+                    // rows, when probed, keep it too.
+                    let survives =
+                        !step.dropout || delta.as_ref().is_none_or(|d| d.contains_key(&u));
+                    let old = o.filter(|_| survives).and_then(|o| groups.get(&o));
+                    let old = old.into_iter().flatten();
+                    let new = match o {
+                        Some(_) if step.dropout => None,
+                        Some(_) => delta.as_mut().and_then(|d| d.remove(&u)),
+                        None => full.remove(&u),
+                    };
+                    let old = old.map(|&i| (cached.set.tuples[i].clone(), Some(i as u64)));
+                    for (t, from) in old.chain(new.into_iter().flatten().map(|t| (t, None))) {
+                        set.tuples.push(t);
+                        src.push(u);
+                        origin.push(from);
+                    }
+                }
+                if let Some(input) = input {
+                    stats.tuples_in = input.len();
+                }
+                stats.tuples_out = set.len();
+                (set, src, origin)
+            }
+        };
+
+        let alias = &step.alias;
         if let Some(rec) = &mut self.recorder {
-            // Only the seed runs untagged: its provenance is its own rows.
-            let src = src.unwrap_or_else(|| (0..set.len() as u64).collect());
             // While a recorder lives nothing was re-ordered or skipped,
             // so `idx` is also the step's index in the original plan.
-            for (host, version) in out.versions {
-                if let Some(v) = rec.versions[idx].iter_mut().find(|v| v.host == host) {
+            for (host, version) in observed {
+                if let Some(v) = rec.entry.versions[idx].iter_mut().find(|v| v.host == host) {
                     v.version = version;
                 }
             }
-            rec.steps.push(CachedStep {
+            rec.entry.steps.push(CachedStep {
                 alias: alias.clone(),
                 set: set.clone(),
                 src,
-                stats: out.stats,
+                stats,
             });
+            if let Some(stale) = &mut rec.stale {
+                stale.origin = origin;
+            }
         }
-        self.stats.push(alias.clone(), out.stats);
+        self.stats.push(alias.clone(), stats);
         let rows = set.len();
         self.committed = Some(set);
-        Ok((rows, out.degradation))
+        Ok((rows, degradation))
     }
 
     /// The re-plan policy, applied when the tail step failed with `e`:
@@ -332,6 +531,58 @@ fn replace_residuals(remaining: &mut [PlanStep], executed: &[String]) -> Result<
         remaining[n - 1 - max_pos].residual_sql.push(sql);
     }
     Ok(())
+}
+
+/// Portal-private provenance column tagged onto each step's input during
+/// a recording or repairing walk. Node-side match and drop-out carry
+/// input columns through untouched (the same property the shard executor
+/// relies on for its `__src` tag), so the value survives the round trip
+/// and tells the Portal which upstream tuple each output row extends.
+/// Stripped before anything is cached or returned.
+const CACHE_SRC_COL: &str = "__csrc";
+
+/// Projects the tuples at `indices` out of `set` and appends a
+/// [`CACHE_SRC_COL`] column holding each tuple's index in the *full*
+/// upstream set — the provenance a splice keys on.
+fn tag_with_cache_src(set: &PartialSet, indices: &[usize]) -> PartialSet {
+    let mut columns = set.columns.clone();
+    columns.push(ResultColumn::new(CACHE_SRC_COL, DataType::Id));
+    let tuples = indices
+        .iter()
+        .map(|&i| {
+            let t = &set.tuples[i];
+            let mut values = t.values.clone();
+            values.push(Value::Id(i as u64));
+            PartialTuple {
+                state: t.state,
+                values,
+            }
+        })
+        .collect();
+    PartialSet { columns, tuples }
+}
+
+/// Removes the [`CACHE_SRC_COL`] column from a node reply, returning
+/// the clean set plus each tuple's upstream provenance index.
+fn strip_cache_src(mut set: PartialSet) -> Result<(PartialSet, Vec<u64>)> {
+    let pos = set
+        .columns
+        .iter()
+        .position(|c| c.name == CACHE_SRC_COL)
+        .ok_or_else(|| FederationError::protocol("delta reply lost the cache provenance column"))?;
+    set.columns.remove(pos);
+    let mut srcs = Vec::with_capacity(set.tuples.len());
+    for t in &mut set.tuples {
+        match t.values.remove(pos) {
+            Value::Id(s) => srcs.push(s),
+            other => {
+                return Err(FederationError::protocol(format!(
+                    "cache provenance column held {other:?}, expected an id"
+                )))
+            }
+        }
+    }
+    Ok((set, srcs))
 }
 
 /// What one scattered step produced.

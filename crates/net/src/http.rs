@@ -11,34 +11,14 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Supported request methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Method {
-    /// HTTP GET.
-    Get,
-    /// HTTP POST (all SOAP traffic).
-    Post,
-}
-
-impl Method {
-    /// The method's wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Method::Get => "GET",
-            Method::Post => "POST",
-        }
-    }
-}
+/// The one request method: all SOAP traffic is a POST.
+const METHOD: &str = "POST";
 
 /// Response status codes the federation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StatusCode {
     /// 200.
     Ok,
-    /// 400.
-    BadRequest,
-    /// 404.
-    NotFound,
     /// 500 — SOAP faults ride on it per the SOAP/HTTP binding.
     InternalServerError,
 }
@@ -48,8 +28,6 @@ impl StatusCode {
     pub fn code(self) -> u16 {
         match self {
             StatusCode::Ok => 200,
-            StatusCode::BadRequest => 400,
-            StatusCode::NotFound => 404,
             StatusCode::InternalServerError => 500,
         }
     }
@@ -58,8 +36,6 @@ impl StatusCode {
     pub fn reason(self) -> &'static str {
         match self {
             StatusCode::Ok => "OK",
-            StatusCode::BadRequest => "Bad Request",
-            StatusCode::NotFound => "Not Found",
             StatusCode::InternalServerError => "Internal Server Error",
         }
     }
@@ -107,11 +83,9 @@ impl<const N: usize> From<&[u8; N]> for Body {
     }
 }
 
-/// An HTTP request.
+/// An HTTP POST request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HttpRequest {
-    /// Request method.
-    pub method: Method,
     /// Request path (e.g. `/soap`).
     pub path: String,
     /// Headers, excluding Content-Length (derived from the body).
@@ -124,7 +98,6 @@ impl HttpRequest {
     /// A POST carrying a SOAP envelope: sets Content-Type and SOAPAction.
     pub fn soap_post(path: impl Into<String>, action: &str, body: impl Into<Body>) -> Self {
         HttpRequest {
-            method: Method::Post,
             path: path.into(),
             headers: vec![
                 ("Content-Type".into(), "text/xml; charset=utf-8".into()),
@@ -145,10 +118,9 @@ impl HttpRequest {
     }
 
     /// Framed size in bytes — what the accounting records: the request
-    /// line `METHOD path HTTP/1.1`, the headers, then the body.
+    /// line `POST path HTTP/1.1`, the headers, then the body.
     pub fn wire_len(&self) -> usize {
-        let request_line =
-            self.method.as_str().len() + " ".len() + self.path.len() + " HTTP/1.1\r\n".len();
+        let request_line = METHOD.len() + " ".len() + self.path.len() + " HTTP/1.1\r\n".len();
         framed_len(request_line, &self.headers, &self.body)
     }
 }
@@ -252,7 +224,6 @@ mod tests {
         let req = HttpRequest::soap_post("/soap", "urn:skyquery#CrossMatch", "<x/>");
         let (seen, _) = across_hop(req.clone(), HttpResponse::ok(""));
         assert_eq!(seen, req);
-        assert_eq!(seen.method, Method::Post);
         assert_eq!(seen.path, "/soap");
         assert_eq!(
             seen.header("SOAPAction"),
@@ -340,7 +311,6 @@ mod tests {
         // Every byte value crosses the hop untouched, both ways.
         let body: Vec<u8> = (0u8..=255).collect();
         let req = HttpRequest {
-            method: Method::Post,
             path: "/bin".into(),
             headers: vec![],
             body: body.clone().into(),

@@ -30,7 +30,7 @@ mod sync;
 mod url;
 
 pub use fault::{FaultKind, FaultPlan, FaultRule};
-pub use http::{Body, HttpRequest, HttpResponse, Method, StatusCode};
+pub use http::{Body, HttpRequest, HttpResponse, StatusCode};
 pub use metrics::{
     ChunkFlowStats, CostModel, LinkStats, NetworkMetrics, RetryStats, TenantJobStats,
 };

@@ -36,8 +36,8 @@ fn twenty_thousand_bodies_end_to_end() {
         .filter(|e| e.action == "cross match step")
         .filter_map(|e| {
             e.detail
-                .rsplit_once("tuples out ")
-                .and_then(|(_, n)| n.parse::<usize>().ok())
+                .split_once("tuples out ")
+                .and_then(|(_, n)| n.split(',').next()?.parse::<usize>().ok())
         })
         .max()
         .unwrap();
