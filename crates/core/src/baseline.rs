@@ -16,7 +16,6 @@ use skyquery_sql::{decompose, parse_query};
 use skyquery_storage::{BufferCache, ColumnDef, DataType, Database, PositionColumns, TableSchema};
 
 use crate::error::{FederationError, Result};
-use crate::plan::ExecutionPlan;
 use crate::portal::Portal;
 use crate::result::ResultSet;
 use crate::skynode::send_rpc;
@@ -223,13 +222,6 @@ pub fn positions(points: &[(f64, f64)]) -> Vec<Vec3> {
 impl Portal {
     pub(crate) fn portal_net(&self) -> skyquery_net::SimNetwork {
         self.net_clone()
-    }
-}
-
-impl ExecutionPlan {
-    /// Total count-star estimate (diagnostics in benches).
-    pub fn total_count_estimate(&self) -> u64 {
-        self.steps.iter().filter_map(|s| s.count_estimate).sum()
     }
 }
 

@@ -78,17 +78,6 @@ impl Region {
         }
     }
 
-    /// A bounding circle `(center, radius)` for index seeding.
-    pub fn bounding_circle(&self) -> (SkyPoint, f64) {
-        match self {
-            Region::Circle { center, radius_rad } => (*center, *radius_rad),
-            Region::Polygon(p) => {
-                let (c, r) = p.bounding_cap();
-                (SkyPoint::from_vec3(c), r)
-            }
-        }
-    }
-
     /// The region as an HTM cover input.
     pub fn as_convex_region(&self) -> RegionRef<'_> {
         RegionRef(self)
@@ -288,17 +277,6 @@ mod tests {
             vertices: vec![(184.0, 1.0), (186.0, 1.0), (186.0, -1.0), (184.0, -1.0)],
         });
         assert!(Region::from_spec(&spec).is_err());
-    }
-
-    #[test]
-    fn bounding_circle_contains_region_samples() {
-        let r = square();
-        let (c, radius) = r.bounding_circle();
-        for &(ra, dec) in &[(184.1, -0.9), (185.9, 0.9), (185.0, 0.0)] {
-            let p = SkyPoint::from_radec_deg(ra, dec);
-            assert!(r.contains(p));
-            assert!(p.separation(c) <= radius + 1e-12);
-        }
     }
 
     #[test]

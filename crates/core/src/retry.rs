@@ -65,14 +65,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A policy with `attempts` total attempts and the default backoff.
-    pub fn with_attempts(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: attempts,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Total attempts, never less than one.
     pub fn attempts(&self) -> u32 {
         self.max_attempts.max(1)
@@ -151,7 +143,6 @@ mod tests {
         assert!((p.backoff_before(3) - 0.10).abs() < 1e-12);
         assert!((p.backoff_before(4) - 0.20).abs() < 1e-12);
         assert_eq!(RetryPolicy::none().attempts(), 1);
-        assert_eq!(RetryPolicy::with_attempts(5).attempts(), 5);
     }
 
     #[test]

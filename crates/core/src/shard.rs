@@ -47,16 +47,22 @@ pub fn qualified_rank(alias: &str) -> String {
     format!("{alias}.{RANK_COL}")
 }
 
-/// Returns a copy of `set` with the [`SRC_COL`] column appended, tagging
-/// every tuple with its current index.
-pub fn tag_with_src(set: &PartialSet) -> PartialSet {
+/// Projects the tuples at `indices` out of `set` and appends an `Id`
+/// column named `column` holding each tuple's index in `set`: the
+/// provenance that the kernels carry through untouched. The shard scatter
+/// tags every tuple under [`SRC_COL`]; a recording or repairing walk tags
+/// the tuples it probes under its cache provenance column.
+pub fn tag_with_src(
+    set: &PartialSet,
+    column: &str,
+    indices: impl IntoIterator<Item = usize>,
+) -> PartialSet {
     let mut columns = set.columns.clone();
-    columns.push(ResultColumn::new(SRC_COL, DataType::Id));
-    let tuples = set
-        .tuples
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
+    columns.push(ResultColumn::new(column, DataType::Id));
+    let tuples = indices
+        .into_iter()
+        .map(|i| {
+            let t = &set.tuples[i];
             let mut values = t.values.clone();
             values.push(Value::Id(i as u64));
             PartialTuple {
@@ -270,7 +276,7 @@ mod tests {
             &[("O.object_id", DataType::Id)],
             vec![vec![Value::Id(7)], vec![Value::Id(9)]],
         );
-        let tagged = tag_with_src(&s);
+        let tagged = tag_with_src(&s, SRC_COL, 0..s.len());
         assert_eq!(tagged.columns.last().unwrap().name, SRC_COL);
         assert_eq!(tagged.tuples[0].values, vec![Value::Id(7), Value::Id(0)]);
         assert_eq!(tagged.tuples[1].values, vec![Value::Id(9), Value::Id(1)]);

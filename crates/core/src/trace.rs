@@ -104,11 +104,6 @@ impl ExecutionTrace {
         self.events.is_empty()
     }
 
-    /// Total wall-clock time across all recorded events.
-    pub fn total_elapsed(&self) -> Duration {
-        self.events.iter().map(|e| e.elapsed).sum()
-    }
-
     /// Whether any event carries this action label. The survivability
     /// path records its decisions as `replan` / `resume` / `degraded`
     /// events, and a `degraded` event is the flag that a drop-out archive
@@ -277,10 +272,6 @@ mod tests {
         t.push("SDSS", "match", "done");
         assert!(t.events()[0].elapsed >= Duration::from_millis(1));
         assert!(t.events()[1].elapsed >= Duration::from_millis(1));
-        assert_eq!(
-            t.total_elapsed(),
-            t.events()[0].elapsed + t.events()[1].elapsed
-        );
         assert!(t.render().contains("(+"));
     }
 

@@ -25,12 +25,11 @@ use std::collections::HashMap;
 
 use skyquery_htm::SkyPoint;
 use skyquery_net::Url;
-use skyquery_storage::{DataType, Value};
+use skyquery_storage::Value;
 
 use crate::error::{FederationError, Result};
 use crate::plan::{ExecutionPlan, PlanStep};
 use crate::portal::{Degradation, Portal};
-use crate::result::ResultColumn;
 use crate::result_cache::{CacheEntry, CachedStep, StepVersion};
 use crate::shard;
 use crate::trace::{ExecutionTrace, StatsChain};
@@ -294,7 +293,7 @@ impl CheckpointedWalk {
         let mut probe = |tuples: &[usize], from_row: Option<u64>| {
             let tagged = input
                 .filter(|_| recording)
-                .map(|set| tag_with_cache_src(set, tuples));
+                .map(|set| shard::tag_with_src(set, CACHE_SRC_COL, tuples.iter().copied()));
             let input = tagged.as_ref().or(input);
             let mut out = portal.scatter_step(sub_plan, idx, input, replan, from_row, trace)?;
             // Untagged: the seed, whose rows all extend its one virtual
@@ -541,27 +540,6 @@ fn replace_residuals(remaining: &mut [PlanStep], executed: &[String]) -> Result<
 /// Stripped before anything is cached or returned.
 const CACHE_SRC_COL: &str = "__csrc";
 
-/// Projects the tuples at `indices` out of `set` and appends a
-/// [`CACHE_SRC_COL`] column holding each tuple's index in the *full*
-/// upstream set — the provenance a splice keys on.
-fn tag_with_cache_src(set: &PartialSet, indices: &[usize]) -> PartialSet {
-    let mut columns = set.columns.clone();
-    columns.push(ResultColumn::new(CACHE_SRC_COL, DataType::Id));
-    let tuples = indices
-        .iter()
-        .map(|&i| {
-            let t = &set.tuples[i];
-            let mut values = t.values.clone();
-            values.push(Value::Id(i as u64));
-            PartialTuple {
-                state: t.state,
-                values,
-            }
-        })
-        .collect();
-    PartialSet { columns, tuples }
-}
-
 /// Removes the [`CACHE_SRC_COL`] column from a node reply, returning
 /// the clean set plus each tuple's upstream provenance index.
 fn strip_cache_src(mut set: PartialSet) -> Result<(PartialSet, Vec<u64>)> {
@@ -776,7 +754,7 @@ impl Portal {
         };
         let input_table = input.map(|set| {
             if multi {
-                shard::tag_with_src(set).to_votable()
+                shard::tag_with_src(set, shard::SRC_COL, 0..set.len()).to_votable()
             } else {
                 set.to_votable()
             }

@@ -13,8 +13,9 @@
 //!    wrap), and
 //! 3. a branch-light exact distance test over the surviving slice.
 //!
-//! Hits land in a caller-owned [`ProbeScratch`], so the steady-state match
-//! loop performs no per-tuple heap allocation. [`effective_height`] and
+//! Hits land in a caller-owned [`ProbeScratch`], so the steady-state probe
+//! performs no per-tuple heap allocation; the cross-match's one probe loop
+//! reads them from there exactly as it reads the HTM path's hit list. [`effective_height`] and
 //! [`declination_zone`] are the federation's one zone formula, which the
 //! simulator's shard dealer calls too.
 //!
@@ -32,7 +33,6 @@ use crate::error::StorageError;
 use crate::exec::RangeSearchHit;
 use crate::index::extract_position;
 use crate::table::{RowId, Table};
-use crate::value::Value;
 
 /// Default declination zone height, degrees: it dwarfs arcsecond-scale
 /// search radii yet keeps each zone's RA-sorted bucket short. Non-finite
@@ -64,23 +64,21 @@ const RA_PAD_DEG: f64 = 1e-7;
 pub struct ProbeStats {
     /// Rows whose exact separation was computed (the candidate window).
     pub examined: usize,
-    /// Whether the probe completed without growing the scratch buffers —
+    /// Whether the probe completed without growing the scratch buffer —
     /// i.e. a zero-allocation probe.
     pub reused: bool,
 }
 
-/// Reusable scratch for the columnar kernel: the candidate/hit
-/// staging buffer plus a carried-value staging buffer for tuple extension.
-/// Reusing one scratch across probes makes the steady-state loop
-/// allocation-free once the buffers reach their high-water mark.
+/// Reusable scratch for the columnar kernel: the hit buffer of the most
+/// recent probe. Reusing one scratch across probes makes the steady-state
+/// probe allocation-free once the buffer reaches its high-water mark.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     hits: Vec<RangeSearchHit>,
-    values: Vec<Value>,
 }
 
 impl ProbeScratch {
-    /// An empty scratch; buffers grow to their high-water mark on first use.
+    /// An empty scratch; the buffer grows to its high-water mark on first use.
     pub fn new() -> ProbeScratch {
         ProbeScratch::default()
     }
@@ -88,13 +86,6 @@ impl ProbeScratch {
     /// The hits produced by the most recent probe, sorted by row id.
     pub fn hits(&self) -> &[RangeSearchHit] {
         &self.hits
-    }
-
-    /// Splits the scratch into the (read-only) hit slice and the
-    /// (mutable) carried-value staging buffer, so tuple extension can
-    /// stage values while iterating hits.
-    pub fn parts(&mut self) -> (&[RangeSearchHit], &mut Vec<Value>) {
-        (&self.hits, &mut self.values)
     }
 }
 
@@ -365,6 +356,7 @@ fn ra_windows(center: SkyPoint, radius_rad: f64) -> RaWindows {
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, DataType, PositionColumns, TableSchema};
+    use crate::value::Value;
 
     fn pos_table(points: &[(f64, f64)]) -> Table {
         let schema = TableSchema::new(
