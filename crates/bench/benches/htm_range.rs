@@ -40,6 +40,7 @@ fn print_tables() {
         let hits = db
             .range_search("Photo_Object", center, radius, ScanOptions::default())
             .unwrap()
+            .0
             .len();
         let probes = db.cache_stats().accesses();
         println!(
@@ -81,6 +82,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             db.range_search("Photo_Object", center, radius, ScanOptions::untracked())
                 .unwrap()
+                .0
         })
     });
     group.bench_function("linear_scan", |b| {

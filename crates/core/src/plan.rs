@@ -474,10 +474,7 @@ mod tests {
     fn demo_plan() -> ExecutionPlan {
         ExecutionPlan {
             threshold: 3.5,
-            region: Some(Region::Circle {
-                center: skyquery_htm::SkyPoint::from_radec_deg(185.0, -0.5),
-                radius_rad: (4.5 / 60.0_f64).to_radians(),
-            }),
+            region: Some(Region::circle(185.0, -0.5, (4.5 / 60.0_f64).to_radians()).unwrap()),
             steps: vec![
                 PlanStep {
                     alias: "P".into(),
@@ -602,7 +599,9 @@ mod tests {
         assert!((cfg.threshold - 3.5).abs() < 1e-12);
         assert!(cfg.local_predicate.is_some());
         let (center, radius) = match cfg.region.clone().unwrap() {
-            Region::Circle { center, radius_rad } => (center, radius_rad),
+            Region::Circle {
+                center, radius_rad, ..
+            } => (center, radius_rad),
             other => panic!("{other:?}"),
         };
         assert!((center.ra_deg - 185.0).abs() < 1e-12);

@@ -93,7 +93,7 @@ pub fn execute_local(
     // full scan.
     let row_ids: Vec<usize> = match &region {
         Some(region) => {
-            db.region_search(&table, &region.as_convex_region(), ScanOptions::default())?
+            db.region_search(&table, region.as_convex_region(), ScanOptions::default())?
         }
         None => match indexed_equality(db, &table, &alias, &predicates) {
             Some((column, value)) => {

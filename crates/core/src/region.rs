@@ -1,5 +1,9 @@
 //! Validated spatial regions: the execution-time form of the dialect's
-//! `AREA` (circle) and `POLYGON` (§6 extension) clauses.
+//! `AREA` (circle) and `POLYGON` (§6 extension) clauses. A region is
+//! built once, as the HTM crate's own shape — a [`Cap`] or a
+//! [`ConvexPolygon`] — and that shape's [`ConvexRegion`] impl is the one
+//! predicate the cover, storage's partial-row filter and every per-row
+//! test use.
 
 use skyquery_htm::{Cap, ConvexPolygon, ConvexRegion, SkyPoint, Vec3};
 use skyquery_sql::ast::{AreaSpec, PolygonSpec, RegionSpec};
@@ -7,30 +11,47 @@ use skyquery_xml::Element;
 
 use crate::error::{FederationError, Result};
 
-/// A validated, executable sky region.
+/// A validated, executable sky region, held as the HTM crate's own shape.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Region {
-    /// A circular cap.
+    /// A circular cap, built by [`Region::circle`].
     Circle {
-        /// Circle center.
+        /// Circle center, as written (plans and pull-SQL print it).
         center: SkyPoint,
-        /// Angular radius, radians.
+        /// Angular radius, radians, as written.
         radius_rad: f64,
+        /// The cap itself, built once from `center` and `radius_rad`.
+        cap: Cap,
     },
     /// A convex polygon (§6 extension).
     Polygon(ConvexPolygon),
 }
 
 impl Region {
+    /// The circle of `radius_rad` about `(ra_deg, dec_deg)`, its cap built
+    /// once. Refuses a non-finite center, and a radius that is not positive
+    /// and finite (the radius the SQL parser refuses), as a protocol error.
+    pub fn circle(ra_deg: f64, dec_deg: f64, radius_rad: f64) -> Result<Region> {
+        let finite = [ra_deg, dec_deg, radius_rad].iter().all(|x| x.is_finite());
+        if !finite || radius_rad <= 0.0 {
+            return Err(FederationError::protocol(format!(
+                "invalid circle: center ({ra_deg}, {dec_deg}), radius {radius_rad} rad"
+            )));
+        }
+        let center = SkyPoint::from_radec_deg(ra_deg, dec_deg);
+        Ok(Region::Circle {
+            center,
+            radius_rad,
+            cap: Cap::new(center.to_vec3(), radius_rad),
+        })
+    }
+
     /// Validates and converts a parsed region spec. Polygon vertices are
     /// checked for convexity and CCW winding here, at planning time, so
     /// malformed regions fail before any network traffic.
     pub fn from_spec(spec: &RegionSpec) -> Result<Region> {
         match spec {
-            RegionSpec::Circle(a) => Ok(Region::Circle {
-                center: SkyPoint::from_radec_deg(a.ra_deg, a.dec_deg),
-                radius_rad: a.radius_rad(),
-            }),
+            RegionSpec::Circle(a) => Region::circle(a.ra_deg, a.dec_deg, a.radius_rad()),
             RegionSpec::Polygon(p) => {
                 let poly = ConvexPolygon::from_radec_deg(&p.vertices).map_err(|e| {
                     FederationError::Sql(skyquery_sql::SqlError::semantic(format!(
@@ -45,7 +66,9 @@ impl Region {
     /// The dialect-SQL spec form (for plan serialization and pull-SQL).
     pub fn to_spec(&self) -> RegionSpec {
         match self {
-            Region::Circle { center, radius_rad } => RegionSpec::Circle(AreaSpec {
+            Region::Circle {
+                center, radius_rad, ..
+            } => RegionSpec::Circle(AreaSpec {
                 ra_deg: center.ra_deg,
                 dec_deg: center.dec_deg,
                 radius_arcmin: radius_rad.to_degrees() * 60.0,
@@ -68,25 +91,26 @@ impl Region {
         self.contains_vec(p.to_vec3())
     }
 
-    /// Whether a unit vector lies in the region.
+    /// Whether a unit vector lies in the region, by the same predicate the
+    /// HTM cover tests trixel corners with.
     pub fn contains_vec(&self, v: Vec3) -> bool {
-        match self {
-            Region::Circle { center, radius_rad } => {
-                center.to_vec3().angle_to(v) <= radius_rad + 1e-15
-            }
-            Region::Polygon(p) => p.contains(v),
-        }
+        self.as_convex_region().contains(v)
     }
 
-    /// The region as an HTM cover input.
-    pub fn as_convex_region(&self) -> RegionRef<'_> {
-        RegionRef(self)
+    /// The region as an HTM cover input: the cap or the polygon itself.
+    pub fn as_convex_region(&self) -> &dyn ConvexRegion {
+        match self {
+            Region::Circle { cap, .. } => cap,
+            Region::Polygon(p) => p,
+        }
     }
 
     /// Serializes into the plan element.
     pub fn to_element(&self) -> Element {
         match self {
-            Region::Circle { center, radius_rad } => Element::new("Region")
+            Region::Circle {
+                center, radius_rad, ..
+            } => Element::new("Region")
                 .with_attr("kind", "circle")
                 .with_attr("ra", format!("{:?}", center.ra_deg))
                 .with_attr("dec", format!("{:?}", center.dec_deg))
@@ -124,10 +148,11 @@ impl Region {
                         .and_then(|v| v.parse().ok())
                         .ok_or_else(|| FederationError::protocol(format!("Region missing {name}")))
                 };
-                Ok(Region::Circle {
-                    center: SkyPoint::from_radec_deg(num("ra")?, num("dec")?),
-                    radius_rad: (num("radius_arcmin")? / 60.0).to_radians(),
-                })
+                Region::circle(
+                    num("ra")?,
+                    num("dec")?,
+                    (num("radius_arcmin")? / 60.0).to_radians(),
+                )
             }
             Some("polygon") => {
                 let mut vertices = Vec::new();
@@ -154,48 +179,12 @@ impl Region {
     }
 }
 
-/// Adapter implementing the HTM crate's [`ConvexRegion`] trait for
-/// [`Region`] (so storage's region search can consume it directly).
-pub struct RegionRef<'a>(&'a Region);
-
-impl ConvexRegion for RegionRef<'_> {
-    fn contains(&self, p: Vec3) -> bool {
-        self.0.contains_vec(p)
-    }
-
-    fn anchor(&self) -> Vec3 {
-        match self.0 {
-            Region::Circle { center, .. } => center.to_vec3(),
-            Region::Polygon(p) => p.centroid(),
-        }
-    }
-
-    fn boundary_crosses_arc(&self, a: Vec3, b: Vec3) -> bool {
-        match self.0 {
-            Region::Circle { center, radius_rad } => {
-                Cap::new(center.to_vec3(), *radius_rad).intersects_arc(a, b)
-            }
-            Region::Polygon(p) => p.edge_crosses(a, b),
-        }
-    }
-
-    fn is_geodesically_convex(&self) -> bool {
-        match self.0 {
-            Region::Circle { radius_rad, .. } => *radius_rad <= std::f64::consts::FRAC_PI_2,
-            Region::Polygon(_) => true,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn circle() -> Region {
-        Region::Circle {
-            center: SkyPoint::from_radec_deg(185.0, -0.5),
-            radius_rad: 1.0_f64.to_radians(),
-        }
+        Region::circle(185.0, -0.5, 1.0_f64.to_radians()).unwrap()
     }
 
     fn square() -> Region {
@@ -219,10 +208,12 @@ mod tests {
                 Region::Circle {
                     center: c1,
                     radius_rad: r1,
+                    ..
                 },
                 Region::Circle {
                     center: c2,
                     radius_rad: r2,
+                    ..
                 },
             ) => {
                 assert!(c1.separation(*c2) < 1e-12);
@@ -287,5 +278,38 @@ mod tests {
         assert!(Region::from_element(&bad_kind).is_err());
         let empty_poly = Element::new("Region").with_attr("kind", "polygon");
         assert!(Region::from_element(&empty_poly).is_err());
+    }
+
+    #[test]
+    fn malformed_wire_region_attributes_are_refused() {
+        let circle = |ra: &str, dec: &str, radius: &str| {
+            Element::new("Region")
+                .with_attr("kind", "circle")
+                .with_attr("ra", ra)
+                .with_attr("dec", dec)
+                .with_attr("radius_arcmin", radius)
+        };
+        let mut garbled: Vec<Element> = ["-1", "0", "NaN", "inf"]
+            .iter()
+            .map(|r| circle("185.0", "-0.5", r))
+            .collect();
+        garbled.push(circle("NaN", "-0.5", "4.5"));
+        garbled.push(circle("185.0", "inf", "4.5"));
+        let mut poly = square().to_element();
+        poly.children[1] = Element::new("V")
+            .with_attr("ra", "186.0")
+            .with_attr("dec", "NaN");
+        garbled.push(poly);
+        for e in &garbled {
+            assert!(
+                matches!(
+                    Region::from_element(e),
+                    Err(FederationError::Protocol { .. })
+                ),
+                "{e:?} was not refused"
+            );
+        }
+        // The well-formed circle beside them still reads back.
+        assert!(Region::from_element(&circle("185.0", "-0.5", "4.5")).is_ok());
     }
 }

@@ -515,7 +515,7 @@ pub fn seed_step(db: &mut Database, cfg: &StepConfig) -> Result<(PartialSet, Ste
     let row_ids: Vec<usize> = match &cfg.region {
         Some(region) => db.region_search(
             &cfg.table,
-            &region.as_convex_region(),
+            region.as_convex_region(),
             ScanOptions::default(),
         )?,
         None => db.scan_filter(&cfg.table, ScanOptions::default(), |_, _| true)?,
@@ -596,7 +596,7 @@ fn probe_step<'a>(
             MatchKernel::Htm => {
                 let examined;
                 (htm_hits, examined) =
-                    db.range_search_counted(&cfg.table, center, radius, ScanOptions::default())?;
+                    db.range_search(&cfg.table, center, radius, ScanOptions::default())?;
                 stats.candidates_examined += examined;
                 &htm_hits[..]
             }
@@ -955,10 +955,7 @@ mod tests {
     fn area_clause_limits_seed_and_match() {
         let mut a = archive("A", &[(10.0, 10.0, 1.0), (40.0, 10.0, 1.0)]);
         let mut b = archive("B", &[(10.0, 10.0, 1.0), (40.0, 10.0, 1.0)]);
-        let area = Some(Region::Circle {
-            center: SkyPoint::from_radec_deg(10.0, 10.0),
-            radius_rad: 1.0_f64.to_radians(),
-        });
+        let area = Some(Region::circle(10.0, 10.0, 1.0_f64.to_radians()).unwrap());
         let mut ca = cfg("A", 0.3, 3.5);
         ca.region = area.clone();
         let mut cb = cfg("B", 0.3, 3.5);

@@ -1,9 +1,9 @@
-//! Circle (spherical cap) covers: turning an `AREA` clause into HTM ID
-//! ranges.
+//! Region covers: turning an `AREA` cap or a §6 `POLYGON` into HTM ID
+//! ranges, each shape through its one [`ConvexRegion`] impl.
 //!
 //! The cover walks the trixel quad-tree from the roots. A trixel entirely
-//! inside the cap contributes a **full** range (all its descendants at the
-//! target depth); a trixel that intersects the cap boundary is subdivided
+//! inside the region contributes a **full** range (all its descendants at
+//! the target depth); a trixel that intersects the boundary is subdivided
 //! until the target depth, where it contributes a **partial** range. This is
 //! the two-phase filter of the paper's Section 5.4: rows in full trixels
 //! need no distance re-test, rows in partial trixels do.
@@ -133,21 +133,11 @@ fn classify<R: ConvexRegion + ?Sized>(t: &Trixel, region: &R) -> Classification 
 impl Cover {
     /// Covers the circle `AREA(center, radius_rad)` at the mesh's depth.
     pub fn circle(mesh: &Mesh, center: SkyPoint, radius_rad: f64) -> Cover {
-        Cover::cap(mesh, &Cap::new(center.to_vec3(), radius_rad))
+        Cover::region(mesh, &Cap::new(center.to_vec3(), radius_rad))
     }
 
-    /// Covers an arbitrary spherical cap at the mesh's depth.
-    pub fn cap(mesh: &Mesh, cap: &Cap) -> Cover {
-        Cover::region(mesh, cap)
-    }
-
-    /// Covers a convex spherical polygon at the mesh's depth (the §6
-    /// polygon-AREA extension).
-    pub fn polygon(mesh: &Mesh, polygon: &ConvexPolygon) -> Cover {
-        Cover::region(mesh, polygon)
-    }
-
-    /// Covers any convex region at the mesh's depth.
+    /// Covers any convex region at the mesh's depth: a spherical cap or a
+    /// convex spherical polygon (the §6 polygon-AREA extension).
     pub fn region<R: ConvexRegion + ?Sized>(mesh: &Mesh, region: &R) -> Cover {
         let depth = mesh.depth();
         let mut full = Vec::new();
@@ -250,7 +240,7 @@ mod tests {
     fn cover_sound_for(center: SkyPoint, radius_deg: f64, depth: u8) {
         let mesh = Mesh::new(depth);
         let cap = Cap::new(center.to_vec3(), radius_deg.to_radians());
-        let cover = Cover::cap(&mesh, &cap);
+        let cover = Cover::region(&mesh, &cap);
 
         // Soundness: points inside the cap locate to covered trixels.
         let cv = center.to_vec3();
@@ -356,7 +346,7 @@ mod tests {
     fn whole_sky_cap_covers_everything() {
         let mesh = Mesh::new(3);
         let cap = Cap::new(Vec3::new(0.0, 0.0, 1.0), std::f64::consts::PI);
-        let cover = Cover::cap(&mesh, &cap);
+        let cover = Cover::region(&mesh, &cap);
         assert_eq!(cover.trixel_count(), mesh.trixel_count());
     }
 }

@@ -174,7 +174,7 @@ pub fn angular_distance(a: Vec3, b: Vec3) -> f64 {
 /// A spherical cap: the set of unit vectors `p` with `p·center ≥ cos(radius)`.
 ///
 /// This is the region denoted by the paper's `AREA(ra, dec, radius)` clause.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cap {
     center: Vec3,
     /// Cosine of the angular radius; larger means smaller cap.

@@ -28,6 +28,8 @@ pub enum PolygonError {
     /// A vertex lies outside the half-space of a non-adjacent edge: the
     /// polygon is non-convex or wound clockwise.
     NotConvexCcw(usize),
+    /// A vertex's right ascension or declination is not finite.
+    NonFiniteVertex(usize),
 }
 
 impl std::fmt::Display for PolygonError {
@@ -41,6 +43,7 @@ impl std::fmt::Display for PolygonError {
                 f,
                 "vertices are not convex/counter-clockwise (violation at edge {i})"
             ),
+            PolygonError::NonFiniteVertex(i) => write!(f, "vertex {i} is not finite"),
         }
     }
 }
@@ -84,7 +87,14 @@ impl ConvexPolygon {
     }
 
     /// Builds a polygon from `(ra, dec)` degree pairs, CCW on the sky.
+    /// Refuses a vertex with a non-finite coordinate.
     pub fn from_radec_deg(points: &[(f64, f64)]) -> Result<ConvexPolygon, PolygonError> {
+        if let Some(i) = points
+            .iter()
+            .position(|p| !p.0.is_finite() || !p.1.is_finite())
+        {
+            return Err(PolygonError::NonFiniteVertex(i));
+        }
         ConvexPolygon::new(
             points
                 .iter()

@@ -59,7 +59,7 @@ proptest! {
     ) {
         let mesh = Mesh::new(depth);
         let cap = Cap::new(center.to_vec3(), radius_deg.to_radians());
-        let cover = Cover::cap(&mesh, &cap);
+        let cover = Cover::region(&mesh, &cap);
 
         // A random point inside the cap must land in the cover.
         let cv = center.to_vec3();
@@ -90,7 +90,7 @@ proptest! {
     ) {
         let mesh = Mesh::new(depth);
         let cap = Cap::new(center.to_vec3(), radius_deg.to_radians());
-        let cover = Cover::cap(&mesh, &cap);
+        let cover = Cover::region(&mesh, &cap);
         for range in cover.full_ranges() {
             // Sample the extremes of each full range: all corners inside.
             for raw in [range.lo, range.hi] {
@@ -144,7 +144,7 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let mesh = Mesh::new(depth);
-        let cover = Cover::polygon(&mesh, &poly);
+        let cover = Cover::region(&mesh, &poly);
         // A random interior point must land in the cover.
         let p = SkyPoint::from_radec_deg(ra0 + fx * half_w * 0.98, dec0 + fy * half_h * 0.98);
         prop_assume!(poly.contains(p.to_vec3()));

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use skyquery_htm::{RangeKind, SkyPoint};
+use skyquery_htm::{Cap, ConvexRegion, RangeKind, SkyPoint};
 
 use crate::cache::{BufferCache, CacheStats};
 use crate::catalog::{Catalog, TableStats};
@@ -282,106 +282,38 @@ impl Database {
     }
 
     /// Circular range search over a position-indexed table: candidates come
-    /// from the HTM cover; rows in partial trixels are distance re-tested.
-    /// Results are sorted by row id and carry the true angular separation.
+    /// from the HTM cover of the circle's cap; rows in partial trixels are
+    /// distance re-tested. Returns the hits, sorted by row id and carrying
+    /// the true angular separation, and the number of HTM candidates
+    /// examined, so callers can report probe-pruning efficiency.
     pub fn range_search(
         &mut self,
         table: &str,
         center: SkyPoint,
         radius_rad: f64,
         opts: ScanOptions,
-    ) -> Result<Vec<RangeSearchHit>, StorageError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| StorageError::UnknownTable {
-                name: table.to_string(),
-            })?;
-        let htm = entry
-            .htm
-            .as_mut()
-            .ok_or_else(|| StorageError::NoPositionIndex {
-                table: table.to_string(),
-            })?;
-        let pos = entry
-            .table
-            .schema()
-            .position
-            .as_ref()
-            .expect("htm index implies position metadata");
-        let ra_ci = entry.table.schema().column_index(&pos.ra).unwrap();
-        let dec_ci = entry.table.schema().column_index(&pos.dec).unwrap();
-        let epoch = entry.epoch;
-
-        let candidates = htm.search(center, radius_rad);
-        if opts.touch_cache {
-            for cand in &candidates {
-                self.cache.touch_row(epoch, cand.row);
-            }
-        }
-        resolve_range_candidates(&entry.table, ra_ci, dec_ci, center, radius_rad, &candidates)
-    }
-
-    /// [`Database::range_search`] plus the number of HTM candidates
-    /// examined, so callers can report probe-pruning efficiency.
-    pub fn range_search_counted(
-        &mut self,
-        table: &str,
-        center: SkyPoint,
-        radius_rad: f64,
-        opts: ScanOptions,
     ) -> Result<(Vec<RangeSearchHit>, usize), StorageError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| StorageError::UnknownTable {
-                name: table.to_string(),
-            })?;
+        let (entry, ra_ci, dec_ci) = positioned(&mut self.tables, table)?;
         let htm = entry
             .htm
             .as_mut()
-            .ok_or_else(|| StorageError::NoPositionIndex {
-                table: table.to_string(),
-            })?;
-        let pos = entry
-            .table
-            .schema()
-            .position
-            .as_ref()
-            .expect("htm index implies position metadata");
-        let ra_ci = entry.table.schema().column_index(&pos.ra).unwrap();
-        let dec_ci = entry.table.schema().column_index(&pos.dec).unwrap();
-        let epoch = entry.epoch;
-
-        let candidates = htm.search(center, radius_rad);
+            .expect("position metadata implies an htm index");
+        let candidates = htm.search(&Cap::new(center.to_vec3(), radius_rad));
         if opts.touch_cache {
             for cand in &candidates {
-                self.cache.touch_row(epoch, cand.row);
+                self.cache.touch_row(entry.epoch, cand.row);
             }
         }
-        let examined = candidates.len();
         let hits =
             resolve_range_candidates(&entry.table, ra_ci, dec_ci, center, radius_rad, &candidates)?;
-        Ok((hits, examined))
+        Ok((hits, candidates.len()))
     }
 
     /// Builds (or keeps) the columnar position snapshot for `table` at the
     /// database's zone height. A no-op when one is already cached; any
     /// insert invalidates it.
     pub fn ensure_columnar(&mut self, table: &str) -> Result<(), StorageError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| StorageError::UnknownTable {
-                name: table.to_string(),
-            })?;
-        let pos = entry.table.schema().position.as_ref().ok_or_else(|| {
-            StorageError::NoPositionIndex {
-                table: table.to_string(),
-            }
-        })?;
-        let ra_ci = entry.table.schema().column_index(&pos.ra).unwrap();
-        let dec_ci = entry.table.schema().column_index(&pos.dec).unwrap();
+        let (entry, ra_ci, dec_ci) = positioned(&mut self.tables, table)?;
         if entry.columnar.is_none() {
             entry.columnar = Some(ColumnarPositions::build(
                 &entry.table,
@@ -401,39 +333,24 @@ impl Database {
     }
 
     /// Region search over a position-indexed table: like
-    /// [`Database::range_search`] but for any convex region (polygon AREA
-    /// extension). Returns qualifying row ids in ascending order.
+    /// [`Database::range_search`] but for any convex region (a circle's cap
+    /// or a polygon), whose own `contains` re-tests the rows of partial
+    /// trixels. Returns qualifying row ids in ascending order.
     pub fn region_search(
         &mut self,
         table: &str,
-        region: &dyn skyquery_htm::ConvexRegion,
+        region: &dyn ConvexRegion,
         opts: ScanOptions,
     ) -> Result<Vec<RowId>, StorageError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| StorageError::UnknownTable {
-                name: table.to_string(),
-            })?;
+        let (entry, ra_ci, dec_ci) = positioned(&mut self.tables, table)?;
         let htm = entry
             .htm
             .as_mut()
-            .ok_or_else(|| StorageError::NoPositionIndex {
-                table: table.to_string(),
-            })?;
-        let pos = entry
-            .table
-            .schema()
-            .position
-            .as_ref()
-            .expect("htm index implies position metadata");
-        let ra_ci = entry.table.schema().column_index(&pos.ra).unwrap();
-        let dec_ci = entry.table.schema().column_index(&pos.dec).unwrap();
-        let epoch = entry.epoch;
+            .expect("position metadata implies an htm index");
         let mut rows = Vec::new();
-        for cand in htm.search_region(region) {
+        for cand in htm.search(region) {
             if opts.touch_cache {
-                self.cache.touch_row(epoch, cand.row);
+                self.cache.touch_row(entry.epoch, cand.row);
             }
             let row = entry.table.row(cand.row).expect("index row exists");
             match cand.kind {
@@ -458,24 +375,11 @@ impl Database {
         radius_rad: f64,
         opts: ScanOptions,
     ) -> Result<Vec<RangeSearchHit>, StorageError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| StorageError::UnknownTable {
-                name: table.to_string(),
-            })?;
-        let pos = entry.table.schema().position.as_ref().ok_or_else(|| {
-            StorageError::NoPositionIndex {
-                table: table.to_string(),
-            }
-        })?;
-        let ra_ci = entry.table.schema().column_index(&pos.ra).unwrap();
-        let dec_ci = entry.table.schema().column_index(&pos.dec).unwrap();
-        let epoch = entry.epoch;
+        let (entry, ra_ci, dec_ci) = positioned(&mut self.tables, table)?;
         let mut hits = Vec::new();
         for (rid, row) in entry.table.iter() {
             if opts.touch_cache {
-                self.cache.touch_row(epoch, rid);
+                self.cache.touch_row(entry.epoch, rid);
             }
             let (ra, dec) = extract_position(table, row, ra_ci, dec_ci)?;
             let sep = SkyPoint::from_radec_deg(ra, dec).separation(center);
@@ -559,12 +463,37 @@ impl Database {
     }
 }
 
+/// A position-indexed table's entry, with the indexes of its `ra` and
+/// `dec` columns. A table has an HTM index exactly when its schema
+/// declares position columns.
+fn positioned<'a>(
+    tables: &'a mut HashMap<String, TableEntry>,
+    table: &str,
+) -> Result<(&'a mut TableEntry, usize, usize), StorageError> {
+    let entry = tables
+        .get_mut(table)
+        .ok_or_else(|| StorageError::UnknownTable {
+            name: table.to_string(),
+        })?;
+    let schema = entry.table.schema();
+    let pos = schema
+        .position
+        .as_ref()
+        .ok_or_else(|| StorageError::NoPositionIndex {
+            table: table.to_string(),
+        })?;
+    let (ra_ci, dec_ci) = (
+        schema.column_index(&pos.ra).unwrap(),
+        schema.column_index(&pos.dec).unwrap(),
+    );
+    Ok((entry, ra_ci, dec_ci))
+}
+
 /// Distance-tests HTM candidates against a table's stored positions,
 /// returning qualifying hits sorted by row id. `Full`-kind candidates are
 /// accepted outright; `Partial`-kind ones are re-tested against the
-/// radius. Shared by [`Database::range_search`] and
-/// [`Database::range_search_counted`], and the contract the columnar
-/// kernel's probe is held to bit-for-bit.
+/// radius. The tail of [`Database::range_search`], and the contract the
+/// columnar kernel's probe is held to bit-for-bit.
 pub(crate) fn resolve_range_candidates(
     table: &Table,
     ra_ci: usize,
@@ -676,7 +605,8 @@ mod tests {
         let radius = (10.0 / 60.0_f64).to_radians(); // 10 arcmin
         let fast = db
             .range_search("photo_object", center, radius, ScanOptions::untracked())
-            .unwrap();
+            .unwrap()
+            .0;
         let slow = db
             .range_search_linear("photo_object", center, radius, ScanOptions::untracked())
             .unwrap();
@@ -825,7 +755,8 @@ mod tests {
             .probe(center, radius, &mut scratch);
         let htm = db
             .range_search("photo_object", center, radius, ScanOptions::untracked())
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(scratch.hits(), htm.as_slice());
 
         // A new zone height drops the snapshot and the next build uses
@@ -869,21 +800,6 @@ mod tests {
             db.ensure_columnar("missing"),
             Err(StorageError::UnknownTable { .. })
         ));
-    }
-
-    #[test]
-    fn range_search_counted_matches_range_search() {
-        let mut db = demo_db();
-        let center = SkyPoint::from_radec_deg(185.0, -0.5);
-        let radius = (10.0 / 60.0_f64).to_radians();
-        let plain = db
-            .range_search("photo_object", center, radius, ScanOptions::untracked())
-            .unwrap();
-        let (counted, examined) = db
-            .range_search_counted("photo_object", center, radius, ScanOptions::untracked())
-            .unwrap();
-        assert_eq!(plain, counted);
-        assert!(examined >= counted.len());
     }
 
     #[test]

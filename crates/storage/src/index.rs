@@ -161,8 +161,8 @@ pub struct HtmCandidate {
 }
 
 /// The HTM position index: rows sorted by the HTM ID of their position at a
-/// fixed mesh depth. A circular range search covers the circle with ID
-/// ranges and binary-searches this sorted list.
+/// fixed mesh depth. Its one search covers a convex region (a circle's cap
+/// or a polygon) with ID ranges and binary-searches this sorted list.
 #[derive(Debug, Clone)]
 pub struct HtmPositionIndex {
     mesh: Mesh,
@@ -243,25 +243,12 @@ impl HtmPositionIndex {
         }
     }
 
-    /// Candidate rows for a circular search centered at `center` with
-    /// radius `radius_rad`. `Full`-kind candidates are guaranteed inside;
-    /// `Partial` ones must be distance-tested by the caller.
-    pub fn search(&mut self, center: SkyPoint, radius_rad: f64) -> Vec<HtmCandidate> {
-        self.ensure_sorted();
-        let cover = Cover::circle(&self.mesh, center, radius_rad);
-        self.candidates_from_cover(&cover)
-    }
-
-    /// Candidate rows for an arbitrary convex region (the §6 polygon
-    /// extension uses this). Partial-kind candidates must be re-tested by
-    /// the caller with the region's `contains`.
-    pub(crate) fn search_region(&mut self, region: &dyn ConvexRegion) -> Vec<HtmCandidate> {
+    /// Candidate rows for a convex region (a circle's cap, or a §6
+    /// polygon). `Full`-kind candidates are guaranteed inside; `Partial`
+    /// ones must be re-tested by the caller with the region's `contains`.
+    pub fn search(&mut self, region: &dyn ConvexRegion) -> Vec<HtmCandidate> {
         self.ensure_sorted();
         let cover = Cover::region(&self.mesh, region);
-        self.candidates_from_cover(&cover)
-    }
-
-    fn candidates_from_cover(&self, cover: &Cover) -> Vec<HtmCandidate> {
         let mut out = Vec::new();
         for cr in cover.ranges() {
             let lo = self.entries.partition_point(|&(id, _)| id < cr.range.lo);
@@ -299,6 +286,7 @@ pub(crate) fn extract_position(
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, DataType, PositionColumns, TableSchema};
+    use skyquery_htm::Cap;
 
     fn pos_table(points: &[(f64, f64)]) -> Table {
         let schema = TableSchema::new(
@@ -381,7 +369,7 @@ mod tests {
         let mut idx = HtmPositionIndex::build(&t, 12).unwrap();
         let center = SkyPoint::from_radec_deg(185.0, -0.5);
         let radius = 10.0 / 3600.0_f64; // 10 arcsec in degrees
-        let cands = idx.search(center, radius.to_radians());
+        let cands = idx.search(&Cap::new(center.to_vec3(), radius.to_radians()));
         // Verify: candidate set must include all 4 cluster rows.
         let rows: Vec<RowId> = cands.iter().map(|c| c.row).collect();
         for rid in 0..4 {
@@ -419,7 +407,10 @@ mod tests {
         idx.insert(SkyPoint::from_radec_deg(300.0, 50.0), 0);
         idx.insert(SkyPoint::from_radec_deg(10.0, -20.0), 1);
         idx.insert(SkyPoint::from_radec_deg(10.001, -20.0), 2);
-        let cands = idx.search(SkyPoint::from_radec_deg(10.0, -20.0), 0.01);
+        let cands = idx.search(&Cap::new(
+            SkyPoint::from_radec_deg(10.0, -20.0).to_vec3(),
+            0.01,
+        ));
         let rows: Vec<RowId> = cands.iter().map(|c| c.row).collect();
         assert!(rows.contains(&1) && rows.contains(&2));
         assert!(!rows.contains(&0));
@@ -442,10 +433,10 @@ mod tests {
         // Index entries probed (not rows returned) — the quantity HTM
         // keeps small relative to a full scan.
         let cost = idx
-            .search(
-                SkyPoint::from_radec_deg(120.0, 12.0),
+            .search(&Cap::new(
+                SkyPoint::from_radec_deg(120.0, 12.0).to_vec3(),
                 (30.0 / 3600.0_f64).to_radians(),
-            )
+            ))
             .len();
         assert!(cost >= 5);
         assert!(cost < 200, "probe cost {cost} too close to full scan");
