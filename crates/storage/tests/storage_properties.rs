@@ -2,7 +2,7 @@
 //! with full scans, and inserts never corrupt invariants.
 
 use proptest::prelude::*;
-use skyquery_htm::{Cap, SkyPoint, Vec3};
+use skyquery_htm::{Cap, ConvexPolygon, ConvexRegion, Mesh, SkyPoint, Vec3};
 use skyquery_storage::{
     BufferCache, ColumnDef, DataType, Database, PositionColumns, ScanOptions, TableSchema, Value,
 };
@@ -45,6 +45,9 @@ proptest! {
         radius_deg in 0.01f64..30.0,
         depth in 6u8..13,
         edge in proptest::collection::vec((0.0f64..360.0, 0.98f64..1.02), 0..40),
+        cluster_at in (0.0f64..360.0, 0.98f64..1.02),
+        cluster in proptest::collection::vec((0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0), 0..24),
+        polygon_sides in 3usize..8,
     ) {
         let center = SkyPoint::from_radec_deg(center_ra, center_dec);
         let radius = radius_deg.to_radians();
@@ -58,12 +61,23 @@ proptest! {
         };
         let u = c.cross(axis).unit();
         let w = c.cross(u);
-        let mut points = points;
-        points.extend(edge.iter().map(|&(bearing_deg, frac)| {
+        let at = |bearing_deg: f64, frac: f64| {
             let (d, phi) = (radius * frac, bearing_deg.to_radians());
             let side = u.scale(phi.cos()).add(w.scale(phi.sin()));
-            let p = SkyPoint::from_vec3(c.scale(d.cos()).add(side.scale(d.sin())).unit());
+            c.scale(d.cos()).add(side.scale(d.sin())).unit()
+        };
+        let radec = |v: Vec3| {
+            let p = SkyPoint::from_vec3(v);
             (p.ra_deg, p.dec_deg)
+        };
+        let mut points = points;
+        points.extend(edge.iter().map(|&(bearing_deg, frac)| radec(at(bearing_deg, frac))));
+        // Many points in one depth-14 trixel on the edge: deeper than the
+        // index, so a search can split down to the index depth and still
+        // hold more than a few rows there.
+        let t = Mesh::new(14).trixel(Mesh::new(14).locate_vec(at(cluster_at.0, cluster_at.1)));
+        points.extend(cluster.iter().map(|&(a, b, k)| {
+            radec(t.v0.scale(a).add(t.v1.scale(b)).add(t.v2.scale(k)).unit())
         }));
         let mut db = pos_db(&points, depth);
         let fast: Vec<usize> = db
@@ -85,19 +99,32 @@ proptest! {
         // exactly the rows a linear pass keeps under `Cap::contains`, in
         // ascending order: a Full trixel never admits a row that the
         // exact filter refuses.
+        // The same holds for a polygon inscribed in the circle, with a
+        // corner at the cluster.
         let cap = Cap::new(center.to_vec3(), radius);
-        let region = db.region_search("t", &cap, ScanOptions::untracked()).unwrap();
-        let exact: Vec<usize> = db
-            .table("t")
-            .unwrap()
-            .iter()
-            .filter(|(_, row)| {
-                let p = SkyPoint::from_radec_deg(row[1].as_f64().unwrap(), row[2].as_f64().unwrap());
-                cap.contains(p.to_vec3())
-            })
-            .map(|(rid, _)| rid)
+        let mut corners: Vec<Vec3> = (0..polygon_sides)
+            .map(|k| at(cluster_at.0 + 360.0 * k as f64 / polygon_sides as f64, 1.0))
             .collect();
-        prop_assert_eq!(region, exact);
+        let polygon = ConvexPolygon::new(corners.clone()).or_else(|_| {
+            corners.reverse();
+            ConvexPolygon::new(corners)
+        });
+        let polygon = polygon.unwrap();
+        let regions: [&dyn ConvexRegion; 2] = [&cap, &polygon];
+        for region in regions {
+            let found = db.region_search("t", region, ScanOptions::untracked()).unwrap();
+            let exact: Vec<usize> = db
+                .table("t")
+                .unwrap()
+                .iter()
+                .filter(|(_, row)| {
+                    let p = SkyPoint::from_radec_deg(row[1].as_f64().unwrap(), row[2].as_f64().unwrap());
+                    region.contains(p.to_vec3())
+                })
+                .map(|(rid, _)| rid)
+                .collect();
+            prop_assert_eq!(found, exact);
+        }
     }
 
     #[test]
