@@ -3,19 +3,19 @@
 //! index. "It helps in reducing spatial processing at individual
 //! databases" (§5.1).
 //!
-//! Table: rows probed by the HTM cover vs a full scan across search
+//! Table: rows probed by the HTM index walk vs a full scan across search
 //! radii, and cover size across mesh depths. Criterion times HTM vs
-//! linear range searches.
+//! linear range searches, and the `AREA` read of a small node.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skyquery_htm::{Cover, Mesh, SkyPoint};
+use skyquery_htm::{Cap, Cover, Mesh, SkyPoint};
 use skyquery_sim::{BodyCatalog, CatalogParams, Survey, SurveyParams};
 use skyquery_storage::{Database, ScanOptions};
 
-fn survey_db(bodies: usize, depth: u8) -> Database {
+fn survey_db(bodies: usize, radius_deg: f64, depth: u8) -> Database {
     let catalog = BodyCatalog::generate(CatalogParams {
         count: bodies,
-        radius_deg: 2.0,
+        radius_deg,
         ..CatalogParams::default()
     });
     let mut params = SurveyParams::sdss_like();
@@ -31,7 +31,7 @@ fn print_tables() {
         "{:<18} {:>10} {:>14} {:>14}",
         "radius (arcmin)", "hits", "htm probes*", "scan probes"
     );
-    let mut db = survey_db(20_000, 14);
+    let mut db = survey_db(20_000, 2.0, 14);
     let total = db.row_count("Photo_Object").unwrap();
     for radius_arcmin in [1.0, 5.0, 20.0, 60.0] {
         let radius = (radius_arcmin / 60.0_f64).to_radians();
@@ -48,7 +48,7 @@ fn print_tables() {
             radius_arcmin, hits, probes, total
         );
     }
-    println!("* rows touched by the cover (full + partial trixels)");
+    println!("* rows touched by the index walk (full + partial trixels)");
 
     println!("\n=== E6b: circle-cover size vs mesh depth (radius 10 arcmin) ===");
     println!(
@@ -75,7 +75,7 @@ fn bench(c: &mut Criterion) {
     print_tables();
     let center = SkyPoint::from_radec_deg(185.0, -0.5);
     let radius = (10.0 / 60.0_f64).to_radians();
-    let mut db = survey_db(20_000, 14);
+    let mut db = survey_db(20_000, 2.0, 14);
     let mut group = c.benchmark_group("e6_range_search");
     group.sample_size(20);
     group.bench_function("htm_index", |b| {
@@ -88,6 +88,27 @@ fn bench(c: &mut Criterion) {
     group.bench_function("linear_scan", |b| {
         b.iter(|| {
             db.range_search_linear("Photo_Object", center, radius, ScanOptions::untracked())
+                .unwrap()
+        })
+    });
+    // The count-star and seed-step read of a `triple-small` node: a 15′
+    // `AREA` over the 1 200-body SDSS-like table (depth 14), at 64 centres
+    // spiralling over the field.
+    let mut small = survey_db(1_200, 1.0, 14);
+    let caps: Vec<Cap> = (0..64)
+        .map(|k| {
+            let r = 0.73 * ((k as f64 + 0.5) / 64.0).sqrt();
+            let phi = k as f64 * 2.399_963;
+            let c = SkyPoint::from_radec_deg(185.0 + r * phi.cos(), -0.5 + r * phi.sin());
+            Cap::new(c.to_vec3(), (15.0 / 60.0_f64).to_radians())
+        })
+        .collect();
+    let mut next = 0;
+    group.bench_function("region_search", |b| {
+        b.iter(|| {
+            next = (next + 1) % caps.len();
+            small
+                .region_search("Photo_Object", &caps[next], ScanOptions::default())
                 .unwrap()
         })
     });

@@ -288,15 +288,6 @@ impl Trixel {
     pub fn center(&self) -> Vec3 {
         self.v0.add(self.v1).add(self.v2).unit()
     }
-
-    /// An upper bound on the angular radius: the largest corner-to-center
-    /// angle, in radians.
-    pub fn bounding_radius(&self) -> f64 {
-        let c = self.center();
-        c.angle_to(self.v0)
-            .max(c.angle_to(self.v1))
-            .max(c.angle_to(self.v2))
-    }
 }
 
 #[cfg(test)]
@@ -435,14 +426,5 @@ mod tests {
         assert!((r.v0.sub(t.v0)).norm() < 1e-15);
         assert!((r.v1.sub(t.v1)).norm() < 1e-15);
         assert!((r.v2.sub(t.v2)).norm() < 1e-15);
-    }
-
-    #[test]
-    fn bounding_radius_shrinks_with_depth() {
-        let t = Trixel::root(2);
-        let r0 = t.bounding_radius();
-        let r1 = t.child(3).bounding_radius();
-        let r2 = t.child(3).child(3).bounding_radius();
-        assert!(r0 > r1 && r1 > r2);
     }
 }
