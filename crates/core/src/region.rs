@@ -2,8 +2,8 @@
 //! `AREA` (circle) and `POLYGON` (§6 extension) clauses. A region is
 //! built once, as the HTM crate's own shape — a [`Cap`] or a
 //! [`ConvexPolygon`] — and that shape's [`ConvexRegion`] impl is the one
-//! predicate the cover, storage's partial-row filter and every per-row
-//! test use.
+//! predicate the HTM descent, storage's partial-row filter and every
+//! per-row test use.
 
 use skyquery_htm::{Cap, ConvexPolygon, ConvexRegion, SkyPoint, Vec3};
 use skyquery_sql::ast::{AreaSpec, PolygonSpec, RegionSpec};
@@ -92,12 +92,12 @@ impl Region {
     }
 
     /// Whether a unit vector lies in the region, by the same predicate the
-    /// HTM cover tests trixel corners with.
+    /// HTM descent tests trixel corners with.
     pub fn contains_vec(&self, v: Vec3) -> bool {
         self.as_convex_region().contains(v)
     }
 
-    /// The region as an HTM cover input: the cap or the polygon itself.
+    /// The region as an HTM search input: the cap or the polygon itself.
     pub fn as_convex_region(&self) -> &dyn ConvexRegion {
         match self {
             Region::Circle { cap, .. } => cap,

@@ -2,8 +2,8 @@
 //! cross-match kernel.
 //!
 //! The XMATCH hot loop probes one small sky ball per incoming tuple. The
-//! HTM path answers each probe with a fresh trixel cover plus a candidate
-//! `Vec` — correct, but allocation-heavy and branchy. [`ColumnarPositions`]
+//! HTM path answers each probe with a walk of the position index plus a
+//! candidate `Vec` — correct, but allocation-heavy and branchy. [`ColumnarPositions`]
 //! packs a table's positions once into contiguous `f64` arrays (unit-vector
 //! `x/y/z` plus the raw `ra/dec`), sorted by declination zone and then by
 //! normalized right ascension, so a probe becomes:
