@@ -31,8 +31,8 @@ struct Lease<T> {
 
 /// A table of leased resources keyed by caller-visible id.
 ///
-/// The table never allocates ids — callers bring their own (SkyNodes use
-/// per-resource atomic counters) — and it never expires anything on its
+/// The table never allocates ids — callers bring their own (a
+/// [`crate::service::Transfers`] store counts its transfers) — and it never expires anything on its
 /// own: [`LeaseTable::sweep`] must be called with the current simulated
 /// time.
 #[derive(Debug)]
@@ -106,6 +106,11 @@ impl<T> LeaseTable<T> {
     /// Removes and returns the value under `id`.
     pub fn remove(&mut self, id: u64) -> Option<T> {
         self.entries.remove(&id).map(|l| l.value)
+    }
+
+    /// Drops every lease whose value fails `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        self.entries.retain(|_, l| keep(&l.value));
     }
 
     /// Reclaims every lease that expired at or before `now_s`, returning
@@ -192,6 +197,18 @@ mod tests {
         // Expired-but-unswept entries still answer lookups.
         t.insert(3, 30, 0.0, 1.0);
         assert_eq!(t.get(3), Some(&30));
+    }
+
+    #[test]
+    fn retain_drops_only_what_fails_the_test() {
+        let mut t: LeaseTable<u32> = LeaseTable::new();
+        t.insert(1, 10, 0.0, 5.0);
+        t.insert(2, 21, 0.0, 5.0);
+        t.insert(3, 30, 0.0, 5.0);
+        t.retain(|v| v % 2 == 0);
+        assert_eq!(t.ids(), vec![1, 3]);
+        // What stays keeps its lease.
+        assert_eq!(t.sweep(5.0), vec![(1, 10), (3, 30)]);
     }
 
     #[test]

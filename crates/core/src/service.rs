@@ -6,12 +6,22 @@
 //! three together means a method cannot be served without being described
 //! in the service's WSDL (or vice versa) — the §3.1 discipline that
 //! "WSDL consists of two distinct parts" stays mechanically enforced.
+//!
+//! Both answer an oversized reply (the §6 chunking workaround) through one
+//! [`Transfers`] store, which leases its chunks to `FetchChunk`.
 
-use skyquery_net::{HttpRequest, HttpResponse, SimNetwork};
-use skyquery_soap::{Operation, RpcCall, RpcResponse, SoapFault, SoapValue, WsdlBuilder};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use skyquery_net::{lock, HttpRequest, HttpResponse, SimNetwork};
+use skyquery_soap::chunk::split_table;
+use skyquery_soap::{
+    MessageLimits, Operation, RpcCall, RpcResponse, SoapError, SoapFault, SoapValue, WsdlBuilder,
+};
 use skyquery_xml::VoTable;
 
 use crate::error::{FederationError, Result};
+use crate::lease::LeaseTable;
 
 /// What a handler answers: a response for [`serve`] to encode, or — for
 /// a reply the handler measured against a message limit — the very bytes
@@ -88,25 +98,111 @@ pub fn require_u64(call: &RpcCall, name: &str) -> Result<u64> {
         .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative integer")))
 }
 
-/// The `FetchChunk` handler body every service with chunked transfers
-/// shares, once it has found transfer `transfer_id`'s `chunks`: the chunk
-/// the call's `index` names, as the reply, and whether it was the last
-/// one — the caller frees the transfer then.
-pub fn fetch_chunk(
-    call: &RpcCall,
-    transfer_id: u64,
-    chunks: &[VoTable],
-) -> Result<(RpcResponse, bool)> {
-    let index = require_u64(call, "index")? as usize;
-    let table = chunks
-        .get(index)
-        .ok_or_else(|| FederationError::protocol(format!("no chunk {index}")))?;
-    let reply = RpcResponse::new("FetchChunk")
-        .result("chunk", SoapValue::Table(table.clone()))
-        .result("index", SoapValue::Int(index as i64))
-        .result("total", SoapValue::Int(chunks.len() as i64))
-        .result("transfer_id", SoapValue::Int(transfer_id as i64));
-    Ok((reply, index + 1 == chunks.len()))
+/// The outgoing chunked transfers of one service: each an oversized
+/// reply's table, split into chunks and leased until a `FetchChunk`
+/// serves the last one, an `AbortTransfer` frees it, or the lease lapses.
+/// Ids count 1, 2, … per store. Each transfer has an `owner`: its job for
+/// the job service, 0 for a SkyNode.
+pub struct Transfers {
+    host: String,
+    next_id: AtomicU64,
+    open: Mutex<LeaseTable<(u64, Vec<VoTable>)>>,
+}
+
+impl Transfers {
+    /// An empty store for the service at `host`.
+    pub fn new(host: impl Into<String>) -> Transfers {
+        Transfers {
+            host: host.into(),
+            next_id: AtomicU64::new(1),
+            open: Mutex::new(LeaseTable::new()),
+        }
+    }
+
+    /// Sends `resp` within `limit` bytes: as the very bytes measured when
+    /// it fits, else — without `chunking`, the caller's parser would die —
+    /// as `MessageTooLarge`, else with its table split, leased to `owner`
+    /// for `ttl_s`, and the manifest in the table's slot.
+    pub fn reply(
+        &self,
+        net: &SimNetwork,
+        mut resp: RpcResponse,
+        limit: usize,
+        chunking: bool,
+        owner: u64,
+        ttl_s: f64,
+    ) -> Result<Reply> {
+        let encoded = resp.to_xml();
+        if encoded.len() <= limit {
+            return Ok(Reply::Encoded(encoded));
+        }
+        let slot = resp
+            .results
+            .iter()
+            .position(|(_, v)| v.as_table().is_some());
+        let Some(slot) = slot.filter(|_| chunking) else {
+            let size = encoded.len();
+            return Err(SoapError::MessageTooLarge { size, limit }.into());
+        };
+        let table = resp.results[slot].1.as_table().expect("found above");
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let (manifest, chunks) = split_table(table, MessageLimits::tiny(limit), id)?;
+        resp.results[slot] = ("manifest".into(), SoapValue::Xml(manifest.to_element()));
+        lock(&self.open).insert(id, (owner, chunks), net.now_s(), ttl_s);
+        net.record_node_event(&self.host, "lease-granted");
+        Ok(resp.into())
+    }
+
+    /// `FetchChunk`: the chunk the call names and its transfer's owner.
+    /// Serving the last chunk frees the transfer.
+    pub fn fetch_chunk(&self, net: &SimNetwork, call: &RpcCall) -> Result<(RpcResponse, u64)> {
+        let transfer_id = require_u64(call, "transfer_id")?;
+        let mut open = lock(&self.open);
+        // Each continuation renews the transfer's lease: a live receiver
+        // never loses one mid-stream, however slowly it pulls.
+        open.renew(transfer_id, net.now_s());
+        let (owner, chunks) = open
+            .get(transfer_id)
+            .ok_or_else(|| FederationError::lease_expired("transfer", transfer_id, &self.host))?;
+        let index = require_u64(call, "index")? as usize;
+        let table = chunks
+            .get(index)
+            .ok_or_else(|| FederationError::protocol(format!("no chunk {index}")))?;
+        let reply = RpcResponse::new("FetchChunk")
+            .result("chunk", SoapValue::Table(table.clone()))
+            .result("index", SoapValue::Int(index as i64))
+            .result("total", SoapValue::Int(chunks.len() as i64))
+            .result("transfer_id", SoapValue::Int(transfer_id as i64));
+        let owner = *owner;
+        if index + 1 == chunks.len() {
+            open.remove(transfer_id);
+        }
+        Ok((reply, owner))
+    }
+
+    /// `AbortTransfer`: frees a transfer its receiver abandoned. An unknown
+    /// id (drained, aborted, or a retried abort) answers `aborted = false`
+    /// rather than a fault, so best-effort cleanup never cascades.
+    pub fn abort(&self, call: &RpcCall) -> Result<RpcResponse> {
+        let transfer_id = require_u64(call, "transfer_id")?;
+        let freed = lock(&self.open).remove(transfer_id).is_some();
+        Ok(RpcResponse::new("AbortTransfer").result("aborted", SoapValue::Bool(freed)))
+    }
+
+    /// Frees every transfer `owner` holds.
+    pub fn release_owner(&self, owner: u64) {
+        lock(&self.open).retain(|(o, _)| *o != owner);
+    }
+
+    /// Reclaims the transfers whose lease lapsed by `now_s`: how many.
+    pub fn sweep(&self, now_s: f64) -> usize {
+        lock(&self.open).sweep(now_s).len()
+    }
+
+    /// Open transfer ids, sorted.
+    pub fn ids(&self) -> Vec<u64> {
+        lock(&self.open).ids()
+    }
 }
 
 /// Every method name in `services`, in registry (WSDL) order.
@@ -127,7 +223,8 @@ pub fn wsdl<T: ?Sized>(services: &[ServiceMethod<T>], service: &str, endpoint: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyquery_soap::SoapValue;
+    use skyquery_soap::ChunkManifest;
+    use skyquery_xml::{VoColumn, VoType};
 
     struct Echo;
 
@@ -152,5 +249,86 @@ mod tests {
         let doc = wsdl(METHODS, "Echo", "http://echo.example.org/soap");
         assert!(doc.contains("Ping"));
         assert!(doc.contains("http://echo.example.org/soap"));
+    }
+
+    /// A reply of `rows` rows in a table slot between two scalars.
+    fn table_reply(rows: i64) -> RpcResponse {
+        let mut table = VoTable::new("t", vec![VoColumn::new("id", VoType::Int)]);
+        for i in 0..rows {
+            table.push_row(vec![Some(i.to_string())]).unwrap();
+        }
+        RpcResponse::new("Get")
+            .result("before", SoapValue::Int(1))
+            .result("rows", SoapValue::Table(table))
+            .result("after", SoapValue::Str("two".into()))
+    }
+
+    /// Sends `table_reply(rows)` through `store` under a limit it
+    /// overflows, as `owner`'s transfer: the manifest it answers.
+    fn open(net: &SimNetwork, store: &Transfers, rows: i64, owner: u64) -> ChunkManifest {
+        let limit = table_reply(rows).to_xml().len() / 2;
+        let Reply::Response(resp) = store
+            .reply(net, table_reply(rows), limit, true, owner, 60.0)
+            .unwrap()
+        else {
+            panic!("an oversized reply answers a manifest")
+        };
+        ChunkManifest::from_element(resp.require("manifest").unwrap().as_xml().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn an_oversized_reply_keeps_its_other_results_in_order_after_the_manifest() {
+        let net = SimNetwork::new();
+        let store = Transfers::new("svc.example.org");
+        let fits = table_reply(40).to_xml();
+        let Reply::Encoded(sent) = store
+            .reply(&net, table_reply(40), fits.len(), true, 0, 60.0)
+            .unwrap()
+        else {
+            panic!("a reply that fits is sent as measured")
+        };
+        assert_eq!(sent, fits);
+        let refused = store
+            .reply(&net, table_reply(40), fits.len() - 1, false, 0, 60.0)
+            .unwrap_err();
+        assert!(matches!(
+            refused,
+            FederationError::Soap(SoapError::MessageTooLarge { .. })
+        ));
+        let Reply::Response(resp) = store
+            .reply(&net, table_reply(40), fits.len() / 2, true, 0, 60.0)
+            .unwrap()
+        else {
+            panic!("an oversized reply answers a manifest")
+        };
+        let names: Vec<&str> = resp.results.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["before", "manifest", "after"]);
+        assert_eq!(resp.get("after"), Some(&SoapValue::Str("two".into())));
+    }
+
+    #[test]
+    fn transfer_ids_count_from_one_in_each_store() {
+        let net = SimNetwork::new();
+        let (a, b) = (Transfers::new("a"), Transfers::new("b"));
+        assert_eq!(open(&net, &a, 40, 0).transfer_id, 1);
+        assert_eq!(open(&net, &a, 40, 0).transfer_id, 2);
+        assert_eq!(open(&net, &b, 40, 0).transfer_id, 1);
+        assert_eq!(a.ids(), vec![1, 2]);
+    }
+
+    #[test]
+    fn release_owner_frees_only_that_owners_transfers() {
+        let net = SimNetwork::new();
+        let store = Transfers::new("svc.example.org");
+        for owner in [7, 8, 7] {
+            open(&net, &store, 40, owner);
+        }
+        store.release_owner(7);
+        assert_eq!(store.ids(), vec![2]);
+        // The survivor still serves its chunks, naming its owner.
+        let call = RpcCall::new("FetchChunk")
+            .param("transfer_id", SoapValue::Int(2))
+            .param("index", SoapValue::Int(0));
+        assert_eq!(store.fetch_chunk(&net, &call).unwrap().1, 8);
     }
 }
