@@ -459,7 +459,7 @@ fn fully_drained_stream_sends_no_abort() {
     let plan = tiny_budget_plan(&fed);
     let stream = open_cross_match_stream(&fed, &plan);
     let set = stream.collect_set().unwrap();
-    assert!(set.tuples.len() > 0);
+    assert!(!set.tuples.is_empty());
     // The sender freed the transfer on the last chunk; no abort traffic.
     assert!(node.open_transfers().is_empty());
     assert_eq!(

@@ -272,7 +272,7 @@ fn multi_tenant_soak_seed_a() {
 
 #[test]
 fn multi_tenant_soak_seed_b() {
-    soak(0x0000_7E4A_47_BEEF);
+    soak(0x0000_007E_4A47_BEEF);
 }
 
 /// Extra schedules via `SKYQUERY_SOAK_SEEDS=1,2,3`.
