@@ -161,9 +161,11 @@ impl ArchiveInfo {
         };
         Ok(ArchiveInfo {
             name: attr("name")?.to_string(),
-            sigma_arcsec: attr("sigma_arcsec")?
-                .parse()
-                .map_err(|_| FederationError::protocol("bad sigma_arcsec"))?,
+            // Positive and finite, as the plan's σ must be.
+            sigma_arcsec: opt_attr(e, "sigma_arcsec", |v: &f64| v.is_finite() && *v > 0.0)?
+                .ok_or_else(|| {
+                    FederationError::protocol("ArchiveInfo missing attribute sigma_arcsec")
+                })?,
             primary_table: attr("primary_table")?.to_string(),
             htm_depth: attr("htm_depth")?
                 .parse()
@@ -536,6 +538,28 @@ mod tests {
                     }
                     other => panic!("{on} {name}={value:?} decoded to {other:?}"),
                 }
+            }
+        }
+        // An archive's σ is required and, as a plan step's is, positive
+        // and finite.
+        for value in [
+            None,
+            Some("zz"),
+            Some("NaN"),
+            Some("inf"),
+            Some("0"),
+            Some("-3.5"),
+        ] {
+            let mut el = info().to_element();
+            el.attributes.retain(|(k, _)| k != "sigma_arcsec");
+            if let Some(v) = value {
+                el.attributes.push(("sigma_arcsec".into(), v.into()));
+            }
+            match ArchiveInfo::from_element(&el) {
+                Err(FederationError::Protocol { detail }) => {
+                    assert!(detail.contains("sigma_arcsec"), "{detail}")
+                }
+                other => panic!("sigma_arcsec={value:?} decoded to {other:?}"),
             }
         }
     }

@@ -8,7 +8,9 @@
 //!
 //! The plan travels as a SOAP `xml` parameter down the daisy chain, so it
 //! round-trips through [`ExecutionPlan::to_element`] /
-//! [`ExecutionPlan::from_element`]. Per-archive predicates and residual
+//! [`ExecutionPlan::from_element`]. A Portal-driven step call has no one
+//! to forward to, so it carries only its step, as the one-step plan
+//! [`ExecutionPlan::for_step`] builds. Per-archive predicates and residual
 //! clauses are carried as dialect SQL text — each autonomous SkyNode
 //! parses them with its own copy of the dialect parser.
 
@@ -144,6 +146,27 @@ impl ExecutionPlan {
     /// node-to-node daisy chain.
     pub fn has_shards(&self) -> bool {
         self.steps.iter().any(|s| !s.shards.is_empty())
+    }
+
+    /// Step `index` alone, as a one-step plan: what a Portal-driven step
+    /// call carries. A node reads only its step, the step's residuals and
+    /// the plan's knobs, so the other steps, the step's shards and count
+    /// estimate, and the projection stay at the Portal. Panics if the
+    /// plan has no step `index`.
+    pub fn for_step(&self, index: usize) -> ExecutionPlan {
+        let step = PlanStep {
+            count_estimate: None,
+            shards: Vec::new(),
+            ..self.steps[index].clone()
+        };
+        ExecutionPlan {
+            region: self.region.clone(),
+            steps: vec![step],
+            select: Vec::new(),
+            order_by: Vec::new(),
+            limit: None,
+            ..*self
+        }
     }
 
     /// Builds the [`StepConfig`] the cross-match stored procedure needs at
@@ -315,9 +338,10 @@ impl ExecutionPlan {
                 e.name
             )));
         }
-        let threshold: f64 = e
-            .attr("threshold")
-            .and_then(|t| t.parse().ok())
+        // The SQL parser's rule for an XMATCH threshold, and for σ too: a
+        // positive, finite number.
+        let positive = |v: &f64| v.is_finite() && *v > 0.0;
+        let threshold = opt_attr(e, "threshold", positive)?
             .ok_or_else(|| FederationError::protocol("Plan missing threshold"))?;
         let region = match e.children_named("Region").next() {
             Some(re) => Some(Region::from_element(re)?),
@@ -351,9 +375,9 @@ impl ExecutionPlan {
                 dropout: attr("dropout")?
                     .parse()
                     .map_err(|_| FederationError::protocol("Step has malformed dropout"))?,
-                sigma_arcsec: attr("sigma_arcsec")?
-                    .parse()
-                    .map_err(|_| FederationError::protocol("bad sigma_arcsec"))?,
+                sigma_arcsec: opt_attr(se, "sigma_arcsec", positive)?.ok_or_else(|| {
+                    FederationError::protocol("Step missing attribute sigma_arcsec")
+                })?,
                 local_sql: se.children_named("Local").next().map(|l| l.text.clone()),
                 carried: se.children_named("Carry").map(|c| c.text.clone()).collect(),
                 residual_sql: se
@@ -429,7 +453,6 @@ impl ExecutionPlan {
         };
         let retry = RetryPolicy::default();
         let at_least = |min: f64| move |v: &f64| v.is_finite() && *v >= min;
-        let positive = |v: &f64| v.is_finite() && *v > 0.0;
         Ok(ExecutionPlan {
             threshold,
             region,
@@ -748,8 +771,9 @@ mod tests {
         assert_eq!(back.retry.jitter, 0.25);
     }
 
-    #[test]
-    fn shard_lists_roundtrip() {
+    /// The demo plan with its middle step split over two shards, the
+    /// first of them replicated.
+    fn sharded_plan() -> ExecutionPlan {
         let mut p = demo_plan();
         p.steps[1].shards = vec![
             PlanShard {
@@ -766,6 +790,12 @@ mod tests {
                 replicas: vec![],
             },
         ];
+        p
+    }
+
+    #[test]
+    fn shard_lists_roundtrip() {
+        let p = sharded_plan();
         let back = ExecutionPlan::from_element(&p.to_element()).unwrap();
         assert_eq!(back, p);
         assert!(back.has_shards());
@@ -786,6 +816,36 @@ mod tests {
             }
         }
         assert!(ExecutionPlan::from_element(&el).is_err());
+    }
+
+    #[test]
+    fn for_step_carries_the_step_alone() {
+        for p in [demo_plan(), sharded_plan()] {
+            for i in 0..p.steps.len() {
+                let one = p.for_step(i);
+                assert_eq!(one.steps.len(), 1);
+                assert_eq!(
+                    format!("{:?}", one.step_config(0).unwrap()),
+                    format!("{:?}", p.step_config(i).unwrap())
+                );
+                assert_eq!(one.residuals(0).unwrap(), p.residuals(i).unwrap());
+                // The knobs travel unchanged.
+                assert_eq!(
+                    (one.threshold, &one.region, one.kernel, one.retry),
+                    (p.threshold, &p.region, p.kernel, p.retry)
+                );
+                assert_eq!(
+                    (one.max_message_bytes, one.chunking, one.lease_ttl_s),
+                    (p.max_message_bytes, p.chunking, p.lease_ttl_s)
+                );
+                // Nothing only the Portal reads.
+                assert!(!one.has_shards() && one.steps[0].count_estimate.is_none());
+                assert!(one.select.is_empty() && one.order_by.is_empty());
+                assert_eq!(one.limit, None);
+                let back = ExecutionPlan::from_element(&one.to_element()).unwrap();
+                assert_eq!(back, one);
+            }
+        }
     }
 
     #[test]
@@ -885,6 +945,26 @@ mod tests {
             assert!(absent(&p), "{on} without {name}");
             for value in garbled {
                 match ExecutionPlan::from_element(&with_attr_on(on, name, Some(value))) {
+                    Err(FederationError::Protocol { detail }) => {
+                        assert!(detail.contains(name), "{detail}")
+                    }
+                    other => panic!("{on} {name}={value:?} decoded to {other:?}"),
+                }
+            }
+        }
+        // The threshold and each step's σ are required and, by the SQL
+        // parser's rule, positive and finite: an infinite threshold would
+        // buy an every-pair cross-match, a NaN one an empty answer.
+        for (on, name) in [("Plan", "threshold"), ("Step", "sigma_arcsec")] {
+            for value in [
+                None,
+                Some("zz"),
+                Some("NaN"),
+                Some("inf"),
+                Some("0"),
+                Some("-3.5"),
+            ] {
+                match ExecutionPlan::from_element(&with_attr_on(on, name, value)) {
                     Err(FederationError::Protocol { detail }) => {
                         assert!(detail.contains(name), "{detail}")
                     }

@@ -250,7 +250,9 @@ fn decode_partial(
 /// The call of the portal-driven step services, encoded once so that a
 /// scatter sends the same bytes to every extent, hedge and failover: run
 /// plan step `step` on the supplied `input` set (seeding when it is
-/// absent) and hand the output straight back. `from_row = None` is a
+/// absent) and hand the output straight back. The Portal sends a
+/// one-step plan ([`ExecutionPlan::for_step`]) at step 0; a node also
+/// accepts a whole plan and any step index in it. `from_row = None` is a
 /// `ScatterStep` over the node's whole table (its zone range, for a
 /// shard); `Some(r)` is a `DeltaStep` over only the rows inserted at or
 /// after row `r` — the result cache's incremental-repair probe.

@@ -20,7 +20,6 @@
 //!
 //! Recording, repairing and plain steps all run one step routine.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use skyquery_htm::SkyPoint;
@@ -684,9 +683,10 @@ impl Portal {
     /// Scatters one step (`idx`, the tail of `plan.steps`) to its owning
     /// shards in parallel and gathers the replies into one merged
     /// partial set plus the step's merged statistics; an unsharded
-    /// archive is the one-extent case. Each extent is served by one
-    /// replica of its group through [`Portal::serve_group`], in
-    /// deterministic `(extent, host)` order, under the configured hedge
+    /// archive is the one-extent case. Every extent is sent the step
+    /// alone, as [`ExecutionPlan::for_step`]'s one-step plan, and is
+    /// served by one replica of its group through [`Portal::serve_group`],
+    /// in deterministic `(extent, host)` order, under the configured hedge
     /// delay. `from_row` is passed to [`portal_step_call`]: `None` runs
     /// the step over the whole table, `Some(r)` over only the rows at or
     /// after `r` (a cache-repair probe).
@@ -740,18 +740,15 @@ impl Portal {
             }
         }
 
-        // When scattered, a non-drop-out step additionally carries the
-        // shard table's rank column so the gather can restore the
-        // single-node output order; the input set is tagged with each
-        // tuple's index for the same reason. Only then is the plan
-        // copied.
-        let wire_plan = if multi && !dropout {
-            let mut p = plan.clone();
-            p.steps[idx].carried.push(shard::RANK_COL.to_string());
-            Cow::Owned(p)
-        } else {
-            Cow::Borrowed(plan)
-        };
+        // The call carries this step alone, as a one-step plan. When
+        // scattered, a non-drop-out step additionally carries the shard
+        // table's rank column so the gather can restore the single-node
+        // output order; the input set is tagged with each tuple's index
+        // for the same reason.
+        let mut wire_plan = plan.for_step(idx);
+        if multi && !dropout {
+            wire_plan.steps[0].carried.push(shard::RANK_COL.to_string());
+        }
         let input_table = input.map(|set| {
             if multi {
                 shard::tag_with_src(set, shard::SRC_COL, 0..set.len()).to_votable()
@@ -761,7 +758,7 @@ impl Portal {
         });
         // One call body per step: every extent, hedge and failover is
         // sent these bytes.
-        let call = &portal_step_call(&wire_plan, idx, from_row, input_table);
+        let call = &portal_step_call(&wire_plan, 0, from_row, input_table);
         let hedge_delay = self.config().hedge_delay_s;
         let outcomes = fan_out(&targets, |group| {
             self.serve_group(group, hedge_delay, |url| {

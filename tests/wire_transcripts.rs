@@ -17,7 +17,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use skyquery_core::{ChainMode, FederationConfig};
+use skyquery_core::{ChainMode, ExecutionPlan, FederationConfig};
 use skyquery_jobs::{JobClient, JobService, JobServiceConfig};
 use skyquery_net::{Endpoint, FaultKind, FaultPlan, FaultRule, HttpRequest, SimNetwork};
 use skyquery_sim::{
@@ -126,6 +126,27 @@ fn check(name: &str, log: &Transcript, want_msgs: usize, want_digest: u64) {
     );
 }
 
+/// Every `ScatterStep` and `DeltaStep` call in `log` carries its step
+/// alone: a one-step plan with no shard list, at step 0. Returns how many
+/// there were.
+fn assert_one_step_calls(name: &str, log: &Transcript) -> usize {
+    let log = log.lock().unwrap();
+    let calls: Vec<RpcCall> = log
+        .iter()
+        .filter(|(action, _, _)| action.ends_with("#ScatterStep") || action.ends_with("#DeltaStep"))
+        .map(|(_, req, _)| RpcCall::parse(std::str::from_utf8(req).unwrap()).unwrap())
+        .collect();
+    for call in &calls {
+        let plan = call.get("plan").and_then(|v| v.as_xml()).expect("a plan");
+        let plan = ExecutionPlan::from_element(plan).unwrap();
+        assert_eq!(plan.steps.len(), 1, "{name} {}: one step", call.method);
+        assert!(!plan.has_shards(), "{name} {}: no shard list", call.method);
+        let step = call.get("step").and_then(|v| v.as_i64());
+        assert_eq!(step, Some(0), "{name} {}: at step 0", call.method);
+    }
+    calls.len()
+}
+
 fn triple_sql() -> String {
     xmatch_query(
         &[
@@ -160,7 +181,8 @@ fn paper_triple_on_the_recursive_chain() {
 #[test]
 fn paper_triple_checkpointed() {
     let log = paper_triple(ChainMode::Checkpointed);
-    check("checkpointed", &log, 6, 0xdd8c_8e5f_42e7_d2f5);
+    assert_eq!(assert_one_step_calls("checkpointed", &log), 3);
+    check("checkpointed", &log, 6, 0x87f3_5d40_611b_0412);
 }
 
 #[test]
@@ -204,7 +226,8 @@ fn sharded_replicated_scatter_with_a_garbled_extent() {
         m.node_event_total("failover") > 0,
         "the extent must fail over"
     );
-    check("scatter", &log, 23, 0x2dff_f47c_69f3_79a2);
+    assert!(assert_one_step_calls("scatter", &log) > 0);
+    check("scatter", &log, 23, 0x3b11_534b_eb25_31a3);
 }
 
 #[test]
@@ -370,5 +393,6 @@ fn cached_triple_repaired_after_growth() {
         .filter(|req| req.contains("<from_row sq:type=\"long\">0</from_row>"))
         .count();
     assert_eq!(whole, 2, "the fresh inputs of the match and drop-out steps");
-    check("repair", &log, 7, 0x8d2f_2dfb_bcc9_7d14);
+    assert_eq!(assert_one_step_calls("repair", &log), 5);
+    check("repair", &log, 7, 0x62cc_b7d1_8ab3_026e);
 }
