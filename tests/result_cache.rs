@@ -8,12 +8,16 @@
 
 use proptest::prelude::*;
 use skyquery_core::result_cache::CacheCounters;
+use skyquery_core::transfer::{invoke_portal_step, portal_step_call};
 use skyquery_core::{
-    ChainMode, FederationConfig, FederationError, MatchKernel, ResultSet, RetryPolicy,
+    ChainMode, ExecutionTrace, FederationConfig, FederationError, MatchKernel, PartialSet,
+    ResultSet, RetryPolicy,
 };
 use skyquery_jobs::{JobClient, JobService, JobServiceConfig};
 use skyquery_net::{FaultKind, FaultPlan, FaultRule};
-use skyquery_sim::{CatalogParams, FederationBuilder, QuerySpec, SurveyParams, TestFederation};
+use skyquery_sim::{
+    paper_query, CatalogParams, FederationBuilder, QuerySpec, SurveyParams, TestFederation,
+};
 use skyquery_storage::Value;
 
 const SDSS_HOST: &str = "sdss.skyquery.net";
@@ -510,5 +514,82 @@ fn malformed_delta_bodies_fall_back_to_a_cold_run_not_a_poisoned_splice() {
             },
             "{kind:?}"
         );
+    }
+}
+
+/// The `DeltaStep` contract the repair relies on: a step run from row
+/// `r` answers exactly as a `ScatterStep` carrying the same input and
+/// the same one-step plan, sent to a node whose table holds only the
+/// rows `[r..)`, in the same order — the same partial set and the same
+/// stats chain, for the seed, match and drop-out steps under both
+/// kernels. Each archive of the paper triple grows by injected rows
+/// after the original ones, and `r` cuts the original rows in half, so
+/// the window holds both kinds. Every step's input is the previous
+/// step's whole-table answer on the grown federation.
+#[test]
+fn a_delta_step_answers_as_a_scatter_over_only_the_new_rows() {
+    let sql = paper_query().replace("XMATCH(O, T, P)", "XMATCH(O, T, !P)");
+    for kernel in [MatchKernel::Columnar, MatchKernel::Htm] {
+        let grown = FederationBuilder::paper_triple(300).build();
+        let window = FederationBuilder::paper_triple(300).build();
+        let mut plan = grown
+            .portal
+            .plan_query(&sql, &mut ExecutionTrace::new())
+            .unwrap();
+        plan.kernel = kernel;
+        assert!(plan.steps[0].dropout, "the drop-out step comes first");
+        let mut from_rows = Vec::new();
+        for step in &plan.steps {
+            let node = grown.node(&step.archive).expect("archive registered");
+            let table = node.info().primary_table.clone();
+            let r = node.with_db(|db| db.table(&table).unwrap().len()) / 2;
+            from_rows.push(r);
+        }
+        grow_archives(&grown);
+        for (step, &r) in plan.steps.iter().zip(&from_rows) {
+            let table = grown
+                .node(&step.archive)
+                .unwrap()
+                .info()
+                .primary_table
+                .clone();
+            let (schema, rows) = grown.node(&step.archive).unwrap().with_db(|db| {
+                let t = db.table(&table).unwrap();
+                (t.schema().clone(), t.rows()[r..].to_vec())
+            });
+            window.node(&step.archive).unwrap().with_db(|db| {
+                db.drop_table(&table).unwrap();
+                db.create_table(schema).unwrap();
+                for row in rows {
+                    db.insert(&table, row).unwrap();
+                }
+            });
+        }
+
+        let mut input: Option<PartialSet> = None;
+        for idx in (0..plan.steps.len()).rev() {
+            let step = &plan.steps[idx];
+            let one = plan.for_step(idx);
+            let table = input.as_ref().map(PartialSet::to_votable);
+            let call = |from_row| portal_step_call(&one, 0, from_row, table.clone());
+            let step_at = |fed: &TestFederation, from_row| {
+                invoke_portal_step(&fed.net, "tester", &step.url, &one, &call(from_row)).unwrap()
+            };
+            let (delta, delta_chain, _) = step_at(&grown, Some(from_rows[idx] as u64));
+            let (scatter, scatter_chain, _) = step_at(&window, None);
+            assert_eq!(delta, scatter, "{kernel}: step {idx} ({})", step.alias);
+            assert_eq!(delta_chain, scatter_chain, "{kernel}: step {idx} stats");
+            assert!(
+                !delta.is_empty(),
+                "{kernel}: step {idx} ({}) answered nothing",
+                step.alias
+            );
+            let whole = step_at(&grown, None).0;
+            assert_ne!(
+                delta, whole,
+                "{kernel}: step {idx} must read only the window"
+            );
+            input = Some(whole);
+        }
     }
 }
