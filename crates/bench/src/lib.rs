@@ -6,6 +6,8 @@
 //! standard federations and workloads so every experiment runs against
 //! the same synthetic sky.
 
+pub mod alloc;
+
 use skyquery_core::FederationConfig;
 use skyquery_net::CostModel;
 use skyquery_sim::{xmatch_query, CatalogParams, FederationBuilder, SurveyParams, TestFederation};
