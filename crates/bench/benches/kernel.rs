@@ -110,6 +110,7 @@ fn cfg(kernel: MatchKernel) -> StepConfig {
         local_predicate: None,
         carried_columns: vec!["object_id".into()],
         kernel,
+        from_row: 0,
     }
 }
 

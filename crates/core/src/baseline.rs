@@ -139,6 +139,7 @@ impl Portal {
                 local_predicate: None,
                 carried_columns: step.carried.clone(),
                 kernel: plan.kernel,
+                from_row: 0,
             };
             let (set, _) = match (&current, step.dropout) {
                 (None, false) => seed_step(db, &cfg)?,

@@ -189,6 +189,7 @@ impl ExecutionPlan {
             local_predicate,
             carried_columns: step.carried.clone(),
             kernel: self.kernel,
+            from_row: 0,
         })
     }
 

@@ -420,22 +420,16 @@ impl SkyNode {
     /// Runs one cross-match step of `plan` at this archive — the one
     /// place a node seeds, matches or drops out, whichever service asked.
     /// `input` is the upstream partial set, already drained if it came
-    /// chunked (`None` seeds the chain). `from_row > 0` restricts the step
-    /// to the rows inserted at or after that row id: tables are
-    /// append-only with sequential row ids, so `[from_row..len)` is exactly
-    /// what changed since the version a cache entry recorded; the delta
-    /// rows are materialized into an indexed temp table, probed with the
-    /// same kernels as a full execution, and the temp table is dropped
-    /// before the lock is released, success or failure. Returns the output
-    /// (residuals applied), the step's statistics, and the table version
-    /// read under the same database lock as the probe.
+    /// chunked (`None` seeds the chain). The step reads the archive table
+    /// in place, from `cfg.from_row` on. Returns the output (residuals
+    /// applied), the step's statistics, and the table version read under
+    /// the same database lock as the step.
     fn run_step(
         &self,
         plan: &ExecutionPlan,
         step: usize,
-        mut cfg: StepConfig,
+        cfg: StepConfig,
         input: Option<PartialSet>,
-        from_row: usize,
     ) -> Result<(PartialSet, StepStats, u64)> {
         let dropout = plan.steps[step].dropout;
         if input.is_none() && dropout {
@@ -446,34 +440,11 @@ impl SkyNode {
         let (mut set, stats, version) = {
             let mut db = lock(&self.db);
             let version = db.table_version(&cfg.table)?;
-            let temp = if from_row > 0 {
-                let rows: Vec<skyquery_storage::Row> = db
-                    .table(&cfg.table)?
-                    .rows()
-                    .iter()
-                    .skip(from_row)
-                    .cloned()
-                    .collect();
-                let schema = db.schema(&cfg.table)?.clone();
-                let name = db.create_temp_table(schema)?;
-                for row in rows {
-                    db.insert(&name, row).map_err(FederationError::Storage)?;
-                }
-                cfg.table = name.clone();
-                Some(name)
-            } else {
-                None
-            };
-            let result = match (&input, dropout) {
+            let (set, stats) = match (&input, dropout) {
                 (None, _) => seed_step(&mut db, &cfg),
                 (Some(inc), false) => match_step(&mut db, &cfg, inc),
                 (Some(inc), true) => dropout_step(&mut db, &cfg, inc),
-            };
-            if let Some(name) = &temp {
-                db.drop_table(name)
-                    .expect("the delta temp table was created under this same lock");
-            }
-            let (set, stats) = result?;
+            }?;
             (set, stats, version)
         };
         let residuals = plan.residuals(step)?;
@@ -498,7 +469,7 @@ impl SkyNode {
                 invoke_cross_match(net, &self.host, &next_url, &plan, step + 1)?;
             (Some(incoming), chain)
         };
-        let (set, stats, _) = self.run_step(&plan, step, cfg, input, 0)?;
+        let (set, stats, _) = self.run_step(&plan, step, cfg, input)?;
         chain.push(plan.steps[step].alias.clone(), stats);
         self.encode_set_response(net, &plan, "CrossMatch", set, &chain, None)
     }
@@ -517,7 +488,8 @@ impl SkyNode {
         call: &RpcCall,
         from_row: Option<usize>,
     ) -> Result<Reply> {
-        let (plan, step, cfg) = self.decode_plan_step(call)?;
+        let (plan, step, mut cfg) = self.decode_plan_step(call)?;
+        cfg.from_row = from_row.unwrap_or(0);
         let method = from_row.map_or("ScatterStep", |_| "DeltaStep");
         let input = match call.get("input") {
             Some(v) => {
@@ -528,8 +500,7 @@ impl SkyNode {
             }
             None => None,
         };
-        let (set, stats, version) =
-            self.run_step(&plan, step, cfg, input, from_row.unwrap_or(0))?;
+        let (set, stats, version) = self.run_step(&plan, step, cfg, input)?;
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
         self.encode_set_response(net, &plan, method, set, &chain, Some(version))

@@ -61,6 +61,7 @@ fn cfg(sigma_arcsec: f64, threshold: f64, k: MatchKernel) -> StepConfig {
         local_predicate: None,
         carried_columns: vec!["object_id".into()],
         kernel: k,
+        from_row: 0,
     }
 }
 

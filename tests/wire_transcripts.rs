@@ -394,5 +394,5 @@ fn cached_triple_repaired_after_growth() {
         .count();
     assert_eq!(whole, 2, "the fresh inputs of the match and drop-out steps");
     assert_eq!(assert_one_step_calls("repair", &log), 5);
-    check("repair", &log, 7, 0x62cc_b7d1_8ab3_026e);
+    check("repair", &log, 7, 0x0a1f_9b8a_9fb8_f8a7);
 }
