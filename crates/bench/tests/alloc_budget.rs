@@ -178,11 +178,11 @@ fn allocations_per_submission_are_pinned() {
         .map(|(name, [a, _])| (*name, a.calls, a.bytes))
         .collect();
     let pins = [
-        ("triple", 14_050, 969_327),
-        ("dense pair", 22_755, 2_010_109),
-        ("scatter", 28_801, 2_060_584),
-        ("repair", 5_165, 473_664),
-        ("job from cache", 2_326, 164_108),
+        ("triple", 14_007, 966_433),
+        ("dense pair", 22_709, 2_006_531),
+        ("scatter", 28_693, 2_053_437),
+        ("repair", 5_138, 472_226),
+        ("job from cache", 2_217, 150_055),
     ];
     assert_eq!(got, pins);
 }

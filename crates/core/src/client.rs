@@ -6,7 +6,7 @@
 use skyquery_net::{SimNetwork, Url};
 use skyquery_soap::{RpcCall, SoapValue};
 
-use crate::error::{opt_result, FederationError, Result};
+use crate::error::{decode_dropped, opt_result, FederationError, Result};
 use crate::result::ResultSet;
 use crate::skynode::send_rpc;
 use crate::trace::{ExecutionTrace, TraceEvent};
@@ -48,11 +48,7 @@ impl Client {
         // means complete, matching their behaviour; a garbled flag is
         // refused rather than read as complete.
         result.degraded = opt_result(&resp, "degraded", SoapValue::as_bool)?.unwrap_or(false);
-        if let Some(SoapValue::Str(dropped)) = resp.get("dropped") {
-            if !dropped.is_empty() {
-                result.dropped_archives = dropped.split(',').map(str::to_string).collect();
-            }
-        }
+        result.dropped_archives = decode_dropped(&resp)?;
         let mut trace = ExecutionTrace::new();
         if let Some(SoapValue::Xml(t)) = resp.get("trace") {
             for ev in t.children_named("Event") {
@@ -92,6 +88,36 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A Portal that answers every call with an empty result and
+    /// `dropped`.
+    fn query_answered_with_dropped(dropped: SoapValue) -> Result<(ResultSet, ExecutionTrace)> {
+        use skyquery_net::{HttpRequest, HttpResponse};
+        let body = skyquery_soap::RpcResponse::new("SkyQuery")
+            .result(
+                "result",
+                SoapValue::Table(ResultSet::new(vec![]).to_votable("result")),
+            )
+            .result("degraded", SoapValue::Bool(true))
+            .result("dropped", dropped)
+            .to_xml();
+        let net = SimNetwork::new();
+        net.bind(
+            "portal.example.org",
+            std::sync::Arc::new(move |_: &SimNetwork, _: HttpRequest| {
+                HttpResponse::ok(body.clone())
+            }),
+        );
+        Client::new(&net, "web", Url::new("portal.example.org", "/soap")).query("q")
+    }
+
+    #[test]
+    fn malformed_wire_dropped_list_is_refused() {
+        let (rs, _) = query_answered_with_dropped(SoapValue::Str("FIRST".into())).unwrap();
+        assert_eq!(rs.dropped_archives, ["FIRST"]);
+        let garbled = query_answered_with_dropped(SoapValue::Int(5));
+        assert!(matches!(garbled, Err(FederationError::Protocol { .. })));
+    }
 
     #[test]
     fn render_trace_formats_lines() {

@@ -193,6 +193,17 @@ pub fn opt_result<T>(
         .transpose()
 }
 
+/// The comma-joined `dropped` result of a reply carrying partial-result
+/// honesty: empty when absent or empty, a [`FederationError::Protocol`]
+/// when present but not a string.
+pub fn decode_dropped(resp: &RpcResponse) -> Result<Vec<String>> {
+    let dropped = opt_result(resp, "dropped", |v| v.as_str().map(str::to_string))?;
+    Ok(match dropped.as_deref() {
+        None | Some("") => Vec::new(),
+        Some(s) => s.split(',').map(str::to_string).collect(),
+    })
+}
+
 impl From<SqlError> for FederationError {
     fn from(e: SqlError) -> Self {
         FederationError::Sql(e)

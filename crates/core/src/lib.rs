@@ -52,6 +52,7 @@ pub use meta::{ArchiveInfo, RegisteredNode, Registration, ZoneExtent};
 pub use plan::{ExecutionPlan, PlanShard, PlanStep};
 pub use portal::{
     ChainMode, Degradation, FederationConfig, HostHealth, HostState, OrderingStrategy, Portal,
+    Submission,
 };
 pub use region::Region;
 pub use result::{ResultColumn, ResultSet};

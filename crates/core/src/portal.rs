@@ -28,6 +28,7 @@ use crate::region::Region;
 use crate::result::{ResultColumn, ResultSet};
 use crate::result_cache::{CacheCounters, CacheEntry, ResultCache, StepVersion};
 use crate::retry::RetryPolicy;
+use crate::service::require_str;
 use crate::skynode::invoke_cross_match;
 use crate::trace::{ExecutionTrace, StatsChain};
 use crate::transfer::send_rpc_with;
@@ -164,6 +165,47 @@ impl Degradation {
     pub fn absorb(&mut self, other: Degradation) {
         self.degraded |= other.degraded;
         self.dropped.extend(other.dropped);
+    }
+}
+
+/// One submission's life (§5.3, Figure 3): plan it (steps 2–5), fire the
+/// chain (6–7), then project and relay (8). [`Portal::advance`] moves it
+/// one quantum at a time. [`Portal::submit`] advances one to its answer
+/// in a loop; the job service advances each job's submission one quantum
+/// per scheduler turn, so a long chain from one tenant cannot monopolize
+/// the Portal. An ended submission holds only its trace.
+pub struct Submission {
+    /// The query, until the first quantum plans it.
+    sql: Option<String>,
+    plan: Option<Box<ExecutionPlan>>,
+    /// The walk under way, between the quanta of a walked chain. The
+    /// committed set lives only here, at the Portal.
+    walk: Option<Box<CheckpointedWalk>>,
+    /// The submission's Figure-3 record.
+    pub trace: ExecutionTrace,
+    /// Retries, backoff seconds and fault events seen across its quanta.
+    recovery: (u64, f64, u64),
+}
+
+impl Submission {
+    /// A submission of `sql`, not yet planned, with an empty trace.
+    pub fn new(sql: impl Into<String>) -> Submission {
+        Submission {
+            sql: Some(sql.into()),
+            plan: None,
+            walk: None,
+            trace: ExecutionTrace::new(),
+            recovery: (0, 0.0, 0),
+        }
+    }
+
+    /// Ends the submission where it stands. Dropping its walk drops the
+    /// committed set with it, so no node holds anything on its behalf.
+    pub fn end(&mut self) {
+        self.sql = None;
+        self.plan = None;
+        self.walk = None;
+        self.recovery = (0, 0.0, 0);
     }
 }
 
@@ -593,9 +635,8 @@ impl Portal {
     /// Plans a query without firing the chain: parse, decompose, run the
     /// count-star performance queries (steps 2–4 of Figure 3), and build
     /// the federated execution plan (step 5), recording the same trace
-    /// events a full submission would. The job service plans here once at
-    /// admission, then drives [`Portal::execute_plan`] (or a stepwise
-    /// walk from [`Portal::start_walk`]) separately.
+    /// events a full submission would. The first quantum of
+    /// [`Portal::advance`].
     pub fn plan_query(&self, sql: &str, trace: &mut ExecutionTrace) -> Result<ExecutionPlan> {
         let query = parse_query(sql).map_err(FederationError::Sql)?;
         let dq = decompose(query).map_err(FederationError::Sql)?;
@@ -675,7 +716,11 @@ impl Portal {
     /// written by complete walks, so such an answer is never degraded),
     /// otherwise with every step ahead of it — re-planning under
     /// [`ChainMode::Checkpointed`], recording when the cache is on.
-    pub fn start_walk(&self, plan: &ExecutionPlan, trace: &mut ExecutionTrace) -> CheckpointedWalk {
+    pub(crate) fn start_walk(
+        &self,
+        plan: &ExecutionPlan,
+        trace: &mut ExecutionTrace,
+    ) -> CheckpointedWalk {
         if let Some(walk) = self.cached_result(plan, trace) {
             return walk;
         }
@@ -696,36 +741,14 @@ impl Portal {
     /// Submits a cross-match query; returns the result set and the
     /// execution trace (the Figure-3 record).
     pub fn submit(&self, sql: &str) -> Result<(ResultSet, ExecutionTrace)> {
-        let mut trace = ExecutionTrace::new();
-        trace.push("Client", "submit", format!("query: {sql}"));
-        // Retries and injected faults anywhere in the submission —
-        // performance queries or the daisy chain — show up as metric
-        // deltas; surface them in the trace so recovery is visible.
-        let before = self.net.metrics();
-        let (retries_before, backoff_before, faults_before) = (
-            before.retry_total().retries,
-            before.retry_total().backoff_seconds,
-            before.fault_total(),
-        );
-        let plan = self.plan_query(sql, &mut trace)?;
-        let chain = self.execute_plan(&plan, &mut trace);
-        let after = self.net.metrics();
-        let (retries, backoff, faults) = (
-            after.retry_total().retries - retries_before,
-            after.retry_total().backoff_seconds - backoff_before,
-            after.fault_total() - faults_before,
-        );
-        if retries > 0 || faults > 0 {
-            trace.push(
-                "Portal",
-                "recovery",
-                format!(
-                    "{retries} retries ({backoff:.3}s backoff), {faults} fault events \
-                     during submission"
-                ),
-            );
-        }
-        let (set, stats, degradation) = chain?;
+        let mut sub = Submission::new(sql);
+        sub.trace.push("Client", "submit", format!("query: {sql}"));
+        let (result, stats) = loop {
+            if let Some(answer) = self.advance(&mut sub) {
+                break answer?;
+            }
+        };
+        let mut trace = sub.trace;
         for (alias, s) in &stats.entries {
             trace.push(
                 alias.clone(),
@@ -752,20 +775,15 @@ impl Portal {
                 ),
             );
         }
-
-        // Step 8: final projection and relay, with partial-result
-        // honesty stamped on the header: a degraded answer says so, and
-        // names what it lost, without the client scraping the trace.
-        let mut result = project(&plan, set)?;
-        result.degraded = degradation.degraded;
-        result.dropped_archives = degradation.dropped.clone();
-        if degradation.degraded {
+        // Step 8: relay. A degraded answer says so, and names what it
+        // lost, without the client scraping the trace.
+        if result.degraded {
             trace.push(
                 "Portal",
                 "partial result",
                 format!(
                     "answer degraded; dropped: {}",
-                    degradation.dropped.join(", ")
+                    result.dropped_archives.join(", ")
                 ),
             );
         }
@@ -775,6 +793,85 @@ impl Portal {
             format!("{} matched tuples to client", result.row_count()),
         );
         Ok((result, trace))
+    }
+
+    /// Runs one quantum of `sub`. The first plans it. Under
+    /// [`ChainMode::Recursive`] the second runs the whole chain
+    /// ([`Portal::execute_plan`]); under [`ChainMode::Checkpointed`] the
+    /// second starts the walk, classifying it against the result cache,
+    /// and each quantum runs one walk step. A walk answers on the quantum
+    /// after its last step, so a cache hit answers in the second.
+    ///
+    /// `None` until the last quantum. That one records any retries and
+    /// faults the submission saw, projects the answer (step 8 of Figure
+    /// 3) stamped with what a degraded chain dropped, and ends the
+    /// submission. Advancing an ended submission is an error.
+    pub fn advance(&self, sub: &mut Submission) -> Option<Result<(ResultSet, StatsChain)>> {
+        let before = self.net.recovery_total();
+        let executed = self.run_quantum(sub);
+        let after = self.net.recovery_total();
+        sub.recovery.0 += after.0 - before.0;
+        sub.recovery.1 += after.1 - before.1;
+        sub.recovery.2 += after.2 - before.2;
+        let executed = executed?;
+        let (retries, backoff, faults) = sub.recovery;
+        if retries > 0 || faults > 0 {
+            sub.trace.push(
+                "Portal",
+                "recovery",
+                format!(
+                    "{retries} retries ({backoff:.3}s backoff), {faults} fault events \
+                     during submission"
+                ),
+            );
+        }
+        let plan = sub.plan.take();
+        sub.end();
+        Some(executed.and_then(|(set, stats, degradation)| {
+            let plan = plan.expect("an executed submission was planned");
+            let mut result = project(&plan, set)?;
+            result.degraded = degradation.degraded;
+            result.dropped_archives = degradation.dropped;
+            Ok((result, stats))
+        }))
+    }
+
+    /// The work of one quantum of [`Portal::advance`]: `None` while the
+    /// submission runs on, its executed chain once it has run.
+    fn run_quantum(
+        &self,
+        sub: &mut Submission,
+    ) -> Option<Result<(PartialSet, StatsChain, Degradation)>> {
+        if let Some(sql) = sub.sql.take() {
+            return match self.plan_query(&sql, &mut sub.trace) {
+                Ok(plan) => {
+                    sub.plan = Some(Box::new(plan));
+                    None
+                }
+                Err(e) => Some(Err(e)),
+            };
+        }
+        let Some(plan) = &sub.plan else {
+            return Some(Err(FederationError::planning(
+                "the submission has already answered",
+            )));
+        };
+        let mut walk = match sub.walk.take() {
+            Some(walk) => walk,
+            // The paper's daisy chain is one synchronous recursion.
+            None if self.config().chain_mode == ChainMode::Recursive => {
+                return Some(self.execute_plan(plan, &mut sub.trace));
+            }
+            None => Box::new(self.start_walk(plan, &mut sub.trace)),
+        };
+        if walk.is_done() {
+            return Some(walk.finish(self));
+        }
+        if let Err(e) = walk.step(self, &mut sub.trace) {
+            return Some(Err(e));
+        }
+        sub.walk = Some(walk);
+        None
     }
 
     /// Attempts to serve `plan` from the result cache, returning a
@@ -1431,49 +1528,37 @@ impl Endpoint for Portal {
             // Registration service (§5.1): "When a SkyNode wishes to join
             // the SkyQuery federation; it calls the Registration service
             // of the Portal."
-            "Register" => call
-                .require("url")
-                .map_err(FederationError::Soap)
-                .and_then(|v| {
-                    let url_str = v
-                        .as_str()
-                        .ok_or_else(|| FederationError::protocol("url must be a string"))?;
-                    let url = Url::parse(url_str).map_err(FederationError::Net)?;
-                    let reg = self.register_node(&url)?;
-                    Ok(RpcResponse::new("Register")
-                        .result("archive", SoapValue::Str(reg.archive))
-                        .result("shards", SoapValue::Int(reg.shard_count as i64))
-                        .result("replicas", SoapValue::Int(reg.replica_count as i64)))
-                }),
+            "Register" => require_str(&call, "url").and_then(|url| {
+                let url = Url::parse(url).map_err(FederationError::Net)?;
+                let reg = self.register_node(&url)?;
+                Ok(RpcResponse::new("Register")
+                    .result("archive", SoapValue::Str(reg.archive))
+                    .result("shards", SoapValue::Int(reg.shard_count as i64))
+                    .result("replicas", SoapValue::Int(reg.replica_count as i64)))
+            }),
             // The SkyQuery service: accepts the user query from a Client.
-            "SkyQuery" => call
-                .require("sql")
-                .map_err(FederationError::Soap)
-                .and_then(|v| {
-                    let sql = v
-                        .as_str()
-                        .ok_or_else(|| FederationError::protocol("sql must be a string"))?;
-                    let (result, trace) = self.submit(sql)?;
-                    let mut trace_el = skyquery_xml::Element::new("Trace");
-                    for e in trace.events() {
-                        trace_el = trace_el.with_child(
-                            skyquery_xml::Element::new("Event")
-                                .with_attr("seq", e.seq.to_string())
-                                .with_attr("actor", e.actor.clone())
-                                .with_attr("action", e.action.clone())
-                                .with_attr("elapsed_us", e.elapsed.as_micros().to_string())
-                                .with_text(e.detail.clone()),
-                        );
-                    }
-                    Ok(RpcResponse::new("SkyQuery")
-                        .result("result", SoapValue::Table(result.to_votable("result")))
-                        // Partial-result honesty crosses the wire too:
-                        // a remote client sees the same degraded flag a
-                        // local caller reads off the ResultSet.
-                        .result("degraded", SoapValue::Bool(result.degraded))
-                        .result("dropped", SoapValue::Str(result.dropped_archives.join(",")))
-                        .result("trace", SoapValue::Xml(trace_el)))
-                }),
+            "SkyQuery" => require_str(&call, "sql").and_then(|sql| {
+                let (result, trace) = self.submit(sql)?;
+                let mut trace_el = skyquery_xml::Element::new("Trace");
+                for e in trace.events() {
+                    trace_el = trace_el.with_child(
+                        skyquery_xml::Element::new("Event")
+                            .with_attr("seq", e.seq.to_string())
+                            .with_attr("actor", e.actor.clone())
+                            .with_attr("action", e.action.clone())
+                            .with_attr("elapsed_us", e.elapsed.as_micros().to_string())
+                            .with_text(e.detail.clone()),
+                    );
+                }
+                Ok(RpcResponse::new("SkyQuery")
+                    .result("result", SoapValue::Table(result.to_votable("result")))
+                    // Partial-result honesty crosses the wire too:
+                    // a remote client sees the same degraded flag a
+                    // local caller reads off the ResultSet.
+                    .result("degraded", SoapValue::Bool(result.degraded))
+                    .result("dropped", SoapValue::Str(result.dropped_archives.join(",")))
+                    .result("trace", SoapValue::Xml(trace_el)))
+            }),
             other => Err(FederationError::protocol(format!(
                 "unknown portal service {other}"
             ))),
@@ -1485,6 +1570,23 @@ impl Endpoint for Portal {
 mod tests {
     use super::*;
     use crate::xmatch::{PartialTuple, TupleState};
+
+    #[test]
+    fn a_submission_answers_once() {
+        let net = SimNetwork::new();
+        let portal = Portal::start(&net, "portal.example.org", FederationConfig::default());
+        let mut sub = Submission::new("not a query");
+        let first = portal.advance(&mut sub);
+        assert!(
+            matches!(first, Some(Err(FederationError::Sql(_)))),
+            "{first:?}"
+        );
+        let again = portal.advance(&mut sub);
+        assert!(
+            matches!(again, Some(Err(FederationError::Planning { .. }))),
+            "{again:?}"
+        );
+    }
 
     #[test]
     fn computed_column_mixing_int_and_float_is_declared_float() {

@@ -98,6 +98,13 @@ pub fn require_u64(call: &RpcCall, name: &str) -> Result<u64> {
         .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative integer")))
 }
 
+/// Decodes a required string parameter.
+pub fn require_str<'a>(call: &'a RpcCall, name: &str) -> Result<&'a str> {
+    call.require(name)?
+        .as_str()
+        .ok_or_else(|| FederationError::protocol(format!("{name} must be a string")))
+}
+
 /// The outgoing chunked transfers of one service: each an oversized
 /// reply's table, split into chunks and leased until a `FetchChunk`
 /// serves the last one, an `AbortTransfer` frees it, or the lease lapses.

@@ -31,7 +31,7 @@ use crate::exchange::ExchangeState;
 use crate::meta::{catalog_to_element, ArchiveInfo};
 use crate::plan::{ExecutionPlan, DEFAULT_LEASE_TTL_S};
 use crate::query_exec::{execute_local, LocalQueryResult};
-use crate::service::{require_u64, Reply, ServiceMethod, Transfers};
+use crate::service::{require_str, require_u64, Reply, ServiceMethod, Transfers};
 use crate::trace::StatsChain;
 use crate::xmatch::{dropout_step, match_step, seed_step, PartialSet, StepConfig, StepStats};
 
@@ -321,12 +321,7 @@ impl SkyNode {
     }
 
     fn handle_query(&self, _net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let sql = call
-            .require("sql")?
-            .as_str()
-            .ok_or_else(|| FederationError::protocol("sql parameter must be a string"))?
-            .to_string();
-        let query = parse_query(&sql).map_err(FederationError::Sql)?;
+        let query = parse_query(require_str(call, "sql")?).map_err(FederationError::Sql)?;
         let mut db = lock(&self.db);
         match execute_local(&mut db, &self.info.name, &query)? {
             LocalQueryResult::Count(n) => {
@@ -341,11 +336,7 @@ impl SkyNode {
 
     fn handle_prepare_receive(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let txn = require_u64(call, "txn")?;
-        let dest_table = call
-            .require("dest_table")?
-            .as_str()
-            .ok_or_else(|| FederationError::protocol("dest_table must be a string"))?
-            .to_string();
+        let dest_table = require_str(call, "dest_table")?;
         let schema = call
             .require("schema")?
             .as_xml()
@@ -362,7 +353,7 @@ impl SkyNode {
         let staged = lock(&self.exchange).prepare(
             &mut db,
             txn,
-            &dest_table,
+            dest_table,
             &schema,
             &rows,
             net.now_s(),

@@ -41,12 +41,12 @@ const MAX_STEP_DEFERRALS: u64 = 2;
 
 /// Portal-driven stepwise execution of one plan.
 ///
-/// [`Portal::start_walk`] builds one; [`Portal::execute_plan`] drives it
-/// to completion in a tight loop; the job service interleaves many
-/// walks — one [`CheckpointedWalk::step`] per scheduler quantum — so a
-/// long chain from one tenant cannot monopolize the Portal. The committed
-/// set lives only here, so a cancellation between quanta just drops the
-/// walk.
+/// `Portal::start_walk` builds one; [`Portal::execute_plan`] drives it to
+/// completion in a tight loop; [`Portal::advance`] runs one step of it per
+/// quantum of a [`Submission`](crate::portal::Submission), so the job
+/// service can interleave many walks and a long chain from one tenant
+/// cannot monopolize the Portal. The committed set lives only here, so a
+/// cancellation between quanta just drops the walk.
 ///
 /// On a mid-chain `NodeUnhealthy` failure a re-planning walk continues:
 /// a failing drop-out archive is skipped (`degraded`), a failing
@@ -167,13 +167,13 @@ impl CheckpointedWalk {
     }
 
     /// Whether every step has executed (or been skipped as degraded).
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.remaining.is_empty()
     }
 
     /// Executes (or re-plans around) the next step of the chain. A
     /// returned error is fatal for the walk.
-    pub fn step(&mut self, portal: &Portal, trace: &mut ExecutionTrace) -> Result<()> {
+    pub(crate) fn step(&mut self, portal: &Portal, trace: &mut ExecutionTrace) -> Result<()> {
         let Some(idx) = self.remaining.len().checked_sub(1) else {
             return Ok(());
         };
@@ -492,7 +492,10 @@ impl CheckpointedWalk {
 
     /// Collects the final committed set (the matched partial set), the
     /// statistics and what the walk dropped.
-    pub fn finish(mut self, portal: &Portal) -> Result<(PartialSet, StatsChain, Degradation)> {
+    pub(crate) fn finish(
+        mut self,
+        portal: &Portal,
+    ) -> Result<(PartialSet, StatsChain, Degradation)> {
         let set = self
             .committed
             .ok_or_else(|| FederationError::planning("the walk committed no steps"))?;

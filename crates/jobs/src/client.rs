@@ -3,7 +3,7 @@
 //! transparently reassembles chunk-paginated results, so callers see one
 //! [`ResultSet`] whether the service answered inline or with a manifest.
 
-use skyquery_core::error::{opt_result, FederationError, Result};
+use skyquery_core::error::{decode_dropped, opt_result, FederationError, Result};
 use skyquery_core::result::ResultSet;
 use skyquery_core::{open_chunk_stream, send_rpc_with, RetryPolicy};
 use skyquery_net::{SimNetwork, Url};
@@ -72,7 +72,7 @@ impl JobClient {
         }
         let resp = self.call(&call)?;
         let id = require_u64(&resp, "job")?;
-        let duplicate = matches!(resp.get("duplicate"), Some(SoapValue::Bool(true)));
+        let duplicate = opt_result(&resp, "duplicate", SoapValue::as_bool)?.unwrap_or(false);
         Ok((id, duplicate))
     }
 
@@ -90,10 +90,10 @@ impl JobClient {
                 v.as_i64().and_then(|n| usize::try_from(n).ok())
             })?,
             degraded: opt_result(&resp, "degraded", SoapValue::as_bool)?.unwrap_or(false),
-            dropped_archives: decode_dropped(&resp),
-            error: resp.get("error").and_then(|v| v.as_str()).map(String::from),
-            wait_s: require_f64(&resp, "wait_s")?,
-            run_s: require_f64(&resp, "run_s")?,
+            dropped_archives: decode_dropped(&resp)?,
+            error: opt_result(&resp, "error", |v| v.as_str().map(String::from))?,
+            wait_s: require_duration(&resp, "wait_s")?,
+            run_s: require_duration(&resp, "run_s")?,
         })
     }
 
@@ -103,7 +103,7 @@ impl JobClient {
     pub fn cancel(&self, job: u64) -> Result<bool> {
         let resp =
             self.call(&RpcCall::new("CancelJob").param("job", SoapValue::Int(job as i64)))?;
-        Ok(matches!(resp.get("cancelled"), Some(SoapValue::Bool(true))))
+        Ok(opt_result(&resp, "cancelled", SoapValue::as_bool)?.unwrap_or(false))
     }
 
     /// Fetches a succeeded job's result set. An oversized result arrives
@@ -117,7 +117,7 @@ impl JobClient {
         // shapes; stamp it onto whatever result set we decode. Absent
         // means complete; a garbled flag is refused.
         let degraded = opt_result(&resp, "degraded", SoapValue::as_bool)?.unwrap_or(false);
-        let dropped = decode_dropped(&resp);
+        let dropped = decode_dropped(&resp)?;
         let stamp = |mut rs: ResultSet| {
             rs.degraded = degraded;
             rs.dropped_archives = dropped.clone();
@@ -143,15 +143,6 @@ impl JobClient {
     }
 }
 
-/// Decodes the comma-joined `dropped` response field; absent or empty
-/// means nothing was dropped.
-fn decode_dropped(resp: &RpcResponse) -> Vec<String> {
-    match resp.get("dropped") {
-        Some(SoapValue::Str(s)) if !s.is_empty() => s.split(',').map(str::to_string).collect(),
-        _ => Vec::new(),
-    }
-}
-
 fn require_str(resp: &RpcResponse, name: &str) -> Result<String> {
     Ok(resp
         .require(name)?
@@ -168,14 +159,15 @@ fn require_u64(resp: &RpcResponse, name: &str) -> Result<u64> {
         .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative integer")))
 }
 
-fn require_f64(resp: &RpcResponse, name: &str) -> Result<f64> {
+/// A required duration in seconds: a finite, non-negative number.
+fn require_duration(resp: &RpcResponse, name: &str) -> Result<f64> {
     match resp.require(name)? {
-        SoapValue::Float(v) => Ok(*v),
-        SoapValue::Int(v) => Ok(*v as f64),
-        _ => Err(FederationError::protocol(format!(
-            "{name} must be a number"
-        ))),
+        SoapValue::Float(v) => Some(*v),
+        SoapValue::Int(v) => Some(*v as f64),
+        _ => None,
     }
+    .filter(|v| v.is_finite() && *v >= 0.0)
+    .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative number")))
 }
 
 #[cfg(test)]
@@ -237,6 +229,62 @@ mod tests {
             poll_reply().result("rows", SoapValue::Str("7".into())),
         ] {
             assert!(is_protocol(client_answered_by(garbled).poll(1)));
+        }
+    }
+
+    /// Every other field a job reply carries: an absent flag reads
+    /// `false`, and a garbled flag, error, dropped list or duration is
+    /// refused rather than guessed at.
+    #[test]
+    fn malformed_wire_job_replies_are_refused() {
+        let submit_reply = || RpcResponse::new("SubmitQuery").result("job", SoapValue::Int(3));
+        let submit =
+            |reply| client_answered_by(reply).submit_with("t", "q", 0, QuotaClass::Free, None);
+        assert_eq!(submit(submit_reply()).unwrap(), (3, false));
+        let dup = submit_reply().result("duplicate", SoapValue::Bool(true));
+        assert_eq!(submit(dup).unwrap(), (3, true));
+        assert!(is_protocol(submit(
+            submit_reply().result("duplicate", SoapValue::Str("yes".into()))
+        )));
+
+        let cancel = |reply| client_answered_by(reply).cancel(3);
+        assert!(!cancel(RpcResponse::new("CancelJob")).unwrap());
+        let cancelled = RpcResponse::new("CancelJob").result("cancelled", SoapValue::Bool(true));
+        assert!(cancel(cancelled).unwrap());
+        let garbled = RpcResponse::new("CancelJob").result("cancelled", SoapValue::Int(1));
+        assert!(is_protocol(cancel(garbled)));
+
+        let failed = poll_reply()
+            .result("degraded", SoapValue::Bool(true))
+            .result("dropped", SoapValue::Str("FIRST,TWOMASS".into()))
+            .result("error", SoapValue::Str("boom".into()));
+        let status = client_answered_by(failed).poll(1).unwrap();
+        assert_eq!(status.dropped_archives, ["FIRST", "TWOMASS"]);
+        assert_eq!(status.error.as_deref(), Some("boom"));
+        for garbled in [
+            poll_reply().result("error", SoapValue::Int(5)),
+            poll_reply()
+                .result("degraded", SoapValue::Bool(true))
+                .result("dropped", SoapValue::Int(5)),
+        ] {
+            assert!(is_protocol(client_answered_by(garbled).poll(1)));
+        }
+        for (name, bad) in [
+            ("wait_s", f64::NAN),
+            ("run_s", -4.0),
+            ("run_s", f64::INFINITY),
+        ] {
+            let mut reply = RpcResponse::new("PollJob")
+                .result("state", SoapValue::Str("succeeded".into()))
+                .result("tenant", SoapValue::Str("t".into()));
+            for field in ["wait_s", "run_s"] {
+                let v = if field == name { bad } else { 0.0 };
+                reply = reply.result(field, SoapValue::Float(v));
+            }
+            assert!(
+                is_protocol(client_answered_by(reply).poll(1)),
+                "{name} {bad}"
+            );
         }
     }
 

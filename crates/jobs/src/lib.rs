@@ -17,10 +17,12 @@
 //!   retried), and a start-time fair-queuing scheduler
 //!   ([`FairScheduler`]) drains the queue into a bounded pool of chain
 //!   executions, weighting tenants by [`QuotaClass`].
-//! - Running jobs interleave: each scheduler quantum drives one
-//!   checkpointed-chain step
-//!   ([`CheckpointedWalk`](skyquery_core::CheckpointedWalk)), so
-//!   one tenant's long chain cannot monopolize the Portal.
+//! - Running jobs interleave: each job is the Portal's own
+//!   [`Submission`](skyquery_core::Submission), and each scheduler
+//!   quantum advances one job one quantum
+//!   ([`Portal::advance`](skyquery_core::Portal::advance)) — a plan, a
+//!   whole recursive chain, or one walk step — so one tenant's long chain
+//!   cannot monopolize the Portal.
 //! - Finished results, terminal records, and paginated result transfers
 //!   all live under [`LeaseTable`](skyquery_core::LeaseTable) TTLs swept
 //!   by a janitor; cancellation drops the job's walk and transfers

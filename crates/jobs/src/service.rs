@@ -5,13 +5,14 @@
 //! SOAP call open that long. This service is that interface for the
 //! simulation. `SubmitQuery` parks the query in a bounded per-tenant
 //! queue and answers immediately with a job id; a weighted-fair scheduler
-//! drains the queue into a bounded pool of chain executions (reusing the
-//! Portal's `ChainMode` machinery — one [`CheckpointedWalk`] step per
-//! scheduler turn, so a long chain from one tenant cannot monopolize the
-//! Portal); `PollJob` reports progress; `FetchResults` delivers the
-//! VOTable, paginated through the [`Transfers`] store a SkyNode serves its
-//! oversized replies from; `CancelJob` drops the job's walk and frees its
-//! transfers *immediately*, not at lease TTL.
+//! drains the queue into a bounded pool of running jobs. Each job is the
+//! Portal's own [`Submission`], advanced one quantum per scheduler turn
+//! ([`Portal::advance`]), so a long chain from one tenant cannot
+//! monopolize the Portal. `PollJob` reports progress; `FetchResults`
+//! delivers the VOTable, paginated through the [`Transfers`] store a
+//! SkyNode serves its oversized replies from; `CancelJob` ends the job's
+//! submission, dropping its walk, and frees its transfers *immediately*,
+//! not at lease TTL.
 //!
 //! Every resource a finished job pins — the result rows, the terminal
 //! record, open result transfers — is leased and swept at the front of
@@ -23,11 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use skyquery_core::error::{FederationError, Result};
-use skyquery_core::plan::ExecutionPlan;
 use skyquery_core::result::ResultSet;
-use skyquery_core::service::{require_u64, Reply, ServiceMethod, Transfers};
-use skyquery_core::trace::{ExecutionTrace, StatsChain};
-use skyquery_core::{ChainMode, CheckpointedWalk, Degradation, LeaseTable, PartialSet, Portal};
+use skyquery_core::service::{require_str, require_u64, Reply, ServiceMethod, Transfers};
+use skyquery_core::{LeaseTable, Portal, Submission};
 use skyquery_net::{lock, Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_soap::{Operation, RpcCall, RpcResponse, SoapValue};
 
@@ -116,25 +115,12 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
     },
 ];
 
-/// Where a job's execution stands between scheduler quanta.
-enum ExecPhase {
-    /// Admitted; the chain has not started.
-    Pending,
-    /// Planned; the chain has not fired.
-    Planned(Box<ExecutionPlan>),
-    /// Mid-walk through a portal-driven chain.
-    Walking(Box<ExecutionPlan>, Box<CheckpointedWalk>),
-    /// Terminal; nothing left to drive.
-    Done,
-}
-
 /// One job record.
 struct Job {
     id: u64,
     tenant: String,
     class: QuotaClass,
     priority: i64,
-    sql: String,
     client_ref: Option<String>,
     /// Submission order — the within-tenant tie-break after priority.
     seq: u64,
@@ -143,17 +129,13 @@ struct Job {
     admitted_at_s: Option<f64>,
     finished_at_s: Option<f64>,
     error: Option<String>,
-    trace: ExecutionTrace,
     result_rows: Option<usize>,
     /// Partial-result honesty carried from the execution: set when the
     /// job succeeded around unreachable archives/shards.
     degraded: bool,
     dropped_archives: Vec<String>,
-    /// Recovery accounting accumulated across scheduler quanta.
-    retries: u64,
-    backoff_s: f64,
-    faults: u64,
-    exec: ExecPhase,
+    /// The Portal submission the job advances, trace included.
+    submission: Submission,
 }
 
 /// Mutable service state under one lock.
@@ -296,7 +278,8 @@ impl JobService {
     /// A terminal job's execution trace (`None` for unknown jobs).
     pub fn job_trace(&self, id: u64) -> Option<Vec<(String, String, String)>> {
         lock(&self.state).jobs.get(&id).map(|j| {
-            j.trace
+            j.submission
+                .trace
                 .events()
                 .iter()
                 .map(|e| (e.actor.clone(), e.action.clone(), e.detail.clone()))
@@ -397,8 +380,8 @@ impl JobService {
         }
 
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        let mut trace = ExecutionTrace::new();
-        trace.push(
+        let mut submission = Submission::new(sql);
+        submission.trace.push(
             "JobService",
             "queued",
             format!(
@@ -413,7 +396,6 @@ impl JobService {
                 tenant: tenant.to_string(),
                 class,
                 priority,
-                sql: sql.to_string(),
                 client_ref: client_ref.map(String::from),
                 seq: id,
                 state: JobState::Queued,
@@ -421,14 +403,10 @@ impl JobService {
                 admitted_at_s: None,
                 finished_at_s: None,
                 error: None,
-                trace,
                 result_rows: None,
                 degraded: false,
                 dropped_archives: Vec::new(),
-                retries: 0,
-                backoff_s: 0.0,
-                faults: 0,
-                exec: ExecPhase::Pending,
+                submission,
             },
         );
         st.queue.push(id);
@@ -501,11 +479,12 @@ impl JobService {
         let was_queued = job.state == JobState::Queued;
         // A mid-walk job's committed set lives in its walk, at the
         // Portal: dropping the walk frees it, and no node holds anything.
-        job.exec = ExecPhase::Done;
+        job.submission.end();
         job.state = JobState::Cancelled;
         job.finished_at_s = Some(now);
         let run_s = job.admitted_at_s.map(|a| now - a).unwrap_or(0.0);
-        job.trace
+        job.submission
+            .trace
             .push("JobService", "cancelled", "owner cancelled the job");
         let tenant = job.tenant.clone();
         if was_queued {
@@ -593,7 +572,7 @@ impl JobService {
             job.state = JobState::Admitted;
             job.admitted_at_s = Some(now);
             let wait_s = now - job.submitted_at_s;
-            job.trace.push(
+            job.submission.trace.push(
                 "JobService",
                 "admitted",
                 format!(
@@ -608,7 +587,8 @@ impl JobService {
         admitted
     }
 
-    /// Executes one quantum of one running job, round-robin.
+    /// Advances one running job's submission one quantum, round-robin,
+    /// and books the job's outcome on its last.
     fn execute_slice(&self) -> bool {
         let config = self.config();
         let mut st = lock(&self.state);
@@ -620,124 +600,57 @@ impl JobService {
         let id = st.running[st.run_cursor];
         st.run_cursor += 1;
         let job = st.jobs.get_mut(&id).expect("running job exists");
-
-        // Recovery accounting: metric deltas across this quantum.
-        let before = self.net.metrics();
-        let (retries0, backoff0, faults0) = (
-            before.retry_total().retries,
-            before.retry_total().backoff_seconds,
-            before.fault_total(),
-        );
-
         job.state = JobState::Running;
-        let phase = std::mem::replace(&mut job.exec, ExecPhase::Done);
-        let outcome: SliceOutcome = match phase {
-            ExecPhase::Pending => match self.portal.plan_query(&job.sql, &mut job.trace) {
-                Ok(plan) => SliceOutcome::Continue(ExecPhase::Planned(Box::new(plan))),
-                Err(e) => SliceOutcome::Finished(Err(e)),
-            },
-            ExecPhase::Planned(plan) => match self.portal.config().chain_mode {
-                // The paper's daisy chain is a single synchronous
-                // recursion — one quantum runs the plan to completion.
-                ChainMode::Recursive => finish(
-                    &plan,
-                    self.portal.execute_plan(&plan, &mut job.trace),
-                    &mut job.trace,
-                ),
-                // Otherwise one walk step per quantum — none at all when
-                // the result cache answered and the walk starts done.
-                ChainMode::Checkpointed => {
-                    let walk = self.portal.start_walk(&plan, &mut job.trace);
-                    self.drive(plan, Box::new(walk), &mut job.trace)
-                }
-            },
-            ExecPhase::Walking(plan, walk) => self.drive(plan, walk, &mut job.trace),
-            ExecPhase::Done => SliceOutcome::Continue(ExecPhase::Done),
+        let Some(answer) = self.portal.advance(&mut job.submission) else {
+            return true;
         };
-
-        let after = self.net.metrics();
-        job.retries += after.retry_total().retries - retries0;
-        job.backoff_s += after.retry_total().backoff_seconds - backoff0;
-        job.faults += after.fault_total() - faults0;
-
         let now = self.net.now_s();
-        match outcome {
-            SliceOutcome::Continue(next) => {
-                job.exec = next;
-                true
-            }
-            SliceOutcome::Finished(result) => {
-                if let Ok(rs) = &result {
-                    if rs.degraded {
-                        job.trace.push(
-                            "JobService",
-                            "partial result",
-                            format!(
-                                "answer degraded; dropped: {}",
-                                rs.dropped_archives.join(", ")
-                            ),
-                        );
-                    }
+        let trace = &mut job.submission.trace;
+        let outcome = match answer {
+            Ok((rs, stats)) => {
+                for (alias, s) in &stats.entries {
+                    trace.push(
+                        alias.clone(),
+                        "cross match step",
+                        format!("tuples in {}, tuples out {}", s.tuples_in, s.tuples_out),
+                    );
                 }
-                if job.retries > 0 || job.faults > 0 {
-                    job.trace.push(
+                if rs.degraded {
+                    trace.push(
                         "JobService",
-                        "recovery",
+                        "partial result",
                         format!(
-                            "{} retries ({:.3}s backoff), {} fault events during execution",
-                            job.retries, job.backoff_s, job.faults
+                            "answer degraded; dropped: {}",
+                            rs.dropped_archives.join(", ")
                         ),
                     );
                 }
-                let outcome = match result {
-                    Ok(rs) => {
-                        job.result_rows = Some(rs.row_count());
-                        job.degraded = rs.degraded;
-                        job.dropped_archives = rs.dropped_archives.clone();
-                        job.trace.push(
-                            "JobService",
-                            "finished",
-                            format!("succeeded with {} rows", rs.row_count()),
-                        );
-                        job.state = JobState::Succeeded;
-                        st.results.insert(id, rs, now, config.result_ttl_s);
-                        self.net.record_node_event(&self.host, "lease-granted");
-                        "succeeded"
-                    }
-                    Err(e) => {
-                        job.trace
-                            .push("JobService", "finished", format!("failed: {e}"));
-                        job.error = Some(e.to_string());
-                        job.state = JobState::Failed;
-                        "failed"
-                    }
-                };
-                job.finished_at_s = Some(now);
-                let run_s = now - job.admitted_at_s.unwrap_or(now);
-                st.running.retain(|rid| *rid != id);
-                st.records.insert(id, id, now, config.record_ttl_s);
-                self.net.record_job_finished(&job.tenant, outcome, run_s);
-                true
+                trace.push(
+                    "JobService",
+                    "finished",
+                    format!("succeeded with {} rows", rs.row_count()),
+                );
+                job.result_rows = Some(rs.row_count());
+                job.degraded = rs.degraded;
+                job.dropped_archives = rs.dropped_archives.clone();
+                job.state = JobState::Succeeded;
+                st.results.insert(id, rs, now, config.result_ttl_s);
+                self.net.record_node_event(&self.host, "lease-granted");
+                "succeeded"
             }
-        }
-    }
-
-    /// One quantum of a walk: its next step, or — once every step has
-    /// run — its answer. A fatal step error has already released whatever
-    /// the walk retained.
-    fn drive(
-        &self,
-        plan: Box<ExecutionPlan>,
-        mut walk: Box<CheckpointedWalk>,
-        trace: &mut ExecutionTrace,
-    ) -> SliceOutcome {
-        if walk.is_done() {
-            return finish(&plan, walk.finish(&self.portal), trace);
-        }
-        match walk.step(&self.portal, trace) {
-            Ok(()) => SliceOutcome::Continue(ExecPhase::Walking(plan, walk)),
-            Err(e) => SliceOutcome::Finished(Err(e)),
-        }
+            Err(e) => {
+                trace.push("JobService", "finished", format!("failed: {e}"));
+                job.error = Some(e.to_string());
+                job.state = JobState::Failed;
+                "failed"
+            }
+        };
+        job.finished_at_s = Some(now);
+        let run_s = now - job.admitted_at_s.unwrap_or(now);
+        st.running.retain(|rid| *rid != id);
+        st.records.insert(id, id, now, config.record_ttl_s);
+        self.net.record_job_finished(&job.tenant, outcome, run_s);
+        true
     }
 
     // ------------------------------------------------------------------
@@ -772,7 +685,7 @@ impl JobService {
             ),
             None => None,
         };
-        let (id, duplicate) = self.submit(&tenant, &sql, priority, class, client_ref)?;
+        let (id, duplicate) = self.submit(tenant, sql, priority, class, client_ref)?;
         Ok(RpcResponse::new("SubmitQuery")
             .result("job", SoapValue::Int(id as i64))
             .result("duplicate", SoapValue::Bool(duplicate)))
@@ -864,46 +777,8 @@ impl JobService {
     }
 }
 
-/// What one execution quantum decided.
-enum SliceOutcome {
-    Continue(ExecPhase),
-    Finished(Result<ResultSet>),
-}
-
-/// The one way an execution ends, whichever path ran it: per-step trace
-/// lines, the final projection, and partial-result honesty stamped on the
-/// result — a degraded execution must relay its partial flag, not a
-/// silently complete-looking answer.
-fn finish(
-    plan: &ExecutionPlan,
-    executed: Result<(PartialSet, StatsChain, Degradation)>,
-    trace: &mut ExecutionTrace,
-) -> SliceOutcome {
-    SliceOutcome::Finished(executed.and_then(|(set, stats, degradation)| {
-        for (alias, s) in &stats.entries {
-            trace.push(
-                alias.clone(),
-                "cross match step",
-                format!("tuples in {}, tuples out {}", s.tuples_in, s.tuples_out),
-            );
-        }
-        let mut rs = Portal::project_result(plan, set)?;
-        rs.degraded = degradation.degraded;
-        rs.dropped_archives = degradation.dropped;
-        Ok(rs)
-    }))
-}
-
 impl Endpoint for JobService {
     fn handle(&self, net: &SimNetwork, req: HttpRequest) -> HttpResponse {
         skyquery_core::service::serve(&req, |call| self.handle_call(net, call))
     }
-}
-
-fn require_str(call: &RpcCall, name: &str) -> Result<String> {
-    Ok(call
-        .require(name)?
-        .as_str()
-        .ok_or_else(|| FederationError::protocol(format!("{name} must be a string")))?
-        .to_string())
 }

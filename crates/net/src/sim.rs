@@ -239,6 +239,14 @@ impl SimNetwork {
         lock(&self.inner.metrics).record_injected_latency("clock", "clock", seconds);
     }
 
+    /// The recovery totals so far — retries, backoff seconds and fault
+    /// events — read under the lock without copying the metrics.
+    pub fn recovery_total(&self) -> (u64, f64, u64) {
+        let m = lock(&self.inner.metrics);
+        let retry = m.retry_total();
+        (retry.retries, retry.backoff_seconds, m.fault_total())
+    }
+
     /// Snapshot of the accumulated metrics.
     pub fn metrics(&self) -> NetworkMetrics {
         lock(&self.inner.metrics).clone()
