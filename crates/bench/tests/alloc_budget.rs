@@ -180,7 +180,7 @@ fn allocations_per_submission_are_pinned() {
     let pins = [
         ("triple", 14_007, 966_433),
         ("dense pair", 22_709, 2_006_531),
-        ("scatter", 28_693, 2_053_437),
+        ("scatter", 26_795, 1_998_337),
         ("repair", 5_138, 472_226),
         ("job from cache", 2_217, 150_055),
     ];

@@ -22,10 +22,11 @@
 //! concatenated shard outputs by `(__src, __rank)` therefore reproduces
 //! the single-node output exactly, after which both synthetic columns
 //! are stripped. Drop-out steps filter instead of extend: a tuple
-//! survives the merged drop-out iff it survived on **every** shard
-//! (no shard found a counterpart and no shard's residual rejected it).
-
-use std::collections::HashSet;
+//! survives the merged drop-out iff it has a best position and every
+//! answering shard it was **sent** to kept it (no counterpart there and
+//! no residual rejected it). The scatter sends each shard only the tuples
+//! whose probe balls meet its extent, so a shard's reply is refused if it
+//! answers for any other ([`check_src`]).
 
 use skyquery_storage::{DataType, Value};
 
@@ -146,7 +147,8 @@ pub fn merge_seed(
 /// Merges the shard outputs of a scattered **match** step: concatenates,
 /// stable-sorts by `(input index, matched row's rank)`, strips both
 /// synthetic columns. Probe-side stats sum across shards (they partition
-/// the probed table); `tuples_in` is the common input size.
+/// the probed table); `tuples_in` is the first shard's, which a routed
+/// scatter replaces with its whole input's size.
 pub fn merge_match(
     parts: &[(PartialSet, StepStats)],
     alias: &str,
@@ -182,58 +184,69 @@ pub fn merge_match(
     Ok((merged, stats))
 }
 
-/// Merges the shard outputs of a scattered **drop-out** step: a tuple
-/// survives iff its input index appears in *every* participating shard's
-/// output (no shard found a counterpart; no shard's residual rejected
-/// it). Output order is the input order, recovered from the first
-/// shard's output, which the drop-out kernel keeps input-ordered.
+/// Refuses a scattered reply from `host` that answers for a tuple its
+/// extent was not sent: every `__src` in `set` must be in `sent`
+/// (ascending), or the reply is a [`FederationError::Protocol`] naming
+/// the host.
+pub fn check_src(set: &PartialSet, sent: &[usize], host: &str) -> Result<()> {
+    let src_idx = column_index(set, SRC_COL)?;
+    for t in &set.tuples {
+        let id = id_at(t, src_idx)?;
+        if sent.binary_search_by(|&i| (i as u64).cmp(&id)).is_err() {
+            return Err(FederationError::protocol(format!(
+                "{host} answered for {SRC_COL} {id}, a tuple it was not sent"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Merges the shard outputs of a routed **drop-out** step, where
+/// `parts[k]` answered for the `input` tuples at `sent[k]`: a tuple
+/// survives iff it has a best position and every answering shard it was
+/// sent to kept it (found no counterpart; its residual did not reject
+/// it). Survivors are the Portal's own `input` tuples, in input order. A
+/// tuple with no best position reaches no shard and leaves here, as it
+/// would at a node; the ledger counts it as neither accepted nor kept.
 ///
 /// `parts` may be a subset of the shard group: the Checkpointed driver
 /// degrades a partially failed drop-out step by intersecting over the
 /// shards that answered, mirroring the single-node degraded skip.
-pub fn merge_dropout(parts: &[(PartialSet, StepStats)]) -> Result<(PartialSet, StepStats)> {
-    let first = check_parts(parts)?;
-    let src_idx = column_index(first, SRC_COL)?;
-    let n = parts[0].1.tuples_in;
-    // Degenerate tuples are dropped identically by every shard (the
-    // degeneracy is a property of the tuple, not of shard data), so the
-    // first shard's ledger recovers their count.
-    let degen = n
-        .checked_sub(parts[0].1.chi2_accepted + parts[0].1.tuples_out)
-        .ok_or_else(|| FederationError::protocol("drop-out shard stats are inconsistent"))?;
-    let mut stats = StepStats {
-        tuples_in: n,
-        ..StepStats::default()
-    };
-    let mut survivors: Option<HashSet<u64>> = None;
-    for (set, st) in parts {
-        if st.tuples_in != n {
-            return Err(FederationError::protocol(
-                "drop-out shards disagree on input size",
-            ));
-        }
+pub fn merge_dropout(
+    input: &PartialSet,
+    parts: &[(PartialSet, StepStats)],
+    sent: &[&[usize]],
+) -> Result<(PartialSet, StepStats)> {
+    let src_idx = column_index(check_parts(parts)?, SRC_COL)?;
+    let n = input.len();
+    let mut alive: Vec<bool> = input
+        .tuples
+        .iter()
+        .map(|t| t.state.best_position().is_some())
+        .collect();
+    let degen = alive.iter().filter(|a| !**a).count();
+    let mut stats = StepStats::default();
+    let mut kept = vec![false; n];
+    for ((set, st), sent) in parts.iter().zip(sent) {
         stats.add_work(st);
-        let mut ids = HashSet::with_capacity(set.tuples.len());
+        kept.fill(false);
         for t in &set.tuples {
-            ids.insert(id_at(t, src_idx)?);
+            let id = id_at(t, src_idx)?;
+            let slot = usize::try_from(id).ok().and_then(|i| kept.get_mut(i));
+            *slot.ok_or_else(|| {
+                FederationError::protocol(format!("drop-out reply kept {SRC_COL} {id} of {n}"))
+            })? = true;
         }
-        survivors = Some(match survivors {
-            None => ids,
-            Some(s) => s.intersection(&ids).copied().collect(),
-        });
-    }
-    let survivors = survivors.expect("check_parts guarantees at least one part");
-    let mut tuples = Vec::new();
-    for t in &first.tuples {
-        if survivors.contains(&id_at(t, src_idx)?) {
-            tuples.push(t.clone());
+        for &i in *sent {
+            alive[i] &= kept[i];
         }
     }
-    let mut merged = PartialSet {
-        columns: first.columns.clone(),
-        tuples,
+    let survivors = input.tuples.iter().zip(&alive).filter(|(_, a)| **a);
+    let merged = PartialSet {
+        columns: input.columns.clone(),
+        tuples: survivors.map(|(t, _)| t.clone()).collect(),
     };
-    strip_column(&mut merged, src_idx);
+    stats.tuples_in = n;
     stats.tuples_out = merged.tuples.len();
     stats.chi2_accepted = n - degen - stats.tuples_out;
     Ok((merged, stats))
@@ -357,76 +370,137 @@ mod tests {
         assert_eq!(stats.tuples_out, 3);
     }
 
+    /// `n` input tuples, `O.object_id` 10.. , each with a best position
+    /// unless its index is in `degenerate`.
+    fn input(n: usize, degenerate: &[usize]) -> PartialSet {
+        let mut s = set(
+            &[("O.object_id", DataType::Id)],
+            (0..n).map(|i| vec![Value::Id(10 + i as u64)]).collect(),
+        );
+        for &i in degenerate {
+            s.tuples[i].state = TupleState {
+                a: 1.0,
+                ax: 0.0,
+                ay: 0.0,
+                az: 0.0,
+            };
+        }
+        s
+    }
+
+    /// A drop-out reply keeping the input tuples at `srcs`.
+    fn kept(srcs: &[u64]) -> PartialSet {
+        let cols: &[(&str, DataType)] = &[("O.object_id", DataType::Id), (SRC_COL, DataType::Id)];
+        let rows = srcs
+            .iter()
+            .map(|&i| vec![Value::Id(10 + i), Value::Id(i)])
+            .collect();
+        set(cols, rows)
+    }
+
+    fn dropout_stats(tuples_in: usize, found: usize, out: usize) -> StepStats {
+        StepStats {
+            tuples_in,
+            chi2_accepted: found,
+            tuples_out: out,
+            candidates_probed: found,
+            ..StepStats::default()
+        }
+    }
+
+    fn ids(set: &PartialSet) -> Vec<Value> {
+        set.tuples.iter().map(|t| t.values[0].clone()).collect()
+    }
+
     #[test]
     fn dropout_merge_intersects_survivors() {
-        let cols: &[(&str, DataType)] = &[("O.object_id", DataType::Id), (SRC_COL, DataType::Id)];
-        // 4 inputs. Shard0 found counterparts for src 1; shard1 for src 2.
-        // Survivors of the merged drop-out: src 0 and 3.
-        let shard0 = set(
-            cols,
-            vec![
-                vec![Value::Id(10), Value::Id(0)],
-                vec![Value::Id(12), Value::Id(2)],
-                vec![Value::Id(13), Value::Id(3)],
-            ],
-        );
-        let shard1 = set(
-            cols,
-            vec![
-                vec![Value::Id(10), Value::Id(0)],
-                vec![Value::Id(11), Value::Id(1)],
-                vec![Value::Id(13), Value::Id(3)],
-            ],
-        );
-        let st = |found: usize| StepStats {
-            tuples_in: 4,
-            chi2_accepted: found,
-            tuples_out: 3,
-            ..StepStats::default()
-        };
-        let (merged, stats) = merge_dropout(&[(shard0, st(1)), (shard1, st(1))]).unwrap();
-        assert_eq!(merged.columns.len(), 1);
-        let ids: Vec<_> = merged.tuples.iter().map(|t| t.values[0].clone()).collect();
-        assert_eq!(ids, vec![Value::Id(10), Value::Id(13)]);
+        // 4 inputs. Shard0 was sent 0..=2 and found a counterpart for
+        // src 1; shard1 was sent 1..=3 and found one for src 2. A tuple
+        // survives iff every shard it was sent to kept it: src 0 and 3.
+        let inp = input(4, &[]);
+        let parts = [
+            (kept(&[0, 2]), dropout_stats(3, 1, 2)),
+            (kept(&[1, 3]), dropout_stats(3, 1, 2)),
+        ];
+        let (merged, stats) = merge_dropout(&inp, &parts, &[&[0, 1, 2], &[1, 2, 3]]).unwrap();
+        assert_eq!(merged.columns, inp.columns);
+        assert_eq!(ids(&merged), vec![Value::Id(10), Value::Id(13)]);
+        // Survivors are the Portal's own input tuples, state included.
+        assert_eq!(merged.tuples[1], inp.tuples[3]);
         assert_eq!(stats.tuples_in, 4);
         assert_eq!(stats.tuples_out, 2);
+        assert_eq!(stats.candidates_probed, 2);
         // No degenerate inputs: everything not surviving had a counterpart.
         assert_eq!(stats.chi2_accepted, 2);
     }
 
     #[test]
     fn dropout_merge_accounts_for_degenerate_inputs() {
-        let cols: &[(&str, DataType)] = &[(SRC_COL, DataType::Id)];
-        // 5 inputs, 1 degenerate (dropped on every shard without a
-        // counterpart); shard0 found 1 counterpart, shard1 found none.
-        let shard0 = set(
-            cols,
-            vec![vec![Value::Id(0)], vec![Value::Id(2)], vec![Value::Id(3)]],
-        );
-        let shard1 = set(
-            cols,
-            vec![
-                vec![Value::Id(0)],
-                vec![Value::Id(1)],
-                vec![Value::Id(2)],
-                vec![Value::Id(3)],
-            ],
-        );
-        let st = |found: usize, out: usize| StepStats {
-            tuples_in: 5,
-            chi2_accepted: found,
-            tuples_out: out,
-            ..StepStats::default()
-        };
-        let (merged, stats) = merge_dropout(&[(shard0, st(1, 3)), (shard1, st(0, 4))]).unwrap();
+        // 5 inputs, sent whole to both shards, 1 degenerate (dropped on
+        // every shard without a counterpart); shard0 found 1 counterpart,
+        // shard1 found none.
+        let inp = input(5, &[4]);
+        let parts = [
+            (kept(&[0, 2, 3]), dropout_stats(5, 1, 3)),
+            (kept(&[0, 1, 2, 3]), dropout_stats(5, 0, 4)),
+        ];
+        let all: &[usize] = &[0, 1, 2, 3, 4];
+        let (merged, stats) = merge_dropout(&inp, &parts, &[all, all]).unwrap();
         assert_eq!(merged.tuples.len(), 3);
         assert_eq!(stats.chi2_accepted, 1);
         assert_eq!(stats.tuples_out, 3);
     }
 
     #[test]
+    fn a_degenerate_tuple_sent_nowhere_leaves_a_routed_dropout() {
+        // Src 1 has no best position, so its probe ball meets no extent
+        // and the scatter sends it nowhere. It must still leave, and the
+        // ledger must count it as neither accepted nor kept.
+        let inp = input(4, &[1]);
+        let parts = [
+            (kept(&[0]), dropout_stats(1, 0, 1)),
+            (kept(&[3]), dropout_stats(2, 1, 1)),
+        ];
+        let (merged, stats) = merge_dropout(&inp, &parts, &[&[0], &[2, 3]]).unwrap();
+        assert_eq!(ids(&merged), vec![Value::Id(10), Value::Id(13)]);
+        assert_eq!(stats.tuples_in, 4);
+        assert_eq!(stats.tuples_out, 2);
+        assert_eq!(stats.chi2_accepted, 1, "only src 2 found a counterpart");
+        // With every tuple degenerate, no extent is reached and none survives.
+        let (merged, stats) = merge_dropout(
+            &input(2, &[0, 1]),
+            &[(kept(&[]), dropout_stats(0, 0, 0))],
+            &[&[]],
+        )
+        .unwrap();
+        assert!(merged.is_empty());
+        assert_eq!((stats.tuples_in, stats.chi2_accepted), (2, 0));
+    }
+
+    #[test]
+    fn a_forged_src_is_refused_naming_the_host() {
+        let reply = kept(&[0, 2, 3]);
+        assert!(check_src(&reply, &[0, 2, 3], "sdss-1").is_ok());
+        assert!(check_src(&reply, &[0, 1, 2, 3, 4], "sdss-1").is_ok());
+        // Src 3 was routed to another extent: a reply answering for it is
+        // forged, whatever its rows say.
+        match check_src(&reply, &[0, 2], "sdss-1") {
+            Err(FederationError::Protocol { detail }) => {
+                assert!(detail.contains("sdss-1"), "{detail}");
+                assert!(detail.contains("__src 3"), "{detail}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        // A reply without the column, or with a non-Id key, is refused too.
+        assert!(check_src(&input(1, &[]), &[0], "sdss-1").is_err());
+        let bad = set(&[(SRC_COL, DataType::Id)], vec![vec![Value::Float(0.0)]]);
+        assert!(check_src(&bad, &[0], "sdss-1").is_err());
+    }
+
+    #[test]
     fn merges_reject_inconsistent_parts() {
-        assert!(merge_dropout(&[]).is_err());
+        let inp = input(1, &[]);
+        assert!(merge_dropout(&inp, &[], &[]).is_err());
         let a = set(&[(SRC_COL, DataType::Id)], vec![vec![Value::Id(0)]]);
         let b = set(&[("other", DataType::Id)], vec![vec![Value::Id(0)]]);
         let st = StepStats {
@@ -434,10 +508,13 @@ mod tests {
             tuples_out: 1,
             ..StepStats::default()
         };
-        assert!(merge_dropout(&[(a.clone(), st), (b, st)]).is_err());
+        assert!(merge_dropout(&inp, &[(a.clone(), st), (b, st)], &[&[0], &[0]]).is_err());
         // A non-Id merge key is a protocol error, not a panic.
         let bad = set(&[(SRC_COL, DataType::Id)], vec![vec![Value::Float(1.0)]]);
-        assert!(merge_dropout(&[(bad, st)]).is_err());
+        assert!(merge_dropout(&inp, &[(bad, st)], &[&[0]]).is_err());
+        // So is a kept index beyond the input.
+        let beyond = set(&[(SRC_COL, DataType::Id)], vec![vec![Value::Id(1)]]);
+        assert!(merge_dropout(&inp, &[(beyond, st)], &[&[0]]).is_err());
         // Missing the rank column.
         assert!(merge_seed(&[(a, st)], "S").is_err());
     }

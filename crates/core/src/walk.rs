@@ -687,12 +687,14 @@ impl Portal {
     /// shards in parallel and gathers the replies into one merged
     /// partial set plus the step's merged statistics; an unsharded
     /// archive is the one-extent case. Every extent is sent the step
-    /// alone, as [`ExecutionPlan::for_step`]'s one-step plan, and is
-    /// served by one replica of its group through [`Portal::serve_group`],
-    /// in deterministic `(extent, host)` order, under the configured hedge
-    /// delay. `from_row` is passed to [`portal_step_call`]: `None` runs
-    /// the step over the whole table, `Some(r)` over only the rows at or
-    /// after `r` (a cache-repair probe).
+    /// alone, as [`ExecutionPlan::for_step`]'s one-step plan, with only
+    /// the input tuples whose probe balls meet its declination range
+    /// (each tagged with its global index), and is served by one replica
+    /// of its group through [`Portal::serve_group`], in deterministic
+    /// `(extent, host)` order, under the configured hedge delay.
+    /// `from_row` is passed to [`portal_step_call`]: `None` runs the step
+    /// over the whole table, `Some(r)` over only the rows at or after `r`
+    /// (a cache-repair probe).
     pub(crate) fn scatter_step(
         &self,
         plan: &ExecutionPlan,
@@ -703,6 +705,8 @@ impl Portal {
         trace: &mut ExecutionTrace,
     ) -> Result<ScatterOutcome> {
         let step = &plan.steps[idx];
+        let multi = step.shards.len() > 1;
+        let dropout = step.dropout;
         // One replica group per extent: the primary scatter target
         // first, then its same-extent replicas (failover/hedge
         // candidates).
@@ -714,80 +718,101 @@ impl Portal {
                 .map(|s| [vec![s.url.clone()], s.replicas.clone()].concat())
                 .collect()
         };
-        let multi = targets.len() > 1;
-        let dropout = step.dropout;
-
-        // Extent-prune the fan-out: a shard whose declination range
-        // cannot intersect any of the input tuples' probe balls is
-        // guaranteed to contribute nothing — no extensions on a match
-        // step, no dropped tuples on a drop-out step — so skipping the
-        // call is byte-identical. Seed steps (no input) always scatter
-        // to every shard. At least one target is always kept so the
-        // merge sees a well-formed (possibly empty) shard reply.
-        let mut shards_pruned = 0usize;
-        if multi {
-            if let Some(input) = input {
-                let span = probe_dec_span(input, plan.threshold, step.sigma_arcsec);
-                let mut keep = Vec::with_capacity(targets.len());
-                for shard in &step.shards {
-                    keep.push(span.is_some_and(|(lo, hi)| {
-                        shard.extent.dec_lo_deg <= hi && shard.extent.dec_hi_deg >= lo
-                    }));
+        // Scattered with input, each extent's route: the ascending indices
+        // of the tuples whose probe ball, padded with the zone kernels'
+        // band slack, meets its declination range. A tuple with no best
+        // position can match at no shard and is routed nowhere.
+        let mut routes: Vec<Vec<usize>> = Vec::new();
+        if let Some(set) = input.filter(|_| multi) {
+            routes = vec![Vec::new(); step.shards.len()];
+            let sigma_rad = (step.sigma_arcsec / 3600.0).to_radians();
+            for (i, t) in set.tuples.iter().enumerate() {
+                let Some(best) = t.state.best_position() else {
+                    continue;
+                };
+                let dec = SkyPoint::from_vec3(best).dec_deg;
+                let r = t.state.search_radius(plan.threshold, sigma_rad);
+                let r = r.to_degrees() + 1e-9;
+                for (route, s) in routes.iter_mut().zip(&step.shards) {
+                    if s.extent.dec_lo_deg <= dec + r && s.extent.dec_hi_deg >= dec - r {
+                        route.push(i);
+                    }
                 }
-                if keep.iter().all(|k| !k) {
-                    keep[0] = true;
-                }
-                let mut it = keep.iter();
-                targets.retain(|_| *it.next().expect("keep covers targets"));
-                shards_pruned = keep.iter().filter(|k| !**k).count();
             }
+        }
+
+        // Extent-prune the fan-out: an extent no tuple's ball reaches
+        // would contribute nothing — no extensions on a match step, no
+        // dropped tuples on a drop-out step — so it is not called. Seed
+        // steps (no input) always scatter to every shard. When no tuple
+        // reaches any extent, the first is sent the empty subset so the
+        // merge sees a well-formed (empty) shard reply.
+        let mut shards_pruned = 0usize;
+        if !routes.is_empty() {
+            if routes.iter().all(Vec::is_empty) {
+                targets.truncate(1);
+                routes.truncate(1);
+            } else {
+                let mut it = routes.iter();
+                targets.retain(|_| !it.next().expect("a route per extent").is_empty());
+                routes.retain(|route| !route.is_empty());
+            }
+            shards_pruned = step.shards.len() - targets.len();
         }
 
         // The call carries this step alone, as a one-step plan. When
         // scattered, a non-drop-out step additionally carries the shard
         // table's rank column so the gather can restore the single-node
-        // output order; the input set is tagged with each tuple's index
-        // for the same reason.
+        // output order.
         let mut wire_plan = plan.for_step(idx);
         if multi && !dropout {
             wire_plan.steps[0].carried.push(shard::RANK_COL.to_string());
         }
-        let input_table = input.map(|set| {
-            if multi {
-                shard::tag_with_src(set, shard::SRC_COL, 0..set.len()).to_votable()
-            } else {
-                set.to_votable()
-            }
-        });
-        // One call body per step: every extent, hedge and failover is
-        // sent these bytes.
-        let call = &portal_step_call(&wire_plan, 0, from_row, input_table);
         let hedge_delay = self.config().hedge_delay_s;
-        let outcomes = fan_out(&targets, |group| {
+        // One call body per extent: its primary, hedge and failovers are
+        // all sent these bytes. Routed, it carries the extent's tuples,
+        // tagged with their index in the whole input, and a reply
+        // answering for any other tuple is refused.
+        let serve = |group: &Vec<Url>, route: Option<&Vec<usize>>| {
+            let input_table = input.map(|set| match route {
+                Some(route) => {
+                    shard::tag_with_src(set, shard::SRC_COL, route.iter().copied()).to_votable()
+                }
+                None => set.to_votable(),
+            });
+            let call = portal_step_call(&wire_plan, 0, from_row, input_table);
             self.serve_group(group, hedge_delay, |url| {
-                invoke_portal_step(&self.net, &self.host, url, &wire_plan, call)
+                let reply = invoke_portal_step(&self.net, &self.host, url, &wire_plan, &call)?;
+                if let Some(route) = route {
+                    shard::check_src(&reply.0, route, &url.host)?;
+                }
+                Ok(reply)
             })
-        });
+        };
+        let outcomes = if routes.is_empty() {
+            fan_out(&targets, |group| serve(group, None))
+        } else {
+            let routed: Vec<_> = targets.iter().zip(&routes).collect();
+            fan_out(&routed, |(group, route)| serve(group, Some(route)))
+        };
 
         let mut parts: Vec<(PartialSet, StepStats)> = Vec::new();
         let mut versions: Vec<(String, u64)> = Vec::new();
         let mut errs: Vec<(String, FederationError)> = Vec::new();
+        // The routes of the extents that answered, beside `parts`.
+        let mut sent: Vec<&[usize]> = Vec::new();
         let (mut failovers, mut hedges, mut hedge_wins) = (0usize, 0usize, 0usize);
-        for (group, o) in targets.iter().zip(outcomes) {
+        for (k, (group, o)) in targets.iter().zip(outcomes).enumerate() {
             let primary = &group[0];
             failovers += o.failovers;
             hedges += o.hedges;
             hedge_wins += o.hedge_wins;
             match o.result {
                 Ok((set, chain, version)) => {
-                    let st = chain
-                        .entries
-                        .into_iter()
-                        .next()
-                        .map(|(_, s)| s)
-                        .unwrap_or_default();
+                    let st = chain.entries.first().map(|e| e.1).unwrap_or_default();
                     parts.push((set, st));
                     versions.push((primary.host.clone(), version));
+                    sent.extend(routes.get(k).map(Vec::as_slice));
                 }
                 // A failed extent is named by its primary host — the
                 // stable group identity — not whichever replica happened
@@ -836,15 +861,14 @@ impl Portal {
             };
         }
 
-        let (set, mut stats) = if !multi {
-            parts.into_iter().next().expect("one target answered")
-        } else if input.is_none() {
-            shard::merge_seed(&parts, &step.alias)?
-        } else if dropout {
-            shard::merge_dropout(&parts)?
-        } else {
-            shard::merge_match(&parts, &step.alias)?
+        let (set, mut stats) = match input {
+            _ if !multi => parts.into_iter().next().expect("one target answered"),
+            None => shard::merge_seed(&parts, &step.alias)?,
+            Some(input) if dropout => shard::merge_dropout(input, &parts, &sent)?,
+            Some(_) => shard::merge_match(&parts, &step.alias)?,
         };
+        // A routed extent saw a subset; the step's input is the whole set.
+        stats.tuples_in = input.map_or(stats.tuples_in, PartialSet::len);
         stats.shards_pruned += shards_pruned;
         stats.failovers += failovers;
         stats.hedges += hedges;
@@ -874,26 +898,4 @@ impl Portal {
             versions,
         })
     }
-}
-
-/// The union of the input tuples' probe-ball declination spans, in
-/// degrees, padded with the same slack the zone kernels use for band
-/// selection. `None` when no tuple has a probe ball — nothing can match
-/// at any shard.
-fn probe_dec_span(input: &PartialSet, threshold: f64, sigma_arcsec: f64) -> Option<(f64, f64)> {
-    let sigma_rad = (sigma_arcsec / 3600.0).to_radians();
-    let mut span: Option<(f64, f64)> = None;
-    for tuple in &input.tuples {
-        let Some(best) = tuple.state.best_position() else {
-            continue;
-        };
-        let dec = SkyPoint::from_vec3(best).dec_deg;
-        let r_deg = tuple.state.search_radius(threshold, sigma_rad).to_degrees() + 1e-9;
-        let (lo, hi) = (dec - r_deg, dec + r_deg);
-        span = Some(match span {
-            None => (lo, hi),
-            Some((a, b)) => (a.min(lo), b.max(hi)),
-        });
-    }
-    span
 }

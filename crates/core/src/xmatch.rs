@@ -367,7 +367,7 @@ pub struct StepStats {
     /// Always 0 since PR 19; kept like `tile_builds`.
     pub tile_hits: usize,
     /// Scatter-target shards skipped because their declination extent
-    /// cannot intersect the input set's probe span (scatter steps only).
+    /// meets no input tuple's probe ball (scatter steps only).
     pub shards_pruned: usize,
     /// Result-cache entries that served this submission without
     /// re-executing its chain (Portal-side; at most 1 per submission).
@@ -1130,8 +1130,9 @@ mod tests {
         let mut a = archive("A", &objs);
         let (mut seed, _) = seed_step(&mut a, &cfg("A", 0.3, 3.5)).unwrap();
         // A degenerate tuple: `ax = ay = az = 0`, so it has no best
-        // position and must leave both step kinds under both kernels
-        // (`shard::merge_dropout`'s degenerate ledger relies on this).
+        // position and must leave both step kinds under both kernels (a
+        // routed scatter sends it to no shard, and `shard::merge_dropout`
+        // drops it itself, as a node would).
         let degenerate = Value::Id(999);
         seed.tuples.push(PartialTuple {
             state: TupleState {

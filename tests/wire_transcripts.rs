@@ -227,7 +227,7 @@ fn sharded_replicated_scatter_with_a_garbled_extent() {
         "the extent must fail over"
     );
     assert!(assert_one_step_calls("scatter", &log) > 0);
-    check("scatter", &log, 23, 0x3b11_534b_eb25_31a3);
+    check("scatter", &log, 23, 0x59d2_fb91_6926_deab);
 }
 
 #[test]
