@@ -517,3 +517,55 @@ fn count_star_is_never_hedged() {
     assert_eq!(got.to_ascii(), want.to_ascii());
     assert_eq!(slow.net.metrics().node_event_total("hedge"), 0);
 }
+
+/// The hedge contract over four replicated extents: FIRST's extent `s0`
+/// straggles past the hedge delay on every `ScatterStep`. Every build of
+/// one seed must reach the same outcome: exactly one hedge, won by the
+/// sibling; 138 messages (registration, then the unhedged submission's
+/// traffic plus the one duplicate probe's exchange) and the same wire
+/// bytes each time; and the answer the unhedged run renders. So a hedge
+/// decision cannot depend on scheduling. (SDSS's `s0` would be the wrong
+/// straggler: this query extent-prunes it, so it is never probed.)
+#[test]
+fn hedge_outcome_is_a_function_of_the_seed() {
+    let config = FederationConfig {
+        hedge_delay_s: 1.0,
+        ..FederationConfig::default()
+    };
+    let sql = sweep_query(false);
+    let clean = fed(4, 2, 23, config);
+    let (want, _) = clean.portal.submit(&sql).unwrap();
+    assert_eq!(clean.net.metrics().total().messages, 136);
+    let mut wire_bytes = None;
+    for build in 0..100 {
+        let slow = builder(4, 2, 23, config)
+            .faults(
+                FaultPlan::new().rule(
+                    FaultRule::new(FaultKind::Latency(5.0))
+                        .host("first-s0.skyquery.net")
+                        .action("ScatterStep")
+                        .times(1000),
+                ),
+            )
+            .build();
+        let (got, trace) = slow.portal.submit(&sql).unwrap();
+        let m = slow.net.metrics();
+        let outcome = (
+            trace_counter(&trace, "hedges "),
+            trace_counter(&trace, "hedge wins "),
+            m.node_event_total("hedge"),
+            m.total().messages,
+        );
+        assert_eq!(outcome, (1, 1, 1, 138), "build {build}");
+        assert_eq!(
+            *wire_bytes.get_or_insert(m.total().bytes),
+            m.total().bytes,
+            "build {build}: wire bytes moved"
+        );
+        assert_eq!(
+            got.to_ascii(),
+            want.to_ascii(),
+            "build {build}: hedged bytes differ"
+        );
+    }
+}
