@@ -178,11 +178,11 @@ fn allocations_per_submission_are_pinned() {
         .map(|(name, [a, _])| (*name, a.calls, a.bytes))
         .collect();
     let pins = [
-        ("triple", 14_007, 966_433),
-        ("dense pair", 22_709, 2_006_531),
-        ("scatter", 26_795, 1_998_337),
-        ("repair", 5_138, 472_226),
-        ("job from cache", 2_217, 150_055),
+        ("triple", 13_990, 965_577),
+        ("dense pair", 22_697, 2_005_947),
+        ("scatter", 26_687, 1_992_481),
+        ("repair", 5_121, 471_370),
+        ("job from cache", 2_200, 149_199),
     ];
     assert_eq!(got, pins);
 }

@@ -1139,8 +1139,9 @@ impl Portal {
         }
     }
 
-    /// Runs the count-star performance queries concurrently (the paper
-    /// passes them "as asynchronous SOAP messages").
+    /// Runs the count-star performance queries through the one fan-out
+    /// (the paper passes them "as asynchronous SOAP messages"), in order
+    /// on the calling thread.
     fn run_performance_queries(
         &self,
         dq: &DecomposedQuery,

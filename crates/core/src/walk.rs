@@ -589,25 +589,14 @@ pub(crate) struct ExtentOutcome<T> {
     hedge_wins: usize,
 }
 
-/// Runs `f` over every item and returns the results in item order: on
-/// scoped threads when there is more than one item (the paper's
-/// "asynchronous SOAP messages"), inline otherwise. The program's only
-/// fork/join site — count-stars and scatter steps both fan out here.
-pub(crate) fn fan_out<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
-    if items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .iter()
-            .map(|item| scope.spawn(move || f(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("no panics"))
-            .collect()
-    })
+/// Runs `f` over every item, in item order on the calling thread, and
+/// returns the results in that order. The program's one fork/join site:
+/// count-stars and scatter steps both fan out here (the paper's
+/// "asynchronous SOAP messages"). Threads would buy no simulated time,
+/// since the network's clock sums every link's time, and they would make
+/// message order and hedge decisions depend on scheduling.
+pub(crate) fn fan_out<I, T>(items: &[I], f: impl Fn(&I) -> T) -> Vec<T> {
+    items.iter().map(f).collect()
 }
 
 impl Portal {
@@ -684,14 +673,15 @@ impl Portal {
     }
 
     /// Scatters one step (`idx`, the tail of `plan.steps`) to its owning
-    /// shards in parallel and gathers the replies into one merged
-    /// partial set plus the step's merged statistics; an unsharded
-    /// archive is the one-extent case. Every extent is sent the step
-    /// alone, as [`ExecutionPlan::for_step`]'s one-step plan, with only
-    /// the input tuples whose probe balls meet its declination range
-    /// (each tagged with its global index), and is served by one replica
-    /// of its group through [`Portal::serve_group`], in deterministic
-    /// `(extent, host)` order, under the configured hedge delay.
+    /// shards through [`fan_out`], in extent order, and gathers the
+    /// replies into one merged partial set plus the step's merged
+    /// statistics; an unsharded archive is the one-extent case. Every
+    /// extent is sent the step alone, as [`ExecutionPlan::for_step`]'s
+    /// one-step plan, with only the input tuples whose probe balls meet
+    /// its declination range (each tagged with its global index), and is
+    /// served by one replica of its group through [`Portal::serve_group`],
+    /// in deterministic `(extent, host)` order, under the configured hedge
+    /// delay.
     /// `from_row` is passed to [`portal_step_call`]: `None` runs the step
     /// over the whole table, `Some(r)` over only the rows at or after `r`
     /// (a cache-repair probe).

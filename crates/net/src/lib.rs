@@ -18,8 +18,8 @@
 //!
 //! Dispatch is synchronous: `send` looks up the destination endpoint and
 //! invokes its handler, which may itself `send` onward (the daisy chain of
-//! §5.3). All accounting is thread-safe; the Portal issues performance
-//! queries from worker threads.
+//! §5.3). All accounting is thread-safe, so several clients may drive
+//! one federation from their own threads.
 
 mod fault;
 mod http;

@@ -9,11 +9,12 @@
 //! compared with constants recorded from a known-good build, so a codec
 //! or transport change that moves a single byte fails here, by scenario.
 //!
-//! Records are sorted before digesting: scatter fan-out and concurrent
-//! performance queries interleave their messages in thread order, which
-//! is not part of the wire contract. Every recorded body must also
-//! re-encode to itself, and every prefix of one call body and one reply
-//! body must decode to an error, never panic.
+//! Records are sorted before digesting, so the digests pin the bytes and
+//! not their order. The order is pinned apart: the Portal fans count-stars
+//! and scatter steps out in item order on one thread, so every scenario
+//! serves the same exchange sequence on every run. Every recorded body
+//! must also re-encode to itself, and every prefix of one call body and
+//! one reply body must decode to an error, never panic.
 
 use std::sync::{Arc, Mutex};
 
@@ -185,8 +186,9 @@ fn paper_triple_checkpointed() {
     check("checkpointed", &log, 6, 0x87f3_5d40_611b_0412);
 }
 
-#[test]
-fn sharded_replicated_scatter_with_a_garbled_extent() {
+/// A 4-shard, 2-replica triple whose extent at the field centre answers
+/// every `ScatterStep` with garbage, so it retries and fails over.
+fn garbled_scatter() -> Transcript {
     let fed = FederationBuilder::new()
         .catalog(CatalogParams {
             count: 180,
@@ -226,12 +228,18 @@ fn sharded_replicated_scatter_with_a_garbled_extent() {
         m.node_event_total("failover") > 0,
         "the extent must fail over"
     );
+    log
+}
+
+#[test]
+fn sharded_replicated_scatter_with_a_garbled_extent() {
+    let log = garbled_scatter();
     assert!(assert_one_step_calls("scatter", &log) > 0);
     check("scatter", &log, 23, 0x59d2_fb91_6926_deab);
 }
 
-#[test]
-fn dense_pair_under_a_small_message_limit() {
+/// A 3 000-body SDSS and 2MASS pair whose replies are chunked.
+fn dense_pair() -> Transcript {
     let fed = FederationBuilder::new()
         .catalog(CatalogParams {
             count: 3000,
@@ -259,6 +267,12 @@ fn dense_pair_under_a_small_message_limit() {
         fed.net.metrics().chunk_total().chunks > 1,
         "replies must be chunked"
     );
+    log
+}
+
+#[test]
+fn dense_pair_under_a_small_message_limit() {
+    let log = dense_pair();
     // The chunks are the sender's rows, with no sequence column beside
     // them.
     assert!(log
@@ -269,8 +283,8 @@ fn dense_pair_under_a_small_message_limit() {
     check("dense", &log, 15, 0x623b_d643_3a27_9974);
 }
 
-#[test]
-fn paginated_job_results() {
+/// A job whose results are fetched in pages through the job service.
+fn paginated_job() -> Transcript {
     let fed = FederationBuilder::paper_triple(200).build();
     let sql = "SELECT O.object_id, T.object_id, P.object_id \
                FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, FIRST:Primary_Object P \
@@ -295,6 +309,12 @@ fn paginated_job_results() {
     svc.run_until_idle(100_000);
     let fetched = cli.fetch(id).unwrap();
     assert_eq!(fetched, reference);
+    log
+}
+
+#[test]
+fn paginated_job_results() {
+    let log = paginated_job();
     assert!(log
         .lock()
         .unwrap()
@@ -325,8 +345,8 @@ fn inject(fed: &TestFederation, archive: &str, rows: &[(u64, f64, f64)]) {
     });
 }
 
-#[test]
-fn cached_triple_repaired_after_growth() {
+/// A cached triple repaired after each archive grows.
+fn repaired_triple() -> Transcript {
     let fed = FederationBuilder::new()
         .catalog(CatalogParams {
             count: 140,
@@ -377,6 +397,12 @@ fn cached_triple_repaired_after_growth() {
     let (rs, trace) = fed.portal.submit(&sql).unwrap();
     assert!(rs.row_count() > 0);
     assert!(trace.events().iter().any(|e| e.action == "cache repair"));
+    log
+}
+
+#[test]
+fn cached_triple_repaired_after_growth() {
+    let log = repaired_triple();
     // The repair probes the seed's delta rows, the kept inputs of both
     // later steps against their delta rows, and their fresh inputs
     // against the whole table.
@@ -395,4 +421,30 @@ fn cached_triple_repaired_after_growth() {
     assert_eq!(whole, 2, "the fresh inputs of the match and drop-out steps");
     assert_eq!(assert_one_step_calls("repair", &log), 5);
     check("repair", &log, 7, 0x0a1f_9b8a_9fb8_f8a7);
+}
+
+/// Wire order is a function of the seed: each scenario, run twice,
+/// serves the same exchanges in the same order, before any sort.
+#[test]
+fn every_scenario_repeats_its_exchange_order() {
+    type Scenario = fn() -> Transcript;
+    let scenarios: [(&str, Scenario); 6] = [
+        ("recursive", || paper_triple(ChainMode::Recursive)),
+        ("checkpointed", || paper_triple(ChainMode::Checkpointed)),
+        ("scatter", garbled_scatter),
+        ("dense", dense_pair),
+        ("job", paginated_job),
+        ("repair", repaired_triple),
+    ];
+    for (name, scenario) in scenarios {
+        let first = scenario().lock().unwrap().clone();
+        let second = scenario().lock().unwrap().clone();
+        assert_eq!(first.len(), second.len(), "{name}: exchange count");
+        if let Some(i) = (0..first.len()).find(|&i| first[i] != second[i]) {
+            panic!(
+                "{name}: exchange {i} differs between runs ({} then {})",
+                first[i].0, second[i].0
+            );
+        }
+    }
 }
