@@ -81,6 +81,8 @@ fn print_tables() {
     for node in &fed.nodes {
         node.with_db(|db| db.reset_cache_stats());
     }
+    // The repeat asks no count-star: the tables' versions have not moved,
+    // so the Portal answers them from its count answers.
     fed.portal.submit(&sql).unwrap();
     let second: u64 = fed
         .nodes

@@ -15,7 +15,6 @@ fn print_table() {
         "bodies", "desc (paper)", "asc", "declaration", "random(3)"
     );
     for bodies in [500, 1500, 3000] {
-        let fed = triple_federation(bodies);
         let sql = triple_query(3.5);
         let mut row = Vec::new();
         for ordering in [
@@ -24,6 +23,10 @@ fn print_table() {
             OrderingStrategy::DeclarationOrder,
             OrderingStrategy::Random(3),
         ] {
+            // A fresh federation per run: a Portal that has planned the
+            // query holds its counts and would not send the count-stars
+            // again, and every run's bytes include them.
+            let fed = triple_federation(bodies);
             fed.portal.set_config(config_with_ordering(ordering));
             row.push(measure_bytes(&fed, &sql));
         }

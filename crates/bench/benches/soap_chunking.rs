@@ -17,9 +17,12 @@ fn print_table() {
         "{:<16} {:>10} {:>16} {:>14} {:>10}",
         "limit (bytes)", "messages", "peak msg bytes", "total bytes", "result ok"
     );
-    let fed = triple_federation(2000);
     let sql = triple_query(3.5);
     for limit in [10 * 1024 * 1024, 200_000, 50_000, 20_000] {
+        // A fresh federation per run: a Portal that has planned the
+        // query holds its counts and would not send the count-stars
+        // again, and every run's messages include them.
+        let fed = triple_federation(2000);
         fed.portal.set_config(FederationConfig {
             max_message_bytes: limit,
             chunking: true,
@@ -45,6 +48,7 @@ fn print_table() {
     }
 
     // The pre-workaround behaviour: chunking off, tiny limit → fault.
+    let fed = triple_federation(2000);
     fed.portal.set_config(FederationConfig {
         max_message_bytes: 20_000,
         chunking: false,

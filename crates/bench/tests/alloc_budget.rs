@@ -4,7 +4,9 @@
 //!
 //! Each scenario runs one warm-up submission and then counts two more;
 //! the two must be equal (the count is a pure function of the scenario)
-//! and equal to the pins below. The pins are exact: a change that
+//! and equal to the pins below. The warm-up leaves the Portal holding its
+//! count answers, so a counted submission asks only the count-stars of
+//! tables that grew since (the repair scenario's two). The pins are exact: a change that
 //! lowers one re-pins it, a change that raises one has to say why. The
 //! job answered from the cache is the control, which the node's step
 //! path never reaches. One test in this binary, so nothing else in the
@@ -178,11 +180,11 @@ fn allocations_per_submission_are_pinned() {
         .map(|(name, [a, _])| (*name, a.calls, a.bytes))
         .collect();
     let pins = [
-        ("triple", 13_990, 965_577),
-        ("dense pair", 22_697, 2_005_947),
-        ("scatter", 26_687, 1_992_481),
-        ("repair", 5_121, 471_370),
-        ("job from cache", 2_200, 149_199),
+        ("triple", 11_277, 736_161),
+        ("dense pair", 22_446, 1_926_794),
+        ("scatter", 22_869, 1_666_337),
+        ("repair", 5_023, 461_045),
+        ("job from cache", 1_224, 74_017),
     ];
     assert_eq!(got, pins);
 }

@@ -318,6 +318,16 @@ impl RegisteredNode {
     pub fn extent(&self) -> ZoneExtent {
         self.info.owned_extent()
     }
+
+    /// The version of one of this archive's tables as last catalogued,
+    /// the name matched without regard to case.
+    pub fn table_version(&self, table: &str) -> Option<u64> {
+        self.catalog
+            .tables
+            .iter()
+            .find(|t| t.schema.name.eq_ignore_ascii_case(table))
+            .map(|t| t.version)
+    }
 }
 
 #[cfg(test)]

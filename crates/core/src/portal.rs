@@ -209,6 +209,16 @@ impl Submission {
     }
 }
 
+/// Most count answers a Portal holds. An entry is a count's SQL text,
+/// a few host names and versions, about 300 bytes, so a full map is
+/// about 300 KB. A full map is cleared, not aged: a cleared count is
+/// asked again, never served wrong.
+const COUNT_ANSWERS: usize = 1024;
+
+/// What a count answer is kept under: the count's SQL text and the hosts
+/// of the extent group it was asked of.
+type CountKey = (String, Vec<String>);
+
 /// The mediator.
 pub struct Portal {
     pub(crate) host: String,
@@ -232,6 +242,10 @@ pub struct Portal {
     /// ([`crate::result_cache`]). Inert until
     /// [`FederationConfig::result_cache_capacity`] is raised above 0.
     cache: Mutex<ResultCache>,
+    /// Count-star answers (DESIGN §12 "Count answers"): each holds the
+    /// group's registry versions of the counted table when it was asked,
+    /// and the count. A count is asked again once any version moves.
+    counts: Mutex<HashMap<CountKey, (Vec<u64>, u64)>>,
 }
 
 impl Portal {
@@ -257,6 +271,7 @@ impl Portal {
             registry,
             health: Mutex::new(HashMap::new()),
             cache: Mutex::new(ResultCache::new()),
+            counts: Mutex::new(HashMap::new()),
         });
         net.bind(host, portal.clone());
         portal
@@ -532,6 +547,7 @@ impl Portal {
             group.clone()
         };
         self.sync_registry(&info.name, &group);
+        self.forget_counts(&[&url.host]);
         let extent = info.owned_extent();
         // The registering node's replica group: every group member
         // serving exactly the same zone range, itself included.
@@ -553,8 +569,17 @@ impl Portal {
             for (i, n) in group.iter().enumerate() {
                 self.registry.unregister(&Self::provider_name(i, n));
             }
+            let hosts: Vec<&str> = group.iter().map(|n| n.url.host.as_str()).collect();
+            self.forget_counts(&hosts);
         }
         removed.is_some()
+    }
+
+    /// Drops every count answer asked of any of `hosts`: a node that
+    /// registers again may hold other rows at the same table versions.
+    fn forget_counts(&self, hosts: &[&str]) {
+        lock(&self.counts)
+            .retain(|(_, group), _| !group.iter().any(|h| hosts.contains(&h.as_str())));
     }
 
     /// EXPLAIN: decomposes and plans the query — running the performance
@@ -1023,12 +1048,7 @@ impl Portal {
             let mut vs = Vec::with_capacity(hosts.len());
             for host in hosts {
                 let node = nodes.values().flatten().find(|n| n.url.host == host)?;
-                let version = node
-                    .catalog
-                    .tables
-                    .iter()
-                    .find(|t| t.schema.name.eq_ignore_ascii_case(&step.table))
-                    .map(|t| t.version)?;
+                let version = node.table_version(&step.table)?;
                 vs.push(StepVersion {
                     host: host.to_string(),
                     table: step.table.clone(),
@@ -1141,20 +1161,22 @@ impl Portal {
 
     /// Runs the count-star performance queries through the one fan-out
     /// (the paper passes them "as asynchronous SOAP messages"), in order
-    /// on the calling thread.
+    /// on the calling thread. A count whose every host still shows the
+    /// registry version it was asked at is answered from the Portal's
+    /// count answers instead (DESIGN §12 "Count answers").
     fn run_performance_queries(
         &self,
         dq: &DecomposedQuery,
         trace: &mut ExecutionTrace,
     ) -> Result<HashMap<String, u64>> {
         let retry = self.config().retry;
-        // One job per (alias, extent): each shard counts its own zone
+        // One count per (alias, extent): each shard counts its own zone
         // range and the Portal sums the estimates per alias, so a
         // sharded archive orders the plan exactly as its single-node
         // equivalent would. Each extent is counted once — by one member
         // of its replica group — or the sum would scale with the
         // replication factor.
-        let mut jobs: Vec<(String, RpcCall, Vec<Url>)> = Vec::new();
+        let mut jobs = Vec::new();
         for pq in &dq.performance_queries {
             let groups = self.replica_groups(&pq.archive);
             if groups.is_empty() {
@@ -1163,31 +1185,70 @@ impl Portal {
                     pq.archive
                 )));
             }
+            let table = &dq
+                .archive(&pq.alias)
+                .expect("decomposition covers every XMATCH alias")
+                .table
+                .table;
+            let sql = pq.to_sql();
             for g in groups {
-                let call = RpcCall::new("Query").param("sql", SoapValue::Str(pq.to_sql()));
-                let urls = g.into_iter().map(|n| n.url).collect();
-                jobs.push((pq.alias.clone(), call, urls));
+                let versions: Option<Vec<u64>> = g.iter().map(|n| n.table_version(table)).collect();
+                let key: CountKey = (sql.clone(), g.iter().map(|n| n.url.host.clone()).collect());
+                let urls: Vec<Url> = g.into_iter().map(|n| n.url).collect();
+                jobs.push((pq.alias.as_str(), key, versions, urls));
             }
         }
+        let known: Vec<Option<u64>> = {
+            let counts = lock(&self.counts);
+            jobs.iter()
+                .map(|(_, key, versions, _)| {
+                    let (asked_at, count) = counts.get(key)?;
+                    (Some(asked_at) == versions.as_ref()).then_some(*count)
+                })
+                .collect()
+        };
 
         // Each extent goes through the scatter's replica selection
         // (§13), so a dead primary cannot fail the query at planning
         // time. Count-stars never hedge.
-        let replies = fan_out(&jobs, |(_, call, candidates)| {
+        let asked: Vec<_> = jobs
+            .iter()
+            .zip(&known)
+            .filter(|(_, k)| k.is_none())
+            .collect();
+        let mut replies = fan_out(&asked, |((_, (sql, _), _, candidates), _)| {
+            let call = RpcCall::new("Query").param("sql", SoapValue::Str(sql.clone()));
             self.serve_group(candidates, 0.0, |url| {
-                send_rpc_with(&self.net, &self.host, url, call, retry)
+                send_rpc_with(&self.net, &self.host, url, &call, retry)
             })
             .result
-        });
+        })
+        .into_iter();
         let mut out = HashMap::new();
-        for ((alias, _, _), reply) in jobs.iter().zip(replies) {
-            // A negative count would wrap and reorder the plan.
-            let count = reply?
-                .require("count")?
-                .as_i64()
-                .and_then(|c| u64::try_from(c).ok())
-                .ok_or_else(|| FederationError::protocol("count must be a non-negative integer"))?;
-            let sum = out.entry(alias.clone()).or_insert(0u64);
+        for ((alias, key, versions, _), known) in jobs.iter().zip(known) {
+            let count = match known {
+                Some(count) => count,
+                None => {
+                    let reply = replies.next().expect("one reply per count asked");
+                    // A negative count would wrap and reorder the plan.
+                    let count = reply?
+                        .require("count")?
+                        .as_i64()
+                        .and_then(|c| u64::try_from(c).ok())
+                        .ok_or_else(|| {
+                            FederationError::protocol("count must be a non-negative integer")
+                        })?;
+                    if let Some(versions) = versions {
+                        let mut counts = lock(&self.counts);
+                        if counts.len() >= COUNT_ANSWERS && !counts.contains_key(key) {
+                            counts.clear();
+                        }
+                        counts.insert(key.clone(), (versions.clone(), count));
+                    }
+                    count
+                }
+            };
+            let sum = out.entry(alias.to_string()).or_insert(0u64);
             *sum = sum.saturating_add(count);
         }
         if !jobs.is_empty() {

@@ -64,6 +64,25 @@ impl ResultSet {
         }
     }
 
+    /// Whether `other` is this very answer: the same columns, every cell
+    /// the same to the bit (`==` holds `-0.0` equal to `0.0`, which
+    /// print apart), and the same degradation header, which `==` skips.
+    pub fn is_same_answer(&self, other: &ResultSet) -> bool {
+        let same_cell = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        };
+        self.degraded == other.degraded
+            && self.dropped_archives == other.dropped_archives
+            && self.columns == other.columns
+            && self.rows.len() == other.rows.len()
+            && self
+                .rows
+                .iter()
+                .zip(&other.rows)
+                .all(|(a, b)| a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_cell(x, y)))
+    }
+
     /// Number of rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use skyquery_core::error::{FederationError, Result};
 use skyquery_core::result::ResultSet;
@@ -148,8 +148,11 @@ struct ServiceState {
     /// Round-robin cursor over `running`.
     run_cursor: usize,
     sched: FairScheduler,
-    /// Finished results, leased: keyed by job id.
-    results: LeaseTable<ResultSet>,
+    /// Finished results, leased: keyed by job id. Jobs with the same
+    /// answer share one copy of it.
+    results: LeaseTable<Arc<ResultSet>>,
+    /// One handle on each distinct answer `results` holds.
+    answers: Vec<Weak<ResultSet>>,
     /// Terminal job records awaiting their record TTL, keyed by job id.
     records: LeaseTable<u64>,
 }
@@ -161,6 +164,24 @@ impl ServiceState {
         self.records.renew(id, now);
         self.results.renew(id, now)
     }
+}
+
+/// The copy of `rs` to hold: one already held for another job when it is
+/// the same answer ([`ResultSet::is_same_answer`]), so held memory grows
+/// with the distinct answers, not with the jobs. `answers` holds a handle
+/// on each distinct answer held.
+fn share(answers: &mut Vec<Weak<ResultSet>>, rs: ResultSet) -> Arc<ResultSet> {
+    answers.retain(|held| held.strong_count() > 0);
+    if let Some(held) = answers
+        .iter()
+        .filter_map(Weak::upgrade)
+        .find(|held| held.is_same_answer(&rs))
+    {
+        return held;
+    }
+    let rs = Arc::new(rs);
+    answers.push(Arc::downgrade(&rs));
+    rs
 }
 
 /// The multi-tenant asynchronous job service.
@@ -196,6 +217,7 @@ impl JobService {
                 run_cursor: 0,
                 sched: FairScheduler::new(),
                 results: LeaseTable::new(),
+                answers: Vec::new(),
                 records: LeaseTable::new(),
             }),
             transfers: Transfers::new(host.clone()),
@@ -634,6 +656,7 @@ impl JobService {
                 job.degraded = rs.degraded;
                 job.dropped_archives = rs.dropped_archives.clone();
                 job.state = JobState::Succeeded;
+                let rs = share(&mut st.answers, rs);
                 st.results.insert(id, rs, now, config.result_ttl_s);
                 self.net.record_node_event(&self.host, "lease-granted");
                 "succeeded"
@@ -780,5 +803,71 @@ impl JobService {
 impl Endpoint for JobService {
     fn handle(&self, net: &SimNetwork, req: HttpRequest) -> HttpResponse {
         skyquery_core::service::serve(&req, |call| self.handle_call(net, call))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use skyquery_core::ResultColumn;
+    use skyquery_sim::{paper_query, FederationBuilder};
+    use skyquery_storage::{DataType, Value};
+
+    #[test]
+    fn jobs_with_one_answer_hold_one_copy_of_it() {
+        let fed = FederationBuilder::paper_triple(200).build();
+        let svc = JobService::start(
+            &fed.net,
+            "jobs.example.org",
+            fed.portal.clone(),
+            JobServiceConfig::default(),
+        );
+        let ids: Vec<u64> = (0..20)
+            .map(|i| {
+                let tenant = format!("tenant-{}", i % 4);
+                let class = QuotaClass::default();
+                svc.submit(&tenant, &paper_query(), 0, class, None)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        svc.run_until_idle(10_000);
+        let st = lock(&svc.state);
+        let held: Vec<&Arc<ResultSet>> = ids
+            .iter()
+            .map(|id| st.results.get(*id).expect("every job's result is held"))
+            .collect();
+        assert!(held[0].row_count() > 0);
+        assert!(held.iter().all(|rs| Arc::ptr_eq(rs, held[0])));
+        assert_eq!(Arc::strong_count(held[0]), 20);
+        assert_eq!(st.answers.len(), 1);
+    }
+
+    #[test]
+    fn only_the_same_answer_is_shared() {
+        let mut complete = ResultSet::new(vec![ResultColumn::new("O.flux", DataType::Float)]);
+        complete.push_row(vec![Value::Float(0.0)]).unwrap();
+        let mut degraded = complete.clone();
+        degraded.degraded = true;
+        degraded.dropped_archives = vec!["FIRST".into()];
+        let mut negative = complete.clone();
+        negative.rows[0][0] = Value::Float(-0.0);
+        // `==` holds all three equal; none may stand for another.
+        assert!(complete == degraded && complete == negative);
+
+        let mut answers = Vec::new();
+        let a = share(&mut answers, complete.clone());
+        let b = share(&mut answers, degraded.clone());
+        let c = share(&mut answers, negative);
+        assert!(b.degraded && !a.degraded);
+        assert!(!Arc::ptr_eq(&a, &b) && !Arc::ptr_eq(&a, &c) && !Arc::ptr_eq(&b, &c));
+        assert!(Arc::ptr_eq(&a, &share(&mut answers, complete.clone())));
+        assert!(Arc::ptr_eq(&b, &share(&mut answers, degraded)));
+        assert_eq!(answers.len(), 3);
+
+        // An answer no job holds any longer is not kept for the next.
+        drop((a, b, c));
+        share(&mut answers, complete);
+        assert_eq!(answers.len(), 1);
     }
 }

@@ -33,12 +33,16 @@ fn two_archive_sql() -> String {
     )
 }
 
-/// A federation plus the clean run's rendered result, for byte-identity
-/// assertions after fault injection.
+/// A cold federation plus a clean run's rendered result, for
+/// byte-identity assertions after fault injection. The clean run is an
+/// identical twin's: a Portal that had answered the query would serve
+/// its count-stars from its count answers, and faults placed on them
+/// would never fire.
 fn fed_with_reference(bodies: usize) -> (TestFederation, String) {
-    let fed = FederationBuilder::paper_triple(bodies).build();
-    let (clean, _) = fed.portal.submit(&two_archive_sql()).unwrap();
+    let twin = FederationBuilder::paper_triple(bodies).build();
+    let (clean, _) = twin.portal.submit(&two_archive_sql()).unwrap();
     assert!(clean.row_count() > 0, "reference run must match something");
+    let fed = FederationBuilder::paper_triple(bodies).build();
     fed.net.reset_metrics();
     (fed, clean.to_ascii())
 }

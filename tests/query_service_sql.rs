@@ -266,7 +266,11 @@ fn explain_renders_the_plan_without_executing() {
     }
     .to_sql()
         + " ORDER BY O.object_id LIMIT 10";
+    fed.net.reset_metrics();
     let text = fed.portal.explain(&sql).unwrap();
+    // Only performance queries hit the wire: 2 mandatory archives × 1
+    // round trip = 4 messages, no cross-match calls.
+    assert_eq!(fed.net.metrics().total().messages, 4);
     assert!(text.contains("performance queries:"), "{text}");
     assert!(text.contains("AREA(185.0, -0.5, 30.0)"), "{text}");
     assert!(text.contains("!P"), "dropout marked: {text}");
@@ -274,11 +278,6 @@ fn explain_renders_the_plan_without_executing() {
     assert!(text.contains("residual: O.i_flux - T.i_flux > 2"), "{text}");
     assert!(text.contains("order by: O.object_id"), "{text}");
     assert!(text.contains("limit: 10"), "{text}");
-    // Only performance queries hit the wire: 2 mandatory archives × 1
-    // round trip = 4 messages, no cross-match calls.
-    fed.net.reset_metrics();
-    fed.portal.explain(&sql).unwrap();
-    assert_eq!(fed.net.metrics().total().messages, 4);
 }
 
 #[test]

@@ -283,7 +283,9 @@ fn dense_pair_under_a_small_message_limit() {
     check("dense", &log, 15, 0x623b_d643_3a27_9974);
 }
 
-/// A job whose results are fetched in pages through the job service.
+/// A job whose results are fetched in pages through the job service. The
+/// reference run warms the Portal, so the job's three count-stars are
+/// answered from its count answers and never reach a node.
 fn paginated_job() -> Transcript {
     let fed = FederationBuilder::paper_triple(200).build();
     let sql = "SELECT O.object_id, T.object_id, P.object_id \
@@ -320,7 +322,12 @@ fn paginated_job_results() {
         .unwrap()
         .iter()
         .any(|(action, _, _)| action.ends_with("#FetchChunk")));
-    check("job", &log, 38, 0x2de8_68f8_fb23_7063);
+    assert!(!log
+        .lock()
+        .unwrap()
+        .iter()
+        .any(|(action, _, _)| action.ends_with("#Query")));
+    check("job", &log, 35, 0x956f_dffa_6605_6749);
 }
 
 /// Appends rows to an archive's primary table directly in storage, the
