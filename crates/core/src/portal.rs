@@ -1632,6 +1632,7 @@ impl Endpoint for Portal {
 mod tests {
     use super::*;
     use crate::xmatch::{PartialTuple, TupleState};
+    use skyquery_xml::VoCell;
 
     #[test]
     fn a_submission_answers_once() {
@@ -1684,7 +1685,10 @@ mod tests {
         assert_eq!(rs.rows[0][0], Value::Int(9));
         assert_eq!(
             table.rows,
-            vec![vec![Some("9".to_string())], vec![Some("9e18".to_string())]]
+            vec![vec![VoCell::Int(9)], vec![VoCell::Float(9e18)]]
         );
+        assert!(table
+            .to_xml()
+            .contains("<TR><TD>9</TD></TR><TR><TD>9e18</TD></TR>"));
     }
 }
