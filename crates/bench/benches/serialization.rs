@@ -38,8 +38,11 @@ fn soap_roundtrip(rs: &ResultSet) -> ResultSet {
     let xml = RpcResponse::new("CrossMatch")
         .result("partial", SoapValue::Table(rs.to_votable("partial")))
         .to_xml();
-    let resp = RpcResponse::parse(&xml).unwrap().unwrap();
-    ResultSet::from_votable(resp.get("partial").unwrap().as_table().unwrap()).unwrap()
+    let mut resp = RpcResponse::parse(&xml).unwrap().unwrap();
+    match resp.take("partial") {
+        Some(SoapValue::Table(t)) => ResultSet::from_votable(t).unwrap(),
+        other => panic!("partial is not a table: {other:?}"),
+    }
 }
 
 /// A minimal length-prefixed binary codec: the CORBA-ish comparator.

@@ -18,6 +18,7 @@ use skyquery_storage::{BufferCache, ColumnDef, DataType, Database, PositionColum
 use crate::error::{FederationError, Result};
 use crate::portal::Portal;
 use crate::result::ResultSet;
+use crate::service::take_table;
 use crate::skynode::send_rpc;
 use crate::xmatch::{
     apply_residuals, dropout_step, match_step, seed_step, PartialSet, StepConfig, TupleState,
@@ -84,17 +85,13 @@ impl Portal {
                 "SELECT {select_list} FROM {}:{} {}{where_clause}",
                 step.archive, step.table, step.alias
             );
-            let resp = send_rpc(
+            let mut resp = send_rpc(
                 &self.portal_net(),
                 self.host(),
                 &step.url,
                 &RpcCall::new("Query").param("sql", SoapValue::Str(pull_sql)),
             )?;
-            let table = resp
-                .require("rows")?
-                .as_table()
-                .ok_or_else(|| FederationError::protocol("rows must be a table"))?;
-            let rs = ResultSet::from_votable(table)?;
+            let rs = ResultSet::from_votable(take_table(&mut resp.results, "rows")?)?;
 
             // Materialize into a Portal-local database so the central
             // match can reuse the same HTM-backed stored procedure.

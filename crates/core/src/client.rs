@@ -6,8 +6,9 @@
 use skyquery_net::{SimNetwork, Url};
 use skyquery_soap::{RpcCall, SoapValue};
 
-use crate::error::{decode_dropped, opt_result, FederationError, Result};
+use crate::error::{decode_dropped, opt_result, Result};
 use crate::result::ResultSet;
+use crate::service::take_table;
 use crate::skynode::send_rpc;
 use crate::trace::{ExecutionTrace, TraceEvent};
 
@@ -32,17 +33,13 @@ impl Client {
     /// Submits a cross-match query, returning the result set and the
     /// server-side execution trace.
     pub fn query(&self, sql: &str) -> Result<(ResultSet, ExecutionTrace)> {
-        let resp = send_rpc(
+        let mut resp = send_rpc(
             &self.net,
             &self.host,
             &self.portal,
             &RpcCall::new("SkyQuery").param("sql", SoapValue::Str(sql.to_string())),
         )?;
-        let table = resp
-            .require("result")?
-            .as_table()
-            .ok_or_else(|| FederationError::protocol("result must be a table"))?;
-        let mut result = ResultSet::from_votable(table)?;
+        let mut result = ResultSet::from_votable(take_table(&mut resp.results, "result")?)?;
         // Partial-result honesty: the Portal stamps a degraded answer on
         // the response header. Older portals omit the fields — absent
         // means complete, matching their behaviour; a garbled flag is
@@ -88,6 +85,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FederationError;
 
     /// A Portal that answers every call with an empty result and
     /// `dropped`.

@@ -34,6 +34,7 @@ use crate::error::{opt_result, FederationError, Result};
 use crate::meta::{catalog_from_element, catalog_to_element};
 use crate::portal::Portal;
 use crate::result::ResultSet;
+use crate::service::take_table;
 use crate::transfer::send_rpc_with;
 
 /// Outcome of a completed transfer.
@@ -80,18 +81,14 @@ impl Portal {
         // Pull the rows.
         let net = self.portal_net();
         let retry = self.config().retry;
-        let resp = send_rpc_with(
+        let mut resp = send_rpc_with(
             &net,
             self.host(),
             &source.url,
             &RpcCall::new("Query").param("sql", SoapValue::Str(select_sql.to_string())),
             retry,
         )?;
-        let table = resp
-            .require("rows")?
-            .as_table()
-            .ok_or_else(|| FederationError::protocol("transfer query must return rows"))?;
-        let rows = ResultSet::from_votable(table)?;
+        let rows = ResultSet::from_votable(take_table(&mut resp.results, "rows")?)?;
 
         // Derive the destination schema from the result columns
         // (unqualified names).

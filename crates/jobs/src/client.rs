@@ -5,6 +5,7 @@
 
 use skyquery_core::error::{decode_dropped, opt_result, FederationError, Result};
 use skyquery_core::result::ResultSet;
+use skyquery_core::service::take_table;
 use skyquery_core::{open_chunk_stream, send_rpc_with, RetryPolicy};
 use skyquery_net::{SimNetwork, Url};
 use skyquery_soap::{ChunkManifest, RpcCall, RpcResponse, SoapValue};
@@ -111,7 +112,7 @@ impl JobClient {
     /// continuations and reassembles the table before decoding, so the
     /// caller cannot tell the difference.
     pub fn fetch(&self, job: u64) -> Result<ResultSet> {
-        let resp =
+        let mut resp =
             self.call(&RpcCall::new("FetchResults").param("job", SoapValue::Int(job as i64)))?;
         // The degradation header rides the first reply on both delivery
         // shapes; stamp it onto whatever result set we decode. Absent
@@ -123,10 +124,8 @@ impl JobClient {
             rs.dropped_archives = dropped.clone();
             rs
         };
-        if let Some(v) = resp.get("result") {
-            let table = v
-                .as_table()
-                .ok_or_else(|| FederationError::protocol("result must be a table"))?;
+        if resp.get("result").is_some() {
+            let table = take_table(&mut resp.results, "result")?;
             return ResultSet::from_votable(table).map(stamp);
         }
         let manifest = match resp.get("manifest") {
@@ -139,7 +138,7 @@ impl JobClient {
         };
         let table = open_chunk_stream(&self.net, &self.host, &self.service, manifest, self.retry)
             .collect_table()?;
-        ResultSet::from_votable(&table).map(stamp)
+        ResultSet::from_votable(table).map(stamp)
     }
 }
 

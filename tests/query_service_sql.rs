@@ -173,7 +173,7 @@ fn aggregates_over_soap_query_service() {
         ),
     )
     .unwrap();
-    let table = resp.require("rows").unwrap().as_table().unwrap();
+    let table = resp.require("rows").unwrap().as_table().unwrap().clone();
     let rs = skyquery_core::ResultSet::from_votable(table).unwrap();
     assert_eq!(rs.row_count(), 2); // GALAXY + STAR
     let total: i64 = rs.rows.iter().map(|r| r[1].as_i64().unwrap()).sum();
