@@ -570,7 +570,7 @@ fn a_delta_step_answers_as_a_scatter_over_only_the_new_rows() {
         for idx in (0..plan.steps.len()).rev() {
             let step = &plan.steps[idx];
             let one = plan.for_step(idx);
-            let table = input.as_ref().map(PartialSet::to_votable);
+            let table = input.as_ref().map(|set| set.to_votable().unwrap());
             let call = |from_row| portal_step_call(&one, 0, from_row, table.clone());
             let step_at = |fed: &TestFederation, from_row| {
                 invoke_portal_step(&fed.net, "tester", &step.url, &one, &call(from_row)).unwrap()

@@ -433,9 +433,11 @@ fn a_one_step_plan_answers_as_the_whole_plan_does() {
             whole.steps[idx].carried.push(shard::RANK_COL.to_string());
         }
         let one = whole.for_step(idx);
-        let table = input
-            .as_ref()
-            .map(|set| shard::tag_with_src(set, shard::SRC_COL, 0..set.len()).to_votable());
+        let table = input.as_ref().map(|set| {
+            shard::tag_with_src(set, shard::SRC_COL, 0..set.len())
+                .to_votable()
+                .unwrap()
+        });
         let whole_call = portal_step_call(&whole, idx, None, table.clone());
         let one_call = portal_step_call(&one, 0, None, table);
         let mut parts: Vec<(PartialSet, StepStats)> = Vec::new();
@@ -507,7 +509,7 @@ fn a_routed_subset_answers_as_the_whole_input_less_the_unsent_tuples() {
                 .collect();
             let call = |set: &PartialSet, tuples: &[usize]| {
                 let table = shard::tag_with_src(set, shard::SRC_COL, tuples.iter().copied());
-                portal_step_call(&one, 0, None, Some(table.to_votable()))
+                portal_step_call(&one, 0, None, Some(table.to_votable().unwrap()))
             };
             let mut parts: Vec<(PartialSet, StepStats)> = Vec::new();
             for extent in &step.shards {
