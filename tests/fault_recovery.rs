@@ -267,10 +267,20 @@ fn mid_chain_exhaustion_degrades_to_a_fault_upstream() {
     );
     let err = fed.portal.submit(&two_archive_sql()).unwrap_err();
     // SDSS exhausted its budget against TWOMASS and reported a SOAP
-    // fault; at the portal that is a deterministic server answer, so the
-    // chain is NOT re-retried end to end (no retry cascade).
+    // fault naming it; at the portal that is a deterministic server
+    // answer, decoded back into TWOMASS's exhausted budget, so the chain
+    // is NOT re-retried end to end (no retry cascade).
     match &err {
-        FederationError::Fault(f) => {
+        FederationError::NodeUnhealthy {
+            host,
+            attempts,
+            cause,
+        } => {
+            assert_eq!(host, TWOMASS);
+            assert_eq!(*attempts, RetryPolicy::default().max_attempts);
+            let FederationError::Fault(f) = &**cause else {
+                panic!("expected the SOAP fault as the cause, got {cause}");
+            };
             assert!(f.message.contains("unhealthy"), "{}", f.message);
             assert!(f.message.contains(TWOMASS), "{}", f.message);
         }
@@ -282,6 +292,28 @@ fn mid_chain_exhaustion_degrades_to_a_fault_upstream() {
         u64::from(RetryPolicy::default().max_attempts) - 1
     );
     assert_eq!(m.retry(PORTAL, SDSS).retries, 0, "retry cascade detected");
+}
+
+#[test]
+fn a_downstream_exhaustion_marks_the_downstream_host() {
+    // A warm Portal answers the count-stars from its count answers, so
+    // TWOMASS going down is met only on the recursive chain's hop behind
+    // SDSS; the health book must mark TWOMASS, not SDSS and not nobody.
+    let (fed, _) = fed_with_reference(200);
+    fed.portal.submit(&two_archive_sql()).unwrap();
+    fed.net
+        .install_faults(FaultPlan::new().host_down_for(TWOMASS, 1000));
+    let err = fed.portal.submit(&two_archive_sql()).unwrap_err();
+    assert!(
+        matches!(&err, FederationError::NodeUnhealthy { host, .. } if host == TWOMASS),
+        "expected TWOMASS's exhausted budget, got {err}"
+    );
+    assert_eq!(
+        fed.net.metrics().fault_count(PORTAL, TWOMASS, "host-down"),
+        0
+    );
+    assert!(fed.net.metrics().fault_count(SDSS, TWOMASS, "host-down") > 0);
+    assert_eq!(fed.portal.unhealthy_hosts(), vec![TWOMASS.to_string()]);
 }
 
 #[test]
