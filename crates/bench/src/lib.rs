@@ -9,7 +9,6 @@
 pub mod alloc;
 
 use skyquery_core::FederationConfig;
-use skyquery_net::CostModel;
 use skyquery_sim::{xmatch_query, CatalogParams, FederationBuilder, SurveyParams, TestFederation};
 
 /// The standard three-archive federation over `bodies` bodies.
@@ -87,11 +86,6 @@ pub fn config_with_ordering(ordering: skyquery_core::OrderingStrategy) -> Federa
         ordering,
         ..FederationConfig::default()
     }
-}
-
-/// A 2002-flavoured cost model for simulated-time reporting.
-pub fn internet_model() -> CostModel {
-    CostModel::internet_2002()
 }
 
 #[cfg(test)]

@@ -180,11 +180,11 @@ fn allocations_per_submission_are_pinned() {
         .map(|(name, [a, _])| (*name, a.calls, a.bytes))
         .collect();
     let pins = [
-        ("triple", 4_402, 597_991),
-        ("dense pair", 5_826, 970_913),
-        ("scatter", 8_989, 1_244_246),
-        ("repair", 3_429, 430_024),
-        ("job from cache", 1_078, 70_721),
+        ("triple", 4_393, 579_917),
+        ("dense pair", 5_817, 928_507),
+        ("scatter", 8_976, 1_219_228),
+        ("repair", 3_385, 421_101),
+        ("job from cache", 1_075, 70_623),
     ];
     assert_eq!(got, pins);
 }

@@ -12,7 +12,6 @@
 
 use skyquery_htm::{SkyPoint, Vec3};
 use skyquery_soap::{RpcCall, SoapValue};
-use skyquery_sql::{decompose, parse_query};
 use skyquery_storage::{BufferCache, ColumnDef, DataType, Database, PositionColumns, TableSchema};
 
 use crate::error::{FederationError, Result};
@@ -29,13 +28,9 @@ impl Portal {
     /// through its Query service, then cross-match centrally at the
     /// Portal. Returns the same result a chained execution produces.
     pub fn submit_pull_to_portal(&self, sql: &str) -> Result<ResultSet> {
-        let query = parse_query(sql).map_err(FederationError::Sql)?;
-        let dq = decompose(query).map_err(FederationError::Sql)?;
         // Reuse the regular planner for ordering and step metadata (counts
         // still come from performance queries, as the chained path does).
-        let mut trace = crate::trace::ExecutionTrace::new();
-        let counts = self.run_performance_queries_for_baseline(&dq, &mut trace)?;
-        let plan = self.build_plan_for_baseline(&dq, &counts)?;
+        let plan = self.plan_query(sql, &mut crate::trace::ExecutionTrace::new())?;
 
         // Pull every archive's rows to the Portal.
         let mut local_dbs: Vec<(usize, Database)> = Vec::new();
@@ -86,7 +81,7 @@ impl Portal {
                 step.archive, step.table, step.alias
             );
             let mut resp = send_rpc(
-                &self.portal_net(),
+                &self.net,
                 self.host(),
                 &step.url,
                 &RpcCall::new("Query").param("sql", SoapValue::Str(pull_sql)),
@@ -156,7 +151,7 @@ impl Portal {
             });
         }
         let set = current.ok_or_else(|| FederationError::planning("empty plan"))?;
-        crate::portal::project_for_baseline(&plan, set)
+        Portal::project_result(&plan, set)
     }
 }
 
@@ -213,14 +208,6 @@ pub fn positions(points: &[(f64, f64)]) -> Vec<Vec3> {
         .iter()
         .map(|&(ra, dec)| SkyPoint::from_radec_deg(ra, dec).to_vec3())
         .collect()
-}
-
-// Internal accessors the baseline needs from the Portal. Kept pub(crate)
-// so external users go through the public submit APIs.
-impl Portal {
-    pub(crate) fn portal_net(&self) -> skyquery_net::SimNetwork {
-        self.net_clone()
-    }
 }
 
 #[cfg(test)]

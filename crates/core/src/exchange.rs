@@ -79,10 +79,10 @@ impl Portal {
         }
 
         // Pull the rows.
-        let net = self.portal_net();
+        let net = &self.net;
         let retry = self.config().retry;
         let mut resp = send_rpc_with(
-            &net,
+            net,
             self.host(),
             &source.url,
             &RpcCall::new("Query").param("sql", SoapValue::Str(select_sql.to_string())),
@@ -124,7 +124,7 @@ impl Portal {
             .param("dest_table", SoapValue::Str(dest_table.to_string()))
             .param("schema", SoapValue::Xml(schema_el))
             .param("rows", SoapValue::Table(rows.to_votable("transfer")));
-        let vote = send_rpc_with(&net, self.host(), &dest.url, &prepare, retry);
+        let vote = send_rpc_with(net, self.host(), &dest.url, &prepare, retry);
         let staged = match vote {
             Ok(resp) => resp
                 .require("staged")?
@@ -142,7 +142,7 @@ impl Portal {
         // abort *also* fails, say so: the participant may be holding an
         // undecided staging table, and the caller must know).
         let commit = RpcCall::new("CommitReceive").param("txn", SoapValue::Int(txn_id as i64));
-        match send_rpc_with(&net, self.host(), &dest.url, &commit, retry) {
+        match send_rpc_with(net, self.host(), &dest.url, &commit, retry) {
             Ok(resp) => {
                 // The participant reports the destination table's new
                 // modification version (absent from pre-version peers).
@@ -166,7 +166,7 @@ impl Portal {
             Err(commit_err) => {
                 let abort =
                     RpcCall::new("AbortReceive").param("txn", SoapValue::Int(txn_id as i64));
-                match send_rpc_with(&net, self.host(), &dest.url, &abort, retry) {
+                match send_rpc_with(net, self.host(), &dest.url, &abort, retry) {
                     Ok(_) => {
                         net.record_fault(self.host(), &dest.url.host, "exchange-abort");
                         Err(commit_err)

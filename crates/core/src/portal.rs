@@ -16,14 +16,16 @@ use skyquery_net::{
     lock, Endpoint, HttpRequest, HttpResponse, ServiceRecord, ServiceRegistry, SimNetwork, Url,
 };
 use skyquery_soap::{RpcCall, RpcResponse, SoapValue};
+use skyquery_sql::ast::{OrderKey, SortDirection};
 use skyquery_sql::{decompose, parse_query, DecomposedQuery, Expr};
-use skyquery_storage::{Catalog, DataType, Value};
+use skyquery_storage::{Catalog, DataType};
 
 use crate::error::{FederationError, Result};
 use crate::meta::{catalog_from_element, ArchiveInfo, RegisteredNode, Registration};
 use crate::plan::{
     ExecutionPlan, PlanShard, PlanStep, DEFAULT_LEASE_TTL_S, DEFAULT_MAX_MESSAGE_BYTES,
 };
+use crate::query_exec::order_limit_select;
 use crate::region::Region;
 use crate::result::{ResultColumn, ResultSet};
 use crate::result_cache::{CacheCounters, CacheEntry, ResultCache, StepVersion};
@@ -587,11 +589,7 @@ impl Portal {
     /// firing the cross-match chain. Returns a human-readable rendering
     /// of the federated execution plan.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let query = parse_query(sql).map_err(FederationError::Sql)?;
-        let dq = decompose(query).map_err(FederationError::Sql)?;
-        let mut trace = ExecutionTrace::new();
-        let counts = self.run_performance_queries(&dq, &mut trace)?;
-        let plan = self.build_plan(&dq, &counts)?;
+        let (dq, counts, plan) = self.plan(sql, &mut ExecutionTrace::new())?;
 
         let mut out = String::new();
         out.push_str(&format!(
@@ -661,8 +659,19 @@ impl Portal {
     /// count-star performance queries (steps 2–4 of Figure 3), and build
     /// the federated execution plan (step 5), recording the same trace
     /// events a full submission would. The first quantum of
-    /// [`Portal::advance`].
+    /// [`Portal::advance`], and the plan of the pull-to-portal baseline.
     pub fn plan_query(&self, sql: &str, trace: &mut ExecutionTrace) -> Result<ExecutionPlan> {
+        self.plan(sql, trace).map(|(_, _, plan)| plan)
+    }
+
+    /// The one planning path, behind [`Portal::plan_query`] and
+    /// [`Portal::explain`]: the decomposition, the count-star answers per
+    /// alias, and the plan built from them.
+    fn plan(
+        &self,
+        sql: &str,
+        trace: &mut ExecutionTrace,
+    ) -> Result<(DecomposedQuery, HashMap<String, u64>, ExecutionPlan)> {
         let query = parse_query(sql).map_err(FederationError::Sql)?;
         let dq = decompose(query).map_err(FederationError::Sql)?;
 
@@ -703,7 +712,7 @@ impl Portal {
                     .join(" -> ")
             ),
         );
-        Ok(plan)
+        Ok((dq, counts, plan))
     }
 
     /// Fires the chain for a prepared plan (steps 6–7 of Figure 3). An
@@ -758,9 +767,70 @@ impl Portal {
     }
 
     /// Applies the plan's final ORDER BY / LIMIT / SELECT projection
-    /// (step 8 of Figure 3) to a matched partial set.
+    /// (step 8 of Figure 3) to a matched partial set, through the Query
+    /// service's own projection tail. A plain column reference keeps its
+    /// carried column's declared type; a computed column takes its type
+    /// from its values.
     pub fn project_result(plan: &ExecutionPlan, set: PartialSet) -> Result<ResultSet> {
-        project(plan, set)
+        let parse = |sql: &str| skyquery_sql::parse_expr(sql).map_err(FederationError::Sql);
+        let order_by: Vec<OrderKey> = plan
+            .order_by
+            .iter()
+            .map(|(sql, desc)| {
+                Ok(OrderKey {
+                    expr: parse(sql)?,
+                    direction: if *desc {
+                        SortDirection::Desc
+                    } else {
+                        SortDirection::Asc
+                    },
+                })
+            })
+            .collect::<Result<_>>()?;
+        let mut exprs: Vec<Expr> = Vec::with_capacity(plan.select.len());
+        for (sql, _) in &plan.select {
+            exprs.push(parse(sql)?);
+        }
+        let bound = set.tuples.iter().map(|t| TupleBindings {
+            columns: &set.columns,
+            values: &t.values,
+        });
+        let rows = order_limit_select(bound, &order_by, plan.limit, &exprs)?;
+
+        let columns: Vec<ResultColumn> = exprs
+            .iter()
+            .zip(&plan.select)
+            .enumerate()
+            .map(|(i, (expr, (sql, alias)))| {
+                let dtype = match expr {
+                    Expr::Column { alias, column } => set
+                        .columns
+                        .iter()
+                        .find(|c| c.name == format!("{alias}.{column}"))
+                        .map(|c| c.dtype),
+                    _ => None,
+                }
+                .or_else(|| {
+                    let mut types = rows.iter().filter_map(|r| r[i].data_type());
+                    let first = types.next()?;
+                    // `sql::eval` turns an Int product past i64 into a
+                    // Float, so one computed column can hold both; an
+                    // Int's text is also a valid double.
+                    Some(match first {
+                        DataType::Int if types.any(|t| t == DataType::Float) => DataType::Float,
+                        _ => first,
+                    })
+                })
+                .unwrap_or(DataType::Float);
+                ResultColumn::new(alias.clone().unwrap_or_else(|| sql.clone()), dtype)
+            })
+            .collect();
+
+        let mut rs = ResultSet::new(columns);
+        for row in rows {
+            rs.push_row(row)?;
+        }
+        Ok(rs)
     }
 
     /// Submits a cross-match query; returns the result set and the
@@ -854,7 +924,7 @@ impl Portal {
         sub.end();
         Some(executed.and_then(|(set, stats, degradation)| {
             let plan = plan.expect("an executed submission was planned");
-            let mut result = project(&plan, set)?;
+            let mut result = Self::project_result(&plan, set)?;
             result.degraded = degradation.degraded;
             result.dropped_archives = degradation.dropped;
             Ok((result, stats))
@@ -1440,34 +1510,6 @@ fn answer_of(entry: &CacheEntry) -> (PartialSet, StatsChain) {
     (head.set.clone(), stats)
 }
 
-// Crate-internal accessors for the baseline strategies (baseline.rs).
-impl Portal {
-    pub(crate) fn run_performance_queries_for_baseline(
-        &self,
-        dq: &DecomposedQuery,
-        trace: &mut ExecutionTrace,
-    ) -> Result<HashMap<String, u64>> {
-        self.run_performance_queries(dq, trace)
-    }
-
-    pub(crate) fn build_plan_for_baseline(
-        &self,
-        dq: &DecomposedQuery,
-        counts: &HashMap<String, u64>,
-    ) -> Result<ExecutionPlan> {
-        self.build_plan(dq, counts)
-    }
-
-    pub(crate) fn net_clone(&self) -> SimNetwork {
-        self.net.clone()
-    }
-}
-
-/// Final projection, shared with the pull-to-portal baseline.
-pub(crate) fn project_for_baseline(plan: &ExecutionPlan, set: PartialSet) -> Result<ResultSet> {
-    project(plan, set)
-}
-
 /// Processing position at which a residual becomes evaluable.
 fn residual_position(
     residual: &Expr,
@@ -1482,106 +1524,6 @@ fn residual_position(
         max_pos = max_pos.max(p);
     }
     Ok(max_pos)
-}
-
-/// Applies the final ORDER BY / LIMIT / SELECT to the matched tuples.
-fn project(plan: &ExecutionPlan, mut set: PartialSet) -> Result<ResultSet> {
-    // ORDER BY over the carried columns, then LIMIT, then project.
-    if !plan.order_by.is_empty() {
-        let keys: Vec<(Expr, bool)> = plan
-            .order_by
-            .iter()
-            .map(|(sql, desc)| {
-                Ok((
-                    skyquery_sql::parse_expr(sql).map_err(FederationError::Sql)?,
-                    *desc,
-                ))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let mut keyed: Vec<(Vec<Value>, crate::xmatch::PartialTuple)> =
-            Vec::with_capacity(set.tuples.len());
-        for tuple in std::mem::take(&mut set.tuples) {
-            let b = TupleBindings {
-                columns: &set.columns,
-                values: &tuple.values,
-            };
-            let k: Vec<Value> = keys
-                .iter()
-                .map(|(e, _)| e.eval(&b).map_err(FederationError::Sql))
-                .collect::<Result<_>>()?;
-            keyed.push((k, tuple));
-        }
-        keyed.sort_by(|(a, _), (b, _)| {
-            for (i, (_, desc)) in keys.iter().enumerate() {
-                let ord = a[i].key_cmp(&b[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        set.tuples = keyed.into_iter().map(|(_, t)| t).collect();
-    }
-    if let Some(n) = plan.limit {
-        set.tuples.truncate(n);
-    }
-
-    let mut items: Vec<(Expr, String)> = Vec::with_capacity(plan.select.len());
-    for (sql, alias) in &plan.select {
-        let expr = skyquery_sql::parse_expr(sql).map_err(FederationError::Sql)?;
-        let name = alias.clone().unwrap_or_else(|| sql.clone());
-        items.push((expr, name));
-    }
-
-    // Evaluate all rows first, then infer column types from the values
-    // (plain column references reuse the carried column's declared type).
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(set.tuples.len());
-    for tuple in &set.tuples {
-        let b = TupleBindings {
-            columns: &set.columns,
-            values: &tuple.values,
-        };
-        let mut row = Vec::with_capacity(items.len());
-        for (expr, _) in &items {
-            row.push(expr.eval(&b).map_err(FederationError::Sql)?);
-        }
-        rows.push(row);
-    }
-
-    let columns: Vec<ResultColumn> = items
-        .iter()
-        .enumerate()
-        .map(|(i, (expr, name))| {
-            let dtype = match expr {
-                Expr::Column { alias, column } => set
-                    .columns
-                    .iter()
-                    .find(|c| c.name == format!("{alias}.{column}"))
-                    .map(|c| c.dtype),
-                _ => None,
-            }
-            .or_else(|| {
-                let mut types = rows.iter().filter_map(|r| r[i].data_type());
-                let first = types.next()?;
-                // `sql::eval` turns an Int product past i64 into a Float,
-                // so one computed column can hold both; an Int's text is
-                // also a valid double.
-                Some(match first {
-                    DataType::Int if types.any(|t| t == DataType::Float) => DataType::Float,
-                    _ => first,
-                })
-            })
-            .unwrap_or(DataType::Float);
-            ResultColumn::new(name.clone(), dtype)
-        })
-        .collect();
-
-    let mut rs = ResultSet::new(columns);
-    for row in rows {
-        rs.push_row(row)?;
-    }
-    Ok(rs)
 }
 
 impl Endpoint for Portal {
@@ -1632,6 +1574,7 @@ impl Endpoint for Portal {
 mod tests {
     use super::*;
     use crate::xmatch::{PartialTuple, TupleState};
+    use skyquery_storage::Value;
     use skyquery_xml::VoCell;
 
     #[test]

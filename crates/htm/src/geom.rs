@@ -87,12 +87,6 @@ impl Vec3 {
         let dot = self.dot(other);
         cross.atan2(dot)
     }
-
-    /// Chord (straight-line) distance to `other`; both must be unit vectors.
-    /// Related to the angular separation θ by `chord = 2·sin(θ/2)`.
-    pub fn chord_to(self, other: Vec3) -> f64 {
-        self.sub(other).norm()
-    }
 }
 
 impl std::ops::Add for Vec3 {

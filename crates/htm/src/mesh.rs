@@ -82,12 +82,6 @@ impl Mesh {
         Trixel::from_id(id)
     }
 
-    /// Approximate angular side length of trixels at this depth, radians.
-    /// Root edges span π/2 and each subdivision roughly halves edge length.
-    pub fn approx_side(self) -> f64 {
-        std::f64::consts::FRAC_PI_2 / (1u64 << self.depth as u32) as f64
-    }
-
     /// Chooses a reasonable mesh depth for range searches of the given
     /// radius: deep enough that trixels are comparable to the search radius
     /// (a few trixels per cap), shallow enough to keep covers small.

@@ -82,11 +82,6 @@ impl DecomposedQuery {
     pub fn archive(&self, alias: &str) -> Option<&ArchiveQuery> {
         self.archives.iter().find(|a| a.table.alias == alias)
     }
-
-    /// For a residual conjunct, the set of aliases it needs.
-    pub fn residual_aliases(residual: &Expr) -> Vec<&str> {
-        residual.referenced_aliases()
-    }
 }
 
 /// Decomposes a parsed cross-match query. See module docs for the rules.

@@ -54,43 +54,6 @@ impl Bindings for RowBindings<'_> {
     }
 }
 
-/// Bindings over several `(alias, schema, row)` triples — used when
-/// evaluating cross-archive residual clauses along the chain.
-pub struct MultiBindings<'a> {
-    entries: Vec<RowBindings<'a>>,
-}
-
-impl<'a> MultiBindings<'a> {
-    /// An empty binding set.
-    pub fn new() -> MultiBindings<'a> {
-        MultiBindings {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Adds one `(alias, schema, row)` binding.
-    pub fn push(&mut self, alias: &'a str, schema: &'a TableSchema, row: &'a Row) {
-        self.entries.push(RowBindings { alias, schema, row });
-    }
-}
-
-impl Default for MultiBindings<'_> {
-    fn default() -> Self {
-        MultiBindings::new()
-    }
-}
-
-impl Bindings for MultiBindings<'_> {
-    fn resolve(&self, alias: &str, column: &str) -> Result<Value, SqlError> {
-        for e in &self.entries {
-            if e.alias == alias {
-                return e.resolve(alias, column);
-            }
-        }
-        Err(SqlError::eval(format!("alias {alias} not bound")))
-    }
-}
-
 impl Expr {
     /// Evaluates the expression against bindings. SQL semantics: NULL
     /// propagates through arithmetic and comparisons, AND/OR use Kleene
@@ -480,27 +443,6 @@ mod tests {
         };
         let e = parse_expr("XMATCH(O, T) < 2.0").unwrap();
         assert!(e.eval(&b).is_err());
-    }
-
-    #[test]
-    fn multibindings_resolve_across_aliases() {
-        let s1 = schema();
-        let mut s2 = schema();
-        s2.name = "u".into();
-        let r1 = row();
-        let r2 = vec![
-            Value::Float(0.5),
-            Value::Int(9),
-            Value::Text("STAR".into()),
-            Value::Bool(false),
-        ];
-        let mut mb = MultiBindings::new();
-        mb.push("O", &s1, &r1);
-        mb.push("T", &s2, &r2);
-        let e = parse_expr("(O.x - T.x) > 1").unwrap();
-        assert_eq!(e.eval(&mb).unwrap(), Value::Bool(true));
-        let e = parse_expr("O.name != T.name").unwrap();
-        assert_eq!(e.eval(&mb).unwrap(), Value::Bool(true));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use ast::{
 };
 pub use decompose::{decompose, ArchiveQuery, DecomposedQuery, PerformanceQuery};
 pub use error::SqlError;
-pub use eval::{Bindings, EmptyBindings, MultiBindings, RowBindings};
+pub use eval::{Bindings, EmptyBindings, RowBindings};
 pub use parser::{parse_expr, parse_query};
 
 /// Convenience result alias.
