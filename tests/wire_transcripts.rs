@@ -455,3 +455,180 @@ fn every_scenario_repeats_its_exchange_order() {
         }
     }
 }
+
+/// The attributes a reader requires of element `name` under `parent`
+/// because its writer always writes them: a plan's knobs, an order key's
+/// direction, a statistics step's counters, a catalog table's size and
+/// version, a column's nullability, and a trace event's fields.
+fn always_written(parent: &str, name: &str) -> &'static [&'static str] {
+    match (parent, name) {
+        (_, "Plan") => &[
+            "max_message_bytes",
+            "chunking",
+            "kernel",
+            "retry_attempts",
+            "retry_backoff_s",
+            "retry_factor",
+            "retry_deadline_s",
+            "retry_jitter",
+            "lease_ttl_s",
+        ],
+        ("OrderLimit", "Key") => &["desc"],
+        ("StatsChain", "Step") => &[
+            "examined",
+            "accepted",
+            "scratch_reuse",
+            "tile_builds",
+            "tile_decodes",
+            "tile_hits",
+            "shards_pruned",
+            "cache_hits",
+            "cache_misses",
+            "cache_repairs",
+            "cache_evictions",
+            "failovers",
+            "hedges",
+            "hedge_wins",
+        ],
+        ("Catalog", "Table") => &["bytes", "version"],
+        ("Table", "Column") => &["nullable"],
+        ("Trace", "Event") => &["actor", "action", "elapsed_us"],
+        _ => &[],
+    }
+}
+
+/// The results a reader requires of a `method` reply because its writer
+/// always returns them.
+fn always_returned(method: &str) -> &'static [&'static str] {
+    match method {
+        "CommitReceive" => &["version"],
+        "SkyQuery" => &["degraded", "dropped", "trace"],
+        "SubmitQuery" => &["duplicate"],
+        "CancelJob" => &["cancelled"],
+        "FetchResults" => &["degraded", "dropped"],
+        _ => &[],
+    }
+}
+
+/// Checks that `e` and every element under it carry what
+/// [`always_written`] names, counting each element checked by name.
+fn assert_written(
+    at: &str,
+    parent: &str,
+    e: &skyquery_xml::Element,
+    seen: &mut std::collections::BTreeMap<String, usize>,
+) {
+    let required = always_written(parent, &e.name);
+    for name in required {
+        assert!(e.attr(name).is_some(), "{at}: {} without {name}", e.name);
+    }
+    if !required.is_empty() {
+        *seen.entry(e.name.clone()).or_default() += 1;
+    }
+    for child in &e.children {
+        assert_written(at, &e.name, child, seen);
+    }
+}
+
+/// Checks every call and reply of `log` for what its reader requires:
+/// the attributes of each XML payload, and each reply's results.
+/// Returns how many of each element and reply it checked.
+fn assert_required_present(
+    name: &str,
+    log: &Transcript,
+) -> std::collections::BTreeMap<String, usize> {
+    let mut seen = std::collections::BTreeMap::new();
+    for (action, req, resp) in log.lock().unwrap().iter() {
+        let at = format!("{name} {action}");
+        let call = RpcCall::parse(std::str::from_utf8(req).unwrap()).unwrap();
+        let mut values = call.params;
+        if let Ok(Ok(reply)) = RpcResponse::parse(std::str::from_utf8(resp).unwrap()) {
+            let required = always_returned(&reply.method);
+            for result in required {
+                assert!(reply.get(result).is_some(), "{at}: reply without {result}");
+            }
+            if !required.is_empty() {
+                *seen.entry(format!("{}Response", reply.method)).or_default() += 1;
+            }
+            values.extend(reply.results);
+        }
+        for (_, value) in &values {
+            if let Some(e) = value.as_xml() {
+                assert_written(&at, "", e, &mut seen);
+            }
+        }
+    }
+    seen
+}
+
+/// What a reader requires because its writer always writes it is on the
+/// wire: in every body of the six scenarios above, in a registration's
+/// Information and Metadata replies, in a Portal `SkyQuery` reply, in a
+/// `CommitReceive` reply and in a `CancelJob` reply.
+#[test]
+fn every_body_carries_what_its_reader_requires() {
+    type Scenario = fn() -> Transcript;
+    let scenarios: [(&str, Scenario); 6] = [
+        ("recursive", || paper_triple(ChainMode::Recursive)),
+        ("checkpointed", || paper_triple(ChainMode::Checkpointed)),
+        ("scatter", garbled_scatter),
+        ("dense", dense_pair),
+        ("job", paginated_job),
+        ("repair", repaired_triple),
+    ];
+    let mut seen = std::collections::BTreeMap::new();
+    for (name, scenario) in scenarios {
+        for (element, n) in assert_required_present(name, &scenario()) {
+            *seen.entry(element).or_insert(0) += n;
+        }
+    }
+
+    let fed = FederationBuilder::paper_triple(200).build();
+    let log = record_nodes(&fed);
+    record(&fed.net, fed.portal.host(), fed.portal.clone(), &log);
+    let sdss = fed.node("SDSS").unwrap().url();
+    fed.portal.register_node(&sdss).unwrap();
+    let sql = "SELECT O.object_id, T.object_id FROM SDSS:Photo_Object O, \
+               TWOMASS:Photo_Primary T WHERE XMATCH(O, T) < 3.5 ORDER BY O.object_id DESC";
+    fed.client("web").query(sql).unwrap();
+    fed.portal
+        .transfer_table(
+            "SDSS",
+            "SELECT O.object_id, O.i_flux FROM SDSS:Photo_Object O WHERE O.i_flux > 400",
+            "FIRST",
+            "bright",
+        )
+        .unwrap();
+    let svc = JobService::start(
+        &fed.net,
+        "jobs.skyquery.net",
+        fed.portal.clone(),
+        JobServiceConfig::default(),
+    );
+    record(&fed.net, svc.host(), svc.clone(), &log);
+    let cli = JobClient::new(&fed.net, "alice-web", svc.url());
+    let id = cli.submit("alice", sql).unwrap();
+    cli.cancel(id).unwrap();
+    for (element, n) in assert_required_present("extra", &log) {
+        *seen.entry(element).or_insert(0) += n;
+    }
+
+    for checked in [
+        "Plan",
+        "Key",
+        "Step",
+        "Table",
+        "Column",
+        "Event",
+        "CommitReceiveResponse",
+        "SkyQueryResponse",
+        "SubmitQueryResponse",
+        "CancelJobResponse",
+        "FetchResultsResponse",
+    ] {
+        assert!(
+            seen.get(checked).is_some_and(|n| *n > 0),
+            "no {checked} checked: {seen:?}"
+        );
+    }
+}
