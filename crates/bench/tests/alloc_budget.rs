@@ -180,11 +180,11 @@ fn allocations_per_submission_are_pinned() {
         .map(|(name, [a, _])| (*name, a.calls, a.bytes))
         .collect();
     let pins = [
-        ("triple", 4_393, 579_917),
-        ("dense pair", 5_817, 928_507),
-        ("scatter", 8_976, 1_219_228),
-        ("repair", 3_385, 421_101),
-        ("job from cache", 1_075, 70_623),
+        ("triple", 4_389, 579_842),
+        ("dense pair", 5_814, 928_457),
+        ("scatter", 8_972, 1_219_153),
+        ("repair", 3_381, 421_026),
+        ("job from cache", 1_071, 70_548),
     ];
     assert_eq!(got, pins);
 }

@@ -30,7 +30,7 @@ use skyquery_sql::parse_query;
 use skyquery_storage::{ColumnDef, TableSchema};
 use skyquery_xml::Element;
 
-use crate::error::{opt_result, FederationError, Result};
+use crate::error::{field, FederationError, Result};
 use crate::meta::{catalog_from_element, catalog_to_element};
 use crate::portal::Portal;
 use crate::result::ResultSet;
@@ -126,10 +126,7 @@ impl Portal {
             .param("rows", SoapValue::Table(rows.to_votable("transfer")));
         let vote = send_rpc_with(net, self.host(), &dest.url, &prepare, retry);
         let staged = match vote {
-            Ok(resp) => resp
-                .require("staged")?
-                .as_i64()
-                .ok_or_else(|| FederationError::protocol("staged must be an integer"))?,
+            Ok(resp) => field::<i64>(&resp.results, "staged")?,
             Err(e) => {
                 // No vote: nothing was staged (or the participant cleaned
                 // up); the coordinator simply reports failure.
@@ -145,16 +142,12 @@ impl Portal {
         match send_rpc_with(net, self.host(), &dest.url, &commit, retry) {
             Ok(resp) => {
                 // The participant reports the destination table's new
-                // modification version (absent from pre-version peers).
-                // Feeding it to the registry keeps the result cache's
-                // version vectors honest without a re-register; a negative
-                // one would wrap and stick under the registry's `max`.
-                let version = opt_result(&resp, "version", |v| {
-                    v.as_i64().and_then(|n| u64::try_from(n).ok())
-                })?;
-                if let Some(v) = version {
-                    self.update_registry_version(&dest.url.host, dest_table, v);
-                }
+                // modification version. Feeding it to the registry keeps
+                // the result cache's version vectors honest without a
+                // re-register; a negative one would wrap and stick under
+                // the registry's `max`.
+                let version = field(&resp.results, "version")?;
+                self.update_registry_version(&dest.url.host, dest_table, version);
                 Ok(TransferReport {
                     txn_id,
                     rows_copied: staged as usize,

@@ -4,7 +4,7 @@
 use skyquery_storage::{Catalog, ColumnDef, DataType, PositionColumns, TableSchema, TableStats};
 use skyquery_xml::Element;
 
-use crate::error::{opt_attr, FederationError, Result};
+use crate::error::{attr, checked, expect_element, parsed, FederationError, Result};
 
 /// A declination-zone range — the first-class addressing unit for shards
 /// of one logical archive. An archive split across several SkyNodes
@@ -38,8 +38,7 @@ impl ZoneExtent {
         })
     }
 
-    /// The whole sky — what an unsharded archive owns, and what a peer
-    /// that predates zone-range addressing is assumed to own.
+    /// The whole sky — what an unsharded archive owns.
     pub fn full_sky() -> ZoneExtent {
         ZoneExtent {
             dec_lo_deg: -90.0,
@@ -69,25 +68,11 @@ impl ZoneExtent {
 
     /// Decodes the wire element, rejecting non-finite or empty ranges.
     pub fn from_element(e: &Element) -> Result<ZoneExtent> {
-        if e.name != "ZoneExtent" {
-            return Err(FederationError::protocol(format!(
-                "expected ZoneExtent element, found {}",
-                e.name
-            )));
-        }
-        let attr = |name: &str| -> Result<f64> {
-            e.attr(name)
-                .ok_or_else(|| {
-                    FederationError::protocol(format!("ZoneExtent missing attribute {name}"))
-                })?
-                .parse::<f64>()
-                .ok()
-                .filter(|v| v.is_finite())
-                .ok_or_else(|| FederationError::protocol(format!("ZoneExtent bad {name}")))
-        };
+        expect_element(e, "ZoneExtent")?;
+        let dec = |name| attr(e, name, checked(|v: &f64| v.is_finite()));
         let extent = ZoneExtent {
-            dec_lo_deg: attr("dec_lo")?,
-            dec_hi_deg: attr("dec_hi")?,
+            dec_lo_deg: dec("dec_lo")?,
+            dec_hi_deg: dec("dec_hi")?,
         };
         if extent.dec_lo_deg >= extent.dec_hi_deg {
             return Err(FederationError::protocol(format!(
@@ -113,8 +98,8 @@ pub struct ArchiveInfo {
     /// HTM mesh depth of the archive's position index.
     pub htm_depth: u8,
     /// The declination-zone range this node owns when it is one shard of
-    /// a sharded archive. `None` (the wire default, and what nodes
-    /// predating zone-range addressing send) means the whole sky.
+    /// a sharded archive. `None`, which an unsharded node publishes by
+    /// omitting the `ZoneExtent` child, means the whole sky.
     pub extent: Option<ZoneExtent>,
 }
 
@@ -125,14 +110,14 @@ impl ArchiveInfo {
     }
 
     /// The zone range this node owns: its published extent, or the whole
-    /// sky for an unsharded (or pre-sharding) node.
+    /// sky for an unsharded node.
     pub fn owned_extent(&self) -> ZoneExtent {
         self.extent.unwrap_or_else(ZoneExtent::full_sky)
     }
 
-    /// Encodes as the Information service's wire payload. The optional
-    /// `ZoneExtent` child versions the payload: absent means full sky,
-    /// so peers predating zone-range addressing interoperate unchanged.
+    /// Encodes as the Information service's wire payload: the
+    /// `ZoneExtent` child only for a node that owns less than the whole
+    /// sky.
     pub fn to_element(&self) -> Element {
         let mut el = Element::new("ArchiveInfo")
             .with_attr("name", self.name.clone())
@@ -146,30 +131,24 @@ impl ArchiveInfo {
     }
 
     /// Decodes the Information service's wire payload. A missing
-    /// `ZoneExtent` child means the node owns the whole sky (the
-    /// pre-sharding wire format); a present-but-malformed one is an
-    /// error, not a silent full-sky fallback.
+    /// `ZoneExtent` child means the node owns the whole sky; a
+    /// present-but-malformed one is an error, not a silent full-sky
+    /// fallback.
     pub fn from_element(e: &Element) -> Result<ArchiveInfo> {
-        let attr = |name: &str| {
-            e.attr(name).ok_or_else(|| {
-                FederationError::protocol(format!("ArchiveInfo missing attribute {name}"))
-            })
-        };
         let extent = match e.children_named("ZoneExtent").next() {
             Some(ze) => Some(ZoneExtent::from_element(ze)?),
             None => None,
         };
         Ok(ArchiveInfo {
-            name: attr("name")?.to_string(),
+            name: attr(e, "name", Some)?.into(),
             // Positive and finite, as the plan's σ must be.
-            sigma_arcsec: opt_attr(e, "sigma_arcsec", |v: &f64| v.is_finite() && *v > 0.0)?
-                .ok_or_else(|| {
-                    FederationError::protocol("ArchiveInfo missing attribute sigma_arcsec")
-                })?,
-            primary_table: attr("primary_table")?.to_string(),
-            htm_depth: attr("htm_depth")?
-                .parse()
-                .map_err(|_| FederationError::protocol("bad htm_depth"))?,
+            sigma_arcsec: attr(
+                e,
+                "sigma_arcsec",
+                checked(|v: &f64| v.is_finite() && *v > 0.0),
+            )?,
+            primary_table: attr(e, "primary_table", Some)?.into(),
+            htm_depth: attr(e, "htm_depth", parsed)?,
             extent,
         })
     }
@@ -230,61 +209,32 @@ pub fn catalog_to_element(cat: &Catalog) -> Element {
 
 /// Decodes the Meta-data payload back into a catalog snapshot.
 pub fn catalog_from_element(e: &Element) -> Result<Catalog> {
-    if e.name != "Catalog" {
-        return Err(FederationError::protocol(format!(
-            "expected Catalog element, found {}",
-            e.name
-        )));
-    }
-    let database = e
-        .attr("database")
-        .ok_or_else(|| FederationError::protocol("Catalog missing database attribute"))?
-        .to_string();
+    expect_element(e, "Catalog")?;
+    let database = attr(e, "database", Some)?.into();
     let mut tables = Vec::new();
     for te in e.children_named("Table") {
-        let name = te
-            .attr("name")
-            .ok_or_else(|| FederationError::protocol("Table missing name"))?
-            .to_string();
-        let row_count: usize = te
-            .attr("rows")
-            .and_then(|r| r.parse().ok())
-            .ok_or_else(|| FederationError::protocol("Table missing rows"))?;
-        // Absent is back-compat (peers predating size estimates and the
-        // result cache), but a garbled value is corruption: a zero would
-        // skew the planner's size estimates, or validate stale cache
-        // entries against a table that has actually changed.
-        let approx_bytes = opt_attr(te, "bytes", |_| true)?.unwrap_or(0);
-        let version = opt_attr(te, "version", |_| true)?.unwrap_or(0);
+        let name = attr(te, "name", Some)?;
+        let row_count = attr(te, "rows", parsed)?;
+        let approx_bytes = attr(te, "bytes", parsed)?;
+        let version = attr(te, "version", parsed)?;
         let mut columns = Vec::new();
         for ce in te.children_named("Column") {
-            let cname = ce
-                .attr("name")
-                .ok_or_else(|| FederationError::protocol("Column missing name"))?;
-            let dtype = ce
-                .attr("type")
-                .and_then(DataType::parse)
-                .ok_or_else(|| FederationError::protocol("Column missing/bad type"))?;
-            let mut def = ColumnDef::new(cname, dtype);
-            if opt_attr(ce, "nullable", |_| true)?.unwrap_or(false) {
-                def = def.nullable();
-            }
-            columns.push(def);
+            let def = ColumnDef::new(attr(ce, "name", Some)?, attr(ce, "type", DataType::parse)?);
+            columns.push(if attr(ce, "nullable", parsed)? {
+                def.nullable()
+            } else {
+                def
+            });
         }
         let mut schema = TableSchema::new(name, columns);
         if let Some(pe) = te.children_named("Position").next() {
-            let ra = pe
-                .attr("ra")
-                .ok_or_else(|| FederationError::protocol("Position missing ra"))?;
-            let dec = pe
-                .attr("dec")
-                .ok_or_else(|| FederationError::protocol("Position missing dec"))?;
-            let depth: u8 = pe
-                .attr("htm_depth")
-                .and_then(|d| d.parse().ok())
-                .ok_or_else(|| FederationError::protocol("Position missing htm_depth"))?;
+            let position = PositionColumns::new(
+                attr(pe, "ra", Some)?,
+                attr(pe, "dec", Some)?,
+                attr(pe, "htm_depth", parsed)?,
+            );
             schema = schema
-                .with_position(PositionColumns::new(ra, dec, depth))
+                .with_position(position)
                 .map_err(FederationError::Storage)?;
         }
         tables.push(TableStats {
@@ -379,8 +329,8 @@ mod tests {
 
     #[test]
     fn archive_info_without_extent_means_full_sky() {
-        // The pre-sharding wire format: no ZoneExtent child. Old nodes
-        // interoperate and are treated as owning the whole sky.
+        // An unsharded node writes no ZoneExtent child and owns the whole
+        // sky.
         let back = ArchiveInfo::from_element(&info().to_element()).unwrap();
         assert_eq!(back.extent, None);
         assert!(back.owned_extent().is_full_sky());
@@ -459,90 +409,68 @@ mod tests {
         assert_eq!(back, cat);
     }
 
-    #[test]
-    fn catalog_bytes_attribute_absent_is_zero_but_garbled_is_rejected() {
-        let table = |bytes: Option<&str>| {
-            let mut te = Element::new("Table")
-                .with_attr("name", "t")
-                .with_attr("rows", "1");
-            if let Some(b) = bytes {
-                te = te.with_attr("bytes", b);
-            }
-            Element::new("Catalog")
-                .with_attr("database", "X")
-                .with_child(te)
+    /// A one-table, one-column catalog as its writer writes it, with
+    /// attribute `name` of the element named `on` set to `value`, or
+    /// removed for `None`.
+    fn catalog_with(on: &str, name: &str, value: Option<&str>) -> Element {
+        let cat = Catalog {
+            database: "X".into(),
+            tables: vec![TableStats {
+                schema: TableSchema::new("t", vec![ColumnDef::new("c", DataType::Float)]),
+                row_count: 1,
+                approx_bytes: 8,
+                version: 1,
+            }],
         };
-        // Absent: back-compat with peers predating size estimates.
-        let cat = catalog_from_element(&table(None)).unwrap();
-        assert_eq!(cat.tables[0].approx_bytes, 0);
-        // Present and well-formed.
-        let cat = catalog_from_element(&table(Some("4567"))).unwrap();
-        assert_eq!(cat.tables[0].approx_bytes, 4567);
-        // Present but garbled: rejected, not silently zeroed (a zero
-        // would skew the planner's size estimates).
-        assert!(catalog_from_element(&table(Some("not-a-number"))).is_err());
-        assert!(catalog_from_element(&table(Some("-3"))).is_err());
-    }
-
-    #[test]
-    fn catalog_version_attribute_absent_is_zero_but_garbled_is_rejected() {
-        let table = |version: Option<&str>| {
-            let mut te = Element::new("Table")
-                .with_attr("name", "t")
-                .with_attr("rows", "1");
-            if let Some(v) = version {
-                te = te.with_attr("version", v);
-            }
-            Element::new("Catalog")
-                .with_attr("database", "X")
-                .with_child(te)
+        let mut el = catalog_to_element(&cat);
+        let table = &mut el.children[0];
+        let target = if on == "Table" {
+            table
+        } else {
+            &mut table.children[0]
         };
-        // Absent: back-compat with peers predating the result cache.
-        let cat = catalog_from_element(&table(None)).unwrap();
-        assert_eq!(cat.tables[0].version, 0);
-        // Present and well-formed.
-        let cat = catalog_from_element(&table(Some("42"))).unwrap();
-        assert_eq!(cat.tables[0].version, 42);
-        // Present but garbled: rejected, not silently zeroed (a zero
-        // would validate stale cache entries against changed tables).
-        assert!(catalog_from_element(&table(Some("not-a-number"))).is_err());
-        assert!(catalog_from_element(&table(Some("-3"))).is_err());
+        target.attributes.retain(|(k, _)| k != name);
+        if let Some(v) = value {
+            target.attributes.push((name.into(), v.into()));
+        }
+        el
     }
 
     #[test]
     fn malformed_wire_catalog_attributes_are_refused() {
-        // (element, attribute, garbled values); every one is optional.
-        let rows: [(&str, &str, &[&str]); 3] = [
-            ("Table", "bytes", &["zz", "-3", "1.5"]),
-            ("Table", "version", &["zz", "-3", ""]),
-            ("Column", "nullable", &["yes", "1", ""]),
+        // (element, attribute, well-formed value, garbled values): a
+        // garbled one is refused, never read as zero — a zero would skew
+        // the planner's size estimates, or validate stale cache entries
+        // against a table that has actually changed.
+        type Read = fn(&TableStats) -> bool;
+        let rows: [(&str, &str, &str, Read, &[&str]); 3] = [
+            (
+                "Table",
+                "bytes",
+                "4567",
+                |t| t.approx_bytes == 4567,
+                &["zz", "-3", "1.5", "not-a-number"],
+            ),
+            (
+                "Table",
+                "version",
+                "42",
+                |t| t.version == 42,
+                &["zz", "-3", "", "not-a-number"],
+            ),
+            (
+                "Column",
+                "nullable",
+                "true",
+                |t| t.schema.columns[0].nullable,
+                &["yes", "1", ""],
+            ),
         ];
-        let catalog = |on: &str, name: &str, value: Option<&str>| {
-            let mut column = Element::new("Column")
-                .with_attr("name", "c")
-                .with_attr("type", "FLOAT");
-            let mut table = Element::new("Table")
-                .with_attr("name", "t")
-                .with_attr("rows", "1");
-            let target = if on == "Table" {
-                &mut table
-            } else {
-                &mut column
-            };
-            if let Some(v) = value {
-                target.attributes.push((name.into(), v.into()));
-            }
-            Element::new("Catalog")
-                .with_attr("database", "X")
-                .with_child(table.with_child(column))
-        };
-        for (on, name, garbled) in rows {
-            let cat = catalog_from_element(&catalog(on, name, None)).unwrap();
-            let t = &cat.tables[0];
-            assert_eq!((t.approx_bytes, t.version), (0, 0));
-            assert!(!t.schema.columns[0].nullable, "{name} absent");
+        for (on, name, good, read, garbled) in rows {
+            let cat = catalog_from_element(&catalog_with(on, name, Some(good))).unwrap();
+            assert!(read(&cat.tables[0]), "{on} {name}={good:?}");
             for value in garbled {
-                match catalog_from_element(&catalog(on, name, Some(value))) {
+                match catalog_from_element(&catalog_with(on, name, Some(value))) {
                     Err(FederationError::Protocol { detail }) => {
                         assert!(detail.contains(name), "{detail}")
                     }
@@ -572,6 +500,31 @@ mod tests {
                 other => panic!("sigma_arcsec={value:?} decoded to {other:?}"),
             }
         }
+    }
+
+    /// Refuses the catalog without attribute `name` of `on`, naming both.
+    fn assert_refused_without(on: &str, name: &str) {
+        match catalog_from_element(&catalog_with(on, name, None)) {
+            Err(FederationError::Protocol { detail }) => {
+                assert!(detail.contains(on) && detail.contains(name), "{detail}")
+            }
+            other => panic!("{on} without {name} decoded to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_wire_catalog_table_without_bytes_is_refused() {
+        assert_refused_without("Table", "bytes");
+    }
+
+    #[test]
+    fn malformed_wire_catalog_table_without_version_is_refused() {
+        assert_refused_without("Table", "version");
+    }
+
+    #[test]
+    fn malformed_wire_catalog_column_without_nullable_is_refused() {
+        assert_refused_without("Column", "nullable");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use skyquery_xml::Element;
 
 use crate::region::Region;
 
-use crate::error::{opt_attr, FederationError, Result};
+use crate::error::{attr, checked, expect_element, opt_attr, parsed, FederationError, Result};
 use crate::meta::ZoneExtent;
 use crate::retry::RetryPolicy;
 use crate::xmatch::{MatchKernel, StepConfig};
@@ -38,7 +38,8 @@ pub struct PlanShard {
     /// Sibling replicas serving an identical copy of this zone range, in
     /// deterministic (host) order. The scatter driver fails over — or
     /// hedges — to these when the primary proves unhealthy or slow.
-    /// Empty (the legacy wire default) means the range is unreplicated.
+    /// Empty, written as no `Replica` child, means the range is
+    /// unreplicated.
     pub replicas: Vec<Url>,
 }
 
@@ -70,9 +71,9 @@ pub struct PlanStep {
     /// this is the sum of the shards' estimates.
     pub count_estimate: Option<u64>,
     /// The physical shards of this archive, by zone range, when the
-    /// archive is split across several SkyNodes. Empty (the legacy wire
-    /// default) means the single node at `url` owns the whole archive
-    /// and the step executes un-scattered.
+    /// archive is split across several SkyNodes. Empty, written as no
+    /// `Shard` child, means the single node at `url` owns the whole
+    /// archive and the step executes un-scattered.
     pub shards: Vec<PlanShard>,
 }
 
@@ -103,8 +104,8 @@ pub struct ExecutionPlan {
     pub chunking: bool,
     /// Candidate-probe kernel each node uses for its match/drop-out step.
     /// An oracle/test override; production runs the default. Both kernels
-    /// produce byte-identical results, so it is safe to default when
-    /// absent or unknown on the wire.
+    /// produce byte-identical results; an unknown name on the wire is
+    /// refused.
     pub kernel: MatchKernel,
     /// Retry policy every participant applies to its onward calls
     /// (daisy-chain hops, `FetchChunk` continuations). Travels with the
@@ -329,21 +330,18 @@ impl ExecutionPlan {
         plan
     }
 
-    /// Parses the wire element. An optional attribute that is absent (an
-    /// older peer) takes its default; one present but malformed is a
-    /// protocol error. Attributes of withdrawn knobs are ignored.
+    /// Parses the wire element. Every attribute its writer always writes
+    /// is required; an order limit, a step's count estimate, local
+    /// predicate and shards, and a select item's alias are optional,
+    /// because the writer omits them when they do not apply. Unknown
+    /// attributes are ignored.
     pub fn from_element(e: &Element) -> Result<ExecutionPlan> {
-        if e.name != "Plan" {
-            return Err(FederationError::protocol(format!(
-                "expected Plan element, found {}",
-                e.name
-            )));
-        }
+        expect_element(e, "Plan")?;
         // The SQL parser's rule for an XMATCH threshold, and for σ too: a
         // positive, finite number.
-        let positive = |v: &f64| v.is_finite() && *v > 0.0;
-        let threshold = opt_attr(e, "threshold", positive)?
-            .ok_or_else(|| FederationError::protocol("Plan missing threshold"))?;
+        let positive = || checked(|v: &f64| v.is_finite() && *v > 0.0);
+        let threshold = attr(e, "threshold", positive())?;
+        let url = |e: &Element| Url::parse(attr(e, "url", Some)?).map_err(FederationError::Net);
         let region = match e.children_named("Region").next() {
             Some(re) => Some(Region::from_element(re)?),
             None => None,
@@ -351,75 +349,45 @@ impl ExecutionPlan {
         let select = match e.children_named("Select").next() {
             Some(se) => se
                 .children_named("Item")
-                .map(|item| -> Result<(String, Option<String>)> {
-                    let expr = item
-                        .attr("expr")
-                        .ok_or_else(|| FederationError::protocol("Select Item missing expr"))?
-                        .to_string();
-                    Ok((expr, item.attr("as").map(String::from)))
+                .map(|item| {
+                    Ok((
+                        attr(item, "expr", Some)?.into(),
+                        opt_attr(item, "as", Some)?.map(String::from),
+                    ))
                 })
                 .collect::<Result<Vec<_>>>()?,
             None => Vec::new(),
         };
         let mut steps = Vec::new();
         for se in e.children_named("Step") {
-            let attr = |name: &str| {
-                se.attr(name).ok_or_else(|| {
-                    FederationError::protocol(format!("Step missing attribute {name}"))
-                })
-            };
             steps.push(PlanStep {
-                alias: attr("alias")?.to_string(),
-                archive: attr("archive")?.to_string(),
-                table: attr("table")?.to_string(),
-                url: Url::parse(attr("url")?).map_err(FederationError::Net)?,
-                dropout: attr("dropout")?
-                    .parse()
-                    .map_err(|_| FederationError::protocol("Step has malformed dropout"))?,
-                sigma_arcsec: opt_attr(se, "sigma_arcsec", positive)?.ok_or_else(|| {
-                    FederationError::protocol("Step missing attribute sigma_arcsec")
-                })?,
+                alias: attr(se, "alias", Some)?.into(),
+                archive: attr(se, "archive", Some)?.into(),
+                table: attr(se, "table", Some)?.into(),
+                url: url(se)?,
+                dropout: attr(se, "dropout", parsed)?,
+                sigma_arcsec: attr(se, "sigma_arcsec", positive())?,
                 local_sql: se.children_named("Local").next().map(|l| l.text.clone()),
                 carried: se.children_named("Carry").map(|c| c.text.clone()).collect(),
                 residual_sql: se
                     .children_named("Residual")
                     .map(|r| r.text.clone())
                     .collect(),
-                count_estimate: opt_attr(se, "count", |_| true)?,
-                // Plans from peers predating sharded archives carry no
-                // Shard children; empty means the single node at `url`.
+                count_estimate: opt_attr(se, "count", parsed)?,
                 shards: se
                     .children_named("Shard")
-                    .map(|sh| -> Result<PlanShard> {
-                        let url = sh.attr("url").ok_or_else(|| {
-                            FederationError::protocol("Shard missing attribute url")
-                        })?;
-                        let dec = |name: &str| -> Result<f64> {
-                            sh.attr(name)
-                                .and_then(|v| v.parse::<f64>().ok())
-                                .filter(|v| v.is_finite())
-                                .ok_or_else(|| {
-                                    FederationError::protocol(format!("Shard bad {name}"))
-                                })
-                        };
+                    .map(|sh| {
+                        let dec = |name| attr(sh, name, checked(|v: &f64| v.is_finite()));
                         Ok(PlanShard {
-                            url: Url::parse(url).map_err(FederationError::Net)?,
+                            url: url(sh)?,
                             extent: ZoneExtent {
                                 dec_lo_deg: dec("dec_lo")?,
                                 dec_hi_deg: dec("dec_hi")?,
                             },
-                            // Plans from peers predating replication
-                            // carry no Replica children; empty means the
-                            // primary is the range's sole owner.
                             replicas: sh
                                 .children_named("Replica")
-                                .map(|r| -> Result<Url> {
-                                    let url = r.attr("url").ok_or_else(|| {
-                                        FederationError::protocol("Replica missing attribute url")
-                                    })?;
-                                    Url::parse(url).map_err(FederationError::Net)
-                                })
-                                .collect::<Result<Vec<_>>>()?,
+                                .map(url)
+                                .collect::<Result<_>>()?,
                         })
                     })
                     .collect::<Result<Vec<_>>>()?,
@@ -437,23 +405,13 @@ impl ExecutionPlan {
         let (order_by, limit) = match e.children_named("OrderLimit").next() {
             Some(ol) => (
                 ol.children_named("Key")
-                    .map(|k| -> Result<(String, bool)> {
-                        Ok((
-                            k.attr("expr")
-                                .ok_or_else(|| {
-                                    FederationError::protocol("OrderLimit Key missing expr")
-                                })?
-                                .to_string(),
-                            opt_attr(k, "desc", |_| true)?.unwrap_or(false),
-                        ))
-                    })
+                    .map(|k| Ok((attr(k, "expr", Some)?.into(), attr(k, "desc", parsed)?)))
                     .collect::<Result<Vec<_>>>()?,
-                opt_attr(ol, "limit", |_| true)?,
+                opt_attr(ol, "limit", parsed)?,
             ),
             None => (Vec::new(), None),
         };
-        let retry = RetryPolicy::default();
-        let at_least = |min: f64| move |v: &f64| v.is_finite() && *v >= min;
+        let at_least = |min: f64| checked(move |v: &f64| v.is_finite() && *v >= min);
         Ok(ExecutionPlan {
             threshold,
             region,
@@ -461,32 +419,17 @@ impl ExecutionPlan {
             select,
             order_by,
             limit,
-            max_message_bytes: opt_attr(e, "max_message_bytes", |_| true)?
-                .unwrap_or(DEFAULT_MAX_MESSAGE_BYTES),
-            chunking: opt_attr(e, "chunking", |_| true)?.unwrap_or(true),
-            // Absent or unknown kernel names fall back to the default —
-            // both kernels are byte-identical, so mixed-version chains
-            // stay correct either way.
-            kernel: e
-                .attr("kernel")
-                .and_then(MatchKernel::parse)
-                .unwrap_or_default(),
-            // Plans from peers predating the retry layer omit the retry
-            // attributes; each falls back to the default policy's value.
+            max_message_bytes: attr(e, "max_message_bytes", parsed)?,
+            chunking: attr(e, "chunking", parsed)?,
+            kernel: attr(e, "kernel", MatchKernel::parse)?,
             retry: RetryPolicy {
-                max_attempts: opt_attr(e, "retry_attempts", |n| *n >= 1)?
-                    .unwrap_or(retry.max_attempts),
-                backoff_base_s: opt_attr(e, "retry_backoff_s", at_least(0.0))?
-                    .unwrap_or(retry.backoff_base_s),
-                backoff_factor: opt_attr(e, "retry_factor", at_least(1.0))?
-                    .unwrap_or(retry.backoff_factor),
-                deadline_s: opt_attr(e, "retry_deadline_s", positive)?.unwrap_or(retry.deadline_s),
-                jitter: opt_attr(e, "retry_jitter", |v| (0.0..1.0).contains(v))?
-                    .unwrap_or(retry.jitter),
+                max_attempts: attr(e, "retry_attempts", checked(|n: &u32| *n >= 1))?,
+                backoff_base_s: attr(e, "retry_backoff_s", at_least(0.0))?,
+                backoff_factor: attr(e, "retry_factor", at_least(1.0))?,
+                deadline_s: attr(e, "retry_deadline_s", positive())?,
+                jitter: attr(e, "retry_jitter", checked(|v: &f64| (0.0..1.0).contains(v)))?,
             },
-            // Plans from peers predating leases omit the attribute; the
-            // default TTL keeps their node-side state reclaimable.
-            lease_ttl_s: opt_attr(e, "lease_ttl_s", positive)?.unwrap_or(DEFAULT_LEASE_TTL_S),
+            lease_ttl_s: attr(e, "lease_ttl_s", positive())?,
         })
     }
 }
@@ -691,29 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plans_default_to_columnar_kernel() {
-        // Plans from peers predating the kernel knob omit the attribute;
-        // unknown names also fall back (both kernels are byte-identical,
-        // so this is always safe).
-        let mut el = demo_plan().to_element();
-        el.attributes.retain(|(k, _)| k != "kernel");
-        let p = ExecutionPlan::from_element(&el).unwrap();
-        assert_eq!(p.kernel, MatchKernel::Columnar);
-        // "batch" is what a peer predating the tile kernel's withdrawal
-        // (PR 19) sends.
-        for name in ["quadtree", "batch"] {
-            let mut el = demo_plan().to_element();
-            el.attributes.retain(|(k, _)| k != "kernel");
-            let el = el.with_attr("kernel", name);
-            let p = ExecutionPlan::from_element(&el).unwrap();
-            assert_eq!(p.kernel, MatchKernel::Columnar, "{name}");
-        }
-        // A named kernel round-trips.
-        let p = ExecutionPlan::from_element(&demo_plan().to_element()).unwrap();
-        assert_eq!(p.kernel, MatchKernel::Htm);
-    }
-
-    #[test]
     fn legacy_plans_default_to_byte_budget_chunking() {
         // Peers predating the one chunked transfer still send the switch
         // of the withdrawn zone-aware transfer: the plan decodes, chunks on
@@ -722,54 +642,6 @@ mod tests {
         let p = ExecutionPlan::from_element(&el).unwrap();
         assert_eq!(p, demo_plan());
         assert_eq!(p.to_element(), demo_plan().to_element());
-    }
-
-    #[test]
-    fn legacy_plans_default_to_default_retry_policy() {
-        // Plans from peers predating the retry layer omit the attributes.
-        let mut el = demo_plan().to_element();
-        el.attributes.retain(|(k, _)| !k.starts_with("retry_"));
-        let p = ExecutionPlan::from_element(&el).unwrap();
-        assert_eq!(p.retry, RetryPolicy::default());
-        // Degenerate values are refused, not clamped to a default.
-        for (name, value) in [
-            ("retry_attempts", "0"),
-            ("retry_backoff_s", "-1.0"),
-            ("retry_factor", "0.1"),
-            ("retry_deadline_s", "NaN"),
-        ] {
-            let mut el = demo_plan().to_element();
-            el.attributes.retain(|(k, _)| !k.starts_with("retry_"));
-            let el = el.with_attr(name, value);
-            assert!(ExecutionPlan::from_element(&el).is_err(), "{name}={value}");
-        }
-        // A customized policy round-trips (exercised by element_roundtrip
-        // too, since demo_plan carries a non-default policy).
-        let back = ExecutionPlan::from_element(&demo_plan().to_element()).unwrap();
-        assert_eq!(back.retry.max_attempts, 4);
-        assert_eq!(back.retry.backoff_factor, 3.0);
-    }
-
-    #[test]
-    fn legacy_plans_default_to_default_lease_ttl() {
-        // Plans from peers predating leases omit the attribute.
-        let mut el = demo_plan().to_element();
-        el.attributes.retain(|(k, _)| k != "lease_ttl_s");
-        let p = ExecutionPlan::from_element(&el).unwrap();
-        assert_eq!(p.lease_ttl_s, DEFAULT_LEASE_TTL_S);
-        // A degenerate TTL is refused rather than making leases
-        // stillborn or quietly taking the default.
-        let mut el = demo_plan().to_element();
-        el.attributes.retain(|(k, _)| k != "lease_ttl_s");
-        let el = el.with_attr("lease_ttl_s", "-5.0");
-        assert!(ExecutionPlan::from_element(&el).is_err());
-        // A customized TTL round-trips.
-        let back = ExecutionPlan::from_element(&demo_plan().to_element()).unwrap();
-        assert_eq!(back.lease_ttl_s, 120.0);
-        // The jitter attribute rides the retry_ prefix: stripped plans
-        // (see legacy_plans_default_to_default_retry_policy) default it,
-        // and a customized value round-trips.
-        assert_eq!(back.retry.jitter, 0.25);
     }
 
     /// The demo plan with its middle step split over two shards, the
@@ -905,45 +777,22 @@ mod tests {
 
     #[test]
     fn malformed_wire_plan_attributes_are_refused() {
-        // One row per optional plan attribute: (element, attribute,
-        // garbled or out-of-range values, what absence decodes to).
-        type Absent = fn(&ExecutionPlan) -> bool;
-        let default = RetryPolicy::default();
-        let rows: [(&str, &str, &[&str], Absent); 11] = [
-            ("Plan", "max_message_bytes", &["zz", "-1", "1.5"], |p| {
-                p.max_message_bytes == DEFAULT_MAX_MESSAGE_BYTES
-            }),
-            ("Plan", "chunking", &["yes", "TRUE", ""], |p| p.chunking),
-            ("Plan", "retry_attempts", &["zz", "0", "-2"], |p| {
-                p.retry.max_attempts == RetryPolicy::default().max_attempts
-            }),
-            ("Plan", "retry_backoff_s", &["zz", "-1.0", "NaN"], |p| {
-                p.retry.backoff_base_s == RetryPolicy::default().backoff_base_s
-            }),
-            ("Plan", "retry_factor", &["zz", "0.5", "inf"], |p| {
-                p.retry.backoff_factor == RetryPolicy::default().backoff_factor
-            }),
-            ("Plan", "retry_deadline_s", &["zz", "0", "NaN"], |p| {
-                p.retry.deadline_s == RetryPolicy::default().deadline_s
-            }),
-            ("Plan", "retry_jitter", &["zz", "1.0", "-0.1"], |p| {
-                p.retry.jitter == RetryPolicy::default().jitter
-            }),
-            ("Plan", "lease_ttl_s", &["zz", "-5.0", "0", "inf"], |p| {
-                p.lease_ttl_s == DEFAULT_LEASE_TTL_S
-            }),
-            ("Step", "count", &["zz", "-1", "1e3"], |p| {
-                p.steps.iter().all(|s| s.count_estimate.is_none())
-            }),
-            ("OrderLimit", "limit", &["abc", "-1"], |p| p.limit.is_none()),
-            ("Key", "desc", &["yes", "1"], |p| {
-                p.order_by.iter().all(|(_, desc)| !desc)
-            }),
+        // (element, attribute, garbled or out-of-range values).
+        let rows: [(&str, &str, &[&str]); 12] = [
+            ("Plan", "max_message_bytes", &["zz", "-1", "1.5"]),
+            ("Plan", "chunking", &["yes", "TRUE", ""]),
+            ("Plan", "kernel", &["quadtree", "batch", ""]),
+            ("Plan", "retry_attempts", &["zz", "0", "-2"]),
+            ("Plan", "retry_backoff_s", &["zz", "-1.0", "NaN"]),
+            ("Plan", "retry_factor", &["zz", "0.5", "0.1", "inf"]),
+            ("Plan", "retry_deadline_s", &["zz", "0", "NaN"]),
+            ("Plan", "retry_jitter", &["zz", "1.0", "-0.1"]),
+            ("Plan", "lease_ttl_s", &["zz", "-5.0", "0", "inf"]),
+            ("Step", "count", &["zz", "-1", "1e3"]),
+            ("OrderLimit", "limit", &["abc", "-1"]),
+            ("Key", "desc", &["yes", "1"]),
         ];
-        assert_ne!(demo_plan().retry, default, "absence must be observable");
-        for (on, name, garbled, absent) in rows {
-            let p = ExecutionPlan::from_element(&with_attr_on(on, name, None)).unwrap();
-            assert!(absent(&p), "{on} without {name}");
+        for (on, name, garbled) in rows {
             for value in garbled {
                 match ExecutionPlan::from_element(&with_attr_on(on, name, Some(value))) {
                     Err(FederationError::Protocol { detail }) => {
@@ -953,6 +802,12 @@ mod tests {
                 }
             }
         }
+        // A step's count estimate and the order limit's row cap are
+        // omitted by design: absent, they decode to none.
+        let p = ExecutionPlan::from_element(&with_attr_on("Step", "count", None)).unwrap();
+        assert!(p.steps.iter().all(|s| s.count_estimate.is_none()));
+        let p = ExecutionPlan::from_element(&with_attr_on("OrderLimit", "limit", None)).unwrap();
+        assert_eq!(p.limit, None);
         // The threshold and each step's σ are required and, by the SQL
         // parser's rule, positive and finite: an infinite threshold would
         // buy an every-pair cross-match, a NaN one an empty answer.
@@ -981,6 +836,40 @@ mod tests {
                 Err(FederationError::Protocol { .. })
             ));
         }
+    }
+
+    /// Refuses the demo plan without attribute `name` on every element
+    /// named `on`, naming both.
+    fn assert_refused_without(on: &str, name: &str) {
+        match ExecutionPlan::from_element(&with_attr_on(on, name, None)) {
+            Err(FederationError::Protocol { detail }) => {
+                assert!(detail.contains(on) && detail.contains(name), "{detail}")
+            }
+            other => panic!("{on} without {name} decoded to {other:?}"),
+        }
+    }
+
+    /// One test per attribute the plan's writer always writes.
+    macro_rules! refused_without {
+        ($($test:ident: $on:literal $name:literal,)*) => {
+            $(#[test]
+            fn $test() {
+                assert_refused_without($on, $name);
+            })*
+        };
+    }
+
+    refused_without! {
+        malformed_wire_plan_without_max_message_bytes_is_refused: "Plan" "max_message_bytes",
+        malformed_wire_plan_without_chunking_is_refused: "Plan" "chunking",
+        malformed_wire_plan_without_kernel_is_refused: "Plan" "kernel",
+        malformed_wire_plan_without_retry_attempts_is_refused: "Plan" "retry_attempts",
+        malformed_wire_plan_without_retry_backoff_s_is_refused: "Plan" "retry_backoff_s",
+        malformed_wire_plan_without_retry_factor_is_refused: "Plan" "retry_factor",
+        malformed_wire_plan_without_retry_deadline_s_is_refused: "Plan" "retry_deadline_s",
+        malformed_wire_plan_without_retry_jitter_is_refused: "Plan" "retry_jitter",
+        malformed_wire_plan_without_lease_ttl_s_is_refused: "Plan" "lease_ttl_s",
+        malformed_wire_order_key_without_desc_is_refused: "Key" "desc",
     }
 
     #[test]

@@ -18,23 +18,22 @@ use skyquery_net::{
 use skyquery_soap::{RpcCall, RpcResponse, SoapValue};
 use skyquery_sql::ast::{OrderKey, SortDirection};
 use skyquery_sql::{decompose, parse_query, DecomposedQuery, Expr};
-use skyquery_storage::{Catalog, DataType};
+use skyquery_storage::Catalog;
 
-use crate::error::{FederationError, Result};
+use crate::error::{field, FederationError, Result};
 use crate::meta::{catalog_from_element, ArchiveInfo, RegisteredNode, Registration};
 use crate::plan::{
     ExecutionPlan, PlanShard, PlanStep, DEFAULT_LEASE_TTL_S, DEFAULT_MAX_MESSAGE_BYTES,
 };
-use crate::query_exec::order_limit_select;
+use crate::query_exec::{column_type, order_limit_select};
 use crate::region::Region;
 use crate::result::{ResultColumn, ResultSet};
 use crate::result_cache::{CacheCounters, CacheEntry, ResultCache, StepVersion};
 use crate::retry::RetryPolicy;
-use crate::service::require_str;
 use crate::skynode::invoke_cross_match;
 use crate::trace::{ExecutionTrace, StatsChain};
 use crate::transfer::send_rpc_with;
-use crate::walk::{fan_out, CheckpointedWalk};
+use crate::walk::{fan_out, residual_step, CheckpointedWalk};
 use crate::xmatch::MatchKernel;
 use crate::xmatch::{PartialSet, TupleBindings};
 
@@ -507,11 +506,7 @@ impl Portal {
     /// service: schemas, row counts and table versions.
     fn fetch_catalog(&self, url: &Url) -> Result<Catalog> {
         let resp = self.call(url, &RpcCall::new("Metadata"))?;
-        catalog_from_element(
-            resp.require("catalog")?
-                .as_xml()
-                .ok_or_else(|| FederationError::protocol("catalog must be xml"))?,
-        )
+        catalog_from_element(field(&resp.results, "catalog")?)
     }
 
     /// Registers the SkyNode at `url`: calls its Meta-data and Information
@@ -522,12 +517,7 @@ impl Portal {
     /// summary of what the Portal now knows about the archive.
     pub fn register_node(&self, url: &Url) -> Result<Registration> {
         let info_resp = self.call(url, &RpcCall::new("Information"))?;
-        let info = ArchiveInfo::from_element(
-            info_resp
-                .require("info")?
-                .as_xml()
-                .ok_or_else(|| FederationError::protocol("info must be xml"))?,
-        )?;
+        let info = ArchiveInfo::from_element(field(&info_resp.results, "info")?)?;
         let catalog = self.fetch_catalog(url)?;
         let table_count = catalog.tables.len();
         let node = RegisteredNode {
@@ -802,26 +792,15 @@ impl Portal {
             .zip(&plan.select)
             .enumerate()
             .map(|(i, (expr, (sql, alias)))| {
-                let dtype = match expr {
+                let declared = match expr {
                     Expr::Column { alias, column } => set
                         .columns
                         .iter()
                         .find(|c| c.name == format!("{alias}.{column}"))
                         .map(|c| c.dtype),
                     _ => None,
-                }
-                .or_else(|| {
-                    let mut types = rows.iter().filter_map(|r| r[i].data_type());
-                    let first = types.next()?;
-                    // `sql::eval` turns an Int product past i64 into a
-                    // Float, so one computed column can hold both; an
-                    // Int's text is also a valid double.
-                    Some(match first {
-                        DataType::Int if types.any(|t| t == DataType::Float) => DataType::Float,
-                        _ => first,
-                    })
-                })
-                .unwrap_or(DataType::Float);
+                };
+                let dtype = column_type(declared, &rows, i);
                 ResultColumn::new(alias.clone().unwrap_or_else(|| sql.clone()), dtype)
             })
             .collect();
@@ -1301,13 +1280,7 @@ impl Portal {
                 None => {
                     let reply = replies.next().expect("one reply per count asked");
                     // A negative count would wrap and reorder the plan.
-                    let count = reply?
-                        .require("count")?
-                        .as_i64()
-                        .and_then(|c| u64::try_from(c).ok())
-                        .ok_or_else(|| {
-                            FederationError::protocol("count must be a non-negative integer")
-                        })?;
+                    let count = field(&reply?.results, "count")?;
                     if let Some(versions) = versions {
                         let mut counts = lock(&self.counts);
                         if counts.len() >= COUNT_ANSWERS && !counts.contains_key(key) {
@@ -1407,7 +1380,7 @@ impl Portal {
             let replicated = extent_groups.iter().any(|eg| eg.len() > 1);
             // Any replication routes the step through the scatter
             // executor even for a single extent (the daisy chain has no
-            // failover); a single unreplicated node keeps the legacy
+            // failover); a single unreplicated node keeps the
             // un-scattered wire shape.
             let shards = if extent_groups.len() > 1 || replicated {
                 extent_groups
@@ -1436,21 +1409,11 @@ impl Portal {
             });
         }
 
-        // Residual placement: a residual runs at the earliest processing
-        // position (processing order is reversed list order) where every
-        // referenced alias has joined the tuple.
-        let n = steps.len();
-        let alias_order: Vec<String> = steps.iter().map(|s| s.alias.clone()).collect();
-        let processing_pos = |alias: &str| -> Option<usize> {
-            alias_order
-                .iter()
-                .position(|a| a == alias)
-                .map(|i| n - 1 - i)
-        };
+        // Residual placement, by the re-plan's rule with no step executed
+        // yet.
         for residual in &dq.residuals {
-            let needed = residual_position(residual, &processing_pos)?;
-            let step_index = n - 1 - needed;
-            steps[step_index].residual_sql.push(residual.to_string());
+            let at = residual_step(&steps, &[], residual)?;
+            steps[at].residual_sql.push(residual.to_string());
         }
 
         let region = match &dq.region {
@@ -1510,29 +1473,13 @@ fn answer_of(entry: &CacheEntry) -> (PartialSet, StatsChain) {
     (head.set.clone(), stats)
 }
 
-/// Processing position at which a residual becomes evaluable.
-fn residual_position(
-    residual: &Expr,
-    processing_pos: &impl Fn(&str) -> Option<usize>,
-) -> Result<usize> {
-    let aliases = residual.referenced_aliases();
-    let mut max_pos = 0;
-    for a in aliases {
-        let p = processing_pos(a).ok_or_else(|| {
-            FederationError::planning(format!("residual references unknown alias {a}"))
-        })?;
-        max_pos = max_pos.max(p);
-    }
-    Ok(max_pos)
-}
-
 impl Endpoint for Portal {
     fn handle(&self, _net: &SimNetwork, req: HttpRequest) -> HttpResponse {
         crate::service::serve(&req, |call| match call.method.as_str() {
             // Registration service (§5.1): "When a SkyNode wishes to join
             // the SkyQuery federation; it calls the Registration service
             // of the Portal."
-            "Register" => require_str(&call, "url").and_then(|url| {
+            "Register" => field(&call.params, "url").and_then(|url| {
                 let url = Url::parse(url).map_err(FederationError::Net)?;
                 let reg = self.register_node(&url)?;
                 Ok(RpcResponse::new("Register")
@@ -1541,7 +1488,7 @@ impl Endpoint for Portal {
                     .result("replicas", SoapValue::Int(reg.replica_count as i64)))
             }),
             // The SkyQuery service: accepts the user query from a Client.
-            "SkyQuery" => require_str(&call, "sql").and_then(|sql| {
+            "SkyQuery" => field(&call.params, "sql").and_then(|sql| {
                 let (result, trace) = self.submit(sql)?;
                 let mut trace_el = skyquery_xml::Element::new("Trace");
                 for e in trace.events() {
@@ -1574,7 +1521,7 @@ impl Endpoint for Portal {
 mod tests {
     use super::*;
     use crate::xmatch::{PartialTuple, TupleState};
-    use skyquery_storage::Value;
+    use skyquery_storage::{DataType, Value};
     use skyquery_xml::VoCell;
 
     #[test]

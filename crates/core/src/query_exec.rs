@@ -113,17 +113,16 @@ pub fn execute_local(
         return aggregate_rows(schema, query, &rows, bind).map(LocalQueryResult::Rows);
     }
 
-    // Plain projection. Plain column references keep their declared type;
-    // computed expressions are typed FLOAT (the dialect's arithmetic
-    // domain).
-    let mut columns: Vec<ResultColumn> = Vec::with_capacity(query.select.len());
+    // Plain projection: each column's name and, for a plain column
+    // reference, its declared type.
+    let mut heads = Vec::with_capacity(query.select.len());
     let mut exprs: Vec<&Expr> = Vec::with_capacity(query.select.len());
     for item in &query.select {
         let SelectItem::Expr { expr, alias: out } = item else {
             unreachable!("aggregate mode handled above")
         };
-        let dtype = match expr {
-            Expr::Column { column, .. } => {
+        let declared = match expr {
+            Expr::Column { column, .. } => Some(
                 schema
                     .column(column)
                     .ok_or_else(|| {
@@ -131,17 +130,22 @@ pub fn execute_local(
                             "unknown column {column} in table {table}"
                         ))
                     })?
-                    .dtype
-            }
-            _ => DataType::Float,
+                    .dtype,
+            ),
+            _ => None,
         };
-        let name = out.clone().unwrap_or_else(|| expr.to_string());
-        columns.push(ResultColumn::new(name, dtype));
+        heads.push((out.clone().unwrap_or_else(|| expr.to_string()), declared));
         exprs.push(expr);
     }
-    let mut rs = ResultSet::new(columns);
     let bound = rows.iter().map(|&rid| bind(rid));
-    for row in order_limit_select(bound, &query.order_by, query.limit, &exprs)? {
+    let rows = order_limit_select(bound, &query.order_by, query.limit, &exprs)?;
+    let columns = heads
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, declared))| ResultColumn::new(name, column_type(declared, &rows, i)))
+        .collect();
+    let mut rs = ResultSet::new(columns);
+    for row in rows {
         rs.push_row(row)?;
     }
     Ok(LocalQueryResult::Rows(rs))
@@ -285,6 +289,25 @@ pub(crate) fn order_limit_select<B: Bindings>(
             .try_for_each(|(_, b)| project(b))?;
     }
     Ok(out)
+}
+
+/// The declared type of output column `i` of the rows
+/// [`order_limit_select`] projected: a plain column keeps its `declared`
+/// type; a computed column takes the type of its values — Int mixed with
+/// Float is Float, as `sql::eval` turns an Int product past i64 into a
+/// Float and an Int's text is also a valid double — and Float when it has
+/// none.
+pub(crate) fn column_type(declared: Option<DataType>, rows: &[Vec<Value>], i: usize) -> DataType {
+    declared
+        .or_else(|| {
+            let mut types = rows.iter().filter_map(|r| r[i].data_type());
+            let first = types.next()?;
+            Some(match first {
+                DataType::Int if types.any(|t| t == DataType::Float) => DataType::Float,
+                _ => first,
+            })
+        })
+        .unwrap_or(DataType::Float)
 }
 
 /// Sorts `(keys, payload)` pairs by the ORDER BY directions using the

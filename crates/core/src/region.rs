@@ -9,7 +9,7 @@ use skyquery_htm::{Cap, ConvexPolygon, ConvexRegion, SkyPoint, Vec3};
 use skyquery_sql::ast::{AreaSpec, PolygonSpec, RegionSpec};
 use skyquery_xml::Element;
 
-use crate::error::{FederationError, Result};
+use crate::error::{attr, expect_element, parsed, FederationError, Result};
 
 /// A validated, executable sky region, held as the HTM crate's own shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,38 +135,19 @@ impl Region {
 
     /// Deserializes from the plan element.
     pub fn from_element(e: &Element) -> Result<Region> {
-        if e.name != "Region" {
-            return Err(FederationError::protocol(format!(
-                "expected Region element, found {}",
-                e.name
-            )));
-        }
-        match e.attr("kind") {
-            Some("circle") => {
-                let num = |name: &str| -> Result<f64> {
-                    e.attr(name)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| FederationError::protocol(format!("Region missing {name}")))
-                };
-                Region::circle(
-                    num("ra")?,
-                    num("dec")?,
-                    (num("radius_arcmin")? / 60.0).to_radians(),
-                )
-            }
-            Some("polygon") => {
-                let mut vertices = Vec::new();
-                for v in e.children_named("V") {
-                    let ra: f64 = v
-                        .attr("ra")
-                        .and_then(|x| x.parse().ok())
-                        .ok_or_else(|| FederationError::protocol("polygon V missing ra"))?;
-                    let dec: f64 = v
-                        .attr("dec")
-                        .and_then(|x| x.parse().ok())
-                        .ok_or_else(|| FederationError::protocol("polygon V missing dec"))?;
-                    vertices.push((ra, dec));
-                }
+        expect_element(e, "Region")?;
+        let num = |e, name| attr(e, name, parsed::<f64>);
+        match attr(e, "kind", Some)? {
+            "circle" => Region::circle(
+                num(e, "ra")?,
+                num(e, "dec")?,
+                (num(e, "radius_arcmin")? / 60.0).to_radians(),
+            ),
+            "polygon" => {
+                let vertices = e
+                    .children_named("V")
+                    .map(|v| Ok((num(v, "ra")?, num(v, "dec")?)))
+                    .collect::<Result<Vec<_>>>()?;
                 let poly = ConvexPolygon::from_radec_deg(&vertices).map_err(|err| {
                     FederationError::protocol(format!("invalid polygon in plan: {err}"))
                 })?;

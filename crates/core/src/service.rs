@@ -21,7 +21,7 @@ use skyquery_soap::{
 };
 use skyquery_xml::VoTable;
 
-use crate::error::{FederationError, Result};
+use crate::error::{field, FederationError, Result};
 use crate::lease::LeaseTable;
 
 /// What a handler answers: a response for [`serve`] to encode, or — for
@@ -91,15 +91,6 @@ pub fn serve<R: Into<Reply>>(
     }
 }
 
-/// Decodes a required non-negative integer parameter.
-pub fn require_u64(call: &RpcCall, name: &str) -> Result<u64> {
-    call.require(name)?
-        .as_i64()
-        .filter(|v| *v >= 0)
-        .map(|v| v as u64)
-        .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative integer")))
-}
-
 /// Takes the table `name` out of `values`, a call's parameters or a
 /// reply's results, refusing one that is absent or not a table.
 pub fn take_table(values: &mut Vec<(String, SoapValue)>, name: &str) -> Result<VoTable> {
@@ -108,13 +99,6 @@ pub fn take_table(values: &mut Vec<(String, SoapValue)>, name: &str) -> Result<V
         Some(SoapValue::Table(t)) => Ok(t),
         _ => Err(FederationError::protocol(format!("{name} must be a table"))),
     }
-}
-
-/// Decodes a required string parameter.
-pub fn require_str<'a>(call: &'a RpcCall, name: &str) -> Result<&'a str> {
-    call.require(name)?
-        .as_str()
-        .ok_or_else(|| FederationError::protocol(format!("{name} must be a string")))
 }
 
 /// The outgoing chunked transfers of one service: each an oversized
@@ -184,7 +168,7 @@ impl Transfers {
     /// encoded when the transfer opened, and its transfer's owner.
     /// Serving the last chunk frees the transfer.
     pub fn fetch_chunk(&self, net: &SimNetwork, call: &RpcCall) -> Result<(Reply, u64)> {
-        let transfer_id = require_u64(call, "transfer_id")?;
+        let transfer_id = field(&call.params, "transfer_id")?;
         let mut open = lock(&self.open);
         // Each continuation renews the transfer's lease: a live receiver
         // never loses one mid-stream, however slowly it pulls.
@@ -192,7 +176,7 @@ impl Transfers {
         let (owner, chunks) = open
             .get(transfer_id)
             .ok_or_else(|| FederationError::lease_expired("transfer", transfer_id, &self.host))?;
-        let index = require_u64(call, "index")? as usize;
+        let index: usize = field(&call.params, "index")?;
         let reply = Reply::Encoded(
             chunks
                 .get(index)
@@ -210,7 +194,7 @@ impl Transfers {
     /// id (drained, aborted, or a retried abort) answers `aborted = false`
     /// rather than a fault, so best-effort cleanup never cascades.
     pub fn abort(&self, call: &RpcCall) -> Result<RpcResponse> {
-        let transfer_id = require_u64(call, "transfer_id")?;
+        let transfer_id = field(&call.params, "transfer_id")?;
         let freed = lock(&self.open).remove(transfer_id).is_some();
         Ok(RpcResponse::new("AbortTransfer").result("aborted", SoapValue::Bool(freed)))
     }

@@ -26,12 +26,12 @@ use skyquery_soap::{Operation, RpcCall, RpcResponse, SoapValue};
 use skyquery_sql::parse_query;
 use skyquery_storage::Database;
 
-use crate::error::{FederationError, Result};
+use crate::error::{field, FederationError, Result};
 use crate::exchange::ExchangeState;
 use crate::meta::{catalog_to_element, ArchiveInfo};
 use crate::plan::{ExecutionPlan, DEFAULT_LEASE_TTL_S};
 use crate::query_exec::{execute_local, LocalQueryResult};
-use crate::service::{require_str, require_u64, take_table, Reply, ServiceMethod, Transfers};
+use crate::service::{take_table, Reply, ServiceMethod, Transfers};
 use crate::trace::StatsChain;
 use crate::xmatch::{dropout_step, match_step, seed_step, PartialSet, StepConfig, StepStats};
 
@@ -138,7 +138,7 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
                 )
         },
         handler: |node, net, call| {
-            let from_row = require_u64(call, "from_row")? as usize;
+            let from_row = field(&call.params, "from_row")?;
             node.handle_portal_step(net, call, Some(from_row))
         },
     },
@@ -321,7 +321,7 @@ impl SkyNode {
     }
 
     fn handle_query(&self, _net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let query = parse_query(require_str(call, "sql")?).map_err(FederationError::Sql)?;
+        let query = parse_query(field(&call.params, "sql")?).map_err(FederationError::Sql)?;
         let mut db = lock(&self.db);
         match execute_local(&mut db, &self.info.name, &query)? {
             LocalQueryResult::Count(n) => {
@@ -336,21 +336,17 @@ impl SkyNode {
 
     fn handle_prepare_receive(&self, net: &SimNetwork, call: &mut RpcCall) -> Result<RpcResponse> {
         let rows = crate::result::ResultSet::from_votable(take_table(&mut call.params, "rows")?)?;
-        let txn = require_u64(call, "txn")?;
-        let dest_table = require_str(call, "dest_table")?;
-        let schema = call
-            .require("schema")?
-            .as_xml()
-            .ok_or_else(|| FederationError::protocol("schema must be xml"))?
-            .clone();
+        let txn = field(&call.params, "txn")?;
+        let dest_table = field(&call.params, "dest_table")?;
+        let schema = field(&call.params, "schema")?;
         let mut db = lock(&self.db);
-        // PrepareReceive predates plans and carries no TTL of its own;
-        // the default lease keeps an undecided stage reclaimable.
+        // PrepareReceive carries no plan, so no TTL of its own; the
+        // default lease keeps an undecided stage reclaimable.
         let staged = lock(&self.exchange).prepare(
             &mut db,
             txn,
             dest_table,
-            &schema,
+            schema,
             &rows,
             net.now_s(),
             DEFAULT_LEASE_TTL_S,
@@ -360,7 +356,7 @@ impl SkyNode {
     }
 
     fn handle_commit_receive(&self, _net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let txn = require_u64(call, "txn")?;
+        let txn = field(&call.params, "txn")?;
         let mut db = lock(&self.db);
         let (published, version) = lock(&self.exchange).commit(&mut db, txn)?;
         Ok(RpcResponse::new("CommitReceive")
@@ -369,7 +365,7 @@ impl SkyNode {
     }
 
     fn handle_abort_receive(&self, _net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let txn = require_u64(call, "txn")?;
+        let txn = field(&call.params, "txn")?;
         let mut db = lock(&self.db);
         lock(&self.exchange).abort(&mut db, txn)?;
         Ok(RpcResponse::new("AbortReceive").result("aborted", SoapValue::Bool(true)))
@@ -379,12 +375,8 @@ impl SkyNode {
     /// entry point carries: the step must exist and address this node
     /// (autonomy check), and its SQL fragments must parse.
     fn decode_plan_step(&self, call: &RpcCall) -> Result<(ExecutionPlan, usize, StepConfig)> {
-        let plan = decode_plan(call)?;
-        let step = call
-            .require("step")?
-            .as_i64()
-            .ok_or_else(|| FederationError::protocol("step must be an integer"))?
-            as usize;
+        let plan = ExecutionPlan::from_element(field(&call.params, "plan")?)?;
+        let step: usize = field(&call.params, "step")?;
         if step >= plan.steps.len() {
             return Err(FederationError::protocol(format!(
                 "step {step} out of range for a {}-step plan",
@@ -527,15 +519,6 @@ impl Endpoint for SkyNode {
     fn handle(&self, net: &SimNetwork, req: HttpRequest) -> HttpResponse {
         crate::service::serve(&req, |call| self.handle_call(net, call))
     }
-}
-
-/// Decodes the required `plan` parameter.
-fn decode_plan(call: &RpcCall) -> Result<ExecutionPlan> {
-    ExecutionPlan::from_element(
-        call.require("plan")?
-            .as_xml()
-            .ok_or_else(|| FederationError::protocol("plan must be xml"))?,
-    )
 }
 
 #[cfg(test)]

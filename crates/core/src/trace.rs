@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use skyquery_xml::Element;
 
-use crate::error::{opt_attr, FederationError, Result};
+use crate::error::{attr, expect_element, parsed, Result};
 use crate::xmatch::StepStats;
 
 /// One logged event of a federated execution.
@@ -196,46 +196,33 @@ impl StatsChain {
         e
     }
 
-    /// Decodes the wire form.
+    /// Decodes the wire form: every counter is required, as its writer
+    /// always writes it.
     pub fn from_element(e: &Element) -> Result<StatsChain> {
-        if e.name != "StatsChain" {
-            return Err(FederationError::protocol(format!(
-                "expected StatsChain, found {}",
-                e.name
-            )));
-        }
+        expect_element(e, "StatsChain")?;
         let mut chain = StatsChain::new();
         for se in e.children_named("Step") {
-            // Kernel counters were added after the original wire format;
-            // entries from older peers omit them, which reads as zero.
-            let opt = |name: &str| opt_attr::<usize>(se, name, |_| true);
-            let num = |name: &str| -> Result<usize> {
-                opt(name)?.ok_or_else(|| {
-                    FederationError::protocol(format!("StatsChain step missing {name}"))
-                })
-            };
-            let lenient = |name: &str| -> Result<usize> { Ok(opt(name)?.unwrap_or(0)) };
+            let num = |name| attr(se, name, parsed);
             chain.push(
-                se.attr("alias")
-                    .ok_or_else(|| FederationError::protocol("StatsChain step missing alias"))?,
+                attr(se, "alias", Some)?,
                 StepStats {
                     tuples_in: num("tuples_in")?,
                     candidates_probed: num("candidates")?,
-                    candidates_examined: lenient("examined")?,
-                    chi2_accepted: lenient("accepted")?,
-                    scratch_reuse: lenient("scratch_reuse")?,
+                    candidates_examined: num("examined")?,
+                    chi2_accepted: num("accepted")?,
+                    scratch_reuse: num("scratch_reuse")?,
                     tuples_out: num("tuples_out")?,
-                    tile_builds: lenient("tile_builds")?,
-                    tile_decodes: lenient("tile_decodes")?,
-                    tile_hits: lenient("tile_hits")?,
-                    shards_pruned: lenient("shards_pruned")?,
-                    cache_hits: lenient("cache_hits")?,
-                    cache_misses: lenient("cache_misses")?,
-                    cache_repairs: lenient("cache_repairs")?,
-                    cache_evictions: lenient("cache_evictions")?,
-                    failovers: lenient("failovers")?,
-                    hedges: lenient("hedges")?,
-                    hedge_wins: lenient("hedge_wins")?,
+                    tile_builds: num("tile_builds")?,
+                    tile_decodes: num("tile_decodes")?,
+                    tile_hits: num("tile_hits")?,
+                    shards_pruned: num("shards_pruned")?,
+                    cache_hits: num("cache_hits")?,
+                    cache_misses: num("cache_misses")?,
+                    cache_repairs: num("cache_repairs")?,
+                    cache_evictions: num("cache_evictions")?,
+                    failovers: num("failovers")?,
+                    hedges: num("hedges")?,
+                    hedge_wins: num("hedge_wins")?,
                 },
             );
         }
@@ -246,6 +233,7 @@ impl StatsChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FederationError;
 
     #[test]
     fn trace_sequencing_and_render() {
@@ -344,40 +332,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_chain_tolerates_missing_kernel_counters() {
-        // A chain element written before the kernel counters existed.
-        let el = Element::new("StatsChain").with_child(
-            Element::new("Step")
-                .with_attr("alias", "T")
-                .with_attr("tuples_in", "3")
-                .with_attr("candidates", "7")
-                .with_attr("tuples_out", "2"),
-        );
-        let c = StatsChain::from_element(&el).unwrap();
-        assert_eq!(c.entries.len(), 1);
-        let s = c.entries[0].1;
-        assert_eq!(s.candidates_probed, 7);
-        assert_eq!(s.candidates_examined, 0);
-        assert_eq!(s.chi2_accepted, 0);
-        assert_eq!(s.scratch_reuse, 0);
-        assert_eq!(s.cache_hits, 0);
-        assert_eq!(s.cache_misses, 0);
-        assert_eq!(s.cache_repairs, 0);
-        assert_eq!(s.cache_evictions, 0);
-        assert_eq!(s.failovers, 0);
-        assert_eq!(s.hedges, 0);
-        assert_eq!(s.hedge_wins, 0);
+    /// A one-step chain as its writer writes it, with `edit` applied to
+    /// the step.
+    fn chain_with(edit: impl FnOnce(&mut Element)) -> Element {
+        let mut c = StatsChain::new();
+        c.push("T", StepStats::default());
+        let mut el = c.to_element();
+        edit(&mut el.children[0]);
+        el
     }
 
     #[test]
     fn malformed_wire_stats_counters_are_refused() {
-        // Every counter an older peer may omit (absent reads as zero, see
-        // above): a garbled or negative one is refused, never read as zero.
+        // Every counter: a garbled or negative one is refused, never read
+        // as zero.
         let counters = [
+            "tuples_in",
+            "candidates",
             "examined",
             "accepted",
             "scratch_reuse",
+            "tuples_out",
             "tile_builds",
             "tile_decodes",
             "tile_hits",
@@ -390,15 +365,13 @@ mod tests {
             "hedges",
             "hedge_wins",
         ];
-        let step = || {
-            Element::new("Step")
-                .with_attr("alias", "T")
-                .with_attr("tuples_in", "3")
-                .with_attr("candidates", "7")
-                .with_attr("tuples_out", "2")
-        };
         for name in counters {
-            let chain = |v: &str| Element::new("StatsChain").with_child(step().with_attr(name, v));
+            let chain = |v: &str| {
+                chain_with(|step| {
+                    step.attributes.retain(|(k, _)| k != name);
+                    step.attributes.push((name.into(), v.into()));
+                })
+            };
             assert!(StatsChain::from_element(&chain("5")).is_ok(), "{name}");
             for garbled in ["zz", "-1", "2.5", ""] {
                 match StatsChain::from_element(&chain(garbled)) {
@@ -409,6 +382,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Refuses a chain whose step lacks counter `name`, naming both.
+    fn assert_refused_without(name: &str) {
+        let el = chain_with(|step| step.attributes.retain(|(k, _)| k != name));
+        match StatsChain::from_element(&el) {
+            Err(FederationError::Protocol { detail }) => {
+                assert!(detail.contains("Step") && detail.contains(name), "{detail}")
+            }
+            other => panic!("a step without {name} decoded to {other:?}"),
+        }
+    }
+
+    /// One test per counter the statistics chain's writer always writes
+    /// and its reader once defaulted to zero.
+    macro_rules! refused_without {
+        ($($test:ident: $name:literal,)*) => {
+            $(#[test]
+            fn $test() {
+                assert_refused_without($name);
+            })*
+        };
+    }
+
+    refused_without! {
+        malformed_wire_stats_step_without_examined_is_refused: "examined",
+        malformed_wire_stats_step_without_accepted_is_refused: "accepted",
+        malformed_wire_stats_step_without_scratch_reuse_is_refused: "scratch_reuse",
+        malformed_wire_stats_step_without_tile_builds_is_refused: "tile_builds",
+        malformed_wire_stats_step_without_tile_decodes_is_refused: "tile_decodes",
+        malformed_wire_stats_step_without_tile_hits_is_refused: "tile_hits",
+        malformed_wire_stats_step_without_shards_pruned_is_refused: "shards_pruned",
+        malformed_wire_stats_step_without_cache_hits_is_refused: "cache_hits",
+        malformed_wire_stats_step_without_cache_misses_is_refused: "cache_misses",
+        malformed_wire_stats_step_without_cache_repairs_is_refused: "cache_repairs",
+        malformed_wire_stats_step_without_cache_evictions_is_refused: "cache_evictions",
+        malformed_wire_stats_step_without_failovers_is_refused: "failovers",
+        malformed_wire_stats_step_without_hedges_is_refused: "hedges",
+        malformed_wire_stats_step_without_hedge_wins_is_refused: "hedge_wins",
     }
 
     #[test]

@@ -13,7 +13,7 @@ use skyquery_net::{HttpRequest, NetError, SimNetwork, Url};
 use skyquery_soap::{ChunkManifest, RpcCall, RpcResponse, SoapValue};
 use skyquery_xml::{VoCell, VoColumn, VoTable};
 
-use crate::error::{FederationError, Result};
+use crate::error::{field, opt_field, FederationError, Result};
 use crate::plan::ExecutionPlan;
 use crate::retry::RetryPolicy;
 use crate::service::take_table;
@@ -68,9 +68,9 @@ impl ChunkStream<'_> {
         let request = EncodedCall::new(&call);
         let (mut resp, reply_len) =
             send_encoded(self.net, &self.from_host, &self.url, &request, self.retry)?;
-        let served_index = require_usize(&resp, "index")?;
-        let served_total = require_usize(&resp, "total")?;
-        let served_id = require_usize(&resp, "transfer_id")? as u64;
+        let served_index: usize = field(&resp.results, "index")?;
+        let served_total: usize = field(&resp.results, "total")?;
+        let served_id: u64 = field(&resp.results, "transfer_id")?;
         if served_id != self.manifest.transfer_id
             || served_index != index
             || served_total != self.manifest.total_chunks()
@@ -227,11 +227,7 @@ pub fn invoke_cross_match(
 
 /// The statistics chain riding back on a step reply.
 fn stats_of(resp: &RpcResponse) -> Result<StatsChain> {
-    StatsChain::from_element(
-        resp.require("stats")?
-            .as_xml()
-            .ok_or_else(|| FederationError::protocol("stats must be xml"))?,
-    )
+    StatsChain::from_element(field(&resp.results, "stats")?)
 }
 
 /// Decodes a manifest-or-inline partial-set response (the shared shape of
@@ -245,11 +241,8 @@ fn decode_partial(
     plan: &ExecutionPlan,
     resp: &mut RpcResponse,
 ) -> Result<PartialSet> {
-    if let Some(value) = resp.get("manifest") {
-        let manifest_el = value
-            .as_xml()
-            .ok_or_else(|| FederationError::protocol("manifest must be xml"))?;
-        let manifest = ChunkManifest::from_element(manifest_el).map_err(FederationError::Soap)?;
+    if let Some(manifest) = opt_field(&resp.results, "manifest")? {
+        let manifest = ChunkManifest::from_element(manifest).map_err(FederationError::Soap)?;
         return open_chunk_stream(net, from_host, url, manifest, plan.retry).collect_set();
     }
     PartialSet::from_votable(take_table(&mut resp.results, "partial")?)
@@ -296,7 +289,7 @@ pub fn invoke_portal_step(
     call: &EncodedCall,
 ) -> Result<(PartialSet, StatsChain, u64)> {
     let (mut resp, _) = send_encoded(net, from_host, url, call, plan.retry)?;
-    let version = require_usize(&resp, "version")? as u64;
+    let version = field(&resp.results, "version")?;
     let set = decode_partial(net, from_host, url, plan, &mut resp)?;
     Ok((set, stats_of(&resp)?, version))
 }
@@ -432,14 +425,6 @@ fn send_once(
         Ok(r) => Ok((r, body.len())),
         Err(fault) => Err(fault.into()),
     }
-}
-
-fn require_usize(resp: &RpcResponse, name: &str) -> Result<usize> {
-    resp.require(name)?
-        .as_i64()
-        .filter(|v| *v >= 0)
-        .map(|v| v as usize)
-        .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative integer")))
 }
 
 #[cfg(test)]

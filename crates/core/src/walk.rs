@@ -506,32 +506,42 @@ impl CheckpointedWalk {
     }
 }
 
-/// Re-attaches residual clauses after a re-plan: each residual moves to
-/// the earliest remaining processing position where every alias it
-/// references is bound — either carried in the committed tuples
-/// (already executed) or joined by a remaining step.
+/// Re-attaches residual clauses after a re-plan, each at the step
+/// [`residual_step`] names.
 fn replace_residuals(remaining: &mut [PlanStep], executed: &[String]) -> Result<()> {
     let pool: Vec<String> = remaining
         .iter_mut()
         .flat_map(|s| std::mem::take(&mut s.residual_sql))
         .collect();
-    let n = remaining.len();
-    let alias_order: Vec<String> = remaining.iter().map(|s| s.alias.clone()).collect();
     for sql in pool {
         let expr = skyquery_sql::parse_expr(&sql).map_err(FederationError::Sql)?;
-        let mut max_pos = 0usize;
-        for a in expr.referenced_aliases() {
-            if executed.iter().any(|e| e == a) {
-                continue; // already bound in the committed tuples
-            }
-            let i = alias_order.iter().position(|x| x == a).ok_or_else(|| {
-                FederationError::planning(format!("residual references unknown alias {a}"))
-            })?;
-            max_pos = max_pos.max(n - 1 - i);
-        }
-        remaining[n - 1 - max_pos].residual_sql.push(sql);
+        let at = residual_step(remaining, executed, &expr)?;
+        remaining[at].residual_sql.push(sql);
     }
     Ok(())
+}
+
+/// The index of the step in `steps` (list order, so processing runs from
+/// the last) that runs `residual`, at planning and after a re-plan: the
+/// earliest processing position where every alias it references is bound
+/// — either carried in the committed tuples (`executed`) or joined by one
+/// of `steps`. `steps` is never empty: XMATCH names a mandatory archive.
+pub(crate) fn residual_step(
+    steps: &[PlanStep],
+    executed: &[String],
+    residual: &skyquery_sql::Expr,
+) -> Result<usize> {
+    let mut at = steps.len() - 1;
+    for a in residual.referenced_aliases() {
+        if executed.iter().any(|e| e == a) {
+            continue; // already bound in the committed tuples
+        }
+        let i = steps.iter().position(|s| s.alias == a).ok_or_else(|| {
+            FederationError::planning(format!("residual references unknown alias {a}"))
+        })?;
+        at = at.min(i);
+    }
+    Ok(at)
 }
 
 /// Portal-private provenance column tagged onto each step's input during

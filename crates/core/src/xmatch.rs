@@ -113,12 +113,6 @@ impl TupleState {
         (2.0 * (self.a - self.norm())).max(0.0)
     }
 
-    /// The log-likelihood at the best position, `−a + |â|` (the paper's
-    /// form; equals `−χ²_min/2`).
-    pub fn log_likelihood(&self) -> f64 {
-        -self.a + self.norm()
-    }
-
     /// The maximum-likelihood position: the unit vector along
     /// `(aₓ, a_y, a_z)`.
     pub fn best_position(&self) -> Option<Vec3> {
@@ -308,9 +302,8 @@ impl MatchKernel {
         }
     }
 
-    /// Parses a kernel name; `None` for anything unrecognized — including
-    /// `batch`, the tile kernel withdrawn in PR 19, so an older peer's
-    /// plan decodes onto the default.
+    /// Parses a kernel name; `None` for anything unrecognized, so a plan
+    /// naming another kernel is refused.
     pub fn parse(s: &str) -> Option<MatchKernel> {
         match s {
             "columnar" => Some(MatchKernel::Columnar),
@@ -824,7 +817,6 @@ mod tests {
         let p = SkyPoint::from_radec_deg(185.0, -0.5).to_vec3();
         let s = TupleState::single(p, sigma_rad(0.1));
         assert!(s.chi2_min() < 1e-9);
-        assert!((s.log_likelihood()).abs() < 1e-3);
         let best = s.best_position().unwrap();
         assert!(best.angle_to(p) < 1e-12);
     }

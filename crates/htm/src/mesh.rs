@@ -81,19 +81,6 @@ impl Mesh {
     pub fn trixel(self, id: HtmId) -> Trixel {
         Trixel::from_id(id)
     }
-
-    /// Chooses a reasonable mesh depth for range searches of the given
-    /// radius: deep enough that trixels are comparable to the search radius
-    /// (a few trixels per cap), shallow enough to keep covers small.
-    pub fn depth_for_radius(radius_rad: f64) -> u8 {
-        let mut depth = 0u8;
-        let mut side = std::f64::consts::FRAC_PI_2;
-        while side > radius_rad && depth < MAX_DEPTH {
-            side /= 2.0;
-            depth += 1;
-        }
-        depth
-    }
 }
 
 #[cfg(test)]
@@ -139,14 +126,6 @@ mod tests {
         let a = SkyPoint::from_radec_deg(120.0, 30.0);
         let b = SkyPoint::from_radec_deg(120.0 + 1e-7, 30.0 + 1e-7);
         assert_eq!(mesh.locate(a), mesh.locate(b));
-    }
-
-    #[test]
-    fn depth_for_radius_monotone() {
-        let d_wide = Mesh::depth_for_radius(10.0_f64.to_radians());
-        let d_narrow = Mesh::depth_for_radius((1.0 / 3600.0_f64).to_radians());
-        assert!(d_narrow > d_wide);
-        assert!(d_narrow <= MAX_DEPTH);
     }
 
     #[test]

@@ -128,20 +128,6 @@ impl ConvexPolygon {
             .unit()
     }
 
-    /// A bounding cap: centered at the centroid, reaching the farthest
-    /// vertex. Every point of the polygon lies within it (the polygon is
-    /// the convex hull of its vertices on the sphere, and the cap is
-    /// geodesically convex and contains all vertices).
-    pub fn bounding_cap(&self) -> (Vec3, f64) {
-        let c = self.centroid();
-        let radius = self
-            .vertices
-            .iter()
-            .map(|v| c.angle_to(*v))
-            .fold(0.0, f64::max);
-        (c, radius)
-    }
-
     /// Whether the great-circle arc `a→b` (short arc) crosses any polygon
     /// edge.
     pub fn edge_crosses(&self, a: Vec3, b: Vec3) -> bool {
@@ -255,15 +241,9 @@ mod tests {
         let center = SkyPoint::from_vec3(c);
         assert!((center.ra_deg - 185.0).abs() < 0.01);
         assert!(center.dec_deg.abs() < 0.01);
-        let (cap_center, radius) = p.bounding_cap();
-        for v in p.vertices() {
-            assert!(cap_center.angle_to(*v) <= radius + 1e-12);
-        }
-        // Sampled interior points are inside the cap too.
         for &(ra, dec) in &[(184.5, 0.5), (185.9, -0.9), (185.0, 0.0)] {
             let q = SkyPoint::from_radec_deg(ra, dec).to_vec3();
             assert!(p.contains(q));
-            assert!(cap_center.angle_to(q) <= radius + 1e-12);
         }
     }
 

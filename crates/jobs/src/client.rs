@@ -3,7 +3,7 @@
 //! transparently reassembles chunk-paginated results, so callers see one
 //! [`ResultSet`] whether the service answered inline or with a manifest.
 
-use skyquery_core::error::{decode_dropped, opt_result, FederationError, Result};
+use skyquery_core::error::{decode_dropped, field, opt_field, FederationError, Result};
 use skyquery_core::result::ResultSet;
 use skyquery_core::service::take_table;
 use skyquery_core::{open_chunk_stream, send_rpc_with, RetryPolicy};
@@ -72,29 +72,33 @@ impl JobClient {
             call = call.param("client_ref", SoapValue::Str(r.to_string()));
         }
         let resp = self.call(&call)?;
-        let id = require_u64(&resp, "job")?;
-        let duplicate = opt_result(&resp, "duplicate", SoapValue::as_bool)?.unwrap_or(false);
-        Ok((id, duplicate))
+        Ok((
+            field(&resp.results, "job")?,
+            field(&resp.results, "duplicate")?,
+        ))
     }
 
     /// Polls a job's life-cycle state.
     pub fn poll(&self, job: u64) -> Result<JobStatus> {
         let resp = self.call(&RpcCall::new("PollJob").param("job", SoapValue::Int(job as i64)))?;
-        let state_str = require_str(&resp, "state")?;
-        let state = JobState::parse(&state_str)
-            .ok_or_else(|| FederationError::protocol(format!("unknown job state {state_str}")))?;
+        let values = &resp.results;
+        let state = field(values, "state")?;
+        let state = JobState::parse(state)
+            .ok_or_else(|| FederationError::protocol(format!("unknown job state {state}")))?;
+        // A job that is not degraded answers neither flag nor list, and
+        // one with no rows or no error neither of those.
         Ok(JobStatus {
             id: job,
-            tenant: require_str(&resp, "tenant")?,
+            tenant: field::<&str>(values, "tenant")?.into(),
             state,
-            result_rows: opt_result(&resp, "rows", |v| {
-                v.as_i64().and_then(|n| usize::try_from(n).ok())
-            })?,
-            degraded: opt_result(&resp, "degraded", SoapValue::as_bool)?.unwrap_or(false),
-            dropped_archives: decode_dropped(&resp)?,
-            error: opt_result(&resp, "error", |v| v.as_str().map(String::from))?,
-            wait_s: require_duration(&resp, "wait_s")?,
-            run_s: require_duration(&resp, "run_s")?,
+            result_rows: opt_field(values, "rows")?,
+            degraded: opt_field(values, "degraded")?.unwrap_or(false),
+            dropped_archives: opt_field(values, "dropped")?
+                .map(decode_dropped)
+                .unwrap_or_default(),
+            error: opt_field::<&str>(values, "error")?.map(String::from),
+            wait_s: field(values, "wait_s")?,
+            run_s: field(values, "run_s")?,
         })
     }
 
@@ -104,7 +108,7 @@ impl JobClient {
     pub fn cancel(&self, job: u64) -> Result<bool> {
         let resp =
             self.call(&RpcCall::new("CancelJob").param("job", SoapValue::Int(job as i64)))?;
-        Ok(opt_result(&resp, "cancelled", SoapValue::as_bool)?.unwrap_or(false))
+        field(&resp.results, "cancelled")
     }
 
     /// Fetches a succeeded job's result set. An oversized result arrives
@@ -115,58 +119,23 @@ impl JobClient {
         let mut resp =
             self.call(&RpcCall::new("FetchResults").param("job", SoapValue::Int(job as i64)))?;
         // The degradation header rides the first reply on both delivery
-        // shapes; stamp it onto whatever result set we decode. Absent
-        // means complete; a garbled flag is refused.
-        let degraded = opt_result(&resp, "degraded", SoapValue::as_bool)?.unwrap_or(false);
-        let dropped = decode_dropped(&resp)?;
+        // shapes; stamp it onto whatever result set we decode.
+        let degraded = field(&resp.results, "degraded")?;
+        let dropped = decode_dropped(field(&resp.results, "dropped")?);
         let stamp = |mut rs: ResultSet| {
             rs.degraded = degraded;
             rs.dropped_archives = dropped.clone();
             rs
         };
-        if resp.get("result").is_some() {
-            let table = take_table(&mut resp.results, "result")?;
+        if let Some(manifest) = opt_field(&resp.results, "manifest")? {
+            let manifest = ChunkManifest::from_element(manifest)?;
+            let table =
+                open_chunk_stream(&self.net, &self.host, &self.service, manifest, self.retry)
+                    .collect_table()?;
             return ResultSet::from_votable(table).map(stamp);
         }
-        let manifest = match resp.get("manifest") {
-            Some(SoapValue::Xml(e)) => ChunkManifest::from_element(e)?,
-            _ => {
-                return Err(FederationError::protocol(
-                    "FetchResults answered neither result nor manifest",
-                ))
-            }
-        };
-        let table = open_chunk_stream(&self.net, &self.host, &self.service, manifest, self.retry)
-            .collect_table()?;
-        ResultSet::from_votable(table).map(stamp)
+        ResultSet::from_votable(take_table(&mut resp.results, "result")?).map(stamp)
     }
-}
-
-fn require_str(resp: &RpcResponse, name: &str) -> Result<String> {
-    Ok(resp
-        .require(name)?
-        .as_str()
-        .ok_or_else(|| FederationError::protocol(format!("{name} must be a string")))?
-        .to_string())
-}
-
-fn require_u64(resp: &RpcResponse, name: &str) -> Result<u64> {
-    resp.require(name)?
-        .as_i64()
-        .filter(|v| *v >= 0)
-        .map(|v| v as u64)
-        .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative integer")))
-}
-
-/// A required duration in seconds: a finite, non-negative number.
-fn require_duration(resp: &RpcResponse, name: &str) -> Result<f64> {
-    match resp.require(name)? {
-        SoapValue::Float(v) => Some(*v),
-        SoapValue::Int(v) => Some(*v as f64),
-        _ => None,
-    }
-    .filter(|v| v.is_finite() && *v >= 0.0)
-    .ok_or_else(|| FederationError::protocol(format!("{name} must be a non-negative number")))
 }
 
 #[cfg(test)]
@@ -201,7 +170,16 @@ mod tests {
 
     fn fetch_reply() -> RpcResponse {
         let rs = ResultSet::new(vec![]);
-        RpcResponse::new("FetchResults").result("result", SoapValue::Table(rs.to_votable("result")))
+        RpcResponse::new("FetchResults")
+            .result("result", SoapValue::Table(rs.to_votable("result")))
+            .result("degraded", SoapValue::Bool(false))
+            .result("dropped", SoapValue::Str(String::new()))
+    }
+
+    /// `reply` with its result `name` set to `value`.
+    fn set(mut reply: RpcResponse, name: &str, value: SoapValue) -> RpcResponse {
+        reply.results.retain(|(n, _)| n != name);
+        reply.result(name, value)
     }
 
     fn is_protocol<T: std::fmt::Debug>(r: Result<T>) -> bool {
@@ -231,23 +209,30 @@ mod tests {
         }
     }
 
-    /// Every other field a job reply carries: an absent flag reads
-    /// `false`, and a garbled flag, error, dropped list or duration is
-    /// refused rather than guessed at.
+    /// Every other field a job reply carries: a garbled flag, error,
+    /// dropped list or duration is refused rather than guessed at.
     #[test]
     fn malformed_wire_job_replies_are_refused() {
-        let submit_reply = || RpcResponse::new("SubmitQuery").result("job", SoapValue::Int(3));
+        let submit_reply = |duplicate| {
+            RpcResponse::new("SubmitQuery")
+                .result("job", SoapValue::Int(3))
+                .result("duplicate", duplicate)
+        };
         let submit =
             |reply| client_answered_by(reply).submit_with("t", "q", 0, QuotaClass::Free, None);
-        assert_eq!(submit(submit_reply()).unwrap(), (3, false));
-        let dup = submit_reply().result("duplicate", SoapValue::Bool(true));
-        assert_eq!(submit(dup).unwrap(), (3, true));
-        assert!(is_protocol(submit(
-            submit_reply().result("duplicate", SoapValue::Str("yes".into()))
-        )));
+        assert_eq!(
+            submit(submit_reply(SoapValue::Bool(false))).unwrap(),
+            (3, false)
+        );
+        assert_eq!(
+            submit(submit_reply(SoapValue::Bool(true))).unwrap(),
+            (3, true)
+        );
+        assert!(is_protocol(submit(submit_reply(SoapValue::Str(
+            "yes".into()
+        )))));
 
         let cancel = |reply| client_answered_by(reply).cancel(3);
-        assert!(!cancel(RpcResponse::new("CancelJob")).unwrap());
         let cancelled = RpcResponse::new("CancelJob").result("cancelled", SoapValue::Bool(true));
         assert!(cancel(cancelled).unwrap());
         let garbled = RpcResponse::new("CancelJob").result("cancelled", SoapValue::Int(1));
@@ -290,9 +275,47 @@ mod tests {
     #[test]
     fn malformed_wire_fetch_degraded_flag_is_refused() {
         assert!(!client_answered_by(fetch_reply()).fetch(1).unwrap().degraded);
-        let degraded = fetch_reply().result("degraded", SoapValue::Bool(true));
+        let degraded = set(fetch_reply(), "degraded", SoapValue::Bool(true));
         assert!(client_answered_by(degraded).fetch(1).unwrap().degraded);
-        let garbled = fetch_reply().result("degraded", SoapValue::Str("yes".into()));
+        let garbled = set(fetch_reply(), "degraded", SoapValue::Str("yes".into()));
         assert!(is_protocol(client_answered_by(garbled).fetch(1)));
+    }
+
+    /// Refuses `reply` without its result `name` at `call`, naming it.
+    fn assert_refused_without<T: std::fmt::Debug>(
+        mut reply: RpcResponse,
+        name: &str,
+        call: impl FnOnce(&JobClient) -> Result<T>,
+    ) {
+        reply.results.retain(|(n, _)| n != name);
+        let method = reply.method.clone();
+        match call(&client_answered_by(reply)) {
+            Err(FederationError::Soap(e)) => assert!(e.to_string().contains(name), "{e}"),
+            other => panic!("{method} without {name} decoded to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_wire_submit_reply_without_duplicate_is_refused() {
+        let reply = RpcResponse::new("SubmitQuery")
+            .result("job", SoapValue::Int(3))
+            .result("duplicate", SoapValue::Bool(false));
+        assert_refused_without(reply, "duplicate", |c| c.submit("t", "q"));
+    }
+
+    #[test]
+    fn malformed_wire_cancel_reply_without_cancelled_is_refused() {
+        let reply = RpcResponse::new("CancelJob").result("cancelled", SoapValue::Bool(false));
+        assert_refused_without(reply, "cancelled", |c| c.cancel(3));
+    }
+
+    #[test]
+    fn malformed_wire_fetch_reply_without_degraded_is_refused() {
+        assert_refused_without(fetch_reply(), "degraded", |c| c.fetch(1));
+    }
+
+    #[test]
+    fn malformed_wire_fetch_reply_without_dropped_is_refused() {
+        assert_refused_without(fetch_reply(), "dropped", |c| c.fetch(1));
     }
 }

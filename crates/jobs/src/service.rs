@@ -23,9 +23,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-use skyquery_core::error::{FederationError, Result};
+use skyquery_core::error::{field, opt_field, FederationError, Result};
 use skyquery_core::result::ResultSet;
-use skyquery_core::service::{require_str, require_u64, Reply, ServiceMethod, Transfers};
+use skyquery_core::service::{Reply, ServiceMethod, Transfers};
 use skyquery_core::{LeaseTable, Portal, Submission};
 use skyquery_net::{lock, Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_soap::{Operation, RpcCall, RpcResponse, SoapValue};
@@ -680,34 +680,19 @@ impl JobService {
     // Wire handlers.
 
     fn handle_submit(&self, _net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
-        let tenant = require_str(call, "tenant")?;
-        let sql = require_str(call, "sql")?;
-        let priority = match call.get("priority") {
-            Some(v) => v
-                .as_i64()
-                .ok_or_else(|| FederationError::protocol("priority must be an integer"))?,
-            None => 0,
-        };
-        let class = match call.get("class") {
-            Some(v) => {
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| FederationError::protocol("class must be a string"))?;
-                QuotaClass::parse(s).ok_or_else(|| {
-                    FederationError::protocol(format!(
-                        "unknown quota class {s} (expected free, standard, or premium)"
-                    ))
-                })?
-            }
+        let values = &call.params;
+        let tenant = field(values, "tenant")?;
+        let sql = field(values, "sql")?;
+        let priority = opt_field(values, "priority")?.unwrap_or(0);
+        let class = match opt_field(values, "class")? {
+            Some(s) => QuotaClass::parse(s).ok_or_else(|| {
+                FederationError::protocol(format!(
+                    "unknown quota class {s} (expected free, standard, or premium)"
+                ))
+            })?,
             None => QuotaClass::default(),
         };
-        let client_ref = match call.get("client_ref") {
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| FederationError::protocol("client_ref must be a string"))?,
-            ),
-            None => None,
-        };
+        let client_ref = opt_field(values, "client_ref")?;
         let (id, duplicate) = self.submit(tenant, sql, priority, class, client_ref)?;
         Ok(RpcResponse::new("SubmitQuery")
             .result("job", SoapValue::Int(id as i64))
@@ -715,7 +700,7 @@ impl JobService {
     }
 
     fn handle_poll(&self, call: &RpcCall) -> Result<RpcResponse> {
-        let id = require_u64(call, "job")?;
+        let id = field(&call.params, "job")?;
         let status = self.poll(id)?;
         let mut resp = RpcResponse::new("PollJob")
             .result("state", SoapValue::Str(status.state.as_str().to_string()))
@@ -739,7 +724,7 @@ impl JobService {
     }
 
     fn handle_cancel(&self, call: &RpcCall) -> Result<RpcResponse> {
-        let id = require_u64(call, "job")?;
+        let id = field(&call.params, "job")?;
         let cancelled = self.cancel(id)?;
         Ok(RpcResponse::new("CancelJob").result("cancelled", SoapValue::Bool(cancelled)))
     }
@@ -751,7 +736,7 @@ impl JobService {
     /// chain. Fetching renews the result lease (and each chunk the job's
     /// leases), so delivery is idempotent until the TTL finally lapses.
     fn handle_fetch_results(&self, net: &SimNetwork, call: &RpcCall) -> Result<Reply> {
-        let id = require_u64(call, "job")?;
+        let id = field(&call.params, "job")?;
         let config = self.config();
         let max_bytes = self.portal.config().max_message_bytes;
         let now = net.now_s();

@@ -224,12 +224,6 @@ impl XMatchSpec {
             .map(|t| t.alias.as_str())
             .collect()
     }
-
-    /// The chi-square acceptance bound: `XMATCH < t` accepts tuples with
-    /// minimized chi-square ≤ t².
-    pub fn chi2_bound(&self) -> f64 {
-        self.threshold * self.threshold
-    }
 }
 
 impl fmt::Display for XMatchSpec {
@@ -821,7 +815,6 @@ mod tests {
         assert_eq!(x.to_string(), "XMATCH(O, T, !P) < 3.5");
         assert_eq!(x.mandatory(), vec!["O", "T"]);
         assert_eq!(x.dropouts(), vec!["P"]);
-        assert!((x.chi2_bound() - 12.25).abs() < 1e-12);
     }
 
     #[test]

@@ -214,3 +214,47 @@ fn malformed_wire_commit_version_is_refused() {
         "{err}"
     );
 }
+
+#[test]
+fn malformed_wire_commit_reply_without_version_is_refused() {
+    // A participant that commits but does not report the table's new
+    // version: the registry would keep the old one and the result cache
+    // would serve stale answers, so the coordinator refuses the reply.
+    use std::sync::Arc;
+
+    use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork};
+    use skyquery_soap::{RpcResponse, SoapValue};
+
+    let fed = FederationBuilder::paper_triple(200).build();
+    let node = fed.node("FIRST").unwrap().clone();
+    let silent = RpcResponse::new("CommitReceive")
+        .result("published", SoapValue::Int(1))
+        .to_xml();
+    fed.net.bind(
+        node.host().to_string(),
+        Arc::new(move |net: &SimNetwork, req: HttpRequest| {
+            let commit = req
+                .soap_action()
+                .is_some_and(|a| a.ends_with("#CommitReceive"));
+            let served = node.handle(net, req);
+            if commit {
+                HttpResponse::ok(silent.clone())
+            } else {
+                served
+            }
+        }),
+    );
+    let err = fed
+        .portal
+        .transfer_table(
+            "SDSS",
+            "SELECT O.object_id, O.i_flux FROM SDSS:Photo_Object O WHERE O.i_flux > 400",
+            "FIRST",
+            "bright",
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, skyquery_core::FederationError::Soap(e) if e.to_string().contains("version")),
+        "{err}"
+    );
+}

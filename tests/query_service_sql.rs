@@ -315,3 +315,31 @@ fn equality_pushdown_uses_the_type_index() {
     });
     assert_eq!(galaxies, via_scan);
 }
+
+#[test]
+fn a_computed_column_declares_one_type_at_a_node_and_at_the_portal() {
+    let fed = FederationBuilder::paper_triple(300).build();
+    let node = fed.node("SDSS").unwrap();
+    let resp = send_rpc(
+        &fed.net,
+        "probe",
+        &node.url(),
+        &RpcCall::new("Query").param(
+            "sql",
+            SoapValue::Str("SELECT 1 + 2 AS n FROM SDSS:Photo_Object O".into()),
+        ),
+    )
+    .unwrap();
+    let table = resp.require("rows").unwrap().as_table().unwrap().clone();
+    let at_node = skyquery_core::ResultSet::from_votable(table).unwrap();
+    let (at_portal, _) = fed
+        .portal
+        .submit(
+            "SELECT 1 + 2 AS n FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T \
+             WHERE XMATCH(O, T) < 3.5",
+        )
+        .unwrap();
+    assert!(at_node.row_count() > 0 && at_portal.row_count() > 0);
+    assert_eq!(at_node.columns[0].dtype, DataType::Int);
+    assert_eq!(at_node.columns, at_portal.columns);
+}

@@ -236,6 +236,8 @@ fn malformed_wire_degraded_flag_is_refused() {
         RpcResponse::new("SkyQuery")
             .result("result", SoapValue::Table(table.clone()))
             .result("degraded", degraded)
+            .result("dropped", SoapValue::Str(String::new()))
+            .result("trace", SoapValue::Xml(skyquery_xml::Element::new("Trace")))
             .to_xml()
     };
     for (host, degraded, ok) in [
