@@ -5,7 +5,8 @@
 //!
 //! Table: rows probed by the HTM index walk vs a full scan across search
 //! radii, and cover size across mesh depths. Criterion times HTM vs
-//! linear range searches, and the `AREA` read of a small node.
+//! linear range searches, and the `AREA` read of a small node, which
+//! scans the zone layout's window about the region.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skyquery_htm::{Cap, Cover, Mesh, SkyPoint};

@@ -180,10 +180,10 @@ fn allocations_per_submission_are_pinned() {
         .map(|(name, [a, _])| (*name, a.calls, a.bytes))
         .collect();
     let pins = [
-        ("triple", 4_389, 579_842),
-        ("dense pair", 5_814, 928_457),
-        ("scatter", 8_972, 1_219_153),
-        ("repair", 3_381, 421_026),
+        ("triple", 4_384, 572_898),
+        ("dense pair", 5_969, 923_969),
+        ("scatter", 8_962, 1_210_225),
+        ("repair", 3_371, 397_218),
         ("job from cache", 1_071, 70_548),
     ];
     assert_eq!(got, pins);

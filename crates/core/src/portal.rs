@@ -12,9 +12,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use skyquery_net::{
-    lock, Endpoint, HttpRequest, HttpResponse, ServiceRecord, ServiceRegistry, SimNetwork, Url,
-};
+use skyquery_net::{lock, Endpoint, HttpRequest, HttpResponse, ServiceRecord, SimNetwork, Url};
 use skyquery_soap::{RpcCall, RpcResponse, SoapValue};
 use skyquery_sql::ast::{OrderKey, SortDirection};
 use skyquery_sql::{decompose, parse_query, DecomposedQuery, Expr};
@@ -230,9 +228,6 @@ pub struct Portal {
     /// range they own (then by host); an unsharded archive is a group of
     /// one full-sky node.
     nodes: Mutex<HashMap<String, Vec<RegisteredNode>>>,
-    /// UDDI-style repository of the federation's services (§3.1:
-    /// "services can register themselves and be discovered").
-    registry: ServiceRegistry,
     /// Hosts that exhausted a retry budget, with strike counts and a
     /// half-open probation state. A successful real contact clears the
     /// host — unhealthiness is an observation, not a ban; the autonomous
@@ -257,19 +252,11 @@ impl Portal {
         config: FederationConfig,
     ) -> Arc<Portal> {
         let host = host.into();
-        let registry = ServiceRegistry::new();
-        registry.register(ServiceRecord {
-            provider: "SkyQuery Portal".into(),
-            category: "Portal".into(),
-            url: Url::new(host.clone(), "/soap"),
-            description: "Registration and SkyQuery services".into(),
-        });
         let portal = Arc::new(Portal {
             host: host.clone(),
             net: net.clone(),
             config: Mutex::new(config),
             nodes: Mutex::new(HashMap::new()),
-            registry,
             health: Mutex::new(HashMap::new()),
             cache: Mutex::new(ResultCache::new()),
             counts: Mutex::new(HashMap::new()),
@@ -278,10 +265,39 @@ impl Portal {
         portal
     }
 
-    /// UDDI-style discovery: all registered services in a category
-    /// ("Portal", "SkyNode").
+    /// UDDI-style discovery (§3.1: "services can register themselves
+    /// and be discovered"): the services of a category, "Portal" (this
+    /// Portal) or "SkyNode" (every registered shard), sorted by provider
+    /// name.
     pub fn discover(&self, category: &str) -> Vec<ServiceRecord> {
-        self.registry.discover(category)
+        let mut records = vec![ServiceRecord {
+            provider: "SkyQuery Portal".into(),
+            category: "Portal".into(),
+            url: self.url(),
+            description: "Registration and SkyQuery services".into(),
+        }];
+        for group in lock(&self.nodes).values() {
+            records.extend(group.iter().enumerate().map(|(i, n)| {
+                let extent = n.extent();
+                let range = if extent.is_full_sky() {
+                    String::new()
+                } else {
+                    format!(", dec [{}, {})", extent.dec_lo_deg, extent.dec_hi_deg)
+                };
+                ServiceRecord {
+                    provider: Self::provider_name(i, n),
+                    category: "SkyNode".into(),
+                    url: n.url.clone(),
+                    description: format!(
+                        "σ={}\" archive, primary table {}{range}",
+                        n.info.sigma_arcsec, n.info.primary_table
+                    ),
+                }
+            }));
+        }
+        records.retain(|r| r.category == category);
+        records.sort_by(|a, b| a.provider.cmp(&b.provider));
+        records
     }
 
     /// The Portal's network host name.
@@ -474,34 +490,6 @@ impl Portal {
         }
     }
 
-    /// Rewrites the registry records of one shard group from scratch:
-    /// membership and ordering may both have changed, so stale provider
-    /// names are dropped before the group re-registers.
-    fn sync_registry(&self, name: &str, group: &[RegisteredNode]) {
-        self.registry.unregister(name);
-        for n in group {
-            self.registry
-                .unregister(&format!("{}@{}", n.info.name, n.url.host));
-        }
-        for (i, n) in group.iter().enumerate() {
-            let extent = n.extent();
-            let range = if extent.is_full_sky() {
-                String::new()
-            } else {
-                format!(", dec [{}, {})", extent.dec_lo_deg, extent.dec_hi_deg)
-            };
-            self.registry.register(ServiceRecord {
-                provider: Self::provider_name(i, n),
-                category: "SkyNode".into(),
-                url: n.url.clone(),
-                description: format!(
-                    "σ={}\" archive, primary table {}{range}",
-                    n.info.sigma_arcsec, n.info.primary_table
-                ),
-            });
-        }
-    }
-
     /// The catalog the node at `url` publishes through its Meta-data
     /// service: schemas, row counts and table versions.
     fn fetch_catalog(&self, url: &Url) -> Result<Catalog> {
@@ -525,7 +513,8 @@ impl Portal {
             url: url.clone(),
             catalog,
         };
-        let group = {
+        let extent = info.owned_extent();
+        let (shard_count, replica_count) = {
             let mut nodes = lock(&self.nodes);
             let group = nodes.entry(info.name.to_ascii_uppercase()).or_default();
             group.retain(|n| n.url.host != url.host);
@@ -536,18 +525,16 @@ impl Portal {
                     .total_cmp(&b.extent().dec_lo_deg)
                     .then_with(|| a.url.host.cmp(&b.url.host))
             });
-            group.clone()
+            // The registering node's replica group: every group member
+            // serving exactly the same zone range, itself included.
+            let replicas = group.iter().filter(|n| n.extent() == extent).count();
+            (group.len(), replicas)
         };
-        self.sync_registry(&info.name, &group);
         self.forget_counts(&[&url.host]);
-        let extent = info.owned_extent();
-        // The registering node's replica group: every group member
-        // serving exactly the same zone range, itself included.
-        let replica_count = group.iter().filter(|n| n.extent() == extent).count();
         Ok(Registration {
             archive: info.name.clone(),
             extent,
-            shard_count: group.len(),
+            shard_count,
             replica_count,
             table_count,
         })
@@ -558,9 +545,6 @@ impl Portal {
     pub fn unregister(&self, archive: &str) -> bool {
         let removed = lock(&self.nodes).remove(&archive.to_ascii_uppercase());
         if let Some(group) = &removed {
-            for (i, n) in group.iter().enumerate() {
-                self.registry.unregister(&Self::provider_name(i, n));
-            }
             let hosts: Vec<&str> = group.iter().map(|n| n.url.host.as_str()).collect();
             self.forget_counts(&hosts);
         }

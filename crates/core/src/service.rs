@@ -14,10 +14,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use skyquery_net::{lock, HttpRequest, HttpResponse, SimNetwork};
-use skyquery_soap::chunk::{chunk_reply, split_table};
+use skyquery_soap::chunk::chunk_replies;
 use skyquery_soap::{
-    ChunkManifest, MessageLimits, Operation, RpcCall, RpcResponse, SoapError, SoapFault, SoapValue,
-    WsdlBuilder,
+    MessageLimits, Operation, RpcCall, RpcResponse, SoapError, SoapFault, SoapValue, WsdlBuilder,
 };
 use skyquery_xml::VoTable;
 
@@ -147,17 +146,7 @@ impl Transfers {
             return Err(SoapError::MessageTooLarge { size, limit }.into());
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let chunks = split_table(&spans, MessageLimits::tiny(limit))?;
-        let total = chunks.len();
-        let manifest = ChunkManifest {
-            transfer_id: id,
-            chunk_rows: chunks.iter().map(|rows| rows.len()).collect(),
-        };
-        let replies = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(index, rows)| chunk_reply(&encoded, &spans, rows, index, total, id))
-            .collect();
+        let (manifest, replies) = chunk_replies(&encoded, &spans, MessageLimits::tiny(limit), id)?;
         resp.results[slot] = ("manifest".into(), SoapValue::Xml(manifest.to_element()));
         lock(&self.open).insert(id, (owner, replies), net.now_s(), ttl_s);
         net.record_node_event(&self.host, "lease-granted");
@@ -233,6 +222,7 @@ pub fn wsdl<T: ?Sized>(services: &[ServiceMethod<T>], service: &str, endpoint: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyquery_soap::ChunkManifest;
     use skyquery_xml::{VoCell, VoColumn, VoType};
 
     struct Echo;

@@ -279,8 +279,8 @@ impl PartialSet {
 /// probe loop: which archive rows fall inside a tuple's search ball. The
 /// χ² test and the extension or drop-out that follow are shared, so the
 /// two kernels agree byte for byte whenever their hit lists do (the
-/// parity suite enforces this); the HTM path stays as the region-query
-/// engine and as the oracle in tests.
+/// parity suite enforces this); the HTM path stays as the oracle in
+/// tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatchKernel {
     /// Columnar structure-of-arrays zone kernel: declination-zone buckets

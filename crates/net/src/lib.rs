@@ -14,7 +14,7 @@
 //!   minimizes),
 //! * a configurable **latency/bandwidth model** accumulating simulated
 //!   wall-clock time,
-//! * a UDDI-flavoured **service registry** for discovery (§3.1).
+//! * a UDDI-flavoured **service record**, what discovery lists (§3.1).
 //!
 //! Dispatch is synchronous: `send` looks up the destination endpoint and
 //! invokes its handler, which may itself `send` onward (the daisy chain of
@@ -24,7 +24,6 @@
 mod fault;
 mod http;
 mod metrics;
-mod registry;
 mod sim;
 mod sync;
 mod url;
@@ -34,10 +33,23 @@ pub use http::{Body, HttpRequest, HttpResponse, StatusCode};
 pub use metrics::{
     ChunkFlowStats, CostModel, LinkStats, NetworkMetrics, RetryStats, TenantJobStats,
 };
-pub use registry::{ServiceRecord, ServiceRegistry};
 pub use sim::{Endpoint, SimNetwork};
 pub use sync::{lock, read, write};
 pub use url::Url;
+
+/// A discovered service: who provides what, where ("services need a
+/// unique service for discovering other services", §3.1).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServiceRecord {
+    /// Provider name (e.g. the archive name).
+    pub provider: String,
+    /// Service category (e.g. "SkyNode", "Portal").
+    pub category: String,
+    /// Endpoint URL.
+    pub url: Url,
+    /// Free-form description (e.g. WSDL location).
+    pub description: String,
+}
 
 /// Errors from the simulated network.
 #[derive(Debug, Clone, PartialEq, Eq)]

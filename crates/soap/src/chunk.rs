@@ -5,9 +5,10 @@
 //! worked around by dividing large data sets into smaller chunks" (§6).
 //!
 //! [`MessageLimits`] models the parser's capacity. A sender encodes its
-//! table once, uses [`split_table`] to choose chunks whose encodings stay
-//! under the limit, announces them in a [`ChunkManifest`], and cuts each
-//! chunk's `FetchChunk` reply from that one encoding ([`chunk_reply`]).
+//! table once and [`chunk_replies`] cuts it into `FetchChunk` replies that
+//! each stay under the limit, announced in a [`ChunkManifest`]:
+//! [`split_table`] chooses each chunk's rows, and [`chunk_reply`] cuts its
+//! reply from that one encoding.
 //! Receivers fetch the chunks in manifest order and concatenate them
 //! ([`skyquery_xml::VoTable::concat`] checks schema consistency). The
 //! federation's receiver is `core::transfer::ChunkStream`, which
@@ -82,8 +83,7 @@ impl ChunkManifest {
         e
     }
 
-    /// Parses the wire element. Attributes it does not know — the zone
-    /// ranges an older sender declared — are ignored.
+    /// Parses the wire element.
     pub fn from_element(e: &Element) -> Result<ChunkManifest, SoapError> {
         if e.name != "ChunkManifest" {
             return Err(SoapError::Protocol {
@@ -217,6 +217,35 @@ pub fn chunk_reply(
         .encode_with_table("chunk", &cut(xml, spans, rows))
 }
 
+/// The `FetchChunk` replies of transfer `transfer_id` serving the table
+/// that `spans` locates in `xml`, each within `limits`, and the manifest
+/// announcing them. The chunks are split ([`split_table`]) under the
+/// limit less the widest envelope around a chunk: that of a reply whose
+/// `index` and `total` are the row count, which bounds both.
+pub fn chunk_replies(
+    xml: &str,
+    spans: &TableSpans,
+    limits: MessageLimits,
+    transfer_id: u64,
+) -> Result<(ChunkManifest, Vec<String>), SoapError> {
+    let rows = spans.rows.len().saturating_sub(1);
+    let bare = chunk_reply(xml, spans, 0..0, rows, rows, transfer_id).len();
+    let envelope = bare - cut(xml, spans, 0..0).map(str::len).iter().sum::<usize>();
+    let table = MessageLimits::tiny(limits.max_message_bytes.saturating_sub(envelope));
+    let chunks = split_table(spans, table)?;
+    let total = chunks.len();
+    let manifest = ChunkManifest {
+        transfer_id,
+        chunk_rows: chunks.iter().map(|rows| rows.len()).collect(),
+    };
+    let replies = chunks
+        .into_iter()
+        .enumerate()
+        .map(|(index, rows)| chunk_reply(xml, spans, rows, index, total, transfer_id))
+        .collect();
+    Ok((manifest, replies))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,8 +350,7 @@ mod tests {
         assert_eq!(back, m);
         assert_eq!(back.total_chunks(), 3);
 
-        // An older sender's zone-aware manifest: its zone attributes are
-        // ignored.
+        // Attributes the reader does not know are ignored.
         let zoned = Element::new("ChunkManifest")
             .with_attr("transfer_id", "17")
             .with_attr("total_rows", "120")

@@ -141,4 +141,33 @@ proptest! {
         let limits = MessageLimits::tiny(limit);
         prop_assert_eq!(limits.admit(len).is_ok(), len <= limit);
     }
+
+    #[test]
+    fn every_chunk_reply_fits_the_limit(
+        rows in 50usize..1000,
+        limit in 1500usize..20_000,
+        pad in 0usize..40,
+        transfer_id in any::<u64>(),
+    ) {
+        let mut t = VoTable::new("big", vec![
+            VoColumn::new("id", VoType::Id),
+            VoColumn::new("payload", VoType::Text),
+        ]);
+        for i in 0..rows {
+            let payload = format!("data-{i}-{}", "x".repeat((i * 7 + pad) % 40));
+            t.rows.push(vec![VoCell::Id(i as u64), VoCell::Text(payload)]);
+        }
+        let mut w = XmlWriter::new();
+        let spans = t.write_into(&mut w);
+        let xml = w.finish().unwrap();
+        let (manifest, replies) =
+            chunk::chunk_replies(&xml, &spans, MessageLimits::tiny(limit), transfer_id).unwrap();
+        prop_assert_eq!(manifest.total_chunks(), replies.len());
+        prop_assert_eq!(manifest.chunk_rows.iter().sum::<usize>(), rows);
+        // The reply, envelope included, is what the receiver's parser
+        // admits or refuses.
+        for reply in &replies {
+            prop_assert!(reply.len() <= limit, "{} > {limit}", reply.len());
+        }
+    }
 }

@@ -1,5 +1,5 @@
 //! Columnar position cache: structure-of-arrays buffers for the
-//! cross-match kernel.
+//! cross-match kernel and the region read, a node's one position layout.
 //!
 //! The XMATCH hot loop probes one small sky ball per incoming tuple. The
 //! HTM path answers each probe with a walk of the position index plus a
@@ -15,7 +15,10 @@
 //!
 //! Hits land in a caller-owned [`ProbeScratch`], so the steady-state probe
 //! performs no per-tuple heap allocation; the cross-match's one probe loop
-//! reads them from there exactly as it reads the HTM path's hit list. [`effective_height`] and
+//! reads them from there exactly as it reads the HTM path's hit list. A
+//! region read ([`ColumnarPositions::region_rows`]) takes the same window
+//! about the region's bounding cap and tests each row in it with the
+//! region's own `contains`. [`effective_height`] and
 //! [`declination_zone`] are the federation's one zone formula, which the
 //! simulator's shard dealer calls too.
 //!
@@ -25,9 +28,9 @@
 //! stored unit vectors are exactly `SkyPoint::from_radec_deg(..).to_vec3()`),
 //! same row-id ordering.
 
-use std::f64::consts::PI;
+use std::f64::consts::FRAC_PI_2;
 
-use skyquery_htm::{SkyPoint, Vec3};
+use skyquery_htm::{ConvexRegion, SkyPoint, Vec3};
 
 use crate::error::StorageError;
 use crate::exec::RangeSearchHit;
@@ -58,6 +61,11 @@ const RA_SLACK_RAD: f64 = 1e-12;
 
 /// Absolute padding of the RA half-window, in degrees.
 const RA_PAD_DEG: f64 = 1e-7;
+
+/// Radians added to a region's bounding cap before its window is taken:
+/// a cap's `contains` admits 1e-15 past its boundary in a dot product,
+/// up to 4.5e-8 rad beyond its radius, and a polygon's 1e-15 rad.
+const CONTAINS_SLACK_RAD: f64 = 1e-7;
 
 /// Per-probe counters reported by [`ColumnarPositions::probe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -194,32 +202,63 @@ impl ColumnarPositions {
         let cap_before = scratch.hits.capacity();
         scratch.hits.clear();
         let cvec = center.to_vec3();
+        let mut examined = 0usize;
+        self.window(center, radius_rad, |a, b| {
+            examined += self.scan(a, b, cvec, radius_rad, scratch);
+        });
+        scratch.hits.sort_unstable_by_key(|h| h.row);
+        ProbeStats {
+            examined,
+            reused: scratch.hits.capacity() == cap_before,
+        }
+    }
+
+    /// The rows whose stored unit vector `region` contains, ascending.
+    /// Only the window of the region's bounding cap is read, each row of
+    /// it passed to `read` before its test.
+    pub fn region_rows(
+        &self,
+        region: &dyn ConvexRegion,
+        mut read: impl FnMut(RowId),
+    ) -> Vec<RowId> {
+        let cap = region.bounding_cap();
+        let center = SkyPoint::from_vec3(cap.center());
+        let mut rows = Vec::new();
+        self.window(center, cap.radius() + CONTAINS_SLACK_RAD, |a, b| {
+            for i in a..b {
+                read(self.row[i]);
+                if region.contains(Vec3::new(self.x[i], self.y[i], self.z[i])) {
+                    rows.push(self.row[i]);
+                }
+            }
+        });
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Calls `visit` with each packed slice `[a, b)` that may hold a
+    /// position within `radius_rad` of `center`: in every zone of the
+    /// declination window, the run or two of the RA window.
+    fn window(&self, center: SkyPoint, radius_rad: f64, mut visit: impl FnMut(usize, usize)) {
         let r_deg = radius_rad.to_degrees();
         let zone_lo = self.zone_of_dec(center.dec_deg - r_deg - DEC_SLACK_DEG);
         let zone_hi = self.zone_of_dec(center.dec_deg + r_deg + DEC_SLACK_DEG);
         let windows = ra_windows(center, radius_rad);
-        let mut examined = 0usize;
         for zone in zone_lo..=zone_hi {
             let (zs, ze) = (self.zone_starts[zone], self.zone_starts[zone + 1]);
             if zs == ze {
                 continue;
             }
             match &windows {
-                RaWindows::Full => examined += self.scan(zs, ze, cvec, radius_rad, scratch),
+                RaWindows::Full => visit(zs, ze),
                 RaWindows::Ranges(ranges, n) => {
                     let ras = &self.ra_deg[zs..ze];
                     for &(lo, hi) in &ranges[..*n] {
                         let a = zs + ras.partition_point(|&r| r < lo);
-                        let b = zs + ras.partition_point(|&r| r <= hi);
-                        examined += self.scan(a, b, cvec, radius_rad, scratch);
+                        visit(a, zs + ras.partition_point(|&r| r <= hi));
                     }
                 }
             }
-        }
-        scratch.hits.sort_unstable_by_key(|h| h.row);
-        ProbeStats {
-            examined,
-            reused: scratch.hits.capacity() == cap_before,
         }
     }
 
@@ -326,10 +365,11 @@ enum RaWindows {
 /// at `center`: the maximum |ΔRA| over the ball is
 /// `atan( sin θ / sqrt( cos(δ−θ)·cos(δ+θ) ) )` (the classic zone-algorithm
 /// bound; the product equals `cos²θ − sin²δ`). Degenerate geometry — the
-/// ball touching a pole, or θ ≥ π — falls back to a full scan.
+/// ball touching a pole, or θ ≥ 90°, past which the bound no longer
+/// holds — falls back to a full scan.
 fn ra_windows(center: SkyPoint, radius_rad: f64) -> RaWindows {
     let theta = radius_rad * RA_SAFETY + RA_SLACK_RAD;
-    if theta >= PI {
+    if theta >= FRAC_PI_2 {
         return RaWindows::Full;
     }
     let dec = center.dec_deg.to_radians();

@@ -167,27 +167,16 @@ const LEAF_ROWS: usize = 2;
 
 /// The HTM position index: rows sorted by the HTM ID of their position at a
 /// fixed mesh depth. Its one search walks the trixel tree over this sorted
-/// list.
+/// list. It is the oracle's index: built whole from a table, never updated.
 #[derive(Debug, Clone)]
 pub struct HtmPositionIndex {
     mesh: Mesh,
     /// `(htm_id, row)` sorted by htm_id (then row).
     entries: Vec<(u64, RowId)>,
-    /// True while `entries` is sorted; lazily restored after appends.
-    sorted: bool,
 }
 
 impl HtmPositionIndex {
-    /// An empty index at the given mesh depth.
-    pub fn new(depth: u8) -> HtmPositionIndex {
-        HtmPositionIndex {
-            mesh: Mesh::new(depth),
-            entries: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Builds the index from a table's position columns.
+    /// Builds the index from a table's position columns, sorted once.
     pub fn build(table: &Table, depth: u8) -> Result<HtmPositionIndex, StorageError> {
         let pos =
             table
@@ -199,61 +188,21 @@ impl HtmPositionIndex {
                 })?;
         let ra_ci = table.schema().column_index(&pos.ra).unwrap();
         let dec_ci = table.schema().column_index(&pos.dec).unwrap();
-        let mut idx = HtmPositionIndex::new(depth);
+        let mesh = Mesh::new(depth);
+        let mut entries = Vec::with_capacity(table.len());
         for (rid, row) in table.iter() {
             let (ra, dec) = extract_position(table.name(), row, ra_ci, dec_ci)?;
-            idx.insert(SkyPoint::from_radec_deg(ra, dec), rid);
+            entries.push((mesh.locate(SkyPoint::from_radec_deg(ra, dec)).raw(), rid));
         }
-        idx.ensure_sorted();
-        Ok(idx)
-    }
-
-    /// The index's mesh depth.
-    pub fn depth(&self) -> u8 {
-        self.mesh.depth()
-    }
-
-    /// The index's mesh.
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
-    /// Number of indexed positions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Registers a row's position.
-    pub fn insert(&mut self, p: SkyPoint, rid: RowId) {
-        let id = self.mesh.locate(p).raw();
-        if let Some(&(last, _)) = self.entries.last() {
-            if id < last {
-                self.sorted = false;
-            }
-        }
-        self.entries.push((id, rid));
-    }
-
-    /// Restores the sorted order after out-of-order appends. A no-op when
-    /// already sorted; every search calls this lazily.
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.entries.sort_unstable();
-            self.sorted = true;
-        }
+        entries.sort_unstable();
+        Ok(HtmPositionIndex { mesh, entries })
     }
 
     /// Candidate rows for a convex region (a circle's cap, or a §6
     /// polygon), in HTM ID order. `Full`-kind candidates are guaranteed
     /// inside; `Partial` ones must be re-tested by the caller with the
     /// region's `contains`.
-    pub fn search(&mut self, region: &dyn ConvexRegion) -> Vec<HtmCandidate> {
-        self.ensure_sorted();
+    pub fn search(&self, region: &dyn ConvexRegion) -> Vec<HtmCandidate> {
         let (entries, depth) = (&self.entries, self.mesh.depth());
         // A trixel's node is the range of entries under it, found by two
         // binary searches in its parent's. One with no rows is pruned, and
@@ -387,7 +336,7 @@ mod tests {
         ];
         points.extend([(30.0, 40.0), (200.0, 10.0), (185.0, 5.0)]);
         let t = pos_table(&points);
-        let mut idx = HtmPositionIndex::build(&t, 12).unwrap();
+        let idx = HtmPositionIndex::build(&t, 12).unwrap();
         let center = SkyPoint::from_radec_deg(185.0, -0.5);
         let radius = 10.0 / 3600.0_f64; // 10 arcsec in degrees
         let cands = idx.search(&Cap::new(center.to_vec3(), radius.to_radians()));
@@ -426,7 +375,7 @@ mod tests {
             }]
         );
         let three = pos_table(&[(186.0, -0.5), (186.0, -0.4), (186.1, -0.5)]);
-        let mut idx = HtmPositionIndex::build(&three, 14).unwrap();
+        let idx = HtmPositionIndex::build(&three, 14).unwrap();
         assert!(idx.search(&cap).is_empty());
     }
 
@@ -443,12 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn htm_incremental_insert_resorts() {
-        let mut idx = HtmPositionIndex::new(10);
-        // Insert in non-sorted sky order.
-        idx.insert(SkyPoint::from_radec_deg(300.0, 50.0), 0);
-        idx.insert(SkyPoint::from_radec_deg(10.0, -20.0), 1);
-        idx.insert(SkyPoint::from_radec_deg(10.001, -20.0), 2);
+    fn htm_build_sorts_rows_out_of_sky_order() {
+        // Rows in non-sorted sky order.
+        let t = pos_table(&[(300.0, 50.0), (10.0, -20.0), (10.001, -20.0)]);
+        let idx = HtmPositionIndex::build(&t, 10).unwrap();
         let cands = idx.search(&Cap::new(
             SkyPoint::from_radec_deg(10.0, -20.0).to_vec3(),
             0.01,
@@ -471,7 +418,7 @@ mod tests {
             points.push((120.0 + k as f64 * 1e-4, 12.0));
         }
         let t = pos_table(&points);
-        let mut idx = HtmPositionIndex::build(&t, 10).unwrap();
+        let idx = HtmPositionIndex::build(&t, 10).unwrap();
         // Index entries probed (not rows returned) — the quantity HTM
         // keeps small relative to a full scan.
         let cost = idx

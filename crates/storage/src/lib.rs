@@ -11,8 +11,9 @@
 //! * typed tables with a declared schema (a **primary table** storing the
 //!   unique sky position of each object, plus secondary observation tables),
 //! * ordinary predicate scans for the non-spatial query clauses,
-//! * an **HTM position index** supporting efficient circular range searches
-//!   (the `AREA` clause and the cross-match candidate lookups),
+//! * a **zone layout** of each table's positions answering the `AREA`
+//!   clause and the cross-match candidate lookups, and an **HTM position
+//!   index**, the range search they are checked against,
 //! * **temporary tables** — the cross-match stored procedure materializes
 //!   partial results arriving from the previous SkyNode into a temp table,
 //!   joins, and drops it,

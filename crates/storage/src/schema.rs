@@ -3,7 +3,7 @@
 //! SkyNode databases "usually have very similar logical schemas" (§5.1): a
 //! primary table stores each object's unique sky position; secondary tables
 //! store other observations. [`PositionColumns`] records which columns of a
-//! table carry the position so the engine can maintain an HTM index.
+//! table carry the position so the engine can answer range searches.
 
 use crate::error::StorageError;
 
@@ -79,8 +79,9 @@ impl ColumnDef {
 
 /// Which columns of a table carry the object's sky position.
 ///
-/// When present, the engine maintains an HTM index over `(ra, dec)` at the
-/// given mesh depth, enabling the range searches of §5.4.
+/// When present, the engine answers the range searches of §5.4 over
+/// `(ra, dec)`: region reads through its zone layout, and the oracle's
+/// range search through an HTM index at the given mesh depth.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PositionColumns {
     /// Name of the right-ascension column (degrees, FLOAT).

@@ -272,7 +272,7 @@ fn a_slow_paginated_download_outlives_the_record_ttl() {
         ..JobServiceConfig::default()
     };
     let job = PaginatedJob::start(1500, config, |len| len / 8);
-    assert_eq!(job.manifest.total_chunks(), 12, "test premise");
+    assert_eq!(job.manifest.total_chunks(), 28, "test premise");
     let mut stream = open_chunk_stream(
         &job.fed.net,
         "alice-web",

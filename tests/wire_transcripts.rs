@@ -280,7 +280,7 @@ fn dense_pair_under_a_small_message_limit() {
         .unwrap()
         .iter()
         .all(|(_, _, resp)| !String::from_utf8_lossy(resp).contains("__seq")));
-    check("dense", &log, 13, 0x15db_6afe_aa8a_6320);
+    check("dense", &log, 14, 0x6dc2_1bdd_b928_6fbb);
 }
 
 /// A job whose results are fetched in pages through the job service. The
@@ -327,7 +327,7 @@ fn paginated_job_results() {
         .unwrap()
         .iter()
         .any(|(action, _, _)| action.ends_with("#Query")));
-    check("job", &log, 28, 0x0780_6e62_ac4c_ea24);
+    check("job", &log, 72, 0x3b3e_89e2_903a_2c7d);
 }
 
 /// Appends rows to an archive's primary table directly in storage, the
