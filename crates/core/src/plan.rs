@@ -77,8 +77,8 @@ pub struct PlanStep {
     pub shards: Vec<PlanShard>,
 }
 
-/// The complete plan.
-#[derive(Debug, Clone, PartialEq)]
+/// The complete plan. The default plan has no steps.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExecutionPlan {
     /// XMATCH threshold in standard deviations.
     pub threshold: f64,

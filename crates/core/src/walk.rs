@@ -152,17 +152,13 @@ impl CheckpointedWalk {
     }
 
     /// A walk with nothing left to run: the result cache answered the
-    /// plan, and [`CheckpointedWalk::finish`] hands that answer over.
-    pub(crate) fn answered(
-        plan: &ExecutionPlan,
-        set: PartialSet,
-        stats: StatsChain,
-    ) -> CheckpointedWalk {
+    /// plan, and [`CheckpointedWalk::finish`] hands that answer over. It
+    /// keeps no copy of the plan it will never step.
+    pub(crate) fn answered(set: PartialSet, stats: StatsChain) -> CheckpointedWalk {
         CheckpointedWalk {
-            remaining: Vec::new(),
             committed: Some(set),
             stats,
-            ..CheckpointedWalk::new(plan, false, None)
+            ..CheckpointedWalk::new(&ExecutionPlan::default(), false, None)
         }
     }
 
