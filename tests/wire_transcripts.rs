@@ -18,7 +18,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use skyquery_core::{ChainMode, ExecutionPlan, FederationConfig};
+use skyquery_core::{ChainMode, ExecutionPlan, ExecutionTrace, FederationConfig};
 use skyquery_jobs::{JobClient, JobService, JobServiceConfig};
 use skyquery_net::{Endpoint, FaultKind, FaultPlan, FaultRule, HttpRequest, SimNetwork};
 use skyquery_sim::{
@@ -30,6 +30,19 @@ use skyquery_storage::Value;
 /// One served exchange: SOAPAction, request body, response body.
 type Exchange = (String, Vec<u8>, Vec<u8>);
 type Transcript = Arc<Mutex<Vec<Exchange>>>;
+/// What a scenario served, and the statistics of every step the Portal
+/// ended with, each as its `cross match step` trace line.
+type Served = (Transcript, Vec<String>);
+
+/// The `cross match step` lines of `trace` as `alias: detail`: every
+/// counter of each step's `StepStats`, not only the four its `==` reads.
+fn steps_of(trace: &ExecutionTrace) -> Vec<String> {
+    trace
+        .events_with_action("cross match step")
+        .iter()
+        .map(|e| format!("{}: {}", e.actor, e.detail))
+        .collect()
+}
 
 /// Rebinds `host` to a recorder in front of `inner`.
 fn record(net: &SimNetwork, host: &str, inner: Arc<dyn Endpoint>, log: &Transcript) {
@@ -160,7 +173,7 @@ fn triple_sql() -> String {
     )
 }
 
-fn paper_triple(mode: ChainMode) -> Transcript {
+fn paper_triple(mode: ChainMode) -> Served {
     let fed = FederationBuilder::paper_triple(300)
         .config(FederationConfig {
             chain_mode: mode,
@@ -168,27 +181,43 @@ fn paper_triple(mode: ChainMode) -> Transcript {
         })
         .build();
     let log = record_nodes(&fed);
-    let (rs, _) = fed.portal.submit(&triple_sql()).unwrap();
+    let (rs, trace) = fed.portal.submit(&triple_sql()).unwrap();
     assert!(rs.row_count() > 0, "the triple must match something");
-    log
+    (log, steps_of(&trace))
 }
+
+/// The statistics of each step the Portal ends the recursive triple with.
+const PIN_RECURSIVE: &[&str] = &[
+    "P: tuples in 0, candidates probed 52, examined 52, chi2 accepted 52, scratch reuse 0, tuples out 52, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "T: tuples in 52, candidates probed 36, examined 37, chi2 accepted 36, scratch reuse 51, tuples out 36, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "O: tuples in 36, candidates probed 33, examined 35, chi2 accepted 33, scratch reuse 35, tuples out 33, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+];
 
 #[test]
 fn paper_triple_on_the_recursive_chain() {
-    let log = paper_triple(ChainMode::Recursive);
+    let (log, steps) = paper_triple(ChainMode::Recursive);
     check("recursive", &log, 6, 0x5850_bf23_3bbc_7769);
+    assert_eq!(steps, PIN_RECURSIVE);
 }
+
+/// The statistics of each step the Portal ends the checkpointed triple with.
+const PIN_CHECKPOINTED: &[&str] = &[
+    "P: tuples in 0, candidates probed 52, examined 52, chi2 accepted 52, scratch reuse 0, tuples out 52, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "T: tuples in 52, candidates probed 36, examined 37, chi2 accepted 36, scratch reuse 51, tuples out 36, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "O: tuples in 36, candidates probed 33, examined 35, chi2 accepted 33, scratch reuse 35, tuples out 33, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+];
 
 #[test]
 fn paper_triple_checkpointed() {
-    let log = paper_triple(ChainMode::Checkpointed);
+    let (log, steps) = paper_triple(ChainMode::Checkpointed);
     assert_eq!(assert_one_step_calls("checkpointed", &log), 3);
     check("checkpointed", &log, 6, 0xb74e_ebaa_a493_4988);
+    assert_eq!(steps, PIN_CHECKPOINTED);
 }
 
 /// A 4-shard, 2-replica triple whose extent at the field centre answers
 /// every `ScatterStep` with garbage, so it retries and fails over.
-fn garbled_scatter() -> Transcript {
+fn garbled_scatter() -> Served {
     let fed = FederationBuilder::new()
         .catalog(CatalogParams {
             count: 180,
@@ -220,7 +249,7 @@ fn garbled_scatter() -> Transcript {
         ),
     );
     let log = record_nodes(&fed);
-    let (rs, _) = fed.portal.submit(&triple_sql()).unwrap();
+    let (rs, trace) = fed.portal.submit(&triple_sql()).unwrap();
     assert!(!rs.degraded && rs.row_count() > 0);
     let m = fed.net.metrics();
     assert!(m.retry_total().retries > 0, "the retry budget must run");
@@ -228,18 +257,27 @@ fn garbled_scatter() -> Transcript {
         m.node_event_total("failover") > 0,
         "the extent must fail over"
     );
-    log
+    (log, steps_of(&trace))
 }
+
+/// The statistics of each step the Portal ends the garbled scatter with: the
+/// Portal counts the pruned extents and the failover.
+const PIN_SCATTER: &[&str] = &[
+    "P: tuples in 0, candidates probed 32, examined 32, chi2 accepted 32, scratch reuse 0, tuples out 32, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "T: tuples in 32, candidates probed 21, examined 22, chi2 accepted 21, scratch reuse 31, tuples out 21, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 2",
+    "O: tuples in 21, candidates probed 20, examined 21, chi2 accepted 20, scratch reuse 19, tuples out 20, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 1, hedges 0, hedge wins 0, shards pruned 2",
+];
 
 #[test]
 fn sharded_replicated_scatter_with_a_garbled_extent() {
-    let log = garbled_scatter();
+    let (log, steps) = garbled_scatter();
     assert!(assert_one_step_calls("scatter", &log) > 0);
     check("scatter", &log, 23, 0x2799_f440_8591_b0f8);
+    assert_eq!(steps, PIN_SCATTER);
 }
 
 /// A 3 000-body SDSS and 2MASS pair whose replies are chunked.
-fn dense_pair() -> Transcript {
+fn dense_pair() -> Served {
     let fed = FederationBuilder::new()
         .catalog(CatalogParams {
             count: 3000,
@@ -261,18 +299,24 @@ fn dense_pair() -> Transcript {
         3.5,
         Some((185.0, -0.5, 20.0)),
     );
-    let (rs, _) = fed.portal.submit(&sql).unwrap();
+    let (rs, trace) = fed.portal.submit(&sql).unwrap();
     assert!(rs.row_count() > 0);
     assert!(
         fed.net.metrics().chunk_total().chunks > 1,
         "replies must be chunked"
     );
-    log
+    (log, steps_of(&trace))
 }
+
+/// The statistics of each step the Portal ends the dense pair with.
+const PIN_DENSE: &[&str] = &[
+    "T: tuples in 0, candidates probed 264, examined 264, chi2 accepted 264, scratch reuse 0, tuples out 264, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "O: tuples in 264, candidates probed 252, examined 270, chi2 accepted 252, scratch reuse 263, tuples out 252, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+];
 
 #[test]
 fn dense_pair_under_a_small_message_limit() {
-    let log = dense_pair();
+    let (log, steps) = dense_pair();
     // The chunks are the sender's rows, with no sequence column beside
     // them.
     assert!(log
@@ -281,18 +325,21 @@ fn dense_pair_under_a_small_message_limit() {
         .iter()
         .all(|(_, _, resp)| !String::from_utf8_lossy(resp).contains("__seq")));
     check("dense", &log, 14, 0x6dc2_1bdd_b928_6fbb);
+    assert_eq!(steps, PIN_DENSE);
 }
 
 /// A job whose results are fetched in pages through the job service. The
 /// reference run warms the Portal, so the job's three count-stars are
-/// answered from its count answers and never reach a node.
-fn paginated_job() -> Transcript {
+/// answered from its count answers and never reach a node. Its steps are
+/// the reference run's, then the job's own trace lines, which name only
+/// the tuples in and out.
+fn paginated_job() -> Served {
     let fed = FederationBuilder::paper_triple(200).build();
     let sql = "SELECT O.object_id, T.object_id, P.object_id \
                FROM SDSS:Photo_Object O, TWOMASS:Photo_Primary T, FIRST:Primary_Object P \
                WHERE XMATCH(O, T, P) < 3.5 \
                ORDER BY O.object_id, T.object_id, P.object_id";
-    let (reference, _) = fed.portal.submit(sql).unwrap();
+    let (reference, trace) = fed.portal.submit(sql).unwrap();
     let limit = reference.to_votable("result").to_xml().len() * 3 / 4;
     fed.portal.set_config(FederationConfig {
         max_message_bytes: limit,
@@ -311,12 +358,29 @@ fn paginated_job() -> Transcript {
     svc.run_until_idle(100_000);
     let fetched = cli.fetch(id).unwrap();
     assert_eq!(fetched, reference);
-    log
+    let mut steps = steps_of(&trace);
+    for (actor, action, detail) in svc.job_trace(id).unwrap() {
+        if action == "cross match step" {
+            steps.push(format!("{actor}: {detail}"));
+        }
+    }
+    (log, steps)
 }
+
+/// The statistics of each step of the job scenario: the reference run's,
+/// then the job's own trace lines.
+const PIN_JOB: &[&str] = &[
+    "P: tuples in 0, candidates probed 35, examined 35, chi2 accepted 35, scratch reuse 0, tuples out 35, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "T: tuples in 35, candidates probed 23, examined 23, chi2 accepted 23, scratch reuse 34, tuples out 23, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "O: tuples in 23, candidates probed 22, examined 23, chi2 accepted 22, scratch reuse 22, tuples out 22, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "P: tuples in 0, tuples out 35",
+    "T: tuples in 35, tuples out 23",
+    "O: tuples in 23, tuples out 22",
+];
 
 #[test]
 fn paginated_job_results() {
-    let log = paginated_job();
+    let (log, steps) = paginated_job();
     assert!(log
         .lock()
         .unwrap()
@@ -328,6 +392,7 @@ fn paginated_job_results() {
         .iter()
         .any(|(action, _, _)| action.ends_with("#Query")));
     check("job", &log, 72, 0x3b3e_89e2_903a_2c7d);
+    assert_eq!(steps, PIN_JOB);
 }
 
 /// Appends rows to an archive's primary table directly in storage, the
@@ -353,7 +418,7 @@ fn inject(fed: &TestFederation, archive: &str, rows: &[(u64, f64, f64)]) {
 }
 
 /// A cached triple repaired after each archive grows.
-fn repaired_triple() -> Transcript {
+fn repaired_triple() -> Served {
     let fed = FederationBuilder::new()
         .catalog(CatalogParams {
             count: 140,
@@ -404,12 +469,20 @@ fn repaired_triple() -> Transcript {
     let (rs, trace) = fed.portal.submit(&sql).unwrap();
     assert!(rs.row_count() > 0);
     assert!(trace.events().iter().any(|e| e.action == "cache repair"));
-    log
+    (log, steps_of(&trace))
 }
+
+/// The statistics of each step the Portal ends the repaired triple with: the
+/// Portal counts the cache miss and the repair.
+const PIN_REPAIR: &[&str] = &[
+    "T: tuples in 0, candidates probed 112, examined 112, chi2 accepted 112, scratch reuse 0, tuples out 112, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 1, cache repairs 1, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "O: tuples in 112, candidates probed 100, examined 199, chi2 accepted 100, scratch reuse 219, tuples out 100, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+    "P: tuples in 100, candidates probed 19, examined 19, chi2 accepted 19, scratch reuse 179, tuples out 81, tile builds 0, tile decodes 0, tile hits 0, cache hits 0, cache misses 0, cache repairs 0, cache evictions 0, failovers 0, hedges 0, hedge wins 0, shards pruned 0",
+];
 
 #[test]
 fn cached_triple_repaired_after_growth() {
-    let log = repaired_triple();
+    let (log, steps) = repaired_triple();
     // The repair probes the seed's delta rows, the kept inputs of both
     // later steps against their delta rows, and their fresh inputs
     // against the whole table.
@@ -428,13 +501,14 @@ fn cached_triple_repaired_after_growth() {
     assert_eq!(whole, 2, "the fresh inputs of the match and drop-out steps");
     assert_eq!(assert_one_step_calls("repair", &log), 5);
     check("repair", &log, 7, 0x351c_0b2b_5599_afdc);
+    assert_eq!(steps, PIN_REPAIR);
 }
 
 /// Wire order is a function of the seed: each scenario, run twice,
 /// serves the same exchanges in the same order, before any sort.
 #[test]
 fn every_scenario_repeats_its_exchange_order() {
-    type Scenario = fn() -> Transcript;
+    type Scenario = fn() -> Served;
     let scenarios: [(&str, Scenario); 6] = [
         ("recursive", || paper_triple(ChainMode::Recursive)),
         ("checkpointed", || paper_triple(ChainMode::Checkpointed)),
@@ -444,8 +518,8 @@ fn every_scenario_repeats_its_exchange_order() {
         ("repair", repaired_triple),
     ];
     for (name, scenario) in scenarios {
-        let first = scenario().lock().unwrap().clone();
-        let second = scenario().lock().unwrap().clone();
+        let first = scenario().0.lock().unwrap().clone();
+        let second = scenario().0.lock().unwrap().clone();
         assert_eq!(first.len(), second.len(), "{name}: exchange count");
         if let Some(i) = (0..first.len()).find(|&i| first[i] != second[i]) {
             panic!(
@@ -567,7 +641,7 @@ fn assert_required_present(
 /// `CommitReceive` reply and in a `CancelJob` reply.
 #[test]
 fn every_body_carries_what_its_reader_requires() {
-    type Scenario = fn() -> Transcript;
+    type Scenario = fn() -> Served;
     let scenarios: [(&str, Scenario); 6] = [
         ("recursive", || paper_triple(ChainMode::Recursive)),
         ("checkpointed", || paper_triple(ChainMode::Checkpointed)),
@@ -578,7 +652,7 @@ fn every_body_carries_what_its_reader_requires() {
     ];
     let mut seen = std::collections::BTreeMap::new();
     for (name, scenario) in scenarios {
-        for (element, n) in assert_required_present(name, &scenario()) {
+        for (element, n) in assert_required_present(name, &scenario().0) {
             *seen.entry(element).or_insert(0) += n;
         }
     }
