@@ -189,10 +189,10 @@ fn allocations_per_submission_are_pinned() {
         .map(|(name, [a, _])| (*name, a.calls, a.bytes, a.live))
         .collect();
     let pins = [
-        ("triple", 4_384, 572_898, 0),
-        ("dense pair", 5_969, 923_969, 0),
-        ("scatter", 8_962, 1_210_225, 0),
-        ("repair", 3_371, 397_218, 54_188),
+        ("triple", 4_096, 542_814, 0),
+        ("dense pair", 5_824, 907_839, 0),
+        ("scatter", 8_577, 1_161_409, 0),
+        ("repair", 3_275, 387_226, 54_188),
         ("job from cache", 1_017, 69_042, 3_027),
     ];
     assert_eq!(got, pins);

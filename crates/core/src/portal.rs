@@ -940,7 +940,7 @@ impl Portal {
     /// cached final set with zero chain steps executed. A **monotonically
     /// stale** unsharded entry (every table at or past its cached version)
     /// is repaired by walking it inline ([`CheckpointedWalk::repair`]),
-    /// probing only the delta rows through the node `DeltaStep` service,
+    /// probing only the delta rows through the node's `ScatterStep`,
     /// and the repaired entry replaces the stale one in its slot. Anything
     /// else — a version regression, a vanished archive, a stale sharded
     /// entry, a failed repair — evicts the entry and returns `None` so the

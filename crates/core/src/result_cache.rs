@@ -19,7 +19,7 @@
 //! are exactly `[v, len)`. That gives the cache a third option beyond
 //! hit/discard: when an archive has grown but not otherwise changed,
 //! the Portal re-probes **only the delta rows** through the ordinary
-//! match kernels (the node-side `DeltaStep` service) and merges them
+//! match kernels (a node's `ScatterStep` from that row) and merges them
 //! into the cached partial sets — producing a byte-identical result to
 //! a cold run at a fraction of the cost. A repair is a walk over the
 //! entry: see the step routine in `walk.rs` for the splice discipline

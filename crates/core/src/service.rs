@@ -204,6 +204,24 @@ impl Transfers {
     }
 }
 
+/// The `FetchChunk` operation: the chunked-transfer continuation of
+/// every service that answers through [`Transfers`].
+pub fn fetch_chunk_operation() -> Operation {
+    Operation::new("FetchChunk")
+        .input("transfer_id", "long")
+        .input("index", "long")
+        .output("chunk", "table")
+        .doc("Chunked-transfer continuation for an oversized reply")
+}
+
+/// The `AbortTransfer` operation, beside [`fetch_chunk_operation`].
+pub fn abort_transfer_operation() -> Operation {
+    Operation::new("AbortTransfer")
+        .input("transfer_id", "long")
+        .output("aborted", "boolean")
+        .doc("Free an open chunked transfer without serving its remaining chunks")
+}
+
 /// Every method name in `services`, in registry (WSDL) order.
 pub fn method_names<T: ?Sized>(services: &[ServiceMethod<T>]) -> Vec<&'static str> {
     services.iter().map(|s| s.name).collect()

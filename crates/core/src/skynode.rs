@@ -3,7 +3,7 @@
 //! "Each SkyNode also implements services that act as wrappers and hide
 //! its DBMS and other platform specific details." A SkyNode exposes the
 //! four Web services of §5.1 — **Information**, **Meta-data**, **Query**,
-//! and **Cross match** — plus the Portal-driven step services and the
+//! and **Cross match** — plus the Portal-driven step service and the
 //! data-exchange two-phase-commit methods, all dispatched by `SOAPAction`
 //! through a single [service-method registry](SkyNode::service_names)
 //! that also generates the node's WSDL. The §6 chunking workaround (an
@@ -26,12 +26,14 @@ use skyquery_soap::{Operation, RpcCall, RpcResponse, SoapValue};
 use skyquery_sql::parse_query;
 use skyquery_storage::Database;
 
-use crate::error::{field, FederationError, Result};
+use crate::error::{field, opt_field, FederationError, Result};
 use crate::exchange::ExchangeState;
 use crate::meta::{catalog_to_element, ArchiveInfo};
 use crate::plan::{ExecutionPlan, DEFAULT_LEASE_TTL_S};
 use crate::query_exec::{execute_local, LocalQueryResult};
-use crate::service::{take_table, Reply, ServiceMethod, Transfers};
+use crate::service::{
+    abort_transfer_operation, fetch_chunk_operation, take_table, Reply, ServiceMethod, Transfers,
+};
 use crate::trace::StatsChain;
 use crate::xmatch::{dropout_step, match_step, seed_step, PartialSet, StepConfig, StepStats};
 
@@ -86,23 +88,12 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
     },
     ServiceMethod {
         name: "FetchChunk",
-        operation: || {
-            Operation::new("FetchChunk")
-                .input("transfer_id", "long")
-                .input("index", "long")
-                .output("chunk", "table")
-                .doc("Chunked-transfer continuation for oversized partial results")
-        },
+        operation: fetch_chunk_operation,
         handler: |node, net, call| Ok(node.transfers.fetch_chunk(net, call)?.0),
     },
     ServiceMethod {
         name: "AbortTransfer",
-        operation: || {
-            Operation::new("AbortTransfer")
-                .input("transfer_id", "long")
-                .output("aborted", "boolean")
-                .doc("Free an open chunked transfer without serving its remaining chunks")
-        },
+        operation: abort_transfer_operation,
         handler: |node, _net, call| node.transfers.abort(call).map(Reply::from),
     },
     ServiceMethod {
@@ -111,36 +102,18 @@ const SERVICES: &[ServiceMethod<SkyNode>] = &[
             Operation::new("ScatterStep")
                 .input("plan", "xml")
                 .input("step", "long")
-                .input("input", "table")
-                .output("partial", "table")
-                .output("manifest", "xml")
-                .output("stats", "xml")
-                .output("version", "long")
-                .doc("One scattered cross-match step against this shard's zone range")
-        },
-        handler: |node, net, call| node.handle_portal_step(net, call, None),
-    },
-    ServiceMethod {
-        name: "DeltaStep",
-        operation: || {
-            Operation::new("DeltaStep")
-                .input("plan", "xml")
-                .input("step", "long")
-                .input("from_row", "long")
+                .input_opt("from_row", "long")
                 .input("input", "table")
                 .output("partial", "table")
                 .output("manifest", "xml")
                 .output("stats", "xml")
                 .output("version", "long")
                 .doc(
-                    "One cross-match step restricted to rows inserted at or after from_row \
-                      (the result cache's incremental-repair probe)",
+                    "One portal-driven cross-match step against this shard's zone range, \
+                     from row from_row on when given (the result cache's repair probe)",
                 )
         },
-        handler: |node, net, call| {
-            let from_row = field(&call.params, "from_row")?;
-            node.handle_portal_step(net, call, Some(from_row))
-        },
+        handler: |node, net, call| node.handle_portal_step(net, call),
     },
     ServiceMethod {
         name: "PrepareReceive",
@@ -265,7 +238,7 @@ impl SkyNode {
 
     /// How many cross-match steps this node has successfully executed
     /// (via the recursive `CrossMatch` chain or a portal-driven
-    /// `ScatterStep`/`DeltaStep`). A walk resuming from its committed set
+    /// `ScatterStep`). A walk resuming from its committed set
     /// after a re-plan must *not* grow this on nodes whose steps already
     /// committed.
     pub fn executed_steps(&self) -> u64 {
@@ -453,23 +426,17 @@ impl SkyNode {
         self.encode_set_response(net, &plan, "CrossMatch", set, &chain, None)
     }
 
-    /// `ScatterStep` and `DeltaStep`: one portal-driven step whose input
-    /// the Portal supplies inline (absent for the seed) and whose output
-    /// travels straight back, inline or chunked. The set the Portal holds
-    /// between steps *is* the walk's checkpoint, so the node keeps no
-    /// per-query state beyond a chunked-reply transfer session.
-    /// `ScatterStep` runs against the whole table (this shard's zone
-    /// range); `DeltaStep` against only the rows at or after its
-    /// `from_row` (the result cache's repair probe).
-    fn handle_portal_step(
-        &self,
-        net: &SimNetwork,
-        call: &mut RpcCall,
-        from_row: Option<usize>,
-    ) -> Result<Reply> {
+    /// `ScatterStep`: one portal-driven step whose input the Portal
+    /// supplies inline (absent for the seed) and whose output travels
+    /// straight back, inline or chunked. The set the Portal holds between
+    /// steps *is* the walk's checkpoint, so the node keeps no per-query
+    /// state beyond a chunked-reply transfer session. The step reads the
+    /// whole table (this shard's zone range), or only the rows at or after
+    /// `from_row` when the call names one (the result cache's repair
+    /// probe).
+    fn handle_portal_step(&self, net: &SimNetwork, call: &mut RpcCall) -> Result<Reply> {
         let (plan, step, mut cfg) = self.decode_plan_step(call)?;
-        cfg.from_row = from_row.unwrap_or(0);
-        let method = from_row.map_or("ScatterStep", |_| "DeltaStep");
+        cfg.from_row = opt_field(&call.params, "from_row")?.unwrap_or(0);
         let input = match call.get("input") {
             Some(_) => Some(PartialSet::from_votable(take_table(
                 &mut call.params,
@@ -480,7 +447,7 @@ impl SkyNode {
         let (set, stats, version) = self.run_step(&plan, step, cfg, input)?;
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
-        self.encode_set_response(net, &plan, method, set, &chain, Some(version))
+        self.encode_set_response(net, &plan, "ScatterStep", set, &chain, Some(version))
     }
 
     /// Encodes a partial set under `method`, then its stats chain and,
@@ -541,7 +508,6 @@ mod tests {
                 "FetchChunk",
                 "AbortTransfer",
                 "ScatterStep",
-                "DeltaStep",
                 "PrepareReceive",
                 "CommitReceive",
                 "AbortReceive",

@@ -149,7 +149,8 @@ pub fn format_elapsed(d: Duration) -> String {
 
 /// Per-node statistics accumulated along the chain: each SkyNode appends
 /// its own entry before returning partial results to its caller, so the
-/// Portal receives the full picture.
+/// Portal receives the full picture. The wire carries only the counters a
+/// node sets; the Portal stamps its own after decoding.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsChain {
     /// `(archive alias, stats)` in execution (seed-first) order.
@@ -167,7 +168,8 @@ impl StatsChain {
         self.entries.push((alias.into(), stats));
     }
 
-    /// Encodes for the wire (rides back with the partial results).
+    /// Encodes for the wire (rides back with the partial results): each
+    /// step's alias and the six counters its node sets.
     pub fn to_element(&self) -> Element {
         let mut e = Element::new("StatsChain");
         for (alias, s) in &self.entries {
@@ -179,25 +181,14 @@ impl StatsChain {
                     .with_attr("examined", s.candidates_examined.to_string())
                     .with_attr("accepted", s.chi2_accepted.to_string())
                     .with_attr("scratch_reuse", s.scratch_reuse.to_string())
-                    .with_attr("tuples_out", s.tuples_out.to_string())
-                    .with_attr("tile_builds", s.tile_builds.to_string())
-                    .with_attr("tile_decodes", s.tile_decodes.to_string())
-                    .with_attr("tile_hits", s.tile_hits.to_string())
-                    .with_attr("shards_pruned", s.shards_pruned.to_string())
-                    .with_attr("cache_hits", s.cache_hits.to_string())
-                    .with_attr("cache_misses", s.cache_misses.to_string())
-                    .with_attr("cache_repairs", s.cache_repairs.to_string())
-                    .with_attr("cache_evictions", s.cache_evictions.to_string())
-                    .with_attr("failovers", s.failovers.to_string())
-                    .with_attr("hedges", s.hedges.to_string())
-                    .with_attr("hedge_wins", s.hedge_wins.to_string()),
+                    .with_attr("tuples_out", s.tuples_out.to_string()),
             );
         }
         e
     }
 
     /// Decodes the wire form: every counter is required, as its writer
-    /// always writes it.
+    /// always writes it, and the counters a node does not set read 0.
     pub fn from_element(e: &Element) -> Result<StatsChain> {
         expect_element(e, "StatsChain")?;
         let mut chain = StatsChain::new();
@@ -212,17 +203,7 @@ impl StatsChain {
                     chi2_accepted: num("accepted")?,
                     scratch_reuse: num("scratch_reuse")?,
                     tuples_out: num("tuples_out")?,
-                    tile_builds: num("tile_builds")?,
-                    tile_decodes: num("tile_decodes")?,
-                    tile_hits: num("tile_hits")?,
-                    shards_pruned: num("shards_pruned")?,
-                    cache_hits: num("cache_hits")?,
-                    cache_misses: num("cache_misses")?,
-                    cache_repairs: num("cache_repairs")?,
-                    cache_evictions: num("cache_evictions")?,
-                    failovers: num("failovers")?,
-                    hedges: num("hedges")?,
-                    hedge_wins: num("hedge_wins")?,
+                    ..StepStats::default()
                 },
             );
         }
@@ -310,7 +291,8 @@ mod tests {
                 ..StepStats::default()
             },
         );
-        let back = StatsChain::from_element(&c.to_element()).unwrap();
+        let el = c.to_element();
+        let back = StatsChain::from_element(&el).unwrap();
         assert_eq!(back, c);
         // The kernel counters survive the wire exactly (== ignores them,
         // so compare the fields directly).
@@ -318,18 +300,39 @@ mod tests {
             assert_eq!(b.candidates_examined, o.candidates_examined);
             assert_eq!(b.chi2_accepted, o.chi2_accepted);
             assert_eq!(b.scratch_reuse, o.scratch_reuse);
-            assert_eq!(b.tile_builds, o.tile_builds);
-            assert_eq!(b.tile_decodes, o.tile_decodes);
-            assert_eq!(b.tile_hits, o.tile_hits);
-            assert_eq!(b.shards_pruned, o.shards_pruned);
-            assert_eq!(b.cache_hits, o.cache_hits);
-            assert_eq!(b.cache_misses, o.cache_misses);
-            assert_eq!(b.cache_repairs, o.cache_repairs);
-            assert_eq!(b.cache_evictions, o.cache_evictions);
-            assert_eq!(b.failovers, o.failovers);
-            assert_eq!(b.hedges, o.hedges);
-            assert_eq!(b.hedge_wins, o.hedge_wins);
         }
+        // The counters a node never sets do not travel: a step carries its
+        // alias and the six node counters, and the rest read 0.
+        for step in &el.children {
+            let names: Vec<&str> = step.attributes.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "alias",
+                    "tuples_in",
+                    "candidates",
+                    "examined",
+                    "accepted",
+                    "scratch_reuse",
+                    "tuples_out"
+                ]
+            );
+        }
+        let (_, t) = &back.entries[0];
+        let portal_side = [
+            t.tile_builds,
+            t.tile_decodes,
+            t.tile_hits,
+            t.shards_pruned,
+            t.cache_hits,
+            t.cache_misses,
+            t.cache_repairs,
+            t.cache_evictions,
+            t.failovers,
+            t.hedges,
+            t.hedge_wins,
+        ];
+        assert_eq!(portal_side, [0; 11]);
     }
 
     /// A one-step chain as its writer writes it, with `edit` applied to
@@ -353,17 +356,6 @@ mod tests {
             "accepted",
             "scratch_reuse",
             "tuples_out",
-            "tile_builds",
-            "tile_decodes",
-            "tile_hits",
-            "shards_pruned",
-            "cache_hits",
-            "cache_misses",
-            "cache_repairs",
-            "cache_evictions",
-            "failovers",
-            "hedges",
-            "hedge_wins",
         ];
         for name in counters {
             let chain = |v: &str| {
@@ -410,17 +402,6 @@ mod tests {
         malformed_wire_stats_step_without_examined_is_refused: "examined",
         malformed_wire_stats_step_without_accepted_is_refused: "accepted",
         malformed_wire_stats_step_without_scratch_reuse_is_refused: "scratch_reuse",
-        malformed_wire_stats_step_without_tile_builds_is_refused: "tile_builds",
-        malformed_wire_stats_step_without_tile_decodes_is_refused: "tile_decodes",
-        malformed_wire_stats_step_without_tile_hits_is_refused: "tile_hits",
-        malformed_wire_stats_step_without_shards_pruned_is_refused: "shards_pruned",
-        malformed_wire_stats_step_without_cache_hits_is_refused: "cache_hits",
-        malformed_wire_stats_step_without_cache_misses_is_refused: "cache_misses",
-        malformed_wire_stats_step_without_cache_repairs_is_refused: "cache_repairs",
-        malformed_wire_stats_step_without_cache_evictions_is_refused: "cache_evictions",
-        malformed_wire_stats_step_without_failovers_is_refused: "failovers",
-        malformed_wire_stats_step_without_hedges_is_refused: "hedges",
-        malformed_wire_stats_step_without_hedge_wins_is_refused: "hedge_wins",
     }
 
     #[test]

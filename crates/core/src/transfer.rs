@@ -248,23 +248,22 @@ fn decode_partial(
     PartialSet::from_votable(take_table(&mut resp.results, "partial")?)
 }
 
-/// The call of the portal-driven step services, encoded once so that a
+/// The call of the portal-driven step service, encoded once so that a
 /// scatter sends the same bytes to every extent, hedge and failover: run
 /// plan step `step` on the supplied `input` set (seeding when it is
 /// absent) and hand the output straight back. The Portal sends a
 /// one-step plan ([`ExecutionPlan::for_step`]) at step 0; a node also
-/// accepts a whole plan and any step index in it. `from_row = None` is a
-/// `ScatterStep` over the node's whole table (its zone range, for a
-/// shard); `Some(r)` is a `DeltaStep` over only the rows inserted at or
-/// after row `r` — the result cache's incremental-repair probe.
+/// accepts a whole plan and any step index in it. `from_row = None` runs
+/// the step over the node's whole table (its zone range, for a shard);
+/// `Some(r)` over only the rows inserted at or after row `r` — the result
+/// cache's incremental-repair probe.
 pub fn portal_step_call(
     plan: &ExecutionPlan,
     step: usize,
     from_row: Option<u64>,
     input: Option<VoTable>,
 ) -> EncodedCall {
-    let method = from_row.map_or("ScatterStep", |_| "DeltaStep");
-    let mut call = RpcCall::new(method)
+    let mut call = RpcCall::new("ScatterStep")
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("step", SoapValue::Int(step as i64));
     if let Some(from_row) = from_row {
@@ -276,7 +275,7 @@ pub fn portal_step_call(
     EncodedCall::new(&call)
 }
 
-/// Client side of the portal-driven step services: sends a
+/// Client side of the portal-driven step service: sends a
 /// [`portal_step_call`] to the node at `url`, drains any chunked
 /// continuation, and returns the partial set, its single-entry stats
 /// chain, and the table version the step observed under its database

@@ -224,10 +224,11 @@ impl CheckpointedWalk {
     /// 1. The committed upstream splits into *kept* tuples, which continue
     ///    a row of the stale entry a repair walks, and *fresh* ones.
     /// 2. Kept tuples are probed against only the rows the table gained
-    ///    since the entry's version (`DeltaStep` from that row). A drop-out
-    ///    step probes only the kept tuples whose cached output survived.
-    /// 3. Fresh tuples are probed against the whole table: `DeltaStep`
-    ///    from row 0 in a repair, `ScatterStep` otherwise.
+    ///    since the entry's version (a `ScatterStep` from that row). A
+    ///    drop-out step probes only the kept tuples whose cached output
+    ///    survived.
+    /// 3. Fresh tuples are probed against the whole table: from row 0 in a
+    ///    repair, with no `from_row` otherwise.
     /// 4. The replies splice onto the cached outputs by provenance. A
     ///    match step appends each kept tuple's new extensions to its cached
     ///    group; a drop-out step keeps the cached survivors the new rows
@@ -284,7 +285,7 @@ impl CheckpointedWalk {
 
         // One probe of the upstream tuples at `tuples` (all of them when
         // the walk keeps no provenance) against the rows at or after
-        // `from_row` (`None`: a `ScatterStep` over the whole table).
+        // `from_row` (`None`: the whole table, and no `from_row` sent).
         let mut probe = |tuples: &[usize], from_row: Option<u64>| {
             let tagged = input
                 .filter(|_| recording)

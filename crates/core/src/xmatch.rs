@@ -350,6 +350,13 @@ pub struct StepConfig {
 /// Evaluation statistics for one step (feeds the Figure-3 trace and the
 /// pruning experiment E7).
 ///
+/// A node sets six counters, the ones the `StatsChain` wire carries:
+/// `tuples_in`, `candidates_probed`, `candidates_examined`,
+/// `chi2_accepted`, `scratch_reuse` and `tuples_out`. The Portal sets
+/// `shards_pruned`, `failovers`, `hedges` and `hedge_wins` as it scatters
+/// a step, and the four `cache_*` counters when a walk ends; the three
+/// `tile_*` counters always read 0.
+///
 /// Equality is kernel-invariant: it compares only the counters that are a
 /// pure function of the step's inputs (`tuples_in`, `candidates_probed`,
 /// `chi2_accepted`, `tuples_out`). `candidates_examined` depends on the
@@ -380,16 +387,16 @@ pub struct StepStats {
     pub scratch_reuse: usize,
     /// Partial tuples forwarded to the next step.
     pub tuples_out: usize,
-    /// Always 0 since PR 19 (the batch tile kernel was withdrawn); kept
-    /// for the benchmark harness and the `StatsChain` wire, to retire
-    /// with them in a `benchmark` PR.
+    /// Always 0 since the batch tile kernel was withdrawn; kept for the
+    /// benchmark harness, which reads it, until the harness changes.
     pub tile_builds: usize,
     /// Always 0 since PR 19; kept like `tile_builds`.
     pub tile_decodes: usize,
     /// Always 0 since PR 19; kept like `tile_builds`.
     pub tile_hits: usize,
     /// Scatter-target shards skipped because their declination extent
-    /// meets no input tuple's probe ball (scatter steps only).
+    /// meets no input tuple's probe ball (Portal-side; scatter steps
+    /// only).
     pub shards_pruned: usize,
     /// Result-cache entries that served this submission without
     /// re-executing its chain (Portal-side; at most 1 per submission).

@@ -25,7 +25,9 @@ use std::sync::{Arc, Mutex, Weak};
 
 use skyquery_core::error::{field, opt_field, FederationError, Result};
 use skyquery_core::result::ResultSet;
-use skyquery_core::service::{Reply, ServiceMethod, Transfers};
+use skyquery_core::service::{
+    abort_transfer_operation, fetch_chunk_operation, Reply, ServiceMethod, Transfers,
+};
 use skyquery_core::{ExecutionTrace, LeaseTable, Portal, Submission};
 use skyquery_net::{lock, Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_soap::{Operation, RpcCall, RpcResponse, SoapValue};
@@ -90,13 +92,7 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
     },
     ServiceMethod {
         name: "FetchChunk",
-        operation: || {
-            Operation::new("FetchChunk")
-                .input("transfer_id", "long")
-                .input("index", "long")
-                .output("chunk", "table")
-                .doc("Chunked-transfer continuation for a paginated result")
-        },
+        operation: fetch_chunk_operation,
         handler: |svc, net, call| {
             let (chunk, job) = svc.transfers.fetch_chunk(net, call)?;
             lock(&svc.state).renew_result(job, net.now_s());
@@ -105,12 +101,7 @@ const SERVICES: &[ServiceMethod<JobService>] = &[
     },
     ServiceMethod {
         name: "AbortTransfer",
-        operation: || {
-            Operation::new("AbortTransfer")
-                .input("transfer_id", "long")
-                .output("aborted", "boolean")
-                .doc("Free an open result transfer without serving its remaining chunks")
-        },
+        operation: abort_transfer_operation,
         handler: |svc, _net, call| svc.transfers.abort(call).map(Reply::from),
     },
 ];

@@ -460,8 +460,8 @@ fn recursive_recording_walk_aborts_on_an_unhealthy_archive() {
     assert_eq!(fed.portal.cache_report().1, 1);
 }
 
-/// Satellite: malformed response bodies on the `DeltaStep` path —
-/// truncated and garbage alike — exhaust the repair probes' retry
+/// Satellite: malformed response bodies on a repair probe's
+/// `ScatterStep` — truncated and garbage alike — exhaust its retry
 /// budget; the stale entry is evicted and the chain re-runs cold rather
 /// than splicing a poisoned delta. The answer stays byte-identical to a
 /// clean federation grown the same way.
@@ -476,14 +476,15 @@ fn malformed_delta_bodies_fall_back_to_a_cold_run_not_a_poisoned_splice() {
 
         grow_archives(&cached);
         grow_archives(&cold);
-        // Every DeltaStep reply from SDSS arrives malformed: each repair
-        // probe retries, gives up, and the repair as a whole must abort.
+        // SDSS's replies arrive malformed for one retry budget: its
+        // repair probe retries, gives up, and the repair as a whole must
+        // abort. The cold run after it finds the fault spent.
         cached.net.install_faults(
             FaultPlan::new().rule(
                 FaultRule::new(kind)
                     .host(SDSS_HOST)
-                    .action("DeltaStep")
-                    .times(1000),
+                    .action("ScatterStep")
+                    .times(RetryPolicy::default().max_attempts),
             ),
         );
         let (repaired, trace) = cached.portal.submit(&sql).unwrap();
@@ -517,9 +518,9 @@ fn malformed_delta_bodies_fall_back_to_a_cold_run_not_a_poisoned_splice() {
     }
 }
 
-/// The `DeltaStep` contract the repair relies on: a step run from row
-/// `r` answers exactly as a `ScatterStep` carrying the same input and
-/// the same one-step plan, sent to a node whose table holds only the
+/// The repair probe's contract: a `ScatterStep` run from row `r` answers
+/// exactly as one with no `from_row`, carrying the same input and the
+/// same one-step plan, sent to a node whose table holds only the
 /// rows `[r..)`, in the same order — the same partial set and the same
 /// stats chain, for the seed, match and drop-out steps under both
 /// kernels. Each archive of the paper triple grows by injected rows
@@ -590,6 +591,45 @@ fn a_delta_step_answers_as_a_scatter_over_only_the_new_rows() {
                 "{kernel}: step {idx} must read only the window"
             );
             input = Some(whole);
+        }
+    }
+}
+
+/// A repair probe's `from_row` is optional, and refused when present but
+/// garbled: a step never reads it as row 0.
+#[test]
+fn malformed_wire_scatter_step_from_row_is_refused() {
+    use skyquery_soap::{RpcCall, SoapValue};
+
+    let fed = FederationBuilder::paper_triple(100).build();
+    let plan = fed
+        .portal
+        .plan_query(&paper_query(), &mut ExecutionTrace::new())
+        .unwrap();
+    let seed = plan.seed_index();
+    let one = plan.for_step(seed);
+    let url = &plan.steps[seed].url;
+    let call = |from_row: Option<SoapValue>| {
+        let call = RpcCall::new("ScatterStep")
+            .param("plan", SoapValue::Xml(one.to_element()))
+            .param("step", SoapValue::Int(0));
+        match from_row {
+            Some(v) => call.param("from_row", v),
+            None => call,
+        }
+    };
+    for ok in [None, Some(SoapValue::Int(0)), Some(SoapValue::Int(5))] {
+        skyquery_core::send_rpc(&fed.net, "tester", url, &call(ok.clone()))
+            .unwrap_or_else(|e| panic!("from_row {ok:?}: {e}"));
+    }
+    for garbled in [
+        SoapValue::Int(-1),
+        SoapValue::Str("zz".into()),
+        SoapValue::Float(2.5),
+    ] {
+        match skyquery_core::send_rpc(&fed.net, "tester", url, &call(Some(garbled.clone()))) {
+            Err(e) => assert!(e.to_string().contains("from_row"), "{garbled:?}: {e}"),
+            Ok(_) => panic!("a ScatterStep with from_row {garbled:?} answered"),
         }
     }
 }

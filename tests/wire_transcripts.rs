@@ -140,14 +140,13 @@ fn check(name: &str, log: &Transcript, want_msgs: usize, want_digest: u64) {
     );
 }
 
-/// Every `ScatterStep` and `DeltaStep` call in `log` carries its step
-/// alone: a one-step plan with no shard list, at step 0. Returns how many
-/// there were.
+/// Every `ScatterStep` call in `log` carries its step alone: a one-step
+/// plan with no shard list, at step 0. Returns how many there were.
 fn assert_one_step_calls(name: &str, log: &Transcript) -> usize {
     let log = log.lock().unwrap();
     let calls: Vec<RpcCall> = log
         .iter()
-        .filter(|(action, _, _)| action.ends_with("#ScatterStep") || action.ends_with("#DeltaStep"))
+        .filter(|(action, _, _)| action.ends_with("#ScatterStep"))
         .map(|(_, req, _)| RpcCall::parse(std::str::from_utf8(req).unwrap()).unwrap())
         .collect();
     for call in &calls {
@@ -196,7 +195,7 @@ const PIN_RECURSIVE: &[&str] = &[
 #[test]
 fn paper_triple_on_the_recursive_chain() {
     let (log, steps) = paper_triple(ChainMode::Recursive);
-    check("recursive", &log, 6, 0x5850_bf23_3bbc_7769);
+    check("recursive", &log, 6, 0xd6dd_fe36_dc56_94f6);
     assert_eq!(steps, PIN_RECURSIVE);
 }
 
@@ -211,7 +210,7 @@ const PIN_CHECKPOINTED: &[&str] = &[
 fn paper_triple_checkpointed() {
     let (log, steps) = paper_triple(ChainMode::Checkpointed);
     assert_eq!(assert_one_step_calls("checkpointed", &log), 3);
-    check("checkpointed", &log, 6, 0xb74e_ebaa_a493_4988);
+    check("checkpointed", &log, 6, 0x5476_7d5c_d26f_a4ce);
     assert_eq!(steps, PIN_CHECKPOINTED);
 }
 
@@ -272,7 +271,7 @@ const PIN_SCATTER: &[&str] = &[
 fn sharded_replicated_scatter_with_a_garbled_extent() {
     let (log, steps) = garbled_scatter();
     assert!(assert_one_step_calls("scatter", &log) > 0);
-    check("scatter", &log, 23, 0x2799_f440_8591_b0f8);
+    check("scatter", &log, 23, 0x1038_f04e_d07a_ed3c);
     assert_eq!(steps, PIN_SCATTER);
 }
 
@@ -324,7 +323,7 @@ fn dense_pair_under_a_small_message_limit() {
         .unwrap()
         .iter()
         .all(|(_, _, resp)| !String::from_utf8_lossy(resp).contains("__seq")));
-    check("dense", &log, 14, 0x6dc2_1bdd_b928_6fbb);
+    check("dense", &log, 14, 0x45dd_45f1_7306_e691);
     assert_eq!(steps, PIN_DENSE);
 }
 
@@ -391,7 +390,7 @@ fn paginated_job_results() {
         .unwrap()
         .iter()
         .any(|(action, _, _)| action.ends_with("#Query")));
-    check("job", &log, 72, 0x3b3e_89e2_903a_2c7d);
+    check("job", &log, 72, 0x845c_f6d9_3629_d05e);
     assert_eq!(steps, PIN_JOB);
 }
 
@@ -485,13 +484,14 @@ fn cached_triple_repaired_after_growth() {
     let (log, steps) = repaired_triple();
     // The repair probes the seed's delta rows, the kept inputs of both
     // later steps against their delta rows, and their fresh inputs
-    // against the whole table.
+    // against the whole table, each a `ScatterStep` from a row.
     let deltas: Vec<String> = log
         .lock()
         .unwrap()
         .iter()
-        .filter(|(action, _, _)| action.ends_with("#DeltaStep"))
+        .filter(|(action, _, _)| action.ends_with("#ScatterStep"))
         .map(|(_, req, _)| String::from_utf8_lossy(req).into_owned())
+        .filter(|req| req.contains("<from_row sq:type=\"long\">"))
         .collect();
     assert_eq!(deltas.len(), 5);
     let whole = deltas
@@ -500,7 +500,7 @@ fn cached_triple_repaired_after_growth() {
         .count();
     assert_eq!(whole, 2, "the fresh inputs of the match and drop-out steps");
     assert_eq!(assert_one_step_calls("repair", &log), 5);
-    check("repair", &log, 7, 0x351c_0b2b_5599_afdc);
+    check("repair", &log, 7, 0xdc4c_fdb8_05fa_bccd);
     assert_eq!(steps, PIN_REPAIR);
 }
 
@@ -548,22 +548,7 @@ fn always_written(parent: &str, name: &str) -> &'static [&'static str] {
             "lease_ttl_s",
         ],
         ("OrderLimit", "Key") => &["desc"],
-        ("StatsChain", "Step") => &[
-            "examined",
-            "accepted",
-            "scratch_reuse",
-            "tile_builds",
-            "tile_decodes",
-            "tile_hits",
-            "shards_pruned",
-            "cache_hits",
-            "cache_misses",
-            "cache_repairs",
-            "cache_evictions",
-            "failovers",
-            "hedges",
-            "hedge_wins",
-        ],
+        ("StatsChain", "Step") => &["examined", "accepted", "scratch_reuse"],
         ("Catalog", "Table") => &["bytes", "version"],
         ("Table", "Column") => &["nullable"],
         ("Trace", "Event") => &["actor", "action", "elapsed_us"],
