@@ -4,9 +4,12 @@
 //! would run out of memory while parsing SOAP messages of about 10 MB. We
 //! worked around by dividing large data sets into smaller chunks" (§6).
 //!
-//! [`MessageLimits`] models the parser's capacity. A sender encodes its
-//! table once and [`chunk_replies`] cuts it into `FetchChunk` replies that
-//! each stay under the limit, announced in a [`ChunkManifest`]:
+//! [`MessageLimits`] models the parser's capacity. Senders enforce it:
+//! no receiver measures what arrives, so every reply is built to fit. A
+//! sender refuses a reply over the limit that it may not chunk
+//! (`core::service::Transfers::reply`). Otherwise it encodes its table
+//! once and [`chunk_replies`] cuts it into `FetchChunk` replies that each
+//! stay under the limit, announced in a [`ChunkManifest`]:
 //! [`split_table`] chooses each chunk's rows, and [`chunk_reply`] cuts its
 //! reply from that one encoding.
 //! Receivers fetch the chunks in manifest order and concatenate them
@@ -38,19 +41,6 @@ impl MessageLimits {
     /// A small limit for tests and benches.
     pub fn tiny(max_message_bytes: usize) -> MessageLimits {
         MessageLimits { max_message_bytes }
-    }
-
-    /// Checks an encoded message against the limit, mimicking the 2002
-    /// parser's failure mode (an error instead of an OOM).
-    pub fn admit(&self, encoded_len: usize) -> Result<(), SoapError> {
-        if encoded_len > self.max_message_bytes {
-            Err(SoapError::MessageTooLarge {
-                size: encoded_len,
-                limit: self.max_message_bytes,
-            })
-        } else {
-            Ok(())
-        }
     }
 }
 
@@ -320,14 +310,6 @@ mod tests {
             assert!(c.to_xml().len() <= 2000);
         }
         assert_eq!(VoTable::concat(chunks).unwrap(), t);
-    }
-
-    #[test]
-    fn oversize_unchunked_message_rejected() {
-        let t = big_table(200);
-        let limits = MessageLimits::tiny(2000);
-        assert!(limits.admit(t.to_xml().len()).is_err());
-        assert!(limits.admit(100).is_ok());
     }
 
     #[test]

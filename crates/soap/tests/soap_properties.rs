@@ -137,12 +137,6 @@ proptest! {
     }
 
     #[test]
-    fn message_limits_admit_boundary(limit in 1usize..100_000, len in 0usize..200_000) {
-        let limits = MessageLimits::tiny(limit);
-        prop_assert_eq!(limits.admit(len).is_ok(), len <= limit);
-    }
-
-    #[test]
     fn every_chunk_reply_fits_the_limit(
         rows in 50usize..1000,
         limit in 1500usize..20_000,
